@@ -27,7 +27,7 @@ def tensor_of(model):
             for k in range(POOL):
                 states[i, j, k] = run_sequence(
                     model, standard_sequence(basis, i, j, k))
-    return build_standard_tensor(states, basis, N, build_matrix=False)
+    return build_standard_tensor(states, basis, N)
 
 
 cases = {

@@ -41,7 +41,6 @@ from .qcore import (
     purity,
     rotation_axis_angle,
     rotation_gate,
-    superop_to_choi,
     trace_distance,
     u3_matrix,
     unitarity,
@@ -65,10 +64,10 @@ from .simulator import (
 from .tomography import (
     ProcessTensor,
     assemble,
+    channel_from_prep_outputs,
     contract_fast,
     mle_project,
     prep_slot,
-    project_to_cptp,
     qst_mle,
     unitary_slot,
 )
@@ -165,7 +164,7 @@ def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
         states[nu] = measure_joint_state(joint, shots, master_seed, nu)
     slots = [unitary_slot(basis.unitaries, [f"U{nu}" for nu in range(basis.size)])]
     env_marginal = partial_trace(initial_joint_state(2, model.env_init), 1, (2, 2))
-    return assemble(slots, states, out_dim=4, build_matrix=False,
+    return assemble(slots, states, out_dim=4,
                     provenance={"kind": "decoupling", "shots": shots,
                                 "seed": master_seed,
                                 "env_marginal": env_marginal})
@@ -233,16 +232,12 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
 
     rng = rng_stream(seed, 303)
     candidates: list[tuple[float, np.ndarray]] = []
-    any_success = False
     for r in range(max(1, int(restarts))):
         x0 = np.zeros(3) if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=3)
         res = optimize.minimize(objective, x0, method="Nelder-Mead",
                                 options={"maxiter": maxiter, "xatol": 1e-6,
                                          "fatol": 1e-8})
-        any_success = any_success or bool(res.success)
         candidates.append((float(res.fun), res.x))
-    if not any_success and not candidates:
-        raise NumericalError("decoupling search failed on every restart")
     best_f = min(f for f, _ in candidates)
     best_x = next(x for f, x in candidates if f == best_f)
 
@@ -404,7 +399,7 @@ def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
             rec += 1
     slots = [prep_slot(preps),
              unitary_slot(basis.unitaries, [f"U{nu}" for nu in range(basis.size)])]
-    return assemble(slots, states, out_dim=2, build_matrix=False,
+    return assemble(slots, states, out_dim=2,
                     provenance={"kind": "synthesis", "shots": shots,
                                 "seed": master_seed})
 
@@ -445,16 +440,15 @@ def synthesize_gate(pt: ProcessTensor, target: QuantumChannel,
 
     rng = rng_stream(seed, 505)
     best_x, best_f = None, np.inf
-    any_success = False
     for r in range(max(1, int(restarts))):
         x0 = np.zeros(3) if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=3)
         res = optimize.minimize(objective, x0, method="Nelder-Mead",
                                 options={"maxiter": maxiter, "xatol": 1e-6,
                                          "fatol": 1e-8})
-        any_success = any_success or bool(res.success)
         if res.fun < best_f:
             best_f, best_x = res.fun, res.x
-    if not any_success and best_x is None:
+    if best_x is None:
+        # every restart ended on NaN
         raise NumericalError("synthesis search failed on every restart")
     return SynthesisResult(params=UnitaryParams(*best_x), loss=float(best_f),
                            target_label=target.label,
@@ -471,23 +465,17 @@ def qpt(model: SEModel, gate: np.ndarray, shots: int | None = None,
     """
     if model.steps != 2:
         raise ValueError("qpt layout has exactly two control slots")
-    preps = standard_preparations()
-    inputs = np.empty((4, 4), dtype=complex)
-    outputs = np.empty((4, 4), dtype=complex)
-    for i, prep in enumerate(preps):
+    outputs = []
+    for i, prep in enumerate(standard_preparations()):
         seq = ControlSequence(steps=(prep_step(prep.gate, prep.label),
                                      unitary_step(gate, "G")),
                               name=f"qpt_{prep.label}")
         if shots is None:
-            out = run_sequence(model, seq)
+            outputs.append(run_sequence(model, seq))
         else:
-            out = qst_mle(simulate_experiment(model, seq, shots, master_seed,
-                                              record_index=i))
-        inputs[:, i] = prep.state.reshape(-1)
-        outputs[:, i] = out.reshape(-1)
-    superop = outputs @ np.linalg.inv(inputs)
-    choi = project_to_cptp(superop_to_choi(superop, 2, 2))
-    return QuantumChannel(choi=choi, dim_in=2, dim_out=2, label="qpt")
+            outputs.append(qst_mle(simulate_experiment(
+                model, seq, shots, master_seed, record_index=i)))
+    return channel_from_prep_outputs(outputs, "qpt")
 
 
 @dataclass(frozen=True)

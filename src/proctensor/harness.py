@@ -45,10 +45,8 @@ from .tomography import (
     build_standard_tensor,
     enumerate_standard_keys,
     evaluate_split,
-    held_out_coefficient_tables,
-    predict_batch,
+    prediction_fidelities,
     qst_mle,
-    reconstruction_fidelity,
     standard_sequence,
 )
 
@@ -344,6 +342,7 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
 
 
 def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
+                        basis: ControlBasis,
                         ) -> dict[tuple[int, int, int], ExperimentRecord]:
     rows = store.records(stage="characterize", kind="experiment")
     grouped: dict[tuple[int, int, int], dict] = {}
@@ -362,7 +361,7 @@ def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
         records[key] = ExperimentRecord(
             sequence_id=entry["sequence_id"], counts=entry["counts"],
             shots=entry["shots"], seed=plan.master_seed)
-    expected = enumerate_standard_keys(4, plan.pool_size)
+    expected = enumerate_standard_keys(len(basis.preparations), basis.size)
     missing = [k for k in expected if k not in records]
     if missing:
         raise ConfigError(
@@ -371,9 +370,10 @@ def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
     return records
 
 
-def _states_from_records(records: dict, plan: ExperimentPlan) -> np.ndarray:
-    pool = plan.pool_size
-    states = np.empty((4, pool, pool, 2, 2), dtype=complex)
+def _states_from_records(records: dict, basis: ControlBasis) -> np.ndarray:
+    pool = basis.size
+    states = np.empty((len(basis.preparations), pool, pool, 2, 2),
+                      dtype=complex)
     for (i, j, k), rec in records.items():
         states[i, j, k] = qst_mle(rec)
     return states
@@ -412,7 +412,7 @@ def _run_memory(plan: ExperimentPlan, store: ResultsStore,
                 states: np.ndarray) -> int:
     appended = 0
     n = plan.basis_size
-    pt = build_standard_tensor(states, basis, n, build_matrix=False)
+    pt = build_standard_tensor(states, basis, n)
     placements_list = tuple((s,) for s in range(1, pt.steps))
     if pt.steps > 2:
         placements_list += (tuple(range(1, pt.steps)),)
@@ -450,12 +450,9 @@ def _run_markov(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
     baseline = characterize_markov(model, basis, markov_shots,
                                    master_seed=plan.master_seed + 101)
     n = plan.basis_size
-    pt = build_standard_tensor(states, basis, n, build_matrix=False)
+    pt = build_standard_tensor(states, basis, n)
     keys = enumerate_standard_keys(len(basis.preparations), basis.size)
-    tables = held_out_coefficient_tables(pt, basis, keys)
-    preds = predict_batch(pt, tables)
-    tensor_fids = {key: reconstruction_fidelity(preds[s], states[key])
-                   for s, key in enumerate(keys)}
+    tensor_fids = prediction_fidelities(pt, basis, states, keys)
     comparison = compare_with_tensor(tensor_fids, states, baseline)
     t_vals = np.array(list(comparison.tensor_fids.values()))
     m_vals = np.array(list(comparison.markov_fids.values()))
@@ -575,8 +572,8 @@ def run_plan(plan: ExperimentPlan, store: ResultsStore,
     records = states = None
     for stage in ordered:
         if stage in ("evaluate", "memory", "markov") and records is None:
-            records = _records_from_store(plan, store)
-            states = _states_from_records(records, plan)
+            records = _records_from_store(plan, store, basis)
+            states = _states_from_records(records, basis)
         if stage == "characterize":
             counts[stage] = _run_characterize(plan, store, model, basis)
         elif stage == "evaluate":

@@ -29,7 +29,6 @@ from .qcore import (
     fidelity,
     ket_dm,
     partial_trace,
-    superop_to_choi,
 )
 from .simulator import (
     ControlSequence,
@@ -38,7 +37,7 @@ from .simulator import (
     simulate_experiment,
     unitary_step,
 )
-from .tomography import box_stats, BoxStats, project_to_cptp, qst_mle
+from .tomography import box_stats, BoxStats, channel_from_prep_outputs, qst_mle
 
 
 @dataclass(frozen=True)
@@ -73,20 +72,14 @@ def estimate_step_channel(model: SEModel, interval: int, gate: np.ndarray,
                           record_base: int = 0) -> QuantumChannel:
     """Tomograph L_interval^gate from four-preparation experiments."""
     sub = _single_interval_model(model, interval)
-    preps = standard_preparations()
-    inputs = np.empty((4, 4), dtype=complex)
-    outputs = np.empty((4, 4), dtype=complex)
-    for p, prep in enumerate(preps):
+    outputs = []
+    for p, prep in enumerate(standard_preparations()):
         seq = ControlSequence(steps=(unitary_step(gate @ prep.gate,
                                                   f"{label}.{prep.label}"),),
                               name=f"qpt_{label}_{prep.label}")
-        rec = simulate_experiment(sub, seq, shots, master_seed,
-                                  record_index=record_base + p)
-        inputs[:, p] = prep.state.reshape(-1)
-        outputs[:, p] = qst_mle(rec).reshape(-1)
-    superop = outputs @ np.linalg.inv(inputs)
-    choi = project_to_cptp(superop_to_choi(superop, 2, 2))
-    return QuantumChannel(choi=choi, dim_in=2, dim_out=2, label=label)
+        outputs.append(qst_mle(simulate_experiment(
+            sub, seq, shots, master_seed, record_index=record_base + p)))
+    return channel_from_prep_outputs(outputs, label)
 
 
 def characterize(model: SEModel, basis: ControlBasis, shots: int | None,

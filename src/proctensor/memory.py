@@ -25,12 +25,11 @@ from .qcore import ID2, UnitaryParams
 from .simulator import ControlStep, prep_step, rng_stream, unitary_step
 from .tomography import (
     ProcessTensor,
-    _record_arrays,
     _states_from_probs,
     build_standard_tensor,
     contract_fast,
     depolarizing_in_span,
-    enumerate_standard_keys,
+    redraw_records,
 )
 
 ENTROPY_FLOOR = 1e-12
@@ -202,33 +201,19 @@ def bootstrap_cmi(records: dict, basis, n: int, placements: tuple[int, ...],
     [2t - q_hi, 2t - q_lo] keeps zero inside the interval when the point
     estimate sits at the zero floor, at the cost of clipping to [0, 1].
     """
-    if resamples < 2:
-        raise ValueError("need at least two resamples")
-    all_keys = enumerate_standard_keys(len(basis.preparations), basis.size)
-    missing = [k for k in all_keys if k not in records]
-    if missing:
-        raise ValueError(f"records missing for {len(missing)} sequences")
-    probs, shots = _record_arrays(records, all_keys)
+    # one grid axis per slot of the standard tensor
     sizes = (len(basis.preparations), basis.size, basis.size)
+    placements = _check_placements(placements, len(sizes))
+    probs, redraws = redraw_records(records, basis, resamples,
+                                    rng_stream(seed, 202, *placements))
 
     def tensor_of(p: np.ndarray) -> ProcessTensor:
         states = _states_from_probs(p).reshape(sizes + (2, 2))
-        return build_standard_tensor(states, basis, n, build_matrix=False)
+        return build_standard_tensor(states, basis, n)
 
-    point_pt = tensor_of(probs)
-    placements = _check_placements(placements, point_pt.steps)
-    point = cmi_value(point_pt, params, placements)
-
-    rng = rng_stream(seed, 202, *placements)
-    shot_mat = shots[:, None].astype(float)
-    samples = np.empty(resamples)
-    for b in range(resamples):
-        if shots.max() == 0:
-            re_probs = probs
-        else:
-            draws = rng.binomial(np.maximum(shot_mat, 1).astype(int), probs)
-            re_probs = np.where(shot_mat > 0, draws / np.maximum(shot_mat, 1.0), probs)
-        samples[b] = cmi_value(tensor_of(re_probs), params, placements)
+    point = cmi_value(tensor_of(probs), params, placements)
+    samples = np.array([cmi_value(tensor_of(p), params, placements)
+                        for p in redraws])
     q_lo, q_hi = np.percentile(samples, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     lo = min(max(2.0 * point - q_hi, 0.0), 1.0)
     hi = min(max(2.0 * point - q_lo, 0.0), 1.0)

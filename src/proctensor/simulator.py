@@ -29,7 +29,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .qcore import (
-    ID2,
     KET0,
     PAULI_X,
     PAULI_Y,
@@ -112,7 +111,7 @@ class ControlStep:
 
     kind: "prep" (basis preparation applied as its physical gate),
     "unitary" (basis element), "free" (parametrized gate), or "barrier"
-    (the depolarizing channel, carried with its unitary span weights).
+    (the depolarizing channel).
     """
 
     kind: str
@@ -120,8 +119,6 @@ class ControlStep:
     label: str = ""
     params: UnitaryParams | None = None
     unitary: np.ndarray | None = field(default=None, repr=False)
-    span_weights: tuple[tuple[float, QuantumChannel], ...] | None = field(
-        default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("prep", "unitary", "free", "barrier"):

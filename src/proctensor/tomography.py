@@ -11,21 +11,21 @@ matrix form A_hat = A_0 (x) ... (x) A_{k-1} is
 
     T[A] = tr_in[(A_hat (x) I_out)^T T] = sum_nu prod_s tr[A_s D_s^{nu_s}] rho^nu
 
-so the expansion coefficients tr[A_s D_s^{nu_s}] are computed slot by
-slot; the right-hand route is used as a fast path and is algebraically
-identical to the defining trace.
+The tensor is stored as its slot duals and the states rho^nu, and
+contraction takes the right-hand route: the expansion coefficients
+tr[A_s D_s^{nu_s}] are computed slot by slot. The test suite keeps the
+defining matrix form as an oracle for this identity.
 
 Slot 0 is a preparation slot: any operation contracted there is first
 converted to the preparation it induces on the slot's reference input
 |0><0|. Unitary slots accept anything whose Choi form lies in the span of
-unitary channels; the depolarizing barrier is carried together with its
-explicit decomposition as an equal mixture of the four Pauli gates.
+unitary channels, the depolarizing barrier included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .basis import (
     RESTRICTED_SPAN_DIM,
     build_duals,
     prep_matrix_form,
+    standard_preparations,
     unitary_matrix_form,
 )
 from .qcore import (
@@ -44,13 +45,12 @@ from .qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    PAULIS,
     QuantumChannel,
     apply_channel,
-    channel_from_unitary,
     check_density_matrix,
     fidelity,
     ket_dm,
+    superop_to_choi,
 )
 from .simulator import (
     AXES,
@@ -177,17 +177,12 @@ class ProcessTensor:
     slots: tuple[SlotBasis, ...]
     duals: tuple[DualSet, ...]
     states: np.ndarray = field(repr=False)
-    matrix: np.ndarray | None = field(repr=False)
     out_dim: int
     provenance: dict = field(default_factory=dict)
 
     @property
     def steps(self) -> int:
         return len(self.slots)
-
-    @property
-    def in_dim(self) -> int:
-        return int(np.prod([s.forms[0].shape[0] for s in self.slots]))
 
 
 def prep_slot(preps: Iterable[PrepOp]) -> SlotBasis:
@@ -208,8 +203,7 @@ def unitary_slot(unitaries: Iterable[np.ndarray],
 
 
 def assemble(slots: list[SlotBasis], states: np.ndarray, out_dim: int = 2,
-             provenance: dict | None = None, build_matrix: bool = True,
-             duals: tuple[DualSet, ...] | None = None) -> ProcessTensor:
+             provenance: dict | None = None) -> ProcessTensor:
     """Build the tensor from slot bases and measured basis-sequence states."""
     slots = tuple(slots)
     sizes = tuple(s.size for s in slots)
@@ -217,19 +211,9 @@ def assemble(slots: list[SlotBasis], states: np.ndarray, out_dim: int = 2,
     if states.shape != sizes + (out_dim, out_dim):
         raise ValueError(
             f"states shape {states.shape} != {sizes + (out_dim, out_dim)}")
-    if duals is None:
-        duals = tuple(build_duals(list(s.forms), required_rank=s.required_rank)
-                      for s in slots)
-    matrix = None
-    if build_matrix:
-        in_dim = int(np.prod([s.forms[0].shape[0] for s in slots]))
-        matrix = np.zeros((in_dim * out_dim, in_dim * out_dim), dtype=complex)
-        for idx in np.ndindex(*sizes):
-            dual_full = duals[0].duals[idx[0]].T
-            for s in range(1, len(slots)):
-                dual_full = np.kron(dual_full, duals[s].duals[idx[s]].T)
-            matrix += np.kron(dual_full, states[idx])
-    return ProcessTensor(slots=slots, duals=duals, states=states, matrix=matrix,
+    duals = tuple(build_duals(list(s.forms), required_rank=s.required_rank)
+                  for s in slots)
+    return ProcessTensor(slots=slots, duals=duals, states=states,
                          out_dim=out_dim, provenance=provenance or {})
 
 
@@ -247,41 +231,14 @@ def step_matrix_form(step: ControlStep, slot_kind: str) -> np.ndarray:
 
 def slot_coefficients(slot: SlotBasis, duals: DualSet, step: ControlStep) -> np.ndarray:
     """Expansion coefficients tr[A D^nu] of a step against one slot."""
-    if step.span_weights is not None and slot.kind == "unitary":
-        coeffs = np.zeros(len(duals.duals))
-        for w, ch in step.span_weights:
-            form = ch.choi / ch.dim_in
-            coeffs += w * np.array(
-                [np.einsum("ij,ji->", form, d).real for d in duals.duals])
-        return coeffs
     form = step_matrix_form(step, slot.kind)
     return np.array([np.einsum("ij,ji->", form, d).real for d in duals.duals])
 
 
-def _steps_of(seq: ControlSequence | Iterable[ControlStep]) -> tuple[ControlStep, ...]:
-    if isinstance(seq, ControlSequence):
-        return seq.steps
-    return tuple(seq)
-
-
-def contract(pt: ProcessTensor, seq: ControlSequence | Iterable[ControlStep]) -> np.ndarray:
-    """Defining contraction through the assembled matrix form."""
-    steps = _steps_of(seq)
-    if len(steps) != pt.steps:
-        raise ValueError(f"sequence has {len(steps)} steps, tensor has {pt.steps}")
-    if pt.matrix is None:
-        return contract_fast(pt, steps)
-    a_full = step_matrix_form(steps[0], pt.slots[0].kind)
-    for s in range(1, pt.steps):
-        a_full = np.kron(a_full, step_matrix_form(steps[s], pt.slots[s].kind))
-    t4 = pt.matrix.reshape(pt.in_dim, pt.out_dim, pt.in_dim, pt.out_dim)
-    return np.einsum("pm,pamb->ab", a_full, t4)
-
-
 def contract_fast(pt: ProcessTensor,
                   seq: ControlSequence | Iterable[ControlStep]) -> np.ndarray:
-    """Coefficient-route contraction; equal to ``contract`` by linearity."""
-    steps = _steps_of(seq)
+    """Contract a sequence with the tensor through the slot coefficients."""
+    steps = seq.steps if isinstance(seq, ControlSequence) else tuple(seq)
     if len(steps) != pt.steps:
         raise ValueError(f"sequence has {len(steps)} steps, tensor has {pt.steps}")
     coeffs = [slot_coefficients(pt.slots[s], pt.duals[s], steps[s])
@@ -294,16 +251,13 @@ def contract_fast(pt: ProcessTensor,
 def depolarizing_in_span() -> ControlStep:
     """The single-qubit depolarizing channel as a contractable step.
 
-    Its Choi matrix is I/4 (normalized), inside the span of unitary
-    channels; the step carries the explicit equal-weight Pauli
-    decomposition R = (1/4) sum_P P . P so contraction can use it.
+    Its normalized Choi matrix I/4 is the equal mixture of the four Pauli
+    gates' forms, so it lies in the span of unitary channels and contracts
+    like any other operation.
     """
     ch = QuantumChannel(choi=np.eye(4, dtype=complex) / 2.0, dim_in=2, dim_out=2,
                         label="depolarizing")
-    weights = tuple((0.25, channel_from_unitary(PAULIS[p], label=p))
-                    for p in ("I", "X", "Y", "Z"))
-    return ControlStep(kind="barrier", channel=ch, label="barrier",
-                       span_weights=weights)
+    return ControlStep(kind="barrier", channel=ch, label="barrier")
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +277,15 @@ def enumerate_standard_keys(n_prep: int, pool: int) -> list[tuple[int, int, int]
     return [(i, j, k) for i in range(n_prep) for j in range(pool) for k in range(pool)]
 
 
-def build_standard_tensor(states: np.ndarray, basis: ControlBasis, n: int,
-                          provenance: dict | None = None,
-                          build_matrix: bool = True) -> ProcessTensor:
+def build_standard_tensor(states: np.ndarray, basis: ControlBasis,
+                          n: int) -> ProcessTensor:
     """Three-step tensor (prep slot + two unitary slots) from pool states."""
     if n > basis.size:
         raise ValueError(f"basis subset {n} exceeds pool size {basis.size}")
     slots = [prep_slot(basis.preparations),
              unitary_slot(basis.unitaries[:n], [f"U{j}" for j in range(n)]),
              unitary_slot(basis.unitaries[:n], [f"U{k}" for k in range(n)])]
-    return assemble(slots, states[:, :n, :n], out_dim=2, provenance=provenance,
-                    build_matrix=build_matrix)
+    return assemble(slots, states[:, :n, :n], out_dim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +357,16 @@ def predict_batch(pt: ProcessTensor, tables: tuple[np.ndarray, ...]) -> np.ndarr
     return np.einsum("si,sj,sk,ijkab->sab", a0, a1, a2, pt.states)
 
 
-def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int,
-                   provenance: dict | None = None) -> EvalResult:
+def prediction_fidelities(pt: ProcessTensor, basis: ControlBasis,
+                          states: np.ndarray, keys: list[tuple[int, int, int]],
+                          ) -> dict[tuple[int, int, int], float]:
+    """Fidelity of the tensor's prediction with the measured state, per key."""
+    preds = predict_batch(pt, held_out_coefficient_tables(pt, basis, keys))
+    return {key: reconstruction_fidelity(preds[s], states[key])
+            for s, key in enumerate(keys)}
+
+
+def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int) -> EvalResult:
     """Reconstruct from the first n pool elements, verify on the rest.
 
     ``states`` holds the measured output state of every standard sequence,
@@ -416,14 +376,10 @@ def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int,
     pool = basis.size
     if not 1 <= n < pool:
         raise ValueError(f"need 1 <= n < pool={pool} for a held-out split, got {n}")
-    pt = build_standard_tensor(states, basis, n, provenance, build_matrix=False)
+    pt = build_standard_tensor(states, basis, n)
     keys = [(i, j, k) for i in range(len(basis.preparations))
             for j in range(n, pool) for k in range(n, pool)]
-    tables = held_out_coefficient_tables(pt, basis, keys)
-    preds = predict_batch(pt, tables)
-    fid = {}
-    for s, key in enumerate(keys):
-        fid[key] = reconstruction_fidelity(preds[s], states[key])
+    fid = prediction_fidelities(pt, basis, states, keys)
     return EvalResult(n=n, fidelities=fid,
                       stats=box_stats(np.array(list(fid.values()))))
 
@@ -431,19 +387,6 @@ def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int,
 # ---------------------------------------------------------------------------
 # Bootstrap
 # ---------------------------------------------------------------------------
-
-def resample_record(record: ExperimentRecord, rng: np.random.Generator) -> ExperimentRecord:
-    """Multinomial (binomial per axis) resample; exact records are fixed points."""
-    if record.shots is None:
-        return record
-    counts = {}
-    for ax in AXES:
-        plus, _ = record.counts[ax]
-        new_plus = int(rng.binomial(record.shots, plus / record.shots))
-        counts[ax] = (new_plus, record.shots - new_plus)
-    return ExperimentRecord(sequence_id=record.sequence_id, counts=counts,
-                            shots=record.shots, seed=record.seed)
-
 
 def _record_arrays(records: dict[tuple[int, int, int], ExperimentRecord],
                    keys: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -464,6 +407,36 @@ def _states_from_probs(probs: np.ndarray) -> np.ndarray:
     return qubit_states_from_expectations(ex[:, 0], ex[:, 1], ex[:, 2])
 
 
+def redraw_records(records: dict[tuple[int, int, int], ExperimentRecord],
+                   basis: ControlBasis, resamples: int,
+                   rng: np.random.Generator,
+                   ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Parametric bootstrap over the standard grid's records.
+
+    Returns the plus-probability array over standard keys x axes and an
+    iterator of ``resamples`` redraws of it, each record redrawn from its
+    own counts (exact records are fixed points and draw nothing).
+    """
+    if resamples < 2:
+        raise ValueError("need at least two resamples")
+    keys = enumerate_standard_keys(len(basis.preparations), basis.size)
+    missing = [k for k in keys if k not in records]
+    if missing:
+        raise ValueError(f"records missing for {len(missing)} sequences, e.g. {missing[0]}")
+    probs, shots = _record_arrays(records, keys)
+    shot_mat = shots[:, None].astype(float)
+
+    def redraws() -> Iterator[np.ndarray]:
+        for _ in range(resamples):
+            if shots.max() == 0:
+                yield probs
+                continue
+            draws = rng.binomial(np.maximum(shot_mat, 1).astype(int), probs)
+            yield np.where(shot_mat > 0, draws / np.maximum(shot_mat, 1.0), probs)
+
+    return probs, redraws()
+
+
 def bootstrap_ci(records: dict[tuple[int, int, int], ExperimentRecord],
                  basis: ControlBasis, n: int, resamples: int = 1000,
                  seed: int = 0, alpha: float = 0.05,
@@ -482,14 +455,10 @@ def bootstrap_samples(records: dict[tuple[int, int, int], ExperimentRecord],
                       basis: ControlBasis, n: int, resamples: int = 1000,
                       seed: int = 0, alpha: float = 0.05,
                       ) -> tuple[float, float, np.ndarray]:
-    if resamples < 2:
-        raise ValueError("need at least two resamples")
+    probs, redraws = redraw_records(records, basis, resamples,
+                                    rng_stream(seed, 777))
     pool = basis.size
     all_keys = enumerate_standard_keys(len(basis.preparations), pool)
-    missing = [k for k in all_keys if k not in records]
-    if missing:
-        raise ValueError(f"records missing for {len(missing)} sequences, e.g. {missing[0]}")
-    probs, shots = _record_arrays(records, all_keys)
     key_pos = {key: r for r, key in enumerate(all_keys)}
     held = [(i, j, k) for (i, j, k) in all_keys if j >= n and k >= n]
     held_idx = np.array([key_pos[key] for key in held])
@@ -497,23 +466,13 @@ def bootstrap_samples(records: dict[tuple[int, int, int], ExperimentRecord],
 
     # duals and coefficient tables never change under resampling
     base_states = _states_from_probs(probs).reshape(sizes + (2, 2))
-    pt0 = build_standard_tensor(base_states, basis, n, build_matrix=False)
+    pt0 = build_standard_tensor(base_states, basis, n)
     tables = held_out_coefficient_tables(pt0, basis, held)
 
-    rng = rng_stream(seed, 777)
     sampled = np.empty(resamples)
-    shot_mat = shots[:, None].astype(float)
-    for b in range(resamples):
-        if shots.max() == 0:
-            re_probs = probs
-        else:
-            draws = rng.binomial(np.maximum(shot_mat, 1).astype(int), probs)
-            re_probs = np.where(shot_mat > 0, draws / np.maximum(shot_mat, 1.0), probs)
+    for b, re_probs in enumerate(redraws):
         re_states = _states_from_probs(re_probs).reshape(sizes + (2, 2))
-        pt = ProcessTensor(slots=pt0.slots, duals=pt0.duals,
-                           states=re_states[:, :n, :n], matrix=None,
-                           out_dim=2, provenance={})
-        preds = predict_batch(pt, tables)
+        preds = predict_batch(replace(pt0, states=re_states[:, :n, :n]), tables)
         meas = re_states.reshape(-1, 2, 2)[held_idx]
         fids = qubit_fidelity_vectorized(
             _states_from_probs(qubit_probs_of(preds)), meas)
@@ -529,8 +488,26 @@ def qubit_probs_of(states: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CPTP projection
+# Process tomography and CPTP projection
 # ---------------------------------------------------------------------------
+
+def channel_from_prep_outputs(outputs: Sequence[np.ndarray],
+                              label: str) -> QuantumChannel:
+    """Linear-inversion process tomography of a qubit channel.
+
+    ``outputs`` are the channel's output states for the four standard
+    preparations, in their order; the solved linear map is projected onto
+    the CPTP set.
+    """
+    inputs = np.empty((4, 4), dtype=complex)
+    out = np.empty((4, 4), dtype=complex)
+    for p, prep in enumerate(standard_preparations()):
+        inputs[:, p] = prep.state.reshape(-1)
+        out[:, p] = np.asarray(outputs[p]).reshape(-1)
+    superop = out @ np.linalg.inv(inputs)
+    choi = project_to_cptp(superop_to_choi(superop, 2, 2))
+    return QuantumChannel(choi=choi, dim_in=2, dim_out=2, label=label)
+
 
 def _project_tp(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
     c4 = choi.reshape(dim_in, dim_out, dim_in, dim_out)

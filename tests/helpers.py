@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from proctensor.simulator import run_sequence, simulate_experiment
+from proctensor.simulator import ControlSequence, run_sequence, \
+    simulate_experiment
 from proctensor.tomography import (enumerate_standard_keys, qst_mle,
-                                   standard_sequence)
+                                   standard_sequence, step_matrix_form)
 
 FLOAT_TOL = 1e-9
 
@@ -69,6 +70,41 @@ def assert_csv_close(actual_text, expected_text, name=""):
             av = float(a)
             assert abs(av - ev) <= FLOAT_TOL * max(1.0, abs(ev)), \
                 f"{name} row {r} col {c}: {av!r} != {ev!r}"
+
+
+def tensor_matrix(pt):
+    """Defining matrix form T = sum_nu (D_0 (x) ... (x) D_{k-1})^T (x) rho^nu.
+
+    The package contracts through slot coefficients only; this is the
+    oracle those contractions are checked against.
+    """
+    sizes = tuple(s.size for s in pt.slots)
+    in_dim = int(np.prod([s.forms[0].shape[0] for s in pt.slots]))
+    dim = in_dim * pt.out_dim
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for idx in np.ndindex(*sizes):
+        dual_full = pt.duals[0].duals[idx[0]].T
+        for s in range(1, pt.steps):
+            dual_full = np.kron(dual_full, pt.duals[s].duals[idx[s]].T)
+        matrix += np.kron(dual_full, pt.states[idx])
+    return matrix
+
+
+def contract_via_matrix(pt, seq, matrix=None):
+    """Defining contraction T[A] = tr_in[(A_hat (x) I_out)^T T].
+
+    Pass ``matrix = tensor_matrix(pt)`` to reuse it across sequences.
+    """
+    steps = seq.steps if isinstance(seq, ControlSequence) else tuple(seq)
+    assert len(steps) == pt.steps
+    a_full = step_matrix_form(steps[0], pt.slots[0].kind)
+    for s in range(1, pt.steps):
+        a_full = np.kron(a_full, step_matrix_form(steps[s], pt.slots[s].kind))
+    in_dim = a_full.shape[0]
+    if matrix is None:
+        matrix = tensor_matrix(pt)
+    t4 = matrix.reshape(in_dim, pt.out_dim, in_dim, pt.out_dim)
+    return np.einsum("pm,pamb->ab", a_full, t4)
 
 
 def exact_states(model, basis, pool=None):

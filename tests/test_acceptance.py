@@ -30,17 +30,17 @@ from proctensor.memory import bootstrap_cmi, maximize_cmi, memory_bound
 from proctensor.simulator import (SWAP2, ControlSequence, make_model,
                                   prep_step, rng_stream, simulate_experiment,
                                   unitary_step)
-from proctensor.tomography import (ProcessTensor, _record_arrays,
-                                   _states_from_probs, bootstrap_samples,
-                                   build_standard_tensor, contract,
+from proctensor.tomography import (_record_arrays, _states_from_probs,
+                                   bootstrap_samples, build_standard_tensor,
                                    enumerate_standard_keys, evaluate_split,
-                                   held_out_coefficient_tables, predict_batch,
-                                   qst_mle, qubit_fidelity_vectorized,
-                                   qubit_probs_of, reconstruction_fidelity,
+                                   held_out_coefficient_tables,
+                                   prediction_fidelities,
+                                   qubit_fidelity_vectorized, qubit_probs_of,
                                    slot_coefficients, standard_sequence)
 
-from helpers import (assert_csv_close, assert_json_close, exact_states,
-                     mle_states, record_verdict, sampled_records)
+from helpers import (assert_csv_close, assert_json_close, contract_via_matrix,
+                     exact_states, mle_states, record_verdict,
+                     sampled_records, tensor_matrix)
 from test_golden import GOLDEN_PLAN, _strip_timestamps
 
 DATA = Path(__file__).parent / "data"
@@ -57,13 +57,12 @@ def test_criterion_01_exact_interpolation(basis28):
     # ten elements well conditioned (see the ordering criterion below)
     basis = order_by_overlap(basis28)
     states = exact_states(make_model(), basis)
-    pt = build_standard_tensor(states, basis, 10, build_matrix=False)
+    pt = build_standard_tensor(states, basis, 10)
     # every sequence outside the training grid, not just the both-slots split
     keys = [(i, j, k) for i in range(4) for j in range(28) for k in range(28)
             if j >= 10 or k >= 10]
-    preds = predict_batch(pt, held_out_coefficient_tables(pt, basis, keys))
-    fids = np.array([reconstruction_fidelity(preds[s], states[key])
-                     for s, key in enumerate(keys)])
+    fids = np.array(list(prediction_fidelities(pt, basis, states,
+                                               keys).values()))
     elapsed = time.monotonic() - t0
     ok = bool(fids.min() >= 1.0 - 1e-9) and elapsed < 60.0
     record_verdict(1, "noiseless n=10 tensor predicts every held-out "
@@ -136,10 +135,12 @@ def test_criterion_04_duality_properties(basis28):
     assert relaxed.mode == "relaxed"
     resolution = float(np.abs(sum(relaxed.duals) - np.eye(4)).max())
     recon = 0.0
+    matrix = tensor_matrix(pt)
     for i in range(4):
         for j in range(10):
             for k in range(10):
-                pred = contract(pt, standard_sequence(basis28, i, j, k))
+                pred = contract_via_matrix(
+                    pt, standard_sequence(basis28, i, j, k), matrix)
                 recon = max(recon, float(np.abs(pred - states[i, j, k]).max()))
     ok = max(defects) <= 1e-8 and resolution <= 1e-8 and recon <= 1e-9
     record_verdict(4, "exact duality, relaxed duals resolve identity, "
@@ -154,8 +155,7 @@ def test_criterion_05_memory_detection(basis28):
     # (a) reset environment: all bounds near zero with CIs containing zero
     model = make_model(env_reset=True)
     records = sampled_records(model, basis28, 10_000, master_seed=0)
-    pt = build_standard_tensor(mle_states(records, 28), basis28, 24,
-                               build_matrix=False)
+    pt = build_standard_tensor(mle_states(records, 28), basis28, 24)
     reset = []
     for placements in ((1,), (2,), (1, 2)):
         res = memory_bound(pt, (placements,), restarts=20, seed=0)[0]
@@ -166,15 +166,13 @@ def test_criterion_05_memory_detection(basis28):
                    for _, bits, lo, hi in reset)
     # (b) swap memory: a single barrier cannot hide one full bit
     swap = make_model(intervals=(SWAP2, SWAP2, np.eye(4, dtype=complex)))
-    spt = build_standard_tensor(exact_states(swap, basis28), basis28, 24,
-                                build_matrix=False)
+    spt = build_standard_tensor(exact_states(swap, basis28), basis28, 24)
     swap_bits = maximize_cmi(spt, (1,), restarts=6, seed=0).bits
     # (c) coherent neighbour binds more memory than a ground-state one
     cmi = {}
     for env in ("zero", "plus"):
         m = make_model(duration_ns=2500.0, env_init=env)
-        p = build_standard_tensor(exact_states(m, basis28), basis28, 24,
-                                  build_matrix=False)
+        p = build_standard_tensor(exact_states(m, basis28), basis28, 24)
         cmi[env] = maximize_cmi(p, (1,), restarts=6, seed=0).bits
     elapsed = time.monotonic() - t0
     ok = (reset_ok and swap_bits >= 0.9 and cmi["plus"] >= cmi["zero"]
@@ -270,7 +268,7 @@ def test_criterion_09_out_of_basis_preparations(basis28):
                 name=f"q{m_i}_u{j}_u{k}")
             prep_records[(m_i, j, k)] = simulate_experiment(
                 model, seq, 1600, 0, record_index=base + m_i * len(held_jk) + s)
-    pt0 = build_standard_tensor(states, basis28, n, build_matrix=False)
+    pt0 = build_standard_tensor(states, basis28, n)
     # coefficient tables for the new sequences; only the prep row changes
     std_tables = held_out_coefficient_tables(
         pt0, basis28, [(0, j, k) for _ in range(4) for j, k in held_jk])
@@ -289,10 +287,8 @@ def test_criterion_09_out_of_basis_preparations(basis28):
     for b_i in range(resamples):
         re_probs = rng.binomial(shot_col, probs) / shot_col
         re_states = _states_from_probs(re_probs).reshape(4, 28, 28, 2, 2)
-        pt = ProcessTensor(slots=pt0.slots, duals=pt0.duals,
-                           states=re_states[:, :n, :n], matrix=None,
-                           out_dim=2, provenance={})
-        preds = np.einsum("si,sj,sk,ijkab->sab", a0, a1, a2, pt.states)
+        preds = np.einsum("si,sj,sk,ijkab->sab", a0, a1, a2,
+                          re_states[:, :n, :n])
         re_pstates = _states_from_probs(rng.binomial(pshot_col, pprobs)
                                         / pshot_col)
         fids = qubit_fidelity_vectorized(

@@ -302,12 +302,12 @@ def test_records_from_store_validates_foreign_stores(tmp_path):
     store.append(plan.name, "characterize", 5, "experiment:p0_u0_u0:Y",
                  dict(payload, axis="Y"))
     with pytest.raises(ConfigError) as err:
-        harness._records_from_store(plan, store)
+        harness._records_from_store(plan, store, plan.basis())
     assert "missing axes" in str(err.value)
     store.append(plan.name, "characterize", 5, "experiment:p0_u0_u0:Z",
                  dict(payload, axis="Z"))
     with pytest.raises(ConfigError) as err:
-        harness._records_from_store(plan, store)
+        harness._records_from_store(plan, store, plan.basis())
     assert "incomplete" in str(err.value)
 
 

@@ -36,15 +36,13 @@ def basis():
 def swap_tensor(basis):
     # swap in, swap back, idle readout: one bit rides the environment
     model = make_model(intervals=(SWAP2, SWAP2, np.eye(4, dtype=complex)))
-    return build_standard_tensor(exact_states(model, basis), basis, n=10,
-                                 build_matrix=False)
+    return build_standard_tensor(exact_states(model, basis), basis, n=10)
 
 
 @pytest.fixture(scope="module")
 def reset_tensor(basis):
     model = make_model(steps=3, env_reset=True)
-    return build_standard_tensor(exact_states(model, basis), basis, n=10,
-                                 build_matrix=False)
+    return build_standard_tensor(exact_states(model, basis), basis, n=10)
 
 
 def _h2(p):
@@ -129,8 +127,7 @@ def test_memory_grows_with_initial_env_coherence(basis):
     bounds = {}
     for env_init in ("zero", "plus"):
         model = make_model(steps=3, env_init=env_init, duration_ns=2500.0)
-        pt = build_standard_tensor(exact_states(model, basis), basis, n=10,
-                                   build_matrix=False)
+        pt = build_standard_tensor(exact_states(model, basis), basis, n=10)
         bounds[env_init] = maximize_cmi(pt, (1,), restarts=6, seed=0,
                                         maxiter=300).bits
     assert bounds["zero"] > 0.28

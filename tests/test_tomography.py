@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from proctensor.basis import generate_haar_basis
+from proctensor.basis import build_duals, generate_haar_basis, standard_preparations
 from proctensor.qcore import (
     ID2,
     KET0,
     PAULIS,
+    apply_channel,
     channel_from_kraus,
     channel_from_unitary,
     fidelity,
@@ -26,12 +28,11 @@ from proctensor.simulator import (
     unitary_step,
 )
 from proctensor.tomography import (
-    BoxStats,
     bootstrap_ci,
     bootstrap_samples,
     box_stats,
     build_standard_tensor,
-    contract,
+    channel_from_prep_outputs,
     contract_fast,
     depolarizing_in_span,
     evaluate_split,
@@ -44,9 +45,11 @@ from proctensor.tomography import (
     reconstruction_fidelity,
     slot_coefficients,
     standard_sequence,
+    unitary_slot,
 )
 
-from helpers import exact_states, sampled_records
+from helpers import (contract_via_matrix, exact_states, sampled_records,
+                     tensor_matrix)
 from test_qcore import random_density_matrix
 
 
@@ -156,25 +159,29 @@ def small_setup():
 def test_noiseless_roundtrip_basis_and_held_out(small_setup):
     model, basis, states = small_setup
     pt = build_standard_tensor(states, basis, n=10)
+    matrix = tensor_matrix(pt)
     for (i, j, k) in [(0, 0, 0), (2, 4, 7), (3, 9, 9), (1, 10, 11), (0, 11, 10)]:
         seq = standard_sequence(basis, i, j, k)
-        pred = contract(pt, seq)
+        pred = contract_via_matrix(pt, seq, matrix)
         assert fidelity(mle_project(pred), states[i, j, k]) > 1.0 - 1e-9
 
 
 def test_contract_routes_agree(small_setup):
     model, basis, states = small_setup
     pt = build_standard_tensor(states, basis, n=10)
+    matrix = tensor_matrix(pt)
     for (i, j, k) in [(0, 0, 0), (1, 3, 5), (2, 10, 11)]:
         seq = standard_sequence(basis, i, j, k)
-        assert np.allclose(contract(pt, seq), contract_fast(pt, seq), atol=1e-11)
+        assert np.allclose(contract_via_matrix(pt, seq, matrix),
+                           contract_fast(pt, seq), atol=1e-11)
 
 
 def test_tensor_matrix_shape_and_hermiticity(small_setup):
     _, basis, states = small_setup
     pt = build_standard_tensor(states, basis, n=10)
-    assert pt.matrix.shape == (128, 128)
-    assert np.allclose(pt.matrix, pt.matrix.conj().T, atol=1e-9)
+    matrix = tensor_matrix(pt)
+    assert matrix.shape == (128, 128)
+    assert np.allclose(matrix, matrix.conj().T, atol=1e-9)
     assert pt.steps == 3
     assert pt.duals[0].mode == "exact"
     assert pt.duals[1].mode == "exact"
@@ -184,7 +191,7 @@ def test_relaxed_tensor_roundtrip():
     model = make_model(steps=3)
     basis = generate_haar_basis(14, seed=23)
     states = exact_states(model, basis)
-    pt = build_standard_tensor(states, basis, n=12, build_matrix=False)
+    pt = build_standard_tensor(states, basis, n=12)
     assert pt.duals[1].mode == "relaxed"
     for (i, j, k) in [(0, 12, 13), (3, 13, 12), (1, 12, 12)]:
         pred = contract_fast(pt, standard_sequence(basis, i, j, k))
@@ -196,7 +203,7 @@ def test_roundtrip_with_correlated_initial_state():
     model = make_model(steps=3, env_init="bell")
     basis = generate_haar_basis(12, seed=29)
     states = exact_states(model, basis)
-    pt = build_standard_tensor(states, basis, n=10, build_matrix=False)
+    pt = build_standard_tensor(states, basis, n=10)
     for (i, j, k) in [(0, 10, 11), (2, 11, 11), (3, 11, 10)]:
         pred = contract_fast(pt, standard_sequence(basis, i, j, k))
         assert fidelity(mle_project(pred), states[i, j, k]) > 1.0 - 1e-9
@@ -210,26 +217,29 @@ def test_spam_error_absorbed_into_tensor():
     model = make_model(steps=3, meas_channel=meas)
     basis = generate_haar_basis(12, seed=31)
     states = exact_states(model, basis)
-    pt = build_standard_tensor(states, basis, n=10, build_matrix=False)
+    pt = build_standard_tensor(states, basis, n=10)
     for (i, j, k) in [(1, 10, 11), (0, 11, 11)]:
         pred = contract_fast(pt, standard_sequence(basis, i, j, k))
         assert fidelity(mle_project(pred), states[i, j, k]) > 1.0 - 1e-9
 
 
-def test_barrier_coefficients_match_pauli_mixture(small_setup):
-    _, basis, states = small_setup
-    pt = build_standard_tensor(states, basis, n=10, build_matrix=False)
-    barrier = depolarizing_in_span()
-    via_weights = slot_coefficients(pt.slots[1], pt.duals[1], barrier)
-    direct = slot_coefficients(
-        pt.slots[1], pt.duals[1],
-        ControlStep(kind="barrier", channel=barrier.channel, label="raw"))
-    assert np.allclose(via_weights, direct, atol=1e-10)
+@seed(20200430)
+@settings(max_examples=15, deadline=None)
+@given(pool_seed=st.integers(0, 2**32 - 1), size=st.integers(10, 16))
+def test_barrier_coefficients_are_pauli_mixture(pool_seed, size):
+    # the barrier's Choi form I/4 is the equal mixture of the Pauli gates' forms
+    basis = generate_haar_basis(size, pool_seed)
+    slot = unitary_slot(basis.unitaries)
+    duals = build_duals(list(slot.forms), required_rank=slot.required_rank)
+    direct = slot_coefficients(slot, duals, depolarizing_in_span())
+    mixture = 0.25 * sum(slot_coefficients(slot, duals, unitary_step(PAULIS[p], p))
+                         for p in ("I", "X", "Y", "Z"))
+    assert np.allclose(direct, mixture, rtol=0.0, atol=1e-12)
 
 
 def test_barrier_contraction_equals_average_over_paulis(small_setup):
     model, basis, states = small_setup
-    pt = build_standard_tensor(states, basis, n=10, build_matrix=False)
+    pt = build_standard_tensor(states, basis, n=10)
     prep = basis.preparations[1]
     tail = unitary_step(basis.unitaries[5], "U5")
     seq = [prep_step(prep.gate, prep.label), depolarizing_in_span(), tail]
@@ -250,7 +260,7 @@ def test_barrier_contraction_equals_average_over_paulis(small_setup):
 
 def test_prep_slot_accepts_general_operations(small_setup):
     model, basis, states = small_setup
-    pt = build_standard_tensor(states, basis, n=10, build_matrix=False)
+    pt = build_standard_tensor(states, basis, n=10)
     sigma = random_density_matrix(rng_stream(36, 0))
     step = ControlStep(kind="prep", channel=preparation_channel(sigma), label="sigma")
     tail = [unitary_step(basis.unitaries[2], "U2"), unitary_step(basis.unitaries[6], "U6")]
@@ -267,7 +277,7 @@ def test_prep_slot_accepts_general_operations(small_setup):
 
 def test_contract_validates_arity(small_setup):
     _, basis, states = small_setup
-    pt = build_standard_tensor(states, basis, n=10, build_matrix=False)
+    pt = build_standard_tensor(states, basis, n=10)
     with pytest.raises(ValueError, match="steps"):
         contract_fast(pt, [unitary_step(ID2, "i")])
 
@@ -356,8 +366,23 @@ def test_bootstrap_requires_complete_records():
 
 
 # ---------------------------------------------------------------------------
-# CPTP projection
+# Process tomography and CPTP projection
 # ---------------------------------------------------------------------------
+
+@seed(20200501)
+@settings(max_examples=20, deadline=None)
+@given(channel_seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_qpt_recovers_kraus_channel(channel_seed, rank):
+    rng = rng_stream(channel_seed, 0)
+    gs = rng.normal(size=(rank, 2, 2)) + 1j * rng.normal(size=(rank, 2, 2))
+    # normalize sum K^dag K = I through S^{-1/2}
+    evals, vecs = np.linalg.eigh(sum(g.conj().T @ g for g in gs))
+    inv_sqrt = (vecs / np.sqrt(evals)) @ vecs.conj().T
+    ch = channel_from_kraus([g @ inv_sqrt for g in gs], 2, 2)
+    outputs = [apply_channel(ch, p.state) for p in standard_preparations()]
+    est = channel_from_prep_outputs(outputs, "est")
+    assert np.allclose(est.choi, ch.choi, rtol=0.0, atol=1e-8)
+
 
 def test_project_to_cptp_fixed_points():
     rng = rng_stream(37, 0)
