@@ -30,10 +30,9 @@ from .qcore import (
     PAULI_X,
     PAULIS,
     S_GATE,
-    channel_from_unitary,
     check_unitary,
     ket_dm,
-    preparation_channel,
+    unitary_choi,
 )
 
 PINV_RCOND = 1e-10
@@ -125,12 +124,12 @@ def generate_haar_basis(n: int, seed: int) -> ControlBasis:
 
 def unitary_matrix_form(u: np.ndarray) -> np.ndarray:
     """Trace-normalized Choi matrix of the unitary channel."""
-    return channel_from_unitary(u).choi / u.shape[0]
+    return unitary_choi(u) / u.shape[0]
 
 
-def prep_matrix_form(prep: PrepOp) -> np.ndarray:
-    """Trace-normalized Choi matrix of the trace-and-replace preparation."""
-    return preparation_channel(prep.state, dim_in=2, label=prep.label).choi / 2.0
+def prep_matrix_form(state: np.ndarray) -> np.ndarray:
+    """Trace-normalized Choi matrix of the map preparing ``state`` from any input."""
+    return np.kron(ID2, state) / 2.0
 
 
 def mean_overlaps(basis: ControlBasis) -> np.ndarray:

@@ -216,7 +216,9 @@ class ResultsStore:
 
     Every record line carries the schema version, plan name, stage, seed
     and a unique record key; appends with an already-stored key are
-    skipped, which is what makes interrupted runs resumable.
+    skipped, which is what makes interrupted runs resumable. A final line
+    without its newline is an append cut short; opening the store
+    truncates it, and the resumed run writes that record again.
     """
 
     def __init__(self, root: str | Path):
@@ -227,7 +229,12 @@ class ResultsStore:
         self._keys: set[str] = set()
         self._records: list[dict] = []
         if self.records_path.exists():
-            for i, line in enumerate(self.records_path.read_text().splitlines()):
+            lines = self.records_path.read_text().splitlines(keepends=True)
+            if lines and not lines[-1].endswith("\n"):
+                torn = len(lines.pop().encode())
+                with self.records_path.open("r+b") as fh:
+                    fh.truncate(fh.seek(0, 2) - torn)
+            for i, line in enumerate(lines):
                 try:
                     doc = json.loads(line)
                 except json.JSONDecodeError as err:

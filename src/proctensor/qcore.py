@@ -51,13 +51,11 @@ def ket_dm(vec: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def check_density_matrix(rho: np.ndarray, subnormalized: bool = False,
-                         name: str = "state") -> np.ndarray:
+def check_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
     """Validate a density matrix and return it as a complex ndarray.
 
     Requires a square Hermitian matrix, positive semidefinite within
-    ``EIG_CLAMP_TOL``, with unit trace (or trace in (0, 1] when
-    ``subnormalized`` is set). Raises ValueError on violation.
+    ``EIG_CLAMP_TOL``, with unit trace. Raises ValueError on violation.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -68,10 +66,7 @@ def check_density_matrix(rho: np.ndarray, subnormalized: bool = False,
     if evals.min() < -EIG_CLAMP_TOL:
         raise ValueError(f"{name} has negative eigenvalue {evals.min():.3e}")
     tr = float(rho.trace().real)
-    if subnormalized:
-        if not (-TRACE_TOL < tr <= 1.0 + TRACE_TOL):
-            raise ValueError(f"{name} trace {tr} outside (0, 1]")
-    elif abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} trace {tr} != 1")
     return rho
 
@@ -177,16 +172,11 @@ def rotation_axis_angle(u: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """A CP map stored as its Choi matrix (block convention in module docstring).
-
-    ``trace_class`` is either "preserving" or "non-increasing"; validation
-    checks the partial trace over the output accordingly.
-    """
+    """A CPTP map stored as its Choi matrix (block convention in module docstring)."""
 
     choi: np.ndarray
     dim_in: int
     dim_out: int
-    trace_class: str = "preserving"
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -200,16 +190,8 @@ class QuantumChannel:
         if evals.min() < -CHANNEL_TP_TOL:
             raise ValueError(f"choi matrix not PSD, eigenvalue {evals.min():.3e}")
         red = choi_input_marginal(choi, self.dim_in, self.dim_out)
-        eye = np.eye(self.dim_in)
-        if self.trace_class == "preserving":
-            if np.max(np.abs(red - eye)) > CHANNEL_TP_TOL:
-                raise ValueError("channel is not trace preserving within tolerance")
-        elif self.trace_class == "non-increasing":
-            gap = np.linalg.eigvalsh(eye - red)
-            if gap.min() < -CHANNEL_TP_TOL:
-                raise ValueError("channel increases trace")
-        else:
-            raise ValueError(f"unknown trace_class {self.trace_class!r}")
+        if np.max(np.abs(red - np.eye(self.dim_in))) > CHANNEL_TP_TOL:
+            raise ValueError("channel is not trace preserving within tolerance")
         object.__setattr__(self, "choi", choi)
 
 
@@ -219,17 +201,22 @@ def choi_input_marginal(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarr
     return np.einsum("iaja->ij", c4)
 
 
+def unitary_choi(u: np.ndarray) -> np.ndarray:
+    """Choi matrix of conjugation by ``u``; ``u`` is not checked for unitarity."""
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[0]
+    vecs = u.T.reshape(d * d)  # (I (x) u) sum_i |i>|i>
+    return np.outer(vecs, vecs.conj())
+
+
 def channel_from_unitary(u: np.ndarray, label: str = "") -> QuantumChannel:
     u = check_unitary(u, tol=1e-9, name="gate")
     d = u.shape[0]
-    vecs = u.T.reshape(d * d)  # (I (x) u) sum_i |i>|i>
-    choi = np.outer(vecs, vecs.conj())
-    return QuantumChannel(choi=choi, dim_in=d, dim_out=d, label=label)
+    return QuantumChannel(choi=unitary_choi(u), dim_in=d, dim_out=d, label=label)
 
 
 def channel_from_kraus(kraus: list[np.ndarray], dim_in: int | None = None,
-                       dim_out: int | None = None, label: str = "",
-                       trace_class: str = "preserving") -> QuantumChannel:
+                       dim_out: int | None = None, label: str = "") -> QuantumChannel:
     mats = [np.asarray(k, dtype=complex) for k in kraus]
     if not mats:
         raise ValueError("need at least one Kraus operator")
@@ -240,8 +227,7 @@ def channel_from_kraus(kraus: list[np.ndarray], dim_in: int | None = None,
     for k in mats:
         w = k.T.reshape(dim_in * dim_out)
         choi += np.outer(w, w.conj())
-    return QuantumChannel(choi=choi, dim_in=dim_in, dim_out=dim_out,
-                          trace_class=trace_class, label=label)
+    return QuantumChannel(choi=choi, dim_in=dim_in, dim_out=dim_out, label=label)
 
 
 def identity_channel(dim: int) -> QuantumChannel:
@@ -273,11 +259,7 @@ def compose_channels(second: QuantumChannel, first: QuantumChannel) -> QuantumCh
     s = choi_to_superop(second.choi, second.dim_in, second.dim_out) @ \
         choi_to_superop(first.choi, first.dim_in, first.dim_out)
     choi = superop_to_choi(s, first.dim_in, second.dim_out)
-    cls = "preserving"
-    if "non-increasing" in (first.trace_class, second.trace_class):
-        cls = "non-increasing"
-    return QuantumChannel(choi=choi, dim_in=first.dim_in, dim_out=second.dim_out,
-                          trace_class=cls)
+    return QuantumChannel(choi=choi, dim_in=first.dim_in, dim_out=second.dim_out)
 
 
 def preparation_channel(state: np.ndarray, dim_in: int = 2, label: str = "") -> QuantumChannel:

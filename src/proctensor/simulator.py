@@ -36,12 +36,11 @@ from .qcore import (
     PAULI_SETTINGS,
     PauliBasisSetting,
     QuantumChannel,
-    UnitaryParams,
-    channel_from_unitary,
     check_density_matrix,
     check_unitary,
     ket_dm,
     partial_trace,
+    unitary_choi,
 )
 
 GATE_NS = 72.0  # one gate-equivalent of wall time
@@ -109,19 +108,22 @@ def initial_joint_state(env_dim: int, kind: str) -> np.ndarray:
 class ControlStep:
     """One system-only operation in a sequence.
 
-    kind: "prep" (basis preparation applied as its physical gate),
-    "unitary" (basis element), "free" (parametrized gate), or "barrier"
-    (the depolarizing channel).
+    kind: "prep" (preparation applied as its physical gate), "unitary"
+    (a gate, or any operation in the span of unitary channels) or
+    "barrier" (the depolarizing channel). ``choi`` is the
+    operation's Choi matrix (qcore convention); ``unitary`` is the gate
+    itself for gate steps. Neither is validated here: gates are checked
+    where they enter the program (``ControlBasis``), or are unitary by
+    construction (standard preparations, Paulis, ``u3_matrix``).
     """
 
     kind: str
-    channel: QuantumChannel
+    choi: np.ndarray = field(repr=False)
     label: str = ""
-    params: UnitaryParams | None = None
     unitary: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("prep", "unitary", "free", "barrier"):
+        if self.kind not in ("prep", "unitary", "barrier"):
             raise ValueError(f"unknown step kind {self.kind!r}")
 
 
@@ -135,21 +137,15 @@ class ControlSequence:
 
 
 def prep_step(gate: np.ndarray, label: str) -> ControlStep:
-    gate = check_unitary(gate, tol=1e-9, name=f"prep gate {label}")
-    return ControlStep(kind="prep", channel=channel_from_unitary(gate, label=label),
-                       label=label, unitary=gate)
+    gate = np.asarray(gate, dtype=complex)
+    return ControlStep(kind="prep", choi=unitary_choi(gate), label=label,
+                       unitary=gate)
 
 
 def unitary_step(gate: np.ndarray, label: str = "") -> ControlStep:
-    gate = check_unitary(gate, tol=1e-9, name=f"gate {label}")
-    return ControlStep(kind="unitary", channel=channel_from_unitary(gate, label=label),
-                       label=label, unitary=gate)
-
-
-def free_step(params: UnitaryParams, label: str = "free") -> ControlStep:
-    gate = params.matrix()
-    return ControlStep(kind="free", channel=channel_from_unitary(gate, label=label),
-                       label=label, params=params, unitary=gate)
+    gate = np.asarray(gate, dtype=complex)
+    return ControlStep(kind="unitary", choi=unitary_choi(gate), label=label,
+                       unitary=gate)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +231,7 @@ def _final_joint_state(model: SEModel, seq: ControlSequence) -> np.ndarray:
             g = np.kron(step.unitary, np.eye(d_env))
             rho = g @ rho @ g.conj().T
         else:
-            rho = _apply_system_channel(step.channel.choi, rho, model.sys_dim, d_env)
+            rho = _apply_system_channel(step.choi, rho, model.sys_dim, d_env)
         rho = u @ rho @ u.conj().T
         if model.env_reset and d_env > 1:
             sys = partial_trace(rho, 0, (model.sys_dim, d_env))

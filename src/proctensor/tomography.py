@@ -46,7 +46,6 @@ from .qcore import (
     PAULI_Y,
     PAULI_Z,
     QuantumChannel,
-    apply_channel,
     check_density_matrix,
     fidelity,
     ket_dm,
@@ -188,7 +187,7 @@ class ProcessTensor:
 def prep_slot(preps: Iterable[PrepOp]) -> SlotBasis:
     preps = tuple(preps)
     return SlotBasis(kind="prep",
-                     forms=tuple(prep_matrix_form(p) for p in preps),
+                     forms=tuple(prep_matrix_form(p.state) for p in preps),
                      labels=tuple(p.label for p in preps))
 
 
@@ -224,9 +223,9 @@ def step_matrix_form(step: ControlStep, slot_kind: str) -> np.ndarray:
     on the reference input |0><0|.
     """
     if slot_kind == "prep":
-        sigma = apply_channel(step.channel, ket_dm(KET0))
-        return np.kron(ID2, sigma) / 2.0
-    return step.channel.choi / step.channel.dim_in
+        sigma = np.einsum("satb,st->ab", step.choi.reshape(2, 2, 2, 2), ket_dm(KET0))
+        return prep_matrix_form(sigma)
+    return step.choi / 2
 
 
 def slot_coefficients(slot: SlotBasis, duals: DualSet, step: ControlStep) -> np.ndarray:
@@ -255,9 +254,8 @@ def depolarizing_in_span() -> ControlStep:
     gates' forms, so it lies in the span of unitary channels and contracts
     like any other operation.
     """
-    ch = QuantumChannel(choi=np.eye(4, dtype=complex) / 2.0, dim_in=2, dim_out=2,
-                        label="depolarizing")
-    return ControlStep(kind="barrier", channel=ch, label="barrier")
+    return ControlStep(kind="barrier", choi=np.eye(4, dtype=complex) / 2.0,
+                       label="barrier")
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def test_duals_rank_guard():
 
 
 def test_prep_duals_exact():
-    forms = [prep_matrix_form(p) for p in standard_preparations()]
+    forms = [prep_matrix_form(p.state) for p in standard_preparations()]
     duals = build_duals(forms, required_rank=4)
     assert duals.mode == "exact"
     assert duality_defect(forms, duals) < 1e-10

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from proctensor import harness
+from proctensor.cli import main
 from proctensor.harness import (
     ConfigError,
     ExperimentPlan,
@@ -149,6 +151,44 @@ def test_store_rejects_corrupt_lines(tmp_path):
     with pytest.raises(ConfigError) as err:
         ResultsStore(root)
     assert "line 1" in str(err.value)
+
+
+def test_store_resumes_after_torn_final_line(tmp_path):
+    plan = ExperimentPlan(name="torn", pool_size=10, basis_size=10, shots=400,
+                          master_seed=3, stages=("characterize",))
+    whole = ResultsStore(tmp_path / "whole")
+    run_plan(plan, whole)
+    root = tmp_path / "torn"
+    run_plan(plan, ResultsStore(root))
+    path = root / "records.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    # a run killed mid-append leaves the start of its last record behind
+    path.write_bytes(b"".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+    resumed = ResultsStore(root)
+    assert len(resumed.records()) == len(lines) - 1
+    assert path.read_bytes() == b"".join(lines[:-1])
+    assert run_plan(plan, resumed) == {"characterize": 1}
+    assert resumed.payload_fingerprint() == whole.payload_fingerprint()
+    assert ResultsStore(root).payload_fingerprint() == whole.payload_fingerprint()
+
+
+def test_run_plan_rejects_corrupt_middle_line(tmp_path):
+    root = tmp_path / "s"
+    store = ResultsStore(root)
+    for key in ("k1", "k2", "k3"):
+        store.append("p", "characterize", 0, key, {"kind": "experiment"})
+    path = root / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:20] + "\n"
+    path.write_text("".join(lines))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "p", "pool_size": 10, "basis_size": 10,
+                                "stages": ["characterize"]}))
+    result = CliRunner().invoke(main, ["run-plan", "--plan", str(plan),
+                                       "--out", str(root)])
+    assert result.exit_code == 2
+    assert "line 2 is not JSON" in result.output
+    assert path.read_text() == "".join(lines)
 
 
 def test_sidecar_roundtrip_and_content_addressing(tmp_path):

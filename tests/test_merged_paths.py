@@ -1,4 +1,4 @@
-"""Pins on the shared resampling and process-tomography paths.
+"""Pins on the shared resampling, process-tomography and objective paths.
 
 ``markov.characterize`` and ``control.qpt`` both solve for a channel from
 four preparation outputs and project it onto the CPTP set;
@@ -6,6 +6,11 @@ four preparation outputs and project it onto the CPTP set;
 every record from its counts. The golden values in
 ``data/golden_merged_paths.json`` were computed before those paths were
 merged into single helpers and are compared to 1e-9.
+
+The ``objectives`` entry pins the four optimiser objectives (decoupling
+purity, neighbour restoration, synthesis loss and the CMI probe) at fixed
+angle vectors on small exact tensors. It was recorded before control
+steps were reduced to plain Choi matrices.
 
 Regenerate (only when a deliberate numerical change is made) with
 ``PYTHONPATH=src:tests python tests/test_merged_paths.py``.
@@ -17,13 +22,18 @@ from pathlib import Path
 import numpy as np
 
 from proctensor.basis import generate_haar_basis
-from proctensor.control import qpt, synthesis_model
+from proctensor.control import (build_decoupling_tensor, build_synthesis_tensor,
+                                 decoupling_model, decoupling_objective,
+                                 nonunitary_target, qpt, restoration_error,
+                                 synthesis_loss, synthesis_model)
 from proctensor.markov import characterize
-from proctensor.memory import CANONICAL_START, ProbeParams, bootstrap_cmi
+from proctensor.memory import (CANONICAL_START, ProbeParams, bootstrap_cmi,
+                               cmi_value, unpack_params)
 from proctensor.qcore import u3_matrix
 from proctensor.simulator import make_model
+from proctensor.tomography import build_standard_tensor
 
-from helpers import assert_json_close, sampled_records
+from helpers import assert_json_close, exact_states, sampled_records
 
 GOLDEN = Path(__file__).parent / "data" / "golden_merged_paths.json"
 POOL = 10
@@ -64,6 +74,36 @@ def bootstrap_intervals():
     return out
 
 
+GATE_ANGLES = ((0.3, 1.1, -0.4), (2.0, -0.7, 0.9), (1.2, 2.5, 0.2))
+PROBE_ANGLES = (
+    (5.057983, 5.076442, 3.237886, 1.795743, 0.338857, 2.408778,
+     2.566513, 0.284472, 0.306354, 6.278009, 4.098956, 1.473471),
+    (5.557983, 5.576442, 3.737886, 2.295743, 0.838857, 2.908778,
+     3.066513, 0.784472, 0.806354, 6.778009, 4.598956, 1.973471),
+    (6.057983, 6.076442, 4.237886, 2.795743, 1.338857, 3.408778,
+     3.566513, 1.284472, 1.306354, 7.278009, 5.098956, 2.473471),
+)
+
+
+def objective_values():
+    basis = generate_haar_basis(POOL, 7)
+    dec = build_decoupling_tensor(decoupling_model(), basis)
+    env_ref = dec.provenance["env_marginal"]
+    syn = build_synthesis_tensor(synthesis_model(), basis)
+    target = nonunitary_target(0.4, 0.2)
+    model = make_model(duration_ns=2500.0, env_init="plus")
+    mem = build_standard_tensor(exact_states(model, basis), basis, POOL)
+    gates = [u3_matrix(*x) for x in GATE_ANGLES]
+    return {
+        "decoupling_objective": [decoupling_objective(dec, g) for g in gates],
+        "restoration_error": [restoration_error(dec, g, env_ref) for g in gates],
+        "synthesis_loss": [synthesis_loss(syn, np.array(x), target)
+                           for x in GATE_ANGLES],
+        "cmi_value": [cmi_value(mem, unpack_params(np.array(x), True), (1,))
+                      for x in PROBE_ANGLES],
+    }
+
+
 def _golden():
     return json.loads(GOLDEN.read_text())
 
@@ -80,8 +120,13 @@ def test_bootstrap_cmi_pinned():
     assert_json_close(bootstrap_intervals(), _golden()["bootstrap_cmi"])
 
 
+def test_optimiser_objectives_pinned():
+    assert_json_close(objective_values(), _golden()["objectives"])
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({"markov_channels": markov_channels(),
                                   "qpt_channel": qpt_channel(),
-                                  "bootstrap_cmi": bootstrap_intervals()},
+                                  "bootstrap_cmi": bootstrap_intervals(),
+                                  "objectives": objective_values()},
                                  indent=1, sort_keys=True) + "\n")

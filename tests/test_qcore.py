@@ -259,8 +259,6 @@ def test_preparation_channel_replaces_input():
 def test_channel_validation_rejects_non_tp():
     with pytest.raises(ValueError):
         QuantumChannel(choi=np.eye(4), dim_in=2, dim_out=2)  # trace 4, blocks 2I
-    # but the same choi is fine when declared non-increasing after scaling down
-    QuantumChannel(choi=np.eye(4) / 4, dim_in=2, dim_out=2, trace_class="non-increasing")
 
 
 def test_channel_validation_rejects_non_cp():
@@ -325,8 +323,7 @@ def test_pauli_setting_rejects_bad_axis():
         pauli_setting("Q")
 
 
-def test_check_density_matrix_accepts_subnormalized():
-    check_density_matrix(np.diag([0.3, 0.3]), subnormalized=True)
+def test_check_density_matrix_rejects_subnormalized():
     with pytest.raises(ValueError):
         check_density_matrix(np.diag([0.3, 0.3]))
 

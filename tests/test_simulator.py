@@ -7,8 +7,6 @@ from proctensor.qcore import (
     KET0,
     PAULI_SETTINGS,
     PAULI_X,
-    QuantumChannel,
-    UnitaryParams,
     apply_channel,
     channel_from_kraus,
     channel_from_unitary,
@@ -25,7 +23,6 @@ from proctensor.simulator import (
     SWAP2,
     env_initial_state,
     exchange_zz_hamiltonian,
-    free_step,
     initial_joint_state,
     interval_propagator,
     khz_to_rad_per_ns,
@@ -93,11 +90,11 @@ def test_linearity_in_a_control_slot():
     u1 = u3_matrix(0.8, 0.1, 2.2)
     u2 = u3_matrix(2.1, 4.0, 0.7)
     lam = 0.3
-    mixed = QuantumChannel(
-        choi=lam * channel_from_unitary(u1).choi + (1 - lam) * channel_from_unitary(u2).choi,
-        dim_in=2, dim_out=2)
+    mixed = ControlStep(
+        kind="unitary",
+        choi=lam * channel_from_unitary(u1).choi + (1 - lam) * channel_from_unitary(u2).choi)
     tail = unitary_step(HADAMARD)
-    out_mixed = run_sequence(model, seq_of(ControlStep(kind="free", channel=mixed), tail))
+    out_mixed = run_sequence(model, seq_of(mixed, tail))
     out_1 = run_sequence(model, seq_of(unitary_step(u1), tail))
     out_2 = run_sequence(model, seq_of(unitary_step(u2), tail))
     assert np.allclose(out_mixed, lam * out_1 + (1 - lam) * out_2, atol=1e-10)

@@ -262,7 +262,7 @@ def test_prep_slot_accepts_general_operations(small_setup):
     model, basis, states = small_setup
     pt = build_standard_tensor(states, basis, n=10)
     sigma = random_density_matrix(rng_stream(36, 0))
-    step = ControlStep(kind="prep", channel=preparation_channel(sigma), label="sigma")
+    step = ControlStep(kind="prep", choi=preparation_channel(sigma).choi, label="sigma")
     tail = [unitary_step(basis.unitaries[2], "U2"), unitary_step(basis.unitaries[6], "U6")]
     pred = contract_fast(pt, [step] + tail)
     truth = run_sequence(model, ControlSequence(steps=tuple([step] + tail), name="s"))
