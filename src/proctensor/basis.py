@@ -28,7 +28,6 @@ from .qcore import (
     ID2,
     KET0,
     PAULI_X,
-    PAULIS,
     S_GATE,
     check_unitary,
     ket_dm,
@@ -190,8 +189,8 @@ def order_by_overlap(basis: ControlBasis) -> ControlBasis:
 # Duals
 # ---------------------------------------------------------------------------
 
-def hermitian_frame(dim: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian frame built from matrix units.
+def hermitian_frame(dim: int) -> np.ndarray:
+    """Orthonormal Hermitian frame built from matrix units, stacked (d^2, d, d).
 
     Diagonal units E_ii, plus (E_ij + E_ji)/sqrt(2) and
     i(E_ij - E_ji)/sqrt(2) for i < j; tr[G_a G_b] = delta_ab.
@@ -210,43 +209,34 @@ def hermitian_frame(dim: int) -> list[np.ndarray]:
             m[i, j] = -1.0j / np.sqrt(2.0)
             m[j, i] = 1.0j / np.sqrt(2.0)
             frame.append(m)
-    return frame
-
-
-def pauli_frame() -> list[np.ndarray]:
-    """Alternative orthonormal frame for the 4x4 operation space."""
-    singles = [PAULIS[p] / np.sqrt(2.0) for p in ("I", "X", "Y", "Z")]
-    return [np.kron(a, b) for a in singles for b in singles]
+    return np.stack(frame)
 
 
 @dataclass(frozen=True)
 class DualSet:
-    """Duals of a slot basis; mode records whether duality is exact."""
+    """Duals of a slot basis, stacked (n, d, d), and the rank the basis spans."""
 
-    duals: tuple[np.ndarray, ...]
-    mode: str  # "exact" | "relaxed"
+    duals: np.ndarray
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("exact", "relaxed"):
-            raise ValueError(f"unknown dual mode {self.mode!r}")
+    @property
+    def mode(self) -> str:
+        """``"exact"`` when tr[B_i D_j] = delta_ij holds, else ``"relaxed"``."""
+        return "exact" if self.rank == len(self.duals) else "relaxed"
 
 
-def build_duals(forms: list[np.ndarray], required_rank: int = RESTRICTED_SPAN_DIM,
-                frame: list[np.ndarray] | None = None) -> DualSet:
-    """Dual matrices for a list of matrix forms (see module docstring).
+def build_duals(forms: np.ndarray,
+                required_rank: int = RESTRICTED_SPAN_DIM) -> DualSet:
+    """Duals of a stack of matrix forms (see module docstring).
 
     ``required_rank`` is the dimension the elements must span: 10 for a
     unitary slot, 4 for a preparation slot.
     """
-    if not forms:
+    forms = np.asarray(forms, dtype=complex)
+    if not len(forms):
         raise ValueError("empty basis")
-    dim = forms[0].shape[0]
-    frame = frame if frame is not None else hermitian_frame(dim)
-    if len(frame) != dim * dim:
-        raise ValueError("frame does not span the operation space")
-    coords = np.array([[np.einsum("ij,ji->", g, f).real for g in frame]
-                       for f in forms])  # rows: elements
+    frame = hermitian_frame(forms.shape[1])
+    coords = np.einsum("cij,nji->nc", frame, forms).real  # rows: elements
     b_mat = coords.T  # columns are vectorized elements
     svals = np.linalg.svd(b_mat, compute_uv=False)
     rank = int(np.sum(svals > PINV_RCOND * svals[0]))
@@ -254,19 +244,10 @@ def build_duals(forms: list[np.ndarray], required_rank: int = RESTRICTED_SPAN_DI
         raise ValueError(
             f"basis spans only {rank} of the required {required_rank} dimensions")
     f_dag = np.linalg.pinv(b_mat, rcond=PINV_RCOND)
-    duals = []
-    for row in f_dag:
-        mat = np.zeros((dim, dim), dtype=complex)
-        for c, g in zip(row, frame):
-            mat += c * g
-        duals.append(mat)
-    mode = "exact" if rank == len(forms) else "relaxed"
-    return DualSet(duals=tuple(duals), mode=mode, rank=rank)
+    return DualSet(duals=np.einsum("nc,cij->nij", f_dag, frame), rank=rank)
 
 
-def duality_defect(forms: list[np.ndarray], duals: DualSet) -> float:
+def duality_defect(forms: np.ndarray, duals: DualSet) -> float:
     """Max deviation of tr[B_i D_j] from the identity pattern."""
-    n = len(forms)
-    gram = np.array([[np.einsum("ij,ji->", f, d).real for d in duals.duals]
-                     for f in forms])
-    return float(np.max(np.abs(gram - np.eye(n))))
+    gram = np.einsum("aij,bji->ab", np.asarray(forms), duals.duals).real
+    return float(np.max(np.abs(gram - np.eye(len(gram)))))

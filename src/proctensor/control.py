@@ -162,9 +162,8 @@ def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
         joint = two_qubit_probe(model, ControlSequence(
             steps=(unitary_step(u, f"U{nu}"),), name=f"probe{nu}"))
         states[nu] = measure_joint_state(joint, shots, master_seed, nu)
-    slots = [unitary_slot(basis.unitaries, [f"U{nu}" for nu in range(basis.size)])]
     env_marginal = partial_trace(initial_joint_state(2, model.env_init), 1, (2, 2))
-    return assemble(slots, states, out_dim=4,
+    return assemble([unitary_slot(basis.unitaries)], states,
                     provenance={"kind": "decoupling", "shots": shots,
                                 "seed": master_seed,
                                 "env_marginal": env_marginal})
@@ -397,9 +396,7 @@ def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
                 states[i, nu] = qst_mle(simulate_experiment(
                     model, seq, shots, master_seed, record_index=rec))
             rec += 1
-    slots = [prep_slot(preps),
-             unitary_slot(basis.unitaries, [f"U{nu}" for nu in range(basis.size)])]
-    return assemble(slots, states, out_dim=2,
+    return assemble([prep_slot(preps), unitary_slot(basis.unitaries)], states,
                     provenance={"kind": "synthesis", "shots": shots,
                                 "seed": master_seed})
 

@@ -24,11 +24,11 @@ from .qcore import (
     ID2,
     KET0,
     QuantumChannel,
-    apply_channel,
-    compose_channels,
+    choi_to_superop,
     fidelity,
     ket_dm,
     partial_trace,
+    superop_to_choi,
 )
 from .simulator import (
     ControlSequence,
@@ -108,11 +108,17 @@ def characterize(model: SEModel, basis: ControlBasis, shots: int | None,
 
 
 def predict(baseline: MarkovBaseline, i: int, j: int, k: int) -> np.ndarray:
-    """Composed-channel prediction for the standard sequence (i, j, k)."""
-    ch = compose_channels(baseline.channel(2, f"U{k}"),
-                          compose_channels(baseline.channel(1, f"U{j}"),
-                                           baseline.channel(0, "I")))
-    return apply_channel(ch, baseline.prep_states[i])
+    """Composed-channel prediction for the standard sequence (i, j, k).
+
+    The stored channels are validated once, when estimated; their
+    composition is a product of superoperators, not a new channel.
+    """
+    s0, s1, s2 = (choi_to_superop(ch.choi, 2, 2) for ch in (
+        baseline.channel(0, "I"), baseline.channel(1, f"U{j}"),
+        baseline.channel(2, f"U{k}")))
+    choi = superop_to_choi(s2 @ (s1 @ s0), 2, 2)
+    return np.einsum("satb,st->ab", choi.reshape(2, 2, 2, 2),
+                     baseline.prep_states[i])
 
 
 @dataclass(frozen=True)

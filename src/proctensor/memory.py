@@ -135,16 +135,15 @@ class CMIResult:
 
 def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
                  restarts: int = 20, seed: int = 0,
-                 include_filler: bool | None = None,
                  maxiter: int = 400) -> CMIResult:
     """Best probe over encodings, decoder and free-slot gates.
 
     Multistart Nelder-Mead: the first start is the computational-basis
-    probe, the rest draw all angles uniformly from [0, 2pi).
+    probe, the rest draw all angles uniformly from [0, 2pi). Unbarred
+    slots, if any, carry a shared filler gate.
     """
     placements = _check_placements(placements, pt.steps)
-    if include_filler is None:
-        include_filler = len(placements) < pt.steps - 1
+    include_filler = len(placements) < pt.steps - 1
     dim = 12 if include_filler else 9
     start = ProbeParams(
         enc0=CANONICAL_START["enc0"], enc1=CANONICAL_START["enc1"],

@@ -252,16 +252,6 @@ def superop_to_choi(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarra
     return s4.transpose(2, 0, 3, 1).reshape(dim_in * dim_out, dim_in * dim_out)
 
 
-def compose_channels(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
-    """Channel equal to ``second`` after ``first`` (apply ``first`` first)."""
-    if first.dim_out != second.dim_in:
-        raise ValueError("channel dimensions do not compose")
-    s = choi_to_superop(second.choi, second.dim_in, second.dim_out) @ \
-        choi_to_superop(first.choi, first.dim_in, first.dim_out)
-    choi = superop_to_choi(s, first.dim_in, second.dim_out)
-    return QuantumChannel(choi=choi, dim_in=first.dim_in, dim_out=second.dim_out)
-
-
 def preparation_channel(state: np.ndarray, dim_in: int = 2, label: str = "") -> QuantumChannel:
     """Trace-and-replace map sending every input to ``state``."""
     state = check_density_matrix(state, name="prepared state")

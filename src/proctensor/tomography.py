@@ -11,10 +11,11 @@ matrix form A_hat = A_0 (x) ... (x) A_{k-1} is
 
     T[A] = tr_in[(A_hat (x) I_out)^T T] = sum_nu prod_s tr[A_s D_s^{nu_s}] rho^nu
 
-The tensor is stored as its slot duals and the states rho^nu, and
-contraction takes the right-hand route: the expansion coefficients
-tr[A_s D_s^{nu_s}] are computed slot by slot. The test suite keeps the
-defining matrix form as an oracle for this identity.
+The tensor is stored as its slot duals (one stacked (n, d, d) array
+per slot) and the states rho^nu, and contraction takes the right-hand
+route: the expansion coefficients tr[A_s D_s^{nu_s}] are computed slot
+by slot. The test suite keeps the defining matrix form as an oracle
+for this identity.
 
 Slot 0 is a preparation slot: any operation contracted there is first
 converted to the preparation it induces on the slot's reference input
@@ -47,6 +48,7 @@ from .qcore import (
     PAULI_Z,
     QuantumChannel,
     check_density_matrix,
+    choi_input_marginal,
     fidelity,
     ket_dm,
     superop_to_choi,
@@ -62,6 +64,8 @@ from .simulator import (
 )
 
 PREP_SPAN_DIM = 4
+CPTP_TOL = 1e-10
+CPTP_MAX_ITER = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +152,15 @@ def qubit_fidelity_vectorized(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlotBasis:
-    """The operations spanning one slot, as trace-normalized Choi forms."""
+    """The operations spanning one slot, as trace-normalized Choi forms
+    stacked (n, d, d)."""
 
     kind: str  # "prep" | "unitary"
-    forms: tuple[np.ndarray, ...]
-    labels: tuple[str, ...]
+    forms: np.ndarray
 
     def __post_init__(self) -> None:
         if self.kind not in ("prep", "unitary"):
             raise ValueError(f"unknown slot kind {self.kind!r}")
-        if len(self.forms) != len(self.labels):
-            raise ValueError("labels and forms length mismatch")
 
     @property
     def size(self) -> int:
@@ -176,44 +178,44 @@ class ProcessTensor:
     slots: tuple[SlotBasis, ...]
     duals: tuple[DualSet, ...]
     states: np.ndarray = field(repr=False)
-    out_dim: int
     provenance: dict = field(default_factory=dict)
 
     @property
     def steps(self) -> int:
         return len(self.slots)
 
+    @property
+    def out_dim(self) -> int:
+        return self.states.shape[-1]
+
 
 def prep_slot(preps: Iterable[PrepOp]) -> SlotBasis:
-    preps = tuple(preps)
     return SlotBasis(kind="prep",
-                     forms=tuple(prep_matrix_form(p.state) for p in preps),
-                     labels=tuple(p.label for p in preps))
+                     forms=np.array([prep_matrix_form(p.state) for p in preps]))
 
 
-def unitary_slot(unitaries: Iterable[np.ndarray],
-                 labels: Iterable[str] | None = None) -> SlotBasis:
-    mats = tuple(unitaries)
-    labels = tuple(labels) if labels is not None else tuple(
-        f"U{i}" for i in range(len(mats)))
+def unitary_slot(unitaries: Iterable[np.ndarray]) -> SlotBasis:
     return SlotBasis(kind="unitary",
-                     forms=tuple(unitary_matrix_form(u) for u in mats),
-                     labels=labels)
+                     forms=np.array([unitary_matrix_form(u) for u in unitaries]))
 
 
-def assemble(slots: list[SlotBasis], states: np.ndarray, out_dim: int = 2,
+def assemble(slots: list[SlotBasis], states: np.ndarray,
              provenance: dict | None = None) -> ProcessTensor:
-    """Build the tensor from slot bases and measured basis-sequence states."""
+    """Build the tensor from slot bases and measured basis-sequence states.
+
+    ``states`` has one axis per slot, of the slot's size, followed by the
+    square output state.
+    """
     slots = tuple(slots)
     sizes = tuple(s.size for s in slots)
     states = np.asarray(states, dtype=complex)
-    if states.shape != sizes + (out_dim, out_dim):
+    if states.shape[:-2] != sizes or states.shape[-2] != states.shape[-1]:
         raise ValueError(
-            f"states shape {states.shape} != {sizes + (out_dim, out_dim)}")
-    duals = tuple(build_duals(list(s.forms), required_rank=s.required_rank)
+            f"states shape {states.shape} is not {sizes} + (d, d)")
+    duals = tuple(build_duals(s.forms, required_rank=s.required_rank)
                   for s in slots)
     return ProcessTensor(slots=slots, duals=duals, states=states,
-                         out_dim=out_dim, provenance=provenance or {})
+                         provenance=provenance or {})
 
 
 def step_matrix_form(step: ControlStep, slot_kind: str) -> np.ndarray:
@@ -231,7 +233,7 @@ def step_matrix_form(step: ControlStep, slot_kind: str) -> np.ndarray:
 def slot_coefficients(slot: SlotBasis, duals: DualSet, step: ControlStep) -> np.ndarray:
     """Expansion coefficients tr[A D^nu] of a step against one slot."""
     form = step_matrix_form(step, slot.kind)
-    return np.array([np.einsum("ij,ji->", form, d).real for d in duals.duals])
+    return np.einsum("ij,nji->n", form, duals.duals).real
 
 
 def contract_fast(pt: ProcessTensor,
@@ -280,10 +282,9 @@ def build_standard_tensor(states: np.ndarray, basis: ControlBasis,
     """Three-step tensor (prep slot + two unitary slots) from pool states."""
     if n > basis.size:
         raise ValueError(f"basis subset {n} exceeds pool size {basis.size}")
-    slots = [prep_slot(basis.preparations),
-             unitary_slot(basis.unitaries[:n], [f"U{j}" for j in range(n)]),
-             unitary_slot(basis.unitaries[:n], [f"U{k}" for k in range(n)])]
-    return assemble(slots, states[:, :n, :n], out_dim=2)
+    pool = unitary_slot(basis.unitaries[:n])
+    return assemble([prep_slot(basis.preparations), pool, pool],
+                    states[:, :n, :n])
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +508,9 @@ def channel_from_prep_outputs(outputs: Sequence[np.ndarray],
     return QuantumChannel(choi=choi, dim_in=2, dim_out=2, label=label)
 
 
-def _project_tp(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    c4 = choi.reshape(dim_in, dim_out, dim_in, dim_out)
-    block_tr = np.einsum("iaja->ij", c4)
-    corr = np.eye(dim_in, dtype=complex) - block_tr
-    return choi + np.kron(corr, np.eye(dim_out, dtype=complex)) / dim_out
+def _project_tp(choi: np.ndarray) -> np.ndarray:
+    corr = ID2 - choi_input_marginal(choi, 2, 2)
+    return choi + np.kron(corr, ID2) / 2
 
 
 def _project_psd(mat: np.ndarray) -> np.ndarray:
@@ -520,19 +519,18 @@ def _project_psd(mat: np.ndarray) -> np.ndarray:
     return (vecs * evals) @ vecs.conj().T
 
 
-def project_to_cptp(choi: np.ndarray, dim_in: int = 2, dim_out: int = 2,
-                    tol: float = 1e-10, max_iter: int = 5000) -> np.ndarray:
-    """Closest CPTP Choi matrix by Dykstra alternating projections."""
+def project_to_cptp(choi: np.ndarray) -> np.ndarray:
+    """Closest CPTP Choi matrix of a qubit channel by Dykstra alternating
+    projections."""
     y = (np.asarray(choi, dtype=complex) + np.asarray(choi).conj().T) / 2.0
     p = np.zeros_like(y)
-    for _ in range(max_iter):
-        z = _project_tp(y, dim_in, dim_out)
+    for _ in range(CPTP_MAX_ITER):
+        z = _project_tp(y)
         w = _project_psd(z + p)
         p = z + p - w
         y = w
-        c4 = y.reshape(dim_in, dim_out, dim_in, dim_out)
-        tp_defect = np.max(np.abs(np.einsum("iaja->ij", c4) - np.eye(dim_in)))
+        tp_defect = np.max(np.abs(choi_input_marginal(y, 2, 2) - ID2))
         min_eval = np.linalg.eigvalsh(y).min()
-        if tp_defect < tol and min_eval > -tol:
+        if tp_defect < CPTP_TOL and min_eval > -CPTP_TOL:
             break
-    return _project_tp(y, dim_in, dim_out)
+    return _project_tp(y)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from proctensor.basis import PINV_RCOND, hermitian_frame
 from proctensor.simulator import ControlSequence, run_sequence, \
     simulate_experiment
 from proctensor.tomography import (enumerate_standard_keys, qst_mle,
@@ -88,6 +89,26 @@ def tensor_matrix(pt):
             dual_full = np.kron(dual_full, pt.duals[s].duals[idx[s]].T)
         matrix += np.kron(dual_full, pt.states[idx])
     return matrix
+
+
+def duals_via_frame_loop(forms):
+    """Duals of a list of matrix forms, one frame element at a time.
+
+    The loop form of ``build_duals``: coordinates by one trace per
+    (element, frame element) pair, and each dual summed frame element by
+    frame element. ``build_duals`` must equal it bit for bit.
+    """
+    frame = list(hermitian_frame(forms[0].shape[0]))
+    coords = np.array([[np.einsum("ij,ji->", g, f).real for g in frame]
+                       for f in forms])
+    f_dag = np.linalg.pinv(coords.T, rcond=PINV_RCOND)
+    duals = []
+    for row in f_dag:
+        mat = np.zeros(frame[0].shape, dtype=complex)
+        for c, g in zip(row, frame):
+            mat += c * g
+        duals.append(mat)
+    return np.array(duals)
 
 
 def contract_via_matrix(pt, seq, matrix=None):

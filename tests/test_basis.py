@@ -12,7 +12,6 @@ from proctensor.basis import (
     hermitian_frame,
     mean_overlaps,
     order_by_overlap,
-    pauli_frame,
     prep_matrix_form,
     preparations_from_unitaries,
     standard_preparations,
@@ -143,7 +142,7 @@ def test_mean_overlap_scale():
 
 
 def test_frames_are_orthonormal():
-    for frame in (hermitian_frame(2), hermitian_frame(4), pauli_frame()):
+    for frame in (hermitian_frame(2), hermitian_frame(4)):
         n = len(frame)
         dim = frame[0].shape[0]
         assert n == dim * dim
@@ -204,16 +203,6 @@ def test_prep_duals_exact():
     duals = build_duals(forms, required_rank=4)
     assert duals.mode == "exact"
     assert duality_defect(forms, duals) < 1e-10
-
-
-def test_duals_frame_independent():
-    basis = generate_haar_basis(24, seed=13)
-    forms = _pool_forms(basis)
-    d_default = build_duals(forms, required_rank=10)
-    d_pauli = build_duals(forms, required_rank=10, frame=pauli_frame())
-    assert d_default.mode == d_pauli.mode
-    for a, b in zip(d_default.duals, d_pauli.duals):
-        assert np.allclose(a, b, atol=1e-9)
 
 
 @pytest.mark.parametrize("n", [10, 16, 24, 28])

@@ -18,7 +18,6 @@ from proctensor.qcore import (
     channel_from_unitary,
     check_density_matrix,
     choi_to_superop,
-    compose_channels,
     fidelity,
     identity_channel,
     ket_dm,
@@ -226,16 +225,6 @@ def test_choi_superop_roundtrip():
         rho = random_density_matrix(rng)
         via_s = (s @ rho.reshape(4)).reshape(2, 2)
         assert np.allclose(via_s, apply_channel(ch, rho), atol=1e-12)
-
-
-def test_compose_matches_sequential_application():
-    rng = np.random.default_rng(31)
-    f = channel_from_unitary(u3_matrix(*rng.uniform(0, 2 * np.pi, size=3)))
-    g = channel_from_unitary(u3_matrix(*rng.uniform(0, 2 * np.pi, size=3)))
-    combined = compose_channels(g, f)
-    rho = random_density_matrix(rng)
-    assert np.allclose(apply_channel(combined, rho),
-                       apply_channel(g, apply_channel(f, rho)), atol=1e-12)
 
 
 def test_kraus_channel_depolarizing():

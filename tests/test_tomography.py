@@ -15,6 +15,7 @@ from proctensor.qcore import (
     fidelity,
     ket_dm,
     preparation_channel,
+    u3_matrix,
 )
 from proctensor.simulator import (
     ControlSequence,
@@ -38,6 +39,7 @@ from proctensor.tomography import (
     evaluate_split,
     linear_inversion_qubit,
     mle_project,
+    prep_slot,
     project_to_cptp,
     qst_mle,
     qubit_fidelity_vectorized,
@@ -45,11 +47,12 @@ from proctensor.tomography import (
     reconstruction_fidelity,
     slot_coefficients,
     standard_sequence,
+    step_matrix_form,
     unitary_slot,
 )
 
-from helpers import (contract_via_matrix, exact_states, sampled_records,
-                     tensor_matrix)
+from helpers import (contract_via_matrix, duals_via_frame_loop, exact_states,
+                     sampled_records, tensor_matrix)
 from test_qcore import random_density_matrix
 
 
@@ -235,6 +238,26 @@ def test_barrier_coefficients_are_pauli_mixture(pool_seed, size):
     mixture = 0.25 * sum(slot_coefficients(slot, duals, unitary_step(PAULIS[p], p))
                          for p in ("I", "X", "Y", "Z"))
     assert np.allclose(direct, mixture, rtol=0.0, atol=1e-12)
+
+
+@seed(20201001)
+@settings(max_examples=15, deadline=None)
+@given(pool_seed=st.integers(0, 2**32 - 1), size=st.integers(10, 28),
+       angles=st.tuples(*[st.floats(0.0, 2.0 * np.pi)] * 3))
+def test_array_kernels_equal_loop_oracles(pool_seed, size, angles):
+    # stored numbers stay bit-identical only if the stacked einsums give
+    # exactly what the per-element loops give
+    basis = generate_haar_basis(size, pool_seed)
+    gate = u3_matrix(*angles)
+    for slot, steps in ((unitary_slot(basis.unitaries),
+                         [unitary_step(gate), depolarizing_in_span()]),
+                        (prep_slot(basis.preparations), [prep_step(gate, "g")])):
+        duals = build_duals(slot.forms, required_rank=slot.required_rank)
+        assert np.array_equal(duals.duals, duals_via_frame_loop(list(slot.forms)))
+        for step in steps:
+            form = step_matrix_form(step, slot.kind)
+            loop = np.array([np.einsum("ij,ji->", form, d).real for d in duals.duals])
+            assert np.array_equal(slot_coefficients(slot, duals, step), loop)
 
 
 def test_barrier_contraction_equals_average_over_paulis(small_setup):
