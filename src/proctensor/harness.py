@@ -450,8 +450,8 @@ def _run_markov(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
         return 0
     # the baseline runs far fewer experiments than the standard grid, so
     # give it the same total measurement budget for a fair comparison
-    n_grid = 4 * plan.pool_size ** 2
-    n_base = 4 * (1 + 2 * basis.size)
+    n_grid = len(basis.preparations) * basis.size ** 2
+    n_base = len(basis.preparations) * (1 + 2 * basis.size)
     markov_shots = (None if plan.shots is None
                     else int(round(plan.shots * n_grid / n_base)))
     baseline = characterize_markov(model, basis, markov_shots,

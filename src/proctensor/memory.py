@@ -16,7 +16,7 @@ surrogate with no memory yields intervals containing zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -25,7 +25,6 @@ from .qcore import ID2, UnitaryParams
 from .simulator import ControlStep, prep_step, rng_stream, unitary_step
 from .tomography import (
     ProcessTensor,
-    _states_from_probs,
     build_standard_tensor,
     contract_fast,
     depolarizing_in_span,
@@ -195,24 +194,19 @@ def bootstrap_cmi(records: dict, basis, n: int, placements: tuple[int, ...],
                   alpha: float = 0.05) -> MemoryInterval:
     """Basic-bootstrap interval for the CMI at fixed probe parameters.
 
-    Each resample redraws every record from its own counts, rebuilds the
-    tensor and re-evaluates the probe. The reflected percentile interval
-    [2t - q_hi, 2t - q_lo] keeps zero inside the interval when the point
-    estimate sits at the zero floor, at the cost of clipping to [0, 1].
+    Each resample redraws every record from its own counts, replaces the
+    tensor's states and re-evaluates the probe. The reflected percentile
+    interval [2t - q_hi, 2t - q_lo] keeps zero inside the interval when the
+    point estimate sits at the zero floor, at the cost of clipping to [0, 1].
     """
-    # one grid axis per slot of the standard tensor
-    sizes = (len(basis.preparations), basis.size, basis.size)
-    placements = _check_placements(placements, len(sizes))
-    probs, redraws = redraw_records(records, basis, resamples,
-                                    rng_stream(seed, 202, *placements))
-
-    def tensor_of(p: np.ndarray) -> ProcessTensor:
-        states = _states_from_probs(p).reshape(sizes + (2, 2))
-        return build_standard_tensor(states, basis, n)
-
-    point = cmi_value(tensor_of(probs), params, placements)
-    samples = np.array([cmi_value(tensor_of(p), params, placements)
-                        for p in redraws])
+    placements = _check_placements(placements, 3)  # the standard tensor's slots
+    states, redraws = redraw_records(records, basis, resamples,
+                                     rng_stream(seed, 202, *placements))
+    pt0 = build_standard_tensor(states, basis, n)
+    point = cmi_value(pt0, params, placements)
+    samples = np.array([
+        cmi_value(replace(pt0, states=re_states[:, :n, :n]), params, placements)
+        for re_states in redraws])
     q_lo, q_hi = np.percentile(samples, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     lo = min(max(2.0 * point - q_hi, 0.0), 1.0)
     hi = min(max(2.0 * point - q_lo, 0.0), 1.0)

@@ -334,43 +334,52 @@ class EvalResult:
         return 1.0 - self.stats.mean
 
 
-def held_out_coefficient_tables(pt: ProcessTensor, basis: ControlBasis,
-                                keys: list[tuple[int, int, int]]) -> tuple[np.ndarray, ...]:
-    """Per-slot coefficient matrices for a list of (i, j, k) sequences."""
-    n = pt.slots[1].size
-    prep_eye = np.eye(len(basis.preparations))
-    # coefficients of every pool element against the slot duals, computed once
-    pool_coeffs = np.array([
-        slot_coefficients(pt.slots[1], pt.duals[1],
-                          unitary_step(basis.unitaries[j]))
-        for j in range(basis.size)])
-    a0 = np.array([prep_eye[i] for i, _, _ in keys])
-    a1 = np.array([pool_coeffs[j] for _, j, _ in keys])
-    a2 = np.array([pool_coeffs[k] for _, _, k in keys])
-    assert a1.shape[1] == n
-    return a0, a1, a2
+def pool_coefficients(pt: ProcessTensor, basis: ControlBasis,
+                      rows: Iterable[int]) -> np.ndarray:
+    """Unitary-slot coefficient rows (len(rows), n) of the given pool elements."""
+    return np.array([slot_coefficients(pt.slots[1], pt.duals[1],
+                                       unitary_step(basis.unitaries[j]))
+                     for j in rows])
 
 
-def predict_batch(pt: ProcessTensor, tables: tuple[np.ndarray, ...]) -> np.ndarray:
-    a0, a1, a2 = tables
-    return np.einsum("si,sj,sk,ijkab->sab", a0, a1, a2, pt.states)
+def predict_batch(pt: ProcessTensor, coeffs: np.ndarray) -> np.ndarray:
+    """Predictions (P, m, m, d, d) for every preparation and every pair of
+    the m pool elements whose coefficient rows ``coeffs`` (m, n) holds.
+
+    Terms (C[q, j] C[r, k]) T[i, j, k] are summed j-major, k fastest, one at a
+    time, on the real and imaginary parts side by side: exactly the arithmetic
+    of einsum("si,sj,sk,ijkab->sab") with one-hot preparation rows.
+    """
+    n_prep, n = pt.states.shape[:2]
+    parts = pt.states.view(np.float64).reshape(n_prep, n, n, -1)
+    acc = np.zeros((n_prep, parts.shape[-1], len(coeffs), len(coeffs)))
+    term = np.empty_like(acc)
+    for j in range(n):
+        weights = np.multiply.outer(coeffs[:, j], coeffs)  # [q, r, k]
+        for k in range(n):
+            np.multiply(parts[:, j, k, :, None, None], weights[:, :, k], out=term)
+            acc += term
+    acc = np.ascontiguousarray(acc.transpose(0, 2, 3, 1))
+    return acc.view(complex).reshape(acc.shape[:3] + pt.states.shape[-2:])
 
 
 def prediction_fidelities(pt: ProcessTensor, basis: ControlBasis,
                           states: np.ndarray, keys: list[tuple[int, int, int]],
                           ) -> dict[tuple[int, int, int], float]:
     """Fidelity of the tensor's prediction with the measured state, per key."""
-    preds = predict_batch(pt, held_out_coefficient_tables(pt, basis, keys))
-    return {key: reconstruction_fidelity(preds[s], states[key])
-            for s, key in enumerate(keys)}
+    rows = sorted({j for _, j, _ in keys} | {k for _, _, k in keys})
+    pos = {row: q for q, row in enumerate(rows)}
+    preds = predict_batch(pt, pool_coefficients(pt, basis, rows))
+    return {(i, j, k): reconstruction_fidelity(preds[i, pos[j], pos[k]], states[i, j, k])
+            for i, j, k in keys}
 
 
 def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int) -> EvalResult:
     """Reconstruct from the first n pool elements, verify on the rest.
 
     ``states`` holds the measured output state of every standard sequence,
-    shape (4, pool, pool, 2, 2). The held-out set is every sequence whose
-    two unitary slots both index past n.
+    shape (len(basis.preparations), pool, pool, 2, 2). The held-out set is
+    every sequence whose two unitary slots both index past n.
     """
     pool = basis.size
     if not 1 <= n < pool:
@@ -412,9 +421,9 @@ def redraw_records(records: dict[tuple[int, int, int], ExperimentRecord],
                    ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Parametric bootstrap over the standard grid's records.
 
-    Returns the plus-probability array over standard keys x axes and an
-    iterator of ``resamples`` redraws of it, each record redrawn from its
-    own counts (exact records are fixed points and draw nothing).
+    Returns the estimated states of the grid, shape (P, pool, pool, 2, 2),
+    and an iterator of ``resamples`` redraws of them, each record redrawn
+    from its own counts (exact records are fixed points and draw nothing).
     """
     if resamples < 2:
         raise ValueError("need at least two resamples")
@@ -424,16 +433,17 @@ def redraw_records(records: dict[tuple[int, int, int], ExperimentRecord],
         raise ValueError(f"records missing for {len(missing)} sequences, e.g. {missing[0]}")
     probs, shots = _record_arrays(records, keys)
     shot_mat = shots[:, None].astype(float)
+    shape = (len(basis.preparations), basis.size, basis.size, 2, 2)
 
     def redraws() -> Iterator[np.ndarray]:
         for _ in range(resamples):
-            if shots.max() == 0:
-                yield probs
-                continue
-            draws = rng.binomial(np.maximum(shot_mat, 1).astype(int), probs)
-            yield np.where(shot_mat > 0, draws / np.maximum(shot_mat, 1.0), probs)
+            p = probs
+            if shots.max() > 0:
+                draws = rng.binomial(np.maximum(shot_mat, 1).astype(int), probs)
+                p = np.where(shot_mat > 0, draws / np.maximum(shot_mat, 1.0), probs)
+            yield _states_from_probs(p).reshape(shape)
 
-    return probs, redraws()
+    return _states_from_probs(probs).reshape(shape), redraws()
 
 
 def bootstrap_ci(records: dict[tuple[int, int, int], ExperimentRecord],
@@ -442,9 +452,9 @@ def bootstrap_ci(records: dict[tuple[int, int, int], ExperimentRecord],
                  ) -> tuple[float, float]:
     """Percentile bootstrap interval for the held-out mean infidelity.
 
-    Every record (basis and verification sequences alike) is resampled
-    from its own counts, the tensor is rebuilt and re-evaluated, and the
-    (alpha/2, 1-alpha/2) percentiles of the resampled means are returned.
+    Every record (basis and verification sequences alike) is resampled from
+    its own counts, the tensor's states are replaced and re-evaluated, and
+    the (alpha/2, 1-alpha/2) percentiles of the resampled means are returned.
     """
     lo, hi, _ = bootstrap_samples(records, basis, n, resamples, seed, alpha)
     return lo, hi
@@ -454,27 +464,18 @@ def bootstrap_samples(records: dict[tuple[int, int, int], ExperimentRecord],
                       basis: ControlBasis, n: int, resamples: int = 1000,
                       seed: int = 0, alpha: float = 0.05,
                       ) -> tuple[float, float, np.ndarray]:
-    probs, redraws = redraw_records(records, basis, resamples,
-                                    rng_stream(seed, 777))
-    pool = basis.size
-    all_keys = enumerate_standard_keys(len(basis.preparations), pool)
-    key_pos = {key: r for r, key in enumerate(all_keys)}
-    held = [(i, j, k) for (i, j, k) in all_keys if j >= n and k >= n]
-    held_idx = np.array([key_pos[key] for key in held])
-    sizes = (len(basis.preparations), pool, pool)
-
-    # duals and coefficient tables never change under resampling
-    base_states = _states_from_probs(probs).reshape(sizes + (2, 2))
+    base_states, redraws = redraw_records(records, basis, resamples,
+                                          rng_stream(seed, 777))
+    # duals and coefficient rows never change under resampling
     pt0 = build_standard_tensor(base_states, basis, n)
-    tables = held_out_coefficient_tables(pt0, basis, held)
+    coeffs = pool_coefficients(pt0, basis, range(n, basis.size))
 
     sampled = np.empty(resamples)
-    for b, re_probs in enumerate(redraws):
-        re_states = _states_from_probs(re_probs).reshape(sizes + (2, 2))
-        preds = predict_batch(replace(pt0, states=re_states[:, :n, :n]), tables)
-        meas = re_states.reshape(-1, 2, 2)[held_idx]
+    for b, re_states in enumerate(redraws):
+        preds = predict_batch(replace(pt0, states=re_states[:, :n, :n]), coeffs)
         fids = qubit_fidelity_vectorized(
-            _states_from_probs(qubit_probs_of(preds)), meas)
+            _states_from_probs(qubit_probs_of(preds).reshape(-1, 3)),
+            re_states[:, n:, n:].reshape(-1, 2, 2))
         sampled[b] = 1.0 - fids.mean()
     lo, hi = np.percentile(sampled, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     return float(lo), float(hi), sampled

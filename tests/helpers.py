@@ -5,8 +5,9 @@ import numpy as np
 from proctensor.basis import PINV_RCOND, hermitian_frame
 from proctensor.simulator import ControlSequence, run_sequence, \
     simulate_experiment
-from proctensor.tomography import (enumerate_standard_keys, qst_mle,
-                                   standard_sequence, step_matrix_form)
+from proctensor.tomography import (enumerate_standard_keys, pool_coefficients,
+                                   qst_mle, standard_sequence,
+                                   step_matrix_form)
 
 FLOAT_TOL = 1e-9
 
@@ -109,6 +110,30 @@ def duals_via_frame_loop(forms):
             mat += c * g
         duals.append(mat)
     return np.array(duals)
+
+
+def key_coefficient_tables(pt, basis, keys):
+    """Per-sequence coefficient tables (a0, a1, a2) for (i, j, k) keys.
+
+    a0 holds one-hot preparation rows; a1 and a2 hold the pool
+    coefficients of each key's two unitary slots.
+    """
+    prep_eye = np.eye(len(basis.preparations))
+    pool_coeffs = pool_coefficients(pt, basis, range(basis.size))
+    a0 = np.array([prep_eye[i] for i, _, _ in keys])
+    a1 = np.array([pool_coeffs[j] for _, j, _ in keys])
+    a2 = np.array([pool_coeffs[k] for _, _, k in keys])
+    return a0, a1, a2
+
+
+def predict_via_key_tables(pt, basis, keys):
+    """Per-sequence predictions, shape (len(keys), d, d).
+
+    The unfactorised form of ``predict_batch``: one 4-operand einsum over
+    the per-key tables. ``predict_batch`` must equal it bit for bit.
+    """
+    a0, a1, a2 = key_coefficient_tables(pt, basis, keys)
+    return np.einsum("si,sj,sk,ijkab->sab", a0, a1, a2, pt.states)
 
 
 def contract_via_matrix(pt, seq, matrix=None):

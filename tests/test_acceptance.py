@@ -33,14 +33,13 @@ from proctensor.simulator import (SWAP2, ControlSequence, make_model,
 from proctensor.tomography import (_record_arrays, _states_from_probs,
                                    bootstrap_samples, build_standard_tensor,
                                    enumerate_standard_keys, evaluate_split,
-                                   held_out_coefficient_tables,
                                    prediction_fidelities,
                                    qubit_fidelity_vectorized, qubit_probs_of,
                                    slot_coefficients, standard_sequence)
 
 from helpers import (assert_csv_close, assert_json_close, contract_via_matrix,
-                     exact_states, mle_states, record_verdict,
-                     sampled_records, tensor_matrix)
+                     exact_states, key_coefficient_tables, mle_states,
+                     record_verdict, sampled_records, tensor_matrix)
 from test_golden import GOLDEN_PLAN, _strip_timestamps
 
 DATA = Path(__file__).parent / "data"
@@ -270,7 +269,7 @@ def test_criterion_09_out_of_basis_preparations(basis28):
                 model, seq, 1600, 0, record_index=base + m_i * len(held_jk) + s)
     pt0 = build_standard_tensor(states, basis28, n)
     # coefficient tables for the new sequences; only the prep row changes
-    std_tables = held_out_coefficient_tables(
+    std_tables = key_coefficient_tables(
         pt0, basis28, [(0, j, k) for _ in range(4) for j, k in held_jk])
     prep_coeffs = np.array([
         slot_coefficients(pt0.slots[0], pt0.duals[0],

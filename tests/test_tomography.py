@@ -29,6 +29,7 @@ from proctensor.simulator import (
     unitary_step,
 )
 from proctensor.tomography import (
+    _states_from_probs,
     bootstrap_ci,
     bootstrap_samples,
     box_stats,
@@ -39,10 +40,14 @@ from proctensor.tomography import (
     evaluate_split,
     linear_inversion_qubit,
     mle_project,
+    pool_coefficients,
+    predict_batch,
+    prediction_fidelities,
     prep_slot,
     project_to_cptp,
     qst_mle,
     qubit_fidelity_vectorized,
+    qubit_probs_of,
     qubit_states_from_expectations,
     reconstruction_fidelity,
     slot_coefficients,
@@ -52,7 +57,7 @@ from proctensor.tomography import (
 )
 
 from helpers import (contract_via_matrix, duals_via_frame_loop, exact_states,
-                     sampled_records, tensor_matrix)
+                     predict_via_key_tables, sampled_records, tensor_matrix)
 from test_qcore import random_density_matrix
 
 
@@ -258,6 +263,38 @@ def test_array_kernels_equal_loop_oracles(pool_seed, size, angles):
             form = step_matrix_form(step, slot.kind)
             loop = np.array([np.einsum("ij,ji->", form, d).real for d in duals.duals])
             assert np.array_equal(slot_coefficients(slot, duals, step), loop)
+
+
+@seed(20201018)
+@settings(max_examples=8, deadline=None)
+@given(pool_seed=st.integers(0, 2**32 - 1), size=st.integers(11, 28),
+       data=st.data())
+def test_grid_prediction_equals_key_table_oracle(pool_seed, size, data):
+    # stored numbers stay bit-identical only if the grid kernel gives
+    # exactly what the per-key 4-operand einsum gives, signed zeros included
+    n = data.draw(st.integers(10, size - 1), label="n")
+    subset = data.draw(st.sets(st.integers(0, size - 1), min_size=1),
+                       label="L rows")
+    basis = generate_haar_basis(size, pool_seed)
+    exact = exact_states(make_model(), basis)
+    shots = 400
+    draws = rng_stream(pool_seed, 1).binomial(shots, qubit_probs_of(exact))
+    noisy = _states_from_probs((draws / shots).reshape(-1, 3)).reshape(exact.shape)
+    for states in (exact, noisy):
+        pt = build_standard_tensor(states, basis, n)
+        for rows in (range(n, size), range(size)):
+            keys = [(i, j, k) for i in range(4) for j in rows for k in rows]
+            got = predict_batch(pt, pool_coefficients(pt, basis, rows))
+            want = predict_via_key_tables(pt, basis, keys)
+            assert got.shape == (4, len(rows), len(rows), 2, 2)
+            assert np.array_equal(got.reshape(want.shape).view(np.int64),
+                                  want.view(np.int64))
+        rows = sorted(subset | {size - 1})
+        l_keys = [(i, j, k) for i in range(4) for j in rows for k in rows
+                  if j >= n or k >= n]
+        want = {key: reconstruction_fidelity(pred, states[key]) for key, pred
+                in zip(l_keys, predict_via_key_tables(pt, basis, l_keys))}
+        assert prediction_fidelities(pt, basis, states, l_keys) == want
 
 
 def test_barrier_contraction_equals_average_over_paulis(small_setup):
