@@ -65,14 +65,6 @@ def standard_preparations() -> tuple[PrepOp, ...]:
     )
 
 
-def preparations_from_unitaries(unitaries: list[np.ndarray],
-                                labels: list[str] | None = None) -> tuple[PrepOp, ...]:
-    """Preparations induced by applying arbitrary gates to |0>."""
-    labels = labels or [f"U{i}" for i in range(len(unitaries))]
-    return tuple(PrepOp(label=l, gate=u, state=ket_dm(u @ KET0))
-                 for l, u in zip(labels, unitaries))
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian, phases fixed."""
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
@@ -245,9 +237,3 @@ def build_duals(forms: np.ndarray,
             f"basis spans only {rank} of the required {required_rank} dimensions")
     f_dag = np.linalg.pinv(b_mat, rcond=PINV_RCOND)
     return DualSet(duals=np.einsum("nc,cij->nij", f_dag, frame), rank=rank)
-
-
-def duality_defect(forms: np.ndarray, duals: DualSet) -> float:
-    """Max deviation of tr[B_i D_j] from the identity pattern."""
-    gram = np.einsum("aij,bji->ab", np.asarray(forms), duals.duals).real
-    return float(np.max(np.abs(gram - np.eye(len(gram)))))

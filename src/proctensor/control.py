@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import optimize
 
-from .basis import ControlBasis, standard_preparations
+from .basis import ControlBasis, standard_preparations, unitary_matrix_form
 from .qcore import (
     NumericalError,
     PAULI_X,
@@ -41,7 +41,6 @@ from .qcore import (
     purity,
     rotation_axis_angle,
     rotation_gate,
-    trace_distance,
     u3_matrix,
     unitarity,
 )
@@ -65,10 +64,15 @@ from .tomography import (
     ProcessTensor,
     assemble,
     channel_from_prep_outputs,
-    contract_fast,
+    clip_to_bloch_ball,
+    coefficient_map,
+    form_coefficients,
     mle_project,
     prep_slot,
     qst_mle,
+    qubit_bloch,
+    slot_coefficients,
+    slot_kernel,
     unitary_slot,
 )
 
@@ -169,9 +173,15 @@ def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
                                 "env_marginal": env_marginal})
 
 
+def _predicted_joint(pt: ProcessTensor, gate: np.ndarray) -> np.ndarray:
+    """The tensor's projected joint output for a gate."""
+    coeffs = form_coefficients(unitary_matrix_form(gate), pt.duals[0])
+    return mle_project(np.einsum("i,iab->ab", coeffs, pt.states))
+
+
 def decoupling_objective(pt: ProcessTensor, gate: np.ndarray) -> float:
     """2 - purity(q1) - purity(q2) of the predicted joint output."""
-    joint = mle_project(contract_fast(pt, [unitary_step(gate)]))
+    joint = _predicted_joint(pt, gate)
     g1 = purity(partial_trace(joint, 0, (2, 2)))
     g2 = purity(partial_trace(joint, 1, (2, 2)))
     return float(max(0.0, 2.0 - g1 - g2))
@@ -188,7 +198,7 @@ def restoration_error(pt: ProcessTensor, gate: np.ndarray,
     repeats cleanly period after period, so this is the tensor-predictable
     proxy for periodic performance.
     """
-    pred = mle_project(contract_fast(pt, [unitary_step(gate)]))
+    pred = _predicted_joint(pt, gate)
     return float(max(0.0, 1.0 - fidelity(partial_trace(pred, 1, (2, 2)), env_ref)))
 
 
@@ -401,18 +411,33 @@ def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
                                 "seed": master_seed})
 
 
-def synthesis_loss(pt: ProcessTensor, x: np.ndarray,
-                   target: QuantumChannel) -> float:
+def synthesis_kernel(pt: ProcessTensor,
+                     target: QuantumChannel) -> tuple[np.ndarray, np.ndarray]:
+    """K[i, pq, s, t] (4, 16, 2, 2), whose contraction with a gate's
+    flattened matrix form predicts the output for standard preparation i,
+    and the target's four output Bloch vectors (4, 3)."""
+    preps = standard_preparations()
+    prep_coeffs = np.array([slot_coefficients(pt.slots[0], pt.duals[0],
+                                              prep_step(p.gate, p.label))
+                            for p in preps]).T
+    weights = slot_kernel(pt, [prep_coeffs, coefficient_map(pt.duals[1])])
+    outputs = np.array([apply_channel(target, p.state) for p in preps])
+    return weights, qubit_bloch(outputs)
+
+
+def synthesis_loss(kernel: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> float:
     """Summed trace distance between tensor predictions and target outputs
-    over the four standard preparations."""
-    gate = u3_matrix(*x)
-    loss = 0.0
-    for i, prep in enumerate(standard_preparations()):
-        pred = contract_fast(pt, [prep_step(prep.gate, prep.label),
-                                  unitary_step(gate)])
-        want = apply_channel(target, prep.state)
-        loss += trace_distance(mle_project(pred), want)
-    return float(loss)
+    over the four standard preparations.
+
+    Each prediction is trace-normalised and projected onto the Bloch ball;
+    the trace distance of two qubit states is half their Bloch distance.
+    """
+    weights, target = kernel
+    pred = np.einsum("p,ipst->ist", unitary_matrix_form(u3_matrix(*x)).reshape(-1),
+                     weights)
+    bloch = qubit_bloch(pred / np.trace(pred, axis1=1, axis2=2)[:, None, None])
+    clipped = np.stack(clip_to_bloch_ball(*bloch.T), axis=-1)
+    return float(0.5 * np.linalg.norm(clipped - target, axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -431,9 +456,10 @@ def synthesize_gate(pt: ProcessTensor, target: QuantumChannel,
                     restarts: int = 20, seed: int = 0,
                     maxiter: int = 400) -> SynthesisResult:
     """Tune the gate so the tensor's predictions reproduce the target."""
+    kernel = synthesis_kernel(pt, target)
 
     def objective(x: np.ndarray) -> float:
-        return synthesis_loss(pt, x, target)
+        return synthesis_loss(kernel, x)
 
     rng = rng_stream(seed, 505)
     best_x, best_f = None, np.inf

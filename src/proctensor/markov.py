@@ -158,7 +158,3 @@ def bootstrap_median_ci(values: np.ndarray, resamples: int = 1000, seed: int = 0
     medians = np.median(values[idx], axis=1)
     lo, hi = np.percentile(medians, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     return float(lo), float(hi)
-
-
-def intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1]

@@ -21,17 +21,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
+from .basis import prep_matrix_form, unitary_matrix_form
 from .qcore import ID2, UnitaryParams
-from .simulator import ControlStep, prep_step, rng_stream, unitary_step
+from .simulator import rng_stream
 from .tomography import (
     ProcessTensor,
     build_standard_tensor,
-    contract_fast,
-    depolarizing_in_span,
+    coefficient_map,
+    form_coefficients,
     redraw_records,
+    slot_kernel,
 )
 
 ENTROPY_FLOOR = 1e-12
+# matrix form of the depolarizing channel, the equal mixture of the four
+# Pauli gates' forms: it lies in the unitary span and contracts like a gate
+BARRIER_FORM = np.eye(4, dtype=complex) / 4.0
 CANONICAL_START = {
     "enc0": UnitaryParams(0.0, 0.0, 0.0),           # |0>
     "enc1": UnitaryParams(np.pi, 0.0, np.pi),       # |1>
@@ -76,19 +81,19 @@ def _check_placements(placements: tuple[int, ...], steps: int) -> tuple[int, ...
     return placements
 
 
-def probe_steps(steps: int, params: ProbeParams, placements: tuple[int, ...],
-                which: int) -> list[ControlStep]:
-    """Step list for encoding bit ``which`` with barriers at ``placements``."""
-    enc = params.enc0 if which == 0 else params.enc1
-    row: list[ControlStep] = [prep_step(enc.matrix(), f"enc{which}")]
-    for s in range(1, steps):
-        if s in placements:
-            row.append(depolarizing_in_span())
-        elif params.filler is not None:
-            row.append(unitary_step(params.filler.matrix(), "filler"))
-        else:
-            row.append(unitary_step(ID2, "wait"))
-    return row
+def cmi_kernel(pt: ProcessTensor, placements: tuple[int, ...]) -> np.ndarray:
+    """K[a, c, s, t]: the probe tensor with barriers contracted in at
+    ``placements``. Axis a takes the encoded state's entries, and each
+    unbarred slot leaves an axis c for the filler's matrix form entries;
+    with every slot barred the kernel is K[a, s, t]."""
+    placements = _check_placements(placements, pt.steps)
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    prep_forms = np.array([prep_matrix_form(e).reshape(-1) for e in units])
+    maps = [coefficient_map(pt.duals[0]) @ prep_forms.T]
+    for s in range(1, pt.steps):
+        maps.append(form_coefficients(BARRIER_FORM, pt.duals[s])
+                    if s in placements else coefficient_map(pt.duals[s]))
+    return slot_kernel(pt, maps)
 
 
 def binary_channel_mi(cond: np.ndarray) -> float:
@@ -98,29 +103,27 @@ def binary_channel_mi(cond: np.ndarray) -> float:
     absorbs the slight unphysicality of shot-noise reconstructions.
     """
     cond = np.clip(np.asarray(cond, dtype=float), ENTROPY_FLOOR, 1.0)
-    cond = cond / cond.sum(axis=1, keepdims=True)
-    joint = 0.5 * cond
-    pd = joint.sum(axis=0)
-    mi = 0.0
-    for e in range(2):
-        for d in range(2):
-            pj = joint[e, d]
-            if pj > ENTROPY_FLOOR:
-                mi += pj * np.log2(pj / (0.5 * pd[d]))
+    joint = 0.5 * cond / cond.sum(axis=1, keepdims=True)
+    ratio = joint / (0.5 * joint.sum(axis=0))
+    mi = np.sum(np.where(joint > ENTROPY_FLOOR, joint * np.log2(ratio), 0.0))
     return float(min(max(mi, 0.0), 1.0))
 
 
-def cmi_value(pt: ProcessTensor, params: ProbeParams,
-              placements: tuple[int, ...]) -> float:
-    """Mutual information of one probe configuration."""
-    placements = _check_placements(placements, pt.steps)
+def cmi_value(kernel: np.ndarray, params: ProbeParams) -> float:
+    """Mutual information of one probe configuration on a ``cmi_kernel``.
+
+    Unbarred slots carry the filler gate, or wait (identity) without one.
+    """
+    if kernel.ndim > 3:
+        filler = ID2 if params.filler is None else params.filler.matrix()
+        form = unitary_matrix_form(filler).reshape(-1)
+        for _ in range(kernel.ndim - 3):
+            kernel = np.tensordot(kernel, form, axes=([1], [0]))
+    kets = np.array([params.enc0.matrix()[:, 0], params.enc1.matrix()[:, 0]])
+    encoded = np.einsum("ek,el->ekl", kets, kets.conj()).reshape(2, 4)
+    rho = np.einsum("ea,ast->est", encoded, kernel)
     dec = params.decoder.matrix()
-    cond = np.empty((2, 2))
-    for e in (0, 1):
-        rho = contract_fast(pt, probe_steps(pt.steps, params, placements, e))
-        rotated = dec @ rho @ dec.conj().T
-        cond[e, 0] = rotated[0, 0].real
-        cond[e, 1] = rotated[1, 1].real
+    cond = np.einsum("ds,est,dt->ed", dec, rho, dec.conj()).real
     return binary_channel_mi(cond)
 
 
@@ -142,7 +145,8 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
     slots, if any, carry a shared filler gate.
     """
     placements = _check_placements(placements, pt.steps)
-    include_filler = len(placements) < pt.steps - 1
+    kernel = cmi_kernel(pt, placements)
+    include_filler = kernel.ndim > 3
     dim = 12 if include_filler else 9
     start = ProbeParams(
         enc0=CANONICAL_START["enc0"], enc1=CANONICAL_START["enc1"],
@@ -150,7 +154,7 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
         filler=CANONICAL_START["filler"] if include_filler else None)
 
     def objective(x: np.ndarray) -> float:
-        return -cmi_value(pt, unpack_params(x, include_filler), placements)
+        return -cmi_value(kernel, unpack_params(x, include_filler))
 
     rng = rng_stream(seed, 101, *placements)
     best_x, best_f = start.pack(), objective(start.pack())
@@ -203,9 +207,10 @@ def bootstrap_cmi(records: dict, basis, n: int, placements: tuple[int, ...],
     states, redraws = redraw_records(records, basis, resamples,
                                      rng_stream(seed, 202, *placements))
     pt0 = build_standard_tensor(states, basis, n)
-    point = cmi_value(pt0, params, placements)
+    point = cmi_value(cmi_kernel(pt0, placements), params)
     samples = np.array([
-        cmi_value(replace(pt0, states=re_states[:, :n, :n]), params, placements)
+        cmi_value(cmi_kernel(replace(pt0, states=re_states[:, :n, :n]),
+                             placements), params)
         for re_states in redraws])
     q_lo, q_hi = np.percentile(samples, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     lo = min(max(2.0 * point - q_hi, 0.0), 1.0)

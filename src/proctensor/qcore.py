@@ -209,12 +209,6 @@ def unitary_choi(u: np.ndarray) -> np.ndarray:
     return np.outer(vecs, vecs.conj())
 
 
-def channel_from_unitary(u: np.ndarray, label: str = "") -> QuantumChannel:
-    u = check_unitary(u, tol=1e-9, name="gate")
-    d = u.shape[0]
-    return QuantumChannel(choi=unitary_choi(u), dim_in=d, dim_out=d, label=label)
-
-
 def channel_from_kraus(kraus: list[np.ndarray], dim_in: int | None = None,
                        dim_out: int | None = None, label: str = "") -> QuantumChannel:
     mats = [np.asarray(k, dtype=complex) for k in kraus]
@@ -228,10 +222,6 @@ def channel_from_kraus(kraus: list[np.ndarray], dim_in: int | None = None,
         w = k.T.reshape(dim_in * dim_out)
         choi += np.outer(w, w.conj())
     return QuantumChannel(choi=choi, dim_in=dim_in, dim_out=dim_out, label=label)
-
-
-def identity_channel(dim: int) -> QuantumChannel:
-    return channel_from_unitary(np.eye(dim, dtype=complex), label="identity")
 
 
 def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -250,13 +240,6 @@ def choi_to_superop(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
 def superop_to_choi(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
     s4 = superop.reshape(dim_out, dim_out, dim_in, dim_in)
     return s4.transpose(2, 0, 3, 1).reshape(dim_in * dim_out, dim_in * dim_out)
-
-
-def preparation_channel(state: np.ndarray, dim_in: int = 2, label: str = "") -> QuantumChannel:
-    """Trace-and-replace map sending every input to ``state``."""
-    state = check_density_matrix(state, name="prepared state")
-    choi = np.kron(np.eye(dim_in, dtype=complex), state)
-    return QuantumChannel(choi=choi, dim_in=dim_in, dim_out=state.shape[0], label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +274,6 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     evals = clamp_spectrum(np.linalg.eigvalsh(inner), name="fidelity inner product")
     f = float(np.sum(np.sqrt(evals)) ** 2)
     return min(max(f, 0.0), 1.0)
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of a - b."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"state dimensions differ: {a.shape} vs {b.shape}")
-    sv = np.linalg.svd(a - b, compute_uv=False)
-    return float(0.5 * np.sum(sv))
 
 
 def partial_trace(rho: np.ndarray, keep: int, dims: tuple[int, ...]) -> np.ndarray:

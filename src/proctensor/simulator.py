@@ -108,9 +108,9 @@ def initial_joint_state(env_dim: int, kind: str) -> np.ndarray:
 class ControlStep:
     """One system-only operation in a sequence.
 
-    kind: "prep" (preparation applied as its physical gate), "unitary"
-    (a gate, or any operation in the span of unitary channels) or
-    "barrier" (the depolarizing channel). ``choi`` is the
+    kind: "prep" (preparation applied as its physical gate) or "unitary"
+    (a gate, or any operation in the span of unitary channels, such as
+    the depolarizing channel). ``choi`` is the
     operation's Choi matrix (qcore convention); ``unitary`` is the gate
     itself for gate steps. Neither is validated here: gates are checked
     where they enter the program (``ControlBasis``), or are unitary by
@@ -123,7 +123,7 @@ class ControlStep:
     unitary: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("prep", "unitary", "barrier"):
+        if self.kind not in ("prep", "unitary"):
             raise ValueError(f"unknown step kind {self.kind!r}")
 
 
@@ -356,13 +356,3 @@ def sample_pair_counts(joint: np.ndarray, axes: tuple[str, str], shots: int,
                       for pr in projs])
     probs = probs / probs.sum()
     return rng.multinomial(shots, probs)
-
-
-def pair_expectations_exact(joint: np.ndarray) -> dict[tuple[str, str], float]:
-    from .qcore import PAULIS
-
-    out = {}
-    for a, b in PAIR_SETTINGS:
-        op = np.kron(PAULIS[a], PAULIS[b])
-        out[(a, b)] = float(np.einsum("ij,ji->", op, joint).real)
-    return out

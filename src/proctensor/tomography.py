@@ -110,13 +110,20 @@ def qst_mle(record: ExperimentRecord) -> np.ndarray:
     return mle_project(linear_inversion_qubit(ex["X"], ex["Y"], ex["Z"]))
 
 
+def clip_to_bloch_ball(x: np.ndarray, y: np.ndarray,
+                       z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radial clip of Bloch vectors to the unit ball: for a trace-one 2x2
+    Hermitian matrix, exactly ``mle_project``'s eigenvalue truncation."""
+    r = np.sqrt(x * x + y * y + z * z)
+    scale = np.where(r > 1.0, 1.0 / np.maximum(r, 1e-300), 1.0)
+    return x * scale, y * scale, z * scale
+
+
 def qubit_states_from_expectations(xs: np.ndarray, ys: np.ndarray,
                                    zs: np.ndarray) -> np.ndarray:
     """Vectorized qubit MLE: for 2x2 estimates the eigenvalue truncation
     is exactly a radial clip of the Bloch vector to the unit ball."""
-    r = np.sqrt(xs * xs + ys * ys + zs * zs)
-    scale = np.where(r > 1.0, 1.0 / np.maximum(r, 1e-300), 1.0)
-    x, y, z = xs * scale, ys * scale, zs * scale
+    x, y, z = clip_to_bloch_ball(xs, ys, zs)
     out = np.empty(xs.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = 0.5 * (1.0 + z)
     out[..., 1, 1] = 0.5 * (1.0 - z)
@@ -230,10 +237,37 @@ def step_matrix_form(step: ControlStep, slot_kind: str) -> np.ndarray:
     return step.choi / 2
 
 
+def form_coefficients(form: np.ndarray, duals: DualSet) -> np.ndarray:
+    """Expansion coefficients tr[A D^nu] of a matrix form A."""
+    return np.einsum("ij,nji->n", form, duals.duals).real
+
+
 def slot_coefficients(slot: SlotBasis, duals: DualSet, step: ControlStep) -> np.ndarray:
     """Expansion coefficients tr[A D^nu] of a step against one slot."""
-    form = step_matrix_form(step, slot.kind)
-    return np.einsum("ij,nji->n", form, duals.duals).real
+    return form_coefficients(step_matrix_form(step, slot.kind), duals)
+
+
+def coefficient_map(duals: DualSet) -> np.ndarray:
+    """The slot's coefficients as a linear map (n, d*d) of a step's
+    flattened matrix form: tr[A D^nu] = sum_pq A[p, q] D^nu[q, p]."""
+    n, d, _ = duals.duals.shape
+    return duals.duals.transpose(0, 2, 1).reshape(n, d * d)
+
+
+def slot_kernel(pt: ProcessTensor, maps: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract every slot of the tensor with a fixed linear map.
+
+    ``maps[s]`` is a coefficient vector (n_s,), which contracts slot s away,
+    or a matrix (n_s, m), which replaces slot s by an axis of size m (a
+    ``coefficient_map`` leaves the slot open to any matrix form). The
+    remaining axes keep slot order, followed by the output state.
+    """
+    kernel = pt.states
+    for s in reversed(range(pt.steps)):
+        kernel = np.moveaxis(kernel, s, -1) @ maps[s]
+        if np.ndim(maps[s]) == 2:
+            kernel = np.moveaxis(kernel, -1, s)
+    return kernel
 
 
 def contract_fast(pt: ProcessTensor,
@@ -247,17 +281,6 @@ def contract_fast(pt: ProcessTensor,
     letters = "ijklmn"[: pt.steps]
     spec = ",".join(letters) + f",{letters}ab->ab"
     return np.einsum(spec, *coeffs, pt.states)
-
-
-def depolarizing_in_span() -> ControlStep:
-    """The single-qubit depolarizing channel as a contractable step.
-
-    Its normalized Choi matrix I/4 is the equal mixture of the four Pauli
-    gates' forms, so it lies in the span of unitary channels and contracts
-    like any other operation.
-    """
-    return ControlStep(kind="barrier", choi=np.eye(4, dtype=complex) / 2.0,
-                       label="barrier")
 
 
 # ---------------------------------------------------------------------------

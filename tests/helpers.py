@@ -2,12 +2,20 @@
 
 import numpy as np
 
-from proctensor.basis import PINV_RCOND, hermitian_frame
-from proctensor.simulator import ControlSequence, run_sequence, \
-    simulate_experiment
-from proctensor.tomography import (enumerate_standard_keys, pool_coefficients,
-                                   qst_mle, standard_sequence,
-                                   step_matrix_form)
+from proctensor.basis import (PINV_RCOND, PrepOp, hermitian_frame,
+                              standard_preparations)
+from proctensor.memory import binary_channel_mi
+from proctensor.qcore import (ID2, KET0, PAULIS, QuantumChannel, apply_channel,
+                              check_density_matrix, check_unitary, fidelity,
+                              ket_dm, partial_trace, purity, u3_matrix,
+                              unitary_choi)
+from proctensor.simulator import (PAIR_SETTINGS, ControlSequence, ControlStep,
+                                  prep_step, run_sequence, simulate_experiment,
+                                  unitary_step)
+from proctensor.tomography import (contract_fast, enumerate_standard_keys,
+                                   mle_project,
+                                   pool_coefficients, qst_mle,
+                                   standard_sequence, step_matrix_form)
 
 FLOAT_TOL = 1e-9
 
@@ -178,3 +186,123 @@ def sampled_records(model, basis, shots, master_seed):
             model, standard_sequence(basis, i, j, k), shots, master_seed,
             record_index=idx)
     return records
+
+
+# ---------------------------------------------------------------------------
+# Small constructions only the tests use
+# ---------------------------------------------------------------------------
+
+def channel_from_unitary(u, label=""):
+    u = check_unitary(u, tol=1e-9, name="gate")
+    d = u.shape[0]
+    return QuantumChannel(choi=unitary_choi(u), dim_in=d, dim_out=d, label=label)
+
+
+def identity_channel(dim):
+    return channel_from_unitary(np.eye(dim, dtype=complex), label="identity")
+
+
+def preparation_channel(state, dim_in=2, label=""):
+    """Trace-and-replace map sending every input to ``state``."""
+    state = check_density_matrix(state, name="prepared state")
+    choi = np.kron(np.eye(dim_in, dtype=complex), state)
+    return QuantumChannel(choi=choi, dim_in=dim_in, dim_out=state.shape[0],
+                          label=label)
+
+
+def trace_distance(a, b):
+    """Half the trace norm of a - b."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"state dimensions differ: {a.shape} vs {b.shape}")
+    return float(0.5 * np.sum(np.linalg.svd(a - b, compute_uv=False)))
+
+
+def pair_expectations_exact(joint):
+    out = {}
+    for a, b in PAIR_SETTINGS:
+        op = np.kron(PAULIS[a], PAULIS[b])
+        out[(a, b)] = float(np.einsum("ij,ji->", op, joint).real)
+    return out
+
+
+def preparations_from_unitaries(unitaries, labels=None):
+    """Preparations induced by applying arbitrary gates to |0>."""
+    labels = labels or [f"U{i}" for i in range(len(unitaries))]
+    return tuple(PrepOp(label=l, gate=u, state=ket_dm(u @ KET0))
+                 for l, u in zip(labels, unitaries))
+
+
+def duality_defect(forms, duals):
+    """Max deviation of tr[B_i D_j] from the identity pattern."""
+    gram = np.einsum("aij,bji->ab", np.asarray(forms), duals.duals).real
+    return float(np.max(np.abs(gram - np.eye(len(gram)))))
+
+
+def depolarizing_in_span():
+    """The depolarizing channel as a gate-slot step: its matrix form I/4 is
+    the equal mixture of the four Pauli gates' forms."""
+    return ControlStep(kind="unitary", choi=np.eye(4, dtype=complex) / 2.0,
+                       label="barrier")
+
+
+def intervals_overlap(a, b):
+    return a[0] <= b[1] and b[0] <= a[1]
+
+
+# ---------------------------------------------------------------------------
+# Step-list oracles for the optimiser objectives
+# ---------------------------------------------------------------------------
+#
+# The package evaluates each objective on a kernel in which every slot that
+# stays fixed during the search is already contracted. These are the
+# defining forms: build the probe's control steps, contract them with the
+# tensor and post-process the output with the general matrix routines.
+
+def decoupling_objective_via_steps(pt, gate):
+    joint = mle_project(contract_fast(pt, [unitary_step(gate)]))
+    g1 = purity(partial_trace(joint, 0, (2, 2)))
+    g2 = purity(partial_trace(joint, 1, (2, 2)))
+    return float(max(0.0, 2.0 - g1 - g2))
+
+
+def restoration_error_via_steps(pt, gate, env_ref):
+    pred = mle_project(contract_fast(pt, [unitary_step(gate)]))
+    return float(max(0.0, 1.0 - fidelity(partial_trace(pred, 1, (2, 2)),
+                                         env_ref)))
+
+
+def synthesis_loss_via_steps(pt, x, target):
+    gate = u3_matrix(*x)
+    loss = 0.0
+    for prep in standard_preparations():
+        pred = contract_fast(pt, [prep_step(prep.gate, prep.label),
+                                  unitary_step(gate)])
+        loss += trace_distance(mle_project(pred),
+                               apply_channel(target, prep.state))
+    return float(loss)
+
+
+def probe_steps(steps, params, placements, which):
+    """Step list for encoding bit ``which`` with barriers at ``placements``."""
+    enc = params.enc0 if which == 0 else params.enc1
+    row = [prep_step(enc.matrix(), f"enc{which}")]
+    for s in range(1, steps):
+        if s in placements:
+            row.append(depolarizing_in_span())
+        elif params.filler is not None:
+            row.append(unitary_step(params.filler.matrix(), "filler"))
+        else:
+            row.append(unitary_step(ID2, "wait"))
+    return row
+
+
+def cmi_value_via_steps(pt, params, placements):
+    dec = params.decoder.matrix()
+    cond = np.empty((2, 2))
+    for e in (0, 1):
+        rho = contract_fast(pt, probe_steps(pt.steps, params, placements, e))
+        rotated = dec @ rho @ dec.conj().T
+        cond[e] = rotated[0, 0].real, rotated[1, 1].real
+    return binary_channel_mi(cond)

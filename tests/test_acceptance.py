@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from proctensor.basis import (build_duals, duality_defect, generate_haar_basis,
+from proctensor.basis import (build_duals, generate_haar_basis,
                               order_by_overlap, overlap_order,
-                              preparations_from_unitaries, unitary_matrix_form)
+                              unitary_matrix_form)
 from proctensor.control import (build_decoupling_tensor, build_synthesis_tensor,
                                 decoupling_model, optimize_decoupling,
                                 synthesis_model, synthesis_sweep,
@@ -25,7 +25,7 @@ from proctensor.control import (build_decoupling_tensor, build_synthesis_tensor,
 from proctensor.harness import (ALPHA_RANGE, ExperimentPlan, ResultsStore,
                                 report, run_plan)
 from proctensor.markov import (bootstrap_median_ci, characterize,
-                               compare_with_tensor, intervals_overlap)
+                               compare_with_tensor)
 from proctensor.memory import bootstrap_cmi, maximize_cmi, memory_bound
 from proctensor.simulator import (SWAP2, ControlSequence, make_model,
                                   prep_step, rng_stream, simulate_experiment,
@@ -38,8 +38,10 @@ from proctensor.tomography import (_record_arrays, _states_from_probs,
                                    slot_coefficients, standard_sequence)
 
 from helpers import (assert_csv_close, assert_json_close, contract_via_matrix,
-                     exact_states, key_coefficient_tables, mle_states,
-                     record_verdict, sampled_records, tensor_matrix)
+                     duality_defect, exact_states, intervals_overlap,
+                     key_coefficient_tables, mle_states,
+                     preparations_from_unitaries, record_verdict,
+                     sampled_records, tensor_matrix)
 from test_golden import GOLDEN_PLAN, _strip_timestamps
 
 DATA = Path(__file__).parent / "data"

@@ -6,19 +6,19 @@ import pytest
 from proctensor.basis import (
     ControlBasis,
     build_duals,
-    duality_defect,
     generate_haar_basis,
     haar_unitary,
     hermitian_frame,
     mean_overlaps,
     order_by_overlap,
     prep_matrix_form,
-    preparations_from_unitaries,
     standard_preparations,
     unitary_matrix_form,
 )
 from proctensor.qcore import ID2, KET0, PAULIS, ket_dm
 from proctensor.simulator import rng_stream
+
+from helpers import duality_defect, preparations_from_unitaries
 
 
 def _pool_forms(basis: ControlBasis) -> list[np.ndarray]:

@@ -7,6 +7,7 @@ tomography, and the analytic unitarity of the target family.
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from proctensor.basis import generate_haar_basis, haar_unitary
 from proctensor.control import (
@@ -27,13 +28,13 @@ from proctensor.control import (
     synthesis_model,
     synthesis_sweep,
     synthesize_gate,
+    synthesis_kernel,
     synthesis_loss,
     two_qubit_mle,
     with_trajectories,
 )
 from proctensor.qcore import (
     PAULIS,
-    channel_from_unitary,
     check_density_matrix,
     fidelity,
     partial_trace,
@@ -54,7 +55,8 @@ from proctensor.simulator import (
 )
 from proctensor.tomography import contract_fast, mle_project
 
-from helpers import exact_states  # noqa: F401  (shared conftest path setup)
+from helpers import (channel_from_unitary, decoupling_objective_via_steps,
+                     restoration_error_via_steps, synthesis_loss_via_steps)
 from test_qcore import random_density_matrix
 
 
@@ -345,10 +347,10 @@ def test_synthesize_unitary_no_coupling_fidelity(free_model, free_pt):
 
 def test_synthesis_loss_matches_manual(syn_pt):
     x = np.array([0.4, 1.1, 2.7])
-    target = nonunitary_target(0.5, 0.2)
-    val = synthesis_loss(syn_pt, x, target)
+    kernel = synthesis_kernel(syn_pt, nonunitary_target(0.5, 0.2))
+    val = synthesis_loss(kernel, x)
     assert val > 0.0
-    assert synthesis_loss(syn_pt, x, target) == val
+    assert synthesis_loss(kernel, x) == val
 
 
 def test_synthesis_sweep_records(syn_model, syn_pt):
@@ -363,3 +365,33 @@ def test_synthesis_sweep_records(syn_model, syn_pt):
         assert p.loss >= 0.0
     # far-from-realizable targets score worse
     assert pts[0].process_fidelity > pts[-1].process_fidelity
+
+
+ANGLE = st.floats(-2.0 * np.pi, 4.0 * np.pi)
+
+
+@seed(20261018)
+@settings(max_examples=15, deadline=None)
+@given(pool_seed=st.integers(0, 2**32 - 1), pool=st.integers(10, 14),
+       shots=st.sampled_from([None, 1600]),
+       target=st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 0.5)),
+       angles=st.lists(st.tuples(ANGLE, ANGLE, ANGLE), min_size=1, max_size=8))
+def test_objective_kernels_equal_step_oracles(pool_seed, pool, shots, target,
+                                              angles):
+    # each objective, evaluated on its search-fixed data, must give what the
+    # per-call step list contracted through the tensor gives
+    basis = generate_haar_basis(pool, pool_seed)
+    syn = build_synthesis_tensor(synthesis_model(), basis, shots, pool_seed)
+    channel = nonunitary_target(*target)
+    kernel = synthesis_kernel(syn, channel)
+    dec = build_decoupling_tensor(decoupling_model(), basis, shots, pool_seed)
+    env_ref = dec.provenance["env_marginal"]
+    for x in angles:
+        x = np.array(x)
+        assert abs(synthesis_loss(kernel, x)
+                   - synthesis_loss_via_steps(syn, x, channel)) <= 1e-12
+        gate = u3_matrix(*x)
+        assert decoupling_objective(dec, gate) \
+            == decoupling_objective_via_steps(dec, gate)
+        assert restoration_error(dec, gate, env_ref) \
+            == restoration_error_via_steps(dec, gate, env_ref)

@@ -9,12 +9,10 @@ from proctensor.markov import (
     characterize,
     compare_with_tensor,
     estimate_step_channel,
-    intervals_overlap,
     predict,
 )
 from proctensor.qcore import (
     check_density_matrix,
-    identity_channel,
     ket_dm,
     KET0,
     partial_trace,
@@ -22,7 +20,7 @@ from proctensor.qcore import (
 from proctensor.simulator import make_model, rng_stream
 from proctensor.tomography import evaluate_split
 
-from helpers import exact_states
+from helpers import exact_states, identity_channel, intervals_overlap
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from proctensor.basis import generate_haar_basis
 from proctensor.memory import (
@@ -10,17 +11,18 @@ from proctensor.memory import (
     ProbeParams,
     binary_channel_mi,
     bootstrap_cmi,
+    cmi_kernel,
     cmi_value,
     maximize_cmi,
     memory_bound,
-    probe_steps,
     unpack_params,
 )
 from proctensor.qcore import UnitaryParams
 from proctensor.simulator import SWAP2, make_model, rng_stream
 from proctensor.tomography import build_standard_tensor
 
-from helpers import exact_states, sampled_records
+from helpers import (cmi_value_via_steps, exact_states, mle_states,
+                     probe_steps, sampled_records)
 
 
 CANON = ProbeParams(enc0=CANONICAL_START["enc0"], enc1=CANONICAL_START["enc1"],
@@ -80,30 +82,57 @@ def test_pack_unpack_roundtrip():
         unpack_params(np.zeros(9), has_filler=True)
 
 
-def test_probe_steps_layout(swap_tensor):
-    steps = probe_steps(3, CANON, (1,), which=0)
-    assert [s.kind for s in steps] == ["prep", "barrier", "unitary"]
-    steps = probe_steps(3, CANON, (1, 2), which=1)
-    assert [s.kind for s in steps] == ["prep", "barrier", "barrier"]
+ANGLE = st.floats(-2.0 * np.pi, 4.0 * np.pi)
+
+
+@seed(20261019)
+@settings(max_examples=10, deadline=None)
+@given(pool_seed=st.integers(0, 2**32 - 1), pool=st.integers(10, 14),
+       shots=st.sampled_from([None, 1600]),
+       probes=st.lists(st.lists(ANGLE, min_size=12, max_size=12),
+                       min_size=1, max_size=4))
+def test_cmi_kernel_equals_step_oracle(pool_seed, pool, shots, probes):
+    # the kernel contracts the barriers once; each probe must then give what
+    # its step list (prep, barrier or filler per slot) contracted gives
+    assert [s.label for s in probe_steps(3, CANON, (1,), 0)] \
+        == ["enc0", "barrier", "wait"]
+    assert [s.label for s in probe_steps(3, CANON, (1, 2), 1)] \
+        == ["enc1", "barrier", "barrier"]
+    basis = generate_haar_basis(pool, pool_seed)
+    model = make_model(duration_ns=2500.0, env_init="plus")
+    if shots is None:
+        states = exact_states(model, basis)
+    else:
+        states = mle_states(sampled_records(model, basis, shots, pool_seed), pool)
+    pt = build_standard_tensor(states, basis, pool)
+    for placements in ((1,), (2,), (1, 2)):
+        kernel = cmi_kernel(pt, placements)
+        assert kernel.shape == ((4, 2, 2) if placements == (1, 2)
+                                else (4, 16, 2, 2))
+        for x in probes:
+            for params in (unpack_params(np.array(x), True),
+                           unpack_params(np.array(x[:9]), False)):
+                assert abs(cmi_value(kernel, params)
+                           - cmi_value_via_steps(pt, params, placements)) <= 1e-12
 
 
 def test_placement_validation(swap_tensor):
     with pytest.raises(ValueError):
-        cmi_value(swap_tensor, CANON, ())
+        cmi_kernel(swap_tensor, ())
     with pytest.raises(ValueError):
-        cmi_value(swap_tensor, CANON, (0,))
+        cmi_kernel(swap_tensor, (0,))
     with pytest.raises(ValueError):
-        cmi_value(swap_tensor, CANON, (3,))
+        cmi_kernel(swap_tensor, (3,))
 
 
 def test_swap_chain_carries_one_bit_past_first_barrier(swap_tensor):
     # computational-basis probe: the bit swaps into the environment before
     # the barrier and swaps back after it, so it survives untouched
-    assert cmi_value(swap_tensor, CANON, (1,)) > 1.0 - 1e-9
+    assert cmi_value(cmi_kernel(swap_tensor, (1,)), CANON) > 1.0 - 1e-9
     # past the second barrier nothing survives: the wire is erased after
     # the bit has returned to the system
-    assert cmi_value(swap_tensor, CANON, (2,)) < 1e-12
-    assert cmi_value(swap_tensor, CANON, (1, 2)) < 1e-12
+    assert cmi_value(cmi_kernel(swap_tensor, (2,)), CANON) < 1e-12
+    assert cmi_value(cmi_kernel(swap_tensor, (1, 2)), CANON) < 1e-12
 
 
 def test_maximize_cmi_swap_chain(swap_tensor):

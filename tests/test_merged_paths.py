@@ -25,10 +25,11 @@ from proctensor.basis import generate_haar_basis
 from proctensor.control import (build_decoupling_tensor, build_synthesis_tensor,
                                  decoupling_model, decoupling_objective,
                                  nonunitary_target, qpt, restoration_error,
-                                 synthesis_loss, synthesis_model)
+                                 synthesis_kernel, synthesis_loss,
+                                 synthesis_model)
 from proctensor.markov import characterize
 from proctensor.memory import (CANONICAL_START, ProbeParams, bootstrap_cmi,
-                               cmi_value, unpack_params)
+                               cmi_kernel, cmi_value, unpack_params)
 from proctensor.qcore import u3_matrix
 from proctensor.simulator import make_model
 from proctensor.tomography import build_standard_tensor
@@ -90,16 +91,17 @@ def objective_values():
     dec = build_decoupling_tensor(decoupling_model(), basis)
     env_ref = dec.provenance["env_marginal"]
     syn = build_synthesis_tensor(synthesis_model(), basis)
-    target = nonunitary_target(0.4, 0.2)
+    syn_kernel = synthesis_kernel(syn, nonunitary_target(0.4, 0.2))
     model = make_model(duration_ns=2500.0, env_init="plus")
     mem = build_standard_tensor(exact_states(model, basis), basis, POOL)
+    mem_kernel = cmi_kernel(mem, (1,))
     gates = [u3_matrix(*x) for x in GATE_ANGLES]
     return {
         "decoupling_objective": [decoupling_objective(dec, g) for g in gates],
         "restoration_error": [restoration_error(dec, g, env_ref) for g in gates],
-        "synthesis_loss": [synthesis_loss(syn, np.array(x), target)
+        "synthesis_loss": [synthesis_loss(syn_kernel, np.array(x))
                            for x in GATE_ANGLES],
-        "cmi_value": [cmi_value(mem, unpack_params(np.array(x), True), (1,))
+        "cmi_value": [cmi_value(mem_kernel, unpack_params(np.array(x), True))
                       for x in PROBE_ANGLES],
     }
 

@@ -15,28 +15,27 @@ from proctensor.qcore import (
     UnitaryParams,
     apply_channel,
     channel_from_kraus,
-    channel_from_unitary,
     check_density_matrix,
     choi_to_superop,
     fidelity,
-    identity_channel,
     ket_dm,
     mutual_information_state,
     negativity,
     partial_trace,
     pauli_setting,
     pauli_transfer_matrix,
-    preparation_channel,
     process_fidelity,
     purity,
     rotation_axis_angle,
     rotation_gate,
     superop_to_choi,
-    trace_distance,
     u3_matrix,
     unitarity,
     von_neumann_entropy,
 )
+
+from helpers import (channel_from_unitary, identity_channel, preparation_channel,
+                     trace_distance)
 
 
 def random_density_matrix(rng, dim=2):

@@ -9,7 +9,6 @@ from proctensor.qcore import (
     PAULI_X,
     apply_channel,
     channel_from_kraus,
-    channel_from_unitary,
     ket_dm,
     negativity,
     purity,
@@ -27,7 +26,6 @@ from proctensor.simulator import (
     interval_propagator,
     khz_to_rad_per_ns,
     make_model,
-    pair_expectations_exact,
     prep_step,
     rng_stream,
     run_sequence,
@@ -37,6 +35,8 @@ from proctensor.simulator import (
     two_qubit_probe,
     unitary_step,
 )
+
+from helpers import channel_from_unitary, pair_expectations_exact
 
 
 def seq_of(*steps):

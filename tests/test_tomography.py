@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from proctensor.basis import build_duals, generate_haar_basis, standard_preparations
 from proctensor.qcore import (
@@ -11,10 +11,8 @@ from proctensor.qcore import (
     PAULIS,
     apply_channel,
     channel_from_kraus,
-    channel_from_unitary,
     fidelity,
     ket_dm,
-    preparation_channel,
     u3_matrix,
 )
 from proctensor.simulator import (
@@ -36,7 +34,6 @@ from proctensor.tomography import (
     build_standard_tensor,
     channel_from_prep_outputs,
     contract_fast,
-    depolarizing_in_span,
     evaluate_split,
     linear_inversion_qubit,
     mle_project,
@@ -56,8 +53,10 @@ from proctensor.tomography import (
     unitary_slot,
 )
 
-from helpers import (contract_via_matrix, duals_via_frame_loop, exact_states,
-                     predict_via_key_tables, sampled_records, tensor_matrix)
+from helpers import (channel_from_unitary, contract_via_matrix,
+                     depolarizing_in_span, duals_via_frame_loop, exact_states,
+                     predict_via_key_tables, preparation_channel,
+                     sampled_records, tensor_matrix)
 from test_qcore import random_density_matrix
 
 
@@ -119,6 +118,22 @@ def test_vectorized_qubit_mle_matches_scalar():
     for i in range(200):
         ref = mle_project(linear_inversion_qubit(xs[i], ys[i], zs[i]))
         assert np.allclose(batch[i], ref, atol=1e-10)
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       radius=st.floats(0.0, 3.0))
+def test_radial_clip_equals_eigenvalue_truncation(direction, radius):
+    # every trace-one 2x2 Hermitian matrix is (I + r.sigma)/2; the clip the
+    # bootstrap and the synthesis loss use must be mle_project's projection,
+    # inside the Bloch ball (no-op), on it and outside it
+    norm = np.linalg.norm(direction)
+    assume(norm > 1e-3)
+    x, y, z = radius * np.asarray(direction) / norm
+    clipped = qubit_states_from_expectations(np.array(x), np.array(y), np.array(z))
+    want = mle_project(linear_inversion_qubit(x, y, z))
+    assert np.max(np.abs(clipped - want)) <= 1e-12
 
 
 def test_qst_mle_recovers_exact_record():
