@@ -8,15 +8,16 @@ horizon where idling lets it entangle with the neighbour.
 
 from proctensor.basis import generate_haar_basis
 from proctensor.control import (build_decoupling_tensor, decoupling_model,
-                                optimize_decoupling, with_trajectories)
+                                optimize_decoupling, simulate_trajectory)
 
 basis = generate_haar_basis(14, seed=7)
 pt = build_decoupling_tensor(decoupling_model(), basis, shots=None)
-res = with_trajectories(optimize_decoupling(pt, restarts=8, seed=0))
+res = optimize_decoupling(pt, restarts=8, seed=0)
 
 axis = ", ".join(f"{c:+.2f}" for c in res.axis)
 print(f"optimized pulse: rotation by {res.angle:.4f} rad about ({axis})")
-idle, dec = res.idle_trajectory, res.decoupled_trajectory
+idle = simulate_trajectory(None)
+dec = simulate_trajectory((res.gate,))
 horizon_us = idle.times_ns[-1] / 1000.0
 print(f"over a {horizon_us:.0f} us horizon, pulsed every 0.5 us:")
 print(f"  {'':<18}{'idle':>10}{'decoupled':>12}")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .basis import generate_haar_basis
 from .harness import (
+    POOL_BOUNDS,
     ConfigError,
     ExperimentPlan,
     ResultsStore,
@@ -92,8 +93,9 @@ def main() -> None:
 @handle_errors
 def generate_basis_cmd(seed: int, size: int, out_path: Path) -> None:
     """Write the preparation set and unitary pool to a JSON file."""
-    if not 10 <= size <= 28:
-        raise ConfigError("size: must be between 10 and 28")
+    lo, hi = POOL_BOUNDS
+    if not lo <= size <= hi:
+        raise ConfigError(f"size: must be between {lo} and {hi}")
     basis = generate_haar_basis(size, seed)
 
     def mat_doc(m: np.ndarray) -> list:

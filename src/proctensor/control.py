@@ -18,7 +18,7 @@ the non-unitarity that a bare unitary gate cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
@@ -77,6 +77,7 @@ from .tomography import (
 )
 
 DECOUPLING_IDLE_NS = 256.0
+TIE_TOL = 1e-6  # decoupling minima this close to the best one are tied
 SYNTHESIS_IDLE_NS = 800.0
 
 
@@ -211,9 +212,6 @@ class DecouplingResult:
     identity_objective: float
     degenerate: bool
     restarts: int
-    # filled in by with_trajectories once the gate is taken back to the model
-    idle_trajectory: "Trajectory | None" = None
-    decoupled_trajectory: "Trajectory | None" = None
 
     @property
     def gate(self) -> np.ndarray:
@@ -221,23 +219,26 @@ class DecouplingResult:
 
 
 def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
-                        maxiter: int = 400, env_ref: np.ndarray | None = None,
-                        tie_tol: float = 1e-6) -> DecouplingResult:
+                        maxiter: int = 400) -> DecouplingResult:
     """Derivative-free search for the purity-restoring gate.
 
     Stage one minimizes the purity objective from ``restarts`` starting
     points. Minima frequently tie: many gates refocus the single probed
     input equally well. Stage two re-polishes the tied candidates with a
-    heavy objective penalty plus the neighbor restoration error and keeps
-    the candidate that restores best without giving up the objective, so
-    the returned argmin is the one expected to hold up under repetition.
+    heavy objective penalty plus the restoration error against the neighbor
+    marginal in ``pt.provenance["env_marginal"]`` and keeps the candidate
+    that restores best without giving up the objective, so the returned
+    argmin is the one expected to hold up under repetition.
     Deterministic for a fixed seed.
     """
-    if env_ref is None and pt.provenance:
-        env_ref = pt.provenance.get("env_marginal")
+    ref = np.asarray(pt.provenance["env_marginal"], dtype=complex)
 
     def objective(x: np.ndarray) -> float:
         return decoupling_objective(pt, u3_matrix(*x))
+
+    def polish(x: np.ndarray) -> float:
+        g = u3_matrix(*x)
+        return 1e3 * decoupling_objective(pt, g) + restoration_error(pt, g, ref)
 
     rng = rng_stream(seed, 303)
     candidates: list[tuple[float, np.ndarray]] = []
@@ -250,27 +251,20 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
     best_f = min(f for f, _ in candidates)
     best_x = next(x for f, x in candidates if f == best_f)
 
-    if env_ref is not None:
-        ref = np.asarray(env_ref, dtype=complex)
-
-        def polish(x: np.ndarray) -> float:
-            g = u3_matrix(*x)
-            return 1e3 * decoupling_objective(pt, g) + restoration_error(pt, g, ref)
-
-        scored: list[tuple[float, float, np.ndarray]] = []
-        for f, x in candidates:
-            if f > best_f + tie_tol:
-                continue
-            res = optimize.minimize(polish, x, method="Nelder-Mead",
-                                    options={"maxiter": maxiter, "xatol": 1e-6,
-                                             "fatol": 1e-10})
-            g = u3_matrix(*res.x)
-            scored.append((decoupling_objective(pt, g),
-                           restoration_error(pt, g, ref), res.x))
-        admissible = [s for s in scored if s[0] <= best_f + tie_tol]
-        if admissible:
-            pick = min(range(len(admissible)), key=lambda i: admissible[i][1])
-            best_f, _, best_x = admissible[pick]
+    scored: list[tuple[float, float, np.ndarray]] = []
+    for f, x in candidates:
+        if f > best_f + TIE_TOL:
+            continue
+        res = optimize.minimize(polish, x, method="Nelder-Mead",
+                                options={"maxiter": maxiter, "xatol": 1e-6,
+                                         "fatol": 1e-10})
+        g = u3_matrix(*res.x)
+        scored.append((decoupling_objective(pt, g),
+                       restoration_error(pt, g, ref), res.x))
+    admissible = [s for s in scored if s[0] <= best_f + TIE_TOL]
+    if admissible:
+        pick = min(range(len(admissible)), key=lambda i: admissible[i][1])
+        best_f, _, best_x = admissible[pick]
 
     params = UnitaryParams(*best_x)
     axis, angle = rotation_axis_angle(params.matrix())
@@ -292,12 +286,6 @@ class Trajectory:
     purity_q1: np.ndarray = field(repr=False)
     purity_q2: np.ndarray = field(repr=False)
     label: str = ""
-
-    def min_purity(self) -> float:
-        return float(self.purity_q1.min())
-
-    def peak_negativity(self) -> float:
-        return float(self.negativity.max())
 
 
 XY4_CYCLE = (PAULI_X, PAULI_Y, PAULI_X, PAULI_Y)
@@ -335,28 +323,6 @@ def simulate_trajectory(gates_cycle: tuple[np.ndarray, ...] | None,
     return Trajectory(times_ns=np.array(times), negativity=neg,
                       mutual_info_bits=mi, purity_q1=p1, purity_q2=p2,
                       label=label)
-
-
-def apply_periodic_decoupling(gate: np.ndarray | None, period_ns: float = 500.0,
-                              horizon_ns: float = 25_000.0,
-                              exchange_khz: float = 50.0, zz_khz: float = 30.0,
-                              env_init: str = "plus_plus") -> Trajectory:
-    cycle = None if gate is None else (np.asarray(gate, dtype=complex),)
-    label = "idle" if gate is None else "decoupled"
-    return simulate_trajectory(cycle, period_ns, horizon_ns, exchange_khz,
-                               zz_khz, env_init, label=label)
-
-
-def with_trajectories(result: DecouplingResult, period_ns: float = 500.0,
-                      horizon_ns: float = 25_000.0, exchange_khz: float = 50.0,
-                      zz_khz: float = 30.0,
-                      env_init: str = "plus_plus") -> DecouplingResult:
-    """Attach the idle and decoupled time series to an optimizer result."""
-    idle = apply_periodic_decoupling(None, period_ns, horizon_ns,
-                                     exchange_khz, zz_khz, env_init)
-    dec = apply_periodic_decoupling(result.gate, period_ns, horizon_ns,
-                                    exchange_khz, zz_khz, env_init)
-    return replace(result, idle_trajectory=idle, decoupled_trajectory=dec)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,17 +30,13 @@ from .control import (
     simulate_trajectory,
     synthesis_model,
     synthesis_sweep,
-    with_trajectories,
 )
 from .markov import bootstrap_median_ci, characterize as characterize_markov, \
     compare_with_tensor
-from .memory import bootstrap_cmi, memory_bound
-from .qcore import NumericalError  # noqa: F401  (CLI maps it to exit code 3)
+from .memory import barrier_placements, bootstrap_cmi, maximize_cmi
 from .simulator import ExperimentRecord, SEModel, make_model, rng_stream, \
     simulate_experiment
 from .tomography import (
-    BoxStats,
-    box_stats,
     bootstrap_ci,
     build_standard_tensor,
     enumerate_standard_keys,
@@ -51,6 +47,7 @@ from .tomography import (
 )
 
 SCHEMA_VERSION = "1.0"
+RECORD_FIELDS = ("schema_version", "plan", "stage", "seed", "key")
 STAGES = ("characterize", "evaluate", "memory", "markov", "decouple",
           "synthesize")
 STAGE_DEPS = {"evaluate": ("characterize",), "memory": ("characterize",),
@@ -241,17 +238,26 @@ class ResultsStore:
                     raise ConfigError(
                         f"store {self.records_path}: line {i + 1} is not JSON "
                         f"({err})") from err
-                self._check_version(doc, i)
+                self._check_record(doc, i)
                 self._keys.add(doc["key"])
                 self._records.append(doc)
 
-    def _check_version(self, doc: dict, line: int) -> None:
+    def _check_record(self, doc, line: int) -> None:
+        where = f"store {self.records_path}: line {line + 1}"
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{where} is not a JSON object")
         version = str(doc.get("schema_version", ""))
         major = version.split(".", 1)[0]
         if major != SCHEMA_VERSION.split(".", 1)[0]:
             raise ConfigError(
-                f"store {self.records_path}: line {line + 1} has schema "
-                f"version {version!r}; this reader supports {SCHEMA_VERSION}")
+                f"{where} has schema version {version!r}; this reader "
+                f"supports {SCHEMA_VERSION}")
+        if not (all(f in doc for f in RECORD_FIELDS)
+                and isinstance(doc["key"], str)
+                and isinstance(doc.get("payload"), dict)):
+            raise ConfigError(f"{where} is not a record: it needs "
+                              f"{', '.join(RECORD_FIELDS)}, a string key and "
+                              "a payload object")
 
     def has(self, key: str) -> bool:
         return key in self._keys
@@ -395,19 +401,14 @@ def _run_evaluate(plan: ExperimentPlan, store: ResultsStore,
         if store.has(key):
             continue
         result = evaluate_split(states, basis, n)
-        lo, hi = bootstrap_ci(records, basis, n, resamples=plan.resamples,
-                              seed=plan.master_seed)
+        lo, hi, _ = bootstrap_ci(records, basis, n, resamples=plan.resamples,
+                                 seed=plan.master_seed)
         table = np.array([[i, j, k, f] for (i, j, k), f in
                           sorted(result.fidelities.items())])
         sidecar = store.save_array(table)
-        stats = result.stats
         payload = {"kind": "evaluation", "n": n,
                    "mean_infidelity": result.mean_infidelity,
-                   "ci_lo": lo, "ci_hi": hi,
-                   "median": stats.median, "q1": stats.q1, "q3": stats.q3,
-                   "whisker_lo": stats.whisker_lo,
-                   "whisker_hi": stats.whisker_hi,
-                   "mean": stats.mean, "count": stats.count,
+                   "ci_lo": lo, "ci_hi": hi, **asdict(result.stats),
                    "fidelity_table": sidecar}
         appended += store.append(plan.name, "evaluate", plan.master_seed,
                                  key, payload)
@@ -420,15 +421,12 @@ def _run_memory(plan: ExperimentPlan, store: ResultsStore,
     appended = 0
     n = plan.basis_size
     pt = build_standard_tensor(states, basis, n)
-    placements_list = tuple((s,) for s in range(1, pt.steps))
-    if pt.steps > 2:
-        placements_list += (tuple(range(1, pt.steps)),)
-    for placements in placements_list:
+    for placements in barrier_placements(pt.steps):
         key = "memory:" + "+".join(map(str, placements))
         if store.has(key):
             continue
-        result = memory_bound(pt, (placements,), restarts=OPTIMIZER_RESTARTS,
-                              seed=plan.master_seed)[0]
+        result = maximize_cmi(pt, placements, restarts=OPTIMIZER_RESTARTS,
+                              seed=plan.master_seed)
         interval = bootstrap_cmi(records, basis, n, placements, result.params,
                                  resamples=plan.resamples,
                                  seed=plan.master_seed)
@@ -468,15 +466,11 @@ def _run_markov(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
     m_ci = bootstrap_median_ci(m_vals, resamples=plan.resamples,
                                seed=plan.master_seed + 1)
 
-    def stats_doc(stats: BoxStats, ci: tuple[float, float]) -> dict:
-        return {"median": stats.median, "q1": stats.q1, "q3": stats.q3,
-                "whisker_lo": stats.whisker_lo, "whisker_hi": stats.whisker_hi,
-                "mean": stats.mean, "count": stats.count,
-                "ci_lo": ci[0], "ci_hi": ci[1]}
-
     payload = {"kind": "markov_comparison", "n": n,
-               "tensor": stats_doc(comparison.tensor_stats, t_ci),
-               "markov": stats_doc(comparison.markov_stats, m_ci),
+               "tensor": {**asdict(comparison.tensor_stats),
+                          "ci_lo": t_ci[0], "ci_hi": t_ci[1]},
+               "markov": {**asdict(comparison.markov_stats),
+                          "ci_lo": m_ci[0], "ci_hi": m_ci[1]},
                "median_gap": comparison.median_gap}
     return int(store.append(plan.name, "markov", plan.master_seed,
                             "markov:comparison", payload))
@@ -499,19 +493,18 @@ def _run_decouple(plan: ExperimentPlan, store: ResultsStore,
                                  master_seed=plan.master_seed + 202)
     result = optimize_decoupling(pt, restarts=OPTIMIZER_RESTARTS,
                                  seed=plan.master_seed)
-    result = with_trajectories(result, exchange_khz=plan.exchange_khz,
-                               zz_khz=plan.zz_khz)
-    xy4 = simulate_trajectory(XY4_CYCLE, exchange_khz=plan.exchange_khz,
-                              zz_khz=plan.zz_khz, label="xy4")
+    trajectories = [simulate_trajectory(cycle, exchange_khz=plan.exchange_khz,
+                                        zz_khz=plan.zz_khz, label=label)
+                    for cycle, label in ((None, "idle"),
+                                         ((result.gate,), "decoupled"),
+                                         (XY4_CYCLE, "xy4"))]
     payload = {"kind": "decoupling",
                "params": list(result.params.as_tuple()),
                "objective": result.objective,
                "identity_objective": result.identity_objective,
                "axis": list(result.axis), "angle": result.angle,
                "degenerate": result.degenerate, "restarts": result.restarts,
-               "trajectories": [_trajectory_doc(result.idle_trajectory),
-                                _trajectory_doc(result.decoupled_trajectory),
-                                _trajectory_doc(xy4)]}
+               "trajectories": [_trajectory_doc(t) for t in trajectories]}
     return int(store.append(plan.name, "decouple", plan.master_seed,
                             "decouple:result", payload))
 

@@ -37,7 +37,8 @@ from .simulator import (
     simulate_experiment,
     unitary_step,
 )
-from .tomography import box_stats, BoxStats, channel_from_prep_outputs, qst_mle
+from .tomography import (CI_ALPHA, BoxStats, box_stats,
+                         channel_from_prep_outputs, qst_mle)
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,8 @@ def compare_with_tensor(tensor_fids: dict[tuple[int, int, int], float],
         markov_stats=box_stats(np.array(list(markov_fids.values()))))
 
 
-def bootstrap_median_ci(values: np.ndarray, resamples: int = 1000, seed: int = 0,
-                        alpha: float = 0.05) -> tuple[float, float]:
+def bootstrap_median_ci(values: np.ndarray, resamples: int = 1000,
+                        seed: int = 0) -> tuple[float, float]:
     """Percentile interval for the median under sequence resampling."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
@@ -156,5 +157,5 @@ def bootstrap_median_ci(values: np.ndarray, resamples: int = 1000, seed: int = 0
     rng = rng_stream(seed, 404)
     idx = rng.integers(0, values.size, size=(resamples, values.size))
     medians = np.median(values[idx], axis=1)
-    lo, hi = np.percentile(medians, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    lo, hi = np.percentile(medians, [100 * CI_ALPHA / 2, 100 * (1 - CI_ALPHA / 2)])
     return float(lo), float(hi)

@@ -25,6 +25,7 @@ from .basis import prep_matrix_form, unitary_matrix_form
 from .qcore import ID2, UnitaryParams
 from .simulator import rng_stream
 from .tomography import (
+    CI_ALPHA,
     ProcessTensor,
     build_standard_tensor,
     coefficient_map,
@@ -169,16 +170,11 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
                      placements=placements, restarts=max(1, int(restarts)))
 
 
-def memory_bound(pt: ProcessTensor,
-                 placements_list: tuple[tuple[int, ...], ...] | None = None,
-                 restarts: int = 20, seed: int = 0) -> tuple[CMIResult, ...]:
-    """CMI bound for every barrier placement (defaults to all of them)."""
-    if placements_list is None:
-        singles = [(s,) for s in range(1, pt.steps)]
-        placements_list = tuple(singles) + ((tuple(range(1, pt.steps)),)
-                                            if pt.steps > 2 else ())
-    return tuple(maximize_cmi(pt, pl, restarts=restarts, seed=seed)
-                 for pl in placements_list)
+def barrier_placements(steps: int) -> tuple[tuple[int, ...], ...]:
+    """Every single barrier slot, then all of them together when there are
+    two or more."""
+    singles = tuple((s,) for s in range(1, steps))
+    return singles + ((tuple(range(1, steps)),) if steps > 2 else ())
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +190,8 @@ class MemoryInterval:
 
 
 def bootstrap_cmi(records: dict, basis, n: int, placements: tuple[int, ...],
-                  params: ProbeParams, resamples: int = 200, seed: int = 0,
-                  alpha: float = 0.05) -> MemoryInterval:
+                  params: ProbeParams, resamples: int = 200,
+                  seed: int = 0) -> MemoryInterval:
     """Basic-bootstrap interval for the CMI at fixed probe parameters.
 
     Each resample redraws every record from its own counts, replaces the
@@ -212,7 +208,8 @@ def bootstrap_cmi(records: dict, basis, n: int, placements: tuple[int, ...],
         cmi_value(cmi_kernel(replace(pt0, states=re_states[:, :n, :n]),
                              placements), params)
         for re_states in redraws])
-    q_lo, q_hi = np.percentile(samples, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    q_lo, q_hi = np.percentile(samples, [100 * CI_ALPHA / 2,
+                                         100 * (1 - CI_ALPHA / 2)])
     lo = min(max(2.0 * point - q_hi, 0.0), 1.0)
     hi = min(max(2.0 * point - q_lo, 0.0), 1.0)
     return MemoryInterval(point=point, lo=lo, hi=hi, placements=placements)

@@ -36,6 +36,7 @@ from .qcore import (
     PAULI_SETTINGS,
     PauliBasisSetting,
     QuantumChannel,
+    apply_channel,
     check_density_matrix,
     check_unitary,
     ket_dm,
@@ -245,8 +246,6 @@ def run_sequence(model: SEModel, seq: ControlSequence) -> np.ndarray:
     out = partial_trace(rho, 0, (model.sys_dim, model.env_dim)) \
         if model.env_dim > 1 else rho
     if model.meas_channel is not None:
-        from .qcore import apply_channel
-
         out = apply_channel(model.meas_channel, out)
     # guard, not a projection: the exact simulation must stay physical
     return check_density_matrix(out, name="simulated state")

@@ -66,6 +66,7 @@ from .simulator import (
 PREP_SPAN_DIM = 4
 CPTP_TOL = 1e-10
 CPTP_MAX_ITER = 5000
+CI_ALPHA = 0.05  # every bootstrap interval is two-sided at 95%
 
 
 # ---------------------------------------------------------------------------
@@ -471,22 +472,14 @@ def redraw_records(records: dict[tuple[int, int, int], ExperimentRecord],
 
 def bootstrap_ci(records: dict[tuple[int, int, int], ExperimentRecord],
                  basis: ControlBasis, n: int, resamples: int = 1000,
-                 seed: int = 0, alpha: float = 0.05,
-                 ) -> tuple[float, float]:
+                 seed: int = 0) -> tuple[float, float, np.ndarray]:
     """Percentile bootstrap interval for the held-out mean infidelity.
 
     Every record (basis and verification sequences alike) is resampled from
     its own counts, the tensor's states are replaced and re-evaluated, and
-    the (alpha/2, 1-alpha/2) percentiles of the resampled means are returned.
+    the (CI_ALPHA/2, 1-CI_ALPHA/2) percentiles of the resampled means are
+    returned together with the means themselves.
     """
-    lo, hi, _ = bootstrap_samples(records, basis, n, resamples, seed, alpha)
-    return lo, hi
-
-
-def bootstrap_samples(records: dict[tuple[int, int, int], ExperimentRecord],
-                      basis: ControlBasis, n: int, resamples: int = 1000,
-                      seed: int = 0, alpha: float = 0.05,
-                      ) -> tuple[float, float, np.ndarray]:
     base_states, redraws = redraw_records(records, basis, resamples,
                                           rng_stream(seed, 777))
     # duals and coefficient rows never change under resampling
@@ -500,7 +493,7 @@ def bootstrap_samples(records: dict[tuple[int, int, int], ExperimentRecord],
             _states_from_probs(qubit_probs_of(preds).reshape(-1, 3)),
             re_states[:, n:, n:].reshape(-1, 2, 2))
         sampled[b] = 1.0 - fids.mean()
-    lo, hi = np.percentile(sampled, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    lo, hi = np.percentile(sampled, [100 * CI_ALPHA / 2, 100 * (1 - CI_ALPHA / 2)])
     return float(lo), float(hi), sampled
 
 

@@ -20,18 +20,18 @@ from proctensor.basis import (build_duals, generate_haar_basis,
                               unitary_matrix_form)
 from proctensor.control import (build_decoupling_tensor, build_synthesis_tensor,
                                 decoupling_model, optimize_decoupling,
-                                synthesis_model, synthesis_sweep,
-                                with_trajectories)
+                                simulate_trajectory, synthesis_model,
+                                synthesis_sweep)
 from proctensor.harness import (ALPHA_RANGE, ExperimentPlan, ResultsStore,
                                 report, run_plan)
 from proctensor.markov import (bootstrap_median_ci, characterize,
                                compare_with_tensor)
-from proctensor.memory import bootstrap_cmi, maximize_cmi, memory_bound
+from proctensor.memory import bootstrap_cmi, maximize_cmi
 from proctensor.simulator import (SWAP2, ControlSequence, make_model,
                                   prep_step, rng_stream, simulate_experiment,
                                   unitary_step)
 from proctensor.tomography import (_record_arrays, _states_from_probs,
-                                   bootstrap_samples, build_standard_tensor,
+                                   bootstrap_ci, build_standard_tensor,
                                    enumerate_standard_keys, evaluate_split,
                                    prediction_fidelities,
                                    qubit_fidelity_vectorized, qubit_probs_of,
@@ -159,7 +159,7 @@ def test_criterion_05_memory_detection(basis28):
     pt = build_standard_tensor(mle_states(records, 28), basis28, 24)
     reset = []
     for placements in ((1,), (2,), (1, 2)):
-        res = memory_bound(pt, (placements,), restarts=20, seed=0)[0]
+        res = maximize_cmi(pt, placements, restarts=20, seed=0)
         iv = bootstrap_cmi(records, basis28, 24, placements, res.params,
                            resamples=200, seed=0)
         reset.append((placements, res.bits, iv.lo, iv.hi))
@@ -213,8 +213,9 @@ def test_criterion_06_markov_model_gap(basis28):
 def test_criterion_07_decoupling(basis28):
     model = decoupling_model()
     pt = build_decoupling_tensor(model, basis28, shots=None)
-    res = with_trajectories(optimize_decoupling(pt, restarts=20, seed=0))
-    idle, dec = res.idle_trajectory, res.decoupled_trajectory
+    res = optimize_decoupling(pt, restarts=20, seed=0)
+    idle = simulate_trajectory(None)
+    dec = simulate_trajectory((res.gate,))
     gain = float(dec.purity_q1.min() - idle.purity_q1.min())
     suppression = 1.0 - float(dec.negativity.max()) / float(idle.negativity.max())
     ok = gain >= 0.1 and suppression >= 0.5
@@ -253,8 +254,8 @@ def test_criterion_09_out_of_basis_preparations(basis28):
     model = make_model()
     records = sampled_records(model, basis28, 1600, master_seed=0)
     states = mle_states(records, 28)
-    lo_in, hi_in, _ = bootstrap_samples(records, basis28, n,
-                                        resamples=200, seed=0)
+    lo_in, hi_in, _ = bootstrap_ci(records, basis28, n,
+                                   resamples=200, seed=0)
     # probe four preparations outside the tomography basis on the held grid
     new_preps = preparations_from_unitaries(list(basis28.unitaries[24:28]))
     held_jk = [(j, k) for j in range(n, 28) for k in range(n, 28)]

@@ -77,6 +77,26 @@ def test_report_requires_evaluate(runner, tmp_path):
     assert "evaluate" in result.output
 
 
+@pytest.mark.parametrize("line", [
+    "[1,2]",
+    '{"schema_version":"1.0"}',
+    '{"schema_version":"1.0","plan":"x","stage":"s","seed":0,"key":"k",'
+    '"payload":[1]}',
+    '{"schema_version":"1.0","plan":"x","stage":"s","seed":0,"key":[1],'
+    '"payload":{}}',
+])
+def test_store_line_that_is_not_a_record_exits_2(runner, tmp_path, line):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "records.jsonl").write_text(line + "\n")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "x"}))
+    result = runner.invoke(main, ["run-plan", "--plan", str(plan),
+                                  "--out", str(store)])
+    assert result.exit_code == 2, result.output
+    assert "line 1" in result.output
+
+
 def test_numerical_failures_exit_3(runner):
     @click.command()
     @handle_errors

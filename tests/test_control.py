@@ -13,7 +13,6 @@ from proctensor.basis import generate_haar_basis, haar_unitary
 from proctensor.control import (
     DECOUPLING_IDLE_NS,
     XY4_CYCLE,
-    apply_periodic_decoupling,
     build_decoupling_tensor,
     build_synthesis_tensor,
     decoupling_model,
@@ -31,7 +30,6 @@ from proctensor.control import (
     synthesis_kernel,
     synthesis_loss,
     two_qubit_mle,
-    with_trajectories,
 )
 from proctensor.qcore import (
     PAULIS,
@@ -206,7 +204,7 @@ def test_restoration_error_separates_refocusers(dec_pt):
 
 def test_idle_negativity_matches_block_oracle():
     # {|++>,|-->} block evolution: negativity(t) = |sin((zeta - g) t)| / 2
-    traj = apply_periodic_decoupling(None, period_ns=500.0, horizon_ns=10_000.0)
+    traj = simulate_trajectory(None, period_ns=500.0, horizon_ns=10_000.0)
     delta = khz_to_rad_per_ns(30.0) - khz_to_rad_per_ns(50.0)
     want = np.abs(np.sin(delta * traj.times_ns)) / 2.0
     assert np.allclose(traj.negativity, want, atol=1e-9)
@@ -214,25 +212,25 @@ def test_idle_negativity_matches_block_oracle():
 
 
 def test_zero_coupling_trajectories_identical():
-    idle = apply_periodic_decoupling(None, exchange_khz=0.0, zz_khz=0.0)
-    kicked = apply_periodic_decoupling(rotation_gate("X", np.pi),
-                                       exchange_khz=0.0, zz_khz=0.0)
+    idle = simulate_trajectory(None, exchange_khz=0.0, zz_khz=0.0)
+    kicked = simulate_trajectory((rotation_gate("X", np.pi),),
+                                 exchange_khz=0.0, zz_khz=0.0)
     for attr in ("negativity", "mutual_info_bits", "purity_q1", "purity_q2"):
         assert np.allclose(getattr(idle, attr), getattr(kicked, attr), atol=1e-12)
 
 
 def test_decoupled_trajectory_beats_idle(dec_result):
-    res = with_trajectories(dec_result)
-    idle, dec = res.idle_trajectory, res.decoupled_trajectory
-    assert idle.min_purity() == pytest.approx(0.5, abs=1e-6)
-    assert dec.min_purity() >= idle.min_purity() + 0.1
-    assert dec.peak_negativity() <= 0.5 * idle.peak_negativity()
+    idle = simulate_trajectory(None)
+    dec = simulate_trajectory((dec_result.gate,))
+    assert idle.purity_q1.min() == pytest.approx(0.5, abs=1e-6)
+    assert dec.purity_q1.min() >= idle.purity_q1.min() + 0.1
+    assert dec.negativity.max() <= 0.5 * idle.negativity.max()
 
 
 def test_xy4_reference_decouples():
-    idle = apply_periodic_decoupling(None)
+    idle = simulate_trajectory(None)
     xy4 = simulate_trajectory(XY4_CYCLE, label="xy4")
-    assert xy4.min_purity() > idle.min_purity() + 0.3
+    assert xy4.purity_q1.min() > idle.purity_q1.min() + 0.3
     assert xy4.label == "xy4"
 
 

@@ -18,6 +18,8 @@ from proctensor.harness import (
     resolve_stages,
     run_plan,
 )
+from proctensor.control import XY4_CYCLE, simulate_trajectory
+from proctensor.qcore import UnitaryParams
 from proctensor.tomography import box_stats
 
 
@@ -429,6 +431,25 @@ def test_report_includes_control_sections(tmp_path):
     assert "decoupling: angle 3.1416" in summary
     assert "synthesis: alpha 0.4000" in summary
     assert "peak process fidelity 0.9900 at eta 0.00" in summary
+
+
+def test_decouple_payload_stores_simulated_trajectories(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "OPTIMIZER_RESTARTS", 3)
+    plan = ExperimentPlan(name="dec-run", pool_size=10, basis_size=10,
+                          shots=None, master_seed=4, stages=("decouple",))
+    store = ResultsStore(tmp_path / "s")
+    assert run_plan(plan, store) == {"decouple": 1}
+    dec = store.records(stage="decouple")[0]["payload"]
+    stored = dec["trajectories"]
+    assert [t["label"] for t in stored] == ["idle", "decoupled", "xy4"]
+    gate = UnitaryParams(*dec["params"]).matrix()
+    for doc, cycle in zip(stored, (None, (gate,), XY4_CYCLE)):
+        want = simulate_trajectory(cycle, exchange_khz=plan.exchange_khz,
+                                   zz_khz=plan.zz_khz)
+        assert doc["time_ns"] == want.times_ns.tolist()
+        for name in ("negativity", "mutual_info_bits", "purity_q1",
+                     "purity_q2"):
+            assert doc[name] == getattr(want, name).tolist(), name
 
 
 def test_control_stages_store_results(tmp_path):

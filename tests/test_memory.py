@@ -9,12 +9,12 @@ from proctensor.memory import (
     CANONICAL_START,
     MemoryInterval,
     ProbeParams,
+    barrier_placements,
     binary_channel_mi,
     bootstrap_cmi,
     cmi_kernel,
     cmi_value,
     maximize_cmi,
-    memory_bound,
     unpack_params,
 )
 from proctensor.qcore import UnitaryParams
@@ -144,7 +144,8 @@ def test_maximize_cmi_swap_chain(swap_tensor):
 
 
 def test_markovian_surrogate_has_no_memory(reset_tensor):
-    results = memory_bound(reset_tensor, restarts=2, seed=0)
+    results = [maximize_cmi(reset_tensor, pl, restarts=2, seed=0)
+               for pl in barrier_placements(reset_tensor.steps)]
     assert [r.placements for r in results] == [(1,), (2,), (1, 2)]
     for r in results:
         assert r.bits < 1e-8

@@ -2,7 +2,7 @@
 
 ``markov.characterize`` and ``control.qpt`` both solve for a channel from
 four preparation outputs and project it onto the CPTP set;
-``memory.bootstrap_cmi`` and ``tomography.bootstrap_samples`` both redraw
+``memory.bootstrap_cmi`` and ``tomography.bootstrap_ci`` both redraw
 every record from its counts. The golden values in
 ``data/golden_merged_paths.json`` were computed before those paths were
 merged into single helpers and are compared to 1e-9.

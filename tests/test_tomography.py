@@ -29,7 +29,6 @@ from proctensor.simulator import (
 from proctensor.tomography import (
     _states_from_probs,
     bootstrap_ci,
-    bootstrap_samples,
     box_stats,
     build_standard_tensor,
     channel_from_prep_outputs,
@@ -408,7 +407,7 @@ def test_bootstrap_exact_records_collapse():
     model = make_model(steps=3)
     basis = generate_haar_basis(11, seed=41)
     records = sampled_records(model, basis, shots=None, master_seed=3)
-    lo, hi, samples = bootstrap_samples(records, basis, n=10, resamples=30, seed=1)
+    lo, hi, samples = bootstrap_ci(records, basis, n=10, resamples=30, seed=1)
     assert hi - lo < 1e-6
     assert samples.std() < 1e-9
     point = samples[0]
@@ -419,13 +418,12 @@ def test_bootstrap_with_shots_is_deterministic_and_ordered():
     model = make_model(steps=3)
     basis = generate_haar_basis(11, seed=41)
     records = sampled_records(model, basis, shots=400, master_seed=3)
-    lo1, hi1, s1 = bootstrap_samples(records, basis, n=10, resamples=40, seed=7)
-    lo2, hi2, _ = bootstrap_samples(records, basis, n=10, resamples=40, seed=7)
+    lo1, hi1, s1 = bootstrap_ci(records, basis, n=10, resamples=40, seed=7)
+    lo2, hi2, s2 = bootstrap_ci(records, basis, n=10, resamples=40, seed=7)
     assert (lo1, hi1) == (lo2, hi2)
     assert 0.0 <= lo1 < hi1 <= 1.0
     assert s1.std() > 0.0
-    ci = bootstrap_ci(records, basis, n=10, resamples=40, seed=7)
-    assert ci == (lo1, hi1)
+    assert np.array_equal(s1, s2)
 
 
 def test_bootstrap_requires_complete_records():
@@ -436,8 +434,8 @@ def test_bootstrap_requires_complete_records():
     with pytest.raises(ValueError, match="missing"):
         bootstrap_ci(records, basis, n=10, resamples=5, seed=0)
     with pytest.raises(ValueError, match="resamples"):
-        bootstrap_samples(sampled_records(model, basis, None, 3), basis, 10,
-                          resamples=1, seed=0)
+        bootstrap_ci(sampled_records(model, basis, None, 3), basis, 10,
+                     resamples=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
