@@ -8,24 +8,17 @@ tensor by percentage points, and resetting the environment closes the
 gap entirely.
 """
 
-import numpy as np
-
 from proctensor.basis import generate_haar_basis
 from proctensor.markov import characterize, compare_with_tensor
-from proctensor.simulator import make_model, run_sequence
-from proctensor.tomography import evaluate_split, standard_sequence
+from proctensor.simulator import make_model, simulate_grid
+from proctensor.tomography import evaluate_split, standard_slots
 
 POOL, N = 14, 12
 
 basis = generate_haar_basis(POOL, seed=7)
 for label, reset in (("coupled neighbour", False), ("environment reset", True)):
     model = make_model(duration_ns=2500.0, env_init="plus", env_reset=reset)
-    states = np.empty((4, POOL, POOL, 2, 2), dtype=complex)
-    for i in range(4):
-        for j in range(POOL):
-            for k in range(POOL):
-                states[i, j, k] = run_sequence(
-                    model, standard_sequence(basis, i, j, k))
+    states = simulate_grid(model, standard_slots(basis))
     ev = evaluate_split(states, basis, N)
     baseline = characterize(model, basis, None, master_seed=1)
     comp = compare_with_tensor(ev.fidelities, states, baseline)

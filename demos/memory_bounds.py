@@ -12,8 +12,8 @@ import numpy as np
 
 from proctensor.basis import generate_haar_basis
 from proctensor.memory import maximize_cmi
-from proctensor.simulator import SWAP2, make_model, run_sequence
-from proctensor.tomography import build_standard_tensor, standard_sequence
+from proctensor.simulator import SWAP2, make_model, simulate_grid
+from proctensor.tomography import build_standard_tensor, standard_slots
 
 POOL, N = 14, 12
 
@@ -21,12 +21,7 @@ basis = generate_haar_basis(POOL, seed=7)
 
 
 def tensor_of(model):
-    states = np.empty((4, POOL, POOL, 2, 2), dtype=complex)
-    for i in range(4):
-        for j in range(POOL):
-            for k in range(POOL):
-                states[i, j, k] = run_sequence(
-                    model, standard_sequence(basis, i, j, k))
+    states = simulate_grid(model, standard_slots(basis))
     return build_standard_tensor(states, basis, N)
 
 

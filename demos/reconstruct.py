@@ -10,22 +10,22 @@ import numpy as np
 
 from proctensor.basis import (generate_haar_basis, order_by_overlap,
                               overlap_order)
-from proctensor.simulator import make_model, simulate_experiment
+from proctensor.simulator import (ExperimentRecord, draw_counts, make_model,
+                                  outcome_probabilities, simulate_grid)
 from proctensor.tomography import (enumerate_standard_keys, evaluate_split,
-                                   qst_mle, standard_sequence)
+                                   qst_mle, standard_slots)
 
 POOL, SHOTS = 14, 1600
 
 model = make_model()
 basis = generate_haar_basis(POOL, seed=7)
 print(f"simulating {4 * POOL * POOL} sequences at {SHOTS} shots each")
-records = {}
-for idx, (i, j, k) in enumerate(enumerate_standard_keys(4, POOL)):
-    records[(i, j, k)] = simulate_experiment(
-        model, standard_sequence(basis, i, j, k), SHOTS, 0, record_index=idx)
+probs = outcome_probabilities(simulate_grid(model, standard_slots(basis)))
 states = np.empty((4, POOL, POOL, 2, 2), dtype=complex)
-for key, rec in records.items():
-    states[key] = qst_mle(rec)
+for idx, key in enumerate(enumerate_standard_keys(4, POOL)):
+    # sequence idx draws its counts from streams (seed 0, idx, axis)
+    counts = draw_counts(probs[key], SHOTS, 0, idx)
+    states[key] = qst_mle(ExperimentRecord(f"seq{idx}", counts, SHOTS, 0))
 
 for n in (10, 12):
     res = evaluate_split(states, basis, n)

@@ -12,11 +12,14 @@ plus a text summary.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -34,8 +37,8 @@ from .control import (
 from .markov import bootstrap_median_ci, characterize as characterize_markov, \
     compare_with_tensor
 from .memory import barrier_placements, bootstrap_cmi, maximize_cmi
-from .simulator import ExperimentRecord, SEModel, make_model, rng_stream, \
-    simulate_experiment
+from .simulator import AXES, ExperimentRecord, SEModel, draw_counts, \
+    make_model, outcome_probabilities, rng_stream, simulate_grid
 from .tomography import (
     bootstrap_ci,
     build_standard_tensor,
@@ -43,7 +46,7 @@ from .tomography import (
     evaluate_split,
     prediction_fidelities,
     qst_mle,
-    standard_sequence,
+    standard_slots,
 )
 
 SCHEMA_VERSION = "1.0"
@@ -60,6 +63,10 @@ ALPHA_RANGE = (0.1, 0.8)
 
 class ConfigError(ValueError):
     """Invalid plan or store input; the message names the offending field."""
+
+
+# the stored characterize grid: records by key (i, j, k) and their QST states
+Grid = tuple[dict[tuple[int, int, int], ExperimentRecord], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +196,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
 # ---------------------------------------------------------------------------
 
 def _jsonify(obj):
+    if type(obj) in (str, int, float, bool, type(None)):
+        return obj  # already plain JSON; the common case in large payloads
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -265,17 +274,27 @@ class ResultsStore:
     def append(self, plan: str, stage: str, seed: int, key: str,
                payload: dict) -> bool:
         """Store one record; returns False when the key already exists."""
-        if key in self._keys:
-            return False
-        doc = {"schema_version": SCHEMA_VERSION, "plan": plan, "stage": stage,
-               "seed": int(seed), "key": key,
-               "created_utc": datetime.now(timezone.utc).isoformat(),
-               "payload": _jsonify(payload)}
-        with self.records_path.open("a") as fh:
-            fh.write(_canonical(doc) + "\n")
-        self._keys.add(key)
-        self._records.append(doc)
-        return True
+        return bool(self.extend(plan, stage, seed, [(key, payload)]))
+
+    def extend(self, plan: str, stage: str, seed: int,
+               rows: Iterable[tuple[str, dict]]) -> int:
+        """Store ``(key, payload)`` rows with one write; returns how many
+        were new. Rows whose key is already stored are skipped."""
+        created = datetime.now(timezone.utc).isoformat()
+        docs, fresh = [], set()
+        for key, payload in rows:
+            if key in self._keys or key in fresh:
+                continue
+            fresh.add(key)
+            docs.append({"schema_version": SCHEMA_VERSION, "plan": plan,
+                         "stage": stage, "seed": int(seed), "key": key,
+                         "created_utc": created, "payload": _jsonify(payload)})
+        if docs:
+            with self.records_path.open("a") as fh:
+                fh.write("".join(_canonical(doc) + "\n" for doc in docs))
+            self._keys |= fresh
+            self._records.extend(docs)
+        return len(docs)
 
     def records(self, stage: str | None = None,
                 kind: str | None = None) -> list[dict]:
@@ -334,47 +353,97 @@ def resolve_stages(requested: tuple[str, ...]) -> list[str]:
 
 def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
                       model: SEModel, basis: ControlBasis) -> int:
+    """Simulate the standard grid and store each sequence's three axes.
+
+    Only sequences with an axis missing from the store are drawn, and each
+    grid row (i, j) is written at once.
+    """
+    pool = basis.size
+    keys = enumerate_standard_keys(len(basis.preparations), pool)
+    axis_keys = [[f"experiment:p{i}_u{j}_u{k}:{ax}" for ax in AXES]
+                 for i, j, k in keys]
+    todo = [idx for idx, row in enumerate(axis_keys)
+            if not all(store.has(key) for key in row)]
+    if not todo:
+        return 0
+    probs = outcome_probabilities(simulate_grid(model, standard_slots(basis)))
+    probs = probs.reshape(len(keys), len(AXES))
     appended = 0
-    keys = enumerate_standard_keys(len(basis.preparations), basis.size)
-    for idx, (i, j, k) in enumerate(keys):
-        row_keys = [f"experiment:p{i}_u{j}_u{k}:{ax}" for ax in "XYZ"]
-        if all(store.has(rk) for rk in row_keys):
-            continue
-        rec = simulate_experiment(model, standard_sequence(basis, i, j, k),
-                                  plan.shots, plan.master_seed,
-                                  record_index=idx)
-        for ax, row_key in zip("XYZ", row_keys):
-            plus, minus = rec.counts[ax]
-            payload = {"kind": "experiment", "sequence_id": rec.sequence_id,
-                       "key_ijk": [i, j, k], "axis": ax,
-                       "counts": [plus, minus], "shots": rec.shots,
-                       "record_index": idx}
-            appended += store.append(plan.name, "characterize",
-                                     plan.master_seed, row_key, payload)
+    for _, chunk in groupby(todo, key=lambda idx: idx // pool):
+        rows = []
+        for idx in chunk:
+            i, j, k = keys[idx]
+            counts = draw_counts(probs[idx], plan.shots, plan.master_seed, idx)
+            for ax, key in zip(AXES, axis_keys[idx]):
+                rows.append((key, {"kind": "experiment",
+                                   "sequence_id": f"p{i}_u{j}_u{k}",
+                                   "key_ijk": [i, j, k], "axis": ax,
+                                   "counts": list(counts[ax]),
+                                   "shots": plan.shots, "record_index": idx}))
+        appended += store.extend(plan.name, "characterize", plan.master_seed,
+                                 rows)
     return appended
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _experiment_problem(p: dict, n_prep: int, pool: int) -> str | None:
+    """What is wrong with a characterize payload, or None."""
+    ijk = p.get("key_ijk")
+    if not (isinstance(ijk, list) and len(ijk) == 3
+            and all(map(_is_int, ijk))):
+        return "key_ijk must be a list of three integers"
+    if not (0 <= ijk[0] < n_prep and 0 <= ijk[1] < pool
+            and 0 <= ijk[2] < pool):
+        return f"key_ijk {ijk} is outside the {n_prep} x {pool} x {pool} grid"
+    if p.get("axis") not in AXES:
+        return f"axis must be one of {AXES}"
+    counts = p.get("counts")
+    if not (isinstance(counts, list) and len(counts) == 2
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    for c in counts)):
+        return "counts must be a list of two numbers"
+    shots = p.get("shots", False)
+    if not (shots is None or (_is_int(shots) and shots > 0)):
+        return "shots must be a positive integer or null"
+    if not isinstance(p.get("sequence_id"), str):
+        return "sequence_id must be a string"
+    return None
 
 
 def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
                         basis: ControlBasis,
                         ) -> dict[tuple[int, int, int], ExperimentRecord]:
-    rows = store.records(stage="characterize", kind="experiment")
+    n_prep, pool = len(basis.preparations), basis.size
     grouped: dict[tuple[int, int, int], dict] = {}
-    for doc in rows:
+    for line, doc in enumerate(store.records(), 1):
         p = doc["payload"]
+        if doc["stage"] != "characterize" or p.get("kind") != "experiment":
+            continue
+        problem = _experiment_problem(p, n_prep, pool)
+        if problem is not None:
+            raise ConfigError(f"store {store.records_path}: line {line} is "
+                              f"not an experiment record: {problem}")
         key = tuple(p["key_ijk"])
         entry = grouped.setdefault(key, {"sequence_id": p["sequence_id"],
                                          "shots": p["shots"], "counts": {}})
         entry["counts"][p["axis"]] = tuple(p["counts"])
     records = {}
     for key, entry in grouped.items():
-        if set(entry["counts"]) != {"X", "Y", "Z"}:
+        if set(entry["counts"]) != set(AXES):
             raise ConfigError(
                 f"store: sequence {entry['sequence_id']} is missing axes; "
                 "re-run the characterize stage")
-        records[key] = ExperimentRecord(
-            sequence_id=entry["sequence_id"], counts=entry["counts"],
-            shots=entry["shots"], seed=plan.master_seed)
-    expected = enumerate_standard_keys(len(basis.preparations), basis.size)
+        try:
+            records[key] = ExperimentRecord(
+                sequence_id=entry["sequence_id"], counts=entry["counts"],
+                shots=entry["shots"], seed=plan.master_seed)
+        except ValueError as err:
+            raise ConfigError(f"store: sequence {entry['sequence_id']}: "
+                              f"{err}") from err
+    expected = enumerate_standard_keys(n_prep, pool)
     missing = [k for k in expected if k not in records]
     if missing:
         raise ConfigError(
@@ -393,13 +462,13 @@ def _states_from_records(records: dict, basis: ControlBasis) -> np.ndarray:
 
 
 def _run_evaluate(plan: ExperimentPlan, store: ResultsStore,
-                  basis: ControlBasis, records: dict,
-                  states: np.ndarray) -> int:
+                  basis: ControlBasis, grid: Callable[[], Grid]) -> int:
     appended = 0
     for n in plan.eval_sizes():
         key = f"evaluation:n{n}"
         if store.has(key):
             continue
+        records, states = grid()
         result = evaluate_split(states, basis, n)
         lo, hi, _ = bootstrap_ci(records, basis, n, resamples=plan.resamples,
                                  seed=plan.master_seed)
@@ -415,16 +484,21 @@ def _run_evaluate(plan: ExperimentPlan, store: ResultsStore,
     return appended
 
 
-def _run_memory(plan: ExperimentPlan, store: ResultsStore,
-                basis: ControlBasis, records: dict,
-                states: np.ndarray) -> int:
+def _run_memory(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
+                basis: ControlBasis, grid: Callable[[], Grid]) -> int:
+    todo = {}
+    # the standard tensor has one slot per interval of the model
+    for placements in barrier_placements(model.steps):
+        key = "memory:" + "+".join(map(str, placements))
+        if not store.has(key):
+            todo[key] = placements
+    if not todo:
+        return 0
     appended = 0
     n = plan.basis_size
+    records, states = grid()
     pt = build_standard_tensor(states, basis, n)
-    for placements in barrier_placements(pt.steps):
-        key = "memory:" + "+".join(map(str, placements))
-        if store.has(key):
-            continue
+    for key, placements in todo.items():
         result = maximize_cmi(pt, placements, restarts=OPTIMIZER_RESTARTS,
                               seed=plan.master_seed)
         interval = bootstrap_cmi(records, basis, n, placements, result.params,
@@ -443,9 +517,10 @@ def _run_memory(plan: ExperimentPlan, store: ResultsStore,
 
 
 def _run_markov(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
-                basis: ControlBasis, states: np.ndarray) -> int:
+                basis: ControlBasis, grid: Callable[[], Grid]) -> int:
     if store.has("markov:comparison"):
         return 0
+    _, states = grid()
     # the baseline runs far fewer experiments than the standard grid, so
     # give it the same total measurement budget for a fair comparison
     n_grid = len(basis.preparations) * basis.size ** 2
@@ -569,19 +644,22 @@ def run_plan(plan: ExperimentPlan, store: ResultsStore,
     model = plan.model()
     basis = plan.basis()
     counts: dict[str, int] = {}
-    records = states = None
+
+    @functools.cache
+    def grid() -> Grid:
+        # read and estimate the stored grid once, when a stage first needs it
+        records = _records_from_store(plan, store, basis)
+        return records, _states_from_records(records, basis)
+
     for stage in ordered:
-        if stage in ("evaluate", "memory", "markov") and records is None:
-            records = _records_from_store(plan, store, basis)
-            states = _states_from_records(records, basis)
         if stage == "characterize":
             counts[stage] = _run_characterize(plan, store, model, basis)
         elif stage == "evaluate":
-            counts[stage] = _run_evaluate(plan, store, basis, records, states)
+            counts[stage] = _run_evaluate(plan, store, basis, grid)
         elif stage == "memory":
-            counts[stage] = _run_memory(plan, store, basis, records, states)
+            counts[stage] = _run_memory(plan, store, model, basis, grid)
         elif stage == "markov":
-            counts[stage] = _run_markov(plan, store, model, basis, states)
+            counts[stage] = _run_markov(plan, store, model, basis, grid)
         elif stage == "decouple":
             counts[stage] = _run_decouple(plan, store, basis)
         elif stage == "synthesize":

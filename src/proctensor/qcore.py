@@ -52,22 +52,36 @@ def ket_dm(vec: np.ndarray) -> np.ndarray:
 
 
 def check_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
-    """Validate a density matrix and return it as a complex ndarray.
+    """Validate a density matrix, or a stack of them, as a complex ndarray.
 
-    Requires a square Hermitian matrix, positive semidefinite within
-    ``EIG_CLAMP_TOL``, with unit trace. Raises ValueError on violation.
+    Requires square Hermitian matrices, positive semidefinite within
+    ``EIG_CLAMP_TOL``, with unit trace. Raises ValueError on violation; for
+    a stack of shape ``(..., d, d)`` the message names the first offending
+    index.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL:
-        raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -EIG_CLAMP_TOL:
-        raise ValueError(f"{name} has negative eigenvalue {evals.min():.3e}")
-    tr = float(rho.trace().real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} trace {tr} != 1")
+
+    def where(bad: np.ndarray) -> str:
+        if rho.ndim == 2:
+            return name
+        return f"{name} {tuple(int(i) for i in np.argwhere(bad)[0])}"
+
+    # whole-stack reductions first; per-matrix ones only to name a failure
+    asym = np.abs(rho - rho.conj().swapaxes(-1, -2))
+    if asym.max() > HERMITIAN_TOL:
+        bad = asym.max(axis=(-2, -1)) > HERMITIAN_TOL
+        raise ValueError(f"{where(bad)} is not Hermitian within {HERMITIAN_TOL}")
+    low = np.linalg.eigvalsh(rho)[..., 0]  # eigenvalues come ascending
+    if low.min() < -EIG_CLAMP_TOL:
+        bad = low < -EIG_CLAMP_TOL
+        raise ValueError(f"{where(bad)} has negative eigenvalue "
+                         f"{low[bad][0]:.3e}")
+    tr = rho.trace(axis1=-2, axis2=-1).real
+    if np.abs(tr - 1.0).max() > TRACE_TOL:
+        bad = np.abs(tr - 1.0) > TRACE_TOL
+        raise ValueError(f"{where(bad)} trace {float(tr[bad][0])} != 1")
     return rho
 
 
@@ -225,11 +239,12 @@ def channel_from_kraus(kraus: list[np.ndarray], dim_in: int | None = None,
 
 
 def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
+    """``ch`` applied to a state, or to each state of a ``(..., d, d)`` stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim_in, ch.dim_in):
+    if rho.shape[-2:] != (ch.dim_in, ch.dim_in):
         raise ValueError(f"state shape {rho.shape} incompatible with dim_in {ch.dim_in}")
     c4 = ch.choi.reshape(ch.dim_in, ch.dim_out, ch.dim_in, ch.dim_out)
-    return np.einsum("satb,st->ab", c4, rho)
+    return np.einsum("satb,...st->...ab", c4, rho)
 
 
 def choi_to_superop(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
@@ -277,22 +292,23 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def partial_trace(rho: np.ndarray, keep: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Reduce a multipartite state to the subsystem at index ``keep``."""
+    """Reduce a multipartite state, or each state of a ``(..., D, D)``
+    stack, to the subsystem at index ``keep``."""
     rho = np.asarray(rho, dtype=complex)
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
-    if rho.shape != (total, total):
+    if rho.ndim < 2 or rho.shape[-2:] != (total, total):
         raise ValueError(f"state shape {rho.shape} inconsistent with dims {dims}")
     if not 0 <= keep < len(dims):
         raise ValueError(f"keep index {keep} out of range for {len(dims)} subsystems")
     n = len(dims)
-    r = rho.reshape(dims + dims)
+    r = rho.reshape(rho.shape[:-2] + dims + dims)
     # einsum labels: traced subsystems share a letter on bra and ket sides
     letters = "abcdefghijkl"
     row = [letters[i] for i in range(n)]
     col = list(row)
     col[keep] = letters[n]
-    spec = "".join(row) + "".join(col) + "->" + row[keep] + col[keep]
+    spec = "..." + "".join(row) + "".join(col) + "->..." + row[keep] + col[keep]
     return np.einsum(spec, r)
 
 

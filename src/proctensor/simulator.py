@@ -16,6 +16,10 @@ used as a zero-memory reference. ``meas_channel`` composes a fixed error
 channel on the system immediately before readout; tomography treats it as
 part of the process.
 
+``simulate_grid`` runs every combination of one step per slot at once,
+propagating each shared prefix once; ``run_sequence`` is its
+one-step-per-slot case.
+
 Shot sampling uses counter-based Philox streams keyed by
 (master seed, record index, axis), so any record can be regenerated in
 isolation and runs are reproducible under any execution order.
@@ -24,6 +28,7 @@ isolation and runs are reproducible under any execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -34,7 +39,6 @@ from .qcore import (
     PAULI_Y,
     PAULI_Z,
     PAULI_SETTINGS,
-    PauliBasisSetting,
     QuantumChannel,
     apply_channel,
     check_density_matrix,
@@ -214,41 +218,78 @@ def make_model(env_dim: int = 2, env_init: str = "zero", steps: int = 3,
 
 def _apply_system_channel(choi: np.ndarray, rho_se: np.ndarray,
                           sys_dim: int, env_dim: int) -> np.ndarray:
+    lead = rho_se.shape[:-2]
     c4 = choi.reshape(sys_dim, sys_dim, sys_dim, sys_dim)
-    r4 = rho_se.reshape(sys_dim, env_dim, sys_dim, env_dim)
-    out = np.einsum("satb,setf->aebf", c4, r4)
-    return out.reshape(sys_dim * env_dim, sys_dim * env_dim)
+    r4 = rho_se.reshape(lead + (sys_dim, env_dim, sys_dim, env_dim))
+    out = np.einsum("satb,...setf->...aebf", c4, r4)
+    return out.reshape(lead + (sys_dim * env_dim, sys_dim * env_dim))
 
 
-def _final_joint_state(model: SEModel, seq: ControlSequence) -> np.ndarray:
-    if len(seq) != model.steps:
+def _joint_states(model: SEModel,
+                  slots: Sequence[Sequence[ControlStep]]) -> np.ndarray:
+    """Joint states after every choice of one step per slot.
+
+    ``slots[s]`` lists the candidate steps for slot ``s``; the result has
+    shape ``(len(slots[0]), ..., len(slots[-1]), d, d)``. Each slot acts on
+    the whole stack of prefixes at once, so a prefix shared by many
+    sequences is propagated once.
+    """
+    if len(slots) != model.steps:
         raise ValueError(
-            f"sequence has {len(seq)} steps but the model has {model.steps} intervals")
+            f"sequence has {len(slots)} steps but the model has {model.steps} intervals")
     d_env = model.env_dim
-    rho = model.initial_se.copy()
-    env0 = partial_trace(model.initial_se, 1, (model.sys_dim, d_env)) if d_env > 1 else None
-    for step, u in zip(seq.steps, model.intervals):
-        if step.unitary is not None:
-            g = np.kron(step.unitary, np.eye(d_env))
-            rho = g @ rho @ g.conj().T
-        else:
-            rho = _apply_system_channel(step.choi, rho, model.sys_dim, d_env)
+    dims = (model.sys_dim, d_env)
+    rho = model.initial_se
+    reset = model.env_reset and d_env > 1
+    env0 = partial_trace(model.initial_se, 1, dims) if reset else None
+    lifted: dict[int, np.ndarray] = {}  # kron(U, I) per gate, built once
+    for steps, u in zip(slots, model.intervals):
+        outs = []
+        for step in steps:
+            if step.unitary is not None:
+                if id(step) not in lifted:
+                    lifted[id(step)] = np.kron(step.unitary, np.eye(d_env))
+                g = lifted[id(step)]
+                outs.append(g @ rho @ g.conj().T)
+            else:
+                outs.append(_apply_system_channel(step.choi, rho, *dims))
+        rho = np.stack(outs, axis=-3)
         rho = u @ rho @ u.conj().T
-        if model.env_reset and d_env > 1:
-            sys = partial_trace(rho, 0, (model.sys_dim, d_env))
-            rho = np.kron(sys, env0)
+        if reset:
+            sys = partial_trace(rho, 0, dims)
+            rho = np.einsum("...ac,bd->...abcd", sys, env0).reshape(rho.shape)
     return rho
 
 
-def run_sequence(model: SEModel, seq: ControlSequence) -> np.ndarray:
-    """Exact reduced system state after the full sequence."""
-    rho = _final_joint_state(model, seq)
+def _system_states(model: SEModel,
+                   slots: Sequence[Sequence[ControlStep]]) -> np.ndarray:
+    """Unchecked readout states of ``_joint_states``: the environment traced
+    out and the measurement channel applied."""
+    rho = _joint_states(model, slots)
     out = partial_trace(rho, 0, (model.sys_dim, model.env_dim)) \
         if model.env_dim > 1 else rho
     if model.meas_channel is not None:
         out = apply_channel(model.meas_channel, out)
+    return out
+
+
+def simulate_grid(model: SEModel,
+                  slots: Sequence[Sequence[ControlStep]]) -> np.ndarray:
+    """Exact reduced system states of a grid of sequences.
+
+    Entry ``[a, b, ...]`` is ``run_sequence`` of the sequence
+    ``(slots[0][a], slots[1][b], ...)``, bit for bit.
+    """
     # guard, not a projection: the exact simulation must stay physical
-    return check_density_matrix(out, name="simulated state")
+    return check_density_matrix(_system_states(model, slots),
+                                name="simulated state")
+
+
+def run_sequence(model: SEModel, seq: ControlSequence) -> np.ndarray:
+    """Exact reduced system state after the full sequence."""
+    out = _system_states(model, [(step,) for step in seq.steps])
+    return check_density_matrix(out.reshape(out.shape[-2:]),
+                                name="simulated state")
 
 
 def two_qubit_probe(model: SEModel, seq: ControlSequence) -> np.ndarray:
@@ -257,8 +298,9 @@ def two_qubit_probe(model: SEModel, seq: ControlSequence) -> np.ndarray:
         raise ValueError("two_qubit_probe requires a single-qubit environment")
     if model.env_reset:
         raise ValueError("two_qubit_probe is meaningless with env_reset")
-    rho = _final_joint_state(model, seq)
-    return check_density_matrix(rho, name="joint probe state")
+    rho = _joint_states(model, [(step,) for step in seq.steps])
+    return check_density_matrix(rho.reshape(rho.shape[-2:]),
+                                name="joint probe state")
 
 
 # ---------------------------------------------------------------------------
@@ -307,36 +349,43 @@ class ExperimentRecord:
         return out
 
 
-def outcome_probability(state: np.ndarray, setting: PauliBasisSetting) -> float:
-    p = float(np.einsum("ij,ji->", setting.plus, state).real)
-    return min(max(p, 0.0), 1.0)
+def outcome_probabilities(states: np.ndarray) -> np.ndarray:
+    """P(+) on the X, Y and Z axes for a state or a ``(..., 2, 2)`` stack,
+    shape ``(..., 3)``, clipped to [0, 1]."""
+    return np.stack([np.clip(np.einsum("ij,...ji->...", PAULI_SETTINGS[ax].plus,
+                                       states).real, 0.0, 1.0)
+                     for ax in AXES], axis=-1)
 
 
-def sample_counts(state: np.ndarray, setting: PauliBasisSetting, shots: int,
-                  rng: np.random.Generator) -> tuple[int, int]:
-    """Binomial counts (n_plus, n_minus) for one measurement setting."""
-    if shots <= 0:
+def draw_counts(probs: np.ndarray, shots: int | None, master_seed: int,
+                record_index: int) -> dict[str, tuple[float, float]]:
+    """Three-axis counts ``(n_plus, n_minus)`` from one sequence's P(+).
+
+    Axis ``a`` draws a binomial from the stream (master seed, record
+    index, a). ``shots=None`` returns the exact probabilities instead.
+    """
+    if shots is not None and shots <= 0:
         raise ValueError("shots must be positive")
-    p = outcome_probability(state, setting)
-    n_plus = int(rng.binomial(shots, p))
-    return n_plus, shots - n_plus
+    counts: dict[str, tuple[float, float]] = {}
+    for ax_idx, (ax, p) in enumerate(zip(AXES, probs)):
+        p = float(p)
+        if shots is None:
+            counts[ax] = (p, 1.0 - p)
+        else:
+            rng = rng_stream(master_seed, record_index, ax_idx)
+            n_plus = int(rng.binomial(shots, p))
+            counts[ax] = (n_plus, shots - n_plus)
+    return counts
 
 
 def simulate_experiment(model: SEModel, seq: ControlSequence, shots: int | None,
                         master_seed: int, record_index: int = 0) -> ExperimentRecord:
     """Run one sequence and collect (or compute exactly) three-axis counts."""
-    state = run_sequence(model, seq)
-    counts: dict[str, tuple[float, float]] = {}
-    for ax_idx, ax in enumerate(AXES):
-        setting = PAULI_SETTINGS[ax]
-        if shots is None:
-            p = outcome_probability(state, setting)
-            counts[ax] = (p, 1.0 - p)
-        else:
-            rng = rng_stream(master_seed, record_index, ax_idx)
-            counts[ax] = sample_counts(state, setting, shots, rng)
+    probs = outcome_probabilities(run_sequence(model, seq))
     return ExperimentRecord(sequence_id=seq.name or f"seq{record_index}",
-                            counts=counts, shots=shots, seed=master_seed)
+                            counts=draw_counts(probs, shots, master_seed,
+                                               record_index),
+                            shots=shots, seed=master_seed)
 
 
 # two-qubit readout used by the decoupling probe ---------------------------

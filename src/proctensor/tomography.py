@@ -297,6 +297,15 @@ def standard_sequence(basis: ControlBasis, i: int, j: int, k: int) -> ControlSeq
         name=f"p{i}_u{j}_u{k}")
 
 
+def standard_slots(basis: ControlBasis) -> tuple[tuple[ControlStep, ...], ...]:
+    """The standard grid as candidate steps per slot, for ``simulate_grid``:
+    entry ``[i, j, k]`` of the grid is ``standard_sequence(basis, i, j, k)``.
+    Both unitary slots share one step per gate."""
+    gates = tuple(unitary_step(u, f"U{j}") for j, u in enumerate(basis.unitaries))
+    return (tuple(prep_step(p.gate, p.label) for p in basis.preparations),
+            gates, gates)
+
+
 def enumerate_standard_keys(n_prep: int, pool: int) -> list[tuple[int, int, int]]:
     return [(i, j, k) for i in range(n_prep) for j in range(pool) for k in range(pool)]
 

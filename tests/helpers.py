@@ -5,17 +5,19 @@ import numpy as np
 from proctensor.basis import (PINV_RCOND, PrepOp, hermitian_frame,
                               standard_preparations)
 from proctensor.memory import binary_channel_mi
-from proctensor.qcore import (ID2, KET0, PAULIS, QuantumChannel, apply_channel,
+from proctensor.qcore import (ID2, KET0, PAULI_SETTINGS, PAULIS,
+                              QuantumChannel, apply_channel,
                               check_density_matrix, check_unitary, fidelity,
                               ket_dm, partial_trace, purity, u3_matrix,
                               unitary_choi)
-from proctensor.simulator import (PAIR_SETTINGS, ControlSequence, ControlStep,
-                                  prep_step, run_sequence, simulate_experiment,
-                                  unitary_step)
+from proctensor.simulator import (AXES, PAIR_SETTINGS, ControlSequence,
+                                  ControlStep, ExperimentRecord, draw_counts,
+                                  outcome_probabilities, prep_step,
+                                  rng_stream, simulate_grid, unitary_step)
 from proctensor.tomography import (contract_fast, enumerate_standard_keys,
                                    mle_project,
                                    pool_coefficients, qst_mle,
-                                   standard_sequence, step_matrix_form)
+                                   standard_slots, step_matrix_form)
 
 FLOAT_TOL = 1e-9
 
@@ -161,14 +163,51 @@ def contract_via_matrix(pt, seq, matrix=None):
     return np.einsum("pm,pamb->ab", a_full, t4)
 
 
-def exact_states(model, basis, pool=None):
-    pool = pool if pool is not None else basis.size
-    out = np.empty((len(basis.preparations), pool, pool, 2, 2), dtype=complex)
-    for i in range(len(basis.preparations)):
-        for j in range(pool):
-            for k in range(pool):
-                out[i, j, k] = run_sequence(model, standard_sequence(basis, i, j, k))
-    return out
+def exact_states(model, basis):
+    """Exact states of the standard grid, shape (4, pool, pool, 2, 2)."""
+    return simulate_grid(model, standard_slots(basis))
+
+
+def run_sequence_oracle(model, seq):
+    """The per-sequence simulator: every sequence builds its own kron(U, I)
+    and propagates from the initial state."""
+    d_env = model.env_dim
+    dims = (model.sys_dim, d_env)
+    rho = model.initial_se.copy()
+    env0 = partial_trace(model.initial_se, 1, dims) if d_env > 1 else None
+    for step, u in zip(seq.steps, model.intervals):
+        if step.unitary is not None:
+            g = np.kron(step.unitary, np.eye(d_env))
+            rho = g @ rho @ g.conj().T
+        else:
+            c4 = step.choi.reshape(2, 2, 2, 2)
+            r4 = rho.reshape(2, d_env, 2, d_env)
+            rho = np.einsum("satb,setf->aebf", c4, r4).reshape(2 * d_env,
+                                                                2 * d_env)
+        rho = u @ rho @ u.conj().T
+        if model.env_reset and d_env > 1:
+            rho = np.kron(partial_trace(rho, 0, dims), env0)
+    out = partial_trace(rho, 0, dims) if d_env > 1 else rho
+    if model.meas_channel is not None:
+        out = apply_channel(model.meas_channel, out)
+    return check_density_matrix(out, name="simulated state")
+
+
+def experiment_oracle(model, seq, shots, master_seed, record_index):
+    """Per-sequence three-axis counts: one Born-rule probability and one
+    stream per axis."""
+    state = run_sequence_oracle(model, seq)
+    counts = {}
+    for ax_idx, ax in enumerate(AXES):
+        p = float(np.einsum("ij,ji->", PAULI_SETTINGS[ax].plus, state).real)
+        p = min(max(p, 0.0), 1.0)
+        if shots is None:
+            counts[ax] = (p, 1.0 - p)
+        else:
+            rng = rng_stream(master_seed, record_index, ax_idx)
+            n_plus = int(rng.binomial(shots, p))
+            counts[ax] = (n_plus, shots - n_plus)
+    return state, counts
 
 
 def mle_states(records, pool):
@@ -179,12 +218,15 @@ def mle_states(records, pool):
 
 
 def sampled_records(model, basis, shots, master_seed):
+    """Records of the standard grid keyed by (i, j, k), drawn as the
+    characterize stage draws them."""
+    probs = outcome_probabilities(exact_states(model, basis))
     records = {}
     for idx, (i, j, k) in enumerate(
             enumerate_standard_keys(len(basis.preparations), basis.size)):
-        records[(i, j, k)] = simulate_experiment(
-            model, standard_sequence(basis, i, j, k), shots, master_seed,
-            record_index=idx)
+        counts = draw_counts(probs[i, j, k], shots, master_seed, idx)
+        records[(i, j, k)] = ExperimentRecord(f"p{i}_u{j}_u{k}", counts,
+                                              shots, master_seed)
     return records
 
 

@@ -97,6 +97,22 @@ def test_store_line_that_is_not_a_record_exits_2(runner, tmp_path, line):
     assert "line 1" in result.output
 
 
+def test_bad_characterize_payload_exits_2(runner, tmp_path):
+    # a well-formed record whose experiment payload lacks its fields
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "records.jsonl").write_text(
+        '{"schema_version":"1.0","plan":"x","stage":"characterize","seed":0,'
+        '"key":"k","payload":{"kind":"experiment"}}\n')
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "x", "pool_size": 11,
+                                "basis_size": 10, "shots": None}))
+    result = runner.invoke(main, ["run-plan", "--plan", str(plan),
+                                  "--out", str(store), "--stage", "evaluate"])
+    assert result.exit_code == 2, result.output
+    assert "line 1 is not an experiment record: key_ijk" in result.output
+
+
 def test_numerical_failures_exit_3(runner):
     @click.command()
     @handle_errors

@@ -20,7 +20,9 @@ from proctensor.harness import (
 )
 from proctensor.control import XY4_CYCLE, simulate_trajectory
 from proctensor.qcore import UnitaryParams
-from proctensor.tomography import box_stats
+from proctensor.tomography import box_stats, standard_sequence
+
+from helpers import experiment_oracle, sampled_records
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +176,40 @@ def test_store_resumes_after_torn_final_line(tmp_path):
     assert ResultsStore(root).payload_fingerprint() == whole.payload_fingerprint()
 
 
+def test_store_resumes_after_tear_inside_a_grid_row(tmp_path):
+    # characterize writes one grid row (i, j) per write; a kill part-way
+    # through a row's write leaves complete lines and one torn last line
+    plan = ExperimentPlan(name="torn", pool_size=10, basis_size=10, shots=400,
+                          master_seed=3, stages=("characterize",))
+    whole = ResultsStore(tmp_path / "whole")
+    run_plan(plan, whole)
+    root = tmp_path / "torn"
+    run_plan(plan, ResultsStore(root))
+    path = root / "records.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    # line 1 is the manifest, lines 2-31 row (0, 0), lines 32-61 row (0, 1)
+    kept = 44
+    path.write_bytes(b"".join(lines[:kept]) + lines[kept][:50])
+    resumed = ResultsStore(root)
+    assert len(resumed.records()) == kept
+    assert run_plan(plan, resumed) == {"characterize": len(lines) - kept}
+    assert resumed.payload_fingerprint() == whole.payload_fingerprint()
+    assert ResultsStore(root).payload_fingerprint() == whole.payload_fingerprint()
+
+
+def test_store_extend_writes_rows_in_order_and_skips_known_keys(tmp_path):
+    store = ResultsStore(tmp_path / "s")
+    store.append("p", "characterize", 0, "k1", {"kind": "a"})
+    rows = [("k1", {"kind": "b"}), ("k2", {"kind": "c"}),
+            ("k2", {"kind": "d"}), ("k3", {"kind": "e"})]
+    assert store.extend("p", "characterize", 0, rows) == 2
+    again = ResultsStore(tmp_path / "s")
+    assert [(d["key"], d["payload"]["kind"]) for d in again.records()] \
+        == [("k1", "a"), ("k2", "c"), ("k3", "e")]
+    assert again.payload_fingerprint() == store.payload_fingerprint()
+    assert store.extend("p", "characterize", 0, []) == 0
+
+
 def test_run_plan_rejects_corrupt_middle_line(tmp_path):
     root = tmp_path / "s"
     store = ResultsStore(root)
@@ -265,6 +301,44 @@ def test_rerun_appends_nothing(small_run):
     assert store.payload_fingerprint() == before
 
 
+def test_rerun_does_not_load_the_grid(small_run, monkeypatch):
+    # every key is stored, so no stage may read or estimate the grid
+    plan, store, _ = small_run
+
+    def fail(*args):
+        raise AssertionError("grid loaded for a stage with no work")
+
+    monkeypatch.setattr(harness, "_records_from_store", fail)
+    monkeypatch.setattr(harness, "simulate_grid", fail)
+    assert all(c == 0 for c in run_plan(plan, store).values())
+
+
+@pytest.mark.parametrize("shots", [400, None])
+def test_characterize_counts_equal_sampled_records(tmp_path, shots):
+    # the stage must store, under each record's key and axis, the counts
+    # of that grid entry; spot checks against the per-sequence oracle
+    plan = ExperimentPlan(name="grid", pool_size=10, basis_size=10,
+                          shots=shots, master_seed=11,
+                          stages=("characterize",))
+    store = ResultsStore(tmp_path / "s")
+    run_plan(plan, store)
+    want = sampled_records(plan.model(), plan.basis(), shots, 11)
+    rows = store.records(stage="characterize", kind="experiment")
+    assert len(rows) == 3 * len(want)
+    for doc in rows:
+        p = doc["payload"]
+        rec = want[tuple(p["key_ijk"])]
+        assert p["sequence_id"] == rec.sequence_id
+        assert tuple(p["counts"]) == rec.counts[p["axis"]]
+        assert p["shots"] == rec.shots
+    for doc in rows[::97]:
+        p = doc["payload"]
+        _, counts = experiment_oracle(
+            plan.model(), standard_sequence(plan.basis(), *p["key_ijk"]),
+            shots, 11, p["record_index"])
+        assert tuple(p["counts"]) == counts[p["axis"]]
+
+
 def test_noiseless_run_reconstructs_exactly(small_run):
     _, store, _ = small_run
     payload = store.records(stage="evaluate", kind="evaluation")[0]["payload"]
@@ -351,6 +425,53 @@ def test_records_from_store_validates_foreign_stores(tmp_path):
     with pytest.raises(ConfigError) as err:
         harness._records_from_store(plan, store, plan.basis())
     assert "incomplete" in str(err.value)
+
+
+GOOD_EXPERIMENT = {"kind": "experiment", "sequence_id": "p0_u0_u0",
+                   "key_ijk": [0, 0, 0], "axis": "X", "counts": [1.0, 0.0],
+                   "shots": None, "record_index": 0}
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("change, fragment", [
+    ({"key_ijk": MISSING}, "key_ijk"),
+    ({"key_ijk": [0, 0]}, "key_ijk"),
+    ({"key_ijk": [0, True, 0]}, "key_ijk"),
+    ({"key_ijk": [4, 0, 0]}, "outside"),
+    ({"key_ijk": [0, -1, 0]}, "outside"),
+    ({"axis": "W"}, "axis"),
+    ({"axis": MISSING}, "axis"),
+    ({"counts": [1.0]}, "counts"),
+    ({"counts": "1,0"}, "counts"),
+    ({"shots": 0}, "shots"),
+    ({"shots": MISSING}, "shots"),
+    ({"sequence_id": 7}, "sequence_id"),
+])
+def test_records_from_store_names_the_bad_line(tmp_path, change, fragment):
+    plan = ExperimentPlan(**SMALL_PLAN)
+    store = ResultsStore(tmp_path / "s")
+    store.append(plan.name, "characterize", 5, "a", GOOD_EXPERIMENT)
+    bad = {k: v for k, v in {**GOOD_EXPERIMENT, "axis": "Y", **change}.items()
+           if v is not MISSING}
+    store.append(plan.name, "characterize", 5, "b", bad)
+    with pytest.raises(ConfigError) as err:
+        harness._records_from_store(plan, store, plan.basis())
+    assert "line 2 is not an experiment record" in str(err.value)
+    assert fragment in str(err.value)
+
+
+def test_records_from_store_rejects_counts_that_miss_the_shots(tmp_path):
+    plan = ExperimentPlan(**SMALL_PLAN)
+    store = ResultsStore(tmp_path / "s")
+    for ax in "XYZ":
+        store.append(plan.name, "characterize", 5, ax,
+                     dict(GOOD_EXPERIMENT, axis=ax, counts=[300, 99],
+                          shots=400))
+    with pytest.raises(ConfigError) as err:
+        harness._records_from_store(plan, store, plan.basis())
+    assert "p0_u0_u0" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

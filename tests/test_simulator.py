@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+from proctensor.basis import generate_haar_basis
 from proctensor.qcore import (
     HADAMARD,
     ID2,
     KET0,
-    PAULI_SETTINGS,
     PAULI_X,
     apply_channel,
     channel_from_kraus,
@@ -20,23 +21,28 @@ from proctensor.simulator import (
     ExperimentRecord,
     SEModel,
     SWAP2,
+    draw_counts,
     env_initial_state,
     exchange_zz_hamiltonian,
     initial_joint_state,
     interval_propagator,
     khz_to_rad_per_ns,
     make_model,
+    outcome_probabilities,
     prep_step,
     rng_stream,
     run_sequence,
-    sample_counts,
     sample_pair_counts,
     simulate_experiment,
+    simulate_grid,
     two_qubit_probe,
     unitary_step,
 )
+from proctensor.tomography import (enumerate_standard_keys, standard_sequence,
+                                   standard_slots)
 
-from helpers import channel_from_unitary, pair_expectations_exact
+from helpers import (channel_from_unitary, experiment_oracle,
+                     pair_expectations_exact)
 
 
 def seq_of(*steps):
@@ -184,22 +190,108 @@ def test_two_qubit_probe_requires_qubit_environment():
 
 
 # ---------------------------------------------------------------------------
+# grid kernel
+# ---------------------------------------------------------------------------
+
+def bits(a):
+    return np.asarray(a, dtype=complex).view(np.int64)
+
+
+@seed(20261018)
+@settings(max_examples=10, deadline=None)
+@given(pool=st.integers(10, 14), pool_seed=st.integers(0, 2**32 - 1),
+       env_init=st.sampled_from(["zero", "plus", "bell"]),
+       env_reset=st.booleans(), shots=st.sampled_from([1600, None]),
+       duration_ns=st.floats(100.0, 3000.0), master_seed=st.integers(0, 99))
+def test_grid_kernel_equals_per_sequence_oracle(pool, pool_seed, env_init,
+                                                env_reset, shots, duration_ns,
+                                                master_seed):
+    # the stacked propagation shares prefixes across the grid; every state
+    # and every drawn count must still be what one sequence at a time gives
+    model = make_model(env_init=env_init, env_reset=env_reset,
+                       duration_ns=duration_ns)
+    basis = generate_haar_basis(pool, pool_seed)
+    states = simulate_grid(model, standard_slots(basis))
+    assert states.shape == (4, pool, pool, 2, 2)
+    probs = outcome_probabilities(states).reshape(-1, 3)
+    keys = enumerate_standard_keys(4, pool)
+    for idx, (i, j, k) in enumerate(keys):
+        want_state, want_counts = experiment_oracle(
+            model, standard_sequence(basis, i, j, k), shots, master_seed, idx)
+        assert np.array_equal(bits(states[i, j, k]), bits(want_state))
+        assert draw_counts(probs[idx], shots, master_seed, idx) == want_counts
+
+
+def test_run_sequence_and_simulate_experiment_equal_the_oracle():
+    # one gate per slot through the stacked propagation, including Choi
+    # steps, a measurement channel and a larger environment
+    rng = np.random.default_rng(8)
+
+    def gate():
+        return u3_matrix(*rng.uniform(0, 2 * np.pi, 3))
+
+    mixed = ControlStep(kind="unitary", choi=0.3 * channel_from_unitary(
+        gate()).choi + 0.7 * channel_from_unitary(gate()).choi)
+    noisy = channel_from_kraus([np.sqrt(0.8) * ID2, np.sqrt(0.2) * PAULI_X])
+    big = SEModel(sys_dim=2, env_dim=4,
+                  intervals=tuple(np.linalg.qr(rng.normal(size=(8, 8))
+                                               + 1j * rng.normal(size=(8, 8)))[0]
+                                  for _ in range(3)),
+                  initial_se=np.eye(8, dtype=complex) / 8, env_reset=True)
+    models = [make_model(env_init="bell", meas_channel=noisy), big,
+              make_model(env_init="plus", env_reset=True)]
+    for model in models:
+        seq = seq_of(prep_step(gate(), "p"), mixed, unitary_step(gate()))
+        want_state, want_counts = experiment_oracle(model, seq, 1600, 4, 2)
+        assert np.array_equal(bits(run_sequence(model, seq)), bits(want_state))
+        assert simulate_experiment(model, seq, 1600, 4, 2).counts == want_counts
+
+
+@pytest.mark.parametrize("fault, message", [
+    (2.0, "trace"),  # not trace preserving
+    (1j, "not Hermitian"),  # not Hermiticity preserving
+    (-1.0, "negative eigenvalue"),  # not completely positive
+])
+def test_grid_guard_rejects_nonphysical_states(fault, message):
+    # a corrupted step in one slot makes some grid states non-physical; the
+    # guard must raise and name the first offending grid index
+    model = make_model(env_init="plus")
+    basis = generate_haar_basis(10, 3)
+    preps, gates, _ = standard_slots(basis)
+    if fault == -1.0:
+        choi = 2.0 * channel_from_unitary(ID2).choi \
+            - channel_from_unitary(PAULI_X).choi
+    else:
+        choi = fault * channel_from_unitary(gates[5].unitary).choi
+    bad = ControlStep(kind="unitary", choi=choi)
+    slots = (preps, gates, gates[:5] + (bad,) + gates[6:])
+    where = r"simulated state \(\d+, \d+, 5\) "
+    with pytest.raises(ValueError, match=where + ".*" + message):
+        simulate_grid(model, slots)
+    with pytest.raises(ValueError, match=message):
+        run_sequence(model, seq_of(preps[0], gates[0], bad))
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
 def test_sample_counts_deterministic_per_stream():
-    state = ket_dm(np.array([1.0, 1.0]) / np.sqrt(2))
-    a = sample_counts(state, PAULI_SETTINGS["Z"], 1600, rng_stream(7, 0, 0))
-    b = sample_counts(state, PAULI_SETTINGS["Z"], 1600, rng_stream(7, 0, 0))
-    c = sample_counts(state, PAULI_SETTINGS["Z"], 1600, rng_stream(7, 1, 0))
+    probs = outcome_probabilities(ket_dm(np.array([1.0, 1.0]) / np.sqrt(2)))
+    a = draw_counts(probs, 1600, 7, 0)
+    b = draw_counts(probs, 1600, 7, 0)
+    c = draw_counts(probs, 1600, 7, 1)
     assert a == b
     assert a != c
+    # each axis has its own stream
+    assert a["X"] == (1600, 0)
+    assert a["Y"] != a["Z"]
 
 
 def test_sample_counts_matches_born_rule_at_large_shots():
-    state = ket_dm(np.array([1.0, 1.0]) / np.sqrt(2))
+    probs = outcome_probabilities(ket_dm(np.array([1.0, 1.0]) / np.sqrt(2)))
     shots = 1_000_000
-    n_plus, n_minus = sample_counts(state, PAULI_SETTINGS["Z"], shots, rng_stream(3, 0, 0))
+    n_plus, n_minus = draw_counts(probs, shots, 3, 0)["Z"]
     assert n_plus + n_minus == shots
     sigma = np.sqrt(0.25 / shots)
     assert abs(n_plus / shots - 0.5) < 3 * sigma
@@ -207,7 +299,7 @@ def test_sample_counts_matches_born_rule_at_large_shots():
 
 def test_sample_counts_rejects_zero_shots():
     with pytest.raises(ValueError):
-        sample_counts(ID2 / 2, PAULI_SETTINGS["Z"], 0, rng_stream(1))
+        draw_counts(outcome_probabilities(ID2 / 2), 0, 1, 0)
 
 
 def test_simulate_experiment_record_structure():
