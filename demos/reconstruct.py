@@ -6,26 +6,20 @@ sequences it never saw. A larger basis soaks up shot noise; reordering
 the pool by overlap makes even the minimal basis usable.
 """
 
-import numpy as np
-
 from proctensor.basis import (generate_haar_basis, order_by_overlap,
                               overlap_order)
-from proctensor.simulator import (ExperimentRecord, draw_counts, make_model,
-                                  outcome_probabilities, simulate_grid)
-from proctensor.tomography import (enumerate_standard_keys, evaluate_split,
-                                   qst_mle, standard_slots)
+from proctensor.simulator import make_model, simulate_experiment
+from proctensor.tomography import evaluate_split, qst_mle, standard_slots
 
 POOL, SHOTS = 14, 1600
 
 model = make_model()
 basis = generate_haar_basis(POOL, seed=7)
 print(f"simulating {4 * POOL * POOL} sequences at {SHOTS} shots each")
-probs = outcome_probabilities(simulate_grid(model, standard_slots(basis)))
-states = np.empty((4, POOL, POOL, 2, 2), dtype=complex)
-for idx, key in enumerate(enumerate_standard_keys(4, POOL)):
-    # sequence idx draws its counts from streams (seed 0, idx, axis)
-    counts = draw_counts(probs[key], SHOTS, 0, idx)
-    states[key] = qst_mle(ExperimentRecord(f"seq{idx}", counts, SHOTS, 0))
+# counts (4, POOL, POOL, 3, 2); sequence idx (C order) draws from the
+# streams (seed 0, idx, axis)
+counts = simulate_experiment(model, standard_slots(basis), SHOTS, 0)
+states = qst_mle(counts, SHOTS)
 
 for n in (10, 12):
     res = evaluate_split(states, basis, n)

@@ -46,7 +46,6 @@ from .qcore import (
 )
 from .simulator import (
     AXES,
-    ControlSequence,
     PAIR_SETTINGS,
     SEModel,
     exchange_zz_hamiltonian,
@@ -54,9 +53,7 @@ from .simulator import (
     interval_propagator,
     prep_step,
     rng_stream,
-    run_sequence,
     sample_pair_counts,
-    simulate_experiment,
     two_qubit_probe,
     unitary_step,
 )
@@ -67,9 +64,9 @@ from .tomography import (
     clip_to_bloch_ball,
     coefficient_map,
     form_coefficients,
+    measure_grid,
     mle_project,
     prep_slot,
-    qst_mle,
     qubit_bloch,
     slot_coefficients,
     slot_kernel,
@@ -139,18 +136,16 @@ def measure_joint_state(joint: np.ndarray, shots: int | None, master_seed: int,
 # Decoupling
 # ---------------------------------------------------------------------------
 
-def decoupling_model(exchange_khz: float = 50.0, zz_khz: float = 30.0,
-                     idle_ns: float = DECOUPLING_IDLE_NS,
-                     env_init: str = "plus_plus") -> SEModel:
-    """One-slot probe layout: idle, gate, idle (pre-idle folded into the
-    initial joint state so the model carries a single interval)."""
-    h = exchange_zz_hamiltonian(exchange_khz, zz_khz)
-    pre = interval_propagator(h, idle_ns)
-    init = pre @ initial_joint_state(2, env_init) @ pre.conj().T
-    return SEModel(sys_dim=2, env_dim=2,
-                   intervals=(interval_propagator(h, idle_ns),),
-                   initial_se=init, env_reset=False, env_init=env_init,
-                   meas_channel=None, label="decoupling probe")
+def decoupling_model(exchange_khz: float = 50.0,
+                     zz_khz: float = 30.0) -> SEModel:
+    """One-slot probe layout from |++>: idle, gate, idle (pre-idle folded
+    into the initial joint state so the model carries a single interval)."""
+    v = interval_propagator(exchange_zz_hamiltonian(exchange_khz, zz_khz),
+                            DECOUPLING_IDLE_NS)
+    init = v @ initial_joint_state(2, "plus_plus") @ v.conj().T
+    return SEModel(sys_dim=2, env_dim=2, intervals=(v,), initial_se=init,
+                   env_reset=False, env_init="plus_plus", meas_channel=None,
+                   label="decoupling probe")
 
 
 def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
@@ -162,11 +157,10 @@ def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
     optimizer uses it to break ties between gates that refocus equally
     well after a single application.
     """
-    states = np.empty((basis.size, 4, 4), dtype=complex)
-    for nu, u in enumerate(basis.unitaries):
-        joint = two_qubit_probe(model, ControlSequence(
-            steps=(unitary_step(u, f"U{nu}"),), name=f"probe{nu}"))
-        states[nu] = measure_joint_state(joint, shots, master_seed, nu)
+    joints = two_qubit_probe(model, [[unitary_step(u, f"U{nu}") for nu, u
+                                      in enumerate(basis.unitaries)]])
+    states = np.array([measure_joint_state(joint, shots, master_seed, nu)
+                       for nu, joint in enumerate(joints)])
     env_marginal = partial_trace(initial_joint_state(2, model.env_init), 1, (2, 2))
     return assemble([unitary_slot(basis.unitaries)], states,
                     provenance={"kind": "decoupling", "shots": shots,
@@ -340,15 +334,14 @@ def nonunitary_target(alpha: float, eta: float) -> QuantumChannel:
                               label=f"N(alpha={alpha:.4f},eta={eta:.4f})")
 
 
-def synthesis_model(exchange_khz: float = 50.0, zz_khz: float = 30.0,
-                    idle_ns: float = SYNTHESIS_IDLE_NS,
-                    env_init: str = "zero") -> SEModel:
-    """Two-slot layout: preparation, idle, gate, idle, readout."""
-    h = exchange_zz_hamiltonian(exchange_khz, zz_khz)
-    v = interval_propagator(h, idle_ns)
+def synthesis_model(exchange_khz: float = 50.0,
+                    zz_khz: float = 30.0) -> SEModel:
+    """Two-slot layout from |00>: preparation, idle, gate, idle, readout."""
+    v = interval_propagator(exchange_zz_hamiltonian(exchange_khz, zz_khz),
+                            SYNTHESIS_IDLE_NS)
     return SEModel(sys_dim=2, env_dim=2, intervals=(v, v),
-                   initial_se=initial_joint_state(2, env_init),
-                   env_reset=False, env_init=env_init, meas_channel=None,
+                   initial_se=initial_joint_state(2, "zero"),
+                   env_reset=False, env_init="zero", meas_channel=None,
                    label="synthesis probe")
 
 
@@ -359,19 +352,9 @@ def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
     if model.steps != 2:
         raise ValueError("synthesis layout has exactly two control slots")
     preps = basis.preparations
-    states = np.empty((len(preps), basis.size, 2, 2), dtype=complex)
-    rec = 0
-    for i, p in enumerate(preps):
-        for nu, u in enumerate(basis.unitaries):
-            seq = ControlSequence(steps=(prep_step(p.gate, p.label),
-                                         unitary_step(u, f"U{nu}")),
-                                  name=f"syn_p{i}_u{nu}")
-            if shots is None:
-                states[i, nu] = run_sequence(model, seq)
-            else:
-                states[i, nu] = qst_mle(simulate_experiment(
-                    model, seq, shots, master_seed, record_index=rec))
-            rec += 1
+    slots = ([prep_step(p.gate, p.label) for p in preps],
+             [unitary_step(u, f"U{nu}") for nu, u in enumerate(basis.unitaries)])
+    states = measure_grid(model, slots, shots, master_seed)
     return assemble([prep_slot(preps), unitary_slot(basis.unitaries)], states,
                     provenance={"kind": "synthesis", "shots": shots,
                                 "seed": master_seed})
@@ -454,17 +437,10 @@ def qpt(model: SEModel, gate: np.ndarray, shots: int | None = None,
     """
     if model.steps != 2:
         raise ValueError("qpt layout has exactly two control slots")
-    outputs = []
-    for i, prep in enumerate(standard_preparations()):
-        seq = ControlSequence(steps=(prep_step(prep.gate, prep.label),
-                                     unitary_step(gate, "G")),
-                              name=f"qpt_{prep.label}")
-        if shots is None:
-            outputs.append(run_sequence(model, seq))
-        else:
-            outputs.append(qst_mle(simulate_experiment(
-                model, seq, shots, master_seed, record_index=i)))
-    return channel_from_prep_outputs(outputs, "qpt")
+    slots = ([prep_step(p.gate, p.label) for p in standard_preparations()],
+             [unitary_step(gate, "G")])
+    outputs = measure_grid(model, slots, shots, master_seed)
+    return channel_from_prep_outputs(outputs[:, 0], "qpt")
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from .control import (
 from .markov import bootstrap_median_ci, characterize as characterize_markov, \
     compare_with_tensor
 from .memory import barrier_placements, bootstrap_cmi, maximize_cmi
-from .simulator import AXES, ExperimentRecord, SEModel, draw_counts, \
-    make_model, outcome_probabilities, rng_stream, simulate_grid
+from .simulator import AXES, SEModel, draw_counts, make_model, \
+    outcome_probabilities, rng_stream, simulate_grid
 from .tomography import (
     bootstrap_ci,
     build_standard_tensor,
@@ -65,8 +65,9 @@ class ConfigError(ValueError):
     """Invalid plan or store input; the message names the offending field."""
 
 
-# the stored characterize grid: records by key (i, j, k) and their QST states
-Grid = tuple[dict[tuple[int, int, int], ExperimentRecord], np.ndarray]
+# the stored characterize grid: counts (P, pool, pool, 3, 2), shots, and the
+# QST states (P, pool, pool, 2, 2)
+Grid = tuple[np.ndarray, int | None, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +368,18 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
     if not todo:
         return 0
     probs = outcome_probabilities(simulate_grid(model, standard_slots(basis)))
-    probs = probs.reshape(len(keys), len(AXES))
+    counts = draw_counts(probs.reshape(len(keys), len(AXES))[todo], plan.shots,
+                         plan.master_seed, todo).tolist()
     appended = 0
-    for _, chunk in groupby(todo, key=lambda idx: idx // pool):
+    for _, chunk in groupby(zip(todo, counts), key=lambda t: t[0] // pool):
         rows = []
-        for idx in chunk:
+        for idx, seq_counts in chunk:
             i, j, k = keys[idx]
-            counts = draw_counts(probs[idx], plan.shots, plan.master_seed, idx)
-            for ax, key in zip(AXES, axis_keys[idx]):
+            for ax, key, ax_counts in zip(AXES, axis_keys[idx], seq_counts):
                 rows.append((key, {"kind": "experiment",
                                    "sequence_id": f"p{i}_u{j}_u{k}",
                                    "key_ijk": [i, j, k], "axis": ax,
-                                   "counts": list(counts[ax]),
+                                   "counts": ax_counts,
                                    "shots": plan.shots, "record_index": idx}))
         appended += store.extend(plan.name, "characterize", plan.master_seed,
                                  rows)
@@ -413,11 +414,31 @@ def _experiment_problem(p: dict, n_prep: int, pool: int) -> str | None:
     return None
 
 
+def _count_problem(plus, minus, shots: int | None) -> str | None:
+    """What is wrong with one axis's counts, or None."""
+    if plus < 0 or minus < 0:
+        return f"has negative counts {plus}, {minus}"
+    total = plus + minus
+    if shots is None:
+        if abs(total - 1.0) > 1e-9:
+            return f"exact probabilities sum to {total}"
+    elif int(plus) != plus or int(minus) != minus or total != shots:
+        return f"counts {plus}+{minus} do not sum to shots={shots}"
+    return None
+
+
 def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
-                        basis: ControlBasis,
-                        ) -> dict[tuple[int, int, int], ExperimentRecord]:
+                        basis: ControlBasis) -> np.ndarray:
+    """Counts of the stored characterize grid, shape (P, pool, pool, 3, 2).
+
+    Every record is checked as it is read: a malformed payload names its
+    store line, and counts that are negative, miss the plan's shots, or
+    are exact probabilities not summing to one name the sequence.
+    """
     n_prep, pool = len(basis.preparations), basis.size
-    grouped: dict[tuple[int, int, int], dict] = {}
+    counts = np.zeros((n_prep, pool, pool, len(AXES), 2))
+    seen = np.zeros(counts.shape[:-1], dtype=bool)
+    names: dict[tuple[int, int, int], str] = {}
     for line, doc in enumerate(store.records(), 1):
         p = doc["payload"]
         if doc["stage"] != "characterize" or p.get("kind") != "experiment":
@@ -427,38 +448,27 @@ def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
             raise ConfigError(f"store {store.records_path}: line {line} is "
                               f"not an experiment record: {problem}")
         key = tuple(p["key_ijk"])
-        entry = grouped.setdefault(key, {"sequence_id": p["sequence_id"],
-                                         "shots": p["shots"], "counts": {}})
-        entry["counts"][p["axis"]] = tuple(p["counts"])
-    records = {}
-    for key, entry in grouped.items():
-        if set(entry["counts"]) != set(AXES):
-            raise ConfigError(
-                f"store: sequence {entry['sequence_id']} is missing axes; "
-                "re-run the characterize stage")
-        try:
-            records[key] = ExperimentRecord(
-                sequence_id=entry["sequence_id"], counts=entry["counts"],
-                shots=entry["shots"], seed=plan.master_seed)
-        except ValueError as err:
-            raise ConfigError(f"store: sequence {entry['sequence_id']}: "
-                              f"{err}") from err
-    expected = enumerate_standard_keys(n_prep, pool)
-    missing = [k for k in expected if k not in records]
-    if missing:
+        name = names.setdefault(key, p["sequence_id"])
+        problem = _count_problem(*p["counts"], p["shots"])
+        if problem is None and p["shots"] != plan.shots:
+            problem = f"shots {p['shots']} differ from the plan's {plan.shots}"
+        if problem is not None:
+            raise ConfigError(f"store: sequence {name}: axis {p['axis']} "
+                              f"{problem}")
+        where = key + (AXES.index(p["axis"]),)
+        counts[where] = p["counts"]
+        seen[where] = True
+    partial = [key for key in names if not seen[key].all()]
+    if partial:
         raise ConfigError(
-            f"store: characterize stage incomplete ({len(missing)} of "
-            f"{len(expected)} sequences missing); re-run it")
-    return records
-
-
-def _states_from_records(records: dict, basis: ControlBasis) -> np.ndarray:
-    pool = basis.size
-    states = np.empty((len(basis.preparations), pool, pool, 2, 2),
-                      dtype=complex)
-    for (i, j, k), rec in records.items():
-        states[i, j, k] = qst_mle(rec)
-    return states
+            f"store: sequence {names[partial[0]]} is missing axes; "
+            "re-run the characterize stage")
+    expected = n_prep * pool * pool
+    if len(names) < expected:
+        raise ConfigError(
+            f"store: characterize stage incomplete ({expected - len(names)} "
+            f"of {expected} sequences missing); re-run it")
+    return counts
 
 
 def _run_evaluate(plan: ExperimentPlan, store: ResultsStore,
@@ -468,9 +478,10 @@ def _run_evaluate(plan: ExperimentPlan, store: ResultsStore,
         key = f"evaluation:n{n}"
         if store.has(key):
             continue
-        records, states = grid()
+        counts, shots, states = grid()
         result = evaluate_split(states, basis, n)
-        lo, hi, _ = bootstrap_ci(records, basis, n, resamples=plan.resamples,
+        lo, hi, _ = bootstrap_ci(counts, shots, basis, n,
+                                 resamples=plan.resamples,
                                  seed=plan.master_seed)
         table = np.array([[i, j, k, f] for (i, j, k), f in
                           sorted(result.fidelities.items())])
@@ -496,13 +507,13 @@ def _run_memory(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
         return 0
     appended = 0
     n = plan.basis_size
-    records, states = grid()
+    counts, shots, states = grid()
     pt = build_standard_tensor(states, basis, n)
     for key, placements in todo.items():
         result = maximize_cmi(pt, placements, restarts=OPTIMIZER_RESTARTS,
                               seed=plan.master_seed)
-        interval = bootstrap_cmi(records, basis, n, placements, result.params,
-                                 resamples=plan.resamples,
+        interval = bootstrap_cmi(counts, shots, basis, n, placements,
+                                 result.params, resamples=plan.resamples,
                                  seed=plan.master_seed)
         payload = {"kind": "memory_bound",
                    "placements": list(placements), "n": n,
@@ -520,7 +531,7 @@ def _run_markov(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
                 basis: ControlBasis, grid: Callable[[], Grid]) -> int:
     if store.has("markov:comparison"):
         return 0
-    _, states = grid()
+    _, _, states = grid()
     # the baseline runs far fewer experiments than the standard grid, so
     # give it the same total measurement budget for a fair comparison
     n_grid = len(basis.preparations) * basis.size ** 2
@@ -648,8 +659,8 @@ def run_plan(plan: ExperimentPlan, store: ResultsStore,
     @functools.cache
     def grid() -> Grid:
         # read and estimate the stored grid once, when a stage first needs it
-        records = _records_from_store(plan, store, basis)
-        return records, _states_from_records(records, basis)
+        counts = _records_from_store(plan, store, basis)
+        return counts, plan.shots, qst_mle(counts, plan.shots)
 
     for stage in ordered:
         if stage == "characterize":

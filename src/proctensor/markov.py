@@ -30,15 +30,9 @@ from .qcore import (
     partial_trace,
     superop_to_choi,
 )
-from .simulator import (
-    ControlSequence,
-    SEModel,
-    rng_stream,
-    simulate_experiment,
-    unitary_step,
-)
+from .simulator import SEModel, rng_stream, unitary_step
 from .tomography import (CI_ALPHA, BoxStats, box_stats,
-                         channel_from_prep_outputs, qst_mle)
+                         channel_from_prep_outputs, measure_grid)
 
 
 @dataclass(frozen=True)
@@ -72,14 +66,10 @@ def estimate_step_channel(model: SEModel, interval: int, gate: np.ndarray,
                           label: str, shots: int | None, master_seed: int,
                           record_base: int = 0) -> QuantumChannel:
     """Tomograph L_interval^gate from four-preparation experiments."""
-    sub = _single_interval_model(model, interval)
-    outputs = []
-    for p, prep in enumerate(standard_preparations()):
-        seq = ControlSequence(steps=(unitary_step(gate @ prep.gate,
-                                                  f"{label}.{prep.label}"),),
-                              name=f"qpt_{label}_{prep.label}")
-        outputs.append(qst_mle(simulate_experiment(
-            sub, seq, shots, master_seed, record_index=record_base + p)))
+    steps = tuple(unitary_step(gate @ prep.gate, f"{label}.{prep.label}")
+                  for prep in standard_preparations())
+    outputs = measure_grid(_single_interval_model(model, interval), (steps,),
+                           shots, master_seed, first_record=record_base)
     return channel_from_prep_outputs(outputs, label)
 
 

@@ -189,18 +189,19 @@ class MemoryInterval:
     placements: tuple[int, ...]
 
 
-def bootstrap_cmi(records: dict, basis, n: int, placements: tuple[int, ...],
-                  params: ProbeParams, resamples: int = 200,
-                  seed: int = 0) -> MemoryInterval:
+def bootstrap_cmi(counts: np.ndarray, shots: int | None, basis, n: int,
+                  placements: tuple[int, ...], params: ProbeParams,
+                  resamples: int = 200, seed: int = 0) -> MemoryInterval:
     """Basic-bootstrap interval for the CMI at fixed probe parameters.
 
-    Each resample redraws every record from its own counts, replaces the
+    ``counts`` are the standard grid's, shape (P, pool, pool, 3, 2). Each
+    resample redraws every sequence from its own counts, replaces the
     tensor's states and re-evaluates the probe. The reflected percentile
     interval [2t - q_hi, 2t - q_lo] keeps zero inside the interval when the
     point estimate sits at the zero floor, at the cost of clipping to [0, 1].
     """
     placements = _check_placements(placements, 3)  # the standard tensor's slots
-    states, redraws = redraw_records(records, basis, resamples,
+    states, redraws = redraw_records(counts, shots, resamples,
                                      rng_stream(seed, 202, *placements))
     pt0 = build_standard_tensor(states, basis, n)
     point = cmi_value(cmi_kernel(pt0, placements), params)

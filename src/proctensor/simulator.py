@@ -18,7 +18,8 @@ part of the process.
 
 ``simulate_grid`` runs every combination of one step per slot at once,
 propagating each shared prefix once; ``run_sequence`` is its
-one-step-per-slot case.
+one-step-per-slot case. ``simulate_experiment`` adds the measurement:
+counts ``[plus, minus]`` per sequence and axis, shape grid + ``(3, 2)``.
 
 Shot sampling uses counter-based Philox streams keyed by
 (master seed, record index, axis), so any record can be regenerated in
@@ -292,62 +293,21 @@ def run_sequence(model: SEModel, seq: ControlSequence) -> np.ndarray:
                                 name="simulated state")
 
 
-def two_qubit_probe(model: SEModel, seq: ControlSequence) -> np.ndarray:
-    """Joint system-neighbor state; requires a qubit environment."""
+def two_qubit_probe(model: SEModel,
+                    slots: Sequence[Sequence[ControlStep]]) -> np.ndarray:
+    """Joint system-neighbor states of a grid of sequences, shape
+    ``(len(slots[0]), ..., 4, 4)``; requires a qubit environment."""
     if model.env_dim != 2:
         raise ValueError("two_qubit_probe requires a single-qubit environment")
     if model.env_reset:
         raise ValueError("two_qubit_probe is meaningless with env_reset")
-    rho = _joint_states(model, [(step,) for step in seq.steps])
-    return check_density_matrix(rho.reshape(rho.shape[-2:]),
+    return check_density_matrix(_joint_states(model, slots),
                                 name="joint probe state")
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """Counts for one sequence measured along X, Y and Z.
-
-    ``shots`` is a positive integer and counts are integers summing to it
-    per axis. ``shots=None`` marks an exact-statistics record whose
-    "counts" hold the exact outcome probabilities; the tomography and
-    bootstrap code treat such records as the infinite-shot limit.
-    """
-
-    sequence_id: str
-    counts: dict[str, tuple[float, float]]
-    shots: int | None
-    seed: int
-
-    def __post_init__(self) -> None:
-        missing = [ax for ax in AXES if ax not in self.counts]
-        if missing:
-            raise ValueError(f"record {self.sequence_id} missing axes {missing}")
-        for ax in AXES:
-            plus, minus = self.counts[ax]
-            if plus < 0 or minus < 0:
-                raise ValueError(f"negative counts on axis {ax}")
-            total = plus + minus
-            if self.shots is None:
-                if abs(total - 1.0) > 1e-9:
-                    raise ValueError(f"exact record probabilities on {ax} sum to {total}")
-            else:
-                if self.shots <= 0:
-                    raise ValueError("shots must be positive")
-                if int(plus) != plus or int(minus) != minus or total != self.shots:
-                    raise ValueError(
-                        f"axis {ax} counts {plus}+{minus} do not sum to shots={self.shots}")
-
-    def expectations(self) -> dict[str, float]:
-        out = {}
-        for ax in AXES:
-            plus, minus = self.counts[ax]
-            out[ax] = float(plus - minus) / (self.shots if self.shots else 1.0)
-        return out
-
 
 def outcome_probabilities(states: np.ndarray) -> np.ndarray:
     """P(+) on the X, Y and Z axes for a state or a ``(..., 2, 2)`` stack,
@@ -358,34 +318,38 @@ def outcome_probabilities(states: np.ndarray) -> np.ndarray:
 
 
 def draw_counts(probs: np.ndarray, shots: int | None, master_seed: int,
-                record_index: int) -> dict[str, tuple[float, float]]:
-    """Three-axis counts ``(n_plus, n_minus)`` from one sequence's P(+).
+                records: Sequence[int]) -> np.ndarray:
+    """Three-axis counts ``[plus, minus]``, shape ``(N, 3, 2)``, from the
+    P(+) stack ``probs`` ``(N, 3)`` of the sequences with record indices
+    ``records``.
 
-    Axis ``a`` draws a binomial from the stream (master seed, record
-    index, a). ``shots=None`` returns the exact probabilities instead.
+    Axis ``a`` of record ``r`` draws a binomial from the stream (master
+    seed, r, a). ``shots=None`` returns the exact probabilities instead.
     """
-    if shots is not None and shots <= 0:
+    if shots is None:
+        return np.stack([probs, 1.0 - probs], axis=-1)
+    if shots <= 0:
         raise ValueError("shots must be positive")
-    counts: dict[str, tuple[float, float]] = {}
-    for ax_idx, (ax, p) in enumerate(zip(AXES, probs)):
-        p = float(p)
-        if shots is None:
-            counts[ax] = (p, 1.0 - p)
-        else:
-            rng = rng_stream(master_seed, record_index, ax_idx)
-            n_plus = int(rng.binomial(shots, p))
-            counts[ax] = (n_plus, shots - n_plus)
-    return counts
+    plus = np.array([[rng_stream(master_seed, r, a).binomial(shots, p)
+                      for a, p in enumerate(row)]
+                     for r, row in zip(records, probs)], dtype=np.int64)
+    return np.stack([plus, shots - plus], axis=-1)
 
 
-def simulate_experiment(model: SEModel, seq: ControlSequence, shots: int | None,
-                        master_seed: int, record_index: int = 0) -> ExperimentRecord:
-    """Run one sequence and collect (or compute exactly) three-axis counts."""
-    probs = outcome_probabilities(run_sequence(model, seq))
-    return ExperimentRecord(sequence_id=seq.name or f"seq{record_index}",
-                            counts=draw_counts(probs, shots, master_seed,
-                                               record_index),
-                            shots=shots, seed=master_seed)
+def simulate_experiment(model: SEModel, slots: Sequence[Sequence[ControlStep]],
+                        shots: int | None, master_seed: int,
+                        first_record: int = 0) -> np.ndarray:
+    """Simulate a grid of sequences and draw (or compute exactly) their
+    three-axis counts, shape ``(len(slots[0]), ..., 3, 2)``.
+
+    The record index of a sequence is ``first_record`` plus its C-order
+    position in the grid.
+    """
+    probs = outcome_probabilities(simulate_grid(model, slots))
+    flat = probs.reshape(-1, len(AXES))
+    counts = draw_counts(flat, shots, master_seed,
+                         range(first_record, first_record + len(flat)))
+    return counts.reshape(probs.shape + (2,))
 
 
 # two-qubit readout used by the decoupling probe ---------------------------

@@ -54,12 +54,13 @@ from .qcore import (
     superop_to_choi,
 )
 from .simulator import (
-    AXES,
     ControlSequence,
     ControlStep,
-    ExperimentRecord,
+    SEModel,
     prep_step,
     rng_stream,
+    simulate_experiment,
+    simulate_grid,
     unitary_step,
 )
 
@@ -105,10 +106,30 @@ def mle_project(rho: np.ndarray) -> np.ndarray:
     return (vecs * mu) @ vecs.conj().T
 
 
-def qst_mle(record: ExperimentRecord) -> np.ndarray:
-    """Physical state estimate from a three-axis record."""
-    ex = record.expectations()
-    return mle_project(linear_inversion_qubit(ex["X"], ex["Y"], ex["Z"]))
+def qst_mle(counts: np.ndarray, shots: int | None) -> np.ndarray:
+    """Physical state estimates from three-axis counts.
+
+    ``counts`` holds ``[plus, minus]`` per sequence and axis, shape
+    ``(..., 3, 2)``; with ``shots=None`` they are exact outcome
+    probabilities. Returns the states, shape ``(..., 2, 2)``.
+    """
+    ex = (counts[..., 0] - counts[..., 1]) / (shots or 1)
+    states = np.empty(ex.shape[:-1] + (2, 2), dtype=complex)
+    for idx in np.ndindex(ex.shape[:-1]):
+        states[idx] = mle_project(linear_inversion_qubit(*ex[idx]))
+    return states
+
+
+def measure_grid(model: SEModel, slots: Sequence[Sequence[ControlStep]],
+                 shots: int | None, master_seed: int,
+                 first_record: int = 0) -> np.ndarray:
+    """Estimated output states of a grid of sequences: the exact states
+    when ``shots`` is None, otherwise the QST of the drawn counts (see
+    ``simulate_experiment`` for the record indices)."""
+    if shots is None:
+        return simulate_grid(model, slots)
+    return qst_mle(simulate_experiment(model, slots, shots, master_seed,
+                                       first_record), shots)
 
 
 def clip_to_bloch_ball(x: np.ndarray, y: np.ndarray,
@@ -288,19 +309,10 @@ def contract_fast(pt: ProcessTensor,
 # Standard three-step experiment enumeration
 # ---------------------------------------------------------------------------
 
-def standard_sequence(basis: ControlBasis, i: int, j: int, k: int) -> ControlSequence:
-    p = basis.preparations[i]
-    return ControlSequence(
-        steps=(prep_step(p.gate, p.label),
-               unitary_step(basis.unitaries[j], f"U{j}"),
-               unitary_step(basis.unitaries[k], f"U{k}")),
-        name=f"p{i}_u{j}_u{k}")
-
-
 def standard_slots(basis: ControlBasis) -> tuple[tuple[ControlStep, ...], ...]:
     """The standard grid as candidate steps per slot, for ``simulate_grid``:
-    entry ``[i, j, k]`` of the grid is ``standard_sequence(basis, i, j, k)``.
-    Both unitary slots share one step per gate."""
+    entry ``[i, j, k]`` of the grid is preparation i, then pool gates j and
+    k. Both unitary slots share one step per gate."""
     gates = tuple(unitary_step(u, f"U{j}") for j, u in enumerate(basis.unitaries))
     return (tuple(prep_step(p.gate, p.label) for p in basis.preparations),
             gates, gates)
@@ -429,67 +441,48 @@ def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int) -> EvalResul
 # Bootstrap
 # ---------------------------------------------------------------------------
 
-def _record_arrays(records: dict[tuple[int, int, int], ExperimentRecord],
-                   keys: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(plus-probability array, shots array) over keys x axes; shots 0 = exact."""
-    probs = np.empty((len(keys), 3))
-    shots = np.zeros(len(keys), dtype=int)
-    for r, key in enumerate(keys):
-        rec = records[key]
-        for a, ax in enumerate(AXES):
-            plus, _ = rec.counts[ax]
-            probs[r, a] = plus / (rec.shots if rec.shots else 1.0)
-        shots[r] = rec.shots or 0
-    return probs, shots
-
-
 def _states_from_probs(probs: np.ndarray) -> np.ndarray:
     ex = 2.0 * probs - 1.0
     return qubit_states_from_expectations(ex[:, 0], ex[:, 1], ex[:, 2])
 
 
-def redraw_records(records: dict[tuple[int, int, int], ExperimentRecord],
-                   basis: ControlBasis, resamples: int,
+def redraw_records(counts: np.ndarray, shots: int | None, resamples: int,
                    rng: np.random.Generator,
                    ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """Parametric bootstrap over the standard grid's records.
+    """Parametric bootstrap over a grid's three-axis counts.
 
-    Returns the estimated states of the grid, shape (P, pool, pool, 2, 2),
-    and an iterator of ``resamples`` redraws of them, each record redrawn
-    from its own counts (exact records are fixed points and draw nothing).
+    ``counts`` has the grid's shape followed by ``(3, 2)``, as
+    ``simulate_experiment`` returns it. Returns the estimated states of
+    the grid, shape grid + ``(2, 2)``, and an iterator of ``resamples``
+    redraws of them. A sampled grid draws one binomial per sequence and
+    axis from ``rng`` for each redraw; an exact grid (``shots=None``) is
+    its own fixed point and draws nothing.
     """
     if resamples < 2:
         raise ValueError("need at least two resamples")
-    keys = enumerate_standard_keys(len(basis.preparations), basis.size)
-    missing = [k for k in keys if k not in records]
-    if missing:
-        raise ValueError(f"records missing for {len(missing)} sequences, e.g. {missing[0]}")
-    probs, shots = _record_arrays(records, keys)
-    shot_mat = shots[:, None].astype(float)
-    shape = (len(basis.preparations), basis.size, basis.size, 2, 2)
+    probs = counts[..., 0].reshape(-1, 3) / (shots or 1)
+    shape = counts.shape[:-2] + (2, 2)
 
     def redraws() -> Iterator[np.ndarray]:
         for _ in range(resamples):
-            p = probs
-            if shots.max() > 0:
-                draws = rng.binomial(np.maximum(shot_mat, 1).astype(int), probs)
-                p = np.where(shot_mat > 0, draws / np.maximum(shot_mat, 1.0), probs)
+            p = probs if shots is None else rng.binomial(shots, probs) / shots
             yield _states_from_probs(p).reshape(shape)
 
     return _states_from_probs(probs).reshape(shape), redraws()
 
 
-def bootstrap_ci(records: dict[tuple[int, int, int], ExperimentRecord],
-                 basis: ControlBasis, n: int, resamples: int = 1000,
+def bootstrap_ci(counts: np.ndarray, shots: int | None, basis: ControlBasis,
+                 n: int, resamples: int = 1000,
                  seed: int = 0) -> tuple[float, float, np.ndarray]:
     """Percentile bootstrap interval for the held-out mean infidelity.
 
-    Every record (basis and verification sequences alike) is resampled from
-    its own counts, the tensor's states are replaced and re-evaluated, and
+    ``counts`` are the standard grid's, shape (P, pool, pool, 3, 2). Every
+    sequence (basis and verification alike) is resampled from its own
+    counts, the tensor's states are replaced and re-evaluated, and
     the (CI_ALPHA/2, 1-CI_ALPHA/2) percentiles of the resampled means are
     returned together with the means themselves.
     """
-    base_states, redraws = redraw_records(records, basis, resamples,
+    base_states, redraws = redraw_records(counts, shots, resamples,
                                           rng_stream(seed, 777))
     # duals and coefficient rows never change under resampling
     pt0 = build_standard_tensor(base_states, basis, n)

@@ -11,12 +11,10 @@ from proctensor.qcore import (ID2, KET0, PAULI_SETTINGS, PAULIS,
                               ket_dm, partial_trace, purity, u3_matrix,
                               unitary_choi)
 from proctensor.simulator import (AXES, PAIR_SETTINGS, ControlSequence,
-                                  ControlStep, ExperimentRecord, draw_counts,
-                                  outcome_probabilities, prep_step,
-                                  rng_stream, simulate_grid, unitary_step)
-from proctensor.tomography import (contract_fast, enumerate_standard_keys,
-                                   mle_project,
-                                   pool_coefficients, qst_mle,
+                                  ControlStep, prep_step, rng_stream,
+                                  simulate_grid, unitary_step)
+from proctensor.tomography import (contract_fast, linear_inversion_qubit,
+                                   mle_project, pool_coefficients,
                                    standard_slots, step_matrix_form)
 
 FLOAT_TOL = 1e-9
@@ -168,9 +166,20 @@ def exact_states(model, basis):
     return simulate_grid(model, standard_slots(basis))
 
 
-def run_sequence_oracle(model, seq):
-    """The per-sequence simulator: every sequence builds its own kron(U, I)
-    and propagates from the initial state."""
+def standard_sequence(basis, i, j, k):
+    """Sequence (i, j, k) of the standard grid: preparation i, then pool
+    gates j and k."""
+    p = basis.preparations[i]
+    return ControlSequence(
+        steps=(prep_step(p.gate, p.label),
+               unitary_step(basis.unitaries[j], f"U{j}"),
+               unitary_step(basis.unitaries[k], f"U{k}")),
+        name=f"p{i}_u{j}_u{k}")
+
+
+def joint_state_oracle(model, seq):
+    """The per-sequence propagation: every sequence builds its own
+    kron(U, I) and propagates the joint state from the initial state."""
     d_env = model.env_dim
     dims = (model.sys_dim, d_env)
     rho = model.initial_se.copy()
@@ -187,47 +196,43 @@ def run_sequence_oracle(model, seq):
         rho = u @ rho @ u.conj().T
         if model.env_reset and d_env > 1:
             rho = np.kron(partial_trace(rho, 0, dims), env0)
-    out = partial_trace(rho, 0, dims) if d_env > 1 else rho
+    return rho
+
+
+def run_sequence_oracle(model, seq):
+    """The per-sequence simulator: ``joint_state_oracle`` read out on the
+    system."""
+    rho = joint_state_oracle(model, seq)
+    dims = (model.sys_dim, model.env_dim)
+    out = partial_trace(rho, 0, dims) if model.env_dim > 1 else rho
     if model.meas_channel is not None:
         out = apply_channel(model.meas_channel, out)
     return check_density_matrix(out, name="simulated state")
 
 
 def experiment_oracle(model, seq, shots, master_seed, record_index):
-    """Per-sequence three-axis counts: one Born-rule probability and one
-    stream per axis."""
+    """Per-sequence three-axis counts [plus, minus], shape (3, 2): one
+    Born-rule probability and one stream per axis."""
     state = run_sequence_oracle(model, seq)
-    counts = {}
+    counts = []
     for ax_idx, ax in enumerate(AXES):
         p = float(np.einsum("ij,ji->", PAULI_SETTINGS[ax].plus, state).real)
         p = min(max(p, 0.0), 1.0)
         if shots is None:
-            counts[ax] = (p, 1.0 - p)
+            counts.append((p, 1.0 - p))
         else:
             rng = rng_stream(master_seed, record_index, ax_idx)
             n_plus = int(rng.binomial(shots, p))
-            counts[ax] = (n_plus, shots - n_plus)
-    return state, counts
+            counts.append((n_plus, shots - n_plus))
+    return state, np.array(counts)
 
 
-def mle_states(records, pool):
-    states = np.empty((4, pool, pool, 2, 2), dtype=complex)
-    for key, rec in records.items():
-        states[key] = qst_mle(rec)
-    return states
-
-
-def sampled_records(model, basis, shots, master_seed):
-    """Records of the standard grid keyed by (i, j, k), drawn as the
-    characterize stage draws them."""
-    probs = outcome_probabilities(exact_states(model, basis))
-    records = {}
-    for idx, (i, j, k) in enumerate(
-            enumerate_standard_keys(len(basis.preparations), basis.size)):
-        counts = draw_counts(probs[i, j, k], shots, master_seed, idx)
-        records[(i, j, k)] = ExperimentRecord(f"p{i}_u{j}_u{k}", counts,
-                                              shots, master_seed)
-    return records
+def qst_oracle(counts, shots):
+    """One sequence's state estimate from its (3, 2) counts, one axis at
+    a time in Python scalars."""
+    x, y, z = (float(plus - minus) / (shots if shots else 1.0)
+               for plus, minus in counts.tolist())
+    return mle_project(linear_inversion_qubit(x, y, z))
 
 
 # ---------------------------------------------------------------------------

@@ -27,21 +27,18 @@ from proctensor.harness import (ALPHA_RANGE, ExperimentPlan, ResultsStore,
 from proctensor.markov import (bootstrap_median_ci, characterize,
                                compare_with_tensor)
 from proctensor.memory import bootstrap_cmi, maximize_cmi
-from proctensor.simulator import (SWAP2, ControlSequence, make_model,
-                                  prep_step, rng_stream, simulate_experiment,
-                                  unitary_step)
-from proctensor.tomography import (_record_arrays, _states_from_probs,
-                                   bootstrap_ci, build_standard_tensor,
-                                   enumerate_standard_keys, evaluate_split,
-                                   prediction_fidelities,
+from proctensor.simulator import (SWAP2, make_model, prep_step, rng_stream,
+                                  simulate_experiment, unitary_step)
+from proctensor.tomography import (_states_from_probs, bootstrap_ci,
+                                   build_standard_tensor, evaluate_split,
+                                   prediction_fidelities, qst_mle,
                                    qubit_fidelity_vectorized, qubit_probs_of,
-                                   slot_coefficients, standard_sequence)
+                                   slot_coefficients, standard_slots)
 
 from helpers import (assert_csv_close, assert_json_close, contract_via_matrix,
                      duality_defect, exact_states, intervals_overlap,
-                     key_coefficient_tables, mle_states,
-                     preparations_from_unitaries, record_verdict,
-                     sampled_records, tensor_matrix)
+                     key_coefficient_tables, preparations_from_unitaries,
+                     record_verdict, standard_sequence, tensor_matrix)
 from test_golden import GOLDEN_PLAN, _strip_timestamps
 
 DATA = Path(__file__).parent / "data"
@@ -78,8 +75,9 @@ def test_criterion_02_shot_noise_characterization(basis28):
     model = make_model()
     med24, mean24, mean10 = [], [], []
     for seed in range(5):
-        records = sampled_records(model, basis28, 1600, master_seed=seed)
-        states = mle_states(records, 28)
+        counts = simulate_experiment(model, standard_slots(basis28), 1600,
+                                     master_seed=seed)
+        states = qst_mle(counts, 1600)
         e24 = evaluate_split(states, basis28, 24)
         e10 = evaluate_split(states, basis28, 10)
         med24.append(1.0 - e24.stats.median)
@@ -104,8 +102,9 @@ def test_criterion_03_overlap_ordering_benefit():
     pools = 12
     for p in range(pools):
         b = generate_haar_basis(28, 100 + p)
-        records = sampled_records(model, b, 1600, master_seed=1000 + p)
-        states = mle_states(records, 28)
+        counts = simulate_experiment(model, standard_slots(b), 1600,
+                                     master_seed=1000 + p)
+        states = qst_mle(counts, 1600)
         plain = evaluate_split(states, b, 10).stats.mean
         perm = overlap_order(b)
         ordered = evaluate_split(states[:, perm][:, :, perm],
@@ -155,13 +154,14 @@ def test_criterion_05_memory_detection(basis28):
     t0 = time.monotonic()
     # (a) reset environment: all bounds near zero with CIs containing zero
     model = make_model(env_reset=True)
-    records = sampled_records(model, basis28, 10_000, master_seed=0)
-    pt = build_standard_tensor(mle_states(records, 28), basis28, 24)
+    counts = simulate_experiment(model, standard_slots(basis28), 10_000,
+                                 master_seed=0)
+    pt = build_standard_tensor(qst_mle(counts, 10_000), basis28, 24)
     reset = []
     for placements in ((1,), (2,), (1, 2)):
         res = maximize_cmi(pt, placements, restarts=20, seed=0)
-        iv = bootstrap_cmi(records, basis28, 24, placements, res.params,
-                           resamples=200, seed=0)
+        iv = bootstrap_cmi(counts, 10_000, basis28, 24, placements,
+                           res.params, resamples=200, seed=0)
         reset.append((placements, res.bits, iv.lo, iv.hi))
     reset_ok = all(bits <= 2e-2 and lo <= 0.0 <= hi
                    for _, bits, lo, hi in reset)
@@ -252,24 +252,20 @@ def test_criterion_08_nonunitary_synthesis(basis28):
 def test_criterion_09_out_of_basis_preparations(basis28):
     n = 24
     model = make_model()
-    records = sampled_records(model, basis28, 1600, master_seed=0)
-    states = mle_states(records, 28)
-    lo_in, hi_in, _ = bootstrap_ci(records, basis28, n,
+    counts = simulate_experiment(model, standard_slots(basis28), 1600,
+                                 master_seed=0)
+    states = qst_mle(counts, 1600)
+    lo_in, hi_in, _ = bootstrap_ci(counts, 1600, basis28, n,
                                    resamples=200, seed=0)
     # probe four preparations outside the tomography basis on the held grid
     new_preps = preparations_from_unitaries(list(basis28.unitaries[24:28]))
     held_jk = [(j, k) for j in range(n, 28) for k in range(n, 28)]
-    prep_records = {}
-    base = 4 * 28 * 28
-    for m_i, p in enumerate(new_preps):
-        for s, (j, k) in enumerate(held_jk):
-            seq = ControlSequence(
-                steps=(prep_step(p.gate, p.label),
-                       unitary_step(basis28.unitaries[j], f"U{j}"),
-                       unitary_step(basis28.unitaries[k], f"U{k}")),
-                name=f"q{m_i}_u{j}_u{k}")
-            prep_records[(m_i, j, k)] = simulate_experiment(
-                model, seq, 1600, 0, record_index=base + m_i * len(held_jk) + s)
+    held = [unitary_step(u, f"U{j}") for j, u in
+            enumerate(basis28.unitaries[n:], n)]
+    # record indices continue after the standard grid's 4 * 28 * 28
+    prep_counts = simulate_experiment(
+        model, ([prep_step(p.gate, p.label) for p in new_preps], held, held),
+        1600, 0, first_record=4 * 28 * 28)
     pt0 = build_standard_tensor(states, basis28, n)
     # coefficient tables for the new sequences; only the prep row changes
     std_tables = key_coefficient_tables(
@@ -279,20 +275,17 @@ def test_criterion_09_out_of_basis_preparations(basis28):
                           prep_step(p.gate, p.label)) for p in new_preps])
     a0 = np.repeat(prep_coeffs, len(held_jk), axis=0)
     a1, a2 = std_tables[1], std_tables[2]
-    probs, shots = _record_arrays(records, enumerate_standard_keys(4, 28))
-    prep_keys = list(prep_records)
-    pprobs, pshots = _record_arrays(prep_records, prep_keys)
+    probs = counts[..., 0].reshape(-1, 3) / 1600
+    pprobs = prep_counts[..., 0].reshape(-1, 3) / 1600
     rng = rng_stream(0, 778)
     resamples = 200
     samples = np.empty(resamples)
-    shot_col, pshot_col = shots[:, None], pshots[:, None]
     for b_i in range(resamples):
-        re_probs = rng.binomial(shot_col, probs) / shot_col
+        re_probs = rng.binomial(1600, probs) / 1600
         re_states = _states_from_probs(re_probs).reshape(4, 28, 28, 2, 2)
         preds = np.einsum("si,sj,sk,ijkab->sab", a0, a1, a2,
                           re_states[:, :n, :n])
-        re_pstates = _states_from_probs(rng.binomial(pshot_col, pprobs)
-                                        / pshot_col)
+        re_pstates = _states_from_probs(rng.binomial(1600, pprobs) / 1600)
         fids = qubit_fidelity_vectorized(
             _states_from_probs(qubit_probs_of(preds)), re_pstates)
         samples[b_i] = 1.0 - fids.mean()

@@ -113,6 +113,27 @@ def test_bad_characterize_payload_exits_2(runner, tmp_path):
     assert "line 1 is not an experiment record: key_ijk" in result.output
 
 
+def test_counts_that_miss_the_shots_exit_2(runner, tmp_path):
+    # a stored grid edited after characterize: one axis loses a count
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "x", "pool_size": 11,
+                                "basis_size": 10, "shots": 400}))
+    store = tmp_path / "store"
+    args = ["run-plan", "--plan", str(plan), "--out", str(store)]
+    assert runner.invoke(main, args + ["--stage", "characterize"]).exit_code == 0
+    path = store / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(n for n, line in enumerate(lines)
+              if '"key":"experiment:p0_u0_u0:Z"' in line)
+    doc = json.loads(lines[at])
+    doc["payload"]["counts"][0] -= 1
+    lines[at] = json.dumps(doc) + "\n"
+    path.write_text("".join(lines))
+    result = runner.invoke(main, args + ["--stage", "evaluate"])
+    assert result.exit_code == 2, result.output
+    assert "sequence p0_u0_u0: axis Z counts" in result.output
+
+
 def test_numerical_failures_exit_3(runner):
     @click.command()
     @handle_errors

@@ -143,7 +143,7 @@ def test_decoupling_tensor_predicts_probe(dec_pt, basis24):
     # held-out gate: tensor prediction equals the simulated joint state
     model = decoupling_model()
     g = haar_unitary(2, np.random.default_rng(9))
-    want = two_qubit_probe(model, ControlSequence(steps=(unitary_step(g),)))
+    want = two_qubit_probe(model, [[unitary_step(g)]])[0]
     got = contract_fast(dec_pt, [unitary_step(g)])
     assert np.allclose(got, want, atol=1e-9)
 

@@ -20,9 +20,10 @@ from proctensor.harness import (
 )
 from proctensor.control import XY4_CYCLE, simulate_trajectory
 from proctensor.qcore import UnitaryParams
-from proctensor.tomography import box_stats, standard_sequence
+from proctensor.simulator import AXES, simulate_experiment
+from proctensor.tomography import box_stats, standard_slots
 
-from helpers import experiment_oracle, sampled_records
+from helpers import experiment_oracle, standard_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +323,28 @@ def test_characterize_counts_equal_sampled_records(tmp_path, shots):
                           stages=("characterize",))
     store = ResultsStore(tmp_path / "s")
     run_plan(plan, store)
-    want = sampled_records(plan.model(), plan.basis(), shots, 11)
+    want = simulate_experiment(plan.model(), standard_slots(plan.basis()),
+                               shots, 11)
     rows = store.records(stage="characterize", kind="experiment")
-    assert len(rows) == 3 * len(want)
+    assert len(rows) == want.size // 2
     for doc in rows:
         p = doc["payload"]
-        rec = want[tuple(p["key_ijk"])]
-        assert p["sequence_id"] == rec.sequence_id
-        assert tuple(p["counts"]) == rec.counts[p["axis"]]
-        assert p["shots"] == rec.shots
+        i, j, k = p["key_ijk"]
+        assert p["sequence_id"] == f"p{i}_u{j}_u{k}"
+        assert p["counts"] == want[i, j, k, AXES.index(p["axis"])].tolist()
+        # integers when sampled, exact probabilities otherwise
+        assert all(type(c) is (float if shots is None else int)
+                   for c in p["counts"])
+        assert p["shots"] == shots
+    # the loader reads back exactly what was drawn
+    assert np.array_equal(harness._records_from_store(plan, store,
+                                                      plan.basis()), want)
     for doc in rows[::97]:
         p = doc["payload"]
         _, counts = experiment_oracle(
             plan.model(), standard_sequence(plan.basis(), *p["key_ijk"]),
             shots, 11, p["record_index"])
-        assert tuple(p["counts"]) == counts[p["axis"]]
+        assert p["counts"] == counts[AXES.index(p["axis"])].tolist()
 
 
 def test_noiseless_run_reconstructs_exactly(small_run):
@@ -472,6 +480,33 @@ def test_records_from_store_rejects_counts_that_miss_the_shots(tmp_path):
     with pytest.raises(ConfigError) as err:
         harness._records_from_store(plan, store, plan.basis())
     assert "p0_u0_u0" in str(err.value)
+
+
+@pytest.mark.parametrize("shots, counts, fragment", [
+    (1600, [800, 700], "do not sum"),
+    (1600, [-1, 1601], "negative"),
+    (1600, [800.5, 799.5], "do not sum"),  # not integers
+    (None, [0.6, 0.5], "sum to 1.1"),
+    (400, [200, 200], "differ from the plan"),  # the plan's shots are 1600
+])
+def test_records_from_store_rejects_invalid_counts(tmp_path, shots, counts,
+                                                   fragment):
+    # the checks a sequence's counts must pass before any estimate: each
+    # failure names the sequence and the axis
+    plan = ExperimentPlan(**dict(SMALL_PLAN,
+                                 shots=1600 if shots == 400 else shots))
+    store = ResultsStore(tmp_path / "s")
+    good = [plan.shots, 0] if plan.shots is not None else [1.0, 0.0]
+    for ax in "XYZ":
+        bad = ax == "Y"
+        store.append(plan.name, "characterize", 5, ax,
+                     dict(GOOD_EXPERIMENT, axis=ax,
+                          shots=shots if bad else plan.shots,
+                          counts=counts if bad else good))
+    with pytest.raises(ConfigError) as err:
+        harness._records_from_store(plan, store, plan.basis())
+    assert "sequence p0_u0_u0: axis Y" in str(err.value)
+    assert fragment in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ from proctensor.memory import (
     unpack_params,
 )
 from proctensor.qcore import UnitaryParams
-from proctensor.simulator import SWAP2, make_model, rng_stream
-from proctensor.tomography import build_standard_tensor
+from proctensor.simulator import (SWAP2, make_model, rng_stream,
+                                  simulate_experiment)
+from proctensor.tomography import build_standard_tensor, qst_mle, standard_slots
 
-from helpers import (cmi_value_via_steps, exact_states, mle_states,
-                     probe_steps, sampled_records)
+from helpers import cmi_value_via_steps, exact_states, probe_steps
 
 
 CANON = ProbeParams(enc0=CANONICAL_START["enc0"], enc1=CANONICAL_START["enc1"],
@@ -103,7 +103,8 @@ def test_cmi_kernel_equals_step_oracle(pool_seed, pool, shots, probes):
     if shots is None:
         states = exact_states(model, basis)
     else:
-        states = mle_states(sampled_records(model, basis, shots, pool_seed), pool)
+        states = qst_mle(simulate_experiment(model, standard_slots(basis),
+                                             shots, pool_seed), shots)
     pt = build_standard_tensor(states, basis, pool)
     for placements in ((1,), (2,), (1, 2)):
         kernel = cmi_kernel(pt, placements)
@@ -173,9 +174,9 @@ def test_cmi_deterministic(swap_tensor):
 
 def test_bootstrap_cmi_exact_records(basis):
     model = make_model(intervals=(SWAP2, SWAP2, np.eye(4, dtype=complex)))
-    records = sampled_records(model, basis, shots=None, master_seed=9)
-    iv = bootstrap_cmi(records, basis, n=10, placements=(1,), params=CANON,
-                       resamples=20, seed=2)
+    counts = simulate_experiment(model, standard_slots(basis), None, 9)
+    iv = bootstrap_cmi(counts, None, basis, n=10, placements=(1,),
+                       params=CANON, resamples=20, seed=2)
     assert isinstance(iv, MemoryInterval)
     assert iv.point == pytest.approx(1.0, abs=1e-9)
     assert iv.hi - iv.lo < 1e-9
@@ -186,21 +187,24 @@ def test_bootstrap_cmi_markovian_contains_zero(basis):
     # reconstruct from the full pool: the overdetermined duals keep the
     # shot-noise amplification small enough for a tight zero interval
     model = make_model(steps=3, env_reset=True)
-    records = sampled_records(model, basis, shots=2000, master_seed=9)
-    iv = bootstrap_cmi(records, basis, n=12, placements=(1,), params=CANON,
-                       resamples=50, seed=2)
+    counts = simulate_experiment(model, standard_slots(basis), 2000, 9)
+    iv = bootstrap_cmi(counts, 2000, basis, n=12, placements=(1,),
+                       params=CANON, resamples=50, seed=2)
     assert iv.lo == 0.0
     assert iv.point <= 0.01
     assert iv.hi <= 0.05
-    iv2 = bootstrap_cmi(records, basis, n=12, placements=(1,), params=CANON,
-                        resamples=50, seed=2)
+    iv2 = bootstrap_cmi(counts, 2000, basis, n=12, placements=(1,),
+                        params=CANON, resamples=50, seed=2)
     assert (iv2.lo, iv2.hi, iv2.point) == (iv.lo, iv.hi, iv.point)
 
 
 def test_bootstrap_cmi_validates(basis):
     model = make_model(steps=3, env_reset=True)
-    records = sampled_records(model, basis, shots=None, master_seed=9)
-    records.pop((0, 0, 0))
-    with pytest.raises(ValueError, match="missing"):
-        bootstrap_cmi(records, basis, n=10, placements=(1,), params=CANON,
-                      resamples=5, seed=0)
+    counts = simulate_experiment(model, standard_slots(basis), None, 9)
+    for placements in ((0,), (3,), ()):
+        with pytest.raises(ValueError, match="barrier"):
+            bootstrap_cmi(counts, None, basis, n=10, placements=placements,
+                          params=CANON, resamples=5, seed=0)
+    with pytest.raises(ValueError, match="resamples"):
+        bootstrap_cmi(counts, None, basis, n=10, placements=(1,),
+                      params=CANON, resamples=1, seed=0)

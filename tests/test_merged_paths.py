@@ -3,7 +3,7 @@
 ``markov.characterize`` and ``control.qpt`` both solve for a channel from
 four preparation outputs and project it onto the CPTP set;
 ``memory.bootstrap_cmi`` and ``tomography.bootstrap_ci`` both redraw
-every record from its counts. The golden values in
+every sequence from its counts. The golden values in
 ``data/golden_merged_paths.json`` were computed before those paths were
 merged into single helpers and are compared to 1e-9.
 
@@ -31,10 +31,10 @@ from proctensor.markov import characterize
 from proctensor.memory import (CANONICAL_START, ProbeParams, bootstrap_cmi,
                                cmi_kernel, cmi_value, unpack_params)
 from proctensor.qcore import u3_matrix
-from proctensor.simulator import make_model
-from proctensor.tomography import build_standard_tensor
+from proctensor.simulator import make_model, simulate_experiment
+from proctensor.tomography import build_standard_tensor, standard_slots
 
-from helpers import assert_json_close, exact_states, sampled_records
+from helpers import assert_json_close, exact_states
 
 GOLDEN = Path(__file__).parent / "data" / "golden_merged_paths.json"
 POOL = 10
@@ -62,14 +62,15 @@ def bootstrap_intervals():
     basis = generate_haar_basis(POOL, 7)
     # a coherent neighbour and long idles leave memory for the probe to see
     model = make_model(duration_ns=2500.0, env_init="plus")
-    records = sampled_records(model, basis, 1600, master_seed=2)
+    counts = simulate_experiment(model, standard_slots(basis), 1600,
+                                 master_seed=2)
     out = {}
     for placements, filler in (((1,), CANONICAL_START["filler"]),
                                ((1, 2), None)):
         params = ProbeParams(enc0=CANONICAL_START["enc0"],
                              enc1=CANONICAL_START["enc1"],
                              decoder=CANONICAL_START["decoder"], filler=filler)
-        iv = bootstrap_cmi(records, basis, POOL, placements, params,
+        iv = bootstrap_cmi(counts, 1600, basis, POOL, placements, params,
                            resamples=20, seed=4)
         out["+".join(map(str, placements))] = [iv.point, iv.lo, iv.hi]
     return out

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from proctensor.basis import generate_haar_basis
+from proctensor.basis import generate_haar_basis, standard_preparations
+from proctensor.control import (build_decoupling_tensor,
+                                build_synthesis_tensor, decoupling_model, qpt,
+                                synthesis_model)
+from proctensor.markov import estimate_step_channel
 from proctensor.qcore import (
     HADAMARD,
     ID2,
@@ -12,13 +16,13 @@ from proctensor.qcore import (
     channel_from_kraus,
     ket_dm,
     negativity,
+    partial_trace,
     purity,
     u3_matrix,
 )
 from proctensor.simulator import (
     ControlSequence,
     ControlStep,
-    ExperimentRecord,
     SEModel,
     SWAP2,
     draw_counts,
@@ -38,15 +42,22 @@ from proctensor.simulator import (
     two_qubit_probe,
     unitary_step,
 )
-from proctensor.tomography import (enumerate_standard_keys, standard_sequence,
+from proctensor.tomography import (channel_from_prep_outputs,
+                                   enumerate_standard_keys, qst_mle,
                                    standard_slots)
 
 from helpers import (channel_from_unitary, experiment_oracle,
-                     pair_expectations_exact)
+                     joint_state_oracle, pair_expectations_exact, qst_oracle,
+                     run_sequence_oracle, standard_sequence)
 
 
 def seq_of(*steps):
     return ControlSequence(steps=tuple(steps))
+
+
+def probe(model, *steps):
+    # one sequence as a grid of one step per slot
+    return two_qubit_probe(model, [(step,) for step in steps]).reshape(4, 4)
 
 
 def make_env1_model(steps, gates):
@@ -148,7 +159,7 @@ def test_prep_step_acts_as_physical_gate_on_bell_state():
     # preparations are real gates: on a Bell pair they preserve correlations
     model = SEModel(sys_dim=2, env_dim=2, intervals=(np.eye(4, dtype=complex),),
                     initial_se=initial_joint_state(2, "bell"), env_init="bell")
-    joint = two_qubit_probe(model, seq_of(prep_step(PAULI_X, "X")))
+    joint = probe(model, prep_step(PAULI_X, "X"))
     assert negativity(joint) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -164,7 +175,7 @@ def test_two_qubit_probe_zz_negativity_closed_form():
     for t_ns in (1000.0, 4000.0, 9000.0):
         model = make_model(steps=1, exchange_khz=0.0, zz_khz=zz_khz,
                            duration_ns=t_ns, env_init="plus_plus")
-        joint = two_qubit_probe(model, seq_of(unitary_step(ID2)))
+        joint = probe(model, unitary_step(ID2))
         assert negativity(joint) == pytest.approx(abs(np.sin(zeta * t_ns)) / 2, abs=1e-10)
 
 
@@ -175,18 +186,16 @@ def test_two_qubit_probe_exchange_zz_negativity_closed_form():
     t_ns = 6000.0
     model = make_model(steps=1, exchange_khz=g_khz, zz_khz=zz_khz,
                        duration_ns=t_ns, env_init="plus_plus")
-    joint = two_qubit_probe(model, seq_of(unitary_step(ID2)))
+    joint = probe(model, unitary_step(ID2))
     assert negativity(joint) == pytest.approx(abs(np.sin(delta * t_ns)) / 2, abs=1e-10)
     red_purity = 1.0 - np.sin(delta * t_ns) ** 2 / 2
-    from proctensor.qcore import partial_trace
-
     assert purity(partial_trace(joint, 0, (2, 2))) == pytest.approx(red_purity, abs=1e-10)
 
 
 def test_two_qubit_probe_requires_qubit_environment():
     model = make_env1_model(1, [ID2])
     with pytest.raises(ValueError):
-        two_qubit_probe(model, seq_of(unitary_step(ID2)))
+        probe(model, unitary_step(ID2))
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +222,75 @@ def test_grid_kernel_equals_per_sequence_oracle(pool, pool_seed, env_init,
     basis = generate_haar_basis(pool, pool_seed)
     states = simulate_grid(model, standard_slots(basis))
     assert states.shape == (4, pool, pool, 2, 2)
-    probs = outcome_probabilities(states).reshape(-1, 3)
+    counts = simulate_experiment(model, standard_slots(basis), shots,
+                                 master_seed)
+    assert counts.shape == (4, pool, pool, 3, 2)
     keys = enumerate_standard_keys(4, pool)
     for idx, (i, j, k) in enumerate(keys):
         want_state, want_counts = experiment_oracle(
             model, standard_sequence(basis, i, j, k), shots, master_seed, idx)
         assert np.array_equal(bits(states[i, j, k]), bits(want_state))
-        assert draw_counts(probs[idx], shots, master_seed, idx) == want_counts
+        assert np.array_equal(counts[i, j, k], want_counts)
+    estimates = qst_mle(counts, shots)
+    for i, j, k in keys[::7]:
+        assert np.array_equal(bits(estimates[i, j, k]),
+                              bits(qst_oracle(counts[i, j, k], shots)))
+
+
+@seed(20261019)
+@settings(max_examples=8, deadline=None)
+@given(pool=st.integers(10, 14), pool_seed=st.integers(0, 2**32 - 1),
+       shots=st.sampled_from([1600, None]), master_seed=st.integers(0, 99),
+       record_base=st.integers(0, 200), exchange_khz=st.floats(10.0, 80.0))
+def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
+                                                      master_seed, record_base,
+                                                      exchange_khz):
+    # each builder makes one grid call; every estimated state must be what
+    # one sequence, one record index and one QST at a time give
+    basis = generate_haar_basis(pool, pool_seed)
+    preps = standard_preparations()
+
+    def estimate(model, seq, record):
+        if shots is None:
+            return run_sequence_oracle(model, seq)
+        _, counts = experiment_oracle(model, seq, shots, master_seed, record)
+        return qst_oracle(counts, shots)
+
+    # synthesis: preparation slot x pool slot, two intervals
+    syn = synthesis_model(exchange_khz=exchange_khz)
+    got = build_synthesis_tensor(syn, basis, shots, master_seed).states
+    for i, p in enumerate(preps):
+        for nu, u in enumerate(basis.unitaries):
+            seq = seq_of(prep_step(p.gate, p.label), unitary_step(u))
+            want = estimate(syn, seq, i * pool + nu)
+            assert np.array_equal(bits(got[i, nu]), bits(want))
+    # gate process tomography: four preparations x one gate
+    gate = basis.unitaries[0]
+    outputs = [estimate(syn, seq_of(prep_step(p.gate, p.label),
+                                    unitary_step(gate)), i)
+               for i, p in enumerate(preps)]
+    assert np.array_equal(bits(qpt(syn, gate, shots, master_seed).choi),
+                          bits(channel_from_prep_outputs(outputs, "qpt").choi))
+    # Markov step channel: single-interval sub-model, records from record_base
+    model = make_model(exchange_khz=exchange_khz, env_init="plus")
+    env = partial_trace(model.initial_se, 1, (2, 2))
+    sub = SEModel(sys_dim=2, env_dim=2, intervals=(model.intervals[1],),
+                  initial_se=np.kron(ket_dm(KET0), env))
+    outputs = [estimate(sub, seq_of(unitary_step(gate @ p.gate)),
+                        record_base + r) for r, p in enumerate(preps)]
+    got = estimate_step_channel(model, 1, gate, "g", shots, master_seed,
+                                record_base)
+    assert np.array_equal(bits(got.choi),
+                          bits(channel_from_prep_outputs(outputs, "g").choi))
+    # decoupling probe: the joint states of a one-slot grid
+    dec = decoupling_model(exchange_khz=exchange_khz)
+    joints = two_qubit_probe(dec, [[unitary_step(u) for u in basis.unitaries]])
+    for nu, u in enumerate(basis.unitaries):
+        want = joint_state_oracle(dec, seq_of(unitary_step(u)))
+        assert np.array_equal(bits(joints[nu]), bits(want))
+    if shots is None:
+        states = build_decoupling_tensor(dec, basis).states
+        assert np.array_equal(bits(states), bits(joints))
 
 
 def test_run_sequence_and_simulate_experiment_equal_the_oracle():
@@ -244,7 +315,9 @@ def test_run_sequence_and_simulate_experiment_equal_the_oracle():
         seq = seq_of(prep_step(gate(), "p"), mixed, unitary_step(gate()))
         want_state, want_counts = experiment_oracle(model, seq, 1600, 4, 2)
         assert np.array_equal(bits(run_sequence(model, seq)), bits(want_state))
-        assert simulate_experiment(model, seq, 1600, 4, 2).counts == want_counts
+        counts = simulate_experiment(model, [(step,) for step in seq.steps],
+                                     1600, 4, first_record=2)
+        assert np.array_equal(counts.reshape(3, 2), want_counts)
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -278,20 +351,18 @@ def test_grid_guard_rejects_nonphysical_states(fault, message):
 
 def test_sample_counts_deterministic_per_stream():
     probs = outcome_probabilities(ket_dm(np.array([1.0, 1.0]) / np.sqrt(2)))
-    a = draw_counts(probs, 1600, 7, 0)
-    b = draw_counts(probs, 1600, 7, 0)
-    c = draw_counts(probs, 1600, 7, 1)
-    assert a == b
-    assert a != c
+    a, b, c = draw_counts(np.array([probs] * 3), 1600, 7, [0, 0, 1])
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
     # each axis has its own stream
-    assert a["X"] == (1600, 0)
-    assert a["Y"] != a["Z"]
+    assert a[0].tolist() == [1600, 0]
+    assert not np.array_equal(a[1], a[2])
 
 
 def test_sample_counts_matches_born_rule_at_large_shots():
     probs = outcome_probabilities(ket_dm(np.array([1.0, 1.0]) / np.sqrt(2)))
     shots = 1_000_000
-    n_plus, n_minus = draw_counts(probs, shots, 3, 0)["Z"]
+    n_plus, n_minus = draw_counts(probs[None], shots, 3, [0])[0, 2]
     assert n_plus + n_minus == shots
     sigma = np.sqrt(0.25 / shots)
     assert abs(n_plus / shots - 0.5) < 3 * sigma
@@ -299,34 +370,32 @@ def test_sample_counts_matches_born_rule_at_large_shots():
 
 def test_sample_counts_rejects_zero_shots():
     with pytest.raises(ValueError):
-        draw_counts(outcome_probabilities(ID2 / 2), 0, 1, 0)
+        draw_counts(outcome_probabilities(ID2 / 2)[None], 0, 1, [0])
 
 
 def test_simulate_experiment_record_structure():
+    # a grid's counts: [plus, minus] per sequence and axis, integers that
+    # sum to the shots, drawn from the same streams on every call
     model = make_model(steps=1, duration_ns=144.0)
-    rec = simulate_experiment(model, seq_of(unitary_step(HADAMARD)), 1600, 11, 4)
-    for ax in ("X", "Y", "Z"):
-        plus, minus = rec.counts[ax]
-        assert plus + minus == 1600
-    rec2 = simulate_experiment(model, seq_of(unitary_step(HADAMARD)), 1600, 11, 4)
-    assert rec.counts == rec2.counts
+    slots = [(unitary_step(HADAMARD), unitary_step(ID2))]
+    counts = simulate_experiment(model, slots, 1600, 11, first_record=4)
+    assert counts.shape == (2, 3, 2)
+    assert counts.dtype == np.int64
+    assert np.all(counts.sum(axis=-1) == 1600)
+    assert np.array_equal(counts, simulate_experiment(model, slots, 1600, 11,
+                                                      first_record=4))
+    # record index = first_record + grid position
+    assert np.array_equal(counts[1], simulate_experiment(
+        model, [slots[0][1:]], 1600, 11, first_record=5)[0])
 
 
 def test_simulate_experiment_exact_mode():
     model = make_env1_model(1, [ID2])
-    rec = simulate_experiment(model, seq_of(unitary_step(HADAMARD)), None, 0)
-    assert rec.shots is None
-    assert rec.expectations()["X"] == pytest.approx(1.0, abs=1e-12)
-    assert rec.expectations()["Z"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_record_validation():
-    with pytest.raises(ValueError):
-        ExperimentRecord("s", {"X": (800, 800), "Y": (800, 800)}, 1600, 0)
-    with pytest.raises(ValueError):
-        ExperimentRecord("s", {"X": (800, 700), "Y": (800, 800), "Z": (800, 800)}, 1600, 0)
-    with pytest.raises(ValueError):
-        ExperimentRecord("s", {"X": (-1, 1601), "Y": (800, 800), "Z": (800, 800)}, 1600, 0)
+    counts = simulate_experiment(model, [(unitary_step(HADAMARD),)], None, 0)
+    plus, minus = counts[0].T
+    assert (plus - minus)[0] == pytest.approx(1.0, abs=1e-12)
+    assert (plus - minus)[2] == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(plus + minus, 1.0)
 
 
 def test_pair_sampling_and_exact_expectations():

@@ -18,7 +18,6 @@ from proctensor.qcore import (
 from proctensor.simulator import (
     ControlSequence,
     ControlStep,
-    ExperimentRecord,
     make_model,
     prep_step,
     rng_stream,
@@ -47,7 +46,7 @@ from proctensor.tomography import (
     qubit_states_from_expectations,
     reconstruction_fidelity,
     slot_coefficients,
-    standard_sequence,
+    standard_slots,
     step_matrix_form,
     unitary_slot,
 )
@@ -55,7 +54,7 @@ from proctensor.tomography import (
 from helpers import (channel_from_unitary, contract_via_matrix,
                      depolarizing_in_span, duals_via_frame_loop, exact_states,
                      predict_via_key_tables, preparation_channel,
-                     sampled_records, tensor_matrix)
+                     standard_sequence, tensor_matrix)
 from test_qcore import random_density_matrix
 
 
@@ -137,15 +136,13 @@ def test_radial_clip_equals_eigenvalue_truncation(direction, radius):
 
 def test_qst_mle_recovers_exact_record():
     rho = random_density_matrix(rng_stream(34, 0))
-    x = np.trace(rho @ PAULIS["X"]).real
-    y = np.trace(rho @ PAULIS["Y"]).real
-    z = np.trace(rho @ PAULIS["Z"]).real
-    rec = ExperimentRecord(
-        sequence_id="s", shots=None, seed=0,
-        counts={"X": ((1 + x) / 2, (1 - x) / 2),
-                "Y": ((1 + y) / 2, (1 - y) / 2),
-                "Z": ((1 + z) / 2, (1 - z) / 2)})
-    assert np.allclose(qst_mle(rec), rho, atol=1e-10)
+    ex = [np.trace(rho @ PAULIS[ax]).real for ax in "XYZ"]
+    counts = np.array([[(1 + e) / 2, (1 - e) / 2] for e in ex])
+    assert np.allclose(qst_mle(counts, None), rho, atol=1e-10)
+    # a stack of counts gives a stack of states
+    stack = qst_mle(np.array([[counts, counts]]), None)
+    assert stack.shape == (1, 2, 2, 2)
+    assert np.array_equal(stack[0, 1], qst_mle(counts, None))
 
 
 def test_qst_mle_converges_with_shots():
@@ -153,8 +150,9 @@ def test_qst_mle_converges_with_shots():
     basis = generate_haar_basis(3, seed=8)
     seq = standard_sequence(basis, 0, 1, 2)
     truth = run_sequence(model, seq)
-    rec = simulate_experiment(model, seq, shots=200_000, master_seed=5)
-    assert fidelity(qst_mle(rec), truth) > 0.999
+    counts = simulate_experiment(model, [(step,) for step in seq.steps],
+                                 shots=200_000, master_seed=5)
+    assert fidelity(qst_mle(counts, 200_000).reshape(2, 2), truth) > 0.999
 
 
 def test_qubit_fidelity_vectorized_matches_uhlmann():
@@ -406,8 +404,9 @@ def test_box_stats_oracle():
 def test_bootstrap_exact_records_collapse():
     model = make_model(steps=3)
     basis = generate_haar_basis(11, seed=41)
-    records = sampled_records(model, basis, shots=None, master_seed=3)
-    lo, hi, samples = bootstrap_ci(records, basis, n=10, resamples=30, seed=1)
+    counts = simulate_experiment(model, standard_slots(basis), None, 3)
+    lo, hi, samples = bootstrap_ci(counts, None, basis, n=10, resamples=30,
+                                   seed=1)
     assert hi - lo < 1e-6
     assert samples.std() < 1e-9
     point = samples[0]
@@ -417,25 +416,21 @@ def test_bootstrap_exact_records_collapse():
 def test_bootstrap_with_shots_is_deterministic_and_ordered():
     model = make_model(steps=3)
     basis = generate_haar_basis(11, seed=41)
-    records = sampled_records(model, basis, shots=400, master_seed=3)
-    lo1, hi1, s1 = bootstrap_ci(records, basis, n=10, resamples=40, seed=7)
-    lo2, hi2, s2 = bootstrap_ci(records, basis, n=10, resamples=40, seed=7)
+    counts = simulate_experiment(model, standard_slots(basis), 400, 3)
+    lo1, hi1, s1 = bootstrap_ci(counts, 400, basis, n=10, resamples=40, seed=7)
+    lo2, hi2, s2 = bootstrap_ci(counts, 400, basis, n=10, resamples=40, seed=7)
     assert (lo1, hi1) == (lo2, hi2)
     assert 0.0 <= lo1 < hi1 <= 1.0
     assert s1.std() > 0.0
     assert np.array_equal(s1, s2)
 
 
-def test_bootstrap_requires_complete_records():
+def test_bootstrap_requires_two_resamples():
     model = make_model(steps=3)
     basis = generate_haar_basis(11, seed=41)
-    records = sampled_records(model, basis, shots=None, master_seed=3)
-    records.pop((0, 0, 0))
-    with pytest.raises(ValueError, match="missing"):
-        bootstrap_ci(records, basis, n=10, resamples=5, seed=0)
+    counts = simulate_experiment(model, standard_slots(basis), None, 3)
     with pytest.raises(ValueError, match="resamples"):
-        bootstrap_ci(sampled_records(model, basis, None, 3), basis, 10,
-                     resamples=1, seed=0)
+        bootstrap_ci(counts, None, basis, 10, resamples=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
