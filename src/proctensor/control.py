@@ -174,12 +174,19 @@ def _predicted_joint(pt: ProcessTensor, gate: np.ndarray) -> np.ndarray:
     return mle_project(np.einsum("i,iab->ab", coeffs, pt.states))
 
 
-def decoupling_objective(pt: ProcessTensor, gate: np.ndarray) -> float:
-    """2 - purity(q1) - purity(q2) of the predicted joint output."""
-    joint = _predicted_joint(pt, gate)
+def _purity_loss(joint: np.ndarray) -> float:
     g1 = purity(partial_trace(joint, 0, (2, 2)))
     g2 = purity(partial_trace(joint, 1, (2, 2)))
     return float(max(0.0, 2.0 - g1 - g2))
+
+
+def _restoration_loss(joint: np.ndarray, env_ref: np.ndarray) -> float:
+    return float(max(0.0, 1.0 - fidelity(partial_trace(joint, 1, (2, 2)), env_ref)))
+
+
+def decoupling_objective(pt: ProcessTensor, gate: np.ndarray) -> float:
+    """2 - purity(q1) - purity(q2) of the predicted joint output."""
+    return _purity_loss(_predicted_joint(pt, gate))
 
 
 def restoration_error(pt: ProcessTensor, gate: np.ndarray,
@@ -193,8 +200,7 @@ def restoration_error(pt: ProcessTensor, gate: np.ndarray,
     repeats cleanly period after period, so this is the tensor-predictable
     proxy for periodic performance.
     """
-    pred = _predicted_joint(pt, gate)
-    return float(max(0.0, 1.0 - fidelity(partial_trace(pred, 1, (2, 2)), env_ref)))
+    return _restoration_loss(_predicted_joint(pt, gate), env_ref)
 
 
 @dataclass(frozen=True)
@@ -231,8 +237,8 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
         return decoupling_objective(pt, u3_matrix(*x))
 
     def polish(x: np.ndarray) -> float:
-        g = u3_matrix(*x)
-        return 1e3 * decoupling_objective(pt, g) + restoration_error(pt, g, ref)
+        joint = _predicted_joint(pt, u3_matrix(*x))
+        return 1e3 * _purity_loss(joint) + _restoration_loss(joint, ref)
 
     rng = rng_stream(seed, 303)
     candidates: list[tuple[float, np.ndarray]] = []
@@ -252,9 +258,8 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
         res = optimize.minimize(polish, x, method="Nelder-Mead",
                                 options={"maxiter": maxiter, "xatol": 1e-6,
                                          "fatol": 1e-10})
-        g = u3_matrix(*res.x)
-        scored.append((decoupling_objective(pt, g),
-                       restoration_error(pt, g, ref), res.x))
+        joint = _predicted_joint(pt, u3_matrix(*res.x))
+        scored.append((_purity_loss(joint), _restoration_loss(joint, ref), res.x))
     admissible = [s for s in scored if s[0] <= best_f + TIE_TOL]
     if admissible:
         pick = min(range(len(admissible)), key=lambda i: admissible[i][1])

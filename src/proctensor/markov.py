@@ -98,18 +98,31 @@ def characterize(model: SEModel, basis: ControlBasis, shots: int | None,
                           pool=basis.size, shots=shots, seed=master_seed)
 
 
-def predict(baseline: MarkovBaseline, i: int, j: int, k: int) -> np.ndarray:
-    """Composed-channel prediction for the standard sequence (i, j, k).
+def predict(baseline: MarkovBaseline,
+            keys: list[tuple[int, int, int]]) -> np.ndarray:
+    """Composed-channel predictions for standard sequences (i, j, k), shape
+    ``(len(keys), 2, 2)``.
 
     The stored channels are validated once, when estimated; their
-    composition is a product of superoperators, not a new channel.
+    composition is a product of superoperators, not a new channel. Each
+    channel's superoperator is built once, ``s2 @ (s1 @ s0)`` is formed for
+    every pair of the gates the keys use, and every preparation is pushed
+    through every pair before the keys are read out.
     """
-    s0, s1, s2 = (choi_to_superop(ch.choi, 2, 2) for ch in (
-        baseline.channel(0, "I"), baseline.channel(1, f"U{j}"),
-        baseline.channel(2, f"U{k}")))
-    choi = superop_to_choi(s2 @ (s1 @ s0), 2, 2)
-    return np.einsum("satb,st->ab", choi.reshape(2, 2, 2, 2),
-                     baseline.prep_states[i])
+    i, j, k = np.array(keys, dtype=int).reshape(-1, 3).T
+
+    def superops(interval: int, labels: list[str]) -> np.ndarray:
+        return np.array([choi_to_superop(baseline.channel(interval, label).choi,
+                                         2, 2) for label in labels])
+
+    rows, pos = np.unique(np.concatenate([j, k]), return_inverse=True)
+    labels = [f"U{q}" for q in rows]
+    s10 = superops(1, labels) @ superops(0, ["I"])[0]
+    choi = superop_to_choi(superops(2, labels)[None, :] @ s10[:, None], 2, 2)
+    preds = np.einsum("jksatb,ist->ijkab",
+                      choi.reshape(len(rows), len(rows), 2, 2, 2, 2),
+                      np.array(baseline.prep_states))
+    return preds[i, pos[:len(j)], pos[len(j):]]
 
 
 @dataclass(frozen=True)
@@ -128,10 +141,10 @@ def compare_with_tensor(tensor_fids: dict[tuple[int, int, int], float],
                         states: np.ndarray,
                         baseline: MarkovBaseline) -> MarkovComparison:
     """Score the baseline on the sequences the tensor was scored on."""
-    markov_fids = {}
-    for (i, j, k) in tensor_fids:
-        markov_fids[(i, j, k)] = fidelity(predict(baseline, i, j, k),
-                                          states[i, j, k])
+    keys = list(tensor_fids)
+    i, j, k = np.array(keys, dtype=int).reshape(-1, 3).T
+    fids = fidelity(predict(baseline, keys), states[i, j, k])
+    markov_fids = dict(zip(keys, fids.tolist()))
     return MarkovComparison(
         tensor_fids=dict(tensor_fids), markov_fids=markov_fids,
         tensor_stats=box_stats(np.array(list(tensor_fids.values()))),

@@ -45,6 +45,19 @@ class NumericalError(RuntimeError):
     """An iterative numerical routine failed to produce a usable result."""
 
 
+class PhysicalityError(NumericalError, ValueError):
+    """A matrix failed a physicality guard: not Hermitian, materially
+    negative, wrong trace, or traceless where a state is needed."""
+
+
+def stack_index(bad: np.ndarray) -> str:
+    """`` (i, j, ...)``, the first True index of a stack's failure mask,
+    or an empty string for a single matrix (a 0-d mask)."""
+    if np.ndim(bad) == 0:
+        return ""
+    return " " + str(tuple(int(i) for i in np.argwhere(bad)[0]))
+
+
 def ket_dm(vec: np.ndarray) -> np.ndarray:
     """Density matrix of a (normalized) pure state vector."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
@@ -55,33 +68,29 @@ def check_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
     """Validate a density matrix, or a stack of them, as a complex ndarray.
 
     Requires square Hermitian matrices, positive semidefinite within
-    ``EIG_CLAMP_TOL``, with unit trace. Raises ValueError on violation; for
-    a stack of shape ``(..., d, d)`` the message names the first offending
-    index.
+    ``EIG_CLAMP_TOL``, with unit trace. Raises PhysicalityError on
+    violation (ValueError for a non-square shape); for a stack of shape
+    ``(..., d, d)`` the message names the first offending index.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {rho.shape}")
-
-    def where(bad: np.ndarray) -> str:
-        if rho.ndim == 2:
-            return name
-        return f"{name} {tuple(int(i) for i in np.argwhere(bad)[0])}"
-
     # whole-stack reductions first; per-matrix ones only to name a failure
     asym = np.abs(rho - rho.conj().swapaxes(-1, -2))
     if asym.max() > HERMITIAN_TOL:
         bad = asym.max(axis=(-2, -1)) > HERMITIAN_TOL
-        raise ValueError(f"{where(bad)} is not Hermitian within {HERMITIAN_TOL}")
+        raise PhysicalityError(f"{name}{stack_index(bad)} is not Hermitian "
+                               f"within {HERMITIAN_TOL}")
     low = np.linalg.eigvalsh(rho)[..., 0]  # eigenvalues come ascending
     if low.min() < -EIG_CLAMP_TOL:
         bad = low < -EIG_CLAMP_TOL
-        raise ValueError(f"{where(bad)} has negative eigenvalue "
-                         f"{low[bad][0]:.3e}")
+        raise PhysicalityError(f"{name}{stack_index(bad)} has negative "
+                               f"eigenvalue {low[bad][0]:.3e}")
     tr = rho.trace(axis1=-2, axis2=-1).real
     if np.abs(tr - 1.0).max() > TRACE_TOL:
         bad = np.abs(tr - 1.0) > TRACE_TOL
-        raise ValueError(f"{where(bad)} trace {float(tr[bad][0])} != 1")
+        raise PhysicalityError(f"{name}{stack_index(bad)} trace "
+                               f"{float(tr[bad][0])} != 1")
     return rho
 
 
@@ -97,18 +106,24 @@ def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL, name: str = "matrix")
 
 def clamp_spectrum(evals: np.ndarray, tol: float = EIG_CLAMP_TOL,
                    name: str = "matrix") -> np.ndarray:
-    """Zero out tiny negative eigenvalues; raise if any are materially negative."""
+    """Zero out tiny negative eigenvalues of a spectrum ``(..., d)``; raise
+    PhysicalityError, naming the first offending stack index, if any are
+    materially negative."""
     evals = np.asarray(evals, dtype=float)
     if evals.min() < -tol:
-        raise ValueError(f"{name} eigenvalue {evals.min():.3e} below -{tol}")
+        low = evals.min(axis=-1)
+        bad = low < -tol
+        raise PhysicalityError(f"{name}{stack_index(bad)} eigenvalue "
+                               f"{low[bad][0]:.3e} below -{tol}")
     return np.clip(evals, 0.0, None)
 
 
 def psd_sqrt(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Hermitian square root of a PSD matrix via eigendecomposition."""
+    """Hermitian square root of a PSD matrix, or of each matrix of a
+    ``(..., d, d)`` stack, via eigendecomposition."""
     evals, vecs = np.linalg.eigh(mat)
     evals = clamp_spectrum(evals, name=name)
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
+    return (vecs * np.sqrt(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +268,11 @@ def choi_to_superop(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
 
 
 def superop_to_choi(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    s4 = superop.reshape(dim_out, dim_out, dim_in, dim_in)
-    return s4.transpose(2, 0, 3, 1).reshape(dim_in * dim_out, dim_in * dim_out)
+    """Choi matrix of a superoperator, or of each of a ``(..., D, D)`` stack."""
+    lead = superop.shape[:-2]
+    s4 = superop.reshape(lead + (dim_out, dim_out, dim_in, dim_in))
+    return np.einsum("...abcd->...cadb", s4).reshape(
+        lead + (dim_in * dim_out, dim_in * dim_out))
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +291,13 @@ def purity(rho: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", rho, rho).real)
 
 
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+def fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity ``[tr sqrt(sqrt(a) b sqrt(a))]^2``.
 
     Symmetric in its arguments and 1 iff the states are equal. Tiny negative
     eigenvalues of the inner product (within EIG_CLAMP_TOL) are clamped to
-    zero; anything more negative raises.
+    zero; anything more negative raises. A float for one pair of states, an
+    array for two ``(..., d, d)`` stacks of them.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -287,8 +306,10 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     sa = psd_sqrt(a, name="state a")
     inner = sa @ b @ sa
     evals = clamp_spectrum(np.linalg.eigvalsh(inner), name="fidelity inner product")
-    f = float(np.sum(np.sqrt(evals)) ** 2)
-    return min(max(f, 0.0), 1.0)
+    # squared through C pow, as np.float64 ** 2 does, not as x * x
+    f = np.float_power(np.sum(np.sqrt(evals), axis=-1), 2.0)
+    f = np.minimum(np.maximum(f, 0.0), 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
 def partial_trace(rho: np.ndarray, keep: int, dims: tuple[int, ...]) -> np.ndarray:

@@ -46,11 +46,13 @@ from .qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PhysicalityError,
     QuantumChannel,
     check_density_matrix,
     choi_input_marginal,
     fidelity,
     ket_dm,
+    stack_index,
     superop_to_choi,
 )
 from .simulator import (
@@ -74,12 +76,17 @@ CI_ALPHA = 0.05  # every bootstrap interval is two-sided at 95%
 # Single-qubit state tomography
 # ---------------------------------------------------------------------------
 
-def linear_inversion_qubit(x: float, y: float, z: float) -> np.ndarray:
+def linear_inversion_qubit(x: float | np.ndarray, y: float | np.ndarray,
+                           z: float | np.ndarray) -> np.ndarray:
+    """``(I + x X + y Y + z Z) / 2`` for Bloch components given as scalars or
+    as arrays of one shape; the matrices stack on trailing axes (..., 2, 2)."""
+    x, y, z = (np.asarray(v)[..., None, None] for v in (x, y, z))
     return 0.5 * (ID2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
 
 
 def mle_project(rho: np.ndarray) -> np.ndarray:
-    """Nearest physical state by eigenvalue truncation.
+    """Nearest physical state by eigenvalue truncation, for one matrix or
+    for each matrix of a ``(..., d, d)`` stack.
 
     Rescales the trace to one, then walks the spectrum from the smallest
     eigenvalue: negative eigenvalues are zeroed and their weight spread
@@ -87,23 +94,30 @@ def mle_project(rho: np.ndarray) -> np.ndarray:
     least-squares projection.
     """
     rho = np.asarray(rho, dtype=complex)
-    tr = rho.trace()
-    if abs(tr) < 1e-12:
-        raise ValueError("cannot project a traceless matrix")
-    rho = rho / tr
-    evals, vecs = np.linalg.eigh(rho)
-    order = np.argsort(evals)[::-1]
-    mu = evals[order].astype(float)
-    vecs = vecs[:, order]
-    acc = 0.0
-    for i in range(len(mu) - 1, -1, -1):
-        if mu[i] + acc / (i + 1) < 0:
-            acc += mu[i]
-            mu[i] = 0.0
-        else:
-            mu[: i + 1] += acc / (i + 1)
-            break
-    return (vecs * mu) @ vecs.conj().T
+    tr = rho.trace(axis1=-2, axis2=-1)
+    traceless = np.abs(tr) < 1e-12
+    if traceless.any():
+        raise PhysicalityError(f"cannot project a traceless matrix"
+                               f"{stack_index(traceless)}")
+    evals, vecs = np.linalg.eigh(rho / tr[..., None, None])
+    # eigh sorts ascending, so the walk from the smallest eigenvalue runs
+    # forward: with acc[t] = 0.0 + evals[0] + ... + evals[t-1], evals[t] is
+    # zeroed while evals[t] + acc[t] / (d - t) < 0, and at the first t where
+    # it is not, acc[t] / (d - t) is added to evals[t:]
+    d = evals.shape[-1]
+    acc = np.zeros_like(evals)
+    acc[..., 1:] = evals[..., :-1]
+    np.add.accumulate(acc, axis=-1, out=acc)
+    cand = acc / np.arange(d, 0, -1.0)
+    keep = ~(evals + cand < 0)
+    shift = cand[..., -1]
+    for t in reversed(range(d - 1)):
+        shift = np.where(keep[..., t], cand[..., t], shift)
+    mu = np.where(np.logical_or.accumulate(keep, axis=-1),
+                  evals + shift[..., None], 0.0)
+    # the product sums the eigenvalues largest first
+    mu, vecs = mu[..., ::-1], vecs[..., ::-1]
+    return (vecs * mu[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def qst_mle(counts: np.ndarray, shots: int | None) -> np.ndarray:
@@ -114,10 +128,7 @@ def qst_mle(counts: np.ndarray, shots: int | None) -> np.ndarray:
     probabilities. Returns the states, shape ``(..., 2, 2)``.
     """
     ex = (counts[..., 0] - counts[..., 1]) / (shots or 1)
-    states = np.empty(ex.shape[:-1] + (2, 2), dtype=complex)
-    for idx in np.ndindex(ex.shape[:-1]):
-        states[idx] = mle_project(linear_inversion_qubit(*ex[idx]))
-    return states
+    return mle_project(linear_inversion_qubit(ex[..., 0], ex[..., 1], ex[..., 2]))
 
 
 def measure_grid(model: SEModel, slots: Sequence[Sequence[ControlStep]],
@@ -336,8 +347,10 @@ def build_standard_tensor(states: np.ndarray, basis: ControlBasis,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def reconstruction_fidelity(prediction: np.ndarray, measured: np.ndarray) -> float:
-    """Uhlmann fidelity between the projected prediction and the estimate."""
+def reconstruction_fidelity(prediction: np.ndarray,
+                            measured: np.ndarray) -> float | np.ndarray:
+    """Uhlmann fidelity between the projected prediction and the estimate,
+    for one pair or for two ``(..., d, d)`` stacks of them."""
     pred = mle_project(prediction)
     meas = check_density_matrix(measured, name="measured state")
     return fidelity(pred, meas)
@@ -412,11 +425,12 @@ def prediction_fidelities(pt: ProcessTensor, basis: ControlBasis,
                           states: np.ndarray, keys: list[tuple[int, int, int]],
                           ) -> dict[tuple[int, int, int], float]:
     """Fidelity of the tensor's prediction with the measured state, per key."""
-    rows = sorted({j for _, j, _ in keys} | {k for _, _, k in keys})
-    pos = {row: q for q, row in enumerate(rows)}
+    i, j, k = np.array(keys, dtype=int).reshape(-1, 3).T
+    rows, pos = np.unique(np.concatenate([j, k]), return_inverse=True)
     preds = predict_batch(pt, pool_coefficients(pt, basis, rows))
-    return {(i, j, k): reconstruction_fidelity(preds[i, pos[j], pos[k]], states[i, j, k])
-            for i, j, k in keys}
+    fids = reconstruction_fidelity(preds[i, pos[:len(j)], pos[len(j):]],
+                                   states[i, j, k])
+    return dict(zip(keys, fids.tolist()))
 
 
 def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int) -> EvalResult:

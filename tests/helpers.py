@@ -5,15 +5,15 @@ import numpy as np
 from proctensor.basis import (PINV_RCOND, PrepOp, hermitian_frame,
                               standard_preparations)
 from proctensor.memory import binary_channel_mi
-from proctensor.qcore import (ID2, KET0, PAULI_SETTINGS, PAULIS,
+from proctensor.qcore import (EIG_CLAMP_TOL, ID2, KET0, PAULI_SETTINGS, PAULIS,
                               QuantumChannel, apply_channel,
-                              check_density_matrix, check_unitary, fidelity,
-                              ket_dm, partial_trace, purity, u3_matrix,
-                              unitary_choi)
+                              check_density_matrix, check_unitary,
+                              choi_to_superop, fidelity, ket_dm, partial_trace,
+                              purity, superop_to_choi, u3_matrix, unitary_choi)
 from proctensor.simulator import (AXES, PAIR_SETTINGS, ControlSequence,
                                   ControlStep, prep_step, rng_stream,
                                   simulate_grid, unitary_step)
-from proctensor.tomography import (contract_fast, linear_inversion_qubit,
+from proctensor.tomography import (contract_fast,
                                    mle_project, pool_coefficients,
                                    standard_slots, step_matrix_form)
 
@@ -227,12 +227,64 @@ def experiment_oracle(model, seq, shots, master_seed, record_index):
     return state, np.array(counts)
 
 
+def mle_project_oracle(rho):
+    """One matrix's eigenvalue-truncation walk, one eigenvalue at a time.
+    ``tomography.mle_project`` must equal it bit for bit, alone and on a
+    stack."""
+    rho = np.asarray(rho, dtype=complex)
+    tr = rho.trace()
+    if abs(tr) < 1e-12:
+        raise ValueError("cannot project a traceless matrix")
+    rho = rho / tr
+    evals, vecs = np.linalg.eigh(rho)
+    order = np.argsort(evals)[::-1]
+    mu = evals[order].astype(float)
+    vecs = vecs[:, order]
+    acc = 0.0
+    for i in range(len(mu) - 1, -1, -1):
+        if mu[i] + acc / (i + 1) < 0:
+            acc += mu[i]
+            mu[i] = 0.0
+        else:
+            mu[: i + 1] += acc / (i + 1)
+            break
+    return (vecs * mu) @ vecs.conj().T
+
+
+def fidelity_oracle(a, b):
+    """One pair's Uhlmann fidelity through two eigendecompositions, as a
+    Python float. ``qcore.fidelity`` must equal it bit for bit, alone and
+    on a stack."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    evals, vecs = np.linalg.eigh(a)
+    assert evals.min() >= -EIG_CLAMP_TOL
+    sa = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+    evals = np.linalg.eigvalsh(sa @ b @ sa)
+    assert evals.min() >= -EIG_CLAMP_TOL
+    f = float(np.sum(np.sqrt(np.clip(evals, 0.0, None))) ** 2)
+    return min(max(f, 0.0), 1.0)
+
+
 def qst_oracle(counts, shots):
     """One sequence's state estimate from its (3, 2) counts, one axis at
     a time in Python scalars."""
     x, y, z = (float(plus - minus) / (shots if shots else 1.0)
                for plus, minus in counts.tolist())
-    return mle_project(linear_inversion_qubit(x, y, z))
+    return mle_project_oracle(0.5 * (ID2 + x * PAULIS["X"] + y * PAULIS["Y"]
+                                     + z * PAULIS["Z"]))
+
+
+def markov_predict_oracle(baseline, i, j, k):
+    """One standard sequence's composed-channel prediction: the three
+    superoperators built for this key alone and multiplied, then applied
+    to the preparation. ``markov.predict`` must equal it bit for bit."""
+    s0, s1, s2 = (choi_to_superop(ch.choi, 2, 2) for ch in (
+        baseline.channel(0, "I"), baseline.channel(1, f"U{j}"),
+        baseline.channel(2, f"U{k}")))
+    choi = superop_to_choi(s2 @ (s1 @ s0), 2, 2)
+    return np.einsum("satb,st->ab", choi.reshape(2, 2, 2, 2),
+                     baseline.prep_states[i])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from proctensor import harness
+from proctensor import harness, qcore
 from proctensor.cli import handle_errors, main
 from proctensor.harness import ResultsStore
 from proctensor.qcore import NumericalError
@@ -143,6 +143,20 @@ def test_numerical_failures_exit_3(runner):
     result = runner.invoke(boom, [])
     assert result.exit_code == 3
     assert "numerical failure: optimizer diverged" in result.output
+
+
+def test_physicality_failure_exits_3(runner, tmp_path, monkeypatch):
+    # force the trace guard to reject every state the evaluate stage checks
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "x", "pool_size": 11,
+                                "basis_size": 10, "shots": 400}))
+    args = ["run-plan", "--plan", str(plan), "--out", str(tmp_path / "store")]
+    assert runner.invoke(main, args + ["--stage", "characterize"]).exit_code == 0
+    monkeypatch.setattr(qcore, "TRACE_TOL", -1.0)
+    result = runner.invoke(main, args + ["--stage", "evaluate"])
+    assert result.exit_code == 3, result.output
+    assert "numerical failure: " in result.output
+    assert "trace 1.0 != 1" in result.output
 
 
 def test_run_plan_report_roundtrip(runner, tmp_path):

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from proctensor.harness import ExperimentPlan, ResultsStore, report, run_plan
+from proctensor.harness import (ExperimentPlan, ResultsStore, load_plan, report,
+                               run_plan)
 
 from helpers import assert_csv_close, assert_json_close
 
@@ -71,3 +72,15 @@ def test_identical_plans_are_bit_exact(golden_run, tmp_path):
     assert first == second
     for name, path in written.items():
         assert rewritten[name].read_bytes() == path.read_bytes()
+
+
+QUICKSTART_FINGERPRINT = \
+    "aa3f54442e7bb771e62fa8814b82bae78b639c189f5abce41f0f2be0002ff9e6"
+
+
+def test_quickstart_store_fingerprint_is_pinned(tmp_path):
+    # the whole store of the README plan, every payload bit included
+    plan = load_plan(Path(__file__).parents[1] / "plans" / "quickstart.json")
+    store = ResultsStore(tmp_path / "store")
+    run_plan(plan, store)
+    assert store.payload_fingerprint() == QUICKSTART_FINGERPRINT

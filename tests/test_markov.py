@@ -93,10 +93,9 @@ def test_coupled_surrogate_breaks_composition(basis):
 def test_predictions_are_physical(basis):
     model = make_model(steps=3, duration_ns=2500.0)
     mb = characterize(model, basis, shots=None, master_seed=1)
-    for key in [(0, 0, 0), (3, 11, 7), (2, 5, 5)]:
-        check_density_matrix(predict(mb, *key))
+    check_density_matrix(predict(mb, [(0, 0, 0), (3, 11, 7), (2, 5, 5)]))
     with pytest.raises(KeyError, match="no channel"):
-        predict(mb, 0, 12, 0)
+        predict(mb, [(0, 12, 0)])
 
 
 def test_characterize_deterministic_with_shots(basis):

@@ -1,0 +1,232 @@
+"""The stacked qubit numerics equal their per-matrix forms bit for bit.
+
+``mle_project`` and ``fidelity`` take one matrix or a ``(..., d, d)``
+stack, and the grid stages call them once per grid. The per-matrix forms
+they replace live in ``helpers`` as oracles; every stored number depends
+on the two agreeing to the last bit, so values are compared as raw bits.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from proctensor.basis import generate_haar_basis
+from proctensor.markov import characterize, compare_with_tensor, predict
+from proctensor.qcore import (
+    NumericalError,
+    PhysicalityError,
+    check_density_matrix,
+    clamp_spectrum,
+    fidelity,
+    ket_dm,
+)
+from proctensor.simulator import make_model, rng_stream, simulate_experiment
+from proctensor.tomography import (
+    build_standard_tensor,
+    mle_project,
+    pool_coefficients,
+    predict_batch,
+    prediction_fidelities,
+    qst_mle,
+    standard_slots,
+)
+
+from helpers import (fidelity_oracle, markov_predict_oracle,
+                     mle_project_oracle, qst_oracle)
+from test_qcore import random_density_matrix
+
+KINDS = ("indefinite", "sparse", "mixed", "pure", "diagonal")
+
+
+def bits(a):
+    """Raw bits of a complex or real array, for exact comparison."""
+    return np.asarray(a).view(np.int64)
+
+
+def _matrix(rng, d, kind):
+    """A trace-one Hermitian d x d matrix of the given kind; all but
+    "indefinite" and "sparse" are physical states."""
+    if kind == "pure":  # rank one, some amplitudes exactly zero
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v[1:][rng.random(d - 1) < 0.3] = 0.0
+        return ket_dm(v / np.linalg.norm(v))
+    if kind == "mixed":
+        return random_density_matrix(rng, d)
+    if kind == "diagonal":  # exact zero eigenvalues
+        p = rng.dirichlet(np.ones(d))
+        p[1:][rng.random(d - 1) < 0.4] = 0.0
+        return np.diag(p / p.sum()).astype(complex)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if kind == "sparse":  # exact zero entries, mirrored
+        h[np.triu(rng.random((d, d)) < 0.4, 1)] = 0.0
+    h = np.tril(h, -1) + np.diag(h.diagonal().real)
+    h = h + h.conj().T - np.diag(h.diagonal())
+    return h + (1.0 - h.trace().real) / d * np.eye(d)  # negative eigenvalues
+
+
+def _with_signed_zeros(rng, m):
+    """Flip the sign of random real and imaginary parts that are exactly
+    zero: the same matrix, written with -0.0."""
+    parts = m.copy().view(np.float64)
+    flip = (parts == 0.0) & (rng.random(parts.shape) < 0.5)
+    parts[flip] = -0.0
+    return parts.view(complex)
+
+
+def _stack(rng, d, shape, kinds, signed_zeros):
+    mats = np.empty(shape + (d, d), dtype=complex)
+    for idx in np.ndindex(shape):
+        m = _matrix(rng, d, kinds[rng.integers(len(kinds))])
+        mats[idx] = _with_signed_zeros(rng, m) if signed_zeros else m
+    return mats
+
+
+stacks = dict(
+    d=st.sampled_from([2, 4]),
+    shape=st.sampled_from([(), (1,), (7,), (2, 3)]),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4, unique=True),
+    signed_zeros=st.booleans(),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(**stacks)
+def test_mle_project_equals_per_matrix_walk(d, shape, kinds, signed_zeros,
+                                            draw_seed):
+    rho = _stack(rng_stream(draw_seed, 0), d, shape, kinds, signed_zeros)
+    got = mle_project(rho)
+    assert got.shape == rho.shape
+    for idx in np.ndindex(shape):
+        want = mle_project_oracle(rho[idx])
+        assert np.array_equal(bits(got[idx]), bits(want)), idx
+        assert np.array_equal(bits(mle_project(rho[idx])), bits(want)), idx
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(**stacks)
+def test_fidelity_equals_per_pair_form(d, shape, kinds, signed_zeros,
+                                       draw_seed):
+    rng = rng_stream(draw_seed, 1)
+    physical = [k for k in kinds if k in ("mixed", "pure", "diagonal")] or ["pure"]
+    a = _stack(rng, d, shape, physical, signed_zeros)
+    b = _stack(rng, d, shape, physical, signed_zeros)
+    if rng.random() < 0.3:
+        b = a.copy()  # equal states: the fidelity clips at one
+    got = fidelity(a, b)
+    if shape == ():
+        assert type(got) is float
+    else:
+        assert got.shape == shape
+    got = np.asarray(got, dtype=float)
+    for idx in np.ndindex(shape):
+        want = fidelity_oracle(a[idx], b[idx])
+        assert bits(got[idx]) == bits(np.float64(want)), idx
+        assert bits(np.float64(fidelity(a[idx], b[idx]))) == \
+            bits(np.float64(want)), idx
+
+
+def test_fidelity_squares_like_the_scalar_form():
+    # np.float64 ** 2 rounds through C pow, an array ** 2 as x * x; the two
+    # differ in about one square in a thousand, so check a large stack
+    rng = rng_stream(40, 0)
+    a = _stack(rng, 2, (4000,), ["mixed"], False)
+    b = _stack(rng, 2, (4000,), ["mixed", "pure"], False)
+    want = np.array([fidelity_oracle(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(bits(fidelity(a, b)), bits(want))
+
+
+@pytest.mark.parametrize("shots", [1600, None])
+def test_qst_mle_equals_per_sequence_loop(shots):
+    rng = rng_stream(41, 0)
+    shape = (3, 5, 4, 3)
+    if shots is None:
+        plus = rng.uniform(-0.1, 1.1, size=shape)  # outside the ball too
+        counts = np.stack([plus, 1.0 - plus], axis=-1)
+    else:
+        plus = rng.integers(0, shots + 1, size=shape)
+        plus[0, 0, 0] = (shots, shots, shots)  # far outside the Bloch ball
+        plus[0, 0, 1] = (0, shots // 2, shots)
+        counts = np.stack([plus, shots - plus], axis=-1)
+    got = qst_mle(counts, shots)
+    assert got.shape == shape[:-1] + (2, 2)
+    for idx in np.ndindex(shape[:-1]):
+        assert np.array_equal(bits(got[idx]), bits(qst_oracle(counts[idx], shots)))
+
+
+@pytest.fixture(scope="module")
+def sampled_grid():
+    """A 1600-shot standard grid and its QST states (pool 14)."""
+    model = make_model(steps=3, duration_ns=2500.0, env_init="plus")
+    basis = generate_haar_basis(14, seed=17)
+    counts = simulate_experiment(model, standard_slots(basis), 1600, 3)
+    return model, basis, qst_mle(counts, 1600)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_prediction_fidelities_equal_per_key_loop(sampled_grid, n):
+    # the grid prediction kernel has its own oracle test; its output is the
+    # input here, and each key is projected and scored one at a time
+    _, basis, states = sampled_grid
+    pt = build_standard_tensor(states, basis, n)
+    keys = [(i, j, k) for i in range(4) for j in range(basis.size)
+            for k in range(basis.size) if j >= n or k >= n]
+    got = prediction_fidelities(pt, basis, states, keys)
+    assert list(got) == keys
+    preds = predict_batch(pt, pool_coefficients(pt, basis, range(basis.size)))
+    want = []
+    for i, j, k in keys:
+        check_density_matrix(states[i, j, k])
+        want.append(fidelity_oracle(mle_project_oracle(preds[i, j, k]),
+                                    states[i, j, k]))
+    assert np.array_equal(bits(np.array(list(got.values()))), bits(np.array(want)))
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2])
+def test_compare_with_tensor_equals_per_key_loop(sampled_grid, master_seed):
+    model, basis, states = sampled_grid
+    mb = characterize(model, basis, shots=1600, master_seed=master_seed)
+    keys = [(i, j, k) for i in range(4) for j in range(8, basis.size)
+            for k in range(basis.size)]
+    tensor_fids = dict.fromkeys(keys, 1.0)
+    cmp_ = compare_with_tensor(tensor_fids, states, mb)
+    assert list(cmp_.markov_fids) == keys
+    preds = predict(mb, keys)
+    for key, got_pred, got_fid in zip(keys, preds, cmp_.markov_fids.values()):
+        want = markov_predict_oracle(mb, *key)
+        assert np.array_equal(bits(got_pred), bits(want)), key
+        assert bits(np.float64(got_fid)) == \
+            bits(np.float64(fidelity_oracle(want, states[key]))), key
+
+
+# ---------------------------------------------------------------------------
+# physicality guards
+# ---------------------------------------------------------------------------
+
+def test_physicality_error_is_numerical_and_value_error():
+    assert issubclass(PhysicalityError, NumericalError)
+    assert issubclass(PhysicalityError, ValueError)
+
+
+def test_stacked_guards_name_the_offending_index():
+    states = np.broadcast_to(np.eye(2, dtype=complex) / 2, (2, 3, 2, 2)).copy()
+    bad = states.copy()
+    bad[1, 2] = [[0.5, 0.0], [0.0, -0.5]]  # traceless
+    with pytest.raises(PhysicalityError, match=r"traceless matrix \(1, 2\)"):
+        mle_project(bad)
+    bad[1, 2] = np.diag([0.3, 0.3])
+    with pytest.raises(PhysicalityError, match=r"state \(1, 2\) trace 0.6"):
+        check_density_matrix(bad)
+    spectra = np.full((4, 2), 0.5)
+    spectra[3] = (1.2, -0.2)
+    with pytest.raises(PhysicalityError, match=r"\(3,\) eigenvalue -2"):
+        clamp_spectrum(spectra)
+    neg = states.copy()
+    neg[0, 1] = np.diag([1.2, -0.2])
+    with pytest.raises(PhysicalityError, match=r"state a \(0, 1\)"):
+        fidelity(neg, states)
+    # a single matrix names no index
+    with pytest.raises(PhysicalityError, match="^cannot project a traceless matrix$"):
+        mle_project(np.diag([0.5, -0.5]))
