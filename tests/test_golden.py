@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from proctensor.harness import (ExperimentPlan, ResultsStore, load_plan, report,
-                               run_plan)
+from proctensor.harness import (ExperimentPlan, ResultsStore, load_plan,
+                               plan_from_dict, report, run_plan)
 
 from helpers import assert_csv_close, assert_json_close
 
@@ -74,13 +74,23 @@ def test_identical_plans_are_bit_exact(golden_run, tmp_path):
         assert rewritten[name].read_bytes() == path.read_bytes()
 
 
-QUICKSTART_FINGERPRINT = \
-    "aa3f54442e7bb771e62fa8814b82bae78b639c189f5abce41f0f2be0002ff9e6"
+QUICKSTART = Path(__file__).parents[1] / "plans" / "quickstart.json"
+# a small plan whose store holds a Markov comparison payload
+MARKOV_PLAN = {"name": "mk", "pool_size": 12, "basis_size": 10, "shots": 1600,
+               "resamples": 20, "master_seed": 3, "duration_ns": 2500.0,
+               "env_init": "plus",
+               "stages": ["characterize", "evaluate", "markov"]}
 
 
-def test_quickstart_store_fingerprint_is_pinned(tmp_path):
-    # the whole store of the README plan, every payload bit included
-    plan = load_plan(Path(__file__).parents[1] / "plans" / "quickstart.json")
+@pytest.mark.parametrize("plan_of, fingerprint", [
+    (lambda: load_plan(QUICKSTART),
+     "aa3f54442e7bb771e62fa8814b82bae78b639c189f5abce41f0f2be0002ff9e6"),
+    (lambda: plan_from_dict(MARKOV_PLAN),
+     "88d25ef1f60a72304b10ebda152e446578f665209ebc2b5ededc755414f8459a"),
+], ids=["quickstart", "markov"])
+def test_quickstart_store_fingerprint_is_pinned(tmp_path, plan_of, fingerprint):
+    # the whole store of the plan, every payload bit included
+    plan = plan_of()
     store = ResultsStore(tmp_path / "store")
     run_plan(plan, store)
-    assert store.payload_fingerprint() == QUICKSTART_FINGERPRINT
+    assert store.payload_fingerprint() == fingerprint
