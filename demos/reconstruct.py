@@ -24,7 +24,7 @@ states = qst_mle(counts, SHOTS)
 for n in (10, 12):
     res = evaluate_split(states, basis, n)
     print(f"basis size {n}: median held-out infidelity "
-          f"{1.0 - res.stats.median:.2e} over {len(res.fidelities)} sequences")
+          f"{1.0 - res.stats.median:.2e} over {res.fidelities.size} sequences")
 
 perm = overlap_order(basis)
 plain = evaluate_split(states, basis, 10)

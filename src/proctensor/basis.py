@@ -35,7 +35,6 @@ from .qcore import (
 )
 
 PINV_RCOND = 1e-10
-DUAL_TOL = 1e-8
 RESTRICTED_SPAN_DIM = 10  # d^4 - 2 d^2 + 2 at d = 2
 MAX_POOL = 28
 

@@ -12,9 +12,11 @@ plus a text summary.
 from __future__ import annotations
 
 import csv
+import fcntl
 import functools
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from itertools import groupby
@@ -23,7 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .basis import ControlBasis, generate_haar_basis
+from .basis import MAX_POOL, ControlBasis, generate_haar_basis
 from .control import (
     XY4_CYCLE,
     build_decoupling_tensor,
@@ -42,7 +44,6 @@ from .simulator import AXES, SEModel, draw_counts, make_model, \
 from .tomography import (
     bootstrap_ci,
     build_standard_tensor,
-    enumerate_standard_keys,
     evaluate_split,
     prediction_fidelities,
     qst_mle,
@@ -56,7 +57,7 @@ STAGES = ("characterize", "evaluate", "memory", "markov", "decouple",
 STAGE_DEPS = {"evaluate": ("characterize",), "memory": ("characterize",),
               "markov": ("characterize",)}
 ENV_INITS = ("zero", "plus", "bell")
-POOL_BOUNDS = (10, 28)
+POOL_BOUNDS = (10, MAX_POOL)
 OPTIMIZER_RESTARTS = 20
 ALPHA_RANGE = (0.1, 0.8)
 
@@ -65,9 +66,9 @@ class ConfigError(ValueError):
     """Invalid plan or store input; the message names the offending field."""
 
 
-# the stored characterize grid: counts (P, pool, pool, 3, 2), shots, and the
-# QST states (P, pool, pool, 2, 2)
-Grid = tuple[np.ndarray, int | None, np.ndarray]
+# the stored characterize grid: counts (P, pool, pool, 3, 2) and the QST
+# states (P, pool, pool, 2, 2)
+Grid = tuple[np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +234,45 @@ class ResultsStore:
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / "sidecars").mkdir(exist_ok=True)
         self.records_path = self.root / "records.jsonl"
+        self._load()
+
+    def _load(self) -> None:
         self._keys: set[str] = set()
         self._records: list[dict] = []
-        if self.records_path.exists():
-            lines = self.records_path.read_text().splitlines(keepends=True)
-            if lines and not lines[-1].endswith("\n"):
-                torn = len(lines.pop().encode())
-                with self.records_path.open("r+b") as fh:
-                    fh.truncate(fh.seek(0, 2) - torn)
-            for i, line in enumerate(lines):
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise ConfigError(
-                        f"store {self.records_path}: line {i + 1} is not JSON "
-                        f"({err})") from err
-                self._check_record(doc, i)
-                self._keys.add(doc["key"])
-                self._records.append(doc)
+        self._size = 0  # bytes of records.jsonl this store has read or written
+        if not self.records_path.exists():
+            return
+        lines = self.records_path.read_text().splitlines(keepends=True)
+        if lines and not lines[-1].endswith("\n"):
+            torn = len(lines.pop().encode())
+            with self.records_path.open("r+b") as fh:
+                fh.truncate(fh.seek(0, 2) - torn)
+        for i, line in enumerate(lines):
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ConfigError(
+                    f"store {self.records_path}: line {i + 1} is not JSON "
+                    f"({err})") from err
+            self._check_record(doc, i)
+            self._keys.add(doc["key"])
+            self._records.append(doc)
+        self._size = self.records_path.stat().st_size
+
+    @contextmanager
+    def lock(self):
+        """Hold the writer lock, so that a second writer fails at once.
+        Records another writer appended since this store last read the
+        file are read first."""
+        with self.records_path.open("ab") as fh:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise ConfigError(f"store {self.root}: another run is writing "
+                                  "to it; wait for it to finish") from None
+            if self.records_path.stat().st_size != self._size:
+                self._load()
+            yield
 
     def _check_record(self, doc, line: int) -> None:
         where = f"store {self.records_path}: line {line + 1}"
@@ -291,8 +313,10 @@ class ResultsStore:
                          "stage": stage, "seed": int(seed), "key": key,
                          "created_utc": created, "payload": _jsonify(payload)})
         if docs:
-            with self.records_path.open("a") as fh:
-                fh.write("".join(_canonical(doc) + "\n" for doc in docs))
+            with self.records_path.open("ab") as fh:
+                fh.write("".join(_canonical(doc) + "\n"
+                                 for doc in docs).encode())
+                self._size = fh.tell()
             self._keys |= fresh
             self._records.extend(docs)
         return len(docs)
@@ -360,7 +384,7 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
     grid row (i, j) is written at once.
     """
     pool = basis.size
-    keys = enumerate_standard_keys(len(basis.preparations), pool)
+    keys = list(np.ndindex(len(basis.preparations), pool, pool))
     axis_keys = [[f"experiment:p{i}_u{j}_u{k}:{ax}" for ax in AXES]
                  for i, j, k in keys]
     todo = [idx for idx, row in enumerate(axis_keys)
@@ -438,7 +462,6 @@ def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
     n_prep, pool = len(basis.preparations), basis.size
     counts = np.zeros((n_prep, pool, pool, len(AXES), 2))
     seen = np.zeros(counts.shape[:-1], dtype=bool)
-    names: dict[tuple[int, int, int], str] = {}
     for line, doc in enumerate(store.records(), 1):
         p = doc["payload"]
         if doc["stage"] != "characterize" or p.get("kind") != "experiment":
@@ -447,27 +470,24 @@ def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
         if problem is not None:
             raise ConfigError(f"store {store.records_path}: line {line} is "
                               f"not an experiment record: {problem}")
-        key = tuple(p["key_ijk"])
-        name = names.setdefault(key, p["sequence_id"])
         problem = _count_problem(*p["counts"], p["shots"])
         if problem is None and p["shots"] != plan.shots:
             problem = f"shots {p['shots']} differ from the plan's {plan.shots}"
         if problem is not None:
-            raise ConfigError(f"store: sequence {name}: axis {p['axis']} "
-                              f"{problem}")
-        where = key + (AXES.index(p["axis"]),)
+            raise ConfigError(f"store: sequence {p['sequence_id']}: axis "
+                              f"{p['axis']} {problem}")
+        where = (*p["key_ijk"], AXES.index(p["axis"]))
         counts[where] = p["counts"]
         seen[where] = True
-    partial = [key for key in names if not seen[key].all()]
-    if partial:
+    stored = seen.any(axis=-1)
+    partial = np.argwhere(stored & ~seen.all(axis=-1))
+    if partial.size:
+        raise ConfigError("store: sequence p{}_u{}_u{} is missing axes; "
+                          "re-run the characterize stage".format(*partial[0]))
+    if not stored.all():
         raise ConfigError(
-            f"store: sequence {names[partial[0]]} is missing axes; "
-            "re-run the characterize stage")
-    expected = n_prep * pool * pool
-    if len(names) < expected:
-        raise ConfigError(
-            f"store: characterize stage incomplete ({expected - len(names)} "
-            f"of {expected} sequences missing); re-run it")
+            f"store: characterize stage incomplete ({(~stored).sum()} of "
+            f"{stored.size} sequences missing); re-run it")
     return counts
 
 
@@ -478,14 +498,15 @@ def _run_evaluate(plan: ExperimentPlan, store: ResultsStore,
         key = f"evaluation:n{n}"
         if store.has(key):
             continue
-        counts, shots, states = grid()
+        counts, states = grid()
         result = evaluate_split(states, basis, n)
-        lo, hi, _ = bootstrap_ci(counts, shots, basis, n,
+        lo, hi, _ = bootstrap_ci(counts, plan.shots, basis, n,
                                  resamples=plan.resamples,
                                  seed=plan.master_seed)
-        table = np.array([[i, j, k, f] for (i, j, k), f in
-                          sorted(result.fidelities.items())])
-        sidecar = store.save_array(table)
+        # one row (i, j, k, fidelity) per held-out sequence, in C order
+        i, j, k = np.indices(result.fidelities.shape).reshape(3, -1)
+        sidecar = store.save_array(np.column_stack(
+            [i, j + n, k + n, result.fidelities.ravel()]))
         payload = {"kind": "evaluation", "n": n,
                    "mean_infidelity": result.mean_infidelity,
                    "ci_lo": lo, "ci_hi": hi, **asdict(result.stats),
@@ -507,12 +528,12 @@ def _run_memory(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
         return 0
     appended = 0
     n = plan.basis_size
-    counts, shots, states = grid()
+    counts, states = grid()
     pt = build_standard_tensor(states, basis, n)
     for key, placements in todo.items():
         result = maximize_cmi(pt, placements, restarts=OPTIMIZER_RESTARTS,
                               seed=plan.master_seed)
-        interval = bootstrap_cmi(counts, shots, basis, n, placements,
+        interval = bootstrap_cmi(counts, plan.shots, basis, n, placements,
                                  result.params, resamples=plan.resamples,
                                  seed=plan.master_seed)
         payload = {"kind": "memory_bound",
@@ -531,7 +552,7 @@ def _run_markov(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
                 basis: ControlBasis, grid: Callable[[], Grid]) -> int:
     if store.has("markov:comparison"):
         return 0
-    _, _, states = grid()
+    _, states = grid()
     # the baseline runs far fewer experiments than the standard grid, so
     # give it the same total measurement budget for a fair comparison
     n_grid = len(basis.preparations) * basis.size ** 2
@@ -542,14 +563,13 @@ def _run_markov(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
                                    master_seed=plan.master_seed + 101)
     n = plan.basis_size
     pt = build_standard_tensor(states, basis, n)
-    keys = enumerate_standard_keys(len(basis.preparations), basis.size)
-    tensor_fids = prediction_fidelities(pt, basis, states, keys)
+    # both models are scored on the whole grid
+    tensor_fids = prediction_fidelities(pt, basis, states, basis.size)
     comparison = compare_with_tensor(tensor_fids, states, baseline)
-    t_vals = np.array(list(comparison.tensor_fids.values()))
-    m_vals = np.array(list(comparison.markov_fids.values()))
-    t_ci = bootstrap_median_ci(t_vals, resamples=plan.resamples,
-                               seed=plan.master_seed)
-    m_ci = bootstrap_median_ci(m_vals, resamples=plan.resamples,
+    t_ci = bootstrap_median_ci(comparison.tensor_fids,
+                               resamples=plan.resamples, seed=plan.master_seed)
+    m_ci = bootstrap_median_ci(comparison.markov_fids,
+                               resamples=plan.resamples,
                                seed=plan.master_seed + 1)
 
     payload = {"kind": "markov_comparison", "n": n,
@@ -648,34 +668,37 @@ def run_plan(plan: ExperimentPlan, store: ResultsStore,
     """Execute the plan's stages; returns appended-record counts per stage.
 
     Already-stored records are skipped, so a rerun of the same plan is a
-    no-op and an interrupted run resumes where it stopped.
+    no-op and an interrupted run resumes where it stopped. The store's
+    writer lock is held for the whole call, so a second run on the same
+    store fails instead of interleaving with this one.
     """
-    _check_manifest(plan, store)
-    ordered = resolve_stages(stages if stages is not None else plan.stages)
-    model = plan.model()
-    basis = plan.basis()
-    counts: dict[str, int] = {}
+    with store.lock():
+        _check_manifest(plan, store)
+        ordered = resolve_stages(stages if stages is not None else plan.stages)
+        model = plan.model()
+        basis = plan.basis()
+        counts: dict[str, int] = {}
 
-    @functools.cache
-    def grid() -> Grid:
-        # read and estimate the stored grid once, when a stage first needs it
-        counts = _records_from_store(plan, store, basis)
-        return counts, plan.shots, qst_mle(counts, plan.shots)
+        @functools.cache
+        def grid() -> Grid:
+            # read and estimate the stored grid once, when first needed
+            counts = _records_from_store(plan, store, basis)
+            return counts, qst_mle(counts, plan.shots)
 
-    for stage in ordered:
-        if stage == "characterize":
-            counts[stage] = _run_characterize(plan, store, model, basis)
-        elif stage == "evaluate":
-            counts[stage] = _run_evaluate(plan, store, basis, grid)
-        elif stage == "memory":
-            counts[stage] = _run_memory(plan, store, model, basis, grid)
-        elif stage == "markov":
-            counts[stage] = _run_markov(plan, store, model, basis, grid)
-        elif stage == "decouple":
-            counts[stage] = _run_decouple(plan, store, basis)
-        elif stage == "synthesize":
-            counts[stage] = _run_synthesize(plan, store, basis)
-    return counts
+        for stage in ordered:
+            if stage == "characterize":
+                counts[stage] = _run_characterize(plan, store, model, basis)
+            elif stage == "evaluate":
+                counts[stage] = _run_evaluate(plan, store, basis, grid)
+            elif stage == "memory":
+                counts[stage] = _run_memory(plan, store, model, basis, grid)
+            elif stage == "markov":
+                counts[stage] = _run_markov(plan, store, model, basis, grid)
+            elif stage == "decouple":
+                counts[stage] = _run_decouple(plan, store, basis)
+            elif stage == "synthesize":
+                counts[stage] = _run_synthesize(plan, store, basis)
+        return counts
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ measured states witnesses inter-step correlations the baseline cannot carry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .basis import ControlBasis, standard_preparations
 from .qcore import (
     ID2,
     KET0,
-    QuantumChannel,
     choi_to_superop,
     fidelity,
     ket_dm,
@@ -37,20 +37,12 @@ from .tomography import (CI_ALPHA, BoxStats, box_stats,
 
 @dataclass(frozen=True)
 class MarkovBaseline:
-    """Per-step channels keyed by (interval index, gate label)."""
+    """Per-step Choi matrices, one stack per interval: interval 0 holds the
+    channel that follows the preparation (gate I), shape (1, 4, 4), and each
+    later interval one channel per pool gate, shape (pool, 4, 4)."""
 
-    channels: dict[tuple[int, str], QuantumChannel] = field(repr=False)
-    prep_states: tuple[np.ndarray, ...] = field(repr=False)
-    pool: int
-    shots: int | None
-    seed: int
-
-    def channel(self, interval: int, label: str) -> QuantumChannel:
-        try:
-            return self.channels[(interval, label)]
-        except KeyError:
-            raise KeyError(f"no channel characterized for interval {interval}, "
-                           f"gate {label!r}") from None
+    chois: tuple[np.ndarray, ...] = field(repr=False)
+    prep_states: np.ndarray = field(repr=False)  # (4, 2, 2)
 
 
 def _single_interval_model(model: SEModel, interval: int) -> SEModel:
@@ -62,15 +54,20 @@ def _single_interval_model(model: SEModel, interval: int) -> SEModel:
                    meas_channel=None, label=f"{model.label}/interval{interval}")
 
 
-def estimate_step_channel(model: SEModel, interval: int, gate: np.ndarray,
-                          label: str, shots: int | None, master_seed: int,
-                          record_base: int = 0) -> QuantumChannel:
-    """Tomograph L_interval^gate from four-preparation experiments."""
-    steps = tuple(unitary_step(gate @ prep.gate, f"{label}.{prep.label}")
-                  for prep in standard_preparations())
+def estimate_step_channel(model: SEModel, interval: int,
+                          gates: Sequence[np.ndarray],
+                          shots: int | None, master_seed: int,
+                          record_base: int = 0) -> np.ndarray:
+    """Tomograph L_interval^gate for each of the g ``gates`` from
+    four-preparation experiments, all in one grid: gate g, preparation p is
+    record ``record_base + 4 g + p``. Returns the Choi stack (g, 4, 4), each
+    channel validated as it is built."""
+    steps = tuple(unitary_step(gate @ prep.gate)
+                  for gate in gates for prep in standard_preparations())
     outputs = measure_grid(_single_interval_model(model, interval), (steps,),
                            shots, master_seed, first_record=record_base)
-    return channel_from_prep_outputs(outputs, label)
+    return np.array([channel_from_prep_outputs(out, "markov").choi
+                     for out in outputs.reshape(len(gates), 4, 2, 2)])
 
 
 def characterize(model: SEModel, basis: ControlBasis, shots: int | None,
@@ -83,52 +80,36 @@ def characterize(model: SEModel, basis: ControlBasis, shots: int | None,
     """
     if model.meas_channel is not None:
         raise ValueError("the composable baseline assumes ideal readout")
-    channels: dict[tuple[int, str], QuantumChannel] = {}
-    rec = 0
-    channels[(0, "I")] = estimate_step_channel(model, 0, ID2, "I", shots,
-                                               master_seed, rec)
-    rec += 4
-    for m in range(1, model.steps):
-        for j in range(basis.size):
-            channels[(m, f"U{j}")] = estimate_step_channel(
-                model, m, basis.unitaries[j], f"U{j}", shots, master_seed, rec)
-            rec += 4
-    return MarkovBaseline(channels=channels,
-                          prep_states=tuple(p.state for p in standard_preparations()),
-                          pool=basis.size, shots=shots, seed=master_seed)
+    chois, rec = [], 0
+    for m in range(model.steps):
+        gates = (ID2,) if m == 0 else basis.unitaries
+        chois.append(estimate_step_channel(model, m, gates, shots,
+                                           master_seed, rec))
+        rec += 4 * len(gates)
+    return MarkovBaseline(chois=tuple(chois), prep_states=np.array(
+        [p.state for p in standard_preparations()]))
 
 
-def predict(baseline: MarkovBaseline,
-            keys: list[tuple[int, int, int]]) -> np.ndarray:
-    """Composed-channel predictions for standard sequences (i, j, k), shape
-    ``(len(keys), 2, 2)``.
+def predict(baseline: MarkovBaseline, m: int) -> np.ndarray:
+    """Composed-channel predictions (P, m, m, 2, 2) for every preparation and
+    every pair of the last m pool gates.
 
     The stored channels are validated once, when estimated; their
-    composition is a product of superoperators, not a new channel. Each
-    channel's superoperator is built once, ``s2 @ (s1 @ s0)`` is formed for
-    every pair of the gates the keys use, and every preparation is pushed
-    through every pair before the keys are read out.
+    composition is a product of superoperators, not a new channel:
+    ``s2 @ (s1 @ s0)`` is formed for every pair of gates, and every
+    preparation is pushed through every pair.
     """
-    i, j, k = np.array(keys, dtype=int).reshape(-1, 3).T
-
-    def superops(interval: int, labels: list[str]) -> np.ndarray:
-        return np.array([choi_to_superop(baseline.channel(interval, label).choi,
-                                         2, 2) for label in labels])
-
-    rows, pos = np.unique(np.concatenate([j, k]), return_inverse=True)
-    labels = [f"U{q}" for q in rows]
-    s10 = superops(1, labels) @ superops(0, ["I"])[0]
-    choi = superop_to_choi(superops(2, labels)[None, :] @ s10[:, None], 2, 2)
-    preds = np.einsum("jksatb,ist->ijkab",
-                      choi.reshape(len(rows), len(rows), 2, 2, 2, 2),
-                      np.array(baseline.prep_states))
-    return preds[i, pos[:len(j)], pos[len(j):]]
+    s0, s1, s2 = (choi_to_superop(c, 2, 2) for c in baseline.chois)
+    s10 = s1[-m:] @ s0[0]
+    choi = superop_to_choi(s2[None, -m:] @ s10[:, None], 2, 2)
+    return np.einsum("jksatb,ist->ijkab", choi.reshape(m, m, 2, 2, 2, 2),
+                     baseline.prep_states)
 
 
 @dataclass(frozen=True)
 class MarkovComparison:
-    tensor_fids: dict[tuple[int, int, int], float]
-    markov_fids: dict[tuple[int, int, int], float]
+    tensor_fids: np.ndarray  # (P, m, m)
+    markov_fids: np.ndarray  # (P, m, m)
     tensor_stats: BoxStats
     markov_stats: BoxStats
 
@@ -137,24 +118,23 @@ class MarkovComparison:
         return self.tensor_stats.median - self.markov_stats.median
 
 
-def compare_with_tensor(tensor_fids: dict[tuple[int, int, int], float],
-                        states: np.ndarray,
+def compare_with_tensor(tensor_fids: np.ndarray, states: np.ndarray,
                         baseline: MarkovBaseline) -> MarkovComparison:
-    """Score the baseline on the sequences the tensor was scored on."""
-    keys = list(tensor_fids)
-    i, j, k = np.array(keys, dtype=int).reshape(-1, 3).T
-    fids = fidelity(predict(baseline, keys), states[i, j, k])
-    markov_fids = dict(zip(keys, fids.tolist()))
-    return MarkovComparison(
-        tensor_fids=dict(tensor_fids), markov_fids=markov_fids,
-        tensor_stats=box_stats(np.array(list(tensor_fids.values()))),
-        markov_stats=box_stats(np.array(list(markov_fids.values()))))
+    """Score the baseline on the block the tensor was scored on:
+    ``tensor_fids`` (P, m, m) covers every preparation and every pair of the
+    last m pool elements, and ``states`` is the measured grid."""
+    m = tensor_fids.shape[-1]
+    markov_fids = fidelity(predict(baseline, m), states[:, -m:, -m:])
+    return MarkovComparison(tensor_fids=tensor_fids, markov_fids=markov_fids,
+                            tensor_stats=box_stats(tensor_fids),
+                            markov_stats=box_stats(markov_fids))
 
 
 def bootstrap_median_ci(values: np.ndarray, resamples: int = 1000,
                         seed: int = 0) -> tuple[float, float]:
-    """Percentile interval for the median under sequence resampling."""
-    values = np.asarray(values, dtype=float)
+    """Percentile interval for the median under sequence resampling, over
+    every value of an array of any shape."""
+    values = np.asarray(values, dtype=float).ravel()
     if values.size < 2:
         raise ValueError("need at least two values")
     rng = rng_stream(seed, 404)

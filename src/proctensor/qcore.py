@@ -263,8 +263,11 @@ def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
 
 
 def choi_to_superop(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    c4 = choi.reshape(dim_in, dim_out, dim_in, dim_out)
-    return c4.transpose(1, 3, 0, 2).reshape(dim_out * dim_out, dim_in * dim_in)
+    """Superoperator of a Choi matrix, or of each of a ``(..., D, D)`` stack."""
+    lead = choi.shape[:-2]
+    c4 = choi.reshape(lead + (dim_in, dim_out, dim_in, dim_out))
+    return np.einsum("...abcd->...bdac", c4).reshape(
+        lead + (dim_out * dim_out, dim_in * dim_in))
 
 
 def superop_to_choi(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:

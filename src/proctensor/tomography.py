@@ -329,10 +329,6 @@ def standard_slots(basis: ControlBasis) -> tuple[tuple[ControlStep, ...], ...]:
             gates, gates)
 
 
-def enumerate_standard_keys(n_prep: int, pool: int) -> list[tuple[int, int, int]]:
-    return [(i, j, k) for i in range(n_prep) for j in range(pool) for k in range(pool)]
-
-
 def build_standard_tensor(states: np.ndarray, basis: ControlBasis,
                           n: int) -> ProcessTensor:
     """Three-step tensor (prep slot + two unitary slots) from pool states."""
@@ -368,8 +364,9 @@ class BoxStats:
 
 
 def box_stats(values: np.ndarray) -> BoxStats:
-    """Median, quartiles and 1.5 IQR whiskers clipped to the data range."""
-    v = np.sort(np.asarray(values, dtype=float))
+    """Median, quartiles and 1.5 IQR whiskers clipped to the data range, of
+    every value of an array of any shape."""
+    v = np.sort(np.asarray(values, dtype=float), axis=None)
     if v.size == 0:
         raise ValueError("no values to summarize")
     q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
@@ -384,7 +381,7 @@ def box_stats(values: np.ndarray) -> BoxStats:
 @dataclass(frozen=True)
 class EvalResult:
     n: int
-    fidelities: dict[tuple[int, int, int], float]
+    fidelities: np.ndarray  # (P, pool - n, pool - n), the held-out block
     stats: BoxStats
 
     @property
@@ -422,15 +419,13 @@ def predict_batch(pt: ProcessTensor, coeffs: np.ndarray) -> np.ndarray:
 
 
 def prediction_fidelities(pt: ProcessTensor, basis: ControlBasis,
-                          states: np.ndarray, keys: list[tuple[int, int, int]],
-                          ) -> dict[tuple[int, int, int], float]:
-    """Fidelity of the tensor's prediction with the measured state, per key."""
-    i, j, k = np.array(keys, dtype=int).reshape(-1, 3).T
-    rows, pos = np.unique(np.concatenate([j, k]), return_inverse=True)
+                          states: np.ndarray, m: int) -> np.ndarray:
+    """Fidelities (P, m, m) of the tensor's predictions with the measured
+    states ``states`` (P, pool, pool, 2, 2), for every preparation and every
+    pair of the last m pool elements."""
+    rows = range(basis.size - m, basis.size)
     preds = predict_batch(pt, pool_coefficients(pt, basis, rows))
-    fids = reconstruction_fidelity(preds[i, pos[:len(j)], pos[len(j):]],
-                                   states[i, j, k])
-    return dict(zip(keys, fids.tolist()))
+    return reconstruction_fidelity(preds, states[:, -m:, -m:])
 
 
 def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int) -> EvalResult:
@@ -444,11 +439,8 @@ def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int) -> EvalResul
     if not 1 <= n < pool:
         raise ValueError(f"need 1 <= n < pool={pool} for a held-out split, got {n}")
     pt = build_standard_tensor(states, basis, n)
-    keys = [(i, j, k) for i in range(len(basis.preparations))
-            for j in range(n, pool) for k in range(n, pool)]
-    fid = prediction_fidelities(pt, basis, states, keys)
-    return EvalResult(n=n, fidelities=fid,
-                      stats=box_stats(np.array(list(fid.values()))))
+    fids = prediction_fidelities(pt, basis, states, pool - n)
+    return EvalResult(n=n, fidelities=fids, stats=box_stats(fids))
 
 
 # ---------------------------------------------------------------------------

@@ -279,9 +279,8 @@ def markov_predict_oracle(baseline, i, j, k):
     """One standard sequence's composed-channel prediction: the three
     superoperators built for this key alone and multiplied, then applied
     to the preparation. ``markov.predict`` must equal it bit for bit."""
-    s0, s1, s2 = (choi_to_superop(ch.choi, 2, 2) for ch in (
-        baseline.channel(0, "I"), baseline.channel(1, f"U{j}"),
-        baseline.channel(2, f"U{k}")))
+    s0, s1, s2 = (choi_to_superop(choi, 2, 2) for choi in (
+        baseline.chois[0][0], baseline.chois[1][j], baseline.chois[2][k]))
     choi = superop_to_choi(s2 @ (s1 @ s0), 2, 2)
     return np.einsum("satb,st->ab", choi.reshape(2, 2, 2, 2),
                      baseline.prep_states[i])

@@ -134,6 +134,25 @@ def test_counts_that_miss_the_shots_exit_2(runner, tmp_path):
     assert "sequence p0_u0_u0: axis Z counts" in result.output
 
 
+def test_second_writer_on_a_locked_store_exits_2(runner, tmp_path):
+    # while one run holds the store's writer lock, a second run-plan on the
+    # same store fails at once and appends nothing
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "x", "pool_size": 11,
+                                "basis_size": 10, "shots": None}))
+    store = tmp_path / "store"
+    args = ["run-plan", "--plan", str(plan), "--out", str(store)]
+    assert runner.invoke(main, args + ["--stage", "characterize"]).exit_code == 0
+    before = (store / "records.jsonl").read_bytes()
+    with ResultsStore(store).lock():
+        result = runner.invoke(main, args + ["--stage", "evaluate"])
+    assert result.exit_code == 2, result.output
+    assert f"store {store}: another run is writing to it" in result.output
+    assert (store / "records.jsonl").read_bytes() == before
+    # the lock is released with the first writer
+    assert runner.invoke(main, args + ["--stage", "evaluate"]).exit_code == 0
+
+
 def test_numerical_failures_exit_3(runner):
     @click.command()
     @handle_errors

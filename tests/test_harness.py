@@ -314,6 +314,18 @@ def test_rerun_does_not_load_the_grid(small_run, monkeypatch):
     assert all(c == 0 for c in run_plan(plan, store).values())
 
 
+def test_run_plan_reads_records_another_writer_appended(tmp_path):
+    # a store opened before another run wrote to it must not append those
+    # records again once it takes the writer lock
+    plan = ExperimentPlan(name="x", pool_size=11, basis_size=10, shots=None,
+                          stages=("characterize",))
+    stale = ResultsStore(tmp_path)
+    run_plan(plan, ResultsStore(tmp_path))
+    before = (tmp_path / "records.jsonl").read_bytes()
+    assert run_plan(plan, stale) == {"characterize": 0}
+    assert (tmp_path / "records.jsonl").read_bytes() == before
+
+
 @pytest.mark.parametrize("shots", [400, None])
 def test_characterize_counts_equal_sampled_records(tmp_path, shots):
     # the stage must store, under each record's key and axis, the counts

@@ -48,20 +48,20 @@ def _direct_step_choi(model, interval, gate):
 def test_channel_estimation_matches_definition(basis):
     model = make_model(steps=3, duration_ns=2500.0)
     for interval, gate in [(0, np.eye(2, dtype=complex)), (1, basis.unitaries[3])]:
-        est = estimate_step_channel(model, interval, gate, "g", shots=None,
+        est = estimate_step_channel(model, interval, [gate], shots=None,
                                     master_seed=0)
         want = _direct_step_choi(model, interval, gate)
-        assert np.max(np.abs(est.choi - want)) < 1e-7
+        assert np.max(np.abs(est[0] - want)) < 1e-7
 
 
 def test_estimation_with_env_marginal_of_correlated_start(basis):
     # a Bell start has a maximally mixed environment marginal, and the
     # estimated channel must be built on that marginal
     model = make_model(steps=3, env_init="bell", duration_ns=2500.0)
-    est = estimate_step_channel(model, 1, basis.unitaries[0], "g", shots=None,
+    est = estimate_step_channel(model, 1, basis.unitaries[:1], shots=None,
                                 master_seed=0)
     want = _direct_step_choi(model, 1, basis.unitaries[0])
-    assert np.max(np.abs(est.choi - want)) < 1e-7
+    assert np.max(np.abs(est[0] - want)) < 1e-7
 
 
 def test_markovian_surrogate_composes_exactly(basis):
@@ -70,7 +70,7 @@ def test_markovian_surrogate_composes_exactly(basis):
     ev = evaluate_split(states, basis, n=10)
     mb = characterize(model, basis, shots=None, master_seed=1)
     cmp_ = compare_with_tensor(ev.fidelities, states, mb)
-    assert min(cmp_.markov_fids.values()) > 1.0 - 1e-9
+    assert cmp_.markov_fids.min() > 1.0 - 1e-9
     assert abs(cmp_.median_gap) < 1e-9
 
 
@@ -83,30 +83,29 @@ def test_coupled_surrogate_breaks_composition(basis):
     assert cmp_.tensor_stats.median > 1.0 - 1e-9
     assert cmp_.markov_stats.median < 0.95
     assert cmp_.median_gap > 0.05
-    ci_t = bootstrap_median_ci(np.array(list(cmp_.tensor_fids.values())),
-                               resamples=300, seed=3)
-    ci_m = bootstrap_median_ci(np.array(list(cmp_.markov_fids.values())),
-                               resamples=300, seed=3)
+    ci_t = bootstrap_median_ci(cmp_.tensor_fids, resamples=300, seed=3)
+    ci_m = bootstrap_median_ci(cmp_.markov_fids, resamples=300, seed=3)
     assert not intervals_overlap(ci_t, ci_m)
 
 
 def test_predictions_are_physical(basis):
     model = make_model(steps=3, duration_ns=2500.0)
     mb = characterize(model, basis, shots=None, master_seed=1)
-    check_density_matrix(predict(mb, [(0, 0, 0), (3, 11, 7), (2, 5, 5)]))
-    with pytest.raises(KeyError, match="no channel"):
-        predict(mb, [(0, 12, 0)])
+    preds = predict(mb, basis.size)
+    assert preds.shape == (4, 12, 12, 2, 2)
+    check_density_matrix(preds)
 
 
 def test_characterize_deterministic_with_shots(basis):
     model = make_model(steps=3, duration_ns=2500.0)
     a = characterize(model, basis.subset(3), shots=300, master_seed=5)
     b = characterize(model, basis.subset(3), shots=300, master_seed=5)
-    for key in a.channels:
-        assert np.array_equal(a.channels[key].choi, b.channels[key].choi)
+    assert [c.shape for c in a.chois] == [(1, 4, 4), (3, 4, 4), (3, 4, 4)]
+    for choi_a, choi_b in zip(a.chois, b.chois):
+        assert np.array_equal(choi_a, choi_b)
     c = characterize(model, basis.subset(3), shots=300, master_seed=6)
-    assert any(not np.allclose(a.channels[k].choi, c.channels[k].choi, atol=1e-6)
-               for k in a.channels)
+    assert any(not np.allclose(choi_a, choi_c, atol=1e-6)
+               for choi_a, choi_c in zip(a.chois, c.chois))
 
 
 def test_characterize_rejects_readout_error(basis):

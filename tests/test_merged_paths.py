@@ -48,8 +48,10 @@ def _complex_doc(mat):
 def markov_channels():
     baseline = characterize(make_model(), generate_haar_basis(POOL, 7),
                             shots=1600, master_seed=11)
-    return {f"{m}:{label}": _complex_doc(ch.choi)
-            for (m, label), ch in sorted(baseline.channels.items())}
+    # keyed "interval:gate", gate I after the preparation, U<j> after that
+    return {f"{m}:{'I' if m == 0 else f'U{j}'}": _complex_doc(choi)
+            for m, stack in enumerate(baseline.chois)
+            for j, choi in enumerate(stack)}
 
 
 def qpt_channel():

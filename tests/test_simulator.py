@@ -42,8 +42,7 @@ from proctensor.simulator import (
     two_qubit_probe,
     unitary_step,
 )
-from proctensor.tomography import (channel_from_prep_outputs,
-                                   enumerate_standard_keys, qst_mle,
+from proctensor.tomography import (channel_from_prep_outputs, qst_mle,
                                    standard_slots)
 
 from helpers import (channel_from_unitary, experiment_oracle,
@@ -225,7 +224,7 @@ def test_grid_kernel_equals_per_sequence_oracle(pool, pool_seed, env_init,
     counts = simulate_experiment(model, standard_slots(basis), shots,
                                  master_seed)
     assert counts.shape == (4, pool, pool, 3, 2)
-    keys = enumerate_standard_keys(4, pool)
+    keys = list(np.ndindex(4, pool, pool))
     for idx, (i, j, k) in enumerate(keys):
         want_state, want_counts = experiment_oracle(
             model, standard_sequence(basis, i, j, k), shots, master_seed, idx)
@@ -271,17 +270,22 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
                for i, p in enumerate(preps)]
     assert np.array_equal(bits(qpt(syn, gate, shots, master_seed).choi),
                           bits(channel_from_prep_outputs(outputs, "qpt").choi))
-    # Markov step channel: single-interval sub-model, records from record_base
+    # Markov step channels: single-interval sub-model, gate g and
+    # preparation p on record record_base + 4 g + p
     model = make_model(exchange_khz=exchange_khz, env_init="plus")
     env = partial_trace(model.initial_se, 1, (2, 2))
     sub = SEModel(sys_dim=2, env_dim=2, intervals=(model.intervals[1],),
                   initial_se=np.kron(ket_dm(KET0), env))
-    outputs = [estimate(sub, seq_of(unitary_step(gate @ p.gate)),
-                        record_base + r) for r, p in enumerate(preps)]
-    got = estimate_step_channel(model, 1, gate, "g", shots, master_seed,
+    gates = basis.unitaries[:2]
+    got = estimate_step_channel(model, 1, gates, shots, master_seed,
                                 record_base)
-    assert np.array_equal(bits(got.choi),
-                          bits(channel_from_prep_outputs(outputs, "g").choi))
+    assert got.shape == (2, 4, 4)
+    for g, u in enumerate(gates):
+        outputs = [estimate(sub, seq_of(unitary_step(u @ p.gate)),
+                            record_base + 4 * g + r)
+                   for r, p in enumerate(preps)]
+        assert np.array_equal(
+            bits(got[g]), bits(channel_from_prep_outputs(outputs, "g").choi))
     # decoupling probe: the joint states of a one-slot grid
     dec = decoupling_model(exchange_khz=exchange_khz)
     joints = two_qubit_probe(dec, [[unitary_step(u) for u in basis.unitaries]])

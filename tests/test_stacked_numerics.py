@@ -171,34 +171,34 @@ def test_prediction_fidelities_equal_per_key_loop(sampled_grid, n):
     # input here, and each key is projected and scored one at a time
     _, basis, states = sampled_grid
     pt = build_standard_tensor(states, basis, n)
-    keys = [(i, j, k) for i in range(4) for j in range(basis.size)
-            for k in range(basis.size) if j >= n or k >= n]
-    got = prediction_fidelities(pt, basis, states, keys)
-    assert list(got) == keys
-    preds = predict_batch(pt, pool_coefficients(pt, basis, range(basis.size)))
-    want = []
-    for i, j, k in keys:
-        check_density_matrix(states[i, j, k])
-        want.append(fidelity_oracle(mle_project_oracle(preds[i, j, k]),
-                                    states[i, j, k]))
-    assert np.array_equal(bits(np.array(list(got.values()))), bits(np.array(want)))
+    for m in (basis.size - n, basis.size):
+        got = prediction_fidelities(pt, basis, states, m)
+        assert got.shape == (4, m, m)
+        rows = range(basis.size - m, basis.size)
+        preds = predict_batch(pt, pool_coefficients(pt, basis, rows))
+        want = np.empty(got.shape)
+        for i, j, k in np.ndindex(got.shape):
+            measured = states[i, rows[j], rows[k]]
+            check_density_matrix(measured)
+            want[i, j, k] = fidelity_oracle(mle_project_oracle(preds[i, j, k]),
+                                            measured)
+        assert np.array_equal(bits(got), bits(want))
 
 
 @pytest.mark.parametrize("master_seed", [0, 1, 2])
 def test_compare_with_tensor_equals_per_key_loop(sampled_grid, master_seed):
     model, basis, states = sampled_grid
     mb = characterize(model, basis, shots=1600, master_seed=master_seed)
-    keys = [(i, j, k) for i in range(4) for j in range(8, basis.size)
-            for k in range(basis.size)]
-    tensor_fids = dict.fromkeys(keys, 1.0)
-    cmp_ = compare_with_tensor(tensor_fids, states, mb)
-    assert list(cmp_.markov_fids) == keys
-    preds = predict(mb, keys)
-    for key, got_pred, got_fid in zip(keys, preds, cmp_.markov_fids.values()):
-        want = markov_predict_oracle(mb, *key)
-        assert np.array_equal(bits(got_pred), bits(want)), key
-        assert bits(np.float64(got_fid)) == \
-            bits(np.float64(fidelity_oracle(want, states[key]))), key
+    for m in (basis.size - 8, basis.size):
+        cmp_ = compare_with_tensor(np.ones((4, m, m)), states, mb)
+        preds = predict(mb, m)
+        assert preds.shape == (4, m, m, 2, 2)
+        for i, j, k in np.ndindex(4, m, m):
+            key = (i, basis.size - m + j, basis.size - m + k)
+            want = markov_predict_oracle(mb, *key)
+            assert np.array_equal(bits(preds[i, j, k]), bits(want)), key
+            assert bits(cmp_.markov_fids[i, j, k]) == \
+                bits(np.float64(fidelity_oracle(want, states[key]))), key
 
 
 # ---------------------------------------------------------------------------
