@@ -445,7 +445,7 @@ def qpt(model: SEModel, gate: np.ndarray, shots: int | None = None,
     slots = ([prep_step(p.gate, p.label) for p in standard_preparations()],
              [unitary_step(gate, "G")])
     outputs = measure_grid(model, slots, shots, master_seed)
-    return channel_from_prep_outputs(outputs[:, 0], "qpt")
+    return channel_from_prep_outputs(outputs[None, :, 0], "qpt")[0]
 
 
 @dataclass(frozen=True)

@@ -225,8 +225,10 @@ class ResultsStore:
     Every record line carries the schema version, plan name, stage, seed
     and a unique record key; appends with an already-stored key are
     skipped, which is what makes interrupted runs resumable. A final line
-    without its newline is an append cut short; opening the store
-    truncates it, and the resumed run writes that record again.
+    without its newline is an append cut short, or one still in progress:
+    reading the store skips it, and only the writer lock (``lock()``)
+    truncates it, so the resumed run writes that record again. Opening the
+    store takes the lock for that repair unless another run holds it.
     """
 
     def __init__(self, root: str | Path):
@@ -235,19 +237,26 @@ class ResultsStore:
         (self.root / "sidecars").mkdir(exist_ok=True)
         self.records_path = self.root / "records.jsonl"
         self._load()
+        if self.records_path.exists() \
+                and self.records_path.stat().st_size != self._size:
+            try:
+                with self.lock():
+                    pass
+            except ConfigError:
+                pass  # the writer may still be appending that line
 
-    def _load(self) -> None:
+    def _load(self, repair: bool = False) -> None:
         self._keys: set[str] = set()
         self._records: list[dict] = []
-        self._size = 0  # bytes of records.jsonl this store has read or written
+        self._size = 0  # bytes of whole lines this store has read or written
         if not self.records_path.exists():
             return
-        lines = self.records_path.read_text().splitlines(keepends=True)
-        if lines and not lines[-1].endswith("\n"):
-            torn = len(lines.pop().encode())
+        data = self.records_path.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        if repair and complete < len(data):
             with self.records_path.open("r+b") as fh:
-                fh.truncate(fh.seek(0, 2) - torn)
-        for i, line in enumerate(lines):
+                fh.truncate(complete)
+        for i, line in enumerate(data[:complete].decode().splitlines()):
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as err:
@@ -257,13 +266,13 @@ class ResultsStore:
             self._check_record(doc, i)
             self._keys.add(doc["key"])
             self._records.append(doc)
-        self._size = self.records_path.stat().st_size
+        self._size = complete
 
     @contextmanager
     def lock(self):
         """Hold the writer lock, so that a second writer fails at once.
         Records another writer appended since this store last read the
-        file are read first."""
+        file are read first, and a torn final line is truncated."""
         with self.records_path.open("ab") as fh:
             try:
                 fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -271,7 +280,7 @@ class ResultsStore:
                 raise ConfigError(f"store {self.root}: another run is writing "
                                   "to it; wait for it to finish") from None
             if self.records_path.stat().st_size != self._size:
-                self._load()
+                self._load(repair=True)
             yield
 
     def _check_record(self, doc, line: int) -> None:
@@ -493,26 +502,26 @@ def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
 
 def _run_evaluate(plan: ExperimentPlan, store: ResultsStore,
                   basis: ControlBasis, grid: Callable[[], Grid]) -> int:
+    todo = [n for n in plan.eval_sizes() if not store.has(f"evaluation:n{n}")]
+    if not todo:
+        return 0
+    counts, states = grid()
+    results = [evaluate_split(states, basis, n) for n in todo]
+    # one bootstrap pass scores every size still missing
+    lo, hi, _ = bootstrap_ci(counts, plan.shots, basis, todo,
+                             resamples=plan.resamples, seed=plan.master_seed)
     appended = 0
-    for n in plan.eval_sizes():
-        key = f"evaluation:n{n}"
-        if store.has(key):
-            continue
-        counts, states = grid()
-        result = evaluate_split(states, basis, n)
-        lo, hi, _ = bootstrap_ci(counts, plan.shots, basis, n,
-                                 resamples=plan.resamples,
-                                 seed=plan.master_seed)
+    for n, result, ci_lo, ci_hi in zip(todo, results, lo, hi):
         # one row (i, j, k, fidelity) per held-out sequence, in C order
         i, j, k = np.indices(result.fidelities.shape).reshape(3, -1)
         sidecar = store.save_array(np.column_stack(
             [i, j + n, k + n, result.fidelities.ravel()]))
         payload = {"kind": "evaluation", "n": n,
                    "mean_infidelity": result.mean_infidelity,
-                   "ci_lo": lo, "ci_hi": hi, **asdict(result.stats),
-                   "fidelity_table": sidecar}
+                   "ci_lo": float(ci_lo), "ci_hi": float(ci_hi),
+                   **asdict(result.stats), "fidelity_table": sidecar}
         appended += store.append(plan.name, "evaluate", plan.master_seed,
-                                 key, payload)
+                                 f"evaluation:n{n}", payload)
     return appended
 
 

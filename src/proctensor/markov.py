@@ -66,8 +66,9 @@ def estimate_step_channel(model: SEModel, interval: int,
                   for gate in gates for prep in standard_preparations())
     outputs = measure_grid(_single_interval_model(model, interval), (steps,),
                            shots, master_seed, first_record=record_base)
-    return np.array([channel_from_prep_outputs(out, "markov").choi
-                     for out in outputs.reshape(len(gates), 4, 2, 2)])
+    channels = channel_from_prep_outputs(outputs.reshape(len(gates), 4, 2, 2),
+                                         "markov")
+    return np.array([ch.choi for ch in channels])
 
 
 def characterize(model: SEModel, basis: ControlBasis, shots: int | None,

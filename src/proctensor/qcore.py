@@ -225,9 +225,10 @@ class QuantumChannel:
 
 
 def choi_input_marginal(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    """Matrix of block traces, equals the identity for a TP map."""
-    c4 = choi.reshape(dim_in, dim_out, dim_in, dim_out)
-    return np.einsum("iaja->ij", c4)
+    """Matrix of block traces, equals the identity for a TP map; for a
+    ``(..., D, D)`` stack, one per matrix."""
+    c4 = choi.reshape(choi.shape[:-2] + (dim_in, dim_out, dim_in, dim_out))
+    return np.einsum("...iaja->...ij", c4)
 
 
 def unitary_choi(u: np.ndarray) -> np.ndarray:

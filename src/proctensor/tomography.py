@@ -26,6 +26,7 @@ unitary channels, the depolarizing barrier included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ from .basis import (
 from .qcore import (
     ID2,
     KET0,
+    NumericalError,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -70,6 +72,9 @@ PREP_SPAN_DIM = 4
 CPTP_TOL = 1e-10
 CPTP_MAX_ITER = 5000
 CI_ALPHA = 0.05  # every bootstrap interval is two-sided at 95%
+# bootstrap resamples are scored in chunks whose redrawn grids fit in this
+# many bytes; scoring a chunk takes about 2.5 times its grids' memory
+BOOTSTRAP_CHUNK_BYTES = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +403,28 @@ def pool_coefficients(pt: ProcessTensor, basis: ControlBasis,
 
 
 def predict_batch(pt: ProcessTensor, coeffs: np.ndarray) -> np.ndarray:
-    """Predictions (P, m, m, d, d) for every preparation and every pair of
-    the m pool elements whose coefficient rows ``coeffs`` (m, n) holds.
+    """Predictions (..., P, m, m, d, d) for every preparation and every pair
+    of the m pool elements whose coefficient rows ``coeffs`` (m, n) holds.
 
+    ``pt.states`` may carry leading axes, (..., P, n, n, d, d): each
+    leading index is predicted as its own tensor, with the same arithmetic.
     Terms (C[q, j] C[r, k]) T[i, j, k] are summed j-major, k fastest, one at a
     time, on the real and imaginary parts side by side: exactly the arithmetic
     of einsum("si,sj,sk,ijkab->sab") with one-hot preparation rows.
     """
-    n_prep, n = pt.states.shape[:2]
-    parts = pt.states.view(np.float64).reshape(n_prep, n, n, -1)
-    acc = np.zeros((n_prep, parts.shape[-1], len(coeffs), len(coeffs)))
+    lead = pt.states.shape[:-5]
+    n_prep, n = pt.states.shape[-5:-3]
+    parts = pt.states.view(np.float64).reshape(lead + (n_prep, n, n, -1))
+    acc = np.zeros(lead + (n_prep, parts.shape[-1], len(coeffs), len(coeffs)))
     term = np.empty_like(acc)
     for j in range(n):
         weights = np.multiply.outer(coeffs[:, j], coeffs)  # [q, r, k]
         for k in range(n):
-            np.multiply(parts[:, j, k, :, None, None], weights[:, :, k], out=term)
+            np.multiply(parts[..., j, k, :, None, None], weights[:, :, k],
+                        out=term)
             acc += term
-    acc = np.ascontiguousarray(acc.transpose(0, 2, 3, 1))
-    return acc.view(complex).reshape(acc.shape[:3] + pt.states.shape[-2:])
+    acc = np.ascontiguousarray(np.moveaxis(acc, -3, -1))
+    return acc.view(complex).reshape(acc.shape[:-1] + pt.states.shape[-2:])
 
 
 def prediction_fidelities(pt: ProcessTensor, basis: ControlBasis,
@@ -478,31 +487,42 @@ def redraw_records(counts: np.ndarray, shots: int | None, resamples: int,
 
 
 def bootstrap_ci(counts: np.ndarray, shots: int | None, basis: ControlBasis,
-                 n: int, resamples: int = 1000,
-                 seed: int = 0) -> tuple[float, float, np.ndarray]:
-    """Percentile bootstrap interval for the held-out mean infidelity.
+                 sizes: Sequence[int], resamples: int = 1000, seed: int = 0,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Percentile bootstrap intervals for the held-out mean infidelity at
+    each basis size of ``sizes``.
 
     ``counts`` are the standard grid's, shape (P, pool, pool, 3, 2). Every
     sequence (basis and verification alike) is resampled from its own
-    counts, the tensor's states are replaced and re-evaluated, and
-    the (CI_ALPHA/2, 1-CI_ALPHA/2) percentiles of the resampled means are
-    returned together with the means themselves.
+    counts, the tensor's states are replaced and re-evaluated at every size,
+    and the (CI_ALPHA/2, 1-CI_ALPHA/2) percentiles of the resampled means are
+    returned per size, shape (S,) each, together with the means themselves,
+    shape (S, resamples). Each redraw is drawn once and scored at every size,
+    so a size's result does not depend on the other sizes asked for.
     """
+    sizes = list(sizes)
     base_states, redraws = redraw_records(counts, shots, resamples,
                                           rng_stream(seed, 777))
     # duals and coefficient rows never change under resampling
-    pt0 = build_standard_tensor(base_states, basis, n)
-    coeffs = pool_coefficients(pt0, basis, range(n, basis.size))
+    tensors = [build_standard_tensor(base_states, basis, n) for n in sizes]
+    coeffs = [pool_coefficients(pt, basis, range(n, basis.size))
+              for pt, n in zip(tensors, sizes)]
+    chunk = max(1, BOOTSTRAP_CHUNK_BYTES // base_states.nbytes)
 
-    sampled = np.empty(resamples)
-    for b, re_states in enumerate(redraws):
-        preds = predict_batch(replace(pt0, states=re_states[:, :n, :n]), coeffs)
-        fids = qubit_fidelity_vectorized(
-            _states_from_probs(qubit_probs_of(preds).reshape(-1, 3)),
-            re_states[:, n:, n:].reshape(-1, 2, 2))
-        sampled[b] = 1.0 - fids.mean()
-    lo, hi = np.percentile(sampled, [100 * CI_ALPHA / 2, 100 * (1 - CI_ALPHA / 2)])
-    return float(lo), float(hi), sampled
+    sampled = np.empty((len(sizes), resamples))
+    for start in range(0, resamples, chunk):
+        block = np.array(list(islice(redraws, chunk)))  # (B, P, pool, pool, 2, 2)
+        for s, (pt, c, n) in enumerate(zip(tensors, coeffs, sizes)):
+            preds = predict_batch(replace(pt, states=block[:, :, :n, :n]), c)
+            fids = qubit_fidelity_vectorized(
+                _states_from_probs(qubit_probs_of(preds).reshape(-1, 3)),
+                block[:, :, n:, n:].reshape(-1, 2, 2))
+            # each resample's mean over its own row of held-out sequences
+            sampled[s, start:start + len(block)] = \
+                1.0 - fids.reshape(len(block), -1).mean(axis=1)
+    lo, hi = np.percentile(sampled, [100 * CI_ALPHA / 2,
+                                     100 * (1 - CI_ALPHA / 2)], axis=1)
+    return lo, hi, sampled
 
 
 def qubit_probs_of(states: np.ndarray) -> np.ndarray:
@@ -515,47 +535,65 @@ def qubit_probs_of(states: np.ndarray) -> np.ndarray:
 # Process tomography and CPTP projection
 # ---------------------------------------------------------------------------
 
-def channel_from_prep_outputs(outputs: Sequence[np.ndarray],
-                              label: str) -> QuantumChannel:
-    """Linear-inversion process tomography of a qubit channel.
+def channel_from_prep_outputs(outputs: np.ndarray,
+                              label: str) -> list[QuantumChannel]:
+    """Linear-inversion process tomography of g qubit channels.
 
-    ``outputs`` are the channel's output states for the four standard
-    preparations, in their order; the solved linear map is projected onto
-    the CPTP set.
+    ``outputs`` (g, 4, 2, 2) holds each channel's output states for the four
+    standard preparations, in their order; the solved linear maps are
+    projected onto the CPTP set together, and each channel is validated.
     """
     inputs = np.empty((4, 4), dtype=complex)
-    out = np.empty((4, 4), dtype=complex)
     for p, prep in enumerate(standard_preparations()):
         inputs[:, p] = prep.state.reshape(-1)
-        out[:, p] = np.asarray(outputs[p]).reshape(-1)
-    superop = out @ np.linalg.inv(inputs)
-    choi = project_to_cptp(superop_to_choi(superop, 2, 2))
-    return QuantumChannel(choi=choi, dim_in=2, dim_out=2, label=label)
+    # column p of each channel's matrix is its output for preparation p
+    out = np.ascontiguousarray(
+        outputs.reshape(len(outputs), 4, 4).swapaxes(-1, -2))
+    superops = out @ np.linalg.inv(inputs)
+    chois = project_to_cptp(superop_to_choi(superops, 2, 2))
+    return [QuantumChannel(choi=c, dim_in=2, dim_out=2, label=label)
+            for c in chois]
 
 
-def _project_tp(choi: np.ndarray) -> np.ndarray:
-    corr = ID2 - choi_input_marginal(choi, 2, 2)
-    return choi + np.kron(corr, ID2) / 2
+def _project_tp(chois: np.ndarray) -> np.ndarray:
+    corr = ID2 - choi_input_marginal(chois, 2, 2)
+    # kron(corr, ID2) of each matrix: entry [a, b, c, d] is corr[a, c] ID2[b, d]
+    lift = (corr[..., :, None, :, None] * ID2[:, None, :]).reshape(chois.shape)
+    return chois + lift / 2
 
 
-def _project_psd(mat: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+def _project_psd(mats: np.ndarray) -> np.ndarray:
+    evals, vecs = np.linalg.eigh((mats + mats.conj().swapaxes(-1, -2)) / 2.0)
     evals = np.clip(evals, 0.0, None)
-    return (vecs * evals) @ vecs.conj().T
+    return (vecs * evals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def project_to_cptp(choi: np.ndarray) -> np.ndarray:
-    """Closest CPTP Choi matrix of a qubit channel by Dykstra alternating
-    projections."""
-    y = (np.asarray(choi, dtype=complex) + np.asarray(choi).conj().T) / 2.0
-    p = np.zeros_like(y)
+def project_to_cptp(chois: np.ndarray) -> np.ndarray:
+    """Closest CPTP Choi matrix of each qubit channel of a (g, 4, 4) stack,
+    by Dykstra alternating projections.
+
+    The stack iterates together; a matrix leaves it at the iteration where it
+    passes the convergence test, so each result is the one a projection of
+    that matrix alone gives. Raises NumericalError, naming the first stack
+    index, if any matrix has not converged after ``CPTP_MAX_ITER`` iterations.
+    """
+    chois = np.asarray(chois, dtype=complex)
+    y = (chois + chois.conj().swapaxes(-1, -2)) / 2.0
+    active = np.arange(len(y))  # stack indices still iterating
+    ya, pa = y, np.zeros_like(y)
     for _ in range(CPTP_MAX_ITER):
-        z = _project_tp(y)
-        w = _project_psd(z + p)
-        p = z + p - w
-        y = w
-        tp_defect = np.max(np.abs(choi_input_marginal(y, 2, 2) - ID2))
-        min_eval = np.linalg.eigvalsh(y).min()
-        if tp_defect < CPTP_TOL and min_eval > -CPTP_TOL:
+        z = _project_tp(ya)
+        w = _project_psd(z + pa)
+        pa = z + pa - w
+        ya = w
+        tp_defect = np.abs(choi_input_marginal(ya, 2, 2) - ID2).max(axis=(-2, -1))
+        min_eval = np.linalg.eigvalsh(ya).min(axis=-1)
+        done = (tp_defect < CPTP_TOL) & (min_eval > -CPTP_TOL)
+        y[active[done]] = ya[done]
+        active, ya, pa = active[~done], ya[~done], pa[~done]
+        if not active.size:
             break
+    else:
+        raise NumericalError(f"CPTP projection of Choi matrix ({active[0]},) "
+                             f"did not converge in {CPTP_MAX_ITER} iterations")
     return _project_tp(y)

@@ -13,9 +13,13 @@ from proctensor.qcore import (EIG_CLAMP_TOL, ID2, KET0, PAULI_SETTINGS, PAULIS,
 from proctensor.simulator import (AXES, PAIR_SETTINGS, ControlSequence,
                                   ControlStep, prep_step, rng_stream,
                                   simulate_grid, unitary_step)
-from proctensor.tomography import (contract_fast,
+from proctensor import tomography
+from proctensor.tomography import (CI_ALPHA, _states_from_probs,
+                                   build_standard_tensor, contract_fast,
                                    mle_project, pool_coefficients,
-                                   standard_slots, step_matrix_form)
+                                   qubit_fidelity_vectorized, qubit_probs_of,
+                                   redraw_records, standard_slots,
+                                   step_matrix_form)
 
 FLOAT_TOL = 1e-9
 
@@ -284,6 +288,84 @@ def markov_predict_oracle(baseline, i, j, k):
     choi = superop_to_choi(s2 @ (s1 @ s0), 2, 2)
     return np.einsum("satb,st->ab", choi.reshape(2, 2, 2, 2),
                      baseline.prep_states[i])
+
+
+def predict_batch_oracle(states, coeffs):
+    """One tensor's predictions (P, m, m, 2, 2) from its states (P, n, n,
+    2, 2): terms summed j-major, k fastest, one at a time.
+    ``tomography.predict_batch`` must equal it bit for bit, for one tensor
+    and for each tensor of a stack."""
+    n_prep, n = states.shape[:2]
+    parts = states.view(np.float64).reshape(n_prep, n, n, -1)
+    acc = np.zeros((n_prep, parts.shape[-1], len(coeffs), len(coeffs)))
+    term = np.empty_like(acc)
+    for j in range(n):
+        weights = np.multiply.outer(coeffs[:, j], coeffs)  # [q, r, k]
+        for k in range(n):
+            np.multiply(parts[:, j, k, :, None, None], weights[:, :, k],
+                        out=term)
+            acc += term
+    acc = np.ascontiguousarray(acc.transpose(0, 2, 3, 1))
+    return acc.view(complex).reshape(acc.shape[:3] + states.shape[-2:])
+
+
+def bootstrap_ci_oracle(counts, shots, basis, n, resamples, seed):
+    """One basis size's bootstrap: every redraw drawn for this size alone
+    and scored one at a time. ``tomography.bootstrap_ci`` must equal it bit
+    for bit at each size of its ladder; returns (lo, hi, samples)."""
+    base_states, redraws = redraw_records(counts, shots, resamples,
+                                          rng_stream(seed, 777))
+    pt0 = build_standard_tensor(base_states, basis, n)
+    coeffs = pool_coefficients(pt0, basis, range(n, basis.size))
+    sampled = np.empty(resamples)
+    for b, re_states in enumerate(redraws):
+        preds = predict_batch_oracle(re_states[:, :n, :n], coeffs)
+        fids = qubit_fidelity_vectorized(
+            _states_from_probs(qubit_probs_of(preds).reshape(-1, 3)),
+            re_states[:, n:, n:].reshape(-1, 2, 2))
+        sampled[b] = 1.0 - fids.mean()
+    lo, hi = np.percentile(sampled, [100 * CI_ALPHA / 2,
+                                     100 * (1 - CI_ALPHA / 2)])
+    return float(lo), float(hi), sampled
+
+
+def _project_tp_oracle(choi):
+    marginal = np.einsum("iaja->ij", choi.reshape(2, 2, 2, 2))
+    return choi + np.kron(ID2 - marginal, ID2) / 2
+
+
+def project_to_cptp_oracle(choi):
+    """One qubit Choi matrix's Dykstra projection onto the CPTP set, with
+    the TP step built by ``np.kron``. ``tomography.project_to_cptp`` must
+    equal it bit for bit on each matrix of a stack."""
+    y = (np.asarray(choi, dtype=complex) + np.asarray(choi).conj().T) / 2.0
+    p = np.zeros_like(y)
+    for _ in range(tomography.CPTP_MAX_ITER):
+        z = _project_tp_oracle(y)
+        zp = z + p
+        evals, vecs = np.linalg.eigh((zp + zp.conj().T) / 2.0)
+        w = (vecs * np.clip(evals, 0.0, None)) @ vecs.conj().T
+        p = zp - w
+        y = w
+        tp_defect = np.max(np.abs(
+            np.einsum("iaja->ij", y.reshape(2, 2, 2, 2)) - ID2))
+        min_eval = np.linalg.eigvalsh(y).min()
+        if tp_defect < tomography.CPTP_TOL and min_eval > -tomography.CPTP_TOL:
+            break
+    return _project_tp_oracle(y)
+
+
+def channel_from_prep_outputs_oracle(outputs):
+    """One qubit channel's linear-inversion tomography from its four
+    preparation outputs, as a Choi matrix. ``channel_from_prep_outputs``
+    must equal it bit for bit on each channel of a stack."""
+    inputs = np.empty((4, 4), dtype=complex)
+    out = np.empty((4, 4), dtype=complex)
+    for p, prep in enumerate(standard_preparations()):
+        inputs[:, p] = prep.state.reshape(-1)
+        out[:, p] = np.asarray(outputs[p]).reshape(-1)
+    superop = out @ np.linalg.inv(inputs)
+    return project_to_cptp_oracle(superop_to_choi(superop, 2, 2))
 
 
 # ---------------------------------------------------------------------------

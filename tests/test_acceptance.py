@@ -252,8 +252,8 @@ def test_criterion_09_out_of_basis_preparations(basis28):
     counts = simulate_experiment(model, standard_slots(basis28), 1600,
                                  master_seed=0)
     states = qst_mle(counts, 1600)
-    lo_in, hi_in, _ = bootstrap_ci(counts, 1600, basis28, n,
-                                   resamples=200, seed=0)
+    (lo_in,), (hi_in,), _ = bootstrap_ci(counts, 1600, basis28, [n],
+                                         resamples=200, seed=0)
     # probe four preparations outside the tomography basis on the held grid
     new_preps = preparations_from_unitaries(list(basis28.unitaries[24:28]))
     held_jk = [(j, k) for j in range(n, 28) for k in range(n, 28)]

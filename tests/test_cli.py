@@ -7,7 +7,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from proctensor import harness, qcore
+from proctensor import harness, qcore, tomography
 from proctensor.cli import handle_errors, main
 from proctensor.harness import ResultsStore
 from proctensor.qcore import NumericalError
@@ -151,6 +151,50 @@ def test_second_writer_on_a_locked_store_exits_2(runner, tmp_path):
     assert (store / "records.jsonl").read_bytes() == before
     # the lock is released with the first writer
     assert runner.invoke(main, args + ["--stage", "evaluate"]).exit_code == 0
+
+
+def test_readers_leave_a_torn_line_of_a_locked_store(runner, tmp_path):
+    # a record another run is still appending has no newline yet; opening
+    # the store or reporting from it must not cut that line off
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "x", "pool_size": 11,
+                                "basis_size": 10, "shots": None,
+                                "resamples": 4,
+                                "stages": ["characterize", "evaluate"]}))
+    store = tmp_path / "store"
+    args = ["--plan", str(plan), "--out", str(store)]
+    assert runner.invoke(main, ["run-plan"] + args).exit_code == 0
+    path = store / "records.jsonl"
+    whole = path.read_bytes()
+    with ResultsStore(store).lock():
+        with path.open("ab") as fh:
+            fh.write(b'{"schema_version":"1.0","plan":"x","sta')
+        before = path.read_bytes()
+        reader = ResultsStore(store)
+        assert path.read_bytes() == before
+        result = runner.invoke(main, ["report"] + args)
+        assert result.exit_code == 0, result.output
+        assert path.read_bytes() == before
+    assert len(reader.records()) == whole.count(b"\n")
+    # once the lock is free, the next open repairs the torn line
+    ResultsStore(store)
+    assert path.read_bytes() == whole
+
+
+def test_cptp_non_convergence_exits_3(runner, tmp_path, monkeypatch):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "x", "pool_size": 11,
+                                "basis_size": 10, "shots": 400}))
+    store = tmp_path / "store"
+    args = ["--plan", str(plan), "--out", str(store)]
+    assert runner.invoke(main, ["run-plan"] + args
+                         + ["--stage", "characterize"]).exit_code == 0
+    monkeypatch.setattr(tomography, "CPTP_MAX_ITER", 1)
+    result = runner.invoke(main, ["compare-markov"] + args)
+    assert result.exit_code == 3, result.output
+    assert "numerical failure: CPTP projection of Choi matrix (" \
+        in result.output
+    assert not ResultsStore(store).records(stage="markov")
 
 
 def test_numerical_failures_exit_3(runner):

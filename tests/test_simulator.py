@@ -269,7 +269,8 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
                                     unitary_step(gate)), i)
                for i, p in enumerate(preps)]
     assert np.array_equal(bits(qpt(syn, gate, shots, master_seed).choi),
-                          bits(channel_from_prep_outputs(outputs, "qpt").choi))
+                          bits(channel_from_prep_outputs(
+                              np.array(outputs)[None], "qpt")[0].choi))
     # Markov step channels: single-interval sub-model, gate g and
     # preparation p on record record_base + 4 g + p
     model = make_model(exchange_khz=exchange_khz, env_init="plus")
@@ -285,7 +286,8 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
                             record_base + 4 * g + r)
                    for r, p in enumerate(preps)]
         assert np.array_equal(
-            bits(got[g]), bits(channel_from_prep_outputs(outputs, "g").choi))
+            bits(got[g]), bits(channel_from_prep_outputs(
+                np.array(outputs)[None], "g")[0].choi))
     # decoupling probe: the joint states of a one-slot grid
     dec = decoupling_model(exchange_khz=exchange_khz)
     joints = two_qubit_probe(dec, [[unitary_step(u) for u in basis.unitaries]])

@@ -1,38 +1,52 @@
 """The stacked qubit numerics equal their per-matrix forms bit for bit.
 
 ``mle_project`` and ``fidelity`` take one matrix or a ``(..., d, d)``
-stack, and the grid stages call them once per grid. The per-matrix forms
+stack, and the grid stages call them once per grid. The bootstrap scores
+every basis size of the evaluate ladder on one set of redraws, and the CPTP
+projection runs on a stack of channels. The per-matrix and per-size forms
 they replace live in ``helpers`` as oracles; every stored number depends
 on the two agreeing to the last bit, so values are compared as raw bits.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from proctensor.basis import generate_haar_basis
+from proctensor import tomography
+from proctensor.basis import (generate_haar_basis, haar_unitary,
+                              standard_preparations)
 from proctensor.markov import characterize, compare_with_tensor, predict
 from proctensor.qcore import (
     NumericalError,
     PhysicalityError,
+    channel_from_kraus,
     check_density_matrix,
     clamp_spectrum,
     fidelity,
     ket_dm,
+    unitary_choi,
 )
 from proctensor.simulator import make_model, rng_stream, simulate_experiment
 from proctensor.tomography import (
+    bootstrap_ci,
     build_standard_tensor,
+    channel_from_prep_outputs,
     mle_project,
     pool_coefficients,
     predict_batch,
     prediction_fidelities,
+    project_to_cptp,
     qst_mle,
+    qubit_probs_of,
     standard_slots,
 )
 
-from helpers import (fidelity_oracle, markov_predict_oracle,
-                     mle_project_oracle, qst_oracle)
+from helpers import (bootstrap_ci_oracle, channel_from_prep_outputs_oracle,
+                     fidelity_oracle, markov_predict_oracle,
+                     mle_project_oracle, predict_batch_oracle,
+                     project_to_cptp_oracle, qst_oracle)
 from test_qcore import random_density_matrix
 
 KINDS = ("indefinite", "sparse", "mixed", "pure", "diagonal")
@@ -199,6 +213,127 @@ def test_compare_with_tensor_equals_per_key_loop(sampled_grid, master_seed):
             assert np.array_equal(bits(preds[i, j, k]), bits(want)), key
             assert bits(cmp_.markov_fids[i, j, k]) == \
                 bits(np.float64(fidelity_oracle(want, states[key]))), key
+
+
+# ---------------------------------------------------------------------------
+# the evaluate ladder's bootstrap
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shots", [400, None])
+@pytest.mark.parametrize("chunk, resamples", [(1, 5), (2, 5), (3, 7), (4, 9),
+                                              (64, 6)])
+@seed(20261020)
+@settings(max_examples=3, deadline=None)
+@given(pool_seed=st.integers(0, 2**32 - 1), pool=st.integers(11, 14),
+       data=st.data())
+def test_bootstrap_ladder_equals_per_size_oracle(shots, chunk, resamples,
+                                                 pool_seed, pool, data):
+    # chunks of 1, 2, 3 and 4 resamples leave a partial last chunk; 64 takes
+    # every resample at once
+    basis = generate_haar_basis(pool, pool_seed)
+    counts = simulate_experiment(make_model(steps=3), standard_slots(basis),
+                                 shots, pool_seed % 1000)
+    ladder = list(range(10, pool))
+    sizes = data.draw(st.lists(st.sampled_from(ladder), min_size=1,
+                               unique=True).map(sorted), label="sizes")
+    grid_bytes = np.prod(counts.shape[:-2]) * 4 * 16  # one redrawn grid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tomography, "BOOTSTRAP_CHUNK_BYTES", chunk * grid_bytes)
+        lo, hi, sampled = bootstrap_ci(counts, shots, basis, sizes,
+                                       resamples=resamples, seed=pool_seed)
+        # a resumed ladder scores a subset of the sizes on the same redraws
+        full = bootstrap_ci(counts, shots, basis, ladder, resamples=resamples,
+                            seed=pool_seed)
+    assert lo.shape == hi.shape == (len(sizes),)
+    assert sampled.shape == (len(sizes), resamples)
+    for s, n in enumerate(sizes):
+        want_lo, want_hi, want = bootstrap_ci_oracle(counts, shots, basis, n,
+                                                     resamples, pool_seed)
+        assert np.array_equal(bits(sampled[s]), bits(want)), n
+        assert bits(lo[s]) == bits(np.float64(want_lo)), n
+        assert bits(hi[s]) == bits(np.float64(want_hi)), n
+        row = ladder.index(n)
+        assert np.array_equal(bits(full[2][row]), bits(want)), n
+        assert bits(full[0][row]) == bits(lo[s]), n
+        assert bits(full[1][row]) == bits(hi[s]), n
+
+
+def test_predict_batch_with_leading_axes_equals_each_tensor(sampled_grid):
+    _, basis, states = sampled_grid
+    n = 10
+    pt = build_standard_tensor(states, basis, n)
+    coeffs = pool_coefficients(pt, basis, range(n, basis.size))
+    stack = np.stack([states, states[:, ::-1, ::-1], states[:, :, ::-1]])
+    got = predict_batch(replace(pt, states=stack[:, :, :n, :n]), coeffs)
+    assert got.shape == (3, 4, basis.size - n, basis.size - n, 2, 2)
+    for b in range(3):
+        want = predict_batch_oracle(stack[b, :, :n, :n], coeffs)
+        assert np.array_equal(bits(got[b]), bits(want)), b
+
+
+# ---------------------------------------------------------------------------
+# stacked process tomography and CPTP projection
+# ---------------------------------------------------------------------------
+
+CHANNEL_KINDS = ("unitary", "identity", "depolarizing", "kraus", "noisy")
+
+
+def _choi(rng, kind):
+    """A qubit Choi matrix: CPTP for every kind but "noisy", which is a
+    unitary channel plus Hermitian noise, the way linear inversion of
+    sampled outputs leaves it."""
+    if kind == "identity":  # exact zeros and ones
+        return unitary_choi(np.eye(2, dtype=complex))
+    if kind == "depolarizing":
+        return np.eye(4, dtype=complex) / 2.0
+    if kind == "kraus":
+        gs = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        evals, vecs = np.linalg.eigh(sum(g.conj().T @ g for g in gs))
+        inv_sqrt = (vecs / np.sqrt(evals)) @ vecs.conj().T
+        return channel_from_kraus([g @ inv_sqrt for g in gs], 2, 2).choi
+    choi = unitary_choi(haar_unitary(2, rng))
+    if kind == "noisy":
+        noise = rng.normal(size=(4, 4), scale=0.03) \
+            + 1j * rng.normal(size=(4, 4), scale=0.03)
+        choi = choi + (noise + noise.conj().T) / 2.0
+    return choi
+
+
+@seed(20261021)
+@settings(max_examples=12, deadline=None)
+@given(g=st.sampled_from([1, 7, 28]), draw_seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(CHANNEL_KINDS), min_size=1, max_size=5,
+                      unique=True))
+def test_project_to_cptp_stack_equals_per_matrix_oracle(g, draw_seed, kinds):
+    rng = rng_stream(draw_seed, 0)
+    # every stack of more than one matrix mixes CPTP and noisy inputs
+    picks = [kinds[rng.integers(len(kinds))] for _ in range(g)]
+    if g > 1:
+        picks[:2] = ["noisy", "unitary"]
+    chois = np.array([_choi(rng, kind) for kind in picks])
+    got = project_to_cptp(chois)
+    assert got.shape == (g, 4, 4)
+    for i, choi in enumerate(chois):
+        assert np.array_equal(bits(got[i]), bits(project_to_cptp_oracle(choi))), \
+            (i, picks[i])
+
+
+@pytest.mark.parametrize("g", [1, 7])
+def test_channel_from_prep_outputs_stack_equals_per_channel_oracle(g):
+    rng = rng_stream(5, g)
+    preps = np.array([p.state for p in standard_preparations()])
+    exact = np.array([[u @ rho @ u.conj().T for rho in preps]
+                      for u in (haar_unitary(2, rng) for _ in range(g))])
+    # odd channels get 400-shot estimates, whose solved maps are not CP
+    plus = rng.binomial(400, qubit_probs_of(exact))
+    sampled = qst_mle(np.stack([plus, 400 - plus], axis=-1), 400)
+    outputs = np.where((np.arange(g) % 2 == 1)[:, None, None, None],
+                       sampled, exact)
+    channels = channel_from_prep_outputs(outputs, "x")
+    assert len(channels) == g and all(ch.label == "x" for ch in channels)
+    for i, ch in enumerate(channels):
+        assert np.array_equal(bits(ch.choi),
+                              bits(channel_from_prep_outputs_oracle(outputs[i])))
 
 
 # ---------------------------------------------------------------------------

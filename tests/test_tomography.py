@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
+from proctensor import tomography
 from proctensor.basis import build_duals, generate_haar_basis, standard_preparations
 from proctensor.qcore import (
     ID2,
     KET0,
     PAULIS,
+    NumericalError,
     apply_channel,
     channel_from_kraus,
     fidelity,
@@ -411,8 +413,8 @@ def test_bootstrap_exact_records_collapse():
     model = make_model(steps=3)
     basis = generate_haar_basis(11, seed=41)
     counts = simulate_experiment(model, standard_slots(basis), None, 3)
-    lo, hi, samples = bootstrap_ci(counts, None, basis, n=10, resamples=30,
-                                   seed=1)
+    (lo,), (hi,), (samples,) = bootstrap_ci(counts, None, basis, [10],
+                                            resamples=30, seed=1)
     assert hi - lo < 1e-6
     assert samples.std() < 1e-9
     point = samples[0]
@@ -423,8 +425,10 @@ def test_bootstrap_with_shots_is_deterministic_and_ordered():
     model = make_model(steps=3)
     basis = generate_haar_basis(11, seed=41)
     counts = simulate_experiment(model, standard_slots(basis), 400, 3)
-    lo1, hi1, s1 = bootstrap_ci(counts, 400, basis, n=10, resamples=40, seed=7)
-    lo2, hi2, s2 = bootstrap_ci(counts, 400, basis, n=10, resamples=40, seed=7)
+    (lo1,), (hi1,), (s1,) = bootstrap_ci(counts, 400, basis, [10],
+                                         resamples=40, seed=7)
+    (lo2,), (hi2,), (s2,) = bootstrap_ci(counts, 400, basis, [10],
+                                         resamples=40, seed=7)
     assert (lo1, hi1) == (lo2, hi2)
     assert 0.0 <= lo1 < hi1 <= 1.0
     assert s1.std() > 0.0
@@ -436,7 +440,7 @@ def test_bootstrap_requires_two_resamples():
     basis = generate_haar_basis(11, seed=41)
     counts = simulate_experiment(model, standard_slots(basis), None, 3)
     with pytest.raises(ValueError, match="resamples"):
-        bootstrap_ci(counts, None, basis, 10, resamples=1, seed=0)
+        bootstrap_ci(counts, None, basis, [10], resamples=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +458,7 @@ def test_qpt_recovers_kraus_channel(channel_seed, rank):
     inv_sqrt = (vecs / np.sqrt(evals)) @ vecs.conj().T
     ch = channel_from_kraus([g @ inv_sqrt for g in gs], 2, 2)
     outputs = [apply_channel(ch, p.state) for p in standard_preparations()]
-    est = channel_from_prep_outputs(outputs, "est")
+    est, = channel_from_prep_outputs(np.array(outputs)[None], "est")
     assert np.allclose(est.choi, ch.choi, rtol=0.0, atol=1e-8)
 
 
@@ -463,9 +467,27 @@ def test_project_to_cptp_fixed_points():
     from proctensor.basis import haar_unitary
     for _ in range(5):
         ch = channel_from_unitary(haar_unitary(2, rng))
-        assert np.allclose(project_to_cptp(ch.choi), ch.choi, atol=1e-8)
+        assert np.allclose(project_to_cptp(ch.choi[None])[0], ch.choi,
+                           atol=1e-8)
     depol = np.eye(4, dtype=complex) / 2.0
-    assert np.allclose(project_to_cptp(depol), depol, atol=1e-10)
+    assert np.allclose(project_to_cptp(depol[None])[0], depol, atol=1e-10)
+
+
+def test_project_to_cptp_raises_when_a_matrix_does_not_converge(monkeypatch):
+    rng = rng_stream(39, 0)
+    from proctensor.basis import haar_unitary
+    clean = channel_from_unitary(haar_unitary(2, rng)).choi
+    noise = rng.normal(size=(4, 4), scale=0.03) \
+        + 1j * rng.normal(size=(4, 4), scale=0.03)
+    noisy = clean + (noise + noise.conj().T) / 2.0
+    monkeypatch.setattr(tomography, "CPTP_MAX_ITER", 1)
+    # a CPTP input passes the test after one iteration; a noisy one does not
+    assert project_to_cptp(clean[None]).shape == (1, 4, 4)
+    with pytest.raises(NumericalError, match=r"^CPTP projection of Choi "
+                       r"matrix \(1,\) did not converge in 1 iterations$"):
+        project_to_cptp(np.array([clean, noisy, clean]))
+    with pytest.raises(NumericalError, match=r"matrix \(0,\)"):
+        project_to_cptp(noisy[None])
 
 
 def test_project_to_cptp_repairs_noisy_choi():
@@ -476,7 +498,7 @@ def test_project_to_cptp_repairs_noisy_choi():
         noise = rng.normal(size=(4, 4), scale=0.03) \
             + 1j * rng.normal(size=(4, 4), scale=0.03)
         noisy = clean + (noise + noise.conj().T) / 2.0
-        fixed = project_to_cptp(noisy)
+        fixed, = project_to_cptp(noisy[None])
         c4 = fixed.reshape(2, 2, 2, 2)
         assert np.max(np.abs(np.einsum("iaja->ij", c4) - np.eye(2))) < 1e-8
         assert np.linalg.eigvalsh(fixed).min() > -1e-8
