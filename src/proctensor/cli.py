@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -22,6 +23,7 @@ from .harness import (
     ExperimentPlan,
     ResultsStore,
     load_plan,
+    plan_from_dict,
     report as build_report,
     run_plan,
 )
@@ -57,18 +59,11 @@ def plan_options(fn):
 
 
 def _load(plan_path: Path, seed: int | None, shots: int | None) -> ExperimentPlan:
+    """The plan file with the overrides applied, validated as one plan."""
     plan = load_plan(plan_path)
-    updates = {}
-    if seed is not None:
-        updates["master_seed"] = seed
-    if shots is not None:
-        if shots <= 0:
-            raise ConfigError("shots: must be a positive integer")
-        updates["shots"] = shots
-    if updates:
-        from dataclasses import replace
-        plan = replace(plan, **updates)
-    return plan
+    overrides = {k: v for k, v in (("master_seed", seed), ("shots", shots))
+                 if v is not None}
+    return plan_from_dict({**asdict(plan), **overrides}) if overrides else plan
 
 
 def _execute(plan_path: Path, out_dir: Path, seed: int | None,
@@ -96,6 +91,8 @@ def generate_basis_cmd(seed: int, size: int, out_path: Path) -> None:
     lo, hi = POOL_BOUNDS
     if not lo <= size <= hi:
         raise ConfigError(f"size: must be between {lo} and {hi}")
+    if seed < 0:
+        raise ConfigError("seed: must be a non-negative integer")
     basis = generate_haar_basis(size, seed)
 
     def mat_doc(m: np.ndarray) -> list:

@@ -28,7 +28,6 @@ from .qcore import (
     NumericalError,
     PAULI_X,
     PAULI_Y,
-    PAULIS,
     QuantumChannel,
     UnitaryParams,
     apply_channel,
@@ -45,15 +44,13 @@ from .qcore import (
     unitarity,
 )
 from .simulator import (
-    AXES,
-    PAIR_SETTINGS,
     SEModel,
+    draw_pair_counts,
     exchange_zz_hamiltonian,
     initial_joint_state,
     interval_propagator,
     prep_step,
     rng_stream,
-    sample_pair_counts,
     two_qubit_probe,
     unitary_step,
 )
@@ -66,6 +63,7 @@ from .tomography import (
     form_coefficients,
     measure_grid,
     mle_project,
+    pair_qst_mle,
     prep_slot,
     qubit_bloch,
     slot_coefficients,
@@ -74,62 +72,12 @@ from .tomography import (
 )
 
 DECOUPLING_IDLE_NS = 256.0
+# the neighbor's marginal of the probe's |++> preparation: the state the
+# decoupling search hands back to the neighbor
+DECOUPLING_ENV_REF = partial_trace(initial_joint_state(2, "plus_plus"), 1,
+                                   (2, 2))
 TIE_TOL = 1e-6  # decoupling minima this close to the best one are tied
 SYNTHESIS_IDLE_NS = 800.0
-
-
-# ---------------------------------------------------------------------------
-# Two-qubit state tomography (decoupling probe readout)
-# ---------------------------------------------------------------------------
-
-def pair_counts_to_correlations(counts: dict[tuple[str, str], np.ndarray]) -> np.ndarray:
-    """Pauli correlation matrix c[a, b] from 9-setting pair counts.
-
-    Index order (I, X, Y, Z); single-qubit terms are averaged over the
-    three settings that measure them.
-    """
-    c = np.zeros((4, 4))
-    c[0, 0] = 1.0
-    singles_a = np.zeros((4, 2))  # accumulator, count
-    singles_b = np.zeros((4, 2))
-    for (a, b), n in counts.items():
-        n = np.asarray(n, dtype=float)
-        total = n.sum()
-        if total <= 0:
-            raise ValueError(f"empty counts for setting {(a, b)}")
-        ia, ib = AXES.index(a) + 1, AXES.index(b) + 1
-        pp, pm, mp, mm = n / total
-        c[ia, ib] = pp - pm - mp + mm
-        singles_a[ia] += (pp + pm - mp - mm, 1.0)
-        singles_b[ib] += (pp - pm + mp - mm, 1.0)
-    for i in range(1, 4):
-        if singles_a[i, 1]:
-            c[i, 0] = singles_a[i, 0] / singles_a[i, 1]
-        if singles_b[i, 1]:
-            c[0, i] = singles_b[i, 0] / singles_b[i, 1]
-    return c
-
-
-def two_qubit_mle(correlations: np.ndarray) -> np.ndarray:
-    """Physical two-qubit state from a Pauli correlation matrix."""
-    labels = ("I", "X", "Y", "Z")
-    rho = np.zeros((4, 4), dtype=complex)
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            rho += correlations[i, j] * np.kron(PAULIS[a], PAULIS[b]) / 4.0
-    return mle_project(rho)
-
-
-def measure_joint_state(joint: np.ndarray, shots: int | None, master_seed: int,
-                        record_index: int = 0) -> np.ndarray:
-    """Exact pass-through, or 9-setting sampled QST of a two-qubit state."""
-    if shots is None:
-        return joint
-    counts = {}
-    for s, axes in enumerate(PAIR_SETTINGS):
-        rng = rng_stream(master_seed, record_index, s)
-        counts[axes] = sample_pair_counts(joint, axes, shots, rng)
-    return two_qubit_mle(pair_counts_to_correlations(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +99,14 @@ def decoupling_model(exchange_khz: float = 50.0,
 def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
                             shots: int | None = None,
                             master_seed: int = 0) -> ProcessTensor:
-    """One-slot tensor mapping the gate to the joint two-qubit output.
-
-    The provenance records the neighbor's preparation marginal; the
-    optimizer uses it to break ties between gates that refocus equally
-    well after a single application.
-    """
+    """One-slot tensor mapping the gate to the joint two-qubit output: the
+    exact joint states when ``shots`` is None, otherwise the two-qubit QST
+    of their pair counts (the record index of gate ``nu`` is ``nu``)."""
     joints = two_qubit_probe(model, [[unitary_step(u, f"U{nu}") for nu, u
                                       in enumerate(basis.unitaries)]])
-    states = np.array([measure_joint_state(joint, shots, master_seed, nu)
-                       for nu, joint in enumerate(joints)])
-    env_marginal = partial_trace(initial_joint_state(2, model.env_init), 1, (2, 2))
-    return assemble([unitary_slot(basis.unitaries)], states,
-                    provenance={"kind": "decoupling", "shots": shots,
-                                "seed": master_seed,
-                                "env_marginal": env_marginal})
+    states = joints if shots is None else \
+        pair_qst_mle(draw_pair_counts(joints, shots, master_seed))
+    return assemble([unitary_slot(basis.unitaries)], states)
 
 
 def _predicted_joint(pt: ProcessTensor, gate: np.ndarray) -> np.ndarray:
@@ -226,19 +167,18 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
     points. Minima frequently tie: many gates refocus the single probed
     input equally well. Stage two re-polishes the tied candidates with a
     heavy objective penalty plus the restoration error against the neighbor
-    marginal in ``pt.provenance["env_marginal"]`` and keeps the candidate
-    that restores best without giving up the objective, so the returned
-    argmin is the one expected to hold up under repetition.
+    marginal ``DECOUPLING_ENV_REF`` and keeps the candidate that restores
+    best without giving up the objective, so the returned argmin is the one
+    expected to hold up under repetition.
     Deterministic for a fixed seed.
     """
-    ref = np.asarray(pt.provenance["env_marginal"], dtype=complex)
-
     def objective(x: np.ndarray) -> float:
         return decoupling_objective(pt, u3_matrix(*x))
 
     def polish(x: np.ndarray) -> float:
         joint = _predicted_joint(pt, u3_matrix(*x))
-        return 1e3 * _purity_loss(joint) + _restoration_loss(joint, ref)
+        return 1e3 * _purity_loss(joint) \
+            + _restoration_loss(joint, DECOUPLING_ENV_REF)
 
     rng = rng_stream(seed, 303)
     candidates: list[tuple[float, np.ndarray]] = []
@@ -259,7 +199,8 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
                                 options={"maxiter": maxiter, "xatol": 1e-6,
                                          "fatol": 1e-10})
         joint = _predicted_joint(pt, u3_matrix(*res.x))
-        scored.append((_purity_loss(joint), _restoration_loss(joint, ref), res.x))
+        scored.append((_purity_loss(joint),
+                       _restoration_loss(joint, DECOUPLING_ENV_REF), res.x))
     admissible = [s for s in scored if s[0] <= best_f + TIE_TOL]
     if admissible:
         pick = min(range(len(admissible)), key=lambda i: admissible[i][1])
@@ -360,9 +301,7 @@ def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
     slots = ([prep_step(p.gate, p.label) for p in preps],
              [unitary_step(u, f"U{nu}") for nu, u in enumerate(basis.unitaries)])
     states = measure_grid(model, slots, shots, master_seed)
-    return assemble([prep_slot(preps), unitary_slot(basis.unitaries)], states,
-                    provenance={"kind": "synthesis", "shots": shots,
-                                "seed": master_seed})
+    return assemble([prep_slot(preps), unitary_slot(basis.unitaries)], states)
 
 
 def synthesis_kernel(pt: ProcessTensor,

@@ -16,6 +16,7 @@ import fcntl
 import functools
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
@@ -113,6 +114,13 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def plan_from_dict(raw: dict) -> ExperimentPlan:
     """Validate a parsed plan document; errors name the field path."""
     if not isinstance(raw, dict):
@@ -127,8 +135,8 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
         if path not in data:
             return
         v = data[path]
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                 path, "must be a number")
+        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
+                 and _is_finite(v), path, "must be a finite number")
         if lo is not None:
             _require(v > lo or (allow_zero and v >= lo), path,
                      f"must be {'>=' if allow_zero else '>'} {lo}")
@@ -159,8 +167,8 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
     for path in ("master_seed", "pool_seed"):
         if path in data:
             v = data[path]
-            _require(isinstance(v, int) and not isinstance(v, bool), path,
-                     "must be an integer")
+            _require(isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+                     path, "must be a non-negative integer")
     if "resamples" in data:
         v = data["resamples"]
         _require(isinstance(v, int) and not isinstance(v, bool) and v >= 2,
@@ -723,19 +731,30 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def report(plan: ExperimentPlan, store: ResultsStore,
            out_dir: str | Path) -> dict[str, Path]:
-    """Emit plot-ready CSVs plus a text summary for the stages present."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-    lines = [f"plan: {plan.name}", f"pool: {plan.pool_size} "
-             f"(seed {plan.pool_seed}), shots: {plan.shots}",
-             f"master seed: {plan.master_seed}"]
+    """Emit plot-ready CSVs plus a text summary for the stages present.
 
+    The summary describes the configuration the store's plan manifest
+    holds, with any ``--seed``/``--shots`` overrides of its run.
+    """
     evaluations = sorted(store.records(stage="evaluate", kind="evaluation"),
                          key=lambda d: d["payload"]["n"])
     if not evaluations:
         raise ConfigError(
             "report requires the 'evaluate' stage; run it before reporting")
+    manifests = store.records(kind="plan_manifest")
+    if not manifests:
+        raise ConfigError(f"store {store.root}: holds no plan manifest")
+    held = manifests[0]["payload"]
+    if held["name"] != plan.name:
+        raise ConfigError(f"store {store.root}: holds plan {held['name']!r}, "
+                          f"not {plan.name!r}")
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written: dict[str, Path] = {}
+    lines = [f"plan: {held['name']}", f"pool: {held['pool_size']} "
+             f"(seed {held['pool_seed']}), shots: {held['shots']}",
+             f"master seed: {held['master_seed']}"]
 
     rows = [[p["n"], p["mean_infidelity"], p["ci_lo"], p["ci_hi"]]
             for p in (d["payload"] for d in evaluations)]
@@ -752,7 +771,7 @@ def report(plan: ExperimentPlan, store: ResultsStore,
     written["box_stats"] = path
 
     at_n = next((d["payload"] for d in evaluations
-                 if d["payload"]["n"] == plan.basis_size),
+                 if d["payload"]["n"] == held["basis_size"]),
                 evaluations[-1]["payload"])
     lines.append(f"reconstruction: held-out fidelity median "
                  f"{at_n['median']:.4f} at n={at_n['n']} "

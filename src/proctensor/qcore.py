@@ -16,7 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,11 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = {"I": ID2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+# projectors onto the +1 and -1 eigenspaces of each measured Pauli axis
+PAULI_PLUS = {ax: (ID2 + PAULIS[ax]) / 2.0 for ax in "XYZ"}
+PAULI_MINUS = {ax: (ID2 - PAULIS[ax]) / 2.0 for ax in "XYZ"}
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
-KET1 = np.array([0.0, 1.0], dtype=complex)
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 S_GATE = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
@@ -397,33 +399,3 @@ def process_fidelity(a: QuantumChannel, b: QuantumChannel) -> float:
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise ValueError("channel dimensions differ")
     return fidelity(a.choi / a.dim_in, b.choi / b.dim_in)
-
-
-# ---------------------------------------------------------------------------
-# Measurement settings
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PauliBasisSetting:
-    """A projective single-qubit measurement along a Pauli axis."""
-
-    axis: str
-    plus: np.ndarray = field(repr=False)
-    minus: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.axis not in ("X", "Y", "Z"):
-            raise ValueError(f"axis must be X, Y or Z, got {self.axis!r}")
-        ident = self.plus + self.minus
-        if np.max(np.abs(ident - ID2)) > 1e-12:
-            raise ValueError("projectors do not sum to the identity")
-
-
-def pauli_setting(axis: str) -> PauliBasisSetting:
-    if axis not in ("X", "Y", "Z"):
-        raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
-    p = PAULIS[axis]
-    return PauliBasisSetting(axis=axis, plus=(ID2 + p) / 2.0, minus=(ID2 - p) / 2.0)
-
-
-PAULI_SETTINGS = {ax: pauli_setting(ax) for ax in ("X", "Y", "Z")}

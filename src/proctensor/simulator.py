@@ -19,11 +19,12 @@ part of the process.
 ``simulate_grid`` runs every combination of one step per slot at once,
 propagating each shared prefix once; ``run_sequence`` is its
 one-step-per-slot case. ``simulate_experiment`` adds the measurement:
-counts ``[plus, minus]`` per sequence and axis, shape grid + ``(3, 2)``.
+counts ``[plus, minus]`` per sequence and axis, shape grid + ``(3, 2)``;
+``draw_pair_counts`` is the two-qubit readout of the decoupling probe.
 
-Shot sampling uses counter-based Philox streams keyed by
-(master seed, record index, axis), so any record can be regenerated in
-isolation and runs are reproducible under any execution order.
+Shot sampling uses counter-based Philox streams keyed by (master seed,
+record index, axis or pair setting), so any record can be regenerated
+in isolation and runs are reproducible under any execution order.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from scipy.linalg import expm
 
 from .qcore import (
     KET0,
+    PAULI_MINUS,
+    PAULI_PLUS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    PAULI_SETTINGS,
     QuantumChannel,
     apply_channel,
     check_density_matrix,
@@ -312,7 +314,7 @@ def two_qubit_probe(model: SEModel,
 def outcome_probabilities(states: np.ndarray) -> np.ndarray:
     """P(+) on the X, Y and Z axes for a state or a ``(..., 2, 2)`` stack,
     shape ``(..., 3)``, clipped to [0, 1]."""
-    return np.stack([np.clip(np.einsum("ij,...ji->...", PAULI_SETTINGS[ax].plus,
+    return np.stack([np.clip(np.einsum("ij,...ji->...", PAULI_PLUS[ax],
                                        states).real, 0.0, 1.0)
                      for ax in AXES], axis=-1)
 
@@ -355,16 +357,29 @@ def simulate_experiment(model: SEModel, slots: Sequence[Sequence[ControlStep]],
 # two-qubit readout used by the decoupling probe ---------------------------
 
 PAIR_SETTINGS = tuple((a, b) for a in AXES for b in AXES)
+# the outcome projectors [++, +-, -+, --] of each pair setting, (9, 4, 4, 4)
+PAIR_PROJECTORS = np.array([[np.kron(pa, pb)
+                             for pa in (PAULI_PLUS[a], PAULI_MINUS[a])
+                             for pb in (PAULI_PLUS[b], PAULI_MINUS[b])]
+                            for a, b in PAIR_SETTINGS])
 
 
-def sample_pair_counts(joint: np.ndarray, axes: tuple[str, str], shots: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Multinomial counts over the four +/- outcomes of a joint Pauli pair."""
+def draw_pair_counts(joints: np.ndarray, shots: int,
+                     master_seed: int) -> np.ndarray:
+    """Outcome counts ``[++, +-, -+, --]`` of the nine Pauli-pair settings
+    for a stack of joint states ``(N, 4, 4)``, shape ``(N, 9, 4)``.
+
+    Setting ``s`` of record ``r`` (the state's stack position) draws a
+    multinomial from the stream (master seed, r, s); negative outcome
+    probabilities are clipped to zero and each setting renormalised.
+    """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    sa, sb = PAULI_SETTINGS[axes[0]], PAULI_SETTINGS[axes[1]]
-    projs = [np.kron(pa, pb) for pa in (sa.plus, sa.minus) for pb in (sb.plus, sb.minus)]
-    probs = np.array([max(float(np.einsum("ij,ji->", pr, joint).real), 0.0)
-                      for pr in projs])
-    probs = probs / probs.sum()
-    return rng.multinomial(shots, probs)
+    probs = np.stack([np.maximum(np.einsum("ij,...ji->...", pr, joints).real,
+                                 0.0)
+                      for pr in PAIR_PROJECTORS.reshape(-1, 4, 4)], axis=-1)
+    probs = probs.reshape(len(joints), len(PAIR_SETTINGS), 4)
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    return np.array([[rng_stream(master_seed, r, s).multinomial(shots, p)
+                      for s, p in enumerate(row)]
+                     for r, row in enumerate(probs)], dtype=np.int64)

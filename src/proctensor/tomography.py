@@ -45,9 +45,11 @@ from .qcore import (
     ID2,
     KET0,
     NumericalError,
+    PAULI_ORDER,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PAULIS,
     PhysicalityError,
     QuantumChannel,
     check_density_matrix,
@@ -134,6 +136,32 @@ def qst_mle(counts: np.ndarray, shots: int | None) -> np.ndarray:
     """
     ex = (counts[..., 0] - counts[..., 1]) / (shots or 1)
     return mle_project(linear_inversion_qubit(ex[..., 0], ex[..., 1], ex[..., 2]))
+
+
+def pair_qst_mle(counts: np.ndarray) -> np.ndarray:
+    """Physical two-qubit states from nine-setting pair counts.
+
+    ``counts`` holds ``[++, +-, -+, --]`` per record and ``PAIR_SETTINGS``
+    entry, shape ``(..., 9, 4)``, or their exact probabilities. Each
+    single-qubit Pauli term is averaged over the three settings that
+    measure it, in setting order; the Pauli products are summed a-major.
+    Returns the states, shape ``(..., 4, 4)``.
+    """
+    freqs = counts / counts.sum(axis=-1, keepdims=True)
+    pp, pm, mp, mm = (freqs[..., k].reshape(freqs.shape[:-2] + (3, 3))
+                      for k in range(4))
+    corr = np.zeros(freqs.shape[:-2] + (4, 4))
+    corr[..., 0, 0] = 1.0
+    corr[..., 1:, 1:] = pp - pm - mp + mm
+    first, second = pp + pm - mp - mm, pp - pm + mp - mm
+    corr[..., 1:, 0] = sum(first[..., :, b] for b in range(3)) / 3.0
+    corr[..., 0, 1:] = sum(second[..., a, :] for a in range(3)) / 3.0
+    rho = np.zeros(freqs.shape[:-2] + (4, 4), dtype=complex)
+    for i, a in enumerate(PAULI_ORDER):
+        for j, b in enumerate(PAULI_ORDER):
+            pauli = np.kron(PAULIS[a], PAULIS[b])
+            rho += corr[..., i, j, None, None] * pauli / 4.0
+    return mle_project(rho)
 
 
 def measure_grid(model: SEModel, slots: Sequence[Sequence[ControlStep]],
@@ -223,7 +251,6 @@ class ProcessTensor:
     slots: tuple[SlotBasis, ...]
     duals: tuple[DualSet, ...]
     states: np.ndarray = field(repr=False)
-    provenance: dict = field(default_factory=dict)
 
     @property
     def steps(self) -> int:
@@ -244,8 +271,7 @@ def unitary_slot(unitaries: Iterable[np.ndarray]) -> SlotBasis:
                      forms=np.array([unitary_matrix_form(u) for u in unitaries]))
 
 
-def assemble(slots: list[SlotBasis], states: np.ndarray,
-             provenance: dict | None = None) -> ProcessTensor:
+def assemble(slots: list[SlotBasis], states: np.ndarray) -> ProcessTensor:
     """Build the tensor from slot bases and measured basis-sequence states.
 
     ``states`` has one axis per slot, of the slot's size, followed by the
@@ -259,8 +285,7 @@ def assemble(slots: list[SlotBasis], states: np.ndarray,
             f"states shape {states.shape} is not {sizes} + (d, d)")
     duals = tuple(build_duals(s.forms, required_rank=s.required_rank)
                   for s in slots)
-    return ProcessTensor(slots=slots, duals=duals, states=states,
-                         provenance=provenance or {})
+    return ProcessTensor(slots=slots, duals=duals, states=states)
 
 
 def step_matrix_form(step: ControlStep, slot_kind: str) -> np.ndarray:

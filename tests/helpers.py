@@ -5,7 +5,8 @@ import numpy as np
 from proctensor.basis import (PINV_RCOND, PrepOp, hermitian_frame,
                               standard_preparations)
 from proctensor.memory import binary_channel_mi
-from proctensor.qcore import (EIG_CLAMP_TOL, ID2, KET0, PAULI_SETTINGS, PAULIS,
+from proctensor.qcore import (EIG_CLAMP_TOL, ID2, KET0, PAULI_MINUS, PAULI_PLUS,
+                              PAULIS,
                               QuantumChannel, apply_channel,
                               check_density_matrix, check_unitary,
                               choi_to_superop, fidelity, ket_dm, partial_trace,
@@ -22,6 +23,8 @@ from proctensor.tomography import (CI_ALPHA, _states_from_probs,
                                    step_matrix_form)
 
 FLOAT_TOL = 1e-9
+
+KET1 = np.array([0.0, 1.0], dtype=complex)
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -220,7 +223,7 @@ def experiment_oracle(model, seq, shots, master_seed, record_index):
     state = run_sequence_oracle(model, seq)
     counts = []
     for ax_idx, ax in enumerate(AXES):
-        p = float(np.einsum("ij,ji->", PAULI_SETTINGS[ax].plus, state).real)
+        p = float(np.einsum("ij,ji->", PAULI_PLUS[ax], state).real)
         p = min(max(p, 0.0), 1.0)
         if shots is None:
             counts.append((p, 1.0 - p))
@@ -405,6 +408,64 @@ def pair_expectations_exact(joint):
         op = np.kron(PAULIS[a], PAULIS[b])
         out[(a, b)] = float(np.einsum("ij,ji->", op, joint).real)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-record two-qubit readout oracle
+# ---------------------------------------------------------------------------
+#
+# The decoupling probe's readout as it was written one record and one
+# setting at a time, with dict-keyed counts: ``draw_pair_counts`` and
+# ``pair_qst_mle`` must reproduce it bit for bit.
+
+def sample_pair_counts_oracle(joint, axes, shots, rng):
+    """Multinomial counts over the four +/- outcomes of a joint Pauli pair."""
+    a, b = axes
+    projs = [np.kron(pa, pb) for pa in (PAULI_PLUS[a], PAULI_MINUS[a])
+             for pb in (PAULI_PLUS[b], PAULI_MINUS[b])]
+    probs = np.array([max(float(np.einsum("ij,ji->", pr, joint).real), 0.0)
+                      for pr in projs])
+    probs = probs / probs.sum()
+    return rng.multinomial(shots, probs)
+
+
+def pair_counts_to_correlations_oracle(counts):
+    """Pauli correlation matrix c[a, b] (order I, X, Y, Z) from the
+    9-setting pair counts, single-qubit terms averaged over settings."""
+    c = np.zeros((4, 4))
+    c[0, 0] = 1.0
+    singles_a = np.zeros((4, 2))  # accumulator, count
+    singles_b = np.zeros((4, 2))
+    for (a, b), n in counts.items():
+        n = np.asarray(n, dtype=float)
+        ia, ib = AXES.index(a) + 1, AXES.index(b) + 1
+        pp, pm, mp, mm = n / n.sum()
+        c[ia, ib] = pp - pm - mp + mm
+        singles_a[ia] += (pp + pm - mp - mm, 1.0)
+        singles_b[ib] += (pp - pm + mp - mm, 1.0)
+    for i in range(1, 4):
+        c[i, 0] = singles_a[i, 0] / singles_a[i, 1]
+        c[0, i] = singles_b[i, 0] / singles_b[i, 1]
+    return c
+
+
+def two_qubit_mle_oracle(correlations):
+    """Physical two-qubit state from a Pauli correlation matrix."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for i, a in enumerate("IXYZ"):
+        for j, b in enumerate("IXYZ"):
+            rho += correlations[i, j] * np.kron(PAULIS[a], PAULIS[b]) / 4.0
+    return mle_project(rho)
+
+
+def measure_joint_state_oracle(joint, shots, master_seed, record_index):
+    """9-setting sampled QST of one two-qubit state: setting s draws from
+    the stream (master seed, record index, s)."""
+    counts = {axes: sample_pair_counts_oracle(
+                  joint, axes, shots, rng_stream(master_seed, record_index, s))
+              for s, axes in enumerate(PAIR_SETTINGS)}
+    return counts, two_qubit_mle_oracle(
+        pair_counts_to_correlations_oracle(counts))
 
 
 def preparations_from_unitaries(unitaries, labels=None):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+from pathlib import Path
+
 import click
 import pytest
 from click.testing import CliRunner
@@ -11,6 +13,9 @@ from proctensor import harness, qcore, tomography
 from proctensor.cli import handle_errors, main
 from proctensor.harness import ResultsStore
 from proctensor.qcore import NumericalError
+
+
+QUICKSTART = Path(__file__).parents[1] / "plans" / "quickstart.json"
 
 
 @pytest.fixture
@@ -66,6 +71,66 @@ def test_bad_shots_override(runner, tmp_path):
                                   "--shots", "-5"])
     assert result.exit_code == 2
     assert "shots" in result.output
+
+
+@pytest.mark.parametrize("fields, extra", [
+    ({"master_seed": -1}, []),
+    ({"pool_seed": -3}, []),
+    ({}, ["--seed", "-5"]),
+    ({}, ["--shots", "0"]),
+    ({"duration_ns": float("inf")}, []),
+    ({"duration_ns": float("-inf")}, []),
+    ({"exchange_khz": float("inf")}, []),
+    ({"zz_khz": float("inf")}, []),
+    ({"idle_scale": float("inf")}, []),
+    ({"zz_khz": float("nan")}, []),
+    ({"duration_ns": 10 ** 400}, []),
+], ids=["master-seed", "pool-seed", "seed-override", "shots-override",
+        "duration-inf", "duration-minus-inf", "exchange-inf", "zz-inf",
+        "idle-scale-inf", "zz-nan", "duration-huge-int"])
+def test_invalid_seed_or_number_exits_2(runner, tmp_path, fields, extra):
+    # json writes inf and nan as Infinity and NaN, which json.loads accepts
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "x", "pool_size": 10,
+                                "basis_size": 10, "shots": 64,
+                                "stages": ["characterize"], **fields}))
+    store = tmp_path / "store"
+    result = runner.invoke(main, ["run-plan", "--plan", str(plan),
+                                  "--out", str(store)] + extra)
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("config error: ")
+    assert not (store / "records.jsonl").exists()
+
+
+def test_generate_basis_rejects_negative_seed(runner, tmp_path):
+    path = tmp_path / "x.json"
+    result = runner.invoke(main, ["generate-basis", "--seed", "-1",
+                                  "--out", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "seed: must be a non-negative integer" in result.output
+    assert not path.exists()
+
+
+def test_report_header_describes_the_stored_configuration(runner, tmp_path):
+    # the run overrides the plan's seed and shots; the report must show the
+    # values the store holds, and score the headline row at the stored
+    # basis size even after the plan file changes
+    plan = tmp_path / "plan.json"
+    plan.write_text(QUICKSTART.read_text())
+    store = tmp_path / "store"
+    args = ["--plan", str(plan), "--out", str(store)]
+    result = runner.invoke(main, ["run-plan"] + args
+                           + ["--seed", "5", "--shots", "800"])
+    assert result.exit_code == 0, result.output
+    edited = json.loads(plan.read_text())
+    edited.update(pool_size=20, basis_size=10)
+    plan.write_text(json.dumps(edited))
+    result = runner.invoke(main, ["report"] + args)
+    assert result.exit_code == 0, result.output
+    summary = (store / "report" / "summary.txt").read_text().splitlines()
+    assert summary[:3] == ["plan: quickstart", "pool: 14 (seed 7), shots: 800",
+                           "master seed: 5"]
+    assert " at n=12 " in summary[3]
 
 
 def test_report_requires_evaluate(runner, tmp_path):

@@ -11,16 +11,15 @@ from hypothesis import given, seed, settings, strategies as st
 
 from proctensor.basis import generate_haar_basis, haar_unitary
 from proctensor.control import (
+    DECOUPLING_ENV_REF,
     DECOUPLING_IDLE_NS,
     XY4_CYCLE,
     build_decoupling_tensor,
     build_synthesis_tensor,
     decoupling_model,
     decoupling_objective,
-    measure_joint_state,
     nonunitary_target,
     optimize_decoupling,
-    pair_counts_to_correlations,
     qpt,
     restoration_error,
     simulate_trajectory,
@@ -29,7 +28,6 @@ from proctensor.control import (
     synthesize_gate,
     synthesis_kernel,
     synthesis_loss,
-    two_qubit_mle,
 )
 from proctensor.qcore import (
     PAULIS,
@@ -43,7 +41,9 @@ from proctensor.qcore import (
     unitarity,
 )
 from proctensor.simulator import (
+    PAIR_SETTINGS,
     ControlSequence,
+    draw_pair_counts,
     khz_to_rad_per_ns,
     prep_step,
     rng_stream,
@@ -51,7 +51,7 @@ from proctensor.simulator import (
     two_qubit_probe,
     unitary_step,
 )
-from proctensor.tomography import contract_fast, mle_project
+from proctensor.tomography import contract_fast, mle_project, pair_qst_mle
 
 from helpers import (channel_from_unitary, decoupling_objective_via_steps,
                      restoration_error_via_steps, synthesis_loss_via_steps)
@@ -107,32 +107,33 @@ def exact_pair_probabilities(rho, a, b):
 
 
 def test_two_qubit_mle_exact_roundtrip():
+    # exact outcome probabilities in place of counts give back the state
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        rho = random_density_matrix(rng, dim=4)
-        counts = {(a, b): exact_pair_probabilities(rho, a, b)
-                  for a in "XYZ" for b in "XYZ"}
-        rec = two_qubit_mle(pair_counts_to_correlations(counts))
-        assert np.allclose(rec, rho, atol=1e-9)
+    rhos = np.array([random_density_matrix(rng, dim=4) for _ in range(5)])
+    probs = np.array([[exact_pair_probabilities(rho, a, b)
+                       for a, b in PAIR_SETTINGS] for rho in rhos])
+    assert probs.shape == (5, 9, 4)
+    assert np.allclose(pair_qst_mle(probs), rhos, atol=1e-9)
 
 
 def test_two_qubit_mle_sampled_converges():
     rng = np.random.default_rng(5)
     rho = random_density_matrix(rng, dim=4)
-    joint = measure_joint_state(rho, shots=200_000, master_seed=4)
+    counts = draw_pair_counts(rho[None], 200_000, 4)
+    assert counts.shape == (1, 9, 4)
+    assert (counts.sum(axis=-1) == 200_000).all()
+    joint = pair_qst_mle(counts)[0]
     check_density_matrix(joint)
     assert np.abs(joint - rho).max() < 5e-3
 
 
-def test_measure_joint_state_exact_passthrough():
-    rho = random_density_matrix(np.random.default_rng(0), dim=4)
-    assert measure_joint_state(rho, None, 0) is rho
-
-
-def test_pair_counts_reject_empty_setting():
-    counts = {("X", "X"): np.zeros(4)}
-    with pytest.raises(ValueError, match="empty counts"):
-        pair_counts_to_correlations(counts)
+def test_measure_joint_state_exact_passthrough(basis24):
+    # without shots the tensor holds the simulated joint states themselves
+    model = decoupling_model()
+    joints = two_qubit_probe(model, [[unitary_step(u) for u in
+                                      basis24.unitaries]])
+    pt = build_decoupling_tensor(model, basis24, shots=None)
+    assert np.array_equal(pt.states, joints)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +190,7 @@ def test_optimizer_deterministic(dec_pt, dec_result):
 
 
 def test_restoration_error_separates_refocusers(dec_pt):
-    env_ref = dec_pt.provenance["env_marginal"]
+    env_ref = DECOUPLING_ENV_REF
     pi_x = rotation_gate("X", np.pi)
     assert decoupling_objective(dec_pt, pi_x) < 1e-9
     assert restoration_error(dec_pt, pi_x, env_ref) < 1e-9
@@ -383,7 +384,7 @@ def test_objective_kernels_equal_step_oracles(pool_seed, pool, shots, target,
     channel = nonunitary_target(*target)
     kernel = synthesis_kernel(syn, channel)
     dec = build_decoupling_tensor(decoupling_model(), basis, shots, pool_seed)
-    env_ref = dec.provenance["env_marginal"]
+    env_ref = DECOUPLING_ENV_REF
     for x in angles:
         x = np.array(x)
         assert abs(synthesis_loss(kernel, x)

@@ -80,6 +80,9 @@ MARKOV_PLAN = {"name": "mk", "pool_size": 12, "basis_size": 10, "shots": 1600,
                "resamples": 20, "master_seed": 3, "duration_ns": 2500.0,
                "env_init": "plus",
                "stages": ["characterize", "evaluate", "markov"]}
+# a small plan whose store holds only the decoupling payload
+DECOUPLE_PLAN = {"name": "d", "pool_size": 14, "basis_size": 12, "shots": 1600,
+                 "master_seed": 0, "pool_seed": 0, "stages": ["decouple"]}
 
 
 @pytest.mark.parametrize("plan_of, fingerprint", [
@@ -87,7 +90,9 @@ MARKOV_PLAN = {"name": "mk", "pool_size": 12, "basis_size": 10, "shots": 1600,
      "aa3f54442e7bb771e62fa8814b82bae78b639c189f5abce41f0f2be0002ff9e6"),
     (lambda: plan_from_dict(MARKOV_PLAN),
      "88d25ef1f60a72304b10ebda152e446578f665209ebc2b5ededc755414f8459a"),
-], ids=["quickstart", "markov"])
+    (lambda: plan_from_dict(DECOUPLE_PLAN),
+     "a465a828048368a9b49f20dd94985638549ade90c5b1768439fffc1cae766b15"),
+], ids=["quickstart", "markov", "decouple"])
 def test_quickstart_store_fingerprint_is_pinned(tmp_path, plan_of, fingerprint):
     # the whole store of the plan, every payload bit included
     plan = plan_of()

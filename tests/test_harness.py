@@ -533,6 +533,32 @@ def test_report_requires_evaluate_stage(tmp_path):
     assert "evaluate" in str(err.value)
 
 
+def _evaluation_only_store(root):
+    store = ResultsStore(root)
+    store.append("ev", "evaluate", 0, "evaluation:n10", {
+        "kind": "evaluation", "n": 10, "mean_infidelity": 0.01,
+        "ci_lo": 0.005, "ci_hi": 0.02, "median": 0.99, "q1": 0.98,
+        "q3": 0.995, "whisker_lo": 0.97, "whisker_hi": 1.0, "mean": 0.99,
+        "count": 1, "fidelity_table": store.save_array(np.zeros((1, 4)))})
+    return store
+
+
+def test_report_requires_the_plan_manifest(tmp_path):
+    # the summary describes the stored configuration, so a store without
+    # its manifest cannot be reported
+    store = _evaluation_only_store(tmp_path / "s")
+    with pytest.raises(ConfigError, match="holds no plan manifest"):
+        report(ExperimentPlan(name="ev"), store, tmp_path / "report")
+    assert not (tmp_path / "report").exists()
+
+
+def test_report_refuses_another_plans_store(tmp_path):
+    store = _evaluation_only_store(tmp_path / "s")
+    run_plan(ExperimentPlan(name="ev"), store, stages=())
+    with pytest.raises(ConfigError, match="holds plan 'ev', not 'other'"):
+        report(ExperimentPlan(name="other"), store, tmp_path / "report")
+
+
 def test_report_writes_evaluation_tables(small_run, tmp_path):
     plan, store, _ = small_run
     written = report(plan, store, tmp_path / "report")
@@ -563,6 +589,7 @@ def test_report_includes_control_sections(tmp_path):
     # optimizer stages stay out of the unit suite
     plan = ExperimentPlan(name="ctl", resamples=4)
     store = ResultsStore(tmp_path / "s")
+    run_plan(plan, store, stages=())  # writes the plan manifest only
     table = store.save_array(np.array([[0, 0, 0, 0.99]]))
     store.append("ctl", "evaluate", 0, "evaluation:n24", {
         "kind": "evaluation", "n": 24, "mean_infidelity": 0.01,

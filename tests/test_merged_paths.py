@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from proctensor.basis import generate_haar_basis
-from proctensor.control import (build_decoupling_tensor, build_synthesis_tensor,
-                                 decoupling_model, decoupling_objective,
+from proctensor.control import (DECOUPLING_ENV_REF, build_decoupling_tensor,
+                                 build_synthesis_tensor, decoupling_model, decoupling_objective,
                                  nonunitary_target, qpt, restoration_error,
                                  synthesis_kernel, synthesis_loss,
                                  synthesis_model)
@@ -92,7 +92,7 @@ PROBE_ANGLES = (
 def objective_values():
     basis = generate_haar_basis(POOL, 7)
     dec = build_decoupling_tensor(decoupling_model(), basis)
-    env_ref = dec.provenance["env_marginal"]
+    env_ref = DECOUPLING_ENV_REF
     syn = build_synthesis_tensor(synthesis_model(), basis)
     syn_kernel = synthesis_kernel(syn, nonunitary_target(0.4, 0.2))
     model = make_model(duration_ns=2500.0, env_init="plus")

@@ -5,8 +5,8 @@ from proctensor.qcore import (
     HADAMARD,
     ID2,
     KET0,
-    KET1,
-    PAULI_SETTINGS,
+    PAULI_MINUS,
+    PAULI_PLUS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -22,7 +22,6 @@ from proctensor.qcore import (
     mutual_information_state,
     negativity,
     partial_trace,
-    pauli_setting,
     pauli_transfer_matrix,
     process_fidelity,
     purity,
@@ -34,8 +33,8 @@ from proctensor.qcore import (
     von_neumann_entropy,
 )
 
-from helpers import (channel_from_unitary, identity_channel, preparation_channel,
-                     trace_distance)
+from helpers import (KET1, channel_from_unitary, identity_channel,
+                     preparation_channel, trace_distance)
 
 
 def random_density_matrix(rng, dim=2):
@@ -298,17 +297,13 @@ def test_process_fidelity_identity_and_orthogonal():
 # ---------------------------------------------------------------------------
 
 def test_pauli_settings_project_correctly():
-    for ax, p in PAULIS.items():
-        if ax == "I":
-            continue
-        setting = pauli_setting(ax)
-        assert np.allclose(setting.plus + setting.minus, ID2)
-        assert np.allclose(setting.plus - setting.minus, p)
-
-
-def test_pauli_setting_rejects_bad_axis():
-    with pytest.raises(ValueError):
-        pauli_setting("Q")
+    assert sorted(PAULI_PLUS) == sorted(PAULI_MINUS) == ["X", "Y", "Z"]
+    for ax, plus in PAULI_PLUS.items():
+        minus = PAULI_MINUS[ax]
+        assert np.allclose(plus + minus, ID2)
+        assert np.allclose(plus - minus, PAULIS[ax])
+        assert np.allclose(plus @ plus, plus)
+        assert np.allclose(minus @ minus, minus)
 
 
 def test_check_density_matrix_rejects_subnormalized():

@@ -34,9 +34,9 @@ from proctensor.simulator import (
     make_model,
     outcome_probabilities,
     prep_step,
-    rng_stream,
+    PAIR_SETTINGS,
+    draw_pair_counts,
     run_sequence,
-    sample_pair_counts,
     simulate_experiment,
     simulate_grid,
     two_qubit_probe,
@@ -46,8 +46,9 @@ from proctensor.tomography import (channel_from_prep_outputs, qst_mle,
                                    standard_slots)
 
 from helpers import (channel_from_unitary, experiment_oracle,
-                     joint_state_oracle, pair_expectations_exact, qst_oracle,
-                     run_sequence_oracle, standard_sequence)
+                     joint_state_oracle, measure_joint_state_oracle,
+                     pair_expectations_exact, qst_oracle, run_sequence_oracle,
+                     standard_sequence)
 
 
 def seq_of(*steps):
@@ -294,9 +295,13 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
     for nu, u in enumerate(basis.unitaries):
         want = joint_state_oracle(dec, seq_of(unitary_step(u)))
         assert np.array_equal(bits(joints[nu]), bits(want))
+    states = build_decoupling_tensor(dec, basis, shots, master_seed).states
     if shots is None:
-        states = build_decoupling_tensor(dec, basis).states
         assert np.array_equal(bits(states), bits(joints))
+    else:
+        for nu, joint in enumerate(joints):
+            _, want = measure_joint_state_oracle(joint, shots, master_seed, nu)
+            assert np.array_equal(bits(states[nu]), bits(want))
 
 
 def test_run_sequence_and_simulate_experiment_equal_the_oracle():
@@ -410,10 +415,14 @@ def test_pair_sampling_and_exact_expectations():
     assert exact[("Z", "Z")] == pytest.approx(1.0)
     assert exact[("X", "X")] == pytest.approx(1.0)
     assert exact[("Y", "Y")] == pytest.approx(-1.0)
-    counts = sample_pair_counts(bell, ("Z", "Z"), 4000, rng_stream(5, 0))
-    assert counts.sum() == 4000
+    counts = draw_pair_counts(bell[None], 4000, 5)
+    assert counts.shape == (1, 9, 4)
+    assert (counts.sum(axis=-1) == 4000).all()
     # perfectly correlated outcomes: only ++ and -- occur
-    assert counts[1] == 0 and counts[2] == 0
+    zz = counts[0, PAIR_SETTINGS.index(("Z", "Z"))]
+    assert zz[1] == 0 and zz[2] == 0
+    with pytest.raises(ValueError, match="shots must be positive"):
+        draw_pair_counts(bell[None], 0, 5)
 
 
 def test_model_validation_errors():

@@ -3,7 +3,9 @@
 ``mle_project`` and ``fidelity`` take one matrix or a ``(..., d, d)``
 stack, and the grid stages call them once per grid. The bootstrap scores
 every basis size of the evaluate ladder on one set of redraws, and the CPTP
-projection runs on a stack of channels. The per-matrix and per-size forms
+projection runs on a stack of channels. The decoupling probe's pair
+counts are drawn and estimated as one ``(N, 9, 4)`` array. The per-matrix,
+per-record and per-size forms
 they replace live in ``helpers`` as oracles; every stored number depends
 on the two agreeing to the last bit, so values are compared as raw bits.
 """
@@ -28,12 +30,14 @@ from proctensor.qcore import (
     ket_dm,
     unitary_choi,
 )
-from proctensor.simulator import make_model, rng_stream, simulate_experiment
+from proctensor.simulator import (PAIR_SETTINGS, draw_pair_counts, make_model,
+                                  rng_stream, simulate_experiment)
 from proctensor.tomography import (
     bootstrap_ci,
     build_standard_tensor,
     channel_from_prep_outputs,
     mle_project,
+    pair_qst_mle,
     pool_coefficients,
     predict_batch,
     prediction_fidelities,
@@ -45,7 +49,8 @@ from proctensor.tomography import (
 
 from helpers import (bootstrap_ci_oracle, channel_from_prep_outputs_oracle,
                      fidelity_oracle, markov_predict_oracle,
-                     mle_project_oracle, predict_batch_oracle,
+                     measure_joint_state_oracle, mle_project_oracle,
+                     predict_batch_oracle,
                      project_to_cptp_oracle, qst_oracle)
 from test_qcore import random_density_matrix
 
@@ -168,6 +173,30 @@ def test_qst_mle_equals_per_sequence_loop(shots):
     assert got.shape == shape[:-1] + (2, 2)
     for idx in np.ndindex(shape[:-1]):
         assert np.array_equal(bits(got[idx]), bits(qst_oracle(counts[idx], shots)))
+
+
+@seed(20261022)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12),
+       kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4,
+                      unique=True),
+       shots=st.sampled_from([1, 7, 400, 1600, 100_000]),
+       master_seed=st.integers(0, 2**32 - 1),
+       draw_seed=st.integers(0, 2**32 - 1))
+def test_pair_readout_equals_per_record_oracle(n, kinds, shots, master_seed,
+                                               draw_seed):
+    # one multinomial per (record, setting) in record order, then one
+    # stacked two-qubit QST: the per-record dict path, bit for bit
+    joints = _stack(rng_stream(draw_seed, 2), 4, (n,), kinds, False)
+    counts = draw_pair_counts(joints, shots, master_seed)
+    assert counts.shape == (n, 9, 4) and counts.dtype == np.int64
+    states = pair_qst_mle(counts)
+    for r, joint in enumerate(joints):
+        want_counts, want = measure_joint_state_oracle(joint, shots,
+                                                       master_seed, r)
+        assert np.array_equal(counts[r], [want_counts[axes]
+                                          for axes in PAIR_SETTINGS]), r
+        assert np.array_equal(bits(states[r]), bits(want)), r
 
 
 @pytest.fixture(scope="module")
