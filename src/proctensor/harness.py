@@ -733,8 +733,9 @@ def report(plan: ExperimentPlan, store: ResultsStore,
            out_dir: str | Path) -> dict[str, Path]:
     """Emit plot-ready CSVs plus a text summary for the stages present.
 
-    The summary describes the configuration the store's plan manifest
-    holds, with any ``--seed``/``--shots`` overrides of its run.
+    The summary describes the configuration in the store's plan manifest,
+    including any seed or shot override the run was given; ``plan`` must
+    be the plan the store holds.
     """
     evaluations = sorted(store.records(stage="evaluate", kind="evaluation"),
                          key=lambda d: d["payload"]["n"])
