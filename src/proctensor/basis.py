@@ -78,7 +78,6 @@ class ControlBasis:
 
     preparations: tuple[PrepOp, ...]
     unitaries: tuple[np.ndarray, ...]
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         n = len(self.unitaries)
@@ -95,7 +94,7 @@ class ControlBasis:
         if not 1 <= n <= self.size:
             raise ValueError(f"subset size {n} outside [1, {self.size}]")
         return ControlBasis(preparations=self.preparations,
-                            unitaries=self.unitaries[:n], seed=self.seed)
+                            unitaries=self.unitaries[:n])
 
 
 def generate_haar_basis(n: int, seed: int) -> ControlBasis:
@@ -104,8 +103,7 @@ def generate_haar_basis(n: int, seed: int) -> ControlBasis:
         raise ValueError(f"basis size {n} outside [1, {MAX_POOL}]")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     unitaries = tuple(haar_unitary(2, rng) for _ in range(n))
-    return ControlBasis(preparations=standard_preparations(), unitaries=unitaries,
-                        seed=seed)
+    return ControlBasis(preparations=standard_preparations(), unitaries=unitaries)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +170,7 @@ def order_by_overlap(basis: ControlBasis) -> ControlBasis:
     """
     order = overlap_order(basis)
     return ControlBasis(preparations=basis.preparations,
-                        unitaries=tuple(basis.unitaries[i] for i in order),
-                        seed=basis.seed)
+                        unitaries=tuple(basis.unitaries[i] for i in order))
 
 
 # ---------------------------------------------------------------------------

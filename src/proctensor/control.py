@@ -49,7 +49,6 @@ from .simulator import (
     exchange_zz_hamiltonian,
     initial_joint_state,
     interval_propagator,
-    prep_step,
     rng_stream,
     two_qubit_probe,
     unitary_step,
@@ -91,9 +90,7 @@ def decoupling_model(exchange_khz: float = 50.0,
     v = interval_propagator(exchange_zz_hamiltonian(exchange_khz, zz_khz),
                             DECOUPLING_IDLE_NS)
     init = v @ initial_joint_state(2, "plus_plus") @ v.conj().T
-    return SEModel(sys_dim=2, env_dim=2, intervals=(v,), initial_se=init,
-                   env_reset=False, env_init="plus_plus", meas_channel=None,
-                   label="decoupling probe")
+    return SEModel(env_dim=2, intervals=(v,), initial_se=init)
 
 
 def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
@@ -102,8 +99,7 @@ def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
     """One-slot tensor mapping the gate to the joint two-qubit output: the
     exact joint states when ``shots`` is None, otherwise the two-qubit QST
     of their pair counts (the record index of gate ``nu`` is ``nu``)."""
-    joints = two_qubit_probe(model, [[unitary_step(u, f"U{nu}") for nu, u
-                                      in enumerate(basis.unitaries)]])
+    joints = two_qubit_probe(model, [[unitary_step(u) for u in basis.unitaries]])
     states = joints if shots is None else \
         pair_qst_mle(draw_pair_counts(joints, shots, master_seed))
     return assemble([unitary_slot(basis.unitaries)], states)
@@ -276,8 +272,7 @@ def nonunitary_target(alpha: float, eta: float) -> QuantumChannel:
         raise ValueError(f"eta {eta} outside [0, 0.5]")
     e = rotation_gate("X", alpha) @ rotation_gate("Y", alpha) @ rotation_gate("Z", alpha)
     kraus = [np.sqrt(eta) * e, np.sqrt(1.0 - eta) * (PAULI_Y @ e)]
-    return channel_from_kraus(kraus, 2, 2,
-                              label=f"N(alpha={alpha:.4f},eta={eta:.4f})")
+    return channel_from_kraus(kraus, 2, 2)
 
 
 def synthesis_model(exchange_khz: float = 50.0,
@@ -285,10 +280,8 @@ def synthesis_model(exchange_khz: float = 50.0,
     """Two-slot layout from |00>: preparation, idle, gate, idle, readout."""
     v = interval_propagator(exchange_zz_hamiltonian(exchange_khz, zz_khz),
                             SYNTHESIS_IDLE_NS)
-    return SEModel(sys_dim=2, env_dim=2, intervals=(v, v),
-                   initial_se=initial_joint_state(2, "zero"),
-                   env_reset=False, env_init="zero", meas_channel=None,
-                   label="synthesis probe")
+    return SEModel(env_dim=2, intervals=(v, v),
+                   initial_se=initial_joint_state(2, "zero"))
 
 
 def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
@@ -298,8 +291,8 @@ def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
     if model.steps != 2:
         raise ValueError("synthesis layout has exactly two control slots")
     preps = basis.preparations
-    slots = ([prep_step(p.gate, p.label) for p in preps],
-             [unitary_step(u, f"U{nu}") for nu, u in enumerate(basis.unitaries)])
+    slots = ([unitary_step(p.gate) for p in preps],
+             [unitary_step(u) for u in basis.unitaries])
     states = measure_grid(model, slots, shots, master_seed)
     return assemble([prep_slot(preps), unitary_slot(basis.unitaries)], states)
 
@@ -311,7 +304,7 @@ def synthesis_kernel(pt: ProcessTensor,
     and the target's four output Bloch vectors (4, 3)."""
     preps = standard_preparations()
     prep_coeffs = np.array([slot_coefficients(pt.slots[0], pt.duals[0],
-                                              prep_step(p.gate, p.label))
+                                              unitary_step(p.gate))
                             for p in preps]).T
     weights = slot_kernel(pt, [prep_coeffs, coefficient_map(pt.duals[1])])
     outputs = np.array([apply_channel(target, p.state) for p in preps])
@@ -337,7 +330,6 @@ def synthesis_loss(kernel: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> floa
 class SynthesisResult:
     params: UnitaryParams
     loss: float
-    target_label: str
     restarts: int
 
     @property
@@ -367,7 +359,6 @@ def synthesize_gate(pt: ProcessTensor, target: QuantumChannel,
         # every restart ended on NaN
         raise NumericalError("synthesis search failed on every restart")
     return SynthesisResult(params=UnitaryParams(*best_x), loss=float(best_f),
-                           target_label=target.label,
                            restarts=max(1, int(restarts)))
 
 
@@ -381,10 +372,10 @@ def qpt(model: SEModel, gate: np.ndarray, shots: int | None = None,
     """
     if model.steps != 2:
         raise ValueError("qpt layout has exactly two control slots")
-    slots = ([prep_step(p.gate, p.label) for p in standard_preparations()],
-             [unitary_step(gate, "G")])
+    slots = ([unitary_step(p.gate) for p in standard_preparations()],
+             [unitary_step(gate)])
     outputs = measure_grid(model, slots, shots, master_seed)
-    return channel_from_prep_outputs(outputs[None, :, 0], "qpt")[0]
+    return channel_from_prep_outputs(outputs[None, :, 0])[0]
 
 
 @dataclass(frozen=True)

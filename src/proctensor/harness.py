@@ -40,8 +40,8 @@ from .control import (
 from .markov import bootstrap_median_ci, characterize as characterize_markov, \
     compare_with_tensor
 from .memory import barrier_placements, bootstrap_cmi, maximize_cmi
-from .simulator import AXES, SEModel, draw_counts, make_model, \
-    outcome_probabilities, rng_stream, simulate_grid
+from .simulator import AXES, SEModel, make_model, rng_stream, \
+    simulate_experiment
 from .tomography import (
     bootstrap_ci,
     build_standard_tensor,
@@ -60,6 +60,7 @@ STAGE_DEPS = {"evaluate": ("characterize",), "memory": ("characterize",),
 ENV_INITS = ("zero", "plus", "bell")
 POOL_BOUNDS = (10, MAX_POOL)
 OPTIMIZER_RESTARTS = 20
+MAX_SHOTS = 2**63 - 1  # numpy's binomial and multinomial take int64 counts
 ALPHA_RANGE = (0.1, 0.8)
 
 
@@ -98,7 +99,7 @@ class ExperimentPlan:
         return make_model(env_init=self.env_init, steps=3,
                           exchange_khz=self.exchange_khz, zz_khz=self.zz_khz,
                           duration_ns=self.duration_ns * self.idle_scale,
-                          env_reset=self.env_reset, label=self.name)
+                          env_reset=self.env_reset)
 
     def basis(self) -> ControlBasis:
         return generate_haar_basis(self.pool_size, self.pool_seed)
@@ -162,8 +163,9 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
             _require(lo <= v <= hi, path, f"must be between {lo} and {hi}")
     if "shots" in data and data["shots"] is not None:
         v = data["shots"]
-        _require(isinstance(v, int) and not isinstance(v, bool) and v > 0,
-                 "shots", "must be a positive integer or null")
+        _require(isinstance(v, int) and not isinstance(v, bool)
+                 and 0 < v <= MAX_SHOTS, "shots",
+                 f"must be a positive integer <= {MAX_SHOTS} or null")
     for path in ("master_seed", "pool_seed"):
         if path in data:
             v = data[path]
@@ -182,6 +184,8 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
         data["stages"] = tuple(dict.fromkeys(v))
 
     plan = ExperimentPlan(**data)
+    _require(math.isfinite(plan.duration_ns * plan.idle_scale), "idle_scale",
+             "duration_ns * idle_scale must be finite")
     if "evaluate" in plan.stages:
         _require(plan.basis_size < plan.pool_size, "basis_size",
                  "must be smaller than pool_size for a held-out evaluation")
@@ -397,8 +401,9 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
                       model: SEModel, basis: ControlBasis) -> int:
     """Simulate the standard grid and store each sequence's three axes.
 
-    Only sequences with an axis missing from the store are drawn, and each
-    grid row (i, j) is written at once.
+    The whole grid is drawn, each record from its own streams; only
+    sequences with an axis missing from the store are written, each grid
+    row (i, j) at once.
     """
     pool = basis.size
     keys = list(np.ndindex(len(basis.preparations), pool, pool))
@@ -408,9 +413,9 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
             if not all(store.has(key) for key in row)]
     if not todo:
         return 0
-    probs = outcome_probabilities(simulate_grid(model, standard_slots(basis)))
-    counts = draw_counts(probs.reshape(len(keys), len(AXES))[todo], plan.shots,
-                         plan.master_seed, todo).tolist()
+    counts = simulate_experiment(model, standard_slots(basis), plan.shots,
+                                 plan.master_seed)
+    counts = counts.reshape(len(keys), len(AXES), 2)[todo].tolist()
     appended = 0
     for _, chunk in groupby(zip(todo, counts), key=lambda t: t[0] // pool):
         rows = []

@@ -46,12 +46,9 @@ class MarkovBaseline:
 
 
 def _single_interval_model(model: SEModel, interval: int) -> SEModel:
-    env_marginal = partial_trace(model.initial_se, 1, (model.sys_dim, model.env_dim))
-    init = np.kron(ket_dm(KET0), env_marginal)
-    return SEModel(sys_dim=model.sys_dim, env_dim=model.env_dim,
-                   intervals=(model.intervals[interval],), initial_se=init,
-                   env_reset=False, env_init=model.env_init,
-                   meas_channel=None, label=f"{model.label}/interval{interval}")
+    env_marginal = partial_trace(model.initial_se, 1, (2, model.env_dim))
+    return SEModel(env_dim=model.env_dim, intervals=(model.intervals[interval],),
+                   initial_se=np.kron(ket_dm(KET0), env_marginal))
 
 
 def estimate_step_channel(model: SEModel, interval: int,
@@ -66,8 +63,7 @@ def estimate_step_channel(model: SEModel, interval: int,
                   for gate in gates for prep in standard_preparations())
     outputs = measure_grid(_single_interval_model(model, interval), (steps,),
                            shots, master_seed, first_record=record_base)
-    channels = channel_from_prep_outputs(outputs.reshape(len(gates), 4, 2, 2),
-                                         "markov")
+    channels = channel_from_prep_outputs(outputs.reshape(len(gates), 4, 2, 2))
     return np.array([ch.choi for ch in channels])
 
 

@@ -208,7 +208,6 @@ class QuantumChannel:
     choi: np.ndarray
     dim_in: int
     dim_out: int
-    label: str = ""
 
     def __post_init__(self) -> None:
         choi = np.asarray(self.choi, dtype=complex)
@@ -242,7 +241,7 @@ def unitary_choi(u: np.ndarray) -> np.ndarray:
 
 
 def channel_from_kraus(kraus: list[np.ndarray], dim_in: int | None = None,
-                       dim_out: int | None = None, label: str = "") -> QuantumChannel:
+                       dim_out: int | None = None) -> QuantumChannel:
     mats = [np.asarray(k, dtype=complex) for k in kraus]
     if not mats:
         raise ValueError("need at least one Kraus operator")
@@ -253,7 +252,7 @@ def channel_from_kraus(kraus: list[np.ndarray], dim_in: int | None = None,
     for k in mats:
         w = k.T.reshape(dim_in * dim_out)
         choi += np.outer(w, w.conj())
-    return QuantumChannel(choi=choi, dim_in=dim_in, dim_out=dim_out, label=label)
+    return QuantumChannel(choi=choi, dim_in=dim_in, dim_out=dim_out)
 
 
 def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Exact system-environment simulator.
 
-A process is a fixed initial joint state, a list of interval propagators
-(one unitary on the joint space per control slot), and the control
-operations supplied per run. Control ``j`` acts on the system alone and is
-followed by interval ``j``:
+A process (``SEModel``) is the environment dimension, a fixed initial joint
+state of the qubit and its environment, a list of interval propagators (one
+unitary on the joint space per control slot), and two flags. The control
+operations are supplied per run, one ``ControlStep`` (a Choi matrix, plus
+the gate when the step is a gate) per slot. Control ``j`` acts on the
+system alone and is followed by interval ``j``:
 
     rho_k = tr_env[ U_k A_{k-1} ... U_1 A_0 (rho_se) ]
 
@@ -17,10 +19,11 @@ channel on the system immediately before readout; tomography treats it as
 part of the process.
 
 ``simulate_grid`` runs every combination of one step per slot at once,
-propagating each shared prefix once; ``run_sequence`` is its
-one-step-per-slot case. ``simulate_experiment`` adds the measurement:
-counts ``[plus, minus]`` per sequence and axis, shape grid + ``(3, 2)``;
-``draw_pair_counts`` is the two-qubit readout of the decoupling probe.
+propagating each shared prefix once; ``run_sequence(model, steps)`` is
+its one-step-per-slot case and takes any sequence of steps.
+``simulate_experiment`` adds the measurement: counts ``[plus, minus]`` per
+sequence and axis, shape grid + ``(3, 2)``; ``draw_pair_counts`` is the
+two-qubit readout of the decoupling probe.
 
 Shot sampling uses counter-based Philox streams keyed by (master seed,
 record index, axis or pair setting), so any record can be regenerated
@@ -114,46 +117,22 @@ def initial_joint_state(env_dim: int, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlStep:
-    """One system-only operation in a sequence.
-
-    kind: "prep" (preparation applied as its physical gate) or "unitary"
-    (a gate, or any operation in the span of unitary channels, such as
-    the depolarizing channel). ``choi`` is the
+    """One system-only operation in a sequence: a gate (a preparation is
+    applied as its physical gate), or any operation in the span of unitary
+    channels, such as the depolarizing channel. ``choi`` is the
     operation's Choi matrix (qcore convention); ``unitary`` is the gate
     itself for gate steps. Neither is validated here: gates are checked
     where they enter the program (``ControlBasis``), or are unitary by
     construction (standard preparations, Paulis, ``u3_matrix``).
     """
 
-    kind: str
     choi: np.ndarray = field(repr=False)
-    label: str = ""
     unitary: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("prep", "unitary"):
-            raise ValueError(f"unknown step kind {self.kind!r}")
 
-
-@dataclass(frozen=True)
-class ControlSequence:
-    steps: tuple[ControlStep, ...]
-    name: str = ""
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def prep_step(gate: np.ndarray, label: str) -> ControlStep:
+def unitary_step(gate: np.ndarray) -> ControlStep:
     gate = np.asarray(gate, dtype=complex)
-    return ControlStep(kind="prep", choi=unitary_choi(gate), label=label,
-                       unitary=gate)
-
-
-def unitary_step(gate: np.ndarray, label: str = "") -> ControlStep:
-    gate = np.asarray(gate, dtype=complex)
-    return ControlStep(kind="unitary", choi=unitary_choi(gate), label=label,
-                       unitary=gate)
+    return ControlStep(choi=unitary_choi(gate), unitary=gate)
 
 
 # ---------------------------------------------------------------------------
@@ -162,23 +141,18 @@ def unitary_step(gate: np.ndarray, label: str = "") -> ControlStep:
 
 @dataclass(frozen=True)
 class SEModel:
-    """Joint model: initial state, one propagator per control slot, flags."""
+    """Qubit-environment model: initial state, one propagator per slot, flags."""
 
-    sys_dim: int
     env_dim: int
     intervals: tuple[np.ndarray, ...]
     initial_se: np.ndarray
     env_reset: bool = False
-    env_init: str = "zero"
     meas_channel: QuantumChannel | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
-        if self.sys_dim != 2:
-            raise ValueError("only qubit systems are supported")
         if self.env_dim not in (1, 2, 4, 8):
             raise ValueError(f"env_dim must be one of 1,2,4,8, got {self.env_dim}")
-        d = self.sys_dim * self.env_dim
+        d = 2 * self.env_dim
         for idx, u in enumerate(self.intervals):
             check_unitary(np.asarray(u), tol=1e-9, name=f"interval {idx}")
             if np.asarray(u).shape != (d, d):
@@ -186,7 +160,7 @@ class SEModel:
         check_density_matrix(self.initial_se, name="initial joint state")
         if self.initial_se.shape != (d, d):
             raise ValueError("initial joint state dimension mismatch")
-        if self.meas_channel is not None and self.meas_channel.dim_in != self.sys_dim:
+        if self.meas_channel is not None and self.meas_channel.dim_in != 2:
             raise ValueError("meas_channel must act on the system")
 
     @property
@@ -199,8 +173,7 @@ def make_model(env_dim: int = 2, env_init: str = "zero", steps: int = 3,
                duration_ns: float | list[float] = GATE_NS * 2,
                env_reset: bool = False,
                meas_channel: QuantumChannel | None = None,
-               intervals: tuple[np.ndarray, ...] | None = None,
-               label: str = "") -> SEModel:
+               intervals: tuple[np.ndarray, ...] | None = None) -> SEModel:
     """Convenience builder for the default coupled-neighbor model family."""
     if intervals is None:
         if env_dim != 2:
@@ -213,19 +186,18 @@ def make_model(env_dim: int = 2, env_init: str = "zero", steps: int = 3,
             if len(durations) != steps:
                 raise ValueError("need one interval duration per step")
         intervals = tuple(interval_propagator(h, d) for d in durations)
-    init = initial_joint_state(env_dim, env_init)
-    return SEModel(sys_dim=2, env_dim=env_dim, intervals=intervals,
-                   initial_se=init, env_reset=env_reset, env_init=env_init,
-                   meas_channel=meas_channel, label=label)
+    return SEModel(env_dim=env_dim, intervals=intervals,
+                   initial_se=initial_joint_state(env_dim, env_init),
+                   env_reset=env_reset, meas_channel=meas_channel)
 
 
 def _apply_system_channel(choi: np.ndarray, rho_se: np.ndarray,
-                          sys_dim: int, env_dim: int) -> np.ndarray:
+                          env_dim: int) -> np.ndarray:
     lead = rho_se.shape[:-2]
-    c4 = choi.reshape(sys_dim, sys_dim, sys_dim, sys_dim)
-    r4 = rho_se.reshape(lead + (sys_dim, env_dim, sys_dim, env_dim))
+    c4 = choi.reshape(2, 2, 2, 2)
+    r4 = rho_se.reshape(lead + (2, env_dim, 2, env_dim))
     out = np.einsum("satb,...setf->...aebf", c4, r4)
-    return out.reshape(lead + (sys_dim * env_dim, sys_dim * env_dim))
+    return out.reshape(lead + rho_se.shape[-2:])
 
 
 def _joint_states(model: SEModel,
@@ -241,7 +213,7 @@ def _joint_states(model: SEModel,
         raise ValueError(
             f"sequence has {len(slots)} steps but the model has {model.steps} intervals")
     d_env = model.env_dim
-    dims = (model.sys_dim, d_env)
+    dims = (2, d_env)
     rho = model.initial_se
     reset = model.env_reset and d_env > 1
     env0 = partial_trace(model.initial_se, 1, dims) if reset else None
@@ -255,7 +227,7 @@ def _joint_states(model: SEModel,
                 g = lifted[id(step)]
                 outs.append(g @ rho @ g.conj().T)
             else:
-                outs.append(_apply_system_channel(step.choi, rho, *dims))
+                outs.append(_apply_system_channel(step.choi, rho, d_env))
         rho = np.stack(outs, axis=-3)
         rho = u @ rho @ u.conj().T
         if reset:
@@ -269,7 +241,7 @@ def _system_states(model: SEModel,
     """Unchecked readout states of ``_joint_states``: the environment traced
     out and the measurement channel applied."""
     rho = _joint_states(model, slots)
-    out = partial_trace(rho, 0, (model.sys_dim, model.env_dim)) \
+    out = partial_trace(rho, 0, (2, model.env_dim)) \
         if model.env_dim > 1 else rho
     if model.meas_channel is not None:
         out = apply_channel(model.meas_channel, out)
@@ -288,9 +260,9 @@ def simulate_grid(model: SEModel,
                                 name="simulated state")
 
 
-def run_sequence(model: SEModel, seq: ControlSequence) -> np.ndarray:
-    """Exact reduced system state after the full sequence."""
-    out = _system_states(model, [(step,) for step in seq.steps])
+def run_sequence(model: SEModel, steps: Sequence[ControlStep]) -> np.ndarray:
+    """Exact reduced system state after the sequence of steps."""
+    out = _system_states(model, [(step,) for step in steps])
     return check_density_matrix(out.reshape(out.shape[-2:]),
                                 name="simulated state")
 

@@ -60,10 +60,8 @@ from .qcore import (
     superop_to_choi,
 )
 from .simulator import (
-    ControlSequence,
     ControlStep,
     SEModel,
-    prep_step,
     rng_stream,
     simulate_experiment,
     simulate_grid,
@@ -333,10 +331,8 @@ def slot_kernel(pt: ProcessTensor, maps: Sequence[np.ndarray]) -> np.ndarray:
     return kernel
 
 
-def contract_fast(pt: ProcessTensor,
-                  seq: ControlSequence | Iterable[ControlStep]) -> np.ndarray:
+def contract_fast(pt: ProcessTensor, steps: Sequence[ControlStep]) -> np.ndarray:
     """Contract a sequence with the tensor through the slot coefficients."""
-    steps = seq.steps if isinstance(seq, ControlSequence) else tuple(seq)
     if len(steps) != pt.steps:
         raise ValueError(f"sequence has {len(steps)} steps, tensor has {pt.steps}")
     coeffs = [slot_coefficients(pt.slots[s], pt.duals[s], steps[s])
@@ -354,8 +350,8 @@ def standard_slots(basis: ControlBasis) -> tuple[tuple[ControlStep, ...], ...]:
     """The standard grid as candidate steps per slot, for ``simulate_grid``:
     entry ``[i, j, k]`` of the grid is preparation i, then pool gates j and
     k. Both unitary slots share one step per gate."""
-    gates = tuple(unitary_step(u, f"U{j}") for j, u in enumerate(basis.unitaries))
-    return (tuple(prep_step(p.gate, p.label) for p in basis.preparations),
+    gates = tuple(unitary_step(u) for u in basis.unitaries)
+    return (tuple(unitary_step(p.gate) for p in basis.preparations),
             gates, gates)
 
 
@@ -560,8 +556,7 @@ def qubit_probs_of(states: np.ndarray) -> np.ndarray:
 # Process tomography and CPTP projection
 # ---------------------------------------------------------------------------
 
-def channel_from_prep_outputs(outputs: np.ndarray,
-                              label: str) -> list[QuantumChannel]:
+def channel_from_prep_outputs(outputs: np.ndarray) -> list[QuantumChannel]:
     """Linear-inversion process tomography of g qubit channels.
 
     ``outputs`` (g, 4, 2, 2) holds each channel's output states for the four
@@ -576,8 +571,7 @@ def channel_from_prep_outputs(outputs: np.ndarray,
         outputs.reshape(len(outputs), 4, 4).swapaxes(-1, -2))
     superops = out @ np.linalg.inv(inputs)
     chois = project_to_cptp(superop_to_choi(superops, 2, 2))
-    return [QuantumChannel(choi=c, dim_in=2, dim_out=2, label=label)
-            for c in chois]
+    return [QuantumChannel(choi=c, dim_in=2, dim_out=2) for c in chois]
 
 
 def _project_tp(chois: np.ndarray) -> np.ndarray:

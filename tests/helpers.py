@@ -11,9 +11,8 @@ from proctensor.qcore import (EIG_CLAMP_TOL, ID2, KET0, PAULI_MINUS, PAULI_PLUS,
                               check_density_matrix, check_unitary,
                               choi_to_superop, fidelity, ket_dm, partial_trace,
                               purity, superop_to_choi, u3_matrix, unitary_choi)
-from proctensor.simulator import (AXES, PAIR_SETTINGS, ControlSequence,
-                                  ControlStep, prep_step, rng_stream,
-                                  simulate_grid, unitary_step)
+from proctensor.simulator import (AXES, PAIR_SETTINGS, ControlStep,
+                                  rng_stream, simulate_grid, unitary_step)
 from proctensor import tomography
 from proctensor.tomography import (CI_ALPHA, _states_from_probs,
                                    build_standard_tensor, contract_fast,
@@ -151,12 +150,11 @@ def predict_via_key_tables(pt, basis, keys):
     return np.einsum("si,sj,sk,ijkab->sab", a0, a1, a2, pt.states)
 
 
-def contract_via_matrix(pt, seq, matrix=None):
+def contract_via_matrix(pt, steps, matrix=None):
     """Defining contraction T[A] = tr_in[(A_hat (x) I_out)^T T].
 
     Pass ``matrix = tensor_matrix(pt)`` to reuse it across sequences.
     """
-    steps = seq.steps if isinstance(seq, ControlSequence) else tuple(seq)
     assert len(steps) == pt.steps
     a_full = step_matrix_form(steps[0], pt.slots[0].kind)
     for s in range(1, pt.steps):
@@ -174,24 +172,20 @@ def exact_states(model, basis):
 
 
 def standard_sequence(basis, i, j, k):
-    """Sequence (i, j, k) of the standard grid: preparation i, then pool
-    gates j and k."""
-    p = basis.preparations[i]
-    return ControlSequence(
-        steps=(prep_step(p.gate, p.label),
-               unitary_step(basis.unitaries[j], f"U{j}"),
-               unitary_step(basis.unitaries[k], f"U{k}")),
-        name=f"p{i}_u{j}_u{k}")
+    """Steps of sequence (i, j, k) of the standard grid: preparation i, then
+    pool gates j and k."""
+    return (unitary_step(basis.preparations[i].gate),
+            unitary_step(basis.unitaries[j]), unitary_step(basis.unitaries[k]))
 
 
-def joint_state_oracle(model, seq):
+def joint_state_oracle(model, steps):
     """The per-sequence propagation: every sequence builds its own
     kron(U, I) and propagates the joint state from the initial state."""
     d_env = model.env_dim
-    dims = (model.sys_dim, d_env)
+    dims = (2, d_env)
     rho = model.initial_se.copy()
     env0 = partial_trace(model.initial_se, 1, dims) if d_env > 1 else None
-    for step, u in zip(seq.steps, model.intervals):
+    for step, u in zip(steps, model.intervals):
         if step.unitary is not None:
             g = np.kron(step.unitary, np.eye(d_env))
             rho = g @ rho @ g.conj().T
@@ -206,21 +200,21 @@ def joint_state_oracle(model, seq):
     return rho
 
 
-def run_sequence_oracle(model, seq):
+def run_sequence_oracle(model, steps):
     """The per-sequence simulator: ``joint_state_oracle`` read out on the
     system."""
-    rho = joint_state_oracle(model, seq)
-    dims = (model.sys_dim, model.env_dim)
+    rho = joint_state_oracle(model, steps)
+    dims = (2, model.env_dim)
     out = partial_trace(rho, 0, dims) if model.env_dim > 1 else rho
     if model.meas_channel is not None:
         out = apply_channel(model.meas_channel, out)
     return check_density_matrix(out, name="simulated state")
 
 
-def experiment_oracle(model, seq, shots, master_seed, record_index):
+def experiment_oracle(model, steps, shots, master_seed, record_index):
     """Per-sequence three-axis counts [plus, minus], shape (3, 2): one
     Born-rule probability and one stream per axis."""
-    state = run_sequence_oracle(model, seq)
+    state = run_sequence_oracle(model, steps)
     counts = []
     for ax_idx, ax in enumerate(AXES):
         p = float(np.einsum("ij,ji->", PAULI_PLUS[ax], state).real)
@@ -375,22 +369,21 @@ def channel_from_prep_outputs_oracle(outputs):
 # Small constructions only the tests use
 # ---------------------------------------------------------------------------
 
-def channel_from_unitary(u, label=""):
+def channel_from_unitary(u):
     u = check_unitary(u, tol=1e-9, name="gate")
     d = u.shape[0]
-    return QuantumChannel(choi=unitary_choi(u), dim_in=d, dim_out=d, label=label)
+    return QuantumChannel(choi=unitary_choi(u), dim_in=d, dim_out=d)
 
 
 def identity_channel(dim):
-    return channel_from_unitary(np.eye(dim, dtype=complex), label="identity")
+    return channel_from_unitary(np.eye(dim, dtype=complex))
 
 
-def preparation_channel(state, dim_in=2, label=""):
+def preparation_channel(state, dim_in=2):
     """Trace-and-replace map sending every input to ``state``."""
     state = check_density_matrix(state, name="prepared state")
     choi = np.kron(np.eye(dim_in, dtype=complex), state)
-    return QuantumChannel(choi=choi, dim_in=dim_in, dim_out=state.shape[0],
-                          label=label)
+    return QuantumChannel(choi=choi, dim_in=dim_in, dim_out=state.shape[0])
 
 
 def trace_distance(a, b):
@@ -484,8 +477,7 @@ def duality_defect(forms, duals):
 def depolarizing_in_span():
     """The depolarizing channel as a gate-slot step: its matrix form I/4 is
     the equal mixture of the four Pauli gates' forms."""
-    return ControlStep(kind="unitary", choi=np.eye(4, dtype=complex) / 2.0,
-                       label="barrier")
+    return ControlStep(choi=np.eye(4, dtype=complex) / 2.0)
 
 
 def intervals_overlap(a, b):
@@ -518,25 +510,24 @@ def synthesis_loss_via_steps(pt, x, target):
     gate = u3_matrix(*x)
     loss = 0.0
     for prep in standard_preparations():
-        pred = contract_fast(pt, [prep_step(prep.gate, prep.label),
-                                  unitary_step(gate)])
+        pred = contract_fast(pt, [unitary_step(prep.gate), unitary_step(gate)])
         loss += trace_distance(mle_project(pred),
                                apply_channel(target, prep.state))
     return float(loss)
 
 
 def probe_steps(steps, params, placements, which):
-    """Step list for encoding bit ``which`` with barriers at ``placements``."""
+    """Steps encoding bit ``which`` with barriers at ``placements``."""
     enc = params.enc0 if which == 0 else params.enc1
-    row = [prep_step(enc.matrix(), f"enc{which}")]
+    row = [unitary_step(enc.matrix())]
     for s in range(1, steps):
         if s in placements:
             row.append(depolarizing_in_span())
         elif params.filler is not None:
-            row.append(unitary_step(params.filler.matrix(), "filler"))
+            row.append(unitary_step(params.filler.matrix()))
         else:
-            row.append(unitary_step(ID2, "wait"))
-    return row
+            row.append(unitary_step(ID2))
+    return tuple(row)
 
 
 def cmi_value_via_steps(pt, params, placements):

@@ -42,10 +42,8 @@ from proctensor.qcore import (
 )
 from proctensor.simulator import (
     PAIR_SETTINGS,
-    ControlSequence,
     draw_pair_counts,
     khz_to_rad_per_ns,
-    prep_step,
     rng_stream,
     run_sequence,
     two_qubit_probe,
@@ -309,9 +307,9 @@ def test_qpt_sampled_is_physical_and_deterministic(syn_model):
 
 def test_synthesis_tensor_predicts_held_out(syn_model, syn_pt):
     rng = np.random.default_rng(31)
-    prep = prep_step(haar_unitary(2, rng), "p")
-    gate = unitary_step(haar_unitary(2, rng), "g")
-    want = run_sequence(syn_model, ControlSequence(steps=(prep, gate)))
+    prep = unitary_step(haar_unitary(2, rng))
+    gate = unitary_step(haar_unitary(2, rng))
+    want = run_sequence(syn_model, (prep, gate))
     got = contract_fast(syn_pt, [prep, gate])
     assert np.allclose(got, want, atol=1e-9)
 

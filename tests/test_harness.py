@@ -310,7 +310,7 @@ def test_rerun_does_not_load_the_grid(small_run, monkeypatch):
         raise AssertionError("grid loaded for a stage with no work")
 
     monkeypatch.setattr(harness, "_records_from_store", fail)
-    monkeypatch.setattr(harness, "simulate_grid", fail)
+    monkeypatch.setattr(harness, "simulate_experiment", fail)
     assert all(c == 0 for c in run_plan(plan, store).values())
 
 

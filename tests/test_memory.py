@@ -17,12 +17,13 @@ from proctensor.memory import (
     maximize_cmi,
     unpack_params,
 )
-from proctensor.qcore import UnitaryParams
+from proctensor.qcore import ID2, UnitaryParams
 from proctensor.simulator import (SWAP2, make_model, rng_stream,
                                   simulate_experiment)
 from proctensor.tomography import build_standard_tensor, qst_mle, standard_slots
 
-from helpers import cmi_value_via_steps, exact_states, probe_steps
+from helpers import (cmi_value_via_steps, depolarizing_in_span, exact_states,
+                     probe_steps)
 
 
 CANON = ProbeParams(enc0=CANONICAL_START["enc0"], enc1=CANONICAL_START["enc1"],
@@ -94,10 +95,19 @@ ANGLE = st.floats(-2.0 * np.pi, 4.0 * np.pi)
 def test_cmi_kernel_equals_step_oracle(pool_seed, pool, shots, probes):
     # the kernel contracts the barriers once; each probe must then give what
     # its step list (prep, barrier or filler per slot) contracted gives
-    assert [s.label for s in probe_steps(3, CANON, (1,), 0)] \
-        == ["enc0", "barrier", "wait"]
-    assert [s.label for s in probe_steps(3, CANON, (1, 2), 1)] \
-        == ["enc1", "barrier", "barrier"]
+    barrier = depolarizing_in_span()
+    enc, mid, last = probe_steps(3, CANON, (1,), 0)
+    assert np.array_equal(enc.unitary, CANON.enc0.matrix())
+    assert mid.unitary is None and np.array_equal(mid.choi, barrier.choi)
+    assert np.array_equal(last.unitary, ID2)
+    enc, *rest = probe_steps(3, CANON, (1, 2), 1)
+    assert np.array_equal(enc.unitary, CANON.enc1.matrix())
+    assert all(s.unitary is None and np.array_equal(s.choi, barrier.choi)
+               for s in rest)
+    filled = ProbeParams(enc0=CANON.enc0, enc1=CANON.enc1,
+                         decoder=CANON.decoder, filler=CANON.enc1)
+    assert np.array_equal(probe_steps(3, filled, (1,), 0)[2].unitary,
+                          CANON.enc1.matrix())
     basis = generate_haar_basis(pool, pool_seed)
     model = make_model(duration_ns=2500.0, env_init="plus")
     if shots is None:

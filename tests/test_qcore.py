@@ -227,7 +227,7 @@ def test_choi_superop_roundtrip():
 
 def test_kraus_channel_depolarizing():
     kraus = [PAULIS[p] / 2 for p in ("I", "X", "Y", "Z")]
-    ch = channel_from_kraus(kraus, label="depolarizing")
+    ch = channel_from_kraus(kraus)
     rng = np.random.default_rng(37)
     for _ in range(5):
         rho = random_density_matrix(rng)

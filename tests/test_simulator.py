@@ -21,7 +21,6 @@ from proctensor.qcore import (
     u3_matrix,
 )
 from proctensor.simulator import (
-    ControlSequence,
     ControlStep,
     SEModel,
     SWAP2,
@@ -33,7 +32,6 @@ from proctensor.simulator import (
     khz_to_rad_per_ns,
     make_model,
     outcome_probabilities,
-    prep_step,
     PAIR_SETTINGS,
     draw_pair_counts,
     run_sequence,
@@ -51,10 +49,6 @@ from helpers import (channel_from_unitary, experiment_oracle,
                      standard_sequence)
 
 
-def seq_of(*steps):
-    return ControlSequence(steps=tuple(steps))
-
-
 def probe(model, *steps):
     # one sequence as a grid of one step per slot
     return two_qubit_probe(model, [(step,) for step in steps]).reshape(4, 4)
@@ -62,8 +56,7 @@ def probe(model, *steps):
 
 def make_env1_model(steps, gates):
     # trivial environment: intervals act on the system alone
-    return SEModel(sys_dim=2, env_dim=1, intervals=tuple(gates),
-                   initial_se=ket_dm(KET0), env_init="zero")
+    return SEModel(env_dim=1, intervals=tuple(gates), initial_se=ket_dm(KET0))
 
 
 def test_trivial_environment_matches_direct_composition():
@@ -72,7 +65,7 @@ def test_trivial_environment_matches_direct_composition():
     gates = [u3_matrix(*rng.uniform(0, 2 * np.pi, 3)) for _ in range(3)]
     controls = [u3_matrix(*rng.uniform(0, 2 * np.pi, 3)) for _ in range(3)]
     model = make_env1_model(3, gates)
-    seq = seq_of(*(unitary_step(c) for c in controls))
+    seq = tuple(unitary_step(c) for c in controls)
     out = run_sequence(model, seq)
 
     rho = ket_dm(KET0)
@@ -84,14 +77,14 @@ def test_trivial_environment_matches_direct_composition():
 
 def test_x_gate_flips_ground_state():
     model = make_env1_model(1, [ID2])
-    out = run_sequence(model, seq_of(unitary_step(PAULI_X)))
+    out = run_sequence(model, (unitary_step(PAULI_X),))
     assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_swap_interval_exchanges_system_and_environment():
-    model = SEModel(sys_dim=2, env_dim=2, intervals=(SWAP2,),
-                    initial_se=initial_joint_state(2, "zero"), env_init="zero")
-    out = run_sequence(model, seq_of(unitary_step(PAULI_X)))
+    model = SEModel(env_dim=2, intervals=(SWAP2,),
+                    initial_se=initial_joint_state(2, "zero"))
+    out = run_sequence(model, (unitary_step(PAULI_X),))
     # the excitation moved to the environment, system reads |0>
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -99,7 +92,7 @@ def test_swap_interval_exchanges_system_and_environment():
 def test_sequence_length_must_match_intervals():
     model = make_model(steps=3, duration_ns=144.0)
     with pytest.raises(ValueError):
-        run_sequence(model, seq_of(unitary_step(ID2)))
+        run_sequence(model, (unitary_step(ID2),))
 
 
 def test_linearity_in_a_control_slot():
@@ -108,12 +101,11 @@ def test_linearity_in_a_control_slot():
     u2 = u3_matrix(2.1, 4.0, 0.7)
     lam = 0.3
     mixed = ControlStep(
-        kind="unitary",
         choi=lam * channel_from_unitary(u1).choi + (1 - lam) * channel_from_unitary(u2).choi)
     tail = unitary_step(HADAMARD)
-    out_mixed = run_sequence(model, seq_of(mixed, tail))
-    out_1 = run_sequence(model, seq_of(unitary_step(u1), tail))
-    out_2 = run_sequence(model, seq_of(unitary_step(u2), tail))
+    out_mixed = run_sequence(model, (mixed, tail))
+    out_1 = run_sequence(model, (unitary_step(u1), tail))
+    out_2 = run_sequence(model, (unitary_step(u2), tail))
     assert np.allclose(out_mixed, lam * out_1 + (1 - lam) * out_2, atol=1e-10)
 
 
@@ -121,8 +113,8 @@ def test_output_always_physical():
     rng = np.random.default_rng(9)
     model = make_model(steps=3, duration_ns=1000.0, env_init="bell")
     for _ in range(10):
-        seq = seq_of(*(unitary_step(u3_matrix(*rng.uniform(0, 2 * np.pi, 3)))
-                       for _ in range(3)))
+        seq = tuple(unitary_step(u3_matrix(*rng.uniform(0, 2 * np.pi, 3)))
+                    for _ in range(3))
         out = run_sequence(model, seq)
         evals = np.linalg.eigvalsh(out)
         assert evals.min() > -1e-10
@@ -134,32 +126,31 @@ def test_env_reset_makes_process_composable():
     model2 = make_model(steps=2, duration_ns=800.0, env_reset=True)
     g1 = u3_matrix(1.0, 0.3, 0.2)
     g2 = u3_matrix(0.4, 2.0, 1.1)
-    joint = run_sequence(model2, seq_of(unitary_step(g1), unitary_step(g2)))
+    joint = run_sequence(model2, (unitary_step(g1), unitary_step(g2)))
 
     step_model = make_model(steps=1, duration_ns=800.0, env_reset=True)
-    mid = run_sequence(step_model, seq_of(unitary_step(g1)))
-    resumed = SEModel(sys_dim=2, env_dim=2, intervals=step_model.intervals,
-                      initial_se=np.kron(mid, zero_env), env_init="zero",
-                      env_reset=True)
-    final = run_sequence(resumed, seq_of(unitary_step(g2)))
+    mid = run_sequence(step_model, (unitary_step(g1),))
+    resumed = SEModel(env_dim=2, intervals=step_model.intervals,
+                      initial_se=np.kron(mid, zero_env), env_reset=True)
+    final = run_sequence(resumed, (unitary_step(g2),))
     assert np.allclose(joint, final, atol=1e-12)
 
 
 def test_meas_channel_composed_before_readout():
     noisy = channel_from_kraus(
-        [np.sqrt(0.9) * ID2, np.sqrt(0.1) * PAULI_X], label="bitflip")
+        [np.sqrt(0.9) * ID2, np.sqrt(0.1) * PAULI_X])
     clean = make_model(steps=1, duration_ns=300.0)
     dirty = make_model(steps=1, duration_ns=300.0, meas_channel=noisy)
-    seq = seq_of(unitary_step(HADAMARD))
+    seq = (unitary_step(HADAMARD),)
     assert np.allclose(run_sequence(dirty, seq),
                        apply_channel(noisy, run_sequence(clean, seq)), atol=1e-12)
 
 
 def test_prep_step_acts_as_physical_gate_on_bell_state():
     # preparations are real gates: on a Bell pair they preserve correlations
-    model = SEModel(sys_dim=2, env_dim=2, intervals=(np.eye(4, dtype=complex),),
-                    initial_se=initial_joint_state(2, "bell"), env_init="bell")
-    joint = probe(model, prep_step(PAULI_X, "X"))
+    model = SEModel(env_dim=2, intervals=(np.eye(4, dtype=complex),),
+                    initial_se=initial_joint_state(2, "bell"))
+    joint = probe(model, unitary_step(PAULI_X))
     assert negativity(joint) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -261,39 +252,38 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
     got = build_synthesis_tensor(syn, basis, shots, master_seed).states
     for i, p in enumerate(preps):
         for nu, u in enumerate(basis.unitaries):
-            seq = seq_of(prep_step(p.gate, p.label), unitary_step(u))
+            seq = (unitary_step(p.gate), unitary_step(u))
             want = estimate(syn, seq, i * pool + nu)
             assert np.array_equal(bits(got[i, nu]), bits(want))
     # gate process tomography: four preparations x one gate
     gate = basis.unitaries[0]
-    outputs = [estimate(syn, seq_of(prep_step(p.gate, p.label),
-                                    unitary_step(gate)), i)
+    outputs = [estimate(syn, (unitary_step(p.gate), unitary_step(gate)), i)
                for i, p in enumerate(preps)]
     assert np.array_equal(bits(qpt(syn, gate, shots, master_seed).choi),
                           bits(channel_from_prep_outputs(
-                              np.array(outputs)[None], "qpt")[0].choi))
+                              np.array(outputs)[None])[0].choi))
     # Markov step channels: single-interval sub-model, gate g and
     # preparation p on record record_base + 4 g + p
     model = make_model(exchange_khz=exchange_khz, env_init="plus")
     env = partial_trace(model.initial_se, 1, (2, 2))
-    sub = SEModel(sys_dim=2, env_dim=2, intervals=(model.intervals[1],),
+    sub = SEModel(env_dim=2, intervals=(model.intervals[1],),
                   initial_se=np.kron(ket_dm(KET0), env))
     gates = basis.unitaries[:2]
     got = estimate_step_channel(model, 1, gates, shots, master_seed,
                                 record_base)
     assert got.shape == (2, 4, 4)
     for g, u in enumerate(gates):
-        outputs = [estimate(sub, seq_of(unitary_step(u @ p.gate)),
+        outputs = [estimate(sub, (unitary_step(u @ p.gate),),
                             record_base + 4 * g + r)
                    for r, p in enumerate(preps)]
         assert np.array_equal(
             bits(got[g]), bits(channel_from_prep_outputs(
-                np.array(outputs)[None], "g")[0].choi))
+                np.array(outputs)[None])[0].choi))
     # decoupling probe: the joint states of a one-slot grid
     dec = decoupling_model(exchange_khz=exchange_khz)
     joints = two_qubit_probe(dec, [[unitary_step(u) for u in basis.unitaries]])
     for nu, u in enumerate(basis.unitaries):
-        want = joint_state_oracle(dec, seq_of(unitary_step(u)))
+        want = joint_state_oracle(dec, (unitary_step(u),))
         assert np.array_equal(bits(joints[nu]), bits(want))
     states = build_decoupling_tensor(dec, basis, shots, master_seed).states
     if shots is None:
@@ -312,10 +302,10 @@ def test_run_sequence_and_simulate_experiment_equal_the_oracle():
     def gate():
         return u3_matrix(*rng.uniform(0, 2 * np.pi, 3))
 
-    mixed = ControlStep(kind="unitary", choi=0.3 * channel_from_unitary(
+    mixed = ControlStep(choi=0.3 * channel_from_unitary(
         gate()).choi + 0.7 * channel_from_unitary(gate()).choi)
     noisy = channel_from_kraus([np.sqrt(0.8) * ID2, np.sqrt(0.2) * PAULI_X])
-    big = SEModel(sys_dim=2, env_dim=4,
+    big = SEModel(env_dim=4,
                   intervals=tuple(np.linalg.qr(rng.normal(size=(8, 8))
                                                + 1j * rng.normal(size=(8, 8)))[0]
                                   for _ in range(3)),
@@ -323,10 +313,10 @@ def test_run_sequence_and_simulate_experiment_equal_the_oracle():
     models = [make_model(env_init="bell", meas_channel=noisy), big,
               make_model(env_init="plus", env_reset=True)]
     for model in models:
-        seq = seq_of(prep_step(gate(), "p"), mixed, unitary_step(gate()))
+        seq = (unitary_step(gate()), mixed, unitary_step(gate()))
         want_state, want_counts = experiment_oracle(model, seq, 1600, 4, 2)
         assert np.array_equal(bits(run_sequence(model, seq)), bits(want_state))
-        counts = simulate_experiment(model, [(step,) for step in seq.steps],
+        counts = simulate_experiment(model, [(step,) for step in seq],
                                      1600, 4, first_record=2)
         assert np.array_equal(counts.reshape(3, 2), want_counts)
 
@@ -347,13 +337,13 @@ def test_grid_guard_rejects_nonphysical_states(fault, message):
             - channel_from_unitary(PAULI_X).choi
     else:
         choi = fault * channel_from_unitary(gates[5].unitary).choi
-    bad = ControlStep(kind="unitary", choi=choi)
+    bad = ControlStep(choi=choi)
     slots = (preps, gates, gates[:5] + (bad,) + gates[6:])
     where = r"simulated state \(\d+, \d+, 5\) "
     with pytest.raises(ValueError, match=where + ".*" + message):
         simulate_grid(model, slots)
     with pytest.raises(ValueError, match=message):
-        run_sequence(model, seq_of(preps[0], gates[0], bad))
+        run_sequence(model, (preps[0], gates[0], bad))
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +417,8 @@ def test_pair_sampling_and_exact_expectations():
 
 def test_model_validation_errors():
     with pytest.raises(ValueError):
-        SEModel(sys_dim=3, env_dim=1, intervals=(np.eye(3, dtype=complex),),
-                initial_se=np.eye(3) / 3, env_init="zero")
-    with pytest.raises(ValueError):
-        SEModel(sys_dim=2, env_dim=3, intervals=(np.eye(6, dtype=complex),),
-                initial_se=np.eye(6) / 6, env_init="zero")
+        SEModel(env_dim=3, intervals=(np.eye(6, dtype=complex),),
+                initial_se=np.eye(6) / 6)
     with pytest.raises(ValueError):
         make_model(steps=2, duration_ns=[100.0])
     with pytest.raises(ValueError):

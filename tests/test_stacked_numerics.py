@@ -358,8 +358,8 @@ def test_channel_from_prep_outputs_stack_equals_per_channel_oracle(g):
     sampled = qst_mle(np.stack([plus, 400 - plus], axis=-1), 400)
     outputs = np.where((np.arange(g) % 2 == 1)[:, None, None, None],
                        sampled, exact)
-    channels = channel_from_prep_outputs(outputs, "x")
-    assert len(channels) == g and all(ch.label == "x" for ch in channels)
+    channels = channel_from_prep_outputs(outputs)
+    assert len(channels) == g
     for i, ch in enumerate(channels):
         assert np.array_equal(bits(ch.choi),
                               bits(channel_from_prep_outputs_oracle(outputs[i])))

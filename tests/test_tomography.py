@@ -20,10 +20,8 @@ from proctensor.qcore import (
     u3_matrix,
 )
 from proctensor.simulator import (
-    ControlSequence,
     ControlStep,
     make_model,
-    prep_step,
     rng_stream,
     run_sequence,
     simulate_experiment,
@@ -154,7 +152,7 @@ def test_qst_mle_converges_with_shots():
     basis = generate_haar_basis(3, seed=8)
     seq = standard_sequence(basis, 0, 1, 2)
     truth = run_sequence(model, seq)
-    counts = simulate_experiment(model, [(step,) for step in seq.steps],
+    counts = simulate_experiment(model, [(step,) for step in seq],
                                  shots=200_000, master_seed=5)
     assert fidelity(qst_mle(counts, 200_000).reshape(2, 2), truth) > 0.999
 
@@ -237,7 +235,7 @@ def test_spam_error_absorbed_into_tensor():
     gamma = 0.12
     kraus = [np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]], dtype=complex),
              np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)]
-    meas = channel_from_kraus(kraus, 2, 2, label="readout damping")
+    meas = channel_from_kraus(kraus, 2, 2)
     model = make_model(steps=3, meas_channel=meas)
     basis = generate_haar_basis(12, seed=31)
     states = exact_states(model, basis)
@@ -256,7 +254,7 @@ def test_barrier_coefficients_are_pauli_mixture(pool_seed, size):
     slot = unitary_slot(basis.unitaries)
     duals = build_duals(list(slot.forms), required_rank=slot.required_rank)
     direct = slot_coefficients(slot, duals, depolarizing_in_span())
-    mixture = 0.25 * sum(slot_coefficients(slot, duals, unitary_step(PAULIS[p], p))
+    mixture = 0.25 * sum(slot_coefficients(slot, duals, unitary_step(PAULIS[p]))
                          for p in ("I", "X", "Y", "Z"))
     assert np.allclose(direct, mixture, rtol=0.0, atol=1e-12)
 
@@ -272,7 +270,7 @@ def test_array_kernels_equal_loop_oracles(pool_seed, size, angles):
     gate = u3_matrix(*angles)
     for slot, steps in ((unitary_slot(basis.unitaries),
                          [unitary_step(gate), depolarizing_in_span()]),
-                        (prep_slot(basis.preparations), [prep_step(gate, "g")])):
+                        (prep_slot(basis.preparations), [unitary_step(gate)])):
         duals = build_duals(slot.forms, required_rank=slot.required_rank)
         assert np.array_equal(duals.duals, duals_via_frame_loop(list(slot.forms)))
         for step in steps:
@@ -315,20 +313,19 @@ def test_barrier_contraction_equals_average_over_paulis(small_setup):
     model, basis, states = small_setup
     pt = build_standard_tensor(states, basis, n=10)
     prep = basis.preparations[1]
-    tail = unitary_step(basis.unitaries[5], "U5")
-    seq = [prep_step(prep.gate, prep.label), depolarizing_in_span(), tail]
+    tail = unitary_step(basis.unitaries[5])
+    seq = [unitary_step(prep.gate), depolarizing_in_span(), tail]
     got = contract_fast(pt, seq)
     avg = np.zeros((2, 2), dtype=complex)
     for p in ("I", "X", "Y", "Z"):
         avg += 0.25 * contract_fast(
-            pt, [prep_step(prep.gate, prep.label), unitary_step(PAULIS[p], p), tail])
+            pt, [unitary_step(prep.gate), unitary_step(PAULIS[p]), tail])
     assert np.allclose(got, avg, atol=1e-10)
     # the barrier output is also what the simulator produces for the mixture
     sim = np.zeros((2, 2), dtype=complex)
     for p in ("I", "X", "Y", "Z"):
-        sim += 0.25 * run_sequence(model, ControlSequence(
-            steps=(prep_step(prep.gate, prep.label), unitary_step(PAULIS[p], p), tail),
-            name="mix"))
+        sim += 0.25 * run_sequence(
+            model, (unitary_step(prep.gate), unitary_step(PAULIS[p]), tail))
     assert fidelity(mle_project(got), mle_project(sim)) > 1.0 - 1e-9
 
 
@@ -336,16 +333,16 @@ def test_prep_slot_accepts_general_operations(small_setup):
     model, basis, states = small_setup
     pt = build_standard_tensor(states, basis, n=10)
     sigma = random_density_matrix(rng_stream(36, 0))
-    step = ControlStep(kind="prep", choi=preparation_channel(sigma).choi, label="sigma")
-    tail = [unitary_step(basis.unitaries[2], "U2"), unitary_step(basis.unitaries[6], "U6")]
+    step = ControlStep(choi=preparation_channel(sigma).choi)
+    tail = [unitary_step(basis.unitaries[2]), unitary_step(basis.unitaries[6])]
     pred = contract_fast(pt, [step] + tail)
-    truth = run_sequence(model, ControlSequence(steps=tuple([step] + tail), name="s"))
+    truth = run_sequence(model, [step] + tail)
     assert fidelity(mle_project(pred), truth) > 1.0 - 1e-9
     # a unitary placed in the preparation slot acts as the prep it induces
-    h_step = unitary_step(basis.preparations[0].gate, "h")
-    pred_u = contract_fast(pt, [h_step] + tail)
-    pred_p = contract_fast(
-        pt, [prep_step(basis.preparations[0].gate, "h")] + tail)
+    h_gate = basis.preparations[0].gate
+    pred_u = contract_fast(pt, [unitary_step(h_gate)] + tail)
+    induced = ControlStep(choi=preparation_channel(ket_dm(h_gate @ KET0)).choi)
+    pred_p = contract_fast(pt, [induced] + tail)
     assert np.allclose(pred_u, pred_p, atol=1e-12)
 
 
@@ -353,7 +350,7 @@ def test_contract_validates_arity(small_setup):
     _, basis, states = small_setup
     pt = build_standard_tensor(states, basis, n=10)
     with pytest.raises(ValueError, match="steps"):
-        contract_fast(pt, [unitary_step(ID2, "i")])
+        contract_fast(pt, [unitary_step(ID2)])
 
 
 def test_build_standard_tensor_validates(small_setup):
@@ -458,7 +455,7 @@ def test_qpt_recovers_kraus_channel(channel_seed, rank):
     inv_sqrt = (vecs / np.sqrt(evals)) @ vecs.conj().T
     ch = channel_from_kraus([g @ inv_sqrt for g in gs], 2, 2)
     outputs = [apply_channel(ch, p.state) for p in standard_preparations()]
-    est, = channel_from_prep_outputs(np.array(outputs)[None], "est")
+    est, = channel_from_prep_outputs(np.array(outputs)[None])
     assert np.allclose(est.choi, ch.choi, rtol=0.0, atol=1e-8)
 
 
