@@ -12,10 +12,12 @@ import numpy as np
 
 from proctensor.basis import generate_haar_basis
 from proctensor.memory import maximize_cmi
-from proctensor.simulator import SWAP2, make_model, simulate_grid
+from proctensor.simulator import make_model, simulate_grid
 from proctensor.tomography import build_standard_tensor, standard_slots
 
 POOL, N = 14, 12
+# exchanges the system and its neighbour qubit
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 basis = generate_haar_basis(POOL, seed=7)
 
@@ -28,7 +30,7 @@ def tensor_of(model):
 cases = {
     "reset each step": make_model(env_reset=True),
     "swap intervals": make_model(
-        intervals=(SWAP2, SWAP2, np.eye(4, dtype=complex))),
+        intervals=(SWAP, SWAP, np.eye(4, dtype=complex))),
     "coupled, ground neighbour": make_model(duration_ns=2500.0,
                                             env_init="zero"),
     "coupled, coherent neighbour": make_model(duration_ns=2500.0,

@@ -73,8 +73,7 @@ from .tomography import (
 DECOUPLING_IDLE_NS = 256.0
 # the neighbor's marginal of the probe's |++> preparation: the state the
 # decoupling search hands back to the neighbor
-DECOUPLING_ENV_REF = partial_trace(initial_joint_state(2, "plus_plus"), 1,
-                                   (2, 2))
+DECOUPLING_ENV_REF = partial_trace(initial_joint_state("plus_plus"), 1)
 TIE_TOL = 1e-6  # decoupling minima this close to the best one are tied
 SYNTHESIS_IDLE_NS = 800.0
 
@@ -89,8 +88,8 @@ def decoupling_model(exchange_khz: float = 50.0,
     into the initial joint state so the model carries a single interval)."""
     v = interval_propagator(exchange_zz_hamiltonian(exchange_khz, zz_khz),
                             DECOUPLING_IDLE_NS)
-    init = v @ initial_joint_state(2, "plus_plus") @ v.conj().T
-    return SEModel(env_dim=2, intervals=(v,), initial_se=init)
+    init = v @ initial_joint_state("plus_plus") @ v.conj().T
+    return SEModel(intervals=(v,), initial_se=init)
 
 
 def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
@@ -112,13 +111,13 @@ def _predicted_joint(pt: ProcessTensor, gate: np.ndarray) -> np.ndarray:
 
 
 def _purity_loss(joint: np.ndarray) -> float:
-    g1 = purity(partial_trace(joint, 0, (2, 2)))
-    g2 = purity(partial_trace(joint, 1, (2, 2)))
+    g1 = purity(partial_trace(joint, 0))
+    g2 = purity(partial_trace(joint, 1))
     return float(max(0.0, 2.0 - g1 - g2))
 
 
 def _restoration_loss(joint: np.ndarray, env_ref: np.ndarray) -> float:
-    return float(max(0.0, 1.0 - fidelity(partial_trace(joint, 1, (2, 2)), env_ref)))
+    return float(max(0.0, 1.0 - fidelity(partial_trace(joint, 1), env_ref)))
 
 
 def decoupling_objective(pt: ProcessTensor, gate: np.ndarray) -> float:
@@ -242,7 +241,7 @@ def simulate_trajectory(gates_cycle: tuple[np.ndarray, ...] | None,
     h = exchange_zz_hamiltonian(exchange_khz, zz_khz)
     v = interval_propagator(h, period_ns)
     steps = int(np.floor(horizon_ns / period_ns + 1e-9))
-    state = initial_joint_state(2, env_init)
+    state = initial_joint_state(env_init)
     times = [0.0]
     series = [state]
     for s in range(steps):
@@ -254,8 +253,8 @@ def simulate_trajectory(gates_cycle: tuple[np.ndarray, ...] | None,
         series.append(state)
     neg = np.array([negativity(r) for r in series])
     mi = np.array([mutual_information_state(r) for r in series])
-    p1 = np.array([purity(partial_trace(r, 0, (2, 2))) for r in series])
-    p2 = np.array([purity(partial_trace(r, 1, (2, 2))) for r in series])
+    p1 = np.array([purity(partial_trace(r, 0)) for r in series])
+    p2 = np.array([purity(partial_trace(r, 1)) for r in series])
     return Trajectory(times_ns=np.array(times), negativity=neg,
                       mutual_info_bits=mi, purity_q1=p1, purity_q2=p2,
                       label=label)
@@ -272,7 +271,7 @@ def nonunitary_target(alpha: float, eta: float) -> QuantumChannel:
         raise ValueError(f"eta {eta} outside [0, 0.5]")
     e = rotation_gate("X", alpha) @ rotation_gate("Y", alpha) @ rotation_gate("Z", alpha)
     kraus = [np.sqrt(eta) * e, np.sqrt(1.0 - eta) * (PAULI_Y @ e)]
-    return channel_from_kraus(kraus, 2, 2)
+    return channel_from_kraus(kraus)
 
 
 def synthesis_model(exchange_khz: float = 50.0,
@@ -280,8 +279,7 @@ def synthesis_model(exchange_khz: float = 50.0,
     """Two-slot layout from |00>: preparation, idle, gate, idle, readout."""
     v = interval_propagator(exchange_zz_hamiltonian(exchange_khz, zz_khz),
                             SYNTHESIS_IDLE_NS)
-    return SEModel(env_dim=2, intervals=(v, v),
-                   initial_se=initial_joint_state(2, "zero"))
+    return SEModel(intervals=(v, v), initial_se=initial_joint_state("zero"))
 
 
 def build_synthesis_tensor(model: SEModel, basis: ControlBasis,

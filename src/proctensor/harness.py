@@ -40,6 +40,7 @@ from .control import (
 from .markov import bootstrap_median_ci, characterize as characterize_markov, \
     compare_with_tensor
 from .memory import barrier_placements, bootstrap_cmi, maximize_cmi
+from .qcore import NumericalError
 from .simulator import AXES, SEModel, make_model, rng_stream, \
     simulate_experiment
 from .tomography import (
@@ -184,8 +185,17 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
         data["stages"] = tuple(dict.fromkeys(v))
 
     plan = ExperimentPlan(**data)
-    _require(math.isfinite(plan.duration_ns * plan.idle_scale), "idle_scale",
-             "duration_ns * idle_scale must be finite")
+    try:
+        # the unitarity check rejects the NaN that an infinite duration makes
+        with np.errstate(invalid="ignore"):
+            plan.model()
+    except NumericalError:
+        raise  # a failed physicality guard is a numerical failure, not input
+    except ValueError as err:
+        raise ConfigError(
+            f"duration_ns: duration_ns * idle_scale = "
+            f"{plan.duration_ns * plan.idle_scale:g} ns gives no unitary "
+            f"interval propagator ({err})") from err
     if "evaluate" in plan.stages:
         _require(plan.basis_size < plan.pool_size, "basis_size",
                  "must be smaller than pool_size for a held-out evaluation")

@@ -46,8 +46,8 @@ class MarkovBaseline:
 
 
 def _single_interval_model(model: SEModel, interval: int) -> SEModel:
-    env_marginal = partial_trace(model.initial_se, 1, (2, model.env_dim))
-    return SEModel(env_dim=model.env_dim, intervals=(model.intervals[interval],),
+    env_marginal = partial_trace(model.initial_se, 1)
+    return SEModel(intervals=(model.intervals[interval],),
                    initial_se=np.kron(ket_dm(KET0), env_marginal))
 
 
@@ -96,9 +96,9 @@ def predict(baseline: MarkovBaseline, m: int) -> np.ndarray:
     ``s2 @ (s1 @ s0)`` is formed for every pair of gates, and every
     preparation is pushed through every pair.
     """
-    s0, s1, s2 = (choi_to_superop(c, 2, 2) for c in baseline.chois)
+    s0, s1, s2 = (choi_to_superop(c) for c in baseline.chois)
     s10 = s1[-m:] @ s0[0]
-    choi = superop_to_choi(s2[None, -m:] @ s10[:, None], 2, 2)
+    choi = superop_to_choi(s2[None, -m:] @ s10[:, None])
     return np.einsum("jksatb,ist->ijkab", choi.reshape(m, m, 2, 2, 2, 2),
                      baseline.prep_states)
 

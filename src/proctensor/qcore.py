@@ -7,7 +7,7 @@ Conventions used throughout the package:
   and shared by every caller.
 * The Choi matrix of a channel ``ch`` is assembled block-wise from matrix
   units, ``choi = sum_ij |i><j| (x) ch(|i><j|)``, so a trace-preserving
-  map has ``tr(choi) = dim_in``. Superoperators act on row-major
+  qubit map has ``tr(choi) = 2``. Superoperators act on row-major
   vectorized matrices, ``vec(rho)[i*d + j] = rho[i, j]``.
 * Entropies, mutual information and memory bounds are base 2 (bits).
 * Eigenvalue clamp policy: negative eigenvalues with magnitude at most
@@ -101,7 +101,8 @@ def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL, name: str = "matrix")
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{name} must be square, got shape {u.shape}")
     d = u.shape[0]
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > tol:
+    # a NaN deviation fails too: the test is that it is within tol
+    if not np.max(np.abs(u.conj().T @ u - np.eye(d))) <= tol:
         raise ValueError(f"{name} is not unitary within {tol}")
     return u
 
@@ -203,32 +204,30 @@ def rotation_axis_angle(u: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """A CPTP map stored as its Choi matrix (block convention in module docstring)."""
+    """A CPTP qubit map stored as its 4x4 Choi matrix (block convention in
+    module docstring)."""
 
     choi: np.ndarray
-    dim_in: int
-    dim_out: int
 
     def __post_init__(self) -> None:
         choi = np.asarray(self.choi, dtype=complex)
-        d = self.dim_in * self.dim_out
-        if choi.shape != (d, d):
-            raise ValueError(f"choi shape {choi.shape} != ({d}, {d})")
+        if choi.shape != (4, 4):
+            raise ValueError(f"choi shape {choi.shape} != (4, 4)")
         if np.max(np.abs(choi - choi.conj().T)) > HERMITIAN_TOL:
             raise ValueError("choi matrix is not Hermitian")
         evals = np.linalg.eigvalsh(choi)
         if evals.min() < -CHANNEL_TP_TOL:
             raise ValueError(f"choi matrix not PSD, eigenvalue {evals.min():.3e}")
-        red = choi_input_marginal(choi, self.dim_in, self.dim_out)
-        if np.max(np.abs(red - np.eye(self.dim_in))) > CHANNEL_TP_TOL:
+        red = choi_input_marginal(choi)
+        if np.max(np.abs(red - ID2)) > CHANNEL_TP_TOL:
             raise ValueError("channel is not trace preserving within tolerance")
         object.__setattr__(self, "choi", choi)
 
 
-def choi_input_marginal(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
+def choi_input_marginal(choi: np.ndarray) -> np.ndarray:
     """Matrix of block traces, equals the identity for a TP map; for a
-    ``(..., D, D)`` stack, one per matrix."""
-    c4 = choi.reshape(choi.shape[:-2] + (dim_in, dim_out, dim_in, dim_out))
+    ``(..., 4, 4)`` stack, one per matrix."""
+    c4 = choi.reshape(choi.shape[:-2] + (2, 2, 2, 2))
     return np.einsum("...iaja->...ij", c4)
 
 
@@ -240,44 +239,39 @@ def unitary_choi(u: np.ndarray) -> np.ndarray:
     return np.outer(vecs, vecs.conj())
 
 
-def channel_from_kraus(kraus: list[np.ndarray], dim_in: int | None = None,
-                       dim_out: int | None = None) -> QuantumChannel:
+def channel_from_kraus(kraus: list[np.ndarray]) -> QuantumChannel:
     mats = [np.asarray(k, dtype=complex) for k in kraus]
     if not mats:
         raise ValueError("need at least one Kraus operator")
-    dout, din = mats[0].shape
-    dim_in = dim_in or din
-    dim_out = dim_out or dout
-    choi = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
+    choi = np.zeros((4, 4), dtype=complex)
     for k in mats:
-        w = k.T.reshape(dim_in * dim_out)
+        w = k.T.reshape(4)
         choi += np.outer(w, w.conj())
-    return QuantumChannel(choi=choi, dim_in=dim_in, dim_out=dim_out)
+    return QuantumChannel(choi=choi)
 
 
 def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    """``ch`` applied to a state, or to each state of a ``(..., d, d)`` stack."""
+    """``ch`` applied to a qubit state, or to each state of a ``(..., 2, 2)``
+    stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (ch.dim_in, ch.dim_in):
-        raise ValueError(f"state shape {rho.shape} incompatible with dim_in {ch.dim_in}")
-    c4 = ch.choi.reshape(ch.dim_in, ch.dim_out, ch.dim_in, ch.dim_out)
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"state shape {rho.shape} is not (..., 2, 2)")
+    c4 = ch.choi.reshape(2, 2, 2, 2)
     return np.einsum("satb,...st->...ab", c4, rho)
 
 
-def choi_to_superop(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    """Superoperator of a Choi matrix, or of each of a ``(..., D, D)`` stack."""
+def choi_to_superop(choi: np.ndarray) -> np.ndarray:
+    """Superoperator of a Choi matrix, or of each of a ``(..., 4, 4)`` stack."""
     lead = choi.shape[:-2]
-    c4 = choi.reshape(lead + (dim_in, dim_out, dim_in, dim_out))
-    return np.einsum("...abcd->...bdac", c4).reshape(
-        lead + (dim_out * dim_out, dim_in * dim_in))
+    c4 = choi.reshape(lead + (2, 2, 2, 2))
+    return np.einsum("...abcd->...bdac", c4).reshape(lead + (4, 4))
 
 
-def superop_to_choi(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    """Choi matrix of a superoperator, or of each of a ``(..., D, D)`` stack."""
+def superop_to_choi(superop: np.ndarray) -> np.ndarray:
+    """Choi matrix of a superoperator, or of each of a ``(..., 4, 4)`` stack."""
     lead = superop.shape[:-2]
-    s4 = superop.reshape(lead + (dim_out, dim_out, dim_in, dim_in))
-    return np.einsum("...abcd->...cadb", s4).reshape(
-        lead + (dim_in * dim_out, dim_in * dim_out))
+    s4 = superop.reshape(lead + (2, 2, 2, 2))
+    return np.einsum("...abcd->...cadb", s4).reshape(lead + (4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -317,25 +311,20 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return float(f) if f.ndim == 0 else f
 
 
-def partial_trace(rho: np.ndarray, keep: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Reduce a multipartite state, or each state of a ``(..., D, D)``
-    stack, to the subsystem at index ``keep``."""
+# einsum specs reducing a (..., 2, 2, 2, 2) two-qubit state to qubit 0 or 1:
+# the traced qubit shares a letter on the bra and ket sides
+_KEEP_SPECS = ("...abcb->...ac", "...abac->...bc")
+
+
+def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
+    """Reduce a two-qubit state, or each state of a ``(..., 4, 4)`` stack,
+    to qubit ``keep`` (0 or 1)."""
     rho = np.asarray(rho, dtype=complex)
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    if rho.ndim < 2 or rho.shape[-2:] != (total, total):
-        raise ValueError(f"state shape {rho.shape} inconsistent with dims {dims}")
-    if not 0 <= keep < len(dims):
-        raise ValueError(f"keep index {keep} out of range for {len(dims)} subsystems")
-    n = len(dims)
-    r = rho.reshape(rho.shape[:-2] + dims + dims)
-    # einsum labels: traced subsystems share a letter on bra and ket sides
-    letters = "abcdefghijkl"
-    row = [letters[i] for i in range(n)]
-    col = list(row)
-    col[keep] = letters[n]
-    spec = "..." + "".join(row) + "".join(col) + "->..." + row[keep] + col[keep]
-    return np.einsum(spec, r)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"state shape {rho.shape} is not (..., 4, 4)")
+    if keep not in (0, 1):
+        raise ValueError(f"keep index {keep} is not 0 or 1")
+    return np.einsum(_KEEP_SPECS[keep], rho.reshape(rho.shape[:-2] + (2,) * 4))
 
 
 def negativity(rho: np.ndarray) -> float:
@@ -356,13 +345,11 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-np.sum(evals * np.log2(evals)))
 
 
-def mutual_information_state(rho: np.ndarray, dims: tuple[int, int] = (2, 2)) -> float:
-    """S(A) + S(B) - S(AB) in bits for a bipartite state."""
+def mutual_information_state(rho: np.ndarray) -> float:
+    """S(A) + S(B) - S(AB) in bits for a two-qubit state."""
     rho = check_density_matrix(rho, name="bipartite state")
-    if rho.shape[0] != dims[0] * dims[1]:
-        raise ValueError(f"state dimension {rho.shape[0]} != prod{dims}")
-    ra = partial_trace(rho, 0, dims)
-    rb = partial_trace(rho, 1, dims)
+    ra = partial_trace(rho, 0)
+    rb = partial_trace(rho, 1)
     return von_neumann_entropy(ra) + von_neumann_entropy(rb) - von_neumann_entropy(rho)
 
 
@@ -370,9 +357,7 @@ PAULI_ORDER = ("I", "X", "Y", "Z")
 
 
 def pauli_transfer_matrix(ch: QuantumChannel) -> np.ndarray:
-    """R[a, b] = tr[P_a ch(P_b)] / d for a qubit channel."""
-    if ch.dim_in != 2 or ch.dim_out != 2:
-        raise ValueError("Pauli transfer matrix is implemented for qubit channels")
+    """R[a, b] = tr[P_a ch(P_b)] / 2."""
     r = np.zeros((4, 4))
     for a, pa in enumerate(PAULI_ORDER):
         for b, pb in enumerate(PAULI_ORDER):
@@ -395,6 +380,4 @@ def unitarity(ch: QuantumChannel) -> float:
 
 def process_fidelity(a: QuantumChannel, b: QuantumChannel) -> float:
     """Uhlmann fidelity between the trace-normalized Choi states."""
-    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
-        raise ValueError("channel dimensions differ")
-    return fidelity(a.choi / a.dim_in, b.choi / b.dim_in)
+    return fidelity(a.choi / 2, b.choi / 2)

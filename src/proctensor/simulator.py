@@ -1,11 +1,12 @@
 """Exact system-environment simulator.
 
-A process (``SEModel``) is the environment dimension, a fixed initial joint
-state of the qubit and its environment, a list of interval propagators (one
-unitary on the joint space per control slot), and two flags. The control
-operations are supplied per run, one ``ControlStep`` (a Choi matrix, plus
-the gate when the step is a gate) per slot. Control ``j`` acts on the
-system alone and is followed by interval ``j``:
+The environment is one neighbour qubit. A process (``SEModel``) is a
+fixed initial joint state of the qubit and its neighbour, a list of
+interval propagators (one 4x4 unitary on the joint space per control
+slot), and two flags. The control operations are supplied per run, one
+``ControlStep`` (a Choi matrix, plus the gate when the step is a gate)
+per slot. Control ``j`` acts on the system alone and is followed by
+interval ``j``:
 
     rho_k = tr_env[ U_k A_{k-1} ... U_1 A_0 (rho_se) ]
 
@@ -56,10 +57,6 @@ from .qcore import (
 
 GATE_NS = 72.0  # one gate-equivalent of wall time
 
-SWAP2 = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
 AXES = ("X", "Y", "Z")
 
 
@@ -85,30 +82,23 @@ def interval_propagator(hamiltonian: np.ndarray, duration_ns: float) -> np.ndarr
     return expm(-1j * np.asarray(hamiltonian, dtype=complex) * float(duration_ns))
 
 
-def env_initial_state(env_dim: int, kind: str) -> np.ndarray:
+def env_initial_state(kind: str) -> np.ndarray:
+    """Neighbour-qubit initial state for a named preset."""
     if kind == "zero":
-        v = np.zeros(env_dim, dtype=complex)
-        v[0] = 1.0
-        return ket_dm(v)
+        return ket_dm(KET0)
     if kind == "plus":
-        if env_dim != 2:
-            raise ValueError("plus environment requires env_dim=2")
         return ket_dm(np.array([1.0, 1.0]) / np.sqrt(2.0))
     raise ValueError(f"unknown environment initialization {kind!r}")
 
 
-def initial_joint_state(env_dim: int, kind: str) -> np.ndarray:
-    """System-environment initial state for a named preset."""
+def initial_joint_state(kind: str) -> np.ndarray:
+    """System-neighbour initial state for a named preset."""
     if kind == "bell":
-        if env_dim != 2:
-            raise ValueError("bell initialization requires env_dim=2")
         return ket_dm(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0))
     if kind == "plus_plus":
-        if env_dim != 2:
-            raise ValueError("plus_plus initialization requires env_dim=2")
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         return ket_dm(np.kron(plus, plus))
-    return np.kron(ket_dm(KET0), env_initial_state(env_dim, kind))
+    return np.kron(ket_dm(KET0), env_initial_state(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -141,34 +131,29 @@ def unitary_step(gate: np.ndarray) -> ControlStep:
 
 @dataclass(frozen=True)
 class SEModel:
-    """Qubit-environment model: initial state, one propagator per slot, flags."""
+    """Qubit-neighbour model: initial state, one propagator per slot, flags."""
 
-    env_dim: int
     intervals: tuple[np.ndarray, ...]
     initial_se: np.ndarray
     env_reset: bool = False
     meas_channel: QuantumChannel | None = None
 
     def __post_init__(self) -> None:
-        if self.env_dim not in (1, 2, 4, 8):
-            raise ValueError(f"env_dim must be one of 1,2,4,8, got {self.env_dim}")
-        d = 2 * self.env_dim
         for idx, u in enumerate(self.intervals):
             check_unitary(np.asarray(u), tol=1e-9, name=f"interval {idx}")
-            if np.asarray(u).shape != (d, d):
-                raise ValueError(f"interval {idx} has shape {np.asarray(u).shape}, need {(d, d)}")
+            if np.asarray(u).shape != (4, 4):
+                raise ValueError(f"interval {idx} has shape "
+                                 f"{np.asarray(u).shape}, need (4, 4)")
         check_density_matrix(self.initial_se, name="initial joint state")
-        if self.initial_se.shape != (d, d):
+        if self.initial_se.shape != (4, 4):
             raise ValueError("initial joint state dimension mismatch")
-        if self.meas_channel is not None and self.meas_channel.dim_in != 2:
-            raise ValueError("meas_channel must act on the system")
 
     @property
     def steps(self) -> int:
         return len(self.intervals)
 
 
-def make_model(env_dim: int = 2, env_init: str = "zero", steps: int = 3,
+def make_model(env_init: str = "zero", steps: int = 3,
                exchange_khz: float = 50.0, zz_khz: float = 30.0,
                duration_ns: float | list[float] = GATE_NS * 2,
                env_reset: bool = False,
@@ -176,8 +161,6 @@ def make_model(env_dim: int = 2, env_init: str = "zero", steps: int = 3,
                intervals: tuple[np.ndarray, ...] | None = None) -> SEModel:
     """Convenience builder for the default coupled-neighbor model family."""
     if intervals is None:
-        if env_dim != 2:
-            raise ValueError("the built-in Hamiltonian couples to a single neighbor qubit")
         h = exchange_zz_hamiltonian(exchange_khz, zz_khz)
         if np.isscalar(duration_ns):
             durations = [float(duration_ns)] * steps
@@ -186,16 +169,14 @@ def make_model(env_dim: int = 2, env_init: str = "zero", steps: int = 3,
             if len(durations) != steps:
                 raise ValueError("need one interval duration per step")
         intervals = tuple(interval_propagator(h, d) for d in durations)
-    return SEModel(env_dim=env_dim, intervals=intervals,
-                   initial_se=initial_joint_state(env_dim, env_init),
+    return SEModel(intervals=intervals, initial_se=initial_joint_state(env_init),
                    env_reset=env_reset, meas_channel=meas_channel)
 
 
-def _apply_system_channel(choi: np.ndarray, rho_se: np.ndarray,
-                          env_dim: int) -> np.ndarray:
+def _apply_system_channel(choi: np.ndarray, rho_se: np.ndarray) -> np.ndarray:
     lead = rho_se.shape[:-2]
     c4 = choi.reshape(2, 2, 2, 2)
-    r4 = rho_se.reshape(lead + (2, env_dim, 2, env_dim))
+    r4 = rho_se.reshape(lead + (2, 2, 2, 2))
     out = np.einsum("satb,...setf->...aebf", c4, r4)
     return out.reshape(lead + rho_se.shape[-2:])
 
@@ -212,26 +193,23 @@ def _joint_states(model: SEModel,
     if len(slots) != model.steps:
         raise ValueError(
             f"sequence has {len(slots)} steps but the model has {model.steps} intervals")
-    d_env = model.env_dim
-    dims = (2, d_env)
     rho = model.initial_se
-    reset = model.env_reset and d_env > 1
-    env0 = partial_trace(model.initial_se, 1, dims) if reset else None
+    env0 = partial_trace(model.initial_se, 1) if model.env_reset else None
     lifted: dict[int, np.ndarray] = {}  # kron(U, I) per gate, built once
     for steps, u in zip(slots, model.intervals):
         outs = []
         for step in steps:
             if step.unitary is not None:
                 if id(step) not in lifted:
-                    lifted[id(step)] = np.kron(step.unitary, np.eye(d_env))
+                    lifted[id(step)] = np.kron(step.unitary, np.eye(2))
                 g = lifted[id(step)]
                 outs.append(g @ rho @ g.conj().T)
             else:
-                outs.append(_apply_system_channel(step.choi, rho, d_env))
+                outs.append(_apply_system_channel(step.choi, rho))
         rho = np.stack(outs, axis=-3)
         rho = u @ rho @ u.conj().T
-        if reset:
-            sys = partial_trace(rho, 0, dims)
+        if model.env_reset:
+            sys = partial_trace(rho, 0)
             rho = np.einsum("...ac,bd->...abcd", sys, env0).reshape(rho.shape)
     return rho
 
@@ -241,8 +219,7 @@ def _system_states(model: SEModel,
     """Unchecked readout states of ``_joint_states``: the environment traced
     out and the measurement channel applied."""
     rho = _joint_states(model, slots)
-    out = partial_trace(rho, 0, (2, model.env_dim)) \
-        if model.env_dim > 1 else rho
+    out = partial_trace(rho, 0)
     if model.meas_channel is not None:
         out = apply_channel(model.meas_channel, out)
     return out
@@ -270,9 +247,7 @@ def run_sequence(model: SEModel, steps: Sequence[ControlStep]) -> np.ndarray:
 def two_qubit_probe(model: SEModel,
                     slots: Sequence[Sequence[ControlStep]]) -> np.ndarray:
     """Joint system-neighbor states of a grid of sequences, shape
-    ``(len(slots[0]), ..., 4, 4)``; requires a qubit environment."""
-    if model.env_dim != 2:
-        raise ValueError("two_qubit_probe requires a single-qubit environment")
+    ``(len(slots[0]), ..., 4, 4)``."""
     if model.env_reset:
         raise ValueError("two_qubit_probe is meaningless with env_reset")
     return check_density_matrix(_joint_states(model, slots),

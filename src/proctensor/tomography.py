@@ -570,12 +570,12 @@ def channel_from_prep_outputs(outputs: np.ndarray) -> list[QuantumChannel]:
     out = np.ascontiguousarray(
         outputs.reshape(len(outputs), 4, 4).swapaxes(-1, -2))
     superops = out @ np.linalg.inv(inputs)
-    chois = project_to_cptp(superop_to_choi(superops, 2, 2))
-    return [QuantumChannel(choi=c, dim_in=2, dim_out=2) for c in chois]
+    chois = project_to_cptp(superop_to_choi(superops))
+    return [QuantumChannel(choi=c) for c in chois]
 
 
 def _project_tp(chois: np.ndarray) -> np.ndarray:
-    corr = ID2 - choi_input_marginal(chois, 2, 2)
+    corr = ID2 - choi_input_marginal(chois)
     # kron(corr, ID2) of each matrix: entry [a, b, c, d] is corr[a, c] ID2[b, d]
     lift = (corr[..., :, None, :, None] * ID2[:, None, :]).reshape(chois.shape)
     return chois + lift / 2
@@ -605,7 +605,7 @@ def project_to_cptp(chois: np.ndarray) -> np.ndarray:
         w = _project_psd(z + pa)
         pa = z + pa - w
         ya = w
-        tp_defect = np.abs(choi_input_marginal(ya, 2, 2) - ID2).max(axis=(-2, -1))
+        tp_defect = np.abs(choi_input_marginal(ya) - ID2).max(axis=(-2, -1))
         min_eval = np.linalg.eigvalsh(ya).min(axis=-1)
         done = (tp_defect < CPTP_TOL) & (min_eval > -CPTP_TOL)
         y[active[done]] = ya[done]

@@ -24,6 +24,10 @@ from proctensor.tomography import (CI_ALPHA, _states_from_probs,
 FLOAT_TOL = 1e-9
 
 KET1 = np.array([0.0, 1.0], dtype=complex)
+# exchanges the system and its neighbour qubit
+SWAP2 = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+)
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -181,31 +185,26 @@ def standard_sequence(basis, i, j, k):
 def joint_state_oracle(model, steps):
     """The per-sequence propagation: every sequence builds its own
     kron(U, I) and propagates the joint state from the initial state."""
-    d_env = model.env_dim
-    dims = (2, d_env)
     rho = model.initial_se.copy()
-    env0 = partial_trace(model.initial_se, 1, dims) if d_env > 1 else None
+    env0 = partial_trace(model.initial_se, 1)
     for step, u in zip(steps, model.intervals):
         if step.unitary is not None:
-            g = np.kron(step.unitary, np.eye(d_env))
+            g = np.kron(step.unitary, np.eye(2))
             rho = g @ rho @ g.conj().T
         else:
             c4 = step.choi.reshape(2, 2, 2, 2)
-            r4 = rho.reshape(2, d_env, 2, d_env)
-            rho = np.einsum("satb,setf->aebf", c4, r4).reshape(2 * d_env,
-                                                                2 * d_env)
+            r4 = rho.reshape(2, 2, 2, 2)
+            rho = np.einsum("satb,setf->aebf", c4, r4).reshape(4, 4)
         rho = u @ rho @ u.conj().T
-        if model.env_reset and d_env > 1:
-            rho = np.kron(partial_trace(rho, 0, dims), env0)
+        if model.env_reset:
+            rho = np.kron(partial_trace(rho, 0), env0)
     return rho
 
 
 def run_sequence_oracle(model, steps):
     """The per-sequence simulator: ``joint_state_oracle`` read out on the
     system."""
-    rho = joint_state_oracle(model, steps)
-    dims = (2, model.env_dim)
-    out = partial_trace(rho, 0, dims) if model.env_dim > 1 else rho
+    out = partial_trace(joint_state_oracle(model, steps), 0)
     if model.meas_channel is not None:
         out = apply_channel(model.meas_channel, out)
     return check_density_matrix(out, name="simulated state")
@@ -280,9 +279,9 @@ def markov_predict_oracle(baseline, i, j, k):
     """One standard sequence's composed-channel prediction: the three
     superoperators built for this key alone and multiplied, then applied
     to the preparation. ``markov.predict`` must equal it bit for bit."""
-    s0, s1, s2 = (choi_to_superop(choi, 2, 2) for choi in (
+    s0, s1, s2 = (choi_to_superop(choi) for choi in (
         baseline.chois[0][0], baseline.chois[1][j], baseline.chois[2][k]))
-    choi = superop_to_choi(s2 @ (s1 @ s0), 2, 2)
+    choi = superop_to_choi(s2 @ (s1 @ s0))
     return np.einsum("satb,st->ab", choi.reshape(2, 2, 2, 2),
                      baseline.prep_states[i])
 
@@ -362,7 +361,7 @@ def channel_from_prep_outputs_oracle(outputs):
         inputs[:, p] = prep.state.reshape(-1)
         out[:, p] = np.asarray(outputs[p]).reshape(-1)
     superop = out @ np.linalg.inv(inputs)
-    return project_to_cptp_oracle(superop_to_choi(superop, 2, 2))
+    return project_to_cptp_oracle(superop_to_choi(superop))
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +370,17 @@ def channel_from_prep_outputs_oracle(outputs):
 
 def channel_from_unitary(u):
     u = check_unitary(u, tol=1e-9, name="gate")
-    d = u.shape[0]
-    return QuantumChannel(choi=unitary_choi(u), dim_in=d, dim_out=d)
+    return QuantumChannel(choi=unitary_choi(u))
 
 
-def identity_channel(dim):
-    return channel_from_unitary(np.eye(dim, dtype=complex))
+def identity_channel():
+    return channel_from_unitary(ID2)
 
 
-def preparation_channel(state, dim_in=2):
+def preparation_channel(state):
     """Trace-and-replace map sending every input to ``state``."""
     state = check_density_matrix(state, name="prepared state")
-    choi = np.kron(np.eye(dim_in, dtype=complex), state)
-    return QuantumChannel(choi=choi, dim_in=dim_in, dim_out=state.shape[0])
+    return QuantumChannel(choi=np.kron(ID2, state))
 
 
 def trace_distance(a, b):
@@ -495,15 +492,14 @@ def intervals_overlap(a, b):
 
 def decoupling_objective_via_steps(pt, gate):
     joint = mle_project(contract_fast(pt, [unitary_step(gate)]))
-    g1 = purity(partial_trace(joint, 0, (2, 2)))
-    g2 = purity(partial_trace(joint, 1, (2, 2)))
+    g1 = purity(partial_trace(joint, 0))
+    g2 = purity(partial_trace(joint, 1))
     return float(max(0.0, 2.0 - g1 - g2))
 
 
 def restoration_error_via_steps(pt, gate, env_ref):
     pred = mle_project(contract_fast(pt, [unitary_step(gate)]))
-    return float(max(0.0, 1.0 - fidelity(partial_trace(pred, 1, (2, 2)),
-                                         env_ref)))
+    return float(max(0.0, 1.0 - fidelity(partial_trace(pred, 1), env_ref)))
 
 
 def synthesis_loss_via_steps(pt, x, target):

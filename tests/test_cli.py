@@ -86,15 +86,18 @@ def test_bad_shots_override(runner, tmp_path):
     ({"zz_khz": float("nan")}, []),
     ({"duration_ns": 10 ** 400}, []),
     ({"duration_ns": 1e200, "idle_scale": 1e200}, []),
+    ({"duration_ns": 1e200}, []),
+    ({"duration_ns": 1e12}, []),
     ({"shots": 10 ** 20}, []),
     ({}, ["--shots", str(2 ** 63)]),
 ], ids=["master-seed", "pool-seed", "seed-override", "shots-override",
         "duration-inf", "duration-minus-inf", "exchange-inf", "zz-inf",
         "idle-scale-inf", "zz-nan", "duration-huge-int", "interval-overflows",
-        "shots-beyond-int64", "shots-override-beyond-int64"])
+        "propagator-nan", "propagator-not-unitary", "shots-beyond-int64",
+        "shots-override-beyond-int64"])
 def test_invalid_seed_or_number_exits_2(runner, tmp_path, fields, extra):
     # json writes inf and nan as Infinity and NaN, which json.loads accepts;
-    # numpy's samplers take int64 shots and need a finite interval duration
+    # numpy's samplers take int64 shots, and the intervals must be unitary
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"name": "x", "pool_size": 10,
                                 "basis_size": 10, "shots": 64,

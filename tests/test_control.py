@@ -276,13 +276,13 @@ def test_qpt_known_unitary(free_model):
 def traced_channel_choi(model, gate):
     v1, v2 = model.intervals
     w = v2 @ np.kron(gate, np.eye(2, dtype=complex)) @ v1
-    env = partial_trace(model.initial_se, 1, (2, 2))
+    env = partial_trace(model.initial_se, 1)
     choi = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
             unit = np.zeros((2, 2), dtype=complex)
             unit[i, j] = 1.0
-            out = partial_trace(w @ np.kron(unit, env) @ w.conj().T, 0, (2, 2))
+            out = partial_trace(w @ np.kron(unit, env) @ w.conj().T, 0)
             choi += np.kron(unit, out)
     return choi
 

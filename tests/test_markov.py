@@ -31,14 +31,14 @@ def basis():
 def _direct_step_choi(model, interval, gate):
     """Definition of the per-step channel, evaluated on matrix units."""
     v = model.intervals[interval]
-    rho_e = partial_trace(model.initial_se, 1, (2, model.env_dim))
+    rho_e = partial_trace(model.initial_se, 1)
     choi = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
             unit = np.zeros((2, 2), dtype=complex)
             unit[i, j] = 1.0
             joint = np.kron(gate @ unit @ gate.conj().T, rho_e)
-            out = partial_trace(v @ joint @ v.conj().T, 0, (2, model.env_dim))
+            out = partial_trace(v @ joint @ v.conj().T, 0)
             block = np.zeros((2, 2), dtype=complex)
             block[i, j] = 1.0
             choi += np.kron(block, out)
@@ -109,7 +109,7 @@ def test_characterize_deterministic_with_shots(basis):
 
 
 def test_characterize_rejects_readout_error(basis):
-    model = make_model(steps=3, meas_channel=identity_channel(2))
+    model = make_model(steps=3, meas_channel=identity_channel())
     with pytest.raises(ValueError, match="readout"):
         characterize(model, basis, shots=None, master_seed=0)
 

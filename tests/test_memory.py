@@ -18,12 +18,11 @@ from proctensor.memory import (
     unpack_params,
 )
 from proctensor.qcore import ID2, UnitaryParams
-from proctensor.simulator import (SWAP2, make_model, rng_stream,
-                                  simulate_experiment)
+from proctensor.simulator import make_model, rng_stream, simulate_experiment
 from proctensor.tomography import build_standard_tensor, qst_mle, standard_slots
 
-from helpers import (cmi_value_via_steps, depolarizing_in_span, exact_states,
-                     probe_steps)
+from helpers import (SWAP2, cmi_value_via_steps, depolarizing_in_span,
+                     exact_states, probe_steps)
 
 
 CANON = ProbeParams(enc0=CANONICAL_START["enc0"], enc1=CANONICAL_START["enc1"],

@@ -16,6 +16,7 @@ from proctensor.qcore import (
     apply_channel,
     channel_from_kraus,
     check_density_matrix,
+    check_unitary,
     choi_to_superop,
     fidelity,
     ket_dm,
@@ -101,12 +102,12 @@ def test_entropy_and_mutual_information_classically_correlated():
     # (|00><00| + |11><11|)/2 carries exactly one bit of correlation
     rho = (np.kron(ket_dm(KET0), ket_dm(KET0)) + np.kron(ket_dm(KET1), ket_dm(KET1))) / 2
     assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-12)
-    assert mutual_information_state(rho, (2, 2)) == pytest.approx(1.0, abs=1e-10)
+    assert mutual_information_state(rho) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mutual_information_rejects_unphysical():
     with pytest.raises(ValueError):
-        mutual_information_state(np.diag([0.8, 0.4, -0.1, -0.1]), (2, 2))
+        mutual_information_state(np.diag([0.8, 0.4, -0.1, -0.1]))
 
 
 def test_negativity_bell_pair():
@@ -134,25 +135,17 @@ def test_partial_trace_product_and_entangled():
     a = random_density_matrix(rng)
     b = random_density_matrix(rng)
     joint = np.kron(a, b)
-    assert np.allclose(partial_trace(joint, 0, (2, 2)), a)
-    assert np.allclose(partial_trace(joint, 1, (2, 2)), b)
+    assert np.allclose(partial_trace(joint, 0), a)
+    assert np.allclose(partial_trace(joint, 1), b)
     bell = ket_dm(np.array([1, 0, 0, 1]) / np.sqrt(2))
-    assert np.allclose(partial_trace(bell, 0, (2, 2)), ID2 / 2)
-
-
-def test_partial_trace_three_subsystems():
-    rng = np.random.default_rng(7)
-    parts = [random_density_matrix(rng) for _ in range(3)]
-    joint = np.kron(np.kron(parts[0], parts[1]), parts[2])
-    for k in range(3):
-        assert np.allclose(partial_trace(joint, k, (2, 2, 2)), parts[k])
+    assert np.allclose(partial_trace(bell, 0), ID2 / 2)
 
 
 def test_partial_trace_dimension_errors():
     with pytest.raises(ValueError):
-        partial_trace(np.eye(4) / 4, 2, (2, 2))
+        partial_trace(np.eye(4) / 4, 2)
     with pytest.raises(ValueError):
-        partial_trace(np.eye(4) / 4, 0, (2, 3))
+        partial_trace(np.eye(6) / 6, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +176,14 @@ def test_rotation_gate_matches_expm():
             assert np.allclose(direct, ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("u", [2.0 * ID2, np.full((2, 2), np.nan)],
+                         ids=["scaled", "nan"])
+def test_check_unitary_rejects_non_unitary(u):
+    # a NaN deviation compares False against any tolerance
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(u)
+
+
 def test_rotation_axis_angle_roundtrip():
     n, a = rotation_axis_angle(rotation_gate("X", 1.2))
     assert a == pytest.approx(1.2, abs=1e-10)
@@ -207,7 +208,7 @@ def test_unitary_channel_application_is_conjugation():
 
 
 def test_identity_channel_choi_trace():
-    ch = identity_channel(2)
+    ch = identity_channel()
     assert ch.choi.trace() == pytest.approx(2.0)
     rho = random_density_matrix(np.random.default_rng(1))
     assert np.allclose(apply_channel(ch, rho), rho)
@@ -217,8 +218,8 @@ def test_choi_superop_roundtrip():
     rng = np.random.default_rng(29)
     for _ in range(5):
         ch = channel_from_unitary(u3_matrix(*rng.uniform(0, 2 * np.pi, size=3)))
-        s = choi_to_superop(ch.choi, 2, 2)
-        back = superop_to_choi(s, 2, 2)
+        s = choi_to_superop(ch.choi)
+        back = superop_to_choi(s)
         assert np.allclose(back, ch.choi, atol=1e-12)
         rho = random_density_matrix(rng)
         via_s = (s @ rho.reshape(4)).reshape(2, 2)
@@ -245,13 +246,13 @@ def test_preparation_channel_replaces_input():
 
 def test_channel_validation_rejects_non_tp():
     with pytest.raises(ValueError):
-        QuantumChannel(choi=np.eye(4), dim_in=2, dim_out=2)  # trace 4, blocks 2I
+        QuantumChannel(choi=np.eye(4))  # trace 4, blocks 2I
 
 
 def test_channel_validation_rejects_non_cp():
     choi = channel_from_unitary(PAULI_X).choi - 0.5 * np.eye(4)
     with pytest.raises(ValueError):
-        QuantumChannel(choi=choi, dim_in=2, dim_out=2)
+        QuantumChannel(choi=choi)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,7 @@ def test_channel_validation_rejects_non_cp():
 # ---------------------------------------------------------------------------
 
 def test_ptm_identity():
-    assert np.allclose(pauli_transfer_matrix(identity_channel(2)), np.eye(4), atol=1e-12)
+    assert np.allclose(pauli_transfer_matrix(identity_channel()), np.eye(4), atol=1e-12)
 
 
 def test_unitarity_unitary_channel_is_one():
@@ -286,7 +287,7 @@ def test_unitarity_pauli_mixture_one_third():
 
 
 def test_process_fidelity_identity_and_orthogonal():
-    ident = identity_channel(2)
+    ident = identity_channel()
     assert process_fidelity(ident, ident) == pytest.approx(1.0, abs=1e-12)
     x = channel_from_unitary(PAULI_X)
     assert process_fidelity(ident, x) == pytest.approx(0.0, abs=1e-12)

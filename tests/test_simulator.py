@@ -23,7 +23,6 @@ from proctensor.qcore import (
 from proctensor.simulator import (
     ControlStep,
     SEModel,
-    SWAP2,
     draw_counts,
     env_initial_state,
     exchange_zz_hamiltonian,
@@ -43,7 +42,7 @@ from proctensor.simulator import (
 from proctensor.tomography import (channel_from_prep_outputs, qst_mle,
                                    standard_slots)
 
-from helpers import (channel_from_unitary, experiment_oracle,
+from helpers import (SWAP2, channel_from_unitary, experiment_oracle,
                      joint_state_oracle, measure_joint_state_oracle,
                      pair_expectations_exact, qst_oracle, run_sequence_oracle,
                      standard_sequence)
@@ -54,17 +53,19 @@ def probe(model, *steps):
     return two_qubit_probe(model, [(step,) for step in steps]).reshape(4, 4)
 
 
-def make_env1_model(steps, gates):
-    # trivial environment: intervals act on the system alone
-    return SEModel(env_dim=1, intervals=tuple(gates), initial_se=ket_dm(KET0))
+def make_decoupled_model(gates):
+    # the neighbour never interacts: intervals act on the system alone
+    return SEModel(intervals=tuple(np.kron(g, ID2) for g in gates),
+                   initial_se=initial_joint_state("zero"))
 
 
 def test_trivial_environment_matches_direct_composition():
-    # Oracle: with env_dim=1 the process is just channel composition.
+    # Oracle: with a decoupled neighbour the process is just channel
+    # composition.
     rng = np.random.default_rng(2)
     gates = [u3_matrix(*rng.uniform(0, 2 * np.pi, 3)) for _ in range(3)]
     controls = [u3_matrix(*rng.uniform(0, 2 * np.pi, 3)) for _ in range(3)]
-    model = make_env1_model(3, gates)
+    model = make_decoupled_model(gates)
     seq = tuple(unitary_step(c) for c in controls)
     out = run_sequence(model, seq)
 
@@ -76,14 +77,13 @@ def test_trivial_environment_matches_direct_composition():
 
 
 def test_x_gate_flips_ground_state():
-    model = make_env1_model(1, [ID2])
+    model = make_decoupled_model([ID2])
     out = run_sequence(model, (unitary_step(PAULI_X),))
     assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_swap_interval_exchanges_system_and_environment():
-    model = SEModel(env_dim=2, intervals=(SWAP2,),
-                    initial_se=initial_joint_state(2, "zero"))
+    model = SEModel(intervals=(SWAP2,), initial_se=initial_joint_state("zero"))
     out = run_sequence(model, (unitary_step(PAULI_X),))
     # the excitation moved to the environment, system reads |0>
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
@@ -122,7 +122,7 @@ def test_output_always_physical():
 
 
 def test_env_reset_makes_process_composable():
-    zero_env = env_initial_state(2, "zero")
+    zero_env = env_initial_state("zero")
     model2 = make_model(steps=2, duration_ns=800.0, env_reset=True)
     g1 = u3_matrix(1.0, 0.3, 0.2)
     g2 = u3_matrix(0.4, 2.0, 1.1)
@@ -130,7 +130,7 @@ def test_env_reset_makes_process_composable():
 
     step_model = make_model(steps=1, duration_ns=800.0, env_reset=True)
     mid = run_sequence(step_model, (unitary_step(g1),))
-    resumed = SEModel(env_dim=2, intervals=step_model.intervals,
+    resumed = SEModel(intervals=step_model.intervals,
                       initial_se=np.kron(mid, zero_env), env_reset=True)
     final = run_sequence(resumed, (unitary_step(g2),))
     assert np.allclose(joint, final, atol=1e-12)
@@ -148,8 +148,8 @@ def test_meas_channel_composed_before_readout():
 
 def test_prep_step_acts_as_physical_gate_on_bell_state():
     # preparations are real gates: on a Bell pair they preserve correlations
-    model = SEModel(env_dim=2, intervals=(np.eye(4, dtype=complex),),
-                    initial_se=initial_joint_state(2, "bell"))
+    model = SEModel(intervals=(np.eye(4, dtype=complex),),
+                    initial_se=initial_joint_state("bell"))
     joint = probe(model, unitary_step(PAULI_X))
     assert negativity(joint) == pytest.approx(0.5, abs=1e-12)
 
@@ -180,13 +180,7 @@ def test_two_qubit_probe_exchange_zz_negativity_closed_form():
     joint = probe(model, unitary_step(ID2))
     assert negativity(joint) == pytest.approx(abs(np.sin(delta * t_ns)) / 2, abs=1e-10)
     red_purity = 1.0 - np.sin(delta * t_ns) ** 2 / 2
-    assert purity(partial_trace(joint, 0, (2, 2))) == pytest.approx(red_purity, abs=1e-10)
-
-
-def test_two_qubit_probe_requires_qubit_environment():
-    model = make_env1_model(1, [ID2])
-    with pytest.raises(ValueError):
-        probe(model, unitary_step(ID2))
+    assert purity(partial_trace(joint, 0)) == pytest.approx(red_purity, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +259,8 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
     # Markov step channels: single-interval sub-model, gate g and
     # preparation p on record record_base + 4 g + p
     model = make_model(exchange_khz=exchange_khz, env_init="plus")
-    env = partial_trace(model.initial_se, 1, (2, 2))
-    sub = SEModel(env_dim=2, intervals=(model.intervals[1],),
+    env = partial_trace(model.initial_se, 1)
+    sub = SEModel(intervals=(model.intervals[1],),
                   initial_se=np.kron(ket_dm(KET0), env))
     gates = basis.unitaries[:2]
     got = estimate_step_channel(model, 1, gates, shots, master_seed,
@@ -296,7 +290,7 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
 
 def test_run_sequence_and_simulate_experiment_equal_the_oracle():
     # one gate per slot through the stacked propagation, including Choi
-    # steps, a measurement channel and a larger environment
+    # steps, a measurement channel and a random coupling with resets
     rng = np.random.default_rng(8)
 
     def gate():
@@ -305,12 +299,12 @@ def test_run_sequence_and_simulate_experiment_equal_the_oracle():
     mixed = ControlStep(choi=0.3 * channel_from_unitary(
         gate()).choi + 0.7 * channel_from_unitary(gate()).choi)
     noisy = channel_from_kraus([np.sqrt(0.8) * ID2, np.sqrt(0.2) * PAULI_X])
-    big = SEModel(env_dim=4,
-                  intervals=tuple(np.linalg.qr(rng.normal(size=(8, 8))
-                                               + 1j * rng.normal(size=(8, 8)))[0]
-                                  for _ in range(3)),
-                  initial_se=np.eye(8, dtype=complex) / 8, env_reset=True)
-    models = [make_model(env_init="bell", meas_channel=noisy), big,
+    scrambled = SEModel(
+        intervals=tuple(np.linalg.qr(rng.normal(size=(4, 4))
+                                     + 1j * rng.normal(size=(4, 4)))[0]
+                        for _ in range(3)),
+        initial_se=np.eye(4, dtype=complex) / 4, env_reset=True)
+    models = [make_model(env_init="bell", meas_channel=noisy), scrambled,
               make_model(env_init="plus", env_reset=True)]
     for model in models:
         seq = (unitary_step(gate()), mixed, unitary_step(gate()))
@@ -391,7 +385,7 @@ def test_simulate_experiment_record_structure():
 
 
 def test_simulate_experiment_exact_mode():
-    model = make_env1_model(1, [ID2])
+    model = make_decoupled_model([ID2])
     counts = simulate_experiment(model, [(unitary_step(HADAMARD),)], None, 0)
     plus, minus = counts[0].T
     assert (plus - minus)[0] == pytest.approx(1.0, abs=1e-12)
@@ -417,14 +411,12 @@ def test_pair_sampling_and_exact_expectations():
 
 def test_model_validation_errors():
     with pytest.raises(ValueError):
-        SEModel(env_dim=3, intervals=(np.eye(6, dtype=complex),),
+        SEModel(intervals=(np.eye(6, dtype=complex),),
                 initial_se=np.eye(6) / 6)
     with pytest.raises(ValueError):
         make_model(steps=2, duration_ns=[100.0])
-    with pytest.raises(ValueError):
-        env_initial_state(4, "plus")
-    with pytest.raises(ValueError):
-        initial_joint_state(4, "bell")
+    with pytest.raises(ValueError, match="unknown environment"):
+        initial_joint_state("ghz")
 
 
 def test_interval_propagator_is_unitary():

@@ -319,7 +319,7 @@ def _choi(rng, kind):
         gs = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
         evals, vecs = np.linalg.eigh(sum(g.conj().T @ g for g in gs))
         inv_sqrt = (vecs / np.sqrt(evals)) @ vecs.conj().T
-        return channel_from_kraus([g @ inv_sqrt for g in gs], 2, 2).choi
+        return channel_from_kraus([g @ inv_sqrt for g in gs]).choi
     choi = unitary_choi(haar_unitary(2, rng))
     if kind == "noisy":
         noise = rng.normal(size=(4, 4), scale=0.03) \

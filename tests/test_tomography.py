@@ -235,7 +235,7 @@ def test_spam_error_absorbed_into_tensor():
     gamma = 0.12
     kraus = [np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]], dtype=complex),
              np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)]
-    meas = channel_from_kraus(kraus, 2, 2)
+    meas = channel_from_kraus(kraus)
     model = make_model(steps=3, meas_channel=meas)
     basis = generate_haar_basis(12, seed=31)
     states = exact_states(model, basis)
@@ -453,7 +453,7 @@ def test_qpt_recovers_kraus_channel(channel_seed, rank):
     # normalize sum K^dag K = I through S^{-1/2}
     evals, vecs = np.linalg.eigh(sum(g.conj().T @ g for g in gs))
     inv_sqrt = (vecs / np.sqrt(evals)) @ vecs.conj().T
-    ch = channel_from_kraus([g @ inv_sqrt for g in gs], 2, 2)
+    ch = channel_from_kraus([g @ inv_sqrt for g in gs])
     outputs = [apply_channel(ch, p.state) for p in standard_preparations()]
     est, = channel_from_prep_outputs(np.array(outputs)[None])
     assert np.allclose(est.choi, ch.choi, rtol=0.0, atol=1e-8)
