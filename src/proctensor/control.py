@@ -18,6 +18,7 @@ the non-unitarity that a bare unitary gate cannot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +26,11 @@ from scipy import optimize
 
 from .basis import ControlBasis, standard_preparations, unitary_matrix_form
 from .qcore import (
+    ID2,
     NumericalError,
     PAULI_X,
     PAULI_Y,
+    PAULI_Z,
     QuantumChannel,
     UnitaryParams,
     apply_channel,
@@ -40,6 +43,7 @@ from .qcore import (
     purity,
     rotation_axis_angle,
     rotation_gate,
+    u3_entries,
     u3_matrix,
     unitarity,
 )
@@ -57,7 +61,6 @@ from .tomography import (
     ProcessTensor,
     assemble,
     channel_from_prep_outputs,
-    clip_to_bloch_ball,
     coefficient_map,
     form_coefficients,
     measure_grid,
@@ -182,7 +185,11 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
         res = optimize.minimize(objective, x0, method="Nelder-Mead",
                                 options={"maxiter": maxiter, "xatol": 1e-6,
                                          "fatol": 1e-8})
-        candidates.append((float(res.fun), res.x))
+        if not np.isnan(res.fun):
+            candidates.append((float(res.fun), res.x))
+    if not candidates:
+        # every restart ended on NaN
+        raise NumericalError("decoupling search failed on every restart")
     best_f = min(f for f, _ in candidates)
     best_x = next(x for f, x in candidates if f == best_f)
 
@@ -297,16 +304,24 @@ def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
 
 def synthesis_kernel(pt: ProcessTensor,
                      target: QuantumChannel) -> tuple[np.ndarray, np.ndarray]:
-    """K[i, pq, s, t] (4, 16, 2, 2), whose contraction with a gate's
-    flattened matrix form predicts the output for standard preparation i,
-    and the target's four output Bloch vectors (4, 3)."""
+    """The readout kernel R[a, b, (i, mu)] (4, 4, 16) and the target's four
+    output Bloch vectors (4, 3).
+
+    R = tr(sigma_mu K[i, ab]) / 2 with sigma_0 = I, where K[i, ab] is the
+    tensor's output for standard preparation i per entry (a, b) of the
+    gate slot's matrix form. A gate's form is v v^dag / 2 with v = vec(u.T)
+    (``unitary_choi``'s order), so v R v^dag holds each prediction's trace
+    and unnormalised Bloch vector.
+    """
     preps = standard_preparations()
     prep_coeffs = np.array([slot_coefficients(pt.slots[0], pt.duals[0],
                                               unitary_step(p.gate))
                             for p in preps]).T
     weights = slot_kernel(pt, [prep_coeffs, coefficient_map(pt.duals[1])])
+    paulis = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
+    readout = 0.5 * np.einsum("mts,ipst->pim", paulis, weights)
     outputs = np.array([apply_channel(target, p.state) for p in preps])
-    return weights, qubit_bloch(outputs)
+    return readout.reshape(4, 4, 16), qubit_bloch(outputs)
 
 
 def synthesis_loss(kernel: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> float:
@@ -315,13 +330,23 @@ def synthesis_loss(kernel: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> floa
 
     Each prediction is trace-normalised and projected onto the Bloch ball;
     the trace distance of two qubit states is half their Bloch distance.
+    A non-finite angle gives NaN.
     """
-    weights, target = kernel
-    pred = np.einsum("p,ipst->ist", unitary_matrix_form(u3_matrix(*x)).reshape(-1),
-                     weights)
-    bloch = qubit_bloch(pred / np.trace(pred, axis1=1, axis2=2)[:, None, None])
-    clipped = np.stack(clip_to_bloch_ball(*bloch.T), axis=-1)
-    return float(0.5 * np.linalg.norm(clipped - target, axis=1).sum())
+    readout, target = kernel
+    try:
+        u00, u01, u10, u11 = u3_entries(*x)
+    except ValueError:  # math.cos of an infinite angle
+        return math.nan
+    v = np.array((u00, u10, u01, u11))
+    pred = (v @ (v.conj() @ readout)).real.reshape(4, 4).tolist()
+    loss = 0.0
+    for (tr, bx, by, bz), (tx, ty, tz) in zip(pred, target.tolist()):
+        bx, by, bz = bx / tr, by / tr, bz / tr
+        r = math.hypot(bx, by, bz)
+        if r > 1.0:
+            bx, by, bz = bx / r, by / r, bz / r
+        loss += 0.5 * math.hypot(bx - tx, by - ty, bz - tz)
+    return loss
 
 
 @dataclass(frozen=True)

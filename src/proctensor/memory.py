@@ -16,13 +16,14 @@ surrogate with no memory yields intervals containing zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
 
-from .basis import prep_matrix_form, unitary_matrix_form
-from .qcore import ID2, UnitaryParams
+from .basis import prep_matrix_form
+from .qcore import NumericalError, UnitaryParams, u3_entries
 from .simulator import rng_stream
 from .tomography import (
     CI_ALPHA,
@@ -83,10 +84,12 @@ def _check_placements(placements: tuple[int, ...], steps: int) -> tuple[int, ...
 
 
 def cmi_kernel(pt: ProcessTensor, placements: tuple[int, ...]) -> np.ndarray:
-    """K[a, c, s, t]: the probe tensor with barriers contracted in at
-    ``placements``. Axis a takes the encoded state's entries, and each
-    unbarred slot leaves an axis c for the filler's matrix form entries;
-    with every slot barred the kernel is K[a, s, t]."""
+    """The probe tensor with barriers contracted in at ``placements``, laid
+    out for matmuls: K[p, q, ..., a, st]. Each unbarred slot leads with a
+    pair of axes (p, q), halved, for the entries of the filler's matrix
+    form v v^dag / 2 (v = vec(u.T)); axis a takes the encoded state's
+    entries and axis st the output state's. With every slot barred the
+    kernel is K[a, st] (4, 4)."""
     placements = _check_placements(placements, pt.steps)
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)
     prep_forms = np.array([prep_matrix_form(e).reshape(-1) for e in units])
@@ -94,38 +97,61 @@ def cmi_kernel(pt: ProcessTensor, placements: tuple[int, ...]) -> np.ndarray:
     for s in range(1, pt.steps):
         maps.append(form_coefficients(BARRIER_FORM, pt.duals[s])
                     if s in placements else coefficient_map(pt.duals[s]))
-    return slot_kernel(pt, maps)
+    kernel = slot_kernel(pt, maps)  # K[a, (pq)..., s, t]
+    fillers = kernel.ndim - 3
+    kernel = np.moveaxis(kernel, 0, -3) * 0.5 ** fillers
+    return kernel.reshape((4, 4) * fillers + (4, 4))
 
 
 def binary_channel_mi(cond: np.ndarray) -> float:
     """I(E:D) in bits of a 2x2 conditional table p(d|e) under p(e) = 1/2.
 
     Rows are clamped to [floor, 1] and renormalized before use, which
-    absorbs the slight unphysicality of shot-noise reconstructions.
+    absorbs the slight unphysicality of shot-noise reconstructions. A NaN
+    entry gives NaN.
     """
-    cond = np.clip(np.asarray(cond, dtype=float), ENTROPY_FLOOR, 1.0)
-    joint = 0.5 * cond / cond.sum(axis=1, keepdims=True)
-    ratio = joint / (0.5 * joint.sum(axis=0))
-    mi = np.sum(np.where(joint > ENTROPY_FLOOR, joint * np.log2(ratio), 0.0))
-    return float(min(max(mi, 0.0), 1.0))
+    joint = []
+    for row in np.asarray(cond, dtype=float).tolist():
+        p0, p1 = (min(max(p, ENTROPY_FLOOR), 1.0) for p in row)
+        joint += [0.5 * p0 / (p0 + p1), 0.5 * p1 / (p0 + p1)]
+    marginal = 0.5 * (joint[0] + joint[2]), 0.5 * (joint[1] + joint[3])
+    mi = 0.0
+    for j, m in zip(joint, marginal * 2):
+        if not j <= ENTROPY_FLOOR:  # NaN included, so that it propagates
+            mi += j * math.log2(j / m)
+    return min(max(mi, 0.0), 1.0)
+
+
+def _projector(k0: complex, k1: complex) -> tuple[complex, ...]:
+    """The flattened entries of |k><k| for the qubit ket k = (k0, k1)."""
+    k0c, k1c = k0.conjugate(), k1.conjugate()
+    return (k0 * k0c, k0 * k1c, k1 * k0c, k1 * k1c)
 
 
 def cmi_value(kernel: np.ndarray, params: ProbeParams) -> float:
     """Mutual information of one probe configuration on a ``cmi_kernel``.
 
     Unbarred slots carry the filler gate, or wait (identity) without one.
+    The encoded states are u3|0> of the two encoders. A non-finite angle
+    gives NaN.
     """
-    if kernel.ndim > 3:
-        filler = ID2 if params.filler is None else params.filler.matrix()
-        form = unitary_matrix_form(filler).reshape(-1)
-        for _ in range(kernel.ndim - 3):
-            kernel = np.tensordot(kernel, form, axes=([1], [0]))
-    kets = np.array([params.enc0.matrix()[:, 0], params.enc1.matrix()[:, 0]])
-    encoded = np.einsum("ek,el->ekl", kets, kets.conj()).reshape(2, 4)
-    rho = np.einsum("ea,ast->est", encoded, kernel)
-    dec = params.decoder.matrix()
-    cond = np.einsum("ds,est,dt->ed", dec, rho, dec.conj()).real
-    return binary_channel_mi(cond)
+    try:
+        e0, e1, d = (u3_entries(*p.as_tuple())
+                     for p in (params.enc0, params.enc1, params.decoder))
+        if kernel.ndim > 2:
+            f = (1.0, 0.0, 0.0, 1.0) if params.filler is None \
+                else u3_entries(*params.filler.as_tuple())
+            v = np.array((f[0], f[2], f[1], f[3]), dtype=complex)
+            vc = v.conj()
+            for _ in range(kernel.ndim // 2 - 1):
+                kernel = v @ (vc @ kernel.reshape(4, 4, -1))
+            kernel = kernel.reshape(4, 4)
+    except ValueError:  # math.cos of an infinite angle
+        return math.nan
+    encoded = np.array((_projector(e0[0], e0[2]), _projector(e1[0], e1[2])))
+    rho = (encoded @ kernel).reshape(2, 2, 2)
+    dec = np.array(d).reshape(2, 2)
+    return binary_channel_mi(((dec @ rho) * dec.conj()).sum(-1).real)
 
 
 @dataclass(frozen=True)
@@ -147,7 +173,7 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
     """
     placements = _check_placements(placements, pt.steps)
     kernel = cmi_kernel(pt, placements)
-    include_filler = kernel.ndim > 3
+    include_filler = kernel.ndim > 2
     dim = 12 if include_filler else 9
     start = ProbeParams(
         enc0=CANONICAL_START["enc0"], enc1=CANONICAL_START["enc1"],
@@ -158,7 +184,7 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
         return -cmi_value(kernel, unpack_params(x, include_filler))
 
     rng = rng_stream(seed, 101, *placements)
-    best_x, best_f = start.pack(), objective(start.pack())
+    best_x, best_f = None, np.inf
     for r in range(max(1, int(restarts))):
         x0 = start.pack() if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=dim)
         res = optimize.minimize(objective, x0, method="Nelder-Mead",
@@ -166,6 +192,9 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
                                          "fatol": 1e-8})
         if res.fun < best_f:
             best_f, best_x = res.fun, res.x
+    if best_x is None:
+        # every restart ended on NaN
+        raise NumericalError("memory search failed on every restart")
     return CMIResult(bits=float(-best_f), params=unpack_params(best_x, include_filler),
                      placements=placements, restarts=max(1, int(restarts)))
 

@@ -16,6 +16,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,14 +155,19 @@ class UnitaryParams:
         return (self.theta, self.phi, self.lam)
 
 
+def u3_entries(theta: float, phi: float,
+               lam: float) -> tuple[complex, complex, complex, complex]:
+    """The u3 gate's entries in row-major order from scalar math, for
+    objectives that build one gate per call. An infinite angle raises
+    ``ValueError`` (``math.cos``); a NaN angle gives NaN entries."""
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    return (complex(c), -cmath.exp(1j * lam) * s, cmath.exp(1j * phi) * s,
+            cmath.exp(1j * (lam + phi)) * c)
+
+
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    return np.array(
-        [[c, -np.exp(1j * lam) * s],
-         [np.exp(1j * phi) * s, np.exp(1j * (lam + phi)) * c]],
-        dtype=complex,
-    )
+    return np.array(u3_entries(theta, phi, lam), dtype=complex).reshape(2, 2)
 
 
 def rotation_gate(axis: str, angle: float) -> np.ndarray:

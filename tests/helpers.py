@@ -4,7 +4,7 @@ import numpy as np
 
 from proctensor.basis import (PINV_RCOND, PrepOp, hermitian_frame,
                               standard_preparations)
-from proctensor.memory import binary_channel_mi
+from proctensor.memory import ENTROPY_FLOOR
 from proctensor.qcore import (EIG_CLAMP_TOL, ID2, KET0, PAULI_MINUS, PAULI_PLUS,
                               PAULIS,
                               QuantumChannel, apply_channel,
@@ -502,11 +502,18 @@ def restoration_error_via_steps(pt, gate, env_ref):
     return float(max(0.0, 1.0 - fidelity(partial_trace(pred, 1), env_ref)))
 
 
-def synthesis_loss_via_steps(pt, x, target):
+def synthesis_predictions_via_steps(pt, x):
+    """The tensor's unprojected outputs for the four standard preparations
+    followed by the u3 gate of angles ``x``."""
     gate = u3_matrix(*x)
+    return [contract_fast(pt, [unitary_step(prep.gate), unitary_step(gate)])
+            for prep in standard_preparations()]
+
+
+def synthesis_loss_via_steps(pt, x, target):
     loss = 0.0
-    for prep in standard_preparations():
-        pred = contract_fast(pt, [unitary_step(prep.gate), unitary_step(gate)])
+    for prep, pred in zip(standard_preparations(),
+                          synthesis_predictions_via_steps(pt, x)):
         loss += trace_distance(mle_project(pred),
                                apply_channel(target, prep.state))
     return float(loss)
@@ -526,11 +533,26 @@ def probe_steps(steps, params, placements, which):
     return tuple(row)
 
 
-def cmi_value_via_steps(pt, params, placements):
+def cmi_table_via_steps(pt, params, placements):
+    """The probe's conditional table p(d|e), before the MI clamps it."""
     dec = params.decoder.matrix()
     cond = np.empty((2, 2))
     for e in (0, 1):
         rho = contract_fast(pt, probe_steps(pt.steps, params, placements, e))
         rotated = dec @ rho @ dec.conj().T
         cond[e] = rotated[0, 0].real, rotated[1, 1].real
-    return binary_channel_mi(cond)
+    return cond
+
+
+def binary_channel_mi_oracle(cond):
+    """``binary_channel_mi``'s clamp, renormalisation and sum as array
+    operations, for finite tables."""
+    cond = np.clip(np.asarray(cond, dtype=float), ENTROPY_FLOOR, 1.0)
+    joint = 0.5 * cond / cond.sum(axis=1, keepdims=True)
+    ratio = joint / (0.5 * joint.sum(axis=0))
+    mi = np.sum(np.where(joint > ENTROPY_FLOOR, joint * np.log2(ratio), 0.0))
+    return float(min(max(mi, 0.0), 1.0))
+
+
+def cmi_value_via_steps(pt, params, placements):
+    return binary_channel_mi_oracle(cmi_table_via_steps(pt, params, placements))

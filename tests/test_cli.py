@@ -9,7 +9,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from proctensor import harness, qcore, tomography
+from proctensor import control, harness, memory, qcore, tomography
 from proctensor.cli import handle_errors, main
 from proctensor.harness import ResultsStore
 from proctensor.qcore import NumericalError
@@ -279,6 +279,27 @@ def test_numerical_failures_exit_3(runner):
     result = runner.invoke(boom, [])
     assert result.exit_code == 3
     assert "numerical failure: optimizer diverged" in result.output
+
+
+@pytest.mark.parametrize("command, module, objective, stage", [
+    ("memory-bound", memory, "cmi_value", "memory"),
+    ("optimize-decoupling", control, "decoupling_objective", "decouple"),
+    ("synthesize-gate", control, "synthesis_loss", "synthesize"),
+], ids=["memory", "decouple", "synthesize"])
+def test_nan_search_exits_3(runner, tmp_path, monkeypatch, command, module,
+                            objective, stage):
+    # a search whose every start ends on NaN must fail, not store NaN
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "x", "pool_size": 11,
+                                "basis_size": 10, "shots": 400}))
+    store = tmp_path / "store"
+    monkeypatch.setattr(module, objective, lambda *args: float("nan"))
+    result = runner.invoke(main, [command, "--plan", str(plan),
+                                  "--out", str(store)])
+    assert result.exit_code == 3, result.output
+    assert "numerical failure: " in result.output
+    assert "search failed on every restart" in result.output
+    assert not ResultsStore(store).records(stage=stage)
 
 
 def test_physicality_failure_exits_3(runner, tmp_path, monkeypatch):

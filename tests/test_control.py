@@ -5,14 +5,16 @@ trajectories, matrix-unit construction of the traced channel for process
 tomography, and the analytic unitarity of the target family.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from proctensor import control
 from proctensor.basis import generate_haar_basis, haar_unitary
 from proctensor.control import (
     DECOUPLING_ENV_REF,
-    DECOUPLING_IDLE_NS,
     XY4_CYCLE,
     build_decoupling_tensor,
     build_synthesis_tensor,
@@ -30,6 +32,7 @@ from proctensor.control import (
     synthesis_loss,
 )
 from proctensor.qcore import (
+    NumericalError,
     PAULIS,
     check_density_matrix,
     fidelity,
@@ -44,15 +47,15 @@ from proctensor.simulator import (
     PAIR_SETTINGS,
     draw_pair_counts,
     khz_to_rad_per_ns,
-    rng_stream,
     run_sequence,
     two_qubit_probe,
     unitary_step,
 )
-from proctensor.tomography import contract_fast, mle_project, pair_qst_mle
+from proctensor.tomography import contract_fast, pair_qst_mle, qubit_bloch
 
 from helpers import (channel_from_unitary, decoupling_objective_via_steps,
-                     restoration_error_via_steps, synthesis_loss_via_steps)
+                     restoration_error_via_steps, synthesis_loss_via_steps,
+                     synthesis_predictions_via_steps)
 from test_qcore import random_density_matrix
 
 
@@ -348,6 +351,48 @@ def test_synthesis_loss_matches_manual(syn_pt):
     val = synthesis_loss(kernel, x)
     assert val > 0.0
     assert synthesis_loss(kernel, x) == val
+
+
+def test_synthesis_radial_clip_equals_step_oracle():
+    # at 1600 shots the tensor predicts some outputs outside the Bloch ball;
+    # the loss must clip them back as mle_project does
+    syn = build_synthesis_tensor(synthesis_model(), generate_haar_basis(10, 0),
+                                 1600, 0)
+    target = nonunitary_target(0.4, 0.2)
+    kernel = synthesis_kernel(syn, target)
+    clipped = 0
+    for x in np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(8, 3)):
+        preds = synthesis_predictions_via_steps(syn, x)
+        clipped += any(np.linalg.norm(qubit_bloch(p / np.trace(p))) > 1.0
+                       for p in preds)
+        assert abs(synthesis_loss(kernel, x)
+                   - synthesis_loss_via_steps(syn, x, target)) <= 1e-12
+    assert clipped > 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["theta", "phi", "lam"])
+def test_non_finite_gate_angle_gives_nan(syn_pt, bad, index):
+    x = np.array([0.4, 1.1, 2.7])
+    x[index] = bad
+    kernel = synthesis_kernel(syn_pt, nonunitary_target(0.5, 0.2))
+    assert np.isnan(synthesis_loss(kernel, x))
+
+
+def test_optimize_decoupling_raises_when_every_start_is_nan(dec_pt,
+                                                            monkeypatch):
+    monkeypatch.setattr(control, "decoupling_objective",
+                        lambda pt, gate: np.nan)
+    with pytest.raises(NumericalError, match="every restart"):
+        optimize_decoupling(dec_pt, restarts=2, seed=0, maxiter=20)
+
+
+def test_synthesize_gate_raises_when_every_start_is_nan(syn_pt):
+    nan_tensor = replace(syn_pt, states=np.full_like(syn_pt.states, np.nan))
+    with pytest.raises(NumericalError, match="every restart"):
+        synthesize_gate(nan_tensor, nonunitary_target(0.5, 0.2), restarts=2,
+                        seed=0, maxiter=20)
 
 
 def test_synthesis_sweep_records(syn_model, syn_pt):

@@ -13,8 +13,6 @@ from proctensor.markov import (
 )
 from proctensor.qcore import (
     check_density_matrix,
-    ket_dm,
-    KET0,
     partial_trace,
 )
 from proctensor.simulator import make_model, rng_stream

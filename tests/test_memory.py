@@ -1,5 +1,7 @@
 """Memory bounds: probe construction, mutual information, bootstrap."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 from proctensor.basis import generate_haar_basis
 from proctensor.memory import (
     CANONICAL_START,
+    ENTROPY_FLOOR,
     MemoryInterval,
     ProbeParams,
     barrier_placements,
@@ -17,12 +20,12 @@ from proctensor.memory import (
     maximize_cmi,
     unpack_params,
 )
-from proctensor.qcore import ID2, UnitaryParams
+from proctensor.qcore import ID2, NumericalError, UnitaryParams
 from proctensor.simulator import make_model, rng_stream, simulate_experiment
 from proctensor.tomography import build_standard_tensor, qst_mle, standard_slots
 
-from helpers import (SWAP2, cmi_value_via_steps, depolarizing_in_span,
-                     exact_states, probe_steps)
+from helpers import (SWAP2, cmi_table_via_steps, cmi_value_via_steps,
+                     depolarizing_in_span, exact_states, probe_steps)
 
 
 CANON = ProbeParams(enc0=CANONICAL_START["enc0"], enc1=CANONICAL_START["enc1"],
@@ -117,8 +120,8 @@ def test_cmi_kernel_equals_step_oracle(pool_seed, pool, shots, probes):
     pt = build_standard_tensor(states, basis, pool)
     for placements in ((1,), (2,), (1, 2)):
         kernel = cmi_kernel(pt, placements)
-        assert kernel.shape == ((4, 2, 2) if placements == (1, 2)
-                                else (4, 16, 2, 2))
+        assert kernel.shape == ((4, 4) if placements == (1, 2)
+                                else (4, 4, 4, 4))
         for x in probes:
             for params in (unpack_params(np.array(x), True),
                            unpack_params(np.array(x[:9]), False)):
@@ -151,6 +154,36 @@ def test_maximize_cmi_swap_chain(swap_tensor):
     assert res.placements == (1,)
     res2 = maximize_cmi(swap_tensor, (2,), restarts=2, seed=0, maxiter=150)
     assert res2.bits < 1e-8
+
+
+@pytest.mark.parametrize("filler", [None, UnitaryParams(0.0, 0.0, 0.0)],
+                         ids=["wait", "identity-filler"])
+def test_entropy_floor_clamp_equals_step_oracle(swap_tensor, filler):
+    # the swap chain's computational-basis table is the identity, so its
+    # zero entries are clamped to the floor before the logarithm
+    params = replace(CANON, filler=filler)
+    assert cmi_table_via_steps(swap_tensor, params, (1,)).min() < ENTROPY_FLOOR
+    assert abs(cmi_value(cmi_kernel(swap_tensor, (1,)), params)
+               - cmi_value_via_steps(swap_tensor, params, (1,))) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("index", [0, 4, 8, 9, 11],
+                         ids=["enc0-theta", "enc1-phi", "decoder-lam",
+                              "filler-theta", "filler-lam"])
+def test_non_finite_probe_angle_gives_nan(swap_tensor, bad, index):
+    x = replace(CANON, filler=UnitaryParams(0.0, 0.0, 0.0)).pack()
+    x[index] = bad
+    assert np.isnan(cmi_value(cmi_kernel(swap_tensor, (1,)),
+                              unpack_params(x, True)))
+
+
+def test_maximize_cmi_raises_when_every_start_is_nan(swap_tensor):
+    nan_tensor = replace(swap_tensor,
+                         states=np.full_like(swap_tensor.states, np.nan))
+    with pytest.raises(NumericalError, match="every restart"):
+        maximize_cmi(nan_tensor, (1,), restarts=2, seed=0, maxiter=20)
 
 
 def test_markovian_surrogate_has_no_memory(reset_tensor):

@@ -9,7 +9,6 @@ from proctensor.qcore import (
     PAULI_PLUS,
     PAULI_X,
     PAULI_Y,
-    PAULI_Z,
     PAULIS,
     QuantumChannel,
     UnitaryParams,
