@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .basis import ControlBasis, standard_preparations, unitary_matrix_form
+from .basis import ControlBasis, standard_preparations
 from .qcore import (
     ID2,
     NumericalError,
+    PAULI_PLUS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -35,7 +36,6 @@ from .qcore import (
     UnitaryParams,
     apply_channel,
     channel_from_kraus,
-    fidelity,
     mutual_information_state,
     negativity,
     partial_trace,
@@ -44,7 +44,6 @@ from .qcore import (
     rotation_axis_angle,
     rotation_gate,
     u3_entries,
-    u3_matrix,
     unitarity,
 )
 from .simulator import (
@@ -62,7 +61,6 @@ from .tomography import (
     assemble,
     channel_from_prep_outputs,
     coefficient_map,
-    form_coefficients,
     measure_grid,
     mle_project,
     pair_qst_mle,
@@ -74,9 +72,9 @@ from .tomography import (
 )
 
 DECOUPLING_IDLE_NS = 256.0
-# the neighbor's marginal of the probe's |++> preparation: the state the
-# decoupling search hands back to the neighbor
-DECOUPLING_ENV_REF = partial_trace(initial_joint_state("plus_plus"), 1)
+# |+><+| with entries exactly 1/2: the neighbor's marginal of the probe's
+# |++> preparation, the state the decoupling search hands back to it
+DECOUPLING_ENV_REF = PAULI_PLUS["X"]
 TIE_TOL = 1e-6  # decoupling minima this close to the best one are tied
 SYNTHESIS_IDLE_NS = 800.0
 
@@ -107,28 +105,44 @@ def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
     return assemble([unitary_slot(basis.unitaries)], states)
 
 
-def _predicted_joint(pt: ProcessTensor, gate: np.ndarray) -> np.ndarray:
-    """The tensor's projected joint output for a gate."""
-    coeffs = form_coefficients(unitary_matrix_form(gate), pt.duals[0])
-    return mle_project(np.einsum("i,iab->ab", coeffs, pt.states))
+def decoupling_kernel(pt: ProcessTensor) -> np.ndarray:
+    """The readout kernel R (4, 4, 16): ``v @ (v.conj() @ R)`` is the joint
+    output for the gate u with v = vec(u.T), as in ``synthesis_kernel``."""
+    return (slot_kernel(pt, [coefficient_map(pt.duals[0])]) / 2).reshape(4, 4, 16)
 
 
-def _purity_loss(joint: np.ndarray) -> float:
-    g1 = purity(partial_trace(joint, 0))
-    g2 = purity(partial_trace(joint, 1))
-    return float(max(0.0, 2.0 - g1 - g2))
+def _decoupling_losses(kernel: np.ndarray, x: np.ndarray,
+                       env_ref: np.ndarray) -> tuple[float, float]:
+    """Purity loss and restoration error of the projected joint output for the
+    u3 angles ``x``, NaN if it is not finite; F = tr(ab) + 2 sqrt(det a det b)."""
+    try:
+        u00, u01, u10, u11 = u3_entries(*np.asarray(x, dtype=float).tolist())
+    except ValueError:  # math.cos of an infinite angle
+        return math.nan, math.nan
+    v = np.array((u00, u10, u01, u11))
+    joint = (v @ (v.conj() @ kernel)).reshape(4, 4)
+    if not np.isfinite(joint).all():
+        return math.nan, math.nan
+    (j00, j01, j02, _), (_, j11, _, j13), (_, _, j22, j23), (*_, j33) = \
+        mle_project(joint).tolist()
+    # marginal entries (m00, m11, m01) of the system (a) and the neighbor (b)
+    a00, a11, a01 = (j00 + j11).real, (j22 + j33).real, j02 + j13
+    b00, b11, b01 = (j00 + j22).real, (j11 + j33).real, j01 + j23
+    purities = a00 * a00 + a11 * a11 + 2.0 * abs(a01) ** 2 \
+        + b00 * b00 + b11 * b11 + 2.0 * abs(b01) ** 2
+    (e00, e01), (_, e11) = env_ref.tolist()
+    dets = max(b00 * b11 - abs(b01) ** 2, 0.0) * max((e00 * e11).real - abs(e01) ** 2, 0.0)
+    fid = (b00 * e00 + b11 * e11).real + 2.0 * (b01 * e01.conjugate()).real \
+        + 2.0 * math.sqrt(dets)  # exact against a pure reference: dets = 0
+    return max(0.0, 2.0 - purities), max(0.0, 1.0 - fid)
 
 
-def _restoration_loss(joint: np.ndarray, env_ref: np.ndarray) -> float:
-    return float(max(0.0, 1.0 - fidelity(partial_trace(joint, 1), env_ref)))
+def decoupling_objective(kernel: np.ndarray, x: np.ndarray) -> float:
+    """2 - purity(q1) - purity(q2) of the joint output for the u3 angles x."""
+    return _decoupling_losses(kernel, x, DECOUPLING_ENV_REF)[0]
 
 
-def decoupling_objective(pt: ProcessTensor, gate: np.ndarray) -> float:
-    """2 - purity(q1) - purity(q2) of the predicted joint output."""
-    return _purity_loss(_predicted_joint(pt, gate))
-
-
-def restoration_error(pt: ProcessTensor, gate: np.ndarray,
+def restoration_error(kernel: np.ndarray, x: np.ndarray,
                       env_ref: np.ndarray) -> float:
     """1 - fidelity between the predicted neighbor marginal and its
     preparation state.
@@ -139,7 +153,7 @@ def restoration_error(pt: ProcessTensor, gate: np.ndarray,
     repeats cleanly period after period, so this is the tensor-predictable
     proxy for periodic performance.
     """
-    return _restoration_loss(_predicted_joint(pt, gate), env_ref)
+    return _decoupling_losses(kernel, x, env_ref)[1]
 
 
 @dataclass(frozen=True)
@@ -170,13 +184,14 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
     expected to hold up under repetition.
     Deterministic for a fixed seed.
     """
+    kernel = decoupling_kernel(pt)
+
     def objective(x: np.ndarray) -> float:
-        return decoupling_objective(pt, u3_matrix(*x))
+        return decoupling_objective(kernel, x)
 
     def polish(x: np.ndarray) -> float:
-        joint = _predicted_joint(pt, u3_matrix(*x))
-        return 1e3 * _purity_loss(joint) \
-            + _restoration_loss(joint, DECOUPLING_ENV_REF)
+        loss, restoration = _decoupling_losses(kernel, x, DECOUPLING_ENV_REF)
+        return 1e3 * loss + restoration
 
     rng = rng_stream(seed, 303)
     candidates: list[tuple[float, np.ndarray]] = []
@@ -190,27 +205,21 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
     if not candidates:
         # every restart ended on NaN
         raise NumericalError("decoupling search failed on every restart")
-    best_f = min(f for f, _ in candidates)
-    best_x = next(x for f, x in candidates if f == best_f)
+    best_f, best_x = min(candidates, key=lambda c: c[0])
 
-    scored: list[tuple[float, float, np.ndarray]] = []
-    for f, x in candidates:
-        if f > best_f + TIE_TOL:
-            continue
-        res = optimize.minimize(polish, x, method="Nelder-Mead",
-                                options={"maxiter": maxiter, "xatol": 1e-6,
-                                         "fatol": 1e-10})
-        joint = _predicted_joint(pt, u3_matrix(*res.x))
-        scored.append((_purity_loss(joint),
-                       _restoration_loss(joint, DECOUPLING_ENV_REF), res.x))
+    polished = [optimize.minimize(polish, x, method="Nelder-Mead",
+                                  options={"maxiter": maxiter, "xatol": 1e-6,
+                                           "fatol": 1e-10}).x
+                for f, x in candidates if f <= best_f + TIE_TOL]
+    scored = [(*_decoupling_losses(kernel, x, DECOUPLING_ENV_REF), x)
+              for x in polished]
     admissible = [s for s in scored if s[0] <= best_f + TIE_TOL]
     if admissible:
-        pick = min(range(len(admissible)), key=lambda i: admissible[i][1])
-        best_f, _, best_x = admissible[pick]
+        best_f, _, best_x = min(admissible, key=lambda s: s[1])
 
     params = UnitaryParams(*best_x)
     axis, angle = rotation_axis_angle(params.matrix())
-    identity_obj = decoupling_objective(pt, np.eye(2, dtype=complex))
+    identity_obj = decoupling_objective(kernel, np.zeros(3))
     return DecouplingResult(params=params, objective=float(best_f),
                             axis=tuple(float(v) for v in axis), angle=float(angle),
                             identity_objective=float(identity_obj),
@@ -249,22 +258,19 @@ def simulate_trajectory(gates_cycle: tuple[np.ndarray, ...] | None,
     v = interval_propagator(h, period_ns)
     steps = int(np.floor(horizon_ns / period_ns + 1e-9))
     state = initial_joint_state(env_init)
-    times = [0.0]
     series = [state]
     for s in range(steps):
         state = v @ state @ v.conj().T
         if gates_cycle is not None:
             g = np.kron(gates_cycle[s % len(gates_cycle)], np.eye(2, dtype=complex))
             state = g @ state @ g.conj().T
-        times.append((s + 1) * period_ns)
         series.append(state)
-    neg = np.array([negativity(r) for r in series])
-    mi = np.array([mutual_information_state(r) for r in series])
-    p1 = np.array([purity(partial_trace(r, 0)) for r in series])
-    p2 = np.array([purity(partial_trace(r, 1)) for r in series])
-    return Trajectory(times_ns=np.array(times), negativity=neg,
-                      mutual_info_bits=mi, purity_q1=p1, purity_q2=p2,
-                      label=label)
+    states = np.array(series)
+    return Trajectory(times_ns=period_ns * np.arange(steps + 1.0),
+                      negativity=negativity(states),
+                      mutual_info_bits=mutual_information_state(states),
+                      purity_q1=purity(partial_trace(states, 0)),
+                      purity_q2=purity(partial_trace(states, 1)), label=label)
 
 
 # ---------------------------------------------------------------------------

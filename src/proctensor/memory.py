@@ -128,19 +128,17 @@ def _projector(k0: complex, k1: complex) -> tuple[complex, ...]:
     return (k0 * k0c, k0 * k1c, k1 * k0c, k1 * k1c)
 
 
-def cmi_value(kernel: np.ndarray, params: ProbeParams) -> float:
-    """Mutual information of one probe configuration on a ``cmi_kernel``.
-
-    Unbarred slots carry the filler gate, or wait (identity) without one.
-    The encoded states are u3|0> of the two encoders. A non-finite angle
-    gives NaN.
+def cmi_value(kernel: np.ndarray, x: np.ndarray) -> float:
+    """Mutual information of the probe with u3 angles ``x`` (``ProbeParams.pack``
+    order) on a ``cmi_kernel``. Unbarred slots carry the filler gate (angles
+    9-11), or wait (identity) without one. The encoded states are u3|0> of
+    the two encoders. A non-finite angle gives NaN.
     """
+    x = np.asarray(x, dtype=float).tolist()  # scalar math runs on floats
     try:
-        e0, e1, d = (u3_entries(*p.as_tuple())
-                     for p in (params.enc0, params.enc1, params.decoder))
+        e0, e1, d = (u3_entries(*x[i:i + 3]) for i in (0, 3, 6))
         if kernel.ndim > 2:
-            f = (1.0, 0.0, 0.0, 1.0) if params.filler is None \
-                else u3_entries(*params.filler.as_tuple())
+            f = (1.0, 0.0, 0.0, 1.0) if len(x) == 9 else u3_entries(*x[9:12])
             v = np.array((f[0], f[2], f[1], f[3]), dtype=complex)
             vc = v.conj()
             for _ in range(kernel.ndim // 2 - 1):
@@ -174,19 +172,15 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
     placements = _check_placements(placements, pt.steps)
     kernel = cmi_kernel(pt, placements)
     include_filler = kernel.ndim > 2
-    dim = 12 if include_filler else 9
-    start = ProbeParams(
-        enc0=CANONICAL_START["enc0"], enc1=CANONICAL_START["enc1"],
-        decoder=CANONICAL_START["decoder"],
-        filler=CANONICAL_START["filler"] if include_filler else None)
+    start = ProbeParams(**CANONICAL_START).pack()[:12 if include_filler else 9]
 
     def objective(x: np.ndarray) -> float:
-        return -cmi_value(kernel, unpack_params(x, include_filler))
+        return -cmi_value(kernel, x)
 
     rng = rng_stream(seed, 101, *placements)
     best_x, best_f = None, np.inf
     for r in range(max(1, int(restarts))):
-        x0 = start.pack() if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=dim)
+        x0 = start if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=start.size)
         res = optimize.minimize(objective, x0, method="Nelder-Mead",
                                 options={"maxiter": maxiter, "xatol": 1e-4,
                                          "fatol": 1e-8})
@@ -233,10 +227,10 @@ def bootstrap_cmi(counts: np.ndarray, shots: int | None, basis, n: int,
     states, redraws = redraw_records(counts, shots, resamples,
                                      rng_stream(seed, 202, *placements))
     pt0 = build_standard_tensor(states, basis, n)
-    point = cmi_value(cmi_kernel(pt0, placements), params)
+    point = cmi_value(cmi_kernel(pt0, placements), params.pack())
     samples = np.array([
         cmi_value(cmi_kernel(replace(pt0, states=re_states[:, :n, :n]),
-                             placements), params)
+                             placements), params.pack())
         for re_states in redraws])
     q_lo, q_hi = np.percentile(samples, [100 * CI_ALPHA / 2,
                                          100 * (1 - CI_ALPHA / 2)])

@@ -285,16 +285,16 @@ def superop_to_choi(superop: np.ndarray) -> np.ndarray:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def purity(rho: np.ndarray) -> float:
-    """tr(rho^2), in (0, 1] for a physical state.
+def purity(rho: np.ndarray) -> float | np.ndarray:
+    """tr(rho^2) of a state or of each of a stack, in (0, 1] if physical.
 
     Examples
     --------
-    >>> purity(np.diag([0.75, 0.25]))
+    >>> print(purity(np.diag([0.75, 0.25])))
     0.625
     """
     rho = np.asarray(rho, dtype=complex)
-    return float(np.einsum("ij,ji->", rho, rho).real)
+    return np.einsum("...ij,...ji->...", rho, rho).real
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -334,26 +334,26 @@ def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     return np.einsum(_KEEP_SPECS[keep], rho.reshape(rho.shape[:-2] + (2,) * 4))
 
 
-def negativity(rho: np.ndarray) -> float:
-    """Entanglement negativity of a two-qubit state (partial transpose)."""
+def negativity(rho: np.ndarray) -> float | np.ndarray:
+    """Entanglement negativity of a two-qubit state or of each of a stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("negativity is implemented for two-qubit states only")
-    r = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    r = rho.reshape(rho.shape[:-2] + (2,) * 4).swapaxes(-3, -1).reshape(rho.shape)
     evals = np.linalg.eigvalsh(r)
-    return float(-np.sum(evals[evals < 0.0]))
+    return -np.where(evals < 0.0, evals, 0.0).sum(axis=-1)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in bits; eigenvalues below ENTROPY_CUTOFF contribute zero."""
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
+    """Entropy in bits, per state; eigenvalues below ENTROPY_CUTOFF add 0."""
     evals = clamp_spectrum(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)),
                            name="entropy input")
-    evals = evals[evals > ENTROPY_CUTOFF]
-    return float(-np.sum(evals * np.log2(evals)))
+    logs = np.log2(np.where(evals > ENTROPY_CUTOFF, evals, 1.0))
+    return -(evals * logs).sum(axis=-1)
 
 
-def mutual_information_state(rho: np.ndarray) -> float:
-    """S(A) + S(B) - S(AB) in bits for a two-qubit state."""
+def mutual_information_state(rho: np.ndarray) -> float | np.ndarray:
+    """S(A) + S(B) - S(AB) in bits of a two-qubit state or each of a stack."""
     rho = check_density_matrix(rho, name="bipartite state")
     ra = partial_trace(rho, 0)
     rb = partial_trace(rho, 1)

@@ -9,7 +9,7 @@ from proctensor.qcore import (EIG_CLAMP_TOL, ID2, KET0, PAULI_MINUS, PAULI_PLUS,
                               PAULIS,
                               QuantumChannel, apply_channel,
                               check_density_matrix, check_unitary,
-                              choi_to_superop, fidelity, ket_dm, partial_trace,
+                              choi_to_superop, ket_dm, partial_trace,
                               purity, superop_to_choi, u3_matrix, unitary_choi)
 from proctensor.simulator import (AXES, PAIR_SETTINGS, ControlStep,
                                   rng_stream, simulate_grid, unitary_step)
@@ -499,7 +499,8 @@ def decoupling_objective_via_steps(pt, gate):
 
 def restoration_error_via_steps(pt, gate, env_ref):
     pred = mle_project(contract_fast(pt, [unitary_step(gate)]))
-    return float(max(0.0, 1.0 - fidelity(partial_trace(pred, 1), env_ref)))
+    fid = qubit_fidelity_vectorized(partial_trace(pred, 1), env_ref)
+    return float(max(0.0, 1.0 - fid))
 
 
 def synthesis_predictions_via_steps(pt, x):

@@ -13,11 +13,13 @@ from hypothesis import given, seed, settings, strategies as st
 
 from proctensor import control
 from proctensor.basis import generate_haar_basis, haar_unitary
+from proctensor.harness import OPTIMIZER_RESTARTS, plan_from_dict
 from proctensor.control import (
     DECOUPLING_ENV_REF,
     XY4_CYCLE,
     build_decoupling_tensor,
     build_synthesis_tensor,
+    decoupling_kernel,
     decoupling_model,
     decoupling_objective,
     nonunitary_target,
@@ -35,7 +37,8 @@ from proctensor.qcore import (
     NumericalError,
     PAULIS,
     check_density_matrix,
-    fidelity,
+    mutual_information_state,
+    negativity,
     partial_trace,
     process_fidelity,
     purity,
@@ -46,6 +49,9 @@ from proctensor.qcore import (
 from proctensor.simulator import (
     PAIR_SETTINGS,
     draw_pair_counts,
+    exchange_zz_hamiltonian,
+    initial_joint_state,
+    interval_propagator,
     khz_to_rad_per_ns,
     run_sequence,
     two_qubit_probe,
@@ -56,6 +62,7 @@ from proctensor.tomography import contract_fast, pair_qst_mle, qubit_bloch
 from helpers import (channel_from_unitary, decoupling_objective_via_steps,
                      restoration_error_via_steps, synthesis_loss_via_steps,
                      synthesis_predictions_via_steps)
+from test_golden import DECOUPLE_PLAN
 from test_qcore import random_density_matrix
 
 
@@ -152,11 +159,13 @@ def test_decoupling_tensor_predicts_probe(dec_pt, basis24):
 
 def test_objective_range_and_phase_invariance(dec_pt):
     rng = np.random.default_rng(11)
+    kernel = decoupling_kernel(dec_pt)
     for _ in range(5):
-        g = haar_unitary(2, rng)
-        val = decoupling_objective(dec_pt, g)
+        x = rng.uniform(0.0, 2.0 * np.pi, size=3)
+        val = decoupling_objective(kernel, x)
         assert 0.0 <= val <= 1.0
-        spun = decoupling_objective(dec_pt, np.exp(1.2j) * g)
+        # theta + 2 pi gives the same gate times the global phase -1
+        spun = decoupling_objective(kernel, x + [2.0 * np.pi, 0.0, 0.0])
         assert spun == pytest.approx(val, abs=1e-12)
 
 
@@ -192,12 +201,35 @@ def test_optimizer_deterministic(dec_pt, dec_result):
 
 def test_restoration_error_separates_refocusers(dec_pt):
     env_ref = DECOUPLING_ENV_REF
-    pi_x = rotation_gate("X", np.pi)
-    assert decoupling_objective(dec_pt, pi_x) < 1e-9
-    assert restoration_error(dec_pt, pi_x, env_ref) < 1e-9
+    kernel = decoupling_kernel(dec_pt)
+    pi_x = np.array([np.pi, -np.pi / 2.0, np.pi / 2.0])  # rotation_gate("X", pi)
+    assert np.allclose(u3_matrix(*pi_x), rotation_gate("X", np.pi), atol=1e-15)
+    assert decoupling_objective(kernel, pi_x) < 1e-9
+    assert restoration_error(kernel, pi_x, env_ref) < 1e-9
     # a gate that refocuses this input without restoring the neighbor
-    drift = u3_matrix(1.3845, 4.0329, 5.3501)
-    assert restoration_error(dec_pt, drift, env_ref) > 1e-4
+    drift = np.array([1.3845, 4.0329, 5.3501])
+    assert restoration_error(kernel, drift, env_ref) > 1e-4
+
+
+def test_every_polish_converges_on_the_decouple_plan(monkeypatch):
+    # the polish objective is smooth to rounding, so each polish run must
+    # stop on scipy's tolerances rather than on maxiter
+    plan = plan_from_dict(DECOUPLE_PLAN)
+    pt = build_decoupling_tensor(decoupling_model(plan.exchange_khz, plan.zz_khz),
+                                 plan.basis(), plan.shots, plan.master_seed + 202)
+    polished = []
+    minimize = control.optimize.minimize
+
+    def recording(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        if kwargs["options"]["fatol"] == 1e-10:  # the polish stage
+            polished.append(res)
+        return res
+
+    monkeypatch.setattr(control.optimize, "minimize", recording)
+    optimize_decoupling(pt, restarts=OPTIMIZER_RESTARTS, seed=plan.master_seed)
+    assert polished
+    assert all(res.success for res in polished), [res.message for res in polished]
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +266,30 @@ def test_xy4_reference_decouples():
     xy4 = simulate_trajectory(XY4_CYCLE, label="xy4")
     assert xy4.purity_q1.min() > idle.purity_q1.min() + 0.3
     assert xy4.label == "xy4"
+
+
+@pytest.mark.parametrize("cycle", [None, XY4_CYCLE], ids=["idle", "xy4"])
+def test_trajectory_series_equal_per_state_metrics(cycle):
+    # the series are computed on the stacked states; each must equal the
+    # metric of every state on its own
+    traj = simulate_trajectory(cycle)
+    h = exchange_zz_hamiltonian(50.0, 30.0)
+    v = interval_propagator(h, 500.0)
+    state = initial_joint_state("plus_plus")
+    states = [state]
+    for s in range(len(traj.times_ns) - 1):
+        state = v @ state @ v.conj().T
+        if cycle is not None:
+            g = np.kron(cycle[s % len(cycle)], np.eye(2))
+            state = g @ state @ g.conj().T
+        states.append(state)
+    assert np.array_equal(traj.negativity, [negativity(r) for r in states])
+    assert np.array_equal(traj.mutual_info_bits,
+                          [mutual_information_state(r) for r in states])
+    assert np.array_equal(traj.purity_q1,
+                          [purity(partial_trace(r, 0)) for r in states])
+    assert np.array_equal(traj.purity_q2,
+                          [purity(partial_trace(r, 1)) for r in states])
 
 
 def test_trajectory_validation():
@@ -373,19 +429,20 @@ def test_synthesis_radial_clip_equals_step_oracle():
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan],
                          ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("index", [0, 1, 2], ids=["theta", "phi", "lam"])
-def test_non_finite_gate_angle_gives_nan(syn_pt, bad, index):
+def test_non_finite_gate_angle_gives_nan(syn_pt, dec_pt, bad, index):
     x = np.array([0.4, 1.1, 2.7])
     x[index] = bad
     kernel = synthesis_kernel(syn_pt, nonunitary_target(0.5, 0.2))
     assert np.isnan(synthesis_loss(kernel, x))
+    dec_kernel = decoupling_kernel(dec_pt)
+    assert np.isnan(decoupling_objective(dec_kernel, x))
+    assert np.isnan(restoration_error(dec_kernel, x, DECOUPLING_ENV_REF))
 
 
-def test_optimize_decoupling_raises_when_every_start_is_nan(dec_pt,
-                                                            monkeypatch):
-    monkeypatch.setattr(control, "decoupling_objective",
-                        lambda pt, gate: np.nan)
+def test_optimize_decoupling_raises_when_every_start_is_nan(dec_pt):
+    nan_tensor = replace(dec_pt, states=np.full_like(dec_pt.states, np.nan))
     with pytest.raises(NumericalError, match="every restart"):
-        optimize_decoupling(dec_pt, restarts=2, seed=0, maxiter=20)
+        optimize_decoupling(nan_tensor, restarts=2, seed=0, maxiter=20)
 
 
 def test_synthesize_gate_raises_when_every_start_is_nan(syn_pt):
@@ -427,13 +484,14 @@ def test_objective_kernels_equal_step_oracles(pool_seed, pool, shots, target,
     channel = nonunitary_target(*target)
     kernel = synthesis_kernel(syn, channel)
     dec = build_decoupling_tensor(decoupling_model(), basis, shots, pool_seed)
+    dec_kernel = decoupling_kernel(dec)
     env_ref = DECOUPLING_ENV_REF
     for x in angles:
         x = np.array(x)
         assert abs(synthesis_loss(kernel, x)
                    - synthesis_loss_via_steps(syn, x, channel)) <= 1e-12
         gate = u3_matrix(*x)
-        assert decoupling_objective(dec, gate) \
-            == decoupling_objective_via_steps(dec, gate)
-        assert restoration_error(dec, gate, env_ref) \
-            == restoration_error_via_steps(dec, gate, env_ref)
+        assert abs(decoupling_objective(dec_kernel, x)
+                   - decoupling_objective_via_steps(dec, gate)) <= 1e-12
+        assert abs(restoration_error(dec_kernel, x, env_ref)
+                   - restoration_error_via_steps(dec, gate, env_ref)) <= 1e-12

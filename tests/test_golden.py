@@ -91,7 +91,7 @@ DECOUPLE_PLAN = {"name": "d", "pool_size": 14, "basis_size": 12, "shots": 1600,
     (lambda: plan_from_dict(MARKOV_PLAN),
      "88d25ef1f60a72304b10ebda152e446578f665209ebc2b5ededc755414f8459a"),
     (lambda: plan_from_dict(DECOUPLE_PLAN),
-     "a465a828048368a9b49f20dd94985638549ade90c5b1768439fffc1cae766b15"),
+     "5b2cb0d5f7c1d599ad1f8f13bb9835fb6835583d8f8548626e879fa9538ea798"),
 ], ids=["quickstart", "markov", "decouple"])
 def test_quickstart_store_fingerprint_is_pinned(tmp_path, plan_of, fingerprint):
     # the whole store of the plan, every payload bit included

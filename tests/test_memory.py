@@ -125,7 +125,7 @@ def test_cmi_kernel_equals_step_oracle(pool_seed, pool, shots, probes):
         for x in probes:
             for params in (unpack_params(np.array(x), True),
                            unpack_params(np.array(x[:9]), False)):
-                assert abs(cmi_value(kernel, params)
+                assert abs(cmi_value(kernel, params.pack())
                            - cmi_value_via_steps(pt, params, placements)) <= 1e-12
 
 
@@ -141,11 +141,11 @@ def test_placement_validation(swap_tensor):
 def test_swap_chain_carries_one_bit_past_first_barrier(swap_tensor):
     # computational-basis probe: the bit swaps into the environment before
     # the barrier and swaps back after it, so it survives untouched
-    assert cmi_value(cmi_kernel(swap_tensor, (1,)), CANON) > 1.0 - 1e-9
+    assert cmi_value(cmi_kernel(swap_tensor, (1,)), CANON.pack()) > 1.0 - 1e-9
     # past the second barrier nothing survives: the wire is erased after
     # the bit has returned to the system
-    assert cmi_value(cmi_kernel(swap_tensor, (2,)), CANON) < 1e-12
-    assert cmi_value(cmi_kernel(swap_tensor, (1, 2)), CANON) < 1e-12
+    assert cmi_value(cmi_kernel(swap_tensor, (2,)), CANON.pack()) < 1e-12
+    assert cmi_value(cmi_kernel(swap_tensor, (1, 2)), CANON.pack()) < 1e-12
 
 
 def test_maximize_cmi_swap_chain(swap_tensor):
@@ -163,7 +163,7 @@ def test_entropy_floor_clamp_equals_step_oracle(swap_tensor, filler):
     # zero entries are clamped to the floor before the logarithm
     params = replace(CANON, filler=filler)
     assert cmi_table_via_steps(swap_tensor, params, (1,)).min() < ENTROPY_FLOOR
-    assert abs(cmi_value(cmi_kernel(swap_tensor, (1,)), params)
+    assert abs(cmi_value(cmi_kernel(swap_tensor, (1,)), params.pack())
                - cmi_value_via_steps(swap_tensor, params, (1,))) <= 1e-12
 
 
@@ -175,8 +175,7 @@ def test_entropy_floor_clamp_equals_step_oracle(swap_tensor, filler):
 def test_non_finite_probe_angle_gives_nan(swap_tensor, bad, index):
     x = replace(CANON, filler=UnitaryParams(0.0, 0.0, 0.0)).pack()
     x[index] = bad
-    assert np.isnan(cmi_value(cmi_kernel(swap_tensor, (1,)),
-                              unpack_params(x, True)))
+    assert np.isnan(cmi_value(cmi_kernel(swap_tensor, (1,)), x))
 
 
 def test_maximize_cmi_raises_when_every_start_is_nan(swap_tensor):

@@ -23,13 +23,14 @@ import numpy as np
 
 from proctensor.basis import generate_haar_basis
 from proctensor.control import (DECOUPLING_ENV_REF, build_decoupling_tensor,
-                                 build_synthesis_tensor, decoupling_model, decoupling_objective,
+                                 build_synthesis_tensor, decoupling_kernel,
+                                 decoupling_model, decoupling_objective,
                                  nonunitary_target, qpt, restoration_error,
                                  synthesis_kernel, synthesis_loss,
                                  synthesis_model)
 from proctensor.markov import characterize
 from proctensor.memory import (CANONICAL_START, ProbeParams, bootstrap_cmi,
-                               cmi_kernel, cmi_value, unpack_params)
+                               cmi_kernel, cmi_value)
 from proctensor.qcore import u3_matrix
 from proctensor.simulator import make_model, simulate_experiment
 from proctensor.tomography import build_standard_tensor, standard_slots
@@ -91,20 +92,21 @@ PROBE_ANGLES = (
 
 def objective_values():
     basis = generate_haar_basis(POOL, 7)
-    dec = build_decoupling_tensor(decoupling_model(), basis)
+    dec = decoupling_kernel(build_decoupling_tensor(decoupling_model(), basis))
     env_ref = DECOUPLING_ENV_REF
     syn = build_synthesis_tensor(synthesis_model(), basis)
     syn_kernel = synthesis_kernel(syn, nonunitary_target(0.4, 0.2))
     model = make_model(duration_ns=2500.0, env_init="plus")
     mem = build_standard_tensor(exact_states(model, basis), basis, POOL)
     mem_kernel = cmi_kernel(mem, (1,))
-    gates = [u3_matrix(*x) for x in GATE_ANGLES]
     return {
-        "decoupling_objective": [decoupling_objective(dec, g) for g in gates],
-        "restoration_error": [restoration_error(dec, g, env_ref) for g in gates],
+        "decoupling_objective": [decoupling_objective(dec, np.array(x))
+                                 for x in GATE_ANGLES],
+        "restoration_error": [restoration_error(dec, np.array(x), env_ref)
+                              for x in GATE_ANGLES],
         "synthesis_loss": [synthesis_loss(syn_kernel, np.array(x))
                            for x in GATE_ANGLES],
-        "cmi_value": [cmi_value(mem_kernel, unpack_params(np.array(x), True))
+        "cmi_value": [cmi_value(mem_kernel, np.array(x))
                       for x in PROBE_ANGLES],
     }
 
