@@ -28,11 +28,14 @@ two-qubit readout of the decoupling probe.
 
 Shot sampling uses counter-based Philox streams keyed by (master seed,
 record index, axis or pair setting), so any record can be regenerated
-in isolation and runs are reproducible under any execution order.
+in isolation and runs are reproducible under any execution order. The
+draws compute every stream's key in one vectorised pass (``stream_keys``)
+and re-key one Philox per draw, which gives the numbers of ``rng_stream``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -64,6 +67,72 @@ def rng_stream(master_seed: int, *path: int) -> np.random.Generator:
     """Independent counter-based stream for (master seed, path...)."""
     seq = np.random.SeedSequence(master_seed, spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(seq))
+
+
+# numpy's SeedSequence hash constants (uint32 arithmetic)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = (0x43B0D7E5, 0x931E8875, 0x8B51F9DD,
+                                      0x58F38DED)
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def stream_keys(master_seed: int, records: Sequence[int],
+                n: int) -> np.ndarray:
+    """Philox keys of the streams (master seed, r, a) for every record ``r``
+    and ``a < n``, shape ``(N, n, 2)`` uint64: key ``[i, a]`` is that of
+    ``rng_stream(master_seed, records[i], a)``.
+
+    numpy's SeedSequence hash, run on whole uint32 arrays: hash the
+    zero-padded master seed words into a pool of four, mix the pool, then
+    mix in the remaining words (extra seed words, ``r``, ``a``).
+    """
+    seed = operator.index(master_seed)
+    recs = np.asarray(records, dtype=np.int64).reshape(-1)
+    if seed < 0 or np.any((recs < 0) | (recs > _M32)):
+        raise ValueError("need a non-negative seed and record indices "
+                         "in [0, 2**32)")
+    shape = (len(recs), n)
+    words = [seed >> s & _M32
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    words = [np.full(shape, w, dtype=np.uint32)
+             for w in words + [0] * (4 - len(words))]
+    words += [np.broadcast_to(recs.astype(np.uint32)[:, None], shape),
+              np.broadcast_to(np.arange(n, dtype=np.uint32), shape)]
+    h = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal h
+        value = (value ^ h) * (h := h * mult & _M32)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ out >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    h = _INIT_B  # generate_state(2, np.uint64): four words, little-endian
+    state = np.stack([hashmix(p, _MULT_B) for p in pool], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _rekeyed(master_seed: int, records: Sequence[int], n: int):
+    """One generator on each stream (master seed, r, a), ``r`` in
+    ``records`` and ``a < n``, in that order: the same Philox, re-keyed
+    with its counter at zero."""
+    bits = np.random.Philox(0)
+    gen, state = np.random.Generator(bits), bits.state  # a fresh, empty buffer
+    # the state setter reads plain lists about three times faster than arrays
+    inner = state["state"] = {"counter": [0] * 4, "key": None}
+    state["buffer"] = state["buffer"].tolist()
+    for key in stream_keys(master_seed, records, n).reshape(-1, 2).tolist():
+        inner["key"] = key
+        bits.state = state
+        yield gen
 
 
 def khz_to_rad_per_ns(freq_khz: float) -> float:
@@ -279,9 +348,13 @@ def draw_counts(probs: np.ndarray, shots: int | None, master_seed: int,
         return np.stack([probs, 1.0 - probs], axis=-1)
     if shots <= 0:
         raise ValueError("shots must be positive")
-    plus = np.array([[rng_stream(master_seed, r, a).binomial(shots, p)
-                      for a, p in enumerate(row)]
-                     for r, row in zip(records, probs)], dtype=np.int64)
+    if len(records) != len(probs):
+        raise ValueError("need one record index per row of probabilities")
+    plus = np.empty(probs.shape, dtype=np.int64)
+    flat = plus.reshape(-1)
+    streams = _rekeyed(master_seed, records, probs.shape[-1])
+    for i, (gen, p) in enumerate(zip(streams, probs.reshape(-1))):
+        flat[i] = gen.binomial(shots, p)
     return np.stack([plus, shots - plus], axis=-1)
 
 
@@ -327,6 +400,9 @@ def draw_pair_counts(joints: np.ndarray, shots: int,
                       for pr in PAIR_PROJECTORS.reshape(-1, 4, 4)], axis=-1)
     probs = probs.reshape(len(joints), len(PAIR_SETTINGS), 4)
     probs = probs / probs.sum(axis=-1, keepdims=True)
-    return np.array([[rng_stream(master_seed, r, s).multinomial(shots, p)
-                      for s, p in enumerate(row)]
-                     for r, row in enumerate(probs)], dtype=np.int64)
+    counts = np.empty(probs.shape, dtype=np.int64)
+    streams = _rekeyed(master_seed, range(len(probs)), len(PAIR_SETTINGS))
+    for gen, p, row in zip(streams, probs.reshape(-1, 4),
+                           counts.reshape(-1, 4)):
+        row[...] = gen.multinomial(shots, p)
+    return counts

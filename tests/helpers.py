@@ -227,6 +227,24 @@ def experiment_oracle(model, steps, shots, master_seed, record_index):
     return state, np.array(counts)
 
 
+def draw_counts_oracle(probs, shots, master_seed, records):
+    """``draw_counts`` one stream at a time: axis a of record r draws one
+    binomial from ``rng_stream(master_seed, r, a)``."""
+    plus = np.array([[rng_stream(master_seed, r, a).binomial(shots, p)
+                      for a, p in enumerate(row)]
+                     for r, row in zip(records, probs)], dtype=np.int64)
+    return np.stack([plus, shots - plus], axis=-1)
+
+
+def draw_pair_counts_oracle(probs, shots, master_seed):
+    """``draw_pair_counts`` one stream at a time, from its normalised
+    outcome probabilities ``(N, 9, 4)``: setting s of record r draws one
+    multinomial from ``rng_stream(master_seed, r, s)``."""
+    return np.array([[rng_stream(master_seed, r, s).multinomial(shots, p)
+                      for s, p in enumerate(row)]
+                     for r, row in enumerate(probs)], dtype=np.int64)
+
+
 def mle_project_oracle(rho):
     """One matrix's eigenvalue-truncation walk, one eigenvalue at a time.
     ``tomography.mle_project`` must equal it bit for bit, alone and on a
@@ -408,15 +426,20 @@ def pair_expectations_exact(joint):
 # setting at a time, with dict-keyed counts: ``draw_pair_counts`` and
 # ``pair_qst_mle`` must reproduce it bit for bit.
 
-def sample_pair_counts_oracle(joint, axes, shots, rng):
-    """Multinomial counts over the four +/- outcomes of a joint Pauli pair."""
+def pair_probs_oracle(joint, axes):
+    """Normalised probabilities of the four +/- outcomes of a joint Pauli
+    pair."""
     a, b = axes
     projs = [np.kron(pa, pb) for pa in (PAULI_PLUS[a], PAULI_MINUS[a])
              for pb in (PAULI_PLUS[b], PAULI_MINUS[b])]
     probs = np.array([max(float(np.einsum("ij,ji->", pr, joint).real), 0.0)
                       for pr in projs])
-    probs = probs / probs.sum()
-    return rng.multinomial(shots, probs)
+    return probs / probs.sum()
+
+
+def sample_pair_counts_oracle(joint, axes, shots, rng):
+    """Multinomial counts over the four +/- outcomes of a joint Pauli pair."""
+    return rng.multinomial(shots, pair_probs_oracle(joint, axes))
 
 
 def pair_counts_to_correlations_oracle(counts):

@@ -36,16 +36,18 @@ from proctensor.simulator import (
     run_sequence,
     simulate_experiment,
     simulate_grid,
+    stream_keys,
     two_qubit_probe,
     unitary_step,
 )
 from proctensor.tomography import (channel_from_prep_outputs, qst_mle,
                                    standard_slots)
 
-from helpers import (SWAP2, channel_from_unitary, experiment_oracle,
+from helpers import (SWAP2, channel_from_unitary, draw_counts_oracle,
+                     draw_pair_counts_oracle, experiment_oracle,
                      joint_state_oracle, measure_joint_state_oracle,
-                     pair_expectations_exact, qst_oracle, run_sequence_oracle,
-                     standard_sequence)
+                     pair_expectations_exact, pair_probs_oracle, qst_oracle,
+                     run_sequence_oracle, standard_sequence)
 
 
 def probe(model, *steps):
@@ -366,6 +368,64 @@ def test_sample_counts_matches_born_rule_at_large_shots():
 def test_sample_counts_rejects_zero_shots():
     with pytest.raises(ValueError):
         draw_counts(outcome_probabilities(ID2 / 2)[None], 0, 1, [0])
+    with pytest.raises(ValueError, match="one record index per row"):
+        draw_counts(outcome_probabilities(ID2 / 2)[None], 100, 1, [0, 1])
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 2**32 + 7, 2**64 - 1, 3**90])
+@pytest.mark.parametrize("n", [3, 9])
+def test_stream_keys_equal_seed_sequence(master_seed, n):
+    # 3**90 spans more than four 32-bit words, so some seed words are
+    # mixed in after the pool
+    records = [0, 1, 9407, 2**32 - 1]
+    keys = stream_keys(master_seed, records, n)
+    assert keys.shape == (len(records), n, 2) and keys.dtype == np.uint64
+    for i, r in enumerate(records):
+        for a in range(n):
+            want = np.random.SeedSequence(master_seed, spawn_key=(r, a))
+            assert np.array_equal(keys[i, a],
+                                  want.generate_state(2, np.uint64)), (r, a)
+
+
+@pytest.mark.parametrize("master_seed, record", [(0, -1), (0, 2**32),
+                                                 (-1, 0)])
+def test_stream_keys_reject_records_beyond_one_word(master_seed, record):
+    # numpy hashes a record index of 2**32 or more as two words
+    with pytest.raises(ValueError, match="non-negative seed and record"):
+        stream_keys(master_seed, [0, record], 3)
+
+
+@pytest.mark.parametrize("shots", [1, 1600, 1_000_000])
+def test_draw_counts_equals_per_stream_oracle(shots):
+    # p = 0 and 1 return early; 1e-3 and 0.999 take numpy's inversion
+    # branch and 0.5 its BTPE branch (shots * min(p, 1 - p) > 30)
+    probs = np.array([[0.0, 1.0, 1e-3], [0.5, 0.999, 0.5],
+                      [1e-3, 0.0, 0.999], [0.999, 0.5, 1.0]])
+    records = range(96, 96 + len(probs))  # as the Markov baseline's grid
+    got = draw_counts(probs, shots, 13, records)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, draw_counts_oracle(probs, shots, 13, records))
+
+
+def test_draw_pair_counts_equals_per_stream_oracle():
+    # diagonal joint states hold Dirichlet outcome probabilities on the ZZ
+    # setting; the first is |00><00|, a one-hot setting
+    diag = np.random.default_rng(8).dirichlet(np.ones(4), size=6)
+    diag[0] = (1.0, 0.0, 0.0, 0.0)
+    joints = np.array([np.diag(p).astype(complex) for p in diag])
+    probs = np.array([[pair_probs_oracle(j, axes) for axes in PAIR_SETTINGS]
+                      for j in joints])
+    for shots in (1, 1600):
+        assert np.array_equal(draw_pair_counts(joints, shots, 21),
+                              draw_pair_counts_oracle(probs, shots, 21))
+
+
+def test_draw_counts_empty_stack_keeps_shape():
+    assert draw_counts(np.zeros((0, 3)), 100, 1, []).shape == (0, 3, 2)
+
+
+def test_draw_pair_counts_empty_stack_keeps_shape():
+    assert draw_pair_counts(np.zeros((0, 4, 4)), 100, 1).shape == (0, 9, 4)
 
 
 def test_simulate_experiment_record_structure():
