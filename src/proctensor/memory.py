@@ -28,6 +28,7 @@ from .simulator import rng_stream
 from .tomography import (
     CI_ALPHA,
     ProcessTensor,
+    _states_from_probs,
     build_standard_tensor,
     coefficient_map,
     form_coefficients,
@@ -224,14 +225,15 @@ def bootstrap_cmi(counts: np.ndarray, shots: int | None, basis, n: int,
     point estimate sits at the zero floor, at the cost of clipping to [0, 1].
     """
     placements = _check_placements(placements, 3)  # the standard tensor's slots
-    states, redraws = redraw_records(counts, shots, resamples,
-                                     rng_stream(seed, 202, *placements))
-    pt0 = build_standard_tensor(states, basis, n)
+    probs, redraws = redraw_records(counts, shots, resamples,
+                                    rng_stream(seed, 202, *placements))
+    pt0 = build_standard_tensor(_states_from_probs(probs), basis, n)
     point = cmi_value(cmi_kernel(pt0, placements), params.pack())
     samples = np.array([
-        cmi_value(cmi_kernel(replace(pt0, states=re_states[:, :n, :n]),
-                             placements), params.pack())
-        for re_states in redraws])
+        cmi_value(cmi_kernel(replace(
+            pt0, states=_states_from_probs(p)[:, :n, :n]), placements),
+            params.pack())
+        for p in redraws])
     q_lo, q_hi = np.percentile(samples, [100 * CI_ALPHA / 2,
                                          100 * (1 - CI_ALPHA / 2)])
     lo = min(max(2.0 * point - q_hi, 0.0), 1.0)

@@ -25,7 +25,7 @@ unitary channels, the depolarizing barrier included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -72,8 +72,8 @@ PREP_SPAN_DIM = 4
 CPTP_TOL = 1e-10
 CPTP_MAX_ITER = 5000
 CI_ALPHA = 0.05  # every bootstrap interval is two-sided at 95%
-# bootstrap resamples are scored in chunks whose redrawn grids fit in this
-# many bytes; scoring a chunk takes about 2.5 times its grids' memory
+# bootstrap redraws are scored in chunks whose real parts (four per sequence)
+# fit in this many bytes; a call peaks at about 2.7 times that (pool 28)
 BOOTSTRAP_CHUNK_BYTES = 1 << 19
 
 
@@ -199,17 +199,20 @@ def qubit_states_from_expectations(xs: np.ndarray, ys: np.ndarray,
 def qubit_bloch(rho: np.ndarray) -> np.ndarray:
     """Bloch vector(s) of qubit state(s), shape (..., 3)."""
     rho = np.asarray(rho, dtype=complex)
-    x = 2.0 * rho[..., 1, 0].real
-    y = 2.0 * rho[..., 1, 0].imag
-    z = (rho[..., 0, 0] - rho[..., 1, 1]).real
-    return np.stack([x, y, z], axis=-1)
+    return bloch_of_parts(rho[..., 0, 0].real, rho[..., 1, 1].real,
+                          rho[..., 1, 0].real, rho[..., 1, 0].imag)
 
 
-def qubit_fidelity_vectorized(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Closed-form Uhlmann fidelity for batches of qubit states:
-    F = tr(ab) + 2 sqrt(det a det b)."""
-    va = qubit_bloch(a)
-    vb = qubit_bloch(b)
+def bloch_of_parts(re00: np.ndarray, re11: np.ndarray, re10: np.ndarray,
+                   im10: np.ndarray) -> np.ndarray:
+    """Bloch vectors (..., 3) of qubit states given by the real parts
+    Re rho00, Re rho11, Re rho10 and Im rho10, each of one shape (...)."""
+    return np.stack([2.0 * re10, 2.0 * im10, re00 - re11], axis=-1)
+
+
+def bloch_fidelity(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Closed-form Uhlmann fidelity for batches of qubit states given as
+    Bloch vectors (..., 3): F = tr(ab) + 2 sqrt(det a det b)."""
     ra2 = np.minimum(np.sum(va * va, axis=-1), 1.0)
     rb2 = np.minimum(np.sum(vb * vb, axis=-1), 1.0)
     dot = np.sum(va * vb, axis=-1)
@@ -423,28 +426,35 @@ def pool_coefficients(pt: ProcessTensor, basis: ControlBasis,
                      for j in rows])
 
 
-def predict_batch(pt: ProcessTensor, coeffs: np.ndarray) -> np.ndarray:
-    """Predictions (..., P, m, m, d, d) for every preparation and every pair
-    of the m pool elements whose coefficient rows ``coeffs`` (m, n) holds.
+def predict_parts(parts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Predicted real components (..., P, E, m, m) for every preparation and
+    every pair of the m pool elements whose coefficient rows ``coeffs``
+    (m, n) holds, from E real components (..., P, n, n, E) of the tensor's
+    states. Each leading index is predicted as its own tensor.
 
-    ``pt.states`` may carry leading axes, (..., P, n, n, d, d): each
-    leading index is predicted as its own tensor, with the same arithmetic.
     Terms (C[q, j] C[r, k]) T[i, j, k] are summed j-major, k fastest, one at a
-    time, on the real and imaginary parts side by side: exactly the arithmetic
-    of einsum("si,sj,sk,ijkab->sab") with one-hot preparation rows.
+    time, each component on its own: exactly the arithmetic of
+    einsum("si,sj,sk,ijkab->sab") with one-hot preparation rows.
     """
-    lead = pt.states.shape[:-5]
-    n_prep, n = pt.states.shape[-5:-3]
-    parts = pt.states.view(np.float64).reshape(lead + (n_prep, n, n, -1))
-    acc = np.zeros(lead + (n_prep, parts.shape[-1], len(coeffs), len(coeffs)))
+    m = len(coeffs)
+    acc = np.zeros(parts.shape[:-3] + (parts.shape[-1], m, m))
     term = np.empty_like(acc)
-    for j in range(n):
+    for j in range(parts.shape[-3]):
         weights = np.multiply.outer(coeffs[:, j], coeffs)  # [q, r, k]
-        for k in range(n):
+        for k in range(parts.shape[-2]):
             np.multiply(parts[..., j, k, :, None, None], weights[:, :, k],
                         out=term)
             acc += term
-    acc = np.ascontiguousarray(np.moveaxis(acc, -3, -1))
+    return acc
+
+
+def predict_batch(pt: ProcessTensor, coeffs: np.ndarray) -> np.ndarray:
+    """Predictions (..., P, m, m, d, d) for every preparation and every pair
+    of the m pool elements whose coefficient rows ``coeffs`` (m, n) holds:
+    ``predict_parts`` on the real and imaginary parts of every entry of
+    ``pt.states`` (..., P, n, n, d, d), viewed as complex again."""
+    parts = pt.states.view(np.float64).reshape(pt.states.shape[:-2] + (-1,))
+    acc = np.ascontiguousarray(np.moveaxis(predict_parts(parts, coeffs), -3, -1))
     return acc.view(complex).reshape(acc.shape[:-1] + pt.states.shape[-2:])
 
 
@@ -479,7 +489,15 @@ def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int) -> EvalResul
 
 def _states_from_probs(probs: np.ndarray) -> np.ndarray:
     ex = 2.0 * probs - 1.0
-    return qubit_states_from_expectations(ex[:, 0], ex[:, 1], ex[:, 2])
+    return qubit_states_from_expectations(ex[..., 0], ex[..., 1], ex[..., 2])
+
+
+def _parts_from_probs(probs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Re rho00, Re rho11, Re rho10 and Im rho10 of ``_states_from_probs``,
+    by its arithmetic (a zero's sign aside, which no later step reads)."""
+    ex = 2.0 * probs - 1.0
+    x, y, z = clip_to_bloch_ball(ex[..., 0], ex[..., 1], ex[..., 2])
+    return 0.5 * (1.0 + z), 0.5 * (1.0 - z), 0.5 * x, 0.5 * y
 
 
 def redraw_records(counts: np.ndarray, shots: int | None, resamples: int,
@@ -488,23 +506,17 @@ def redraw_records(counts: np.ndarray, shots: int | None, resamples: int,
     """Parametric bootstrap over a grid's three-axis counts.
 
     ``counts`` has the grid's shape followed by ``(3, 2)``, as
-    ``simulate_experiment`` returns it. Returns the estimated states of
-    the grid, shape grid + ``(2, 2)``, and an iterator of ``resamples``
+    ``simulate_experiment`` returns it. Returns the grid's plus-outcome
+    frequencies, shape grid + ``(3,)``, and an iterator of ``resamples``
     redraws of them. A sampled grid draws one binomial per sequence and
     axis from ``rng`` for each redraw; an exact grid (``shots=None``) is
     its own fixed point and draws nothing.
     """
     if resamples < 2:
         raise ValueError("need at least two resamples")
-    probs = counts[..., 0].reshape(-1, 3) / (shots or 1)
-    shape = counts.shape[:-2] + (2, 2)
-
-    def redraws() -> Iterator[np.ndarray]:
-        for _ in range(resamples):
-            p = probs if shots is None else rng.binomial(shots, probs) / shots
-            yield _states_from_probs(p).reshape(shape)
-
-    return _states_from_probs(probs).reshape(shape), redraws()
+    probs = counts[..., 0] / (shots or 1)
+    return probs, (probs if shots is None else rng.binomial(shots, probs) / shots
+                   for _ in range(resamples))
 
 
 def bootstrap_ci(counts: np.ndarray, shots: int | None, basis: ControlBasis,
@@ -520,36 +532,42 @@ def bootstrap_ci(counts: np.ndarray, shots: int | None, basis: ControlBasis,
     returned per size, shape (S,) each, together with the means themselves,
     shape (S, resamples). Each redraw is drawn once and scored at every size,
     so a size's result does not depend on the other sizes asked for.
+
+    The estimand is the mean held-out infidelity an identical experiment at
+    ``shots`` would report. Each redraw samples again from frequencies that
+    already carry shot noise, so the resampled means sit above it, and the
+    interval can lie wholly above its own point estimate.
     """
     sizes = list(sizes)
-    base_states, redraws = redraw_records(counts, shots, resamples,
-                                          rng_stream(seed, 777))
+    probs, redraws = redraw_records(counts, shots, resamples,
+                                    rng_stream(seed, 777))
     # duals and coefficient rows never change under resampling
-    tensors = [build_standard_tensor(base_states, basis, n) for n in sizes]
-    coeffs = [pool_coefficients(pt, basis, range(n, basis.size))
-              for pt, n in zip(tensors, sizes)]
-    chunk = max(1, BOOTSTRAP_CHUNK_BYTES // base_states.nbytes)
+    coeffs = [pool_coefficients(
+        build_standard_tensor(_states_from_probs(probs), basis, n), basis,
+        range(n, basis.size)) for n in sizes]
+    # scoring reads four real parts of each redrawn state
+    chunk = max(1, BOOTSTRAP_CHUNK_BYTES // (probs.nbytes // 3 * 4))
+    chunks = np.empty((min(chunk, resamples),) + probs.shape[:-1] + (4,))
 
     sampled = np.empty((len(sizes), resamples))
     for start in range(0, resamples, chunk):
-        block = np.array(list(islice(redraws, chunk)))  # (B, P, pool, pool, 2, 2)
-        for s, (pt, c, n) in enumerate(zip(tensors, coeffs, sizes)):
-            preds = predict_batch(replace(pt, states=block[:, :, :n, :n]), c)
-            fids = qubit_fidelity_vectorized(
-                _states_from_probs(qubit_probs_of(preds).reshape(-1, 3)),
-                block[:, :, n:, n:].reshape(-1, 2, 2))
+        block = chunks[:resamples - start]  # (B, P, pool, pool, 4)
+        for b, p in enumerate(islice(redraws, len(block))):
+            np.stack(_parts_from_probs(p), axis=-1, out=block[b])
+        for s, (c, n) in enumerate(zip(coeffs, sizes)):
+            pred = predict_parts(block[:, :, :n, :n], c)
+            # the prediction is projected as the measured states were: its
+            # plus-outcome probabilities, clipped to the Bloch ball
+            pred = (1.0 + bloch_of_parts(*np.moveaxis(pred, -3, 0))) / 2.0
+            pred = bloch_of_parts(*_parts_from_probs(pred))
+            fids = bloch_fidelity(
+                pred, bloch_of_parts(*np.moveaxis(block[:, :, n:, n:], -1, 0)))
             # each resample's mean over its own row of held-out sequences
             sampled[s, start:start + len(block)] = \
                 1.0 - fids.reshape(len(block), -1).mean(axis=1)
     lo, hi = np.percentile(sampled, [100 * CI_ALPHA / 2,
                                      100 * (1 - CI_ALPHA / 2)], axis=1)
     return lo, hi, sampled
-
-
-def qubit_probs_of(states: np.ndarray) -> np.ndarray:
-    """Plus-outcome probabilities along X, Y, Z for a batch of states."""
-    bloch = qubit_bloch(states)
-    return (1.0 + bloch) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from proctensor.basis import (PINV_RCOND, PrepOp, hermitian_frame,
                               standard_preparations)
-from proctensor.memory import ENTROPY_FLOOR
+from proctensor.memory import ENTROPY_FLOOR, cmi_kernel, cmi_value
 from proctensor.qcore import (EIG_CLAMP_TOL, ID2, KET0, PAULI_MINUS, PAULI_PLUS,
                               PAULIS,
                               QuantumChannel, apply_channel,
@@ -17,8 +19,7 @@ from proctensor import tomography
 from proctensor.tomography import (CI_ALPHA, _states_from_probs,
                                    build_standard_tensor, contract_fast,
                                    mle_project, pool_coefficients,
-                                   qubit_fidelity_vectorized, qubit_probs_of,
-                                   redraw_records, standard_slots,
+                                   qubit_bloch, standard_slots,
                                    step_matrix_form)
 
 FLOAT_TOL = 1e-9
@@ -323,12 +324,49 @@ def predict_batch_oracle(states, coeffs):
     return acc.view(complex).reshape(acc.shape[:3] + states.shape[-2:])
 
 
+def qubit_probs_of(states: np.ndarray) -> np.ndarray:
+    """Plus-outcome probabilities along X, Y, Z for a batch of states."""
+    bloch = qubit_bloch(states)
+    return (1.0 + bloch) / 2.0
+
+
+def qubit_fidelity_vectorized(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Closed-form Uhlmann fidelity for batches of qubit states:
+    F = tr(ab) + 2 sqrt(det a det b)."""
+    va = qubit_bloch(a)
+    vb = qubit_bloch(b)
+    ra2 = np.minimum(np.sum(va * va, axis=-1), 1.0)
+    rb2 = np.minimum(np.sum(vb * vb, axis=-1), 1.0)
+    dot = np.sum(va * vb, axis=-1)
+    f = 0.5 * (1.0 + dot + np.sqrt((1.0 - ra2) * (1.0 - rb2)))
+    return np.clip(f, 0.0, 1.0)
+
+
+def redraw_records_oracle(counts, shots, resamples, rng):
+    """The redraw as complex states: the grid's estimated states, shape
+    grid + (2, 2), and an iterator of ``resamples`` redraws of them, with
+    the binomials drawn in the order ``tomography.redraw_records`` draws
+    them."""
+    if resamples < 2:
+        raise ValueError("need at least two resamples")
+    probs = counts[..., 0].reshape(-1, 3) / (shots or 1)
+    shape = counts.shape[:-2] + (2, 2)
+
+    def redraws():
+        for _ in range(resamples):
+            p = probs if shots is None else rng.binomial(shots, probs) / shots
+            yield _states_from_probs(p).reshape(shape)
+
+    return _states_from_probs(probs).reshape(shape), redraws()
+
+
 def bootstrap_ci_oracle(counts, shots, basis, n, resamples, seed):
     """One basis size's bootstrap: every redraw drawn for this size alone
-    and scored one at a time. ``tomography.bootstrap_ci`` must equal it bit
-    for bit at each size of its ladder; returns (lo, hi, samples)."""
-    base_states, redraws = redraw_records(counts, shots, resamples,
-                                          rng_stream(seed, 777))
+    and scored one at a time, on complex states. ``tomography.bootstrap_ci``
+    must equal it bit for bit at each size of its ladder; returns (lo, hi,
+    samples)."""
+    base_states, redraws = redraw_records_oracle(counts, shots, resamples,
+                                                 rng_stream(seed, 777))
     pt0 = build_standard_tensor(base_states, basis, n)
     coeffs = pool_coefficients(pt0, basis, range(n, basis.size))
     sampled = np.empty(resamples)
@@ -341,6 +379,25 @@ def bootstrap_ci_oracle(counts, shots, basis, n, resamples, seed):
     lo, hi = np.percentile(sampled, [100 * CI_ALPHA / 2,
                                      100 * (1 - CI_ALPHA / 2)])
     return float(lo), float(hi), sampled
+
+
+def bootstrap_cmi_oracle(counts, shots, basis, n, placements, params,
+                         resamples, seed):
+    """``memory.bootstrap_cmi`` on the complex redraw; it must equal it bit
+    for bit. Returns (point, lo, hi)."""
+    states, redraws = redraw_records_oracle(
+        counts, shots, resamples, rng_stream(seed, 202, *placements))
+    pt0 = build_standard_tensor(states, basis, n)
+    point = cmi_value(cmi_kernel(pt0, placements), params.pack())
+    samples = np.array([
+        cmi_value(cmi_kernel(replace(pt0, states=re_states[:, :n, :n]),
+                             placements), params.pack())
+        for re_states in redraws])
+    q_lo, q_hi = np.percentile(samples, [100 * CI_ALPHA / 2,
+                                         100 * (1 - CI_ALPHA / 2)])
+    lo = min(max(2.0 * point - q_hi, 0.0), 1.0)
+    hi = min(max(2.0 * point - q_lo, 0.0), 1.0)
+    return point, lo, hi
 
 
 def _project_tp_oracle(choi):

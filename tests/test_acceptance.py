@@ -32,14 +32,14 @@ from proctensor.simulator import (make_model, rng_stream, simulate_experiment,
 from proctensor.tomography import (_states_from_probs, bootstrap_ci,
                                    build_standard_tensor, evaluate_split,
                                    prediction_fidelities, qst_mle,
-                                   qubit_fidelity_vectorized, qubit_probs_of,
                                    slot_coefficients, standard_slots)
 
 from helpers import (SWAP2, assert_csv_close, assert_json_close,
                      contract_via_matrix, duality_defect, exact_states,
                      intervals_overlap, key_coefficient_tables,
-                     preparations_from_unitaries, record_verdict,
-                     standard_sequence, tensor_matrix)
+                     preparations_from_unitaries, qubit_fidelity_vectorized,
+                     qubit_probs_of, record_verdict, standard_sequence,
+                     tensor_matrix)
 from test_golden import GOLDEN_PLAN, _strip_timestamps
 
 DATA = Path(__file__).parent / "data"

@@ -24,8 +24,9 @@ from proctensor.qcore import ID2, NumericalError, UnitaryParams
 from proctensor.simulator import make_model, rng_stream, simulate_experiment
 from proctensor.tomography import build_standard_tensor, qst_mle, standard_slots
 
-from helpers import (SWAP2, cmi_table_via_steps, cmi_value_via_steps,
-                     depolarizing_in_span, exact_states, probe_steps)
+from helpers import (SWAP2, bootstrap_cmi_oracle, cmi_table_via_steps,
+                     cmi_value_via_steps, depolarizing_in_span, exact_states,
+                     probe_steps)
 
 
 CANON = ProbeParams(enc0=CANONICAL_START["enc0"], enc1=CANONICAL_START["enc1"],
@@ -237,6 +238,23 @@ def test_bootstrap_cmi_markovian_contains_zero(basis):
     iv2 = bootstrap_cmi(counts, 2000, basis, n=12, placements=(1,),
                         params=CANON, resamples=50, seed=2)
     assert (iv2.lo, iv2.hi, iv2.point) == (iv.lo, iv.hi, iv.point)
+
+
+@pytest.mark.parametrize("shots", [400, None])
+@pytest.mark.parametrize("n, placements", [(10, (1,)), (12, (2,)),
+                                           (11, (1, 2))])
+def test_bootstrap_cmi_equals_complex_redraw_oracle(basis, shots, n,
+                                                    placements):
+    # the redraw yields frequencies and bootstrap_cmi builds the states; the
+    # binomials, the states and the interval must stay bit for bit
+    model = make_model(duration_ns=2500.0, env_init="plus")
+    counts = simulate_experiment(model, standard_slots(basis), shots, 3)
+    iv = bootstrap_cmi(counts, shots, basis, n=n, placements=placements,
+                       params=CANON, resamples=6, seed=11)
+    want = bootstrap_cmi_oracle(counts, shots, basis, n, placements, CANON,
+                                6, 11)
+    got = np.array([iv.point, iv.lo, iv.hi])
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
 def test_bootstrap_cmi_validates(basis):

@@ -40,10 +40,10 @@ from proctensor.tomography import (
     pair_qst_mle,
     pool_coefficients,
     predict_batch,
+    predict_parts,
     prediction_fidelities,
     project_to_cptp,
     qst_mle,
-    qubit_probs_of,
     standard_slots,
 )
 
@@ -51,7 +51,7 @@ from helpers import (bootstrap_ci_oracle, channel_from_prep_outputs_oracle,
                      fidelity_oracle, markov_predict_oracle,
                      measure_joint_state_oracle, mle_project_oracle,
                      predict_batch_oracle,
-                     project_to_cptp_oracle, qst_oracle)
+                     project_to_cptp_oracle, qst_oracle, qubit_probs_of)
 from test_qcore import random_density_matrix
 
 KINDS = ("indefinite", "sparse", "mixed", "pure", "diagonal")
@@ -265,7 +265,8 @@ def test_bootstrap_ladder_equals_per_size_oracle(shots, chunk, resamples,
     ladder = list(range(10, pool))
     sizes = data.draw(st.lists(st.sampled_from(ladder), min_size=1,
                                unique=True).map(sorted), label="sizes")
-    grid_bytes = np.prod(counts.shape[:-2]) * 4 * 16  # one redrawn grid
+    # one redrawn grid, four real parts per sequence
+    grid_bytes = np.prod(counts.shape[:-2]) * 4 * 8
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tomography, "BOOTSTRAP_CHUNK_BYTES", chunk * grid_bytes)
         lo, hi, sampled = bootstrap_ci(counts, shots, basis, sizes,
@@ -285,6 +286,41 @@ def test_bootstrap_ladder_equals_per_size_oracle(shots, chunk, resamples,
         assert np.array_equal(bits(full[2][row]), bits(want)), n
         assert bits(full[0][row]) == bits(lo[s]), n
         assert bits(full[1][row]) == bits(hi[s]), n
+
+
+def real_parts(states):
+    """Re rho00, Re rho11, Re rho10 and Im rho10 of (..., 2, 2) matrices."""
+    return (states[..., 0, 0].real, states[..., 1, 1].real,
+            states[..., 1, 0].real, states[..., 1, 0].imag)
+
+
+@seed(20261021)
+@settings(max_examples=8, deadline=None)
+@given(pool_seed=st.integers(0, 2**32 - 1), pool=st.integers(11, 16),
+       lead=st.sampled_from([(), (1,), (3,), (2, 2)]), held_out=st.booleans(),
+       data=st.data())
+def test_predict_parts_equals_oracle_components(pool_seed, pool, lead,
+                                                held_out, data):
+    # the bootstrap predicts four real parts of each state; each must equal
+    # the matching part of the complex prediction, signed zeros included
+    n = data.draw(st.integers(10, pool - 1), label="n")
+    basis = generate_haar_basis(pool, pool_seed)
+    rng = rng_stream(pool_seed, 5)
+    raw = rng.standard_normal(lead + (4, pool, pool, 2, 2, 2))
+    raw[rng.random(raw.shape) < 0.1] = 0.0
+    raw[rng.random(raw.shape) < 0.1] = -0.0
+    states = raw.view(complex)[..., 0]
+    pt = build_standard_tensor(np.zeros((4, pool, pool, 2, 2)), basis, n)
+    coeffs = pool_coefficients(pt, basis,
+                               range(n, pool) if held_out else range(pool))
+    m = len(coeffs)
+    parts = np.stack(real_parts(states), axis=-1)
+    got = predict_parts(parts[..., :n, :n, :], coeffs)
+    assert got.shape == lead + (4, 4, m, m)
+    for idx in np.ndindex(lead):
+        want = predict_batch_oracle(states[idx][:, :n, :n], coeffs)
+        want = np.stack(real_parts(want), axis=1)  # (P, 4, m, m)
+        assert np.array_equal(bits(got[idx]), bits(want)), idx
 
 
 def test_predict_batch_with_leading_axes_equals_each_tensor(sampled_grid):

@@ -29,6 +29,7 @@ from proctensor.simulator import (
 )
 from proctensor.tomography import (
     _states_from_probs,
+    bloch_fidelity,
     bootstrap_ci,
     box_stats,
     build_standard_tensor,
@@ -43,8 +44,7 @@ from proctensor.tomography import (
     prep_slot,
     project_to_cptp,
     qst_mle,
-    qubit_fidelity_vectorized,
-    qubit_probs_of,
+    qubit_bloch,
     qubit_states_from_expectations,
     reconstruction_fidelity,
     slot_coefficients,
@@ -56,6 +56,7 @@ from proctensor.tomography import (
 from helpers import (channel_from_unitary, contract_via_matrix,
                      depolarizing_in_span, duals_via_frame_loop, exact_states,
                      predict_via_key_tables, preparation_channel,
+                     qubit_fidelity_vectorized, qubit_probs_of,
                      standard_sequence, tensor_matrix)
 from test_qcore import random_density_matrix
 
@@ -164,6 +165,10 @@ def test_qubit_fidelity_vectorized_matches_uhlmann():
     got = qubit_fidelity_vectorized(a, b)
     for i in range(60):
         assert abs(got[i] - fidelity(a[i], b[i])) < 1e-9
+    # the bootstrap scores Bloch vectors with the same arithmetic
+    assert np.array_equal(
+        bloch_fidelity(qubit_bloch(a), qubit_bloch(b)).view(np.int64),
+        got.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
