@@ -219,9 +219,20 @@ def load_plan(path: str | Path) -> ExperimentPlan:
 # Results store
 # ---------------------------------------------------------------------------
 
+_PLAIN = (str, int, float, bool, type(None))
+
+
 def _jsonify(obj):
-    if type(obj) in (str, int, float, bool, type(None)):
-        return obj  # already plain JSON; the common case in large payloads
+    # exact containers of plain leaves are most of a large payload: recurse
+    # only into what is not a plain leaf already
+    kind = type(obj)
+    if kind is dict:
+        return {str(k): v if type(v) in _PLAIN else _jsonify(v)
+                for k, v in obj.items()}
+    if kind is list:
+        return [v if type(v) in _PLAIN else _jsonify(v) for v in obj]
+    if kind in _PLAIN:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -237,8 +248,9 @@ def _jsonify(obj):
     return obj
 
 
-def _canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# the text of json.dumps(doc, sort_keys=True, separators=(",", ":")),
+# from one encoder built once
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class ResultsStore:
@@ -278,9 +290,15 @@ class ResultsStore:
         if repair and complete < len(data):
             with self.records_path.open("r+b") as fh:
                 fh.truncate(complete)
-        for i, line in enumerate(data[:complete].decode().splitlines()):
+        # lines end at b"\n" alone: str.splitlines also splits at \x1c-\x1e,
+        # \x85 and \u2028-\u2029, which would shift the line numbers
+        for i, line in enumerate(data[:complete].split(b"\n")[:-1]):
             try:
-                doc = json.loads(line)
+                doc = json.loads(line.decode())
+            except UnicodeDecodeError as err:
+                raise ConfigError(
+                    f"store {self.records_path}: line {i + 1} is not UTF-8 "
+                    f"({err})") from err
             except json.JSONDecodeError as err:
                 raise ConfigError(
                     f"store {self.records_path}: line {i + 1} is not JSON "
@@ -335,18 +353,26 @@ class ResultsStore:
         """Store ``(key, payload)`` rows with one write; returns how many
         were new. Rows whose key is already stored are skipped."""
         created = datetime.now(timezone.utc).isoformat()
-        docs, fresh = [], set()
+        # sorted, the fields key and payload sit side by side, and the
+        # rest are the same on every line: encode those once around them
+        head, tail = _canonical({
+            "schema_version": SCHEMA_VERSION, "plan": plan, "stage": stage,
+            "seed": int(seed), "key": 0, "created_utc": created,
+            "payload": 0}).split('"key":0,"payload":0', 1)
+        docs, lines, fresh = [], [], set()
         for key, payload in rows:
             if key in self._keys or key in fresh:
                 continue
             fresh.add(key)
+            payload = _jsonify(payload)
             docs.append({"schema_version": SCHEMA_VERSION, "plan": plan,
                          "stage": stage, "seed": int(seed), "key": key,
-                         "created_utc": created, "payload": _jsonify(payload)})
+                         "created_utc": created, "payload": payload})
+            lines.append(f'{head}"key":{_canonical(key)},"payload":'
+                         f'{_canonical(payload)}{tail}\n')
         if docs:
             with self.records_path.open("ab") as fh:
-                fh.write("".join(_canonical(doc) + "\n"
-                                 for doc in docs).encode())
+                fh.write("".join(lines).encode())
                 self._size = fh.tell()
             self._keys |= fresh
             self._records.extend(docs)
@@ -442,15 +468,13 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
     return appended
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _experiment_problem(p: dict, n_prep: int, pool: int) -> str | None:
-    """What is wrong with a characterize payload, or None."""
+    """What is wrong with a characterize payload, or None. A stored payload
+    holds exact JSON types only (``json.loads`` and ``_jsonify`` make no
+    others), so ``type(v) is int`` excludes bool."""
     ijk = p.get("key_ijk")
-    if not (isinstance(ijk, list) and len(ijk) == 3
-            and all(map(_is_int, ijk))):
+    if not (type(ijk) is list and len(ijk) == 3
+            and type(ijk[0]) is type(ijk[1]) is type(ijk[2]) is int):
         return "key_ijk must be a list of three integers"
     if not (0 <= ijk[0] < n_prep and 0 <= ijk[1] < pool
             and 0 <= ijk[2] < pool):
@@ -458,12 +482,12 @@ def _experiment_problem(p: dict, n_prep: int, pool: int) -> str | None:
     if p.get("axis") not in AXES:
         return f"axis must be one of {AXES}"
     counts = p.get("counts")
-    if not (isinstance(counts, list) and len(counts) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    for c in counts)):
+    if not (type(counts) is list and len(counts) == 2
+            and type(counts[0]) in (int, float)
+            and type(counts[1]) in (int, float)):
         return "counts must be a list of two numbers"
     shots = p.get("shots", False)
-    if not (shots is None or (_is_int(shots) and shots > 0)):
+    if not (shots is None or (type(shots) is int and shots > 0)):
         return "shots must be a positive integer or null"
     if not isinstance(p.get("sequence_id"), str):
         return "sequence_id must be a string"
@@ -492,8 +516,8 @@ def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
     are exact probabilities not summing to one name the sequence.
     """
     n_prep, pool = len(basis.preparations), basis.size
-    counts = np.zeros((n_prep, pool, pool, len(AXES), 2))
-    seen = np.zeros(counts.shape[:-1], dtype=bool)
+    axis_index = {ax: a for a, ax in enumerate(AXES)}
+    found = {}  # flat (i, j, k, axis) index -> counts; a later line wins
     for line, doc in enumerate(store.records(), 1):
         p = doc["payload"]
         if doc["stage"] != "characterize" or p.get("kind") != "experiment":
@@ -508,9 +532,15 @@ def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
         if problem is not None:
             raise ConfigError(f"store: sequence {p['sequence_id']}: axis "
                               f"{p['axis']} {problem}")
-        where = (*p["key_ijk"], AXES.index(p["axis"]))
-        counts[where] = p["counts"]
-        seen[where] = True
+        i, j, k = p["key_ijk"]
+        found[((i * pool + j) * pool + k) * len(AXES)
+              + axis_index[p["axis"]]] = p["counts"]
+    counts = np.zeros((n_prep, pool, pool, len(AXES), 2))
+    seen = np.zeros(counts.shape[:-1], dtype=bool)
+    where = np.fromiter(found, dtype=np.intp, count=len(found))
+    counts.reshape(-1, 2)[where] = np.array(list(found.values()),
+                                            dtype=float).reshape(-1, 2)
+    seen.reshape(-1)[where] = True
     stored = seen.any(axis=-1)
     partial = np.argwhere(stored & ~seen.all(axis=-1))
     if partial.size:

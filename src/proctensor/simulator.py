@@ -224,20 +224,16 @@ class SEModel:
 
 def make_model(env_init: str = "zero", steps: int = 3,
                exchange_khz: float = 50.0, zz_khz: float = 30.0,
-               duration_ns: float | list[float] = GATE_NS * 2,
+               duration_ns: float = GATE_NS * 2,
                env_reset: bool = False,
                meas_channel: QuantumChannel | None = None,
                intervals: tuple[np.ndarray, ...] | None = None) -> SEModel:
-    """Convenience builder for the default coupled-neighbor model family."""
+    """Convenience builder for the default coupled-neighbor model family:
+    ``steps`` intervals of ``duration_ns`` each, so one propagator."""
     if intervals is None:
-        h = exchange_zz_hamiltonian(exchange_khz, zz_khz)
-        if np.isscalar(duration_ns):
-            durations = [float(duration_ns)] * steps
-        else:
-            durations = [float(d) for d in duration_ns]
-            if len(durations) != steps:
-                raise ValueError("need one interval duration per step")
-        intervals = tuple(interval_propagator(h, d) for d in durations)
+        u = interval_propagator(exchange_zz_hamiltonian(exchange_khz, zz_khz),
+                                duration_ns)
+        intervals = (u,) * steps
     return SEModel(intervals=intervals, initial_se=initial_joint_state(env_init),
                    env_reset=env_reset, meas_channel=meas_channel)
 

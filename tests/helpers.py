@@ -637,3 +637,23 @@ def binary_channel_mi_oracle(cond):
 
 def cmi_value_via_steps(pt, params, placements):
     return binary_channel_mi_oracle(cmi_table_via_steps(pt, params, placements))
+
+
+def jsonify_oracle(obj):
+    """The store's payload conversion as one branch per type, the reference
+    for ``harness._jsonify``."""
+    if type(obj) in (str, int, float, bool, type(None)):
+        return obj  # already plain JSON; the common case in large payloads
+    if isinstance(obj, dict):
+        return {str(k): jsonify_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonify_oracle(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [jsonify_oracle(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj

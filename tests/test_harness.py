@@ -1,6 +1,8 @@
 """Plan validation, results store, staged execution and reports."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from click.testing import CliRunner
 from proctensor import harness
 from proctensor.cli import main
 from proctensor.harness import (
+    STAGES,
     ConfigError,
     ExperimentPlan,
     ResultsStore,
@@ -23,7 +26,9 @@ from proctensor.qcore import UnitaryParams
 from proctensor.simulator import AXES, simulate_experiment
 from proctensor.tomography import box_stats, standard_slots
 
-from helpers import experiment_oracle, standard_sequence
+from helpers import experiment_oracle, jsonify_oracle, standard_sequence
+
+QUICKSTART = Path(__file__).parents[1] / "plans" / "quickstart.json"
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +259,81 @@ def test_fingerprint_ignores_timestamps(tmp_path):
     assert a.payload_fingerprint() != b.payload_fingerprint()
 
 
+@pytest.mark.parametrize("make_bytes, line, fragment", [
+    (lambda lines: lines[0] + b"\xff\xfe\n", 2, "is not UTF-8"),
+    # str.splitlines would read two records here, and count one line more
+    (lambda lines: lines[0][:-1] + b"\x1e" + lines[1], 1, "is not JSON"),
+], ids=["bad-byte", "record-separator"])
+def test_store_line_that_is_not_one_utf8_json_object_exits_2(
+        tmp_path, make_bytes, line, fragment):
+    root = tmp_path / "s"
+    store = ResultsStore(root)
+    for key in ("k1", "k2"):
+        store.append("p", "characterize", 0, key, {"kind": "experiment"})
+    path = root / "records.jsonl"
+    path.write_bytes(make_bytes(path.read_bytes().splitlines(keepends=True)))
+    with pytest.raises(ConfigError) as err:
+        ResultsStore(root)
+    assert f"line {line} {fragment}" in str(err.value)
+    result = CliRunner().invoke(main, ["report", "--plan", str(QUICKSTART),
+                                       "--out", str(root)])
+    assert result.exit_code == 2
+    assert f"line {line} {fragment}" in result.output
+
+
+def _assert_same_json(actual, expected):
+    # equal values of identical types, all the way down
+    assert type(actual) is type(expected)
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected)
+        for a, e in zip(actual, expected):
+            assert type(a) is type(e)
+            _assert_same_json(actual[a], expected[e])
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected)
+        for a, e in zip(actual, expected):
+            _assert_same_json(a, e)
+    elif isinstance(expected, float) and np.isnan(expected):
+        assert np.isnan(actual)
+    else:
+        assert actual == expected
+
+
+@pytest.mark.parametrize("obj", [
+    np.float64(0.1), np.float32(0.1), np.int64(-7), np.uint8(200),
+    np.bool_(True), True, None, "s", 3, 2.5,
+    np.array(2.5),  # a 0-d array is not iterable: both raise
+    np.arange(6.0).reshape(2, 3), np.array([[True], [False]]),
+    (1, np.float64(2.0), ("a", np.int32(4))),
+    {1: {np.str_("k"): [np.int64(3), (np.bool_(False),)]}, "x": None},
+    [float("nan"), np.float64("inf"), -np.inf, np.array([np.nan, np.inf])],
+    {"counts": [1, 2], "key_ijk": [0, 1, 2], "nested": [{"a": [[]]}]},
+], ids=lambda obj: type(obj).__name__)
+def test_jsonify_equals_the_branch_per_type_oracle(obj):
+    try:
+        expected = jsonify_oracle(obj)
+    except TypeError:
+        with pytest.raises(TypeError):
+            harness._jsonify(obj)
+        return
+    _assert_same_json(harness._jsonify(obj), expected)
+
+
+def test_store_lines_are_sorted_key_compact_json(tmp_path, monkeypatch):
+    # every stage's records, written the way json.dumps writes them
+    monkeypatch.setattr(harness, "OPTIMIZER_RESTARTS", 1)
+    plan = replace(load_plan(QUICKSTART), stages=STAGES)
+    run_plan(plan, ResultsStore(tmp_path))
+    lines = (tmp_path / "records.jsonl").read_text().splitlines(keepends=True)
+    assert {json.loads(line)["stage"] for line in lines} \
+        == {"plan", *STAGES}
+    for line in lines:
+        doc = json.loads(line)
+        assert line == harness._canonical(doc) + "\n"
+        assert line == json.dumps(doc, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Staged execution on a small exact plan
 # ---------------------------------------------------------------------------
@@ -415,7 +495,6 @@ def test_staged_run_equals_single_run(small_run, tmp_path):
 
 def test_store_rejects_other_plan_config(small_run):
     plan, store, _ = small_run
-    from dataclasses import replace
     with pytest.raises(ConfigError) as err:
         run_plan(replace(plan, shots=400), store)
     assert "shots" in str(err.value)
@@ -519,6 +598,26 @@ def test_records_from_store_rejects_invalid_counts(tmp_path, shots, counts,
         harness._records_from_store(plan, store, plan.basis())
     assert "sequence p0_u0_u0: axis Y" in str(err.value)
     assert fragment in str(err.value)
+
+
+def test_records_from_store_later_line_wins(tmp_path):
+    # two records for one (i, j, k, axis) under different keys: the loader
+    # keeps the counts of the later line, in memory and read back
+    plan = ExperimentPlan(name="dup", pool_size=10, basis_size=10, shots=400,
+                          master_seed=3, stages=("characterize",))
+    store = ResultsStore(tmp_path / "s")
+    run_plan(plan, store)
+    want = harness._records_from_store(plan, store, plan.basis())
+    assert want[1, 2, 3, 1].tolist() not in ([400, 0], [0, 400])
+    for key, counts in (("dup:a", [400, 0]), ("dup:b", [0, 400])):
+        store.append(plan.name, "characterize", 3, key,
+                     dict(GOOD_EXPERIMENT, sequence_id="p1_u2_u3",
+                          key_ijk=[1, 2, 3], axis="Y", counts=counts,
+                          shots=400))
+    want[1, 2, 3, 1] = [0, 400]
+    for reader in (store, ResultsStore(tmp_path / "s")):
+        got = harness._records_from_store(plan, reader, plan.basis())
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

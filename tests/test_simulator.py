@@ -473,8 +473,6 @@ def test_model_validation_errors():
     with pytest.raises(ValueError):
         SEModel(intervals=(np.eye(6, dtype=complex),),
                 initial_se=np.eye(6) / 6)
-    with pytest.raises(ValueError):
-        make_model(steps=2, duration_ns=[100.0])
     with pytest.raises(ValueError, match="unknown environment"):
         initial_joint_state("ghz")
 
