@@ -38,6 +38,7 @@ from .qcore import (
     channel_from_kraus,
     mutual_information_state,
     negativity,
+    nelder_mead,
     partial_trace,
     process_fidelity,
     purity,
@@ -197,7 +198,7 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
     candidates: list[tuple[float, np.ndarray]] = []
     for r in range(max(1, int(restarts))):
         x0 = np.zeros(3) if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=3)
-        res = optimize.minimize(objective, x0, method="Nelder-Mead",
+        res = optimize.minimize(objective, x0, method=nelder_mead,
                                 options={"maxiter": maxiter, "xatol": 1e-6,
                                          "fatol": 1e-8})
         if not np.isnan(res.fun):
@@ -207,7 +208,7 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
         raise NumericalError("decoupling search failed on every restart")
     best_f, best_x = min(candidates, key=lambda c: c[0])
 
-    polished = [optimize.minimize(polish, x, method="Nelder-Mead",
+    polished = [optimize.minimize(polish, x, method=nelder_mead,
                                   options={"maxiter": maxiter, "xatol": 1e-6,
                                            "fatol": 1e-10}).x
                 for f, x in candidates if f <= best_f + TIE_TOL]
@@ -379,7 +380,7 @@ def synthesize_gate(pt: ProcessTensor, target: QuantumChannel,
     best_x, best_f = None, np.inf
     for r in range(max(1, int(restarts))):
         x0 = np.zeros(3) if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=3)
-        res = optimize.minimize(objective, x0, method="Nelder-Mead",
+        res = optimize.minimize(objective, x0, method=nelder_mead,
                                 options={"maxiter": maxiter, "xatol": 1e-6,
                                          "fatol": 1e-8})
         if res.fun < best_f:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import optimize
 
 from .basis import prep_matrix_form
-from .qcore import NumericalError, UnitaryParams, u3_entries
+from .qcore import NumericalError, UnitaryParams, nelder_mead, u3_entries
 from .simulator import rng_stream
 from .tomography import (
     CI_ALPHA,
@@ -182,7 +182,7 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
     best_x, best_f = None, np.inf
     for r in range(max(1, int(restarts))):
         x0 = start if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=start.size)
-        res = optimize.minimize(objective, x0, method="Nelder-Mead",
+        res = optimize.minimize(objective, x0, method=nelder_mead,
                                 options={"maxiter": maxiter, "xatol": 1e-4,
                                          "fatol": 1e-8})
         if res.fun < best_f:

@@ -1,4 +1,4 @@
-"""Qubit-oriented quantum primitives: states, channels, and scalar metrics.
+"""Qubit states, channels and scalar metrics, and the Nelder-Mead kernel.
 
 Conventions used throughout the package:
 
@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import OptimizeResult
 
 # Shared numerical tolerances. Fixed here, not per call site.
 HERMITIAN_TOL = 1e-9
@@ -388,3 +389,64 @@ def unitarity(ch: QuantumChannel) -> float:
 def process_fidelity(a: QuantumChannel, b: QuantumChannel) -> float:
     """Uhlmann fidelity between the trace-normalized Choi states."""
     return fidelity(a.choi / 2, b.choi / 2)
+
+
+def nelder_mead(fun, x0, args=(), *, maxiter: int, xatol: float = 1e-4,
+                fatol: float = 1e-4, **_) -> OptimizeResult:
+    """scipy 1.17's Nelder-Mead (non-adaptive, unbounded, no ``maxfev``) on
+    float lists, with scipy's iterates and result bit for bit: the same steps
+    and comparisons (a NaN falls through alike), the centroid summed row by
+    row as ``np.add.reduce`` does, float64 array arguments, and the simplex
+    ordered by ``np.argsort``, which is not stable, so ties land as in scipy."""
+    nfev = [0]
+
+    def f(x):
+        nfev[0] += 1
+        return float(fun(np.array(x), *args))
+
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
+    n = len(x0)
+    sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    fsim = [f(x) for x in sim]
+    nit = 1
+    for _ in range(2):  # scipy sorts twice before the first step
+        order = np.argsort(fsim).tolist()
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    while nit < maxiter:
+        best, worst = sim[0], sim[-1]
+        if (all(abs(fsim[0] - g) <= fatol for g in fsim[1:]) and all(
+                abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, best))):
+            break
+        xbar = best
+        for x in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, x)]
+        xbar = [a / n for a in xbar]
+        xr = [2 * a - b for a, b in zip(xbar, worst)]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            outside = fxr < fsim[-1]  # else an inside contraction
+            xc = [(1.5 * a - 0.5 * b) if outside else (0.5 * a + 0.5 * b)
+                  for a, b in zip(xbar, worst)]
+            fxc = f(xc)
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
+                    fsim[j] = f(sim[j])
+        nit += 1
+        order = np.argsort(fsim).tolist()
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    status = 2 if nit >= maxiter else 0
+    return OptimizeResult(
+        x=np.array(sim[0]), fun=np.min(fsim), nit=nit, nfev=nfev[0],
+        status=status, success=status == 0,
+        message=("Maximum number of iterations has been exceeded." if status
+                 else "Optimization terminated successfully."))

@@ -649,7 +649,7 @@ def jsonify_oracle(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonify_oracle(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [jsonify_oracle(v) for v in obj.tolist()]
+        return jsonify_oracle(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):

@@ -213,7 +213,7 @@ def test_restoration_error_separates_refocusers(dec_pt):
 
 def test_every_polish_converges_on_the_decouple_plan(monkeypatch):
     # the polish objective is smooth to rounding, so each polish run must
-    # stop on scipy's tolerances rather than on maxiter
+    # stop on the kernel's tolerances rather than on maxiter
     plan = plan_from_dict(DECOUPLE_PLAN)
     pt = build_decoupling_tensor(decoupling_model(plan.exchange_khz, plan.zz_khz),
                                  plan.basis(), plan.shots, plan.master_seed + 202)

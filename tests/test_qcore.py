@@ -1,6 +1,17 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+from scipy import optimize
 
+from proctensor.control import (build_decoupling_tensor, build_synthesis_tensor,
+                                decoupling_model, nonunitary_target,
+                                optimize_decoupling, synthesis_model,
+                                synthesize_gate)
+from proctensor.harness import ALPHA_RANGE, load_plan
+from proctensor.memory import barrier_placements, maximize_cmi
 from proctensor.qcore import (
     HADAMARD,
     ID2,
@@ -21,6 +32,7 @@ from proctensor.qcore import (
     ket_dm,
     mutual_information_state,
     negativity,
+    nelder_mead,
     partial_trace,
     pauli_transfer_matrix,
     process_fidelity,
@@ -32,9 +44,13 @@ from proctensor.qcore import (
     unitarity,
     von_neumann_entropy,
 )
+from proctensor.simulator import rng_stream, simulate_experiment
+from proctensor.tomography import build_standard_tensor, qst_mle, standard_slots
 
 from helpers import (KET1, channel_from_unitary, identity_channel,
                      preparation_channel, trace_distance)
+
+QUICKSTART = Path(__file__).parents[1] / "plans" / "quickstart.json"
 
 
 def random_density_matrix(rng, dim=2):
@@ -314,3 +330,119 @@ def test_check_density_matrix_rejects_subnormalized():
 def test_check_density_matrix_rejects_non_hermitian():
     with pytest.raises(ValueError):
         check_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
+
+
+# ---------------------------------------------------------------------------
+# Nelder-Mead kernel: scipy's iterates, bit for bit
+# ---------------------------------------------------------------------------
+
+def _assert_same_search(fun, x0, options, got=None):
+    # scipy's Nelder-Mead is the oracle; equal bytes, so NaN and -0.0 count
+    want = optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+    if got is None:
+        got = optimize.minimize(fun, x0, method=nelder_mead, options=options)
+    assert got.x.dtype == want.x.dtype and got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+    assert (got.nit, got.nfev, got.success, got.status) \
+        == (want.nit, want.nfev, want.success, want.status)
+    return got
+
+
+def _synthetic_objective(kind, centre):
+    def fun(x):
+        value = float(np.sum((x - centre) ** 2))
+        if kind == "plateau":  # rounding ties whole groups of vertices
+            return round(value, 1)
+        if kind == "floor":  # a clip at the minimum ties every vertex on it
+            return max(value, 0.5)
+        if kind == "nan_region":
+            return math.nan if x[0] > centre[0] else value
+        if kind == "all_nan":
+            return math.nan
+        return value
+    return fun
+
+
+@seed(20261019)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.sampled_from([3, 9, 12]),
+       kind=st.sampled_from(["bowl", "plateau", "floor", "nan_region",
+                             "all_nan"]),
+       maxiter=st.sampled_from([2, 15, 400]),
+       xatol=st.sampled_from([1e-2, 1e-4, 1e-6]),
+       fatol=st.sampled_from([1e-2, 1e-8, 1e-10]))
+def test_nelder_mead_equals_scipy_on_synthetic_objectives(data, n, kind, maxiter,
+                                                          xatol, fatol):
+    entry = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    x0 = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+    centre = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n,
+                                         max_size=n)))
+    _assert_same_search(_synthetic_objective(kind, centre), x0,
+                        {"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+
+
+def test_nelder_mead_stops_as_scipy_on_maxiter_and_tolerance():
+    bowl = _synthetic_objective("bowl", np.array([0.3, -0.2, 0.1]))
+    capped = _assert_same_search(bowl, np.zeros(3), {"maxiter": 10})
+    assert (capped.status, capped.success, capped.nit) == (2, False, 10)
+    done = _assert_same_search(bowl, np.zeros(3), {"maxiter": 400,
+                                                   "xatol": 1e-6, "fatol": 1e-8})
+    assert (done.status, done.success) == (0, True) and done.nit < 400
+    lost = _assert_same_search(_synthetic_objective("all_nan", np.zeros(3)),
+                               np.ones(3), {"maxiter": 50})
+    assert np.isnan(lost.fun) and lost.status == 2
+    # one vertex of the start simplex is NaN: fun is NaN, x the best vertex
+    partial = _assert_same_search(
+        _synthetic_objective("nan_region", np.zeros(3)), np.zeros(3),
+        {"maxiter": 1})
+    assert np.isnan(partial.fun) and partial.x.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.fixture(scope="module")
+def quickstart_tensors():
+    plan = load_plan(QUICKSTART)
+    basis = plan.basis()
+    counts = simulate_experiment(plan.model(), standard_slots(basis),
+                                 plan.shots, plan.master_seed)
+    standard = build_standard_tensor(qst_mle(counts, plan.shots), basis,
+                                     plan.basis_size)
+    decouple = build_decoupling_tensor(
+        decoupling_model(plan.exchange_khz, plan.zz_khz), basis, plan.shots,
+        plan.master_seed + 202)
+    synthesis = build_synthesis_tensor(
+        synthesis_model(plan.exchange_khz, plan.zz_khz), basis, plan.shots,
+        plan.master_seed + 303)
+    alpha = float(rng_stream(plan.master_seed, 606).uniform(*ALPHA_RANGE))
+    return standard, decouple, synthesis, alpha
+
+
+@seed(20261019)
+@settings(max_examples=4, deadline=None)
+@given(plan_seed=st.integers(0, 2**16), eta=st.floats(0.0, 0.5))
+@pytest.mark.parametrize("search", ["memory", "decouple", "synthesize"])
+def test_program_searches_equal_scipy(quickstart_tensors, search, plan_seed,
+                                      eta):
+    # every search the program makes, with its own objective, starts and
+    # options, must return what scipy's Nelder-Mead returns
+    standard, decouple, synthesis, alpha = quickstart_tensors
+    minimize, searches = optimize.minimize, []
+
+    def recording(fun, x0, method, options):
+        assert method is nelder_mead
+        res = minimize(fun, x0, method=method, options=options)
+        searches.append((fun, np.array(x0), options, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "minimize", recording)
+        if search == "memory":
+            for placements in barrier_placements(standard.steps):
+                maximize_cmi(standard, placements, restarts=2, seed=plan_seed)
+        elif search == "decouple":
+            optimize_decoupling(decouple, restarts=3, seed=plan_seed)
+        else:
+            synthesize_gate(synthesis, nonunitary_target(alpha, eta),
+                            restarts=3, seed=plan_seed)
+    assert searches
+    for fun, x0, options, got in searches:
+        _assert_same_search(fun, x0, options, got)
