@@ -1,8 +1,10 @@
 """Command line interface.
 
 Each command maps to one harness operation. Exit codes: 0 on success, 2 on
-configuration errors (bad plan, missing file, missing stage), 3 when a
-numerical routine fails to converge.
+configuration errors (bad plan, missing file, missing stage), 3 on a
+numerical failure: a physicality guard that fails, a CPTP projection that
+does not converge, or an optimiser search whose every start ends on NaN. A
+search that stops on its iteration limit is stored, not an error.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from scipy import optimize
 from .basis import ControlBasis, standard_preparations
 from .qcore import (
     ID2,
-    NumericalError,
     PAULI_PLUS,
     PAULI_X,
     PAULI_Y,
@@ -36,6 +35,7 @@ from .qcore import (
     UnitaryParams,
     apply_channel,
     channel_from_kraus,
+    multistart,
     mutual_information_state,
     negativity,
     nelder_mead,
@@ -165,7 +165,6 @@ class DecouplingResult:
     angle: float
     identity_objective: float
     degenerate: bool
-    restarts: int
 
     @property
     def gate(self) -> np.ndarray:
@@ -194,24 +193,18 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
         loss, restoration = _decoupling_losses(kernel, x, DECOUPLING_ENV_REF)
         return 1e3 * loss + restoration
 
-    rng = rng_stream(seed, 303)
-    candidates: list[tuple[float, np.ndarray]] = []
-    for r in range(max(1, int(restarts))):
-        x0 = np.zeros(3) if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=3)
-        res = optimize.minimize(objective, x0, method=nelder_mead,
-                                options={"maxiter": maxiter, "xatol": 1e-6,
-                                         "fatol": 1e-8})
-        if not np.isnan(res.fun):
-            candidates.append((float(res.fun), res.x))
-    if not candidates:
-        # every restart ended on NaN
-        raise NumericalError("decoupling search failed on every restart")
-    best_f, best_x = min(candidates, key=lambda c: c[0])
+    candidates = multistart(
+        lambda x0: optimize.minimize(objective, x0, method=nelder_mead,
+                                     options={"maxiter": maxiter, "xatol": 1e-6,
+                                              "fatol": 1e-8}),
+        np.zeros(3), rng_stream(seed, 303), restarts, "decoupling")
+    best = min(candidates, key=lambda res: res.fun)
+    best_f, best_x = float(best.fun), best.x
 
-    polished = [optimize.minimize(polish, x, method=nelder_mead,
+    polished = [optimize.minimize(polish, res.x, method=nelder_mead,
                                   options={"maxiter": maxiter, "xatol": 1e-6,
                                            "fatol": 1e-10}).x
-                for f, x in candidates if f <= best_f + TIE_TOL]
+                for res in candidates if res.fun <= best_f + TIE_TOL]
     scored = [(*_decoupling_losses(kernel, x, DECOUPLING_ENV_REF), x)
               for x in polished]
     admissible = [s for s in scored if s[0] <= best_f + TIE_TOL]
@@ -224,8 +217,7 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
     return DecouplingResult(params=params, objective=float(best_f),
                             axis=tuple(float(v) for v in axis), angle=float(angle),
                             identity_objective=float(identity_obj),
-                            degenerate=bool(identity_obj - best_f < 1e-9),
-                            restarts=max(1, int(restarts)))
+                            degenerate=bool(identity_obj - best_f < 1e-9))
 
 
 @dataclass(frozen=True)
@@ -360,7 +352,6 @@ def synthesis_loss(kernel: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> floa
 class SynthesisResult:
     params: UnitaryParams
     loss: float
-    restarts: int
 
     @property
     def gate(self) -> np.ndarray:
@@ -376,20 +367,13 @@ def synthesize_gate(pt: ProcessTensor, target: QuantumChannel,
     def objective(x: np.ndarray) -> float:
         return synthesis_loss(kernel, x)
 
-    rng = rng_stream(seed, 505)
-    best_x, best_f = None, np.inf
-    for r in range(max(1, int(restarts))):
-        x0 = np.zeros(3) if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=3)
-        res = optimize.minimize(objective, x0, method=nelder_mead,
-                                options={"maxiter": maxiter, "xatol": 1e-6,
-                                         "fatol": 1e-8})
-        if res.fun < best_f:
-            best_f, best_x = res.fun, res.x
-    if best_x is None:
-        # every restart ended on NaN
-        raise NumericalError("synthesis search failed on every restart")
-    return SynthesisResult(params=UnitaryParams(*best_x), loss=float(best_f),
-                           restarts=max(1, int(restarts)))
+    runs = multistart(
+        lambda x0: optimize.minimize(objective, x0, method=nelder_mead,
+                                     options={"maxiter": maxiter, "xatol": 1e-6,
+                                              "fatol": 1e-8}),
+        np.zeros(3), rng_stream(seed, 505), restarts, "synthesis")
+    best = min(runs, key=lambda res: res.fun)  # the first minimum
+    return SynthesisResult(params=UnitaryParams(*best.x), loss=float(best.fun))
 
 
 def qpt(model: SEModel, gate: np.ndarray, shots: int | None = None,

@@ -604,7 +604,7 @@ def _run_memory(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
                    "ci_lo": interval.lo, "ci_hi": interval.hi,
                    "params": list(result.params.pack()),
                    "has_filler": result.params.filler is not None,
-                   "restarts": result.restarts}
+                   "restarts": OPTIMIZER_RESTARTS}
         appended += store.append(plan.name, "memory", plan.master_seed, key,
                                  payload)
     return appended
@@ -671,7 +671,7 @@ def _run_decouple(plan: ExperimentPlan, store: ResultsStore,
                "objective": result.objective,
                "identity_objective": result.identity_objective,
                "axis": list(result.axis), "angle": result.angle,
-               "degenerate": result.degenerate, "restarts": result.restarts,
+               "degenerate": result.degenerate, "restarts": OPTIMIZER_RESTARTS,
                "trajectories": [_trajectory_doc(t) for t in trajectories]}
     return int(store.append(plan.name, "decouple", plan.master_seed,
                             "decouple:result", payload))

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import optimize
 
 from .basis import prep_matrix_form
-from .qcore import NumericalError, UnitaryParams, nelder_mead, u3_entries
+from .qcore import UnitaryParams, multistart, nelder_mead, u3_entries
 from .simulator import rng_stream
 from .tomography import (
     CI_ALPHA,
@@ -158,7 +158,6 @@ class CMIResult:
     bits: float
     params: ProbeParams
     placements: tuple[int, ...]
-    restarts: int
 
 
 def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
@@ -178,20 +177,15 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
     def objective(x: np.ndarray) -> float:
         return -cmi_value(kernel, x)
 
-    rng = rng_stream(seed, 101, *placements)
-    best_x, best_f = None, np.inf
-    for r in range(max(1, int(restarts))):
-        x0 = start if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=start.size)
-        res = optimize.minimize(objective, x0, method=nelder_mead,
-                                options={"maxiter": maxiter, "xatol": 1e-4,
-                                         "fatol": 1e-8})
-        if res.fun < best_f:
-            best_f, best_x = res.fun, res.x
-    if best_x is None:
-        # every restart ended on NaN
-        raise NumericalError("memory search failed on every restart")
-    return CMIResult(bits=float(-best_f), params=unpack_params(best_x, include_filler),
-                     placements=placements, restarts=max(1, int(restarts)))
+    runs = multistart(
+        lambda x0: optimize.minimize(objective, x0, method=nelder_mead,
+                                     options={"maxiter": maxiter, "xatol": 1e-4,
+                                              "fatol": 1e-8}),
+        start, rng_stream(seed, 101, *placements), restarts, "memory")
+    best = min(runs, key=lambda res: res.fun)  # the first minimum
+    return CMIResult(bits=float(-best.fun),
+                     params=unpack_params(best.x, include_filler),
+                     placements=placements)
 
 
 def barrier_placements(steps: int) -> tuple[tuple[int, ...], ...]:

@@ -450,3 +450,16 @@ def nelder_mead(fun, x0, args=(), *, maxiter: int, xatol: float = 1e-4,
         status=status, success=status == 0,
         message=("Maximum number of iterations has been exceeded." if status
                  else "Optimization terminated successfully."))
+
+
+def multistart(run, start: np.ndarray, rng: np.random.Generator,
+               restarts: int, name: str) -> list[OptimizeResult]:
+    """Every non-NaN result of ``run(x0)`` in start order: ``start`` first,
+    then ``restarts - 1`` starts drawn uniformly on [0, 2pi) from ``rng``.
+    Raises ``NumericalError`` when every run ends on NaN."""
+    runs = [run(start if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=start.size))
+            for r in range(max(1, int(restarts)))]
+    runs = [res for res in runs if not math.isnan(res.fun)]
+    if not runs:
+        raise NumericalError(f"{name} search failed on every restart")
+    return runs

@@ -83,6 +83,11 @@ MARKOV_PLAN = {"name": "mk", "pool_size": 12, "basis_size": 10, "shots": 1600,
 # a small plan whose store holds only the decoupling payload
 DECOUPLE_PLAN = {"name": "d", "pool_size": 14, "basis_size": 12, "shots": 1600,
                  "master_seed": 0, "pool_seed": 0, "stages": ["decouple"]}
+# a small plan whose store holds the memory and synthesis payloads, searched
+# with the program's own restart count
+MEMORY_SYNTHESIS_PLAN = {"name": "ms", "pool_size": 11, "basis_size": 10,
+                         "shots": 1600, "resamples": 20, "master_seed": 1,
+                         "stages": ["characterize", "memory", "synthesize"]}
 
 
 @pytest.mark.parametrize("plan_of, fingerprint", [
@@ -92,7 +97,9 @@ DECOUPLE_PLAN = {"name": "d", "pool_size": 14, "basis_size": 12, "shots": 1600,
      "88d25ef1f60a72304b10ebda152e446578f665209ebc2b5ededc755414f8459a"),
     (lambda: plan_from_dict(DECOUPLE_PLAN),
      "5b2cb0d5f7c1d599ad1f8f13bb9835fb6835583d8f8548626e879fa9538ea798"),
-], ids=["quickstart", "markov", "decouple"])
+    (lambda: plan_from_dict(MEMORY_SYNTHESIS_PLAN),
+     "ca6acf4ce53c200e0575244a3bf7109764bb900982e0171fe88d94b9ea56bc83"),
+], ids=["quickstart", "markov", "decouple", "memory_synthesize"])
 def test_quickstart_store_fingerprint_is_pinned(tmp_path, plan_of, fingerprint):
     # the whole store of the plan, every payload bit included
     plan = plan_of()

@@ -21,6 +21,7 @@ from proctensor.qcore import (
     PAULI_X,
     PAULI_Y,
     PAULIS,
+    NumericalError,
     QuantumChannel,
     UnitaryParams,
     apply_channel,
@@ -30,6 +31,7 @@ from proctensor.qcore import (
     choi_to_superop,
     fidelity,
     ket_dm,
+    multistart,
     mutual_information_state,
     negativity,
     nelder_mead,
@@ -396,6 +398,49 @@ def test_nelder_mead_stops_as_scipy_on_maxiter_and_tolerance():
         _synthetic_objective("nan_region", np.zeros(3)), np.zeros(3),
         {"maxiter": 1})
     assert np.isnan(partial.fun) and partial.x.tolist() == [0.0, 0.0, 0.0]
+
+
+def _stub_run(funs):
+    """A search that returns the next of ``funs`` at its start and records
+    every start it was given."""
+    starts = []
+
+    def run(x0):
+        starts.append(np.array(x0))
+        return optimize.OptimizeResult(x=np.array(x0), fun=funs[len(starts) - 1])
+
+    return run, starts
+
+
+def test_multistart_runs_the_start_then_uniform_draws_in_order():
+    run, starts = _stub_run([2.0, math.nan, 1.0, math.nan, 1.0])
+    start = np.array([0.1, 0.2, 0.3, 0.4])
+    runs = multistart(run, start, np.random.default_rng(7), 5, "stub")
+    draws = np.random.default_rng(7)
+    want = [start] + [draws.uniform(0.0, 2.0 * np.pi, size=4) for _ in range(4)]
+    assert len(starts) == 5
+    for got, x0 in zip(starts, want):
+        assert got.tolist() == x0.tolist()
+    # the NaN runs are dropped, the rest keep their start order
+    assert [res.fun for res in runs] == [2.0, 1.0, 1.0]
+    assert [res.x.tolist() for res in runs] == [want[i].tolist() for i in (0, 2, 4)]
+
+
+@pytest.mark.parametrize("restarts", [1, 0, -3])
+def test_multistart_runs_at_least_once(restarts):
+    run, starts = _stub_run([0.5])
+    rng = np.random.default_rng(7)
+    runs = multistart(run, np.zeros(3), rng, restarts, "stub")
+    assert [res.fun for res in runs] == [0.5] and len(starts) == 1
+    # no start was drawn
+    assert rng.uniform() == np.random.default_rng(7).uniform()
+
+
+def test_multistart_raises_when_every_run_is_nan():
+    run, starts = _stub_run([math.nan] * 3)
+    with pytest.raises(NumericalError, match="stub search failed on every restart"):
+        multistart(run, np.zeros(3), np.random.default_rng(7), 3, "stub")
+    assert len(starts) == 3
 
 
 @pytest.fixture(scope="module")
