@@ -18,7 +18,7 @@ axis = ", ".join(f"{c:+.2f}" for c in res.axis)
 print(f"optimized pulse: rotation by {res.angle:.4f} rad about ({axis})")
 idle = simulate_trajectory(None)
 dec = simulate_trajectory((res.gate,))
-horizon_us = idle.times_ns[-1] / 1000.0
+horizon_us = idle.time_ns[-1] / 1000.0
 print(f"over a {horizon_us:.0f} us horizon, pulsed every 0.5 us:")
 print(f"  {'':<18}{'idle':>10}{'decoupled':>12}")
 print(f"  {'minimum purity':<18}{idle.purity_q1.min():>10.4f}"

@@ -32,7 +32,6 @@ from .qcore import (
     PAULI_Y,
     PAULI_Z,
     QuantumChannel,
-    UnitaryParams,
     apply_channel,
     channel_from_kraus,
     multistart,
@@ -45,6 +44,7 @@ from .qcore import (
     rotation_axis_angle,
     rotation_gate,
     u3_entries,
+    u3_matrix,
     unitarity,
 )
 from .simulator import (
@@ -159,7 +159,7 @@ def restoration_error(kernel: np.ndarray, x: np.ndarray,
 
 @dataclass(frozen=True)
 class DecouplingResult:
-    params: UnitaryParams
+    params: np.ndarray  # the gate's u3 angles
     objective: float
     axis: tuple[float, float, float]
     angle: float
@@ -168,7 +168,7 @@ class DecouplingResult:
 
     @property
     def gate(self) -> np.ndarray:
-        return self.params.matrix()
+        return u3_matrix(*self.params)
 
 
 def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
@@ -211,10 +211,9 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
     if admissible:
         best_f, _, best_x = min(admissible, key=lambda s: s[1])
 
-    params = UnitaryParams(*best_x)
-    axis, angle = rotation_axis_angle(params.matrix())
+    axis, angle = rotation_axis_angle(u3_matrix(*best_x))
     identity_obj = decoupling_objective(kernel, np.zeros(3))
-    return DecouplingResult(params=params, objective=float(best_f),
+    return DecouplingResult(params=best_x, objective=float(best_f),
                             axis=tuple(float(v) for v in axis), angle=float(angle),
                             identity_objective=float(identity_obj),
                             degenerate=bool(identity_obj - best_f < 1e-9))
@@ -224,7 +223,7 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
 class Trajectory:
     """Joint-evolution time series sampled at period boundaries."""
 
-    times_ns: np.ndarray = field(repr=False)
+    time_ns: np.ndarray = field(repr=False)
     negativity: np.ndarray = field(repr=False)
     mutual_info_bits: np.ndarray = field(repr=False)
     purity_q1: np.ndarray = field(repr=False)
@@ -259,7 +258,7 @@ def simulate_trajectory(gates_cycle: tuple[np.ndarray, ...] | None,
             state = g @ state @ g.conj().T
         series.append(state)
     states = np.array(series)
-    return Trajectory(times_ns=period_ns * np.arange(steps + 1.0),
+    return Trajectory(time_ns=period_ns * np.arange(steps + 1.0),
                       negativity=negativity(states),
                       mutual_info_bits=mutual_information_state(states),
                       purity_q1=purity(partial_trace(states, 0)),
@@ -350,12 +349,12 @@ def synthesis_loss(kernel: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> floa
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    params: UnitaryParams
+    params: np.ndarray  # the gate's u3 angles
     loss: float
 
     @property
     def gate(self) -> np.ndarray:
-        return self.params.matrix()
+        return u3_matrix(*self.params)
 
 
 def synthesize_gate(pt: ProcessTensor, target: QuantumChannel,
@@ -373,7 +372,7 @@ def synthesize_gate(pt: ProcessTensor, target: QuantumChannel,
                                               "fatol": 1e-8}),
         np.zeros(3), rng_stream(seed, 505), restarts, "synthesis")
     best = min(runs, key=lambda res: res.fun)  # the first minimum
-    return SynthesisResult(params=UnitaryParams(*best.x), loss=float(best.fun))
+    return SynthesisResult(params=best.x, loss=float(best.fun))
 
 
 def qpt(model: SEModel, gate: np.ndarray, shots: int | None = None,
@@ -397,7 +396,7 @@ class SweepPoint:
     eta: float
     target_unitarity: float
     loss: float
-    params: UnitaryParams
+    params: np.ndarray
     process_fidelity: float
     realized_unitarity: float
 

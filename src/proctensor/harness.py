@@ -44,6 +44,7 @@ from .qcore import NumericalError
 from .simulator import AXES, SEModel, make_model, rng_stream, \
     simulate_experiment
 from .tomography import (
+    STANDARD_STEPS,
     bootstrap_ci,
     build_standard_tensor,
     evaluate_split,
@@ -96,8 +97,8 @@ class ExperimentPlan:
     stages: tuple[str, ...] = ("characterize", "evaluate")
 
     def model(self) -> SEModel:
-        # standard sequences are preparation + two unitaries, so 3 intervals
-        return make_model(env_init=self.env_init, steps=3,
+        # one interval per slot of the standard tensor
+        return make_model(env_init=self.env_init, steps=STANDARD_STEPS,
                           exchange_khz=self.exchange_khz, zz_khz=self.zz_khz,
                           duration_ns=self.duration_ns * self.idle_scale,
                           env_reset=self.env_reset)
@@ -434,7 +435,7 @@ def resolve_stages(requested: tuple[str, ...]) -> list[str]:
 
 
 def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
-                      model: SEModel, basis: ControlBasis) -> int:
+                      model: Callable[[], SEModel], basis: ControlBasis) -> int:
     """Simulate the standard grid and store each sequence's three axes.
 
     The whole grid is drawn, each record from its own streams; only
@@ -449,7 +450,7 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
             if not all(store.has(key) for key in row)]
     if not todo:
         return 0
-    counts = simulate_experiment(model, standard_slots(basis), plan.shots,
+    counts = simulate_experiment(model(), standard_slots(basis), plan.shots,
                                  plan.master_seed)
     counts = counts.reshape(len(keys), len(AXES), 2)[todo].tolist()
     appended = 0
@@ -578,11 +579,10 @@ def _run_evaluate(plan: ExperimentPlan, store: ResultsStore,
     return appended
 
 
-def _run_memory(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
+def _run_memory(plan: ExperimentPlan, store: ResultsStore,
                 basis: ControlBasis, grid: Callable[[], Grid]) -> int:
     todo = {}
-    # the standard tensor has one slot per interval of the model
-    for placements in barrier_placements(model.steps):
+    for placements in barrier_placements(STANDARD_STEPS):
         key = "memory:" + "+".join(map(str, placements))
         if not store.has(key):
             todo[key] = placements
@@ -602,16 +602,17 @@ def _run_memory(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
                    "placements": list(placements), "n": n,
                    "bits": result.bits, "point": interval.point,
                    "ci_lo": interval.lo, "ci_hi": interval.hi,
-                   "params": list(result.params.pack()),
-                   "has_filler": result.params.filler is not None,
+                   "params": result.params,
+                   "has_filler": len(result.params) == 12,
                    "restarts": OPTIMIZER_RESTARTS}
         appended += store.append(plan.name, "memory", plan.master_seed, key,
                                  payload)
     return appended
 
 
-def _run_markov(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
-                basis: ControlBasis, grid: Callable[[], Grid]) -> int:
+def _run_markov(plan: ExperimentPlan, store: ResultsStore,
+                model: Callable[[], SEModel], basis: ControlBasis,
+                grid: Callable[[], Grid]) -> int:
     if store.has("markov:comparison"):
         return 0
     _, states = grid()
@@ -621,7 +622,7 @@ def _run_markov(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
     n_base = len(basis.preparations) * (1 + 2 * basis.size)
     markov_shots = (None if plan.shots is None
                     else int(round(plan.shots * n_grid / n_base)))
-    baseline = characterize_markov(model, basis, markov_shots,
+    baseline = characterize_markov(model(), basis, markov_shots,
                                    master_seed=plan.master_seed + 101)
     n = plan.basis_size
     pt = build_standard_tensor(states, basis, n)
@@ -644,13 +645,6 @@ def _run_markov(plan: ExperimentPlan, store: ResultsStore, model: SEModel,
                             "markov:comparison", payload))
 
 
-def _trajectory_doc(traj) -> dict:
-    return {"label": traj.label, "time_ns": traj.times_ns,
-            "negativity": traj.negativity,
-            "mutual_info_bits": traj.mutual_info_bits,
-            "purity_q1": traj.purity_q1, "purity_q2": traj.purity_q2}
-
-
 def _run_decouple(plan: ExperimentPlan, store: ResultsStore,
                   basis: ControlBasis) -> int:
     if store.has("decouple:result"):
@@ -666,13 +660,9 @@ def _run_decouple(plan: ExperimentPlan, store: ResultsStore,
                     for cycle, label in ((None, "idle"),
                                          ((result.gate,), "decoupled"),
                                          (XY4_CYCLE, "xy4"))]
-    payload = {"kind": "decoupling",
-               "params": list(result.params.as_tuple()),
-               "objective": result.objective,
-               "identity_objective": result.identity_objective,
-               "axis": list(result.axis), "angle": result.angle,
-               "degenerate": result.degenerate, "restarts": OPTIMIZER_RESTARTS,
-               "trajectories": [_trajectory_doc(t) for t in trajectories]}
+    payload = {"kind": "decoupling", **asdict(result),
+               "restarts": OPTIMIZER_RESTARTS,
+               "trajectories": [asdict(t) for t in trajectories]}
     return int(store.append(plan.name, "decouple", plan.master_seed,
                             "decouple:result", payload))
 
@@ -689,13 +679,7 @@ def _run_synthesize(plan: ExperimentPlan, store: ResultsStore,
     points = synthesis_sweep(pt, smodel, alpha, restarts=OPTIMIZER_RESTARTS,
                              seed=plan.master_seed)
     payload = {"kind": "synthesis", "alpha": alpha,
-               "points": [{"eta": p.eta,
-                           "target_unitarity": p.target_unitarity,
-                           "loss": p.loss,
-                           "params": list(p.params.as_tuple()),
-                           "process_fidelity": p.process_fidelity,
-                           "realized_unitarity": p.realized_unitarity}
-                          for p in points]}
+               "points": [asdict(p) for p in points]}
     return int(store.append(plan.name, "synthesize", plan.master_seed,
                             "synthesize:sweep", payload))
 
@@ -734,10 +718,13 @@ def run_plan(plan: ExperimentPlan, store: ResultsStore,
     writer lock is held for the whole call, so a second run on the same
     store fails instead of interleaving with this one.
     """
+    ordered = resolve_stages(stages if stages is not None else plan.stages)
+    if "evaluate" in ordered:
+        _require(plan.basis_size < plan.pool_size, "basis_size",
+                 "must be smaller than pool_size for a held-out evaluation")
     with store.lock():
         _check_manifest(plan, store)
-        ordered = resolve_stages(stages if stages is not None else plan.stages)
-        model = plan.model()
+        model = functools.cache(plan.model)  # built once, when first needed
         basis = plan.basis()
         counts: dict[str, int] = {}
 
@@ -753,7 +740,7 @@ def run_plan(plan: ExperimentPlan, store: ResultsStore,
             elif stage == "evaluate":
                 counts[stage] = _run_evaluate(plan, store, basis, grid)
             elif stage == "memory":
-                counts[stage] = _run_memory(plan, store, model, basis, grid)
+                counts[stage] = _run_memory(plan, store, basis, grid)
             elif stage == "markov":
                 counts[stage] = _run_markov(plan, store, model, basis, grid)
             elif stage == "decouple":

@@ -23,10 +23,11 @@ import numpy as np
 from scipy import optimize
 
 from .basis import prep_matrix_form
-from .qcore import UnitaryParams, multistart, nelder_mead, u3_entries
+from .qcore import multistart, nelder_mead, u3_entries
 from .simulator import rng_stream
 from .tomography import (
     CI_ALPHA,
+    STANDARD_STEPS,
     ProcessTensor,
     _states_from_probs,
     build_standard_tensor,
@@ -40,38 +41,10 @@ ENTROPY_FLOOR = 1e-12
 # matrix form of the depolarizing channel, the equal mixture of the four
 # Pauli gates' forms: it lies in the unitary span and contracts like a gate
 BARRIER_FORM = np.eye(4, dtype=complex) / 4.0
-CANONICAL_START = {
-    "enc0": UnitaryParams(0.0, 0.0, 0.0),           # |0>
-    "enc1": UnitaryParams(np.pi, 0.0, np.pi),       # |1>
-    "decoder": UnitaryParams(0.0, 0.0, 0.0),
-    "filler": UnitaryParams(0.0, 0.0, 0.0),
-}
-
-
-@dataclass(frozen=True)
-class ProbeParams:
-    """Variational parameters of one memory probe."""
-
-    enc0: UnitaryParams
-    enc1: UnitaryParams
-    decoder: UnitaryParams
-    filler: UnitaryParams | None = None
-
-    def pack(self) -> np.ndarray:
-        blocks = [self.enc0.as_tuple(), self.enc1.as_tuple(), self.decoder.as_tuple()]
-        if self.filler is not None:
-            blocks.append(self.filler.as_tuple())
-        return np.concatenate([np.asarray(b, dtype=float) for b in blocks])
-
-
-def unpack_params(x: np.ndarray, has_filler: bool) -> ProbeParams:
-    x = np.asarray(x, dtype=float)
-    expect = 12 if has_filler else 9
-    if x.shape != (expect,):
-        raise ValueError(f"parameter vector must have shape ({expect},)")
-    mk = lambda i: UnitaryParams(*x[3 * i: 3 * i + 3])
-    return ProbeParams(enc0=mk(0), enc1=mk(1), decoder=mk(2),
-                       filler=mk(3) if has_filler else None)
+# the computational-basis probe: encoders |0> and |1>, then the decoder and
+# the filler, three u3 angles each; a probe without a filler takes the first 9
+CANONICAL_START = np.array([0.0, 0.0, 0.0, np.pi, 0.0, np.pi,
+                            0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def _check_placements(placements: tuple[int, ...], steps: int) -> tuple[int, ...]:
@@ -130,10 +103,11 @@ def _projector(k0: complex, k1: complex) -> tuple[complex, ...]:
 
 
 def cmi_value(kernel: np.ndarray, x: np.ndarray) -> float:
-    """Mutual information of the probe with u3 angles ``x`` (``ProbeParams.pack``
-    order) on a ``cmi_kernel``. Unbarred slots carry the filler gate (angles
-    9-11), or wait (identity) without one. The encoded states are u3|0> of
-    the two encoders. A non-finite angle gives NaN.
+    """Mutual information of the probe with u3 angles ``x`` (encoders,
+    decoder, filler: three each) on a ``cmi_kernel``. Unbarred slots carry
+    the filler gate (angles 9-11), or wait (identity) without one. The
+    encoded states are u3|0> of the two encoders. A non-finite angle gives
+    NaN.
     """
     x = np.asarray(x, dtype=float).tolist()  # scalar math runs on floats
     try:
@@ -156,8 +130,7 @@ def cmi_value(kernel: np.ndarray, x: np.ndarray) -> float:
 @dataclass(frozen=True)
 class CMIResult:
     bits: float
-    params: ProbeParams
-    placements: tuple[int, ...]
+    params: np.ndarray  # the winning angles: 12 with a filler, else 9
 
 
 def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
@@ -171,8 +144,7 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
     """
     placements = _check_placements(placements, pt.steps)
     kernel = cmi_kernel(pt, placements)
-    include_filler = kernel.ndim > 2
-    start = ProbeParams(**CANONICAL_START).pack()[:12 if include_filler else 9]
+    start = CANONICAL_START[:12 if kernel.ndim > 2 else 9]
 
     def objective(x: np.ndarray) -> float:
         return -cmi_value(kernel, x)
@@ -183,9 +155,7 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
                                               "fatol": 1e-8}),
         start, rng_stream(seed, 101, *placements), restarts, "memory")
     best = min(runs, key=lambda res: res.fun)  # the first minimum
-    return CMIResult(bits=float(-best.fun),
-                     params=unpack_params(best.x, include_filler),
-                     placements=placements)
+    return CMIResult(bits=float(-best.fun), params=best.x)
 
 
 def barrier_placements(steps: int) -> tuple[tuple[int, ...], ...]:
@@ -204,13 +174,13 @@ class MemoryInterval:
     point: float
     lo: float
     hi: float
-    placements: tuple[int, ...]
 
 
 def bootstrap_cmi(counts: np.ndarray, shots: int | None, basis, n: int,
-                  placements: tuple[int, ...], params: ProbeParams,
+                  placements: tuple[int, ...], params: np.ndarray,
                   resamples: int = 200, seed: int = 0) -> MemoryInterval:
-    """Basic-bootstrap interval for the CMI at fixed probe parameters.
+    """Basic-bootstrap interval for the CMI at the fixed probe angles
+    ``params`` (``CMIResult.params``).
 
     ``counts`` are the standard grid's, shape (P, pool, pool, 3, 2). Each
     resample redraws every sequence from its own counts, replaces the
@@ -218,18 +188,17 @@ def bootstrap_cmi(counts: np.ndarray, shots: int | None, basis, n: int,
     interval [2t - q_hi, 2t - q_lo] keeps zero inside the interval when the
     point estimate sits at the zero floor, at the cost of clipping to [0, 1].
     """
-    placements = _check_placements(placements, 3)  # the standard tensor's slots
+    placements = _check_placements(placements, STANDARD_STEPS)
     probs, redraws = redraw_records(counts, shots, resamples,
                                     rng_stream(seed, 202, *placements))
     pt0 = build_standard_tensor(_states_from_probs(probs), basis, n)
-    point = cmi_value(cmi_kernel(pt0, placements), params.pack())
+    point = cmi_value(cmi_kernel(pt0, placements), params)
     samples = np.array([
         cmi_value(cmi_kernel(replace(
-            pt0, states=_states_from_probs(p)[:, :n, :n]), placements),
-            params.pack())
+            pt0, states=_states_from_probs(p)[:, :n, :n]), placements), params)
         for p in redraws])
     q_lo, q_hi = np.percentile(samples, [100 * CI_ALPHA / 2,
                                          100 * (1 - CI_ALPHA / 2)])
     lo = min(max(2.0 * point - q_hi, 0.0), 1.0)
     hi = min(max(2.0 * point - q_lo, 0.0), 1.0)
-    return MemoryInterval(point=point, lo=lo, hi=hi, placements=placements)
+    return MemoryInterval(point=point, lo=lo, hi=hi)

@@ -136,26 +136,6 @@ def psd_sqrt(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 # Parametrized gates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitaryParams:
-    """Three-angle single-qubit gate parametrization.
-
-    ``matrix()`` returns
-    ``[[cos(t/2), -e^{i lam} sin(t/2)], [e^{i phi} sin(t/2), e^{i(lam+phi)} cos(t/2)]]``
-    so (0,0,0) is the identity, (pi,0,pi) is X and (pi/2,0,pi) is the Hadamard.
-    """
-
-    theta: float
-    phi: float
-    lam: float
-
-    def matrix(self) -> np.ndarray:
-        return u3_matrix(self.theta, self.phi, self.lam)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.theta, self.phi, self.lam)
-
-
 def u3_entries(theta: float, phi: float,
                lam: float) -> tuple[complex, complex, complex, complex]:
     """The u3 gate's entries in row-major order from scalar math, for
@@ -168,6 +148,8 @@ def u3_entries(theta: float, phi: float,
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
+    """``[[cos(t/2), -e^{i lam} sin(t/2)], [e^{i phi} sin(t/2), e^{i(lam+phi)} cos(t/2)]]``:
+    (0,0,0) is the identity, (pi,0,pi) is X and (pi/2,0,pi) is the Hadamard."""
     return np.array(u3_entries(theta, phi, lam), dtype=complex).reshape(2, 2)
 
 

@@ -72,6 +72,7 @@ PREP_SPAN_DIM = 4
 CPTP_TOL = 1e-10
 CPTP_MAX_ITER = 5000
 CI_ALPHA = 0.05  # every bootstrap interval is two-sided at 95%
+STANDARD_STEPS = 3  # the standard tensor's slots: preparation, two unitaries
 # bootstrap redraws are scored in chunks whose real parts (four per sequence)
 # fit in this many bytes; a call peaks at about 2.7 times that (pool 28)
 BOOTSTRAP_CHUNK_BYTES = 1 << 19

@@ -388,10 +388,10 @@ def bootstrap_cmi_oracle(counts, shots, basis, n, placements, params,
     states, redraws = redraw_records_oracle(
         counts, shots, resamples, rng_stream(seed, 202, *placements))
     pt0 = build_standard_tensor(states, basis, n)
-    point = cmi_value(cmi_kernel(pt0, placements), params.pack())
+    point = cmi_value(cmi_kernel(pt0, placements), params)
     samples = np.array([
         cmi_value(cmi_kernel(replace(pt0, states=re_states[:, :n, :n]),
-                             placements), params.pack())
+                             placements), params)
         for re_states in redraws])
     q_lo, q_hi = np.percentile(samples, [100 * CI_ALPHA / 2,
                                          100 * (1 - CI_ALPHA / 2)])
@@ -601,14 +601,14 @@ def synthesis_loss_via_steps(pt, x, target):
 
 
 def probe_steps(steps, params, placements, which):
-    """Steps encoding bit ``which`` with barriers at ``placements``."""
-    enc = params.enc0 if which == 0 else params.enc1
-    row = [unitary_step(enc.matrix())]
+    """Steps encoding bit ``which`` with barriers at ``placements``; the
+    probe's u3 angles ``params`` are encoders, decoder, then filler if any."""
+    row = [unitary_step(u3_matrix(*params[3 * which:3 * which + 3]))]
     for s in range(1, steps):
         if s in placements:
             row.append(depolarizing_in_span())
-        elif params.filler is not None:
-            row.append(unitary_step(params.filler.matrix()))
+        elif len(params) == 12:
+            row.append(unitary_step(u3_matrix(*params[9:12])))
         else:
             row.append(unitary_step(ID2))
     return tuple(row)
@@ -616,7 +616,7 @@ def probe_steps(steps, params, placements, which):
 
 def cmi_table_via_steps(pt, params, placements):
     """The probe's conditional table p(d|e), before the MI clamps it."""
-    dec = params.decoder.matrix()
+    dec = u3_matrix(*params[6:9])
     cond = np.empty((2, 2))
     for e in (0, 1):
         rho = contract_fast(pt, probe_steps(pt.steps, params, placements, e))

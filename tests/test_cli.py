@@ -9,7 +9,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from proctensor import control, harness, memory, qcore, tomography
+from proctensor import control, memory, qcore, tomography
 from proctensor.cli import handle_errors, main
 from proctensor.harness import ResultsStore
 from proctensor.qcore import NumericalError
@@ -168,6 +168,25 @@ def test_store_line_that_is_not_a_record_exits_2(runner, tmp_path, line):
                                   "--out", str(store)])
     assert result.exit_code == 2, result.output
     assert "line 1" in result.output
+
+
+def test_evaluate_with_the_whole_pool_as_basis_exits_2(runner, tmp_path):
+    # the plan stages only characterize, so it loads; a held-out evaluation
+    # of it has no held-out gates and must fail before the store is written
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "q", "pool_size": 10, "basis_size": 10,
+                                "shots": None, "stages": ["characterize"]}))
+    store = tmp_path / "store"
+    args = ["--plan", str(plan), "--out", str(store)]
+    assert runner.invoke(main, ["run-plan"] + args).exit_code == 0
+    before = (store / "records.jsonl").read_bytes()
+    for out in (store, tmp_path / "fresh"):
+        result = runner.invoke(main, ["evaluate", "--plan", str(plan),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "basis_size: must be smaller than pool_size" in result.output
+    assert (store / "records.jsonl").read_bytes() == before
+    assert not (tmp_path / "fresh" / "records.jsonl").exists()
 
 
 def test_bad_characterize_payload_exits_2(runner, tmp_path):

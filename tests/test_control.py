@@ -195,7 +195,7 @@ def test_optimum_is_pi_rotation_in_plane(dec_result):
 
 def test_optimizer_deterministic(dec_pt, dec_result):
     again = optimize_decoupling(dec_pt, restarts=20, seed=0)
-    assert again.params == dec_result.params
+    assert np.array_equal(again.params, dec_result.params)
     assert again.objective == dec_result.objective
 
 
@@ -240,7 +240,7 @@ def test_idle_negativity_matches_block_oracle():
     # {|++>,|-->} block evolution: negativity(t) = |sin((zeta - g) t)| / 2
     traj = simulate_trajectory(None, period_ns=500.0, horizon_ns=10_000.0)
     delta = khz_to_rad_per_ns(30.0) - khz_to_rad_per_ns(50.0)
-    want = np.abs(np.sin(delta * traj.times_ns)) / 2.0
+    want = np.abs(np.sin(delta * traj.time_ns)) / 2.0
     assert np.allclose(traj.negativity, want, atol=1e-9)
     assert traj.negativity[5] > 0.1
 
@@ -277,7 +277,7 @@ def test_trajectory_series_equal_per_state_metrics(cycle):
     v = interval_propagator(h, 500.0)
     state = initial_joint_state("plus_plus")
     states = [state]
-    for s in range(len(traj.times_ns) - 1):
+    for s in range(len(traj.time_ns) - 1):
         state = v @ state @ v.conj().T
         if cycle is not None:
             g = np.kron(cycle[s % len(cycle)], np.eye(2))

@@ -22,7 +22,7 @@ from proctensor.harness import (
     run_plan,
 )
 from proctensor.control import XY4_CYCLE, simulate_trajectory
-from proctensor.qcore import UnitaryParams
+from proctensor.qcore import u3_matrix
 from proctensor.simulator import AXES, simulate_experiment
 from proctensor.tomography import box_stats, standard_slots
 
@@ -389,6 +389,22 @@ def test_rerun_does_not_load_the_grid(small_run, monkeypatch):
     assert all(c == 0 for c in run_plan(plan, store).values())
 
 
+def test_model_is_built_only_for_a_stage_that_reads_it(small_run, tmp_path,
+                                                       monkeypatch):
+    # a no-op resume and a decouple-only run never touch the standard model
+    plan, store, _ = small_run
+    calls = []
+    real = harness.make_model
+    monkeypatch.setattr(harness, "make_model",
+                        lambda **kw: calls.append(kw) or real(**kw))
+    monkeypatch.setattr(harness, "OPTIMIZER_RESTARTS", 1)
+    assert all(c == 0 for c in run_plan(plan, store).values())
+    decouple = ExperimentPlan(name="d", pool_size=10, basis_size=10,
+                              shots=None, stages=("decouple",))
+    assert run_plan(decouple, ResultsStore(tmp_path / "d")) == {"decouple": 1}
+    assert calls == []
+
+
 def test_run_plan_reads_records_another_writer_appended(tmp_path):
     # a store opened before another run wrote to it must not append those
     # records again once it takes the writer lock
@@ -731,11 +747,11 @@ def test_decouple_payload_stores_simulated_trajectories(tmp_path, monkeypatch):
     dec = store.records(stage="decouple")[0]["payload"]
     stored = dec["trajectories"]
     assert [t["label"] for t in stored] == ["idle", "decoupled", "xy4"]
-    gate = UnitaryParams(*dec["params"]).matrix()
+    gate = u3_matrix(*dec["params"])
     for doc, cycle in zip(stored, (None, (gate,), XY4_CYCLE)):
         want = simulate_trajectory(cycle, exchange_khz=plan.exchange_khz,
                                    zz_khz=plan.zz_khz)
-        assert doc["time_ns"] == want.times_ns.tolist()
+        assert doc["time_ns"] == want.time_ns.tolist()
         for name in ("negativity", "mutual_info_bits", "purity_q1",
                      "purity_q2"):
             assert doc[name] == getattr(want, name).tolist(), name

@@ -11,16 +11,14 @@ from proctensor.memory import (
     CANONICAL_START,
     ENTROPY_FLOOR,
     MemoryInterval,
-    ProbeParams,
     barrier_placements,
     binary_channel_mi,
     bootstrap_cmi,
     cmi_kernel,
     cmi_value,
     maximize_cmi,
-    unpack_params,
 )
-from proctensor.qcore import ID2, NumericalError, UnitaryParams
+from proctensor.qcore import ID2, NumericalError, u3_matrix
 from proctensor.simulator import make_model, rng_stream, simulate_experiment
 from proctensor.tomography import build_standard_tensor, qst_mle, standard_slots
 
@@ -29,8 +27,7 @@ from helpers import (SWAP2, bootstrap_cmi_oracle, cmi_table_via_steps,
                      probe_steps)
 
 
-CANON = ProbeParams(enc0=CANONICAL_START["enc0"], enc1=CANONICAL_START["enc1"],
-                    decoder=CANONICAL_START["decoder"])
+CANON = CANONICAL_START[:9]  # the computational-basis probe, no filler
 
 
 @pytest.fixture(scope="module")
@@ -73,19 +70,6 @@ def test_binary_channel_mi_bounds_random():
         assert 0.0 <= v <= 1.0
 
 
-def test_pack_unpack_roundtrip():
-    p = ProbeParams(enc0=UnitaryParams(0.1, 0.2, 0.3),
-                    enc1=UnitaryParams(0.4, 0.5, 0.6),
-                    decoder=UnitaryParams(0.7, 0.8, 0.9),
-                    filler=UnitaryParams(1.0, 1.1, 1.2))
-    got = unpack_params(p.pack(), has_filler=True)
-    assert got == p
-    q = ProbeParams(enc0=p.enc0, enc1=p.enc1, decoder=p.decoder)
-    assert unpack_params(q.pack(), has_filler=False) == q
-    with pytest.raises(ValueError):
-        unpack_params(np.zeros(9), has_filler=True)
-
-
 ANGLE = st.floats(-2.0 * np.pi, 4.0 * np.pi)
 
 
@@ -100,17 +84,16 @@ def test_cmi_kernel_equals_step_oracle(pool_seed, pool, shots, probes):
     # its step list (prep, barrier or filler per slot) contracted gives
     barrier = depolarizing_in_span()
     enc, mid, last = probe_steps(3, CANON, (1,), 0)
-    assert np.array_equal(enc.unitary, CANON.enc0.matrix())
+    assert np.array_equal(enc.unitary, u3_matrix(*CANON[0:3]))
     assert mid.unitary is None and np.array_equal(mid.choi, barrier.choi)
     assert np.array_equal(last.unitary, ID2)
     enc, *rest = probe_steps(3, CANON, (1, 2), 1)
-    assert np.array_equal(enc.unitary, CANON.enc1.matrix())
+    assert np.array_equal(enc.unitary, u3_matrix(*CANON[3:6]))
     assert all(s.unitary is None and np.array_equal(s.choi, barrier.choi)
                for s in rest)
-    filled = ProbeParams(enc0=CANON.enc0, enc1=CANON.enc1,
-                         decoder=CANON.decoder, filler=CANON.enc1)
+    filled = np.concatenate([CANON, CANON[3:6]])  # the filler is enc1's gate
     assert np.array_equal(probe_steps(3, filled, (1,), 0)[2].unitary,
-                          CANON.enc1.matrix())
+                          u3_matrix(*CANON[3:6]))
     basis = generate_haar_basis(pool, pool_seed)
     model = make_model(duration_ns=2500.0, env_init="plus")
     if shots is None:
@@ -124,9 +107,8 @@ def test_cmi_kernel_equals_step_oracle(pool_seed, pool, shots, probes):
         assert kernel.shape == ((4, 4) if placements == (1, 2)
                                 else (4, 4, 4, 4))
         for x in probes:
-            for params in (unpack_params(np.array(x), True),
-                           unpack_params(np.array(x[:9]), False)):
-                assert abs(cmi_value(kernel, params.pack())
+            for params in (np.array(x), np.array(x[:9])):
+                assert abs(cmi_value(kernel, params)
                            - cmi_value_via_steps(pt, params, placements)) <= 1e-12
 
 
@@ -142,29 +124,28 @@ def test_placement_validation(swap_tensor):
 def test_swap_chain_carries_one_bit_past_first_barrier(swap_tensor):
     # computational-basis probe: the bit swaps into the environment before
     # the barrier and swaps back after it, so it survives untouched
-    assert cmi_value(cmi_kernel(swap_tensor, (1,)), CANON.pack()) > 1.0 - 1e-9
+    assert cmi_value(cmi_kernel(swap_tensor, (1,)), CANON) > 1.0 - 1e-9
     # past the second barrier nothing survives: the wire is erased after
     # the bit has returned to the system
-    assert cmi_value(cmi_kernel(swap_tensor, (2,)), CANON.pack()) < 1e-12
-    assert cmi_value(cmi_kernel(swap_tensor, (1, 2)), CANON.pack()) < 1e-12
+    assert cmi_value(cmi_kernel(swap_tensor, (2,)), CANON) < 1e-12
+    assert cmi_value(cmi_kernel(swap_tensor, (1, 2)), CANON) < 1e-12
 
 
 def test_maximize_cmi_swap_chain(swap_tensor):
     res = maximize_cmi(swap_tensor, (1,), restarts=2, seed=0, maxiter=150)
     assert res.bits > 1.0 - 1e-9
-    assert res.placements == (1,)
+    assert res.params.shape == (12,)  # slot 2 is unbarred: it takes a filler
     res2 = maximize_cmi(swap_tensor, (2,), restarts=2, seed=0, maxiter=150)
     assert res2.bits < 1e-8
 
 
-@pytest.mark.parametrize("filler", [None, UnitaryParams(0.0, 0.0, 0.0)],
+@pytest.mark.parametrize("params", [CANON, CANONICAL_START],
                          ids=["wait", "identity-filler"])
-def test_entropy_floor_clamp_equals_step_oracle(swap_tensor, filler):
+def test_entropy_floor_clamp_equals_step_oracle(swap_tensor, params):
     # the swap chain's computational-basis table is the identity, so its
     # zero entries are clamped to the floor before the logarithm
-    params = replace(CANON, filler=filler)
     assert cmi_table_via_steps(swap_tensor, params, (1,)).min() < ENTROPY_FLOOR
-    assert abs(cmi_value(cmi_kernel(swap_tensor, (1,)), params.pack())
+    assert abs(cmi_value(cmi_kernel(swap_tensor, (1,)), params)
                - cmi_value_via_steps(swap_tensor, params, (1,))) <= 1e-12
 
 
@@ -174,7 +155,7 @@ def test_entropy_floor_clamp_equals_step_oracle(swap_tensor, filler):
                          ids=["enc0-theta", "enc1-phi", "decoder-lam",
                               "filler-theta", "filler-lam"])
 def test_non_finite_probe_angle_gives_nan(swap_tensor, bad, index):
-    x = replace(CANON, filler=UnitaryParams(0.0, 0.0, 0.0)).pack()
+    x = CANONICAL_START.copy()  # with the identity filler
     x[index] = bad
     assert np.isnan(cmi_value(cmi_kernel(swap_tensor, (1,)), x))
 
@@ -187,9 +168,10 @@ def test_maximize_cmi_raises_when_every_start_is_nan(swap_tensor):
 
 
 def test_markovian_surrogate_has_no_memory(reset_tensor):
+    placements = barrier_placements(reset_tensor.steps)
+    assert placements == ((1,), (2,), (1, 2))
     results = [maximize_cmi(reset_tensor, pl, restarts=2, seed=0)
-               for pl in barrier_placements(reset_tensor.steps)]
-    assert [r.placements for r in results] == [(1,), (2,), (1, 2)]
+               for pl in placements]
     for r in results:
         assert r.bits < 1e-8
 
@@ -211,7 +193,7 @@ def test_cmi_deterministic(swap_tensor):
     a = maximize_cmi(swap_tensor, (1,), restarts=3, seed=4, maxiter=100)
     b = maximize_cmi(swap_tensor, (1,), restarts=3, seed=4, maxiter=100)
     assert a.bits == b.bits
-    assert a.params == b.params
+    assert np.array_equal(a.params, b.params)
 
 
 def test_bootstrap_cmi_exact_records(basis):

@@ -29,8 +29,8 @@ from proctensor.control import (DECOUPLING_ENV_REF, build_decoupling_tensor,
                                  synthesis_kernel, synthesis_loss,
                                  synthesis_model)
 from proctensor.markov import characterize
-from proctensor.memory import (CANONICAL_START, ProbeParams, bootstrap_cmi,
-                               cmi_kernel, cmi_value)
+from proctensor.memory import (CANONICAL_START, bootstrap_cmi, cmi_kernel,
+                               cmi_value)
 from proctensor.qcore import u3_matrix
 from proctensor.simulator import make_model, simulate_experiment
 from proctensor.tomography import build_standard_tensor, standard_slots
@@ -68,11 +68,9 @@ def bootstrap_intervals():
     counts = simulate_experiment(model, standard_slots(basis), 1600,
                                  master_seed=2)
     out = {}
-    for placements, filler in (((1,), CANONICAL_START["filler"]),
-                               ((1, 2), None)):
-        params = ProbeParams(enc0=CANONICAL_START["enc0"],
-                             enc1=CANONICAL_START["enc1"],
-                             decoder=CANONICAL_START["decoder"], filler=filler)
+    # the computational-basis probe, with the identity filler and without
+    for placements, params in (((1,), CANONICAL_START),
+                               ((1, 2), CANONICAL_START[:9])):
         iv = bootstrap_cmi(counts, 1600, basis, POOL, placements, params,
                            resamples=20, seed=4)
         out["+".join(map(str, placements))] = [iv.point, iv.lo, iv.hi]

@@ -23,7 +23,6 @@ from proctensor.qcore import (
     PAULIS,
     NumericalError,
     QuantumChannel,
-    UnitaryParams,
     apply_channel,
     channel_from_kraus,
     check_density_matrix,
@@ -179,7 +178,7 @@ def test_u3_always_unitary():
     rng = np.random.default_rng(17)
     for _ in range(1000):
         t, p, l = rng.uniform(0, 2 * np.pi, size=3)
-        u = UnitaryParams(t, p, l).matrix()
+        u = u3_matrix(t, p, l)
         assert np.max(np.abs(u.conj().T @ u - ID2)) < 1e-12
 
 
