@@ -90,12 +90,6 @@ class ControlBasis:
     def size(self) -> int:
         return len(self.unitaries)
 
-    def subset(self, n: int) -> "ControlBasis":
-        if not 1 <= n <= self.size:
-            raise ValueError(f"subset size {n} outside [1, {self.size}]")
-        return ControlBasis(preparations=self.preparations,
-                            unitaries=self.unitaries[:n])
-
 
 def generate_haar_basis(n: int, seed: int) -> ControlBasis:
     """Fresh pool of n Haar unitaries plus the standard preparations."""

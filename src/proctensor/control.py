@@ -50,12 +50,10 @@ from .qcore import (
 from .simulator import (
     SEModel,
     draw_pair_counts,
-    exchange_zz_hamiltonian,
     initial_joint_state,
     interval_propagator,
     rng_stream,
     two_qubit_probe,
-    unitary_step,
 )
 from .tomography import (
     ProcessTensor,
@@ -69,6 +67,7 @@ from .tomography import (
     qubit_bloch,
     slot_coefficients,
     slot_kernel,
+    standard_slots,
     unitary_slot,
 )
 
@@ -88,8 +87,7 @@ def decoupling_model(exchange_khz: float = 50.0,
                      zz_khz: float = 30.0) -> SEModel:
     """One-slot probe layout from |++>: idle, gate, idle (pre-idle folded
     into the initial joint state so the model carries a single interval)."""
-    v = interval_propagator(exchange_zz_hamiltonian(exchange_khz, zz_khz),
-                            DECOUPLING_IDLE_NS)
+    v = interval_propagator(exchange_khz, zz_khz, DECOUPLING_IDLE_NS)
     init = v @ initial_joint_state("plus_plus") @ v.conj().T
     return SEModel(intervals=(v,), initial_se=init)
 
@@ -100,7 +98,7 @@ def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
     """One-slot tensor mapping the gate to the joint two-qubit output: the
     exact joint states when ``shots`` is None, otherwise the two-qubit QST
     of their pair counts (the record index of gate ``nu`` is ``nu``)."""
-    joints = two_qubit_probe(model, [[unitary_step(u) for u in basis.unitaries]])
+    joints = two_qubit_probe(model, [basis.unitaries])
     states = joints if shots is None else \
         pair_qst_mle(draw_pair_counts(joints, shots, master_seed))
     return assemble([unitary_slot(basis.unitaries)], states)
@@ -246,8 +244,7 @@ def simulate_trajectory(gates_cycle: tuple[np.ndarray, ...] | None,
     """
     if period_ns <= 0 or horizon_ns <= 0:
         raise ValueError("period and horizon must be positive")
-    h = exchange_zz_hamiltonian(exchange_khz, zz_khz)
-    v = interval_propagator(h, period_ns)
+    v = interval_propagator(exchange_khz, zz_khz, period_ns)
     steps = int(np.floor(horizon_ns / period_ns + 1e-9))
     state = initial_joint_state(env_init)
     series = [state]
@@ -282,8 +279,7 @@ def nonunitary_target(alpha: float, eta: float) -> QuantumChannel:
 def synthesis_model(exchange_khz: float = 50.0,
                     zz_khz: float = 30.0) -> SEModel:
     """Two-slot layout from |00>: preparation, idle, gate, idle, readout."""
-    v = interval_propagator(exchange_zz_hamiltonian(exchange_khz, zz_khz),
-                            SYNTHESIS_IDLE_NS)
+    v = interval_propagator(exchange_khz, zz_khz, SYNTHESIS_IDLE_NS)
     return SEModel(intervals=(v, v), initial_se=initial_joint_state("zero"))
 
 
@@ -293,11 +289,9 @@ def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
     """(preparation, gate) tensor over the pool, system readout."""
     if model.steps != 2:
         raise ValueError("synthesis layout has exactly two control slots")
-    preps = basis.preparations
-    slots = ([unitary_step(p.gate) for p in preps],
-             [unitary_step(u) for u in basis.unitaries])
-    states = measure_grid(model, slots, shots, master_seed)
-    return assemble([prep_slot(preps), unitary_slot(basis.unitaries)], states)
+    states = measure_grid(model, standard_slots(basis)[:2], shots, master_seed)
+    return assemble([prep_slot(basis.preparations),
+                     unitary_slot(basis.unitaries)], states)
 
 
 def synthesis_kernel(pt: ProcessTensor,
@@ -312,8 +306,7 @@ def synthesis_kernel(pt: ProcessTensor,
     and unnormalised Bloch vector.
     """
     preps = standard_preparations()
-    prep_coeffs = np.array([slot_coefficients(pt.slots[0], pt.duals[0],
-                                              unitary_step(p.gate))
+    prep_coeffs = np.array([slot_coefficients(pt.slots[0], pt.duals[0], p.gate)
                             for p in preps]).T
     weights = slot_kernel(pt, [prep_coeffs, coefficient_map(pt.duals[1])])
     paulis = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
@@ -385,8 +378,7 @@ def qpt(model: SEModel, gate: np.ndarray, shots: int | None = None,
     """
     if model.steps != 2:
         raise ValueError("qpt layout has exactly two control slots")
-    slots = ([unitary_step(p.gate) for p in standard_preparations()],
-             [unitary_step(gate)])
+    slots = ([p.gate for p in standard_preparations()], [gate])
     outputs = measure_grid(model, slots, shots, master_seed)
     return channel_from_prep_outputs(outputs[None, :, 0])[0]
 

@@ -186,23 +186,52 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
         data["stages"] = tuple(dict.fromkeys(v))
 
     plan = ExperimentPlan(**data)
-    try:
-        # the unitarity check rejects the NaN that an infinite duration makes
-        with np.errstate(invalid="ignore"):
-            plan.model()
-    except NumericalError:
-        raise  # a failed physicality guard is a numerical failure, not input
-    except ValueError as err:
-        raise ConfigError(
-            f"duration_ns: duration_ns * idle_scale = "
-            f"{plan.duration_ns * plan.idle_scale:g} ns gives no unitary "
-            f"interval propagator ({err})") from err
+    _check_layout(plan.model, "duration_ns", f"duration_ns * idle_scale = "
+                  f"{plan.duration_ns * plan.idle_scale:g} ns")
     if "evaluate" in plan.stages:
         _require(plan.basis_size < plan.pool_size, "basis_size",
                  "must be smaller than pool_size for a held-out evaluation")
     _require(plan.basis_size <= plan.pool_size, "basis_size",
              "must not exceed pool_size")
     return plan
+
+
+def _check_layout(build: Callable[[], SEModel], path: str, what: str) -> None:
+    """Build a model; a propagator that is not unitary is a ``ConfigError``."""
+    try:
+        # the unitarity check rejects the NaN that an infinite duration makes
+        with np.errstate(invalid="ignore"):
+            build()
+    except NumericalError:
+        raise  # a failed physicality guard is a numerical failure, not input
+    except ValueError as err:
+        raise ConfigError(f"{path}: {what} gives no unitary interval "
+                          f"propagator ({err})") from err
+
+
+def _markov_shots(plan: ExperimentPlan) -> int | None:
+    """Shots per Markov baseline experiment: the grid's total budget over the
+    baseline's 1 + 2 pool experiments per preparation (the grid's pool^2)."""
+    pool = plan.pool_size
+    return None if plan.shots is None else \
+        int(round(plan.shots * pool ** 2 / (1 + 2 * pool)))
+
+
+def _check_stages(plan: ExperimentPlan, stages: Iterable[str]) -> None:
+    """Reject a plan that one of the resolved ``stages`` cannot run, before
+    the run takes the store's lock."""
+    if "evaluate" in stages:
+        _require(plan.basis_size < plan.pool_size, "basis_size",
+                 "must be smaller than pool_size for a held-out evaluation")
+    if "markov" in stages and (shots := _markov_shots(plan) or 0) > MAX_SHOTS:
+        raise ConfigError(f"shots: the Markov baseline scales it to {shots} "
+                          f"per experiment, above {MAX_SHOTS}")
+    for stage, layout in (("decouple", decoupling_model),
+                          ("synthesize", synthesis_model)):
+        if stage in stages:
+            _check_layout(functools.partial(layout, plan.exchange_khz, plan.zz_khz),
+                          "exchange_khz", f"the {stage} layout at exchange_khz "
+                          f"{plan.exchange_khz:g} and zz_khz {plan.zz_khz:g}")
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
@@ -616,13 +645,7 @@ def _run_markov(plan: ExperimentPlan, store: ResultsStore,
     if store.has("markov:comparison"):
         return 0
     _, states = grid()
-    # the baseline runs far fewer experiments than the standard grid, so
-    # give it the same total measurement budget for a fair comparison
-    n_grid = len(basis.preparations) * basis.size ** 2
-    n_base = len(basis.preparations) * (1 + 2 * basis.size)
-    markov_shots = (None if plan.shots is None
-                    else int(round(plan.shots * n_grid / n_base)))
-    baseline = characterize_markov(model(), basis, markov_shots,
+    baseline = characterize_markov(model(), basis, _markov_shots(plan),
                                    master_seed=plan.master_seed + 101)
     n = plan.basis_size
     pt = build_standard_tensor(states, basis, n)
@@ -719,9 +742,7 @@ def run_plan(plan: ExperimentPlan, store: ResultsStore,
     store fails instead of interleaving with this one.
     """
     ordered = resolve_stages(stages if stages is not None else plan.stages)
-    if "evaluate" in ordered:
-        _require(plan.basis_size < plan.pool_size, "basis_size",
-                 "must be smaller than pool_size for a held-out evaluation")
+    _check_stages(plan, ordered)
     with store.lock():
         _check_manifest(plan, store)
         model = functools.cache(plan.model)  # built once, when first needed

@@ -30,7 +30,7 @@ from .qcore import (
     partial_trace,
     superop_to_choi,
 )
-from .simulator import SEModel, rng_stream, unitary_step
+from .simulator import SEModel, rng_stream
 from .tomography import (CI_ALPHA, BoxStats, box_stats,
                          channel_from_prep_outputs, measure_grid)
 
@@ -59,9 +59,9 @@ def estimate_step_channel(model: SEModel, interval: int,
     four-preparation experiments, all in one grid: gate g, preparation p is
     record ``record_base + 4 g + p``. Returns the Choi stack (g, 4, 4), each
     channel validated as it is built."""
-    steps = tuple(unitary_step(gate @ prep.gate)
-                  for gate in gates for prep in standard_preparations())
-    outputs = measure_grid(_single_interval_model(model, interval), (steps,),
+    slot = tuple(gate @ prep.gate
+                 for gate in gates for prep in standard_preparations())
+    outputs = measure_grid(_single_interval_model(model, interval), (slot,),
                            shots, master_seed, first_record=record_base)
     channels = channel_from_prep_outputs(outputs.reshape(len(gates), 4, 2, 2))
     return np.array([ch.choi for ch in channels])

@@ -3,25 +3,27 @@
 The environment is one neighbour qubit. A process (``SEModel``) is a
 fixed initial joint state of the qubit and its neighbour, a list of
 interval propagators (one 4x4 unitary on the joint space per control
-slot), and two flags. The control operations are supplied per run, one
-``ControlStep`` (a Choi matrix, plus the gate when the step is a gate)
-per slot. Control ``j`` acts on the system alone and is followed by
+slot), and two flags. The controls are supplied per run, one gate (a 2x2
+unitary) per slot. Gate ``j`` acts on the system alone and is followed by
 interval ``j``:
 
-    rho_k = tr_env[ U_k A_{k-1} ... U_1 A_0 (rho_se) ]
+    rho_k = tr_env[ U_k G_{k-1} ... U_1 G_0 (rho_se) ]
+
+A non-gate operation, such as the memory probe's depolarizing barrier, is
+never simulated: the reconstructed tensor contracts it as a matrix form.
 
 Interval propagators come either from a two-qubit exchange-plus-dephasing
 Hamiltonian, ``H = g (XX + YY)/2 + zeta ZZ/2`` with frequencies given in
-kHz, or from explicit unitary matrices (identity, SWAP, or a custom
-matrix). ``env_reset`` refreshes the environment in its initial state
-after every interval, which makes the process exactly Markovian and is
-used as a zero-memory reference. ``meas_channel`` composes a fixed error
-channel on the system immediately before readout; tomography treats it as
-part of the process.
+kHz, each computed once per process, or from explicit unitary matrices
+(identity, SWAP, or a custom matrix). ``env_reset`` refreshes the
+environment in its initial state after every interval, which makes the
+process exactly Markovian and is used as a zero-memory reference.
+``meas_channel`` composes a fixed error channel on the system immediately
+before readout; tomography treats it as part of the process.
 
-``simulate_grid`` runs every combination of one step per slot at once,
-propagating each shared prefix once; ``run_sequence(model, steps)`` is
-its one-step-per-slot case and takes any sequence of steps.
+``simulate_grid`` runs every combination of one gate per slot at once,
+propagating each shared prefix once; ``run_sequence(model, gates)`` is
+its one-gate-per-slot case and takes any sequence of gates.
 ``simulate_experiment`` adds the measurement: counts ``[plus, minus]`` per
 sequence and axis, shape grid + ``(3, 2)``; ``draw_pair_counts`` is the
 two-qubit readout of the decoupling probe.
@@ -35,8 +37,9 @@ and re-key one Philox per draw, which gives the numbers of ``rng_stream``.
 
 from __future__ import annotations
 
+import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +58,6 @@ from .qcore import (
     check_unitary,
     ket_dm,
     partial_trace,
-    unitary_choi,
 )
 
 GATE_NS = 72.0  # one gate-equivalent of wall time
@@ -147,8 +149,15 @@ def exchange_zz_hamiltonian(exchange_khz: float, zz_khz: float) -> np.ndarray:
         + z * np.kron(PAULI_Z, PAULI_Z) / 2.0
 
 
-def interval_propagator(hamiltonian: np.ndarray, duration_ns: float) -> np.ndarray:
-    return expm(-1j * np.asarray(hamiltonian, dtype=complex) * float(duration_ns))
+@functools.cache
+def interval_propagator(exchange_khz: float, zz_khz: float,
+                        duration_ns: float) -> np.ndarray:
+    """The coupling's propagator over ``duration_ns``, computed once per
+    process for each key and returned read-only."""
+    h = exchange_zz_hamiltonian(exchange_khz, zz_khz)
+    u = expm(-1j * h * float(duration_ns))
+    u.setflags(write=False)
+    return u
 
 
 def env_initial_state(kind: str) -> np.ndarray:
@@ -168,30 +177,6 @@ def initial_joint_state(kind: str) -> np.ndarray:
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         return ket_dm(np.kron(plus, plus))
     return np.kron(ket_dm(KET0), env_initial_state(kind))
-
-
-# ---------------------------------------------------------------------------
-# Control sequences
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ControlStep:
-    """One system-only operation in a sequence: a gate (a preparation is
-    applied as its physical gate), or any operation in the span of unitary
-    channels, such as the depolarizing channel. ``choi`` is the
-    operation's Choi matrix (qcore convention); ``unitary`` is the gate
-    itself for gate steps. Neither is validated here: gates are checked
-    where they enter the program (``ControlBasis``), or are unitary by
-    construction (standard preparations, Paulis, ``u3_matrix``).
-    """
-
-    choi: np.ndarray = field(repr=False)
-    unitary: np.ndarray | None = field(default=None, repr=False)
-
-
-def unitary_step(gate: np.ndarray) -> ControlStep:
-    gate = np.asarray(gate, dtype=complex)
-    return ControlStep(choi=unitary_choi(gate), unitary=gate)
 
 
 # ---------------------------------------------------------------------------
@@ -231,26 +216,17 @@ def make_model(env_init: str = "zero", steps: int = 3,
     """Convenience builder for the default coupled-neighbor model family:
     ``steps`` intervals of ``duration_ns`` each, so one propagator."""
     if intervals is None:
-        u = interval_propagator(exchange_zz_hamiltonian(exchange_khz, zz_khz),
-                                duration_ns)
-        intervals = (u,) * steps
+        intervals = (interval_propagator(exchange_khz, zz_khz, duration_ns),) \
+            * steps
     return SEModel(intervals=intervals, initial_se=initial_joint_state(env_init),
                    env_reset=env_reset, meas_channel=meas_channel)
 
 
-def _apply_system_channel(choi: np.ndarray, rho_se: np.ndarray) -> np.ndarray:
-    lead = rho_se.shape[:-2]
-    c4 = choi.reshape(2, 2, 2, 2)
-    r4 = rho_se.reshape(lead + (2, 2, 2, 2))
-    out = np.einsum("satb,...setf->...aebf", c4, r4)
-    return out.reshape(lead + rho_se.shape[-2:])
-
-
 def _joint_states(model: SEModel,
-                  slots: Sequence[Sequence[ControlStep]]) -> np.ndarray:
-    """Joint states after every choice of one step per slot.
+                  slots: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """Joint states after every choice of one gate per slot.
 
-    ``slots[s]`` lists the candidate steps for slot ``s``; the result has
+    ``slots[s]`` lists the candidate gates for slot ``s``; the result has
     shape ``(len(slots[0]), ..., len(slots[-1]), d, d)``. Each slot acts on
     the whole stack of prefixes at once, so a prefix shared by many
     sequences is propagated once.
@@ -260,17 +236,14 @@ def _joint_states(model: SEModel,
             f"sequence has {len(slots)} steps but the model has {model.steps} intervals")
     rho = model.initial_se
     env0 = partial_trace(model.initial_se, 1) if model.env_reset else None
-    lifted: dict[int, np.ndarray] = {}  # kron(U, I) per gate, built once
-    for steps, u in zip(slots, model.intervals):
+    lifted = {}  # id(gate) -> (gate, kron(U, I)); holding gate keeps its id unique
+    for gates, u in zip(slots, model.intervals):
         outs = []
-        for step in steps:
-            if step.unitary is not None:
-                if id(step) not in lifted:
-                    lifted[id(step)] = np.kron(step.unitary, np.eye(2))
-                g = lifted[id(step)]
-                outs.append(g @ rho @ g.conj().T)
-            else:
-                outs.append(_apply_system_channel(step.choi, rho))
+        for gate in gates:
+            if id(gate) not in lifted:
+                lifted[id(gate)] = gate, np.kron(gate, np.eye(2))
+            g = lifted[id(gate)][1]
+            outs.append(g @ rho @ g.conj().T)
         rho = np.stack(outs, axis=-3)
         rho = u @ rho @ u.conj().T
         if model.env_reset:
@@ -280,7 +253,7 @@ def _joint_states(model: SEModel,
 
 
 def _system_states(model: SEModel,
-                   slots: Sequence[Sequence[ControlStep]]) -> np.ndarray:
+                   slots: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
     """Unchecked readout states of ``_joint_states``: the environment traced
     out and the measurement channel applied."""
     rho = _joint_states(model, slots)
@@ -291,7 +264,7 @@ def _system_states(model: SEModel,
 
 
 def simulate_grid(model: SEModel,
-                  slots: Sequence[Sequence[ControlStep]]) -> np.ndarray:
+                  slots: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
     """Exact reduced system states of a grid of sequences.
 
     Entry ``[a, b, ...]`` is ``run_sequence`` of the sequence
@@ -302,15 +275,15 @@ def simulate_grid(model: SEModel,
                                 name="simulated state")
 
 
-def run_sequence(model: SEModel, steps: Sequence[ControlStep]) -> np.ndarray:
-    """Exact reduced system state after the sequence of steps."""
-    out = _system_states(model, [(step,) for step in steps])
+def run_sequence(model: SEModel, gates: Sequence[np.ndarray]) -> np.ndarray:
+    """Exact reduced system state after the sequence of gates."""
+    out = _system_states(model, [(gate,) for gate in gates])
     return check_density_matrix(out.reshape(out.shape[-2:]),
                                 name="simulated state")
 
 
 def two_qubit_probe(model: SEModel,
-                    slots: Sequence[Sequence[ControlStep]]) -> np.ndarray:
+                    slots: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
     """Joint system-neighbor states of a grid of sequences, shape
     ``(len(slots[0]), ..., 4, 4)``."""
     if model.env_reset:
@@ -354,7 +327,7 @@ def draw_counts(probs: np.ndarray, shots: int | None, master_seed: int,
     return np.stack([plus, shots - plus], axis=-1)
 
 
-def simulate_experiment(model: SEModel, slots: Sequence[Sequence[ControlStep]],
+def simulate_experiment(model: SEModel, slots: Sequence[Sequence[np.ndarray]],
                         shots: int | None, master_seed: int,
                         first_record: int = 0) -> np.ndarray:
     """Simulate a grid of sequences and draw (or compute exactly) their

@@ -17,10 +17,11 @@ route: the expansion coefficients tr[A_s D_s^{nu_s}] are computed slot
 by slot. The test suite keeps the defining matrix form as an oracle
 for this identity.
 
-Slot 0 is a preparation slot: any operation contracted there is first
-converted to the preparation it induces on the slot's reference input
-|0><0|. Unitary slots accept anything whose Choi form lies in the span of
-unitary channels, the depolarizing barrier included.
+Slot 0 is a preparation slot: a gate contracted there is first converted
+to the preparation it induces on the slot's reference input |0><0|. A
+unitary slot contracts a gate, or as its matrix form anything whose Choi
+form lies in the span of unitary channels: the memory probe's
+depolarizing barrier is contracted as its form (``form_coefficients``).
 """
 
 from __future__ import annotations
@@ -58,15 +59,9 @@ from .qcore import (
     ket_dm,
     stack_index,
     superop_to_choi,
+    unitary_choi,
 )
-from .simulator import (
-    ControlStep,
-    SEModel,
-    rng_stream,
-    simulate_experiment,
-    simulate_grid,
-    unitary_step,
-)
+from .simulator import SEModel, rng_stream, simulate_experiment, simulate_grid
 
 PREP_SPAN_DIM = 4
 CPTP_TOL = 1e-10
@@ -163,7 +158,7 @@ def pair_qst_mle(counts: np.ndarray) -> np.ndarray:
     return mle_project(rho)
 
 
-def measure_grid(model: SEModel, slots: Sequence[Sequence[ControlStep]],
+def measure_grid(model: SEModel, slots: Sequence[Sequence[np.ndarray]],
                  shots: int | None, master_seed: int,
                  first_record: int = 0) -> np.ndarray:
     """Estimated output states of a grid of sequences: the exact states
@@ -258,10 +253,6 @@ class ProcessTensor:
     def steps(self) -> int:
         return len(self.slots)
 
-    @property
-    def out_dim(self) -> int:
-        return self.states.shape[-1]
-
 
 def prep_slot(preps: Iterable[PrepOp]) -> SlotBasis:
     return SlotBasis(kind="prep",
@@ -290,16 +281,17 @@ def assemble(slots: list[SlotBasis], states: np.ndarray) -> ProcessTensor:
     return ProcessTensor(slots=slots, duals=duals, states=states)
 
 
-def step_matrix_form(step: ControlStep, slot_kind: str) -> np.ndarray:
-    """Matrix form of an operation as seen by a slot.
+def step_matrix_form(gate: np.ndarray, slot_kind: str) -> np.ndarray:
+    """Matrix form of a gate as seen by a slot.
 
-    Preparation slots convert the operation to the preparation it induces
-    on the reference input |0><0|.
+    Preparation slots convert the gate to the preparation it induces on
+    the reference input |0><0|.
     """
+    choi = unitary_choi(gate)
     if slot_kind == "prep":
-        sigma = np.einsum("satb,st->ab", step.choi.reshape(2, 2, 2, 2), ket_dm(KET0))
+        sigma = np.einsum("satb,st->ab", choi.reshape(2, 2, 2, 2), ket_dm(KET0))
         return prep_matrix_form(sigma)
-    return step.choi / 2
+    return choi / 2
 
 
 def form_coefficients(form: np.ndarray, duals: DualSet) -> np.ndarray:
@@ -307,9 +299,9 @@ def form_coefficients(form: np.ndarray, duals: DualSet) -> np.ndarray:
     return np.einsum("ij,nji->n", form, duals.duals).real
 
 
-def slot_coefficients(slot: SlotBasis, duals: DualSet, step: ControlStep) -> np.ndarray:
-    """Expansion coefficients tr[A D^nu] of a step against one slot."""
-    return form_coefficients(step_matrix_form(step, slot.kind), duals)
+def slot_coefficients(slot: SlotBasis, duals: DualSet, gate: np.ndarray) -> np.ndarray:
+    """Expansion coefficients tr[A D^nu] of a gate against one slot."""
+    return form_coefficients(step_matrix_form(gate, slot.kind), duals)
 
 
 def coefficient_map(duals: DualSet) -> np.ndarray:
@@ -335,11 +327,11 @@ def slot_kernel(pt: ProcessTensor, maps: Sequence[np.ndarray]) -> np.ndarray:
     return kernel
 
 
-def contract_fast(pt: ProcessTensor, steps: Sequence[ControlStep]) -> np.ndarray:
-    """Contract a sequence with the tensor through the slot coefficients."""
-    if len(steps) != pt.steps:
-        raise ValueError(f"sequence has {len(steps)} steps, tensor has {pt.steps}")
-    coeffs = [slot_coefficients(pt.slots[s], pt.duals[s], steps[s])
+def contract_fast(pt: ProcessTensor, gates: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract a gate sequence with the tensor through the slot coefficients."""
+    if len(gates) != pt.steps:
+        raise ValueError(f"sequence has {len(gates)} steps, tensor has {pt.steps}")
+    coeffs = [slot_coefficients(pt.slots[s], pt.duals[s], gates[s])
               for s in range(pt.steps)]
     letters = "ijklmn"[: pt.steps]
     spec = ",".join(letters) + f",{letters}ab->ab"
@@ -350,13 +342,12 @@ def contract_fast(pt: ProcessTensor, steps: Sequence[ControlStep]) -> np.ndarray
 # Standard three-step experiment enumeration
 # ---------------------------------------------------------------------------
 
-def standard_slots(basis: ControlBasis) -> tuple[tuple[ControlStep, ...], ...]:
-    """The standard grid as candidate steps per slot, for ``simulate_grid``:
+def standard_slots(basis: ControlBasis) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The standard grid as candidate gates per slot, for ``simulate_grid``:
     entry ``[i, j, k]`` of the grid is preparation i, then pool gates j and
-    k. Both unitary slots share one step per gate."""
-    gates = tuple(unitary_step(u) for u in basis.unitaries)
-    return (tuple(unitary_step(p.gate) for p in basis.preparations),
-            gates, gates)
+    k."""
+    return (tuple(p.gate for p in basis.preparations), basis.unitaries,
+            basis.unitaries)
 
 
 def build_standard_tensor(states: np.ndarray, basis: ControlBasis,
@@ -423,8 +414,7 @@ def pool_coefficients(pt: ProcessTensor, basis: ControlBasis,
                       rows: Iterable[int]) -> np.ndarray:
     """Unitary-slot coefficient rows (len(rows), n) of the given pool elements."""
     return np.array([slot_coefficients(pt.slots[1], pt.duals[1],
-                                       unitary_step(basis.unitaries[j]))
-                     for j in rows])
+                                       basis.unitaries[j]) for j in rows])
 
 
 def predict_parts(parts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

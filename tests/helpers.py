@@ -6,19 +6,19 @@ import numpy as np
 
 from proctensor.basis import (PINV_RCOND, PrepOp, hermitian_frame,
                               standard_preparations)
-from proctensor.memory import ENTROPY_FLOOR, cmi_kernel, cmi_value
+from proctensor.memory import BARRIER_FORM, ENTROPY_FLOOR, cmi_kernel, cmi_value
 from proctensor.qcore import (EIG_CLAMP_TOL, ID2, KET0, PAULI_MINUS, PAULI_PLUS,
                               PAULIS,
                               QuantumChannel, apply_channel,
                               check_density_matrix, check_unitary,
                               choi_to_superop, ket_dm, partial_trace,
                               purity, superop_to_choi, u3_matrix, unitary_choi)
-from proctensor.simulator import (AXES, PAIR_SETTINGS, ControlStep,
-                                  rng_stream, simulate_grid, unitary_step)
+from proctensor.simulator import AXES, PAIR_SETTINGS, rng_stream, simulate_grid
 from proctensor import tomography
 from proctensor.tomography import (CI_ALPHA, _states_from_probs,
                                    build_standard_tensor, contract_fast,
-                                   mle_project, pool_coefficients,
+                                   form_coefficients, mle_project,
+                                   pool_coefficients,
                                    qubit_bloch, standard_slots,
                                    step_matrix_form)
 
@@ -101,7 +101,7 @@ def tensor_matrix(pt):
     """
     sizes = tuple(s.size for s in pt.slots)
     in_dim = int(np.prod([s.forms[0].shape[0] for s in pt.slots]))
-    dim = in_dim * pt.out_dim
+    dim = in_dim * pt.states.shape[-1]
     matrix = np.zeros((dim, dim), dtype=complex)
     for idx in np.ndindex(*sizes):
         dual_full = pt.duals[0].duals[idx[0]].T
@@ -155,19 +155,19 @@ def predict_via_key_tables(pt, basis, keys):
     return np.einsum("si,sj,sk,ijkab->sab", a0, a1, a2, pt.states)
 
 
-def contract_via_matrix(pt, steps, matrix=None):
+def contract_via_matrix(pt, gates, matrix=None):
     """Defining contraction T[A] = tr_in[(A_hat (x) I_out)^T T].
 
     Pass ``matrix = tensor_matrix(pt)`` to reuse it across sequences.
     """
-    assert len(steps) == pt.steps
-    a_full = step_matrix_form(steps[0], pt.slots[0].kind)
+    assert len(gates) == pt.steps
+    a_full = step_matrix_form(gates[0], pt.slots[0].kind)
     for s in range(1, pt.steps):
-        a_full = np.kron(a_full, step_matrix_form(steps[s], pt.slots[s].kind))
-    in_dim = a_full.shape[0]
+        a_full = np.kron(a_full, step_matrix_form(gates[s], pt.slots[s].kind))
+    in_dim, out_dim = a_full.shape[0], pt.states.shape[-1]
     if matrix is None:
         matrix = tensor_matrix(pt)
-    t4 = matrix.reshape(in_dim, pt.out_dim, in_dim, pt.out_dim)
+    t4 = matrix.reshape(in_dim, out_dim, in_dim, out_dim)
     return np.einsum("pm,pamb->ab", a_full, t4)
 
 
@@ -177,25 +177,29 @@ def exact_states(model, basis):
 
 
 def standard_sequence(basis, i, j, k):
-    """Steps of sequence (i, j, k) of the standard grid: preparation i, then
+    """Gates of sequence (i, j, k) of the standard grid: preparation i, then
     pool gates j and k."""
-    return (unitary_step(basis.preparations[i].gate),
-            unitary_step(basis.unitaries[j]), unitary_step(basis.unitaries[k]))
+    return (basis.preparations[i].gate, basis.unitaries[j], basis.unitaries[k])
 
 
-def joint_state_oracle(model, steps):
+def contract_forms(pt, forms):
+    """Contract one matrix form per slot through ``form_coefficients``, as
+    ``contract_fast`` contracts gates: the route of an operation that is not
+    a gate, such as the memory probe's barrier ``BARRIER_FORM``."""
+    coeffs = [form_coefficients(f, d) for f, d in zip(forms, pt.duals)]
+    letters = "ijklmn"[: pt.steps]
+    return np.einsum(",".join(letters) + f",{letters}ab->ab", *coeffs,
+                     pt.states)
+
+
+def joint_state_oracle(model, gates):
     """The per-sequence propagation: every sequence builds its own
     kron(U, I) and propagates the joint state from the initial state."""
     rho = model.initial_se.copy()
     env0 = partial_trace(model.initial_se, 1)
-    for step, u in zip(steps, model.intervals):
-        if step.unitary is not None:
-            g = np.kron(step.unitary, np.eye(2))
-            rho = g @ rho @ g.conj().T
-        else:
-            c4 = step.choi.reshape(2, 2, 2, 2)
-            r4 = rho.reshape(2, 2, 2, 2)
-            rho = np.einsum("satb,setf->aebf", c4, r4).reshape(4, 4)
+    for gate, u in zip(gates, model.intervals):
+        g = np.kron(np.asarray(gate, dtype=complex), np.eye(2))
+        rho = g @ rho @ g.conj().T
         rho = u @ rho @ u.conj().T
         if model.env_reset:
             rho = np.kron(partial_trace(rho, 0), env0)
@@ -551,12 +555,6 @@ def duality_defect(forms, duals):
     return float(np.max(np.abs(gram - np.eye(len(gram)))))
 
 
-def depolarizing_in_span():
-    """The depolarizing channel as a gate-slot step: its matrix form I/4 is
-    the equal mixture of the four Pauli gates' forms."""
-    return ControlStep(choi=np.eye(4, dtype=complex) / 2.0)
-
-
 def intervals_overlap(a, b):
     return a[0] <= b[1] and b[0] <= a[1]
 
@@ -567,18 +565,19 @@ def intervals_overlap(a, b):
 #
 # The package evaluates each objective on a kernel in which every slot that
 # stays fixed during the search is already contracted. These are the
-# defining forms: build the probe's control steps, contract them with the
-# tensor and post-process the output with the general matrix routines.
+# defining forms: build the probe's gates (or, for the memory probe, the
+# matrix form of each slot), contract them with the tensor and post-process
+# the output with the general matrix routines.
 
 def decoupling_objective_via_steps(pt, gate):
-    joint = mle_project(contract_fast(pt, [unitary_step(gate)]))
+    joint = mle_project(contract_fast(pt, [gate]))
     g1 = purity(partial_trace(joint, 0))
     g2 = purity(partial_trace(joint, 1))
     return float(max(0.0, 2.0 - g1 - g2))
 
 
 def restoration_error_via_steps(pt, gate, env_ref):
-    pred = mle_project(contract_fast(pt, [unitary_step(gate)]))
+    pred = mle_project(contract_fast(pt, [gate]))
     fid = qubit_fidelity_vectorized(partial_trace(pred, 1), env_ref)
     return float(max(0.0, 1.0 - fid))
 
@@ -587,7 +586,7 @@ def synthesis_predictions_via_steps(pt, x):
     """The tensor's unprojected outputs for the four standard preparations
     followed by the u3 gate of angles ``x``."""
     gate = u3_matrix(*x)
-    return [contract_fast(pt, [unitary_step(prep.gate), unitary_step(gate)])
+    return [contract_fast(pt, [prep.gate, gate])
             for prep in standard_preparations()]
 
 
@@ -600,17 +599,18 @@ def synthesis_loss_via_steps(pt, x, target):
     return float(loss)
 
 
-def probe_steps(steps, params, placements, which):
-    """Steps encoding bit ``which`` with barriers at ``placements``; the
-    probe's u3 angles ``params`` are encoders, decoder, then filler if any."""
-    row = [unitary_step(u3_matrix(*params[3 * which:3 * which + 3]))]
+def probe_forms(steps, params, placements, which):
+    """Matrix forms, one per slot of the standard tensor, of the probe
+    encoding bit ``which`` with barriers at ``placements``; the probe's u3
+    angles ``params`` are encoders, decoder, then filler if any."""
+    row = [step_matrix_form(u3_matrix(*params[3 * which:3 * which + 3]), "prep")]
     for s in range(1, steps):
         if s in placements:
-            row.append(depolarizing_in_span())
+            row.append(BARRIER_FORM)
         elif len(params) == 12:
-            row.append(unitary_step(u3_matrix(*params[9:12])))
+            row.append(step_matrix_form(u3_matrix(*params[9:12]), "unitary"))
         else:
-            row.append(unitary_step(ID2))
+            row.append(step_matrix_form(ID2, "unitary"))
     return tuple(row)
 
 
@@ -619,7 +619,7 @@ def cmi_table_via_steps(pt, params, placements):
     dec = u3_matrix(*params[6:9])
     cond = np.empty((2, 2))
     for e in (0, 1):
-        rho = contract_fast(pt, probe_steps(pt.steps, params, placements, e))
+        rho = contract_forms(pt, probe_forms(pt.steps, params, placements, e))
         rotated = dec @ rho @ dec.conj().T
         cond[e] = rotated[0, 0].real, rotated[1, 1].real
     return cond

@@ -27,8 +27,7 @@ from proctensor.harness import (ALPHA_RANGE, ExperimentPlan, ResultsStore,
 from proctensor.markov import (bootstrap_median_ci, characterize,
                                compare_with_tensor)
 from proctensor.memory import bootstrap_cmi, maximize_cmi
-from proctensor.simulator import (make_model, rng_stream, simulate_experiment,
-                                  unitary_step)
+from proctensor.simulator import make_model, rng_stream, simulate_experiment
 from proctensor.tomography import (_states_from_probs, bootstrap_ci,
                                    build_standard_tensor, evaluate_split,
                                    prediction_fidelities, qst_mle,
@@ -258,18 +257,18 @@ def test_criterion_09_out_of_basis_preparations(basis28):
     # probe four preparations outside the tomography basis on the held grid
     new_preps = preparations_from_unitaries(list(basis28.unitaries[24:28]))
     held_jk = [(j, k) for j in range(n, 28) for k in range(n, 28)]
-    held = [unitary_step(u) for u in basis28.unitaries[n:]]
+    held = basis28.unitaries[n:]
     # record indices continue after the standard grid's 4 * 28 * 28
     prep_counts = simulate_experiment(
-        model, ([unitary_step(p.gate) for p in new_preps], held, held),
+        model, ([p.gate for p in new_preps], held, held),
         1600, 0, first_record=4 * 28 * 28)
     pt0 = build_standard_tensor(states, basis28, n)
     # coefficient tables for the new sequences; only the prep row changes
     std_tables = key_coefficient_tables(
         pt0, basis28, [(0, j, k) for _ in range(4) for j, k in held_jk])
     prep_coeffs = np.array([
-        slot_coefficients(pt0.slots[0], pt0.duals[0],
-                          unitary_step(p.gate)) for p in new_preps])
+        slot_coefficients(pt0.slots[0], pt0.duals[0], p.gate)
+        for p in new_preps])
     a0 = np.repeat(prep_coeffs, len(held_jk), axis=0)
     a1, a2 = std_tables[1], std_tables[2]
     probs = counts[..., 0].reshape(-1, 3) / 1600

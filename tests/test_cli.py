@@ -9,7 +9,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from proctensor import control, memory, qcore, tomography
+from proctensor import control, memory, qcore, simulator, tomography
 from proctensor.cli import handle_errors, main
 from proctensor.harness import ResultsStore
 from proctensor.qcore import NumericalError
@@ -187,6 +187,55 @@ def test_evaluate_with_the_whole_pool_as_basis_exits_2(runner, tmp_path):
         assert "basis_size: must be smaller than pool_size" in result.output
     assert (store / "records.jsonl").read_bytes() == before
     assert not (tmp_path / "fresh" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("fields, stage, message", [
+    # the Markov baseline scales the shots by pool^2 / (1 + 2 pool): 4.76x
+    # at pool 10, past numpy's int64 sampler
+    ({"pool_size": 10, "shots": 2**62}, "markov",
+     "shots: the Markov baseline scales it to"),
+    # the standard 144 ns propagator is unitary at these couplings, but the
+    # decouple layout's 256 ns or the synthesize layout's 800 ns one is not
+    ({"pool_size": 11, "exchange_khz": 3e10}, "decouple",
+     "exchange_khz: the decouple layout"),
+    ({"pool_size": 11, "exchange_khz": 3e9}, "synthesize",
+     "exchange_khz: the synthesize layout"),
+], ids=["markov-shots", "decouple-propagator", "synthesize-propagator"])
+def test_stage_the_plan_cannot_run_exits_2(runner, tmp_path, fields, stage,
+                                           message):
+    # the plan loads; the stage is rejected before the store is written,
+    # whether the plan lists it or the command line asks for it
+    plan = tmp_path / "plan.json"
+    for stages, extra in (([stage], []), (["characterize"], ["--stage", stage])):
+        plan.write_text(json.dumps({"name": "q", "basis_size": 10, **fields,
+                                    "stages": stages}))
+        store = tmp_path / f"store-{len(extra)}"
+        result = runner.invoke(main, ["run-plan", "--plan", str(plan),
+                                      "--out", str(store)] + extra)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (store / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("extra, calls", [
+    (["--stage", "characterize"], 1),
+    (["--stage", "characterize", "--seed", "1"], 1),
+    (["--stage", "decouple"], 3),
+    (["--stage", "synthesize"], 2),
+], ids=["characterize", "characterize-seed", "decouple", "synthesize"])
+def test_each_propagator_is_computed_once(runner, tmp_path, monkeypatch,
+                                          extra, calls):
+    # one expm per (exchange, zz, duration) in a fresh process: the standard
+    # 144 ns interval that validates the plan, the decouple layout's 256 ns
+    # and its trajectories' 500 ns period, the synthesize layout's 800 ns
+    simulator.interval_propagator.cache_clear()
+    expm = simulator.expm
+    seen = []
+    monkeypatch.setattr(simulator, "expm", lambda a: seen.append(a) or expm(a))
+    result = runner.invoke(main, ["run-plan", "--plan", str(QUICKSTART),
+                                  "--out", str(tmp_path / "store")] + extra)
+    assert result.exit_code == 0, result.output
+    assert len(seen) == calls
 
 
 def test_bad_characterize_payload_exits_2(runner, tmp_path):

@@ -49,13 +49,11 @@ from proctensor.qcore import (
 from proctensor.simulator import (
     PAIR_SETTINGS,
     draw_pair_counts,
-    exchange_zz_hamiltonian,
     initial_joint_state,
     interval_propagator,
     khz_to_rad_per_ns,
     run_sequence,
     two_qubit_probe,
-    unitary_step,
 )
 from proctensor.tomography import contract_fast, pair_qst_mle, qubit_bloch
 
@@ -138,8 +136,7 @@ def test_two_qubit_mle_sampled_converges():
 def test_measure_joint_state_exact_passthrough(basis24):
     # without shots the tensor holds the simulated joint states themselves
     model = decoupling_model()
-    joints = two_qubit_probe(model, [[unitary_step(u) for u in
-                                      basis24.unitaries]])
+    joints = two_qubit_probe(model, [basis24.unitaries])
     pt = build_decoupling_tensor(model, basis24, shots=None)
     assert np.array_equal(pt.states, joints)
 
@@ -152,8 +149,8 @@ def test_decoupling_tensor_predicts_probe(dec_pt, basis24):
     # held-out gate: tensor prediction equals the simulated joint state
     model = decoupling_model()
     g = haar_unitary(2, np.random.default_rng(9))
-    want = two_qubit_probe(model, [[unitary_step(g)]])[0]
-    got = contract_fast(dec_pt, [unitary_step(g)])
+    want = two_qubit_probe(model, [[g]])[0]
+    got = contract_fast(dec_pt, [g])
     assert np.allclose(got, want, atol=1e-9)
 
 
@@ -273,8 +270,7 @@ def test_trajectory_series_equal_per_state_metrics(cycle):
     # the series are computed on the stacked states; each must equal the
     # metric of every state on its own
     traj = simulate_trajectory(cycle)
-    h = exchange_zz_hamiltonian(50.0, 30.0)
-    v = interval_propagator(h, 500.0)
+    v = interval_propagator(50.0, 30.0, 500.0)
     state = initial_joint_state("plus_plus")
     states = [state]
     for s in range(len(traj.time_ns) - 1):
@@ -366,8 +362,8 @@ def test_qpt_sampled_is_physical_and_deterministic(syn_model):
 
 def test_synthesis_tensor_predicts_held_out(syn_model, syn_pt):
     rng = np.random.default_rng(31)
-    prep = unitary_step(haar_unitary(2, rng))
-    gate = unitary_step(haar_unitary(2, rng))
+    prep = haar_unitary(2, rng)
+    gate = haar_unitary(2, rng)
     want = run_sequence(syn_model, (prep, gate))
     got = contract_fast(syn_pt, [prep, gate])
     assert np.allclose(got, want, atol=1e-9)

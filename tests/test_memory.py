@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from proctensor.basis import generate_haar_basis
 from proctensor.memory import (
+    BARRIER_FORM,
     CANONICAL_START,
     ENTROPY_FLOOR,
     MemoryInterval,
@@ -20,11 +21,11 @@ from proctensor.memory import (
 )
 from proctensor.qcore import ID2, NumericalError, u3_matrix
 from proctensor.simulator import make_model, rng_stream, simulate_experiment
-from proctensor.tomography import build_standard_tensor, qst_mle, standard_slots
+from proctensor.tomography import (build_standard_tensor, qst_mle,
+                                   standard_slots, step_matrix_form)
 
 from helpers import (SWAP2, bootstrap_cmi_oracle, cmi_table_via_steps,
-                     cmi_value_via_steps, depolarizing_in_span, exact_states,
-                     probe_steps)
+                     cmi_value_via_steps, exact_states, probe_forms)
 
 
 CANON = CANONICAL_START[:9]  # the computational-basis probe, no filler
@@ -81,19 +82,17 @@ ANGLE = st.floats(-2.0 * np.pi, 4.0 * np.pi)
                        min_size=1, max_size=4))
 def test_cmi_kernel_equals_step_oracle(pool_seed, pool, shots, probes):
     # the kernel contracts the barriers once; each probe must then give what
-    # its step list (prep, barrier or filler per slot) contracted gives
-    barrier = depolarizing_in_span()
-    enc, mid, last = probe_steps(3, CANON, (1,), 0)
-    assert np.array_equal(enc.unitary, u3_matrix(*CANON[0:3]))
-    assert mid.unitary is None and np.array_equal(mid.choi, barrier.choi)
-    assert np.array_equal(last.unitary, ID2)
-    enc, *rest = probe_steps(3, CANON, (1, 2), 1)
-    assert np.array_equal(enc.unitary, u3_matrix(*CANON[3:6]))
-    assert all(s.unitary is None and np.array_equal(s.choi, barrier.choi)
-               for s in rest)
+    # its matrix forms (prep, barrier or filler per slot) contracted give
+    enc, mid, last = probe_forms(3, CANON, (1,), 0)
+    assert np.array_equal(enc, step_matrix_form(u3_matrix(*CANON[0:3]), "prep"))
+    assert mid is BARRIER_FORM
+    assert np.array_equal(last, step_matrix_form(ID2, "unitary"))
+    enc, *rest = probe_forms(3, CANON, (1, 2), 1)
+    assert np.array_equal(enc, step_matrix_form(u3_matrix(*CANON[3:6]), "prep"))
+    assert all(form is BARRIER_FORM for form in rest)
     filled = np.concatenate([CANON, CANON[3:6]])  # the filler is enc1's gate
-    assert np.array_equal(probe_steps(3, filled, (1,), 0)[2].unitary,
-                          u3_matrix(*CANON[3:6]))
+    assert np.array_equal(probe_forms(3, filled, (1,), 0)[2],
+                          step_matrix_form(u3_matrix(*CANON[3:6]), "unitary"))
     basis = generate_haar_basis(pool, pool_seed)
     model = make_model(duration_ns=2500.0, env_init="plus")
     if shots is None:

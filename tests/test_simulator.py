@@ -21,11 +21,9 @@ from proctensor.qcore import (
     u3_matrix,
 )
 from proctensor.simulator import (
-    ControlStep,
     SEModel,
     draw_counts,
     env_initial_state,
-    exchange_zz_hamiltonian,
     initial_joint_state,
     interval_propagator,
     khz_to_rad_per_ns,
@@ -38,21 +36,20 @@ from proctensor.simulator import (
     simulate_grid,
     stream_keys,
     two_qubit_probe,
-    unitary_step,
 )
 from proctensor.tomography import (channel_from_prep_outputs, qst_mle,
                                    standard_slots)
 
-from helpers import (SWAP2, channel_from_unitary, draw_counts_oracle,
+from helpers import (SWAP2, draw_counts_oracle,
                      draw_pair_counts_oracle, experiment_oracle,
                      joint_state_oracle, measure_joint_state_oracle,
                      pair_expectations_exact, pair_probs_oracle, qst_oracle,
                      run_sequence_oracle, standard_sequence)
 
 
-def probe(model, *steps):
-    # one sequence as a grid of one step per slot
-    return two_qubit_probe(model, [(step,) for step in steps]).reshape(4, 4)
+def probe(model, *gates):
+    # one sequence as a grid of one gate per slot
+    return two_qubit_probe(model, [(gate,) for gate in gates]).reshape(4, 4)
 
 
 def make_decoupled_model(gates):
@@ -68,8 +65,7 @@ def test_trivial_environment_matches_direct_composition():
     gates = [u3_matrix(*rng.uniform(0, 2 * np.pi, 3)) for _ in range(3)]
     controls = [u3_matrix(*rng.uniform(0, 2 * np.pi, 3)) for _ in range(3)]
     model = make_decoupled_model(gates)
-    seq = tuple(unitary_step(c) for c in controls)
-    out = run_sequence(model, seq)
+    out = run_sequence(model, controls)
 
     rho = ket_dm(KET0)
     for c, g in zip(controls, gates):
@@ -80,13 +76,13 @@ def test_trivial_environment_matches_direct_composition():
 
 def test_x_gate_flips_ground_state():
     model = make_decoupled_model([ID2])
-    out = run_sequence(model, (unitary_step(PAULI_X),))
+    out = run_sequence(model, (PAULI_X,))
     assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_swap_interval_exchanges_system_and_environment():
     model = SEModel(intervals=(SWAP2,), initial_se=initial_joint_state("zero"))
-    out = run_sequence(model, (unitary_step(PAULI_X),))
+    out = run_sequence(model, (PAULI_X,))
     # the excitation moved to the environment, system reads |0>
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -94,29 +90,14 @@ def test_swap_interval_exchanges_system_and_environment():
 def test_sequence_length_must_match_intervals():
     model = make_model(steps=3, duration_ns=144.0)
     with pytest.raises(ValueError):
-        run_sequence(model, (unitary_step(ID2),))
-
-
-def test_linearity_in_a_control_slot():
-    model = make_model(steps=2, duration_ns=500.0, env_init="plus")
-    u1 = u3_matrix(0.8, 0.1, 2.2)
-    u2 = u3_matrix(2.1, 4.0, 0.7)
-    lam = 0.3
-    mixed = ControlStep(
-        choi=lam * channel_from_unitary(u1).choi + (1 - lam) * channel_from_unitary(u2).choi)
-    tail = unitary_step(HADAMARD)
-    out_mixed = run_sequence(model, (mixed, tail))
-    out_1 = run_sequence(model, (unitary_step(u1), tail))
-    out_2 = run_sequence(model, (unitary_step(u2), tail))
-    assert np.allclose(out_mixed, lam * out_1 + (1 - lam) * out_2, atol=1e-10)
+        run_sequence(model, (ID2,))
 
 
 def test_output_always_physical():
     rng = np.random.default_rng(9)
     model = make_model(steps=3, duration_ns=1000.0, env_init="bell")
     for _ in range(10):
-        seq = tuple(unitary_step(u3_matrix(*rng.uniform(0, 2 * np.pi, 3)))
-                    for _ in range(3))
+        seq = tuple(u3_matrix(*rng.uniform(0, 2 * np.pi, 3)) for _ in range(3))
         out = run_sequence(model, seq)
         evals = np.linalg.eigvalsh(out)
         assert evals.min() > -1e-10
@@ -128,13 +109,13 @@ def test_env_reset_makes_process_composable():
     model2 = make_model(steps=2, duration_ns=800.0, env_reset=True)
     g1 = u3_matrix(1.0, 0.3, 0.2)
     g2 = u3_matrix(0.4, 2.0, 1.1)
-    joint = run_sequence(model2, (unitary_step(g1), unitary_step(g2)))
+    joint = run_sequence(model2, (g1, g2))
 
     step_model = make_model(steps=1, duration_ns=800.0, env_reset=True)
-    mid = run_sequence(step_model, (unitary_step(g1),))
+    mid = run_sequence(step_model, (g1,))
     resumed = SEModel(intervals=step_model.intervals,
                       initial_se=np.kron(mid, zero_env), env_reset=True)
-    final = run_sequence(resumed, (unitary_step(g2),))
+    final = run_sequence(resumed, (g2,))
     assert np.allclose(joint, final, atol=1e-12)
 
 
@@ -143,7 +124,7 @@ def test_meas_channel_composed_before_readout():
         [np.sqrt(0.9) * ID2, np.sqrt(0.1) * PAULI_X])
     clean = make_model(steps=1, duration_ns=300.0)
     dirty = make_model(steps=1, duration_ns=300.0, meas_channel=noisy)
-    seq = (unitary_step(HADAMARD),)
+    seq = (HADAMARD,)
     assert np.allclose(run_sequence(dirty, seq),
                        apply_channel(noisy, run_sequence(clean, seq)), atol=1e-12)
 
@@ -152,7 +133,7 @@ def test_prep_step_acts_as_physical_gate_on_bell_state():
     # preparations are real gates: on a Bell pair they preserve correlations
     model = SEModel(intervals=(np.eye(4, dtype=complex),),
                     initial_se=initial_joint_state("bell"))
-    joint = probe(model, unitary_step(PAULI_X))
+    joint = probe(model, PAULI_X)
     assert negativity(joint) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -168,7 +149,7 @@ def test_two_qubit_probe_zz_negativity_closed_form():
     for t_ns in (1000.0, 4000.0, 9000.0):
         model = make_model(steps=1, exchange_khz=0.0, zz_khz=zz_khz,
                            duration_ns=t_ns, env_init="plus_plus")
-        joint = probe(model, unitary_step(ID2))
+        joint = probe(model, ID2)
         assert negativity(joint) == pytest.approx(abs(np.sin(zeta * t_ns)) / 2, abs=1e-10)
 
 
@@ -179,7 +160,7 @@ def test_two_qubit_probe_exchange_zz_negativity_closed_form():
     t_ns = 6000.0
     model = make_model(steps=1, exchange_khz=g_khz, zz_khz=zz_khz,
                        duration_ns=t_ns, env_init="plus_plus")
-    joint = probe(model, unitary_step(ID2))
+    joint = probe(model, ID2)
     assert negativity(joint) == pytest.approx(abs(np.sin(delta * t_ns)) / 2, abs=1e-10)
     red_purity = 1.0 - np.sin(delta * t_ns) ** 2 / 2
     assert purity(partial_trace(joint, 0)) == pytest.approx(red_purity, abs=1e-10)
@@ -248,12 +229,12 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
     got = build_synthesis_tensor(syn, basis, shots, master_seed).states
     for i, p in enumerate(preps):
         for nu, u in enumerate(basis.unitaries):
-            seq = (unitary_step(p.gate), unitary_step(u))
+            seq = (p.gate, u)
             want = estimate(syn, seq, i * pool + nu)
             assert np.array_equal(bits(got[i, nu]), bits(want))
     # gate process tomography: four preparations x one gate
     gate = basis.unitaries[0]
-    outputs = [estimate(syn, (unitary_step(p.gate), unitary_step(gate)), i)
+    outputs = [estimate(syn, (p.gate, gate), i)
                for i, p in enumerate(preps)]
     assert np.array_equal(bits(qpt(syn, gate, shots, master_seed).choi),
                           bits(channel_from_prep_outputs(
@@ -269,7 +250,7 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
                                 record_base)
     assert got.shape == (2, 4, 4)
     for g, u in enumerate(gates):
-        outputs = [estimate(sub, (unitary_step(u @ p.gate),),
+        outputs = [estimate(sub, (u @ p.gate,),
                             record_base + 4 * g + r)
                    for r, p in enumerate(preps)]
         assert np.array_equal(
@@ -277,9 +258,9 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
                 np.array(outputs)[None])[0].choi))
     # decoupling probe: the joint states of a one-slot grid
     dec = decoupling_model(exchange_khz=exchange_khz)
-    joints = two_qubit_probe(dec, [[unitary_step(u) for u in basis.unitaries]])
+    joints = two_qubit_probe(dec, [basis.unitaries])
     for nu, u in enumerate(basis.unitaries):
-        want = joint_state_oracle(dec, (unitary_step(u),))
+        want = joint_state_oracle(dec, (u,))
         assert np.array_equal(bits(joints[nu]), bits(want))
     states = build_decoupling_tensor(dec, basis, shots, master_seed).states
     if shots is None:
@@ -291,15 +272,13 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
 
 
 def test_run_sequence_and_simulate_experiment_equal_the_oracle():
-    # one gate per slot through the stacked propagation, including Choi
-    # steps, a measurement channel and a random coupling with resets
+    # one gate per slot through the stacked propagation, including a
+    # measurement channel and a random coupling with resets
     rng = np.random.default_rng(8)
 
     def gate():
         return u3_matrix(*rng.uniform(0, 2 * np.pi, 3))
 
-    mixed = ControlStep(choi=0.3 * channel_from_unitary(
-        gate()).choi + 0.7 * channel_from_unitary(gate()).choi)
     noisy = channel_from_kraus([np.sqrt(0.8) * ID2, np.sqrt(0.2) * PAULI_X])
     scrambled = SEModel(
         intervals=tuple(np.linalg.qr(rng.normal(size=(4, 4))
@@ -309,31 +288,26 @@ def test_run_sequence_and_simulate_experiment_equal_the_oracle():
     models = [make_model(env_init="bell", meas_channel=noisy), scrambled,
               make_model(env_init="plus", env_reset=True)]
     for model in models:
-        seq = (unitary_step(gate()), mixed, unitary_step(gate()))
+        seq = (gate(), gate(), gate())
         want_state, want_counts = experiment_oracle(model, seq, 1600, 4, 2)
         assert np.array_equal(bits(run_sequence(model, seq)), bits(want_state))
-        counts = simulate_experiment(model, [(step,) for step in seq],
+        counts = simulate_experiment(model, [(g,) for g in seq],
                                      1600, 4, first_record=2)
         assert np.array_equal(counts.reshape(3, 2), want_counts)
 
 
 @pytest.mark.parametrize("fault, message", [
-    (2.0, "trace"),  # not trace preserving
-    (1j, "not Hermitian"),  # not Hermiticity preserving
-    (-1.0, "negative eigenvalue"),  # not completely positive
+    (2.0, "trace"),  # a gate that is not unitary: not trace preserving
 ])
 def test_grid_guard_rejects_nonphysical_states(fault, message):
-    # a corrupted step in one slot makes some grid states non-physical; the
-    # guard must raise and name the first offending grid index
+    # a corrupted gate in one slot makes some grid states non-physical; the
+    # guard must raise and name the first offending grid index. A gate's
+    # conjugation keeps every state Hermitian and positive, so only the
+    # trace can break; check_density_matrix's stack tests cover the rest
     model = make_model(env_init="plus")
     basis = generate_haar_basis(10, 3)
     preps, gates, _ = standard_slots(basis)
-    if fault == -1.0:
-        choi = 2.0 * channel_from_unitary(ID2).choi \
-            - channel_from_unitary(PAULI_X).choi
-    else:
-        choi = fault * channel_from_unitary(gates[5].unitary).choi
-    bad = ControlStep(choi=choi)
+    bad = np.sqrt(fault) * gates[5]
     slots = (preps, gates, gates[:5] + (bad,) + gates[6:])
     where = r"simulated state \(\d+, \d+, 5\) "
     with pytest.raises(ValueError, match=where + ".*" + message):
@@ -432,7 +406,7 @@ def test_simulate_experiment_record_structure():
     # a grid's counts: [plus, minus] per sequence and axis, integers that
     # sum to the shots, drawn from the same streams on every call
     model = make_model(steps=1, duration_ns=144.0)
-    slots = [(unitary_step(HADAMARD), unitary_step(ID2))]
+    slots = [(HADAMARD, ID2)]
     counts = simulate_experiment(model, slots, 1600, 11, first_record=4)
     assert counts.shape == (2, 3, 2)
     assert counts.dtype == np.int64
@@ -446,7 +420,7 @@ def test_simulate_experiment_record_structure():
 
 def test_simulate_experiment_exact_mode():
     model = make_decoupled_model([ID2])
-    counts = simulate_experiment(model, [(unitary_step(HADAMARD),)], None, 0)
+    counts = simulate_experiment(model, [(HADAMARD,)], None, 0)
     plus, minus = counts[0].T
     assert (plus - minus)[0] == pytest.approx(1.0, abs=1e-12)
     assert (plus - minus)[2] == pytest.approx(0.0, abs=1e-12)
@@ -478,6 +452,7 @@ def test_model_validation_errors():
 
 
 def test_interval_propagator_is_unitary():
-    h = exchange_zz_hamiltonian(50.0, 30.0)
-    u = interval_propagator(h, 144.0)
+    u = interval_propagator(50.0, 30.0, 144.0)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+    # computed once per key and shared, so it is read-only
+    assert interval_propagator(50, 30, 144) is u and not u.flags.writeable

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from proctensor import tomography
-from proctensor.basis import build_duals, generate_haar_basis, standard_preparations
+from proctensor.basis import (build_duals, generate_haar_basis, prep_matrix_form,
+                              standard_preparations)
+from proctensor.memory import BARRIER_FORM
 from proctensor.qcore import (
     ID2,
     KET0,
@@ -20,12 +22,10 @@ from proctensor.qcore import (
     u3_matrix,
 )
 from proctensor.simulator import (
-    ControlStep,
     make_model,
     rng_stream,
     run_sequence,
     simulate_experiment,
-    unitary_step,
 )
 from proctensor.tomography import (
     _states_from_probs,
@@ -36,6 +36,7 @@ from proctensor.tomography import (
     channel_from_prep_outputs,
     contract_fast,
     evaluate_split,
+    form_coefficients,
     linear_inversion_qubit,
     mle_project,
     pool_coefficients,
@@ -53,9 +54,9 @@ from proctensor.tomography import (
     unitary_slot,
 )
 
-from helpers import (channel_from_unitary, contract_via_matrix,
-                     depolarizing_in_span, duals_via_frame_loop, exact_states,
-                     predict_via_key_tables, preparation_channel,
+from helpers import (channel_from_unitary, contract_forms, contract_via_matrix,
+                     duals_via_frame_loop, exact_states,
+                     predict_via_key_tables,
                      qubit_fidelity_vectorized, qubit_probs_of,
                      standard_sequence, tensor_matrix)
 from test_qcore import random_density_matrix
@@ -258,8 +259,8 @@ def test_barrier_coefficients_are_pauli_mixture(pool_seed, size):
     basis = generate_haar_basis(size, pool_seed)
     slot = unitary_slot(basis.unitaries)
     duals = build_duals(list(slot.forms), required_rank=slot.required_rank)
-    direct = slot_coefficients(slot, duals, depolarizing_in_span())
-    mixture = 0.25 * sum(slot_coefficients(slot, duals, unitary_step(PAULIS[p]))
+    direct = form_coefficients(BARRIER_FORM, duals)
+    mixture = 0.25 * sum(slot_coefficients(slot, duals, PAULIS[p])
                          for p in ("I", "X", "Y", "Z"))
     assert np.allclose(direct, mixture, rtol=0.0, atol=1e-12)
 
@@ -273,15 +274,16 @@ def test_array_kernels_equal_loop_oracles(pool_seed, size, angles):
     # exactly what the per-element loops give
     basis = generate_haar_basis(size, pool_seed)
     gate = u3_matrix(*angles)
-    for slot, steps in ((unitary_slot(basis.unitaries),
-                         [unitary_step(gate), depolarizing_in_span()]),
-                        (prep_slot(basis.preparations), [unitary_step(gate)])):
+    for slot, barrier in ((unitary_slot(basis.unitaries), [BARRIER_FORM]),
+                          (prep_slot(basis.preparations), [])):
         duals = build_duals(slot.forms, required_rank=slot.required_rank)
         assert np.array_equal(duals.duals, duals_via_frame_loop(list(slot.forms)))
-        for step in steps:
-            form = step_matrix_form(step, slot.kind)
+        gate_form = step_matrix_form(gate, slot.kind)
+        for form in [gate_form] + barrier:
             loop = np.array([np.einsum("ij,ji->", form, d).real for d in duals.duals])
-            assert np.array_equal(slot_coefficients(slot, duals, step), loop)
+            assert np.array_equal(form_coefficients(form, duals), loop)
+        assert np.array_equal(slot_coefficients(slot, duals, gate),
+                              form_coefficients(gate_form, duals))
 
 
 @seed(20201018)
@@ -318,19 +320,17 @@ def test_barrier_contraction_equals_average_over_paulis(small_setup):
     model, basis, states = small_setup
     pt = build_standard_tensor(states, basis, n=10)
     prep = basis.preparations[1]
-    tail = unitary_step(basis.unitaries[5])
-    seq = [unitary_step(prep.gate), depolarizing_in_span(), tail]
-    got = contract_fast(pt, seq)
+    tail = basis.unitaries[5]
+    got = contract_forms(pt, [step_matrix_form(prep.gate, "prep"), BARRIER_FORM,
+                              step_matrix_form(tail, "unitary")])
     avg = np.zeros((2, 2), dtype=complex)
     for p in ("I", "X", "Y", "Z"):
-        avg += 0.25 * contract_fast(
-            pt, [unitary_step(prep.gate), unitary_step(PAULIS[p]), tail])
+        avg += 0.25 * contract_fast(pt, [prep.gate, PAULIS[p], tail])
     assert np.allclose(got, avg, atol=1e-10)
     # the barrier output is also what the simulator produces for the mixture
     sim = np.zeros((2, 2), dtype=complex)
     for p in ("I", "X", "Y", "Z"):
-        sim += 0.25 * run_sequence(
-            model, (unitary_step(prep.gate), unitary_step(PAULIS[p]), tail))
+        sim += 0.25 * run_sequence(model, (prep.gate, PAULIS[p], tail))
     assert fidelity(mle_project(got), mle_project(sim)) > 1.0 - 1e-9
 
 
@@ -338,16 +338,23 @@ def test_prep_slot_accepts_general_operations(small_setup):
     model, basis, states = small_setup
     pt = build_standard_tensor(states, basis, n=10)
     sigma = random_density_matrix(rng_stream(36, 0))
-    step = ControlStep(choi=preparation_channel(sigma).choi)
-    tail = [unitary_step(basis.unitaries[2]), unitary_step(basis.unitaries[6])]
-    pred = contract_fast(pt, [step] + tail)
-    truth = run_sequence(model, [step] + tail)
+    tail = [basis.unitaries[2], basis.unitaries[6]]
+    tail_forms = [step_matrix_form(u, "unitary") for u in tail]
+    # a mixed preparation is the mixture of its eigenstates' preparation
+    # gates, each taking |0> to one eigenvector
+    weights, vecs = np.linalg.eigh(sigma)
+    gates = [vecs[:, [k, 1 - k]] for k in range(2)]
+    pred = contract_forms(pt, [prep_matrix_form(sigma)] + tail_forms)
+    assert np.allclose(pred, sum(w * contract_fast(pt, [g] + tail)
+                                 for w, g in zip(weights, gates)), atol=1e-12)
+    truth = sum(w * run_sequence(model, [g] + tail)
+                for w, g in zip(weights, gates))
     assert fidelity(mle_project(pred), truth) > 1.0 - 1e-9
     # a unitary placed in the preparation slot acts as the prep it induces
     h_gate = basis.preparations[0].gate
-    pred_u = contract_fast(pt, [unitary_step(h_gate)] + tail)
-    induced = ControlStep(choi=preparation_channel(ket_dm(h_gate @ KET0)).choi)
-    pred_p = contract_fast(pt, [induced] + tail)
+    pred_u = contract_fast(pt, [h_gate] + tail)
+    induced = prep_matrix_form(ket_dm(h_gate @ KET0))
+    pred_p = contract_forms(pt, [induced] + tail_forms)
     assert np.allclose(pred_u, pred_p, atol=1e-12)
 
 
@@ -355,7 +362,7 @@ def test_contract_validates_arity(small_setup):
     _, basis, states = small_setup
     pt = build_standard_tensor(states, basis, n=10)
     with pytest.raises(ValueError, match="steps"):
-        contract_fast(pt, [unitary_step(ID2)])
+        contract_fast(pt, [ID2])
 
 
 def test_build_standard_tensor_validates(small_setup):
