@@ -52,6 +52,7 @@ from .simulator import (
     draw_pair_counts,
     initial_joint_state,
     interval_propagator,
+    make_model,
     rng_stream,
     two_qubit_probe,
 )
@@ -232,6 +233,12 @@ class Trajectory:
 XY4_CYCLE = (PAULI_X, PAULI_Y, PAULI_X, PAULI_Y)
 
 
+def trajectory_model(exchange_khz: float = 50.0, zz_khz: float = 30.0,
+                     period_ns: float = 500.0, env_init: str = "plus_plus") -> SEModel:
+    """The pair's initial state and its propagator over one period."""
+    return make_model(env_init, 1, exchange_khz, zz_khz, period_ns)
+
+
 def simulate_trajectory(gates_cycle: tuple[np.ndarray, ...] | None,
                         period_ns: float = 500.0, horizon_ns: float = 25_000.0,
                         exchange_khz: float = 50.0, zz_khz: float = 30.0,
@@ -244,15 +251,15 @@ def simulate_trajectory(gates_cycle: tuple[np.ndarray, ...] | None,
     """
     if period_ns <= 0 or horizon_ns <= 0:
         raise ValueError("period and horizon must be positive")
-    v = interval_propagator(exchange_khz, zz_khz, period_ns)
+    model = trajectory_model(exchange_khz, zz_khz, period_ns, env_init)
+    (v,), state = model.intervals, model.initial_se
+    kicks = [np.kron(g, ID2) for g in gates_cycle or ()]
     steps = int(np.floor(horizon_ns / period_ns + 1e-9))
-    state = initial_joint_state(env_init)
     series = [state]
     for s in range(steps):
         state = v @ state @ v.conj().T
-        if gates_cycle is not None:
-            g = np.kron(gates_cycle[s % len(gates_cycle)], np.eye(2, dtype=complex))
-            state = g @ state @ g.conj().T
+        if kicks:
+            state = (g := kicks[s % len(kicks)]) @ state @ g.conj().T
         series.append(state)
     states = np.array(series)
     return Trajectory(time_ns=period_ns * np.arange(steps + 1.0),
@@ -295,9 +302,9 @@ def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
 
 
 def synthesis_kernel(pt: ProcessTensor,
-                     target: QuantumChannel) -> tuple[np.ndarray, np.ndarray]:
+                     target: QuantumChannel) -> tuple[np.ndarray, list]:
     """The readout kernel R[a, b, (i, mu)] (4, 4, 16) and the target's four
-    output Bloch vectors (4, 3).
+    output Bloch vectors as float lists (4 of 3).
 
     R = tr(sigma_mu K[i, ab]) / 2 with sigma_0 = I, where K[i, ab] is the
     tensor's output for standard preparation i per entry (a, b) of the
@@ -312,10 +319,10 @@ def synthesis_kernel(pt: ProcessTensor,
     paulis = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
     readout = 0.5 * np.einsum("mts,ipst->pim", paulis, weights)
     outputs = np.array([apply_channel(target, p.state) for p in preps])
-    return readout.reshape(4, 4, 16), qubit_bloch(outputs)
+    return readout.reshape(4, 4, 16), qubit_bloch(outputs).tolist()
 
 
-def synthesis_loss(kernel: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> float:
+def synthesis_loss(kernel: tuple[np.ndarray, list], x: np.ndarray) -> float:
     """Summed trace distance between tensor predictions and target outputs
     over the four standard preparations.
 
@@ -325,13 +332,13 @@ def synthesis_loss(kernel: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> floa
     """
     readout, target = kernel
     try:
-        u00, u01, u10, u11 = u3_entries(*x)
+        u00, u01, u10, u11 = u3_entries(*np.asarray(x, dtype=float).tolist())
     except ValueError:  # math.cos of an infinite angle
         return math.nan
     v = np.array((u00, u10, u01, u11))
     pred = (v @ (v.conj() @ readout)).real.reshape(4, 4).tolist()
     loss = 0.0
-    for (tr, bx, by, bz), (tx, ty, tz) in zip(pred, target.tolist()):
+    for (tr, bx, by, bz), (tx, ty, tz) in zip(pred, target):
         bx, by, bz = bx / tr, by / tr, bz / tr
         r = math.hypot(bx, by, bz)
         if r > 1.0:

@@ -36,6 +36,7 @@ from .control import (
     simulate_trajectory,
     synthesis_model,
     synthesis_sweep,
+    trajectory_model,
 )
 from .markov import bootstrap_median_ci, characterize as characterize_markov, \
     compare_with_tensor
@@ -226,11 +227,12 @@ def _check_stages(plan: ExperimentPlan, stages: Iterable[str]) -> None:
     if "markov" in stages and (shots := _markov_shots(plan) or 0) > MAX_SHOTS:
         raise ConfigError(f"shots: the Markov baseline scales it to {shots} "
                           f"per experiment, above {MAX_SHOTS}")
-    for stage, layout in (("decouple", decoupling_model),
-                          ("synthesize", synthesis_model)):
+    for stage, what, layout in (("decouple", "layout", decoupling_model),
+                                ("decouple", "trajectory", trajectory_model),
+                                ("synthesize", "layout", synthesis_model)):
         if stage in stages:
             _check_layout(functools.partial(layout, plan.exchange_khz, plan.zz_khz),
-                          "exchange_khz", f"the {stage} layout at exchange_khz "
+                          "exchange_khz", f"the {stage} {what} at exchange_khz "
                           f"{plan.exchange_khz:g} and zz_khz {plan.zz_khz:g}")
 
 

@@ -45,6 +45,9 @@ BARRIER_FORM = np.eye(4, dtype=complex) / 4.0
 # the filler, three u3 angles each; a probe without a filler takes the first 9
 CANONICAL_START = np.array([0.0, 0.0, 0.0, np.pi, 0.0, np.pi,
                             0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+# the flattened matrix forms of preparing each matrix unit |i><j|, by row
+_UNIT_PREP_FORMS = np.array([prep_matrix_form(e).reshape(-1)
+                             for e in np.eye(4, dtype=complex).reshape(4, 2, 2)])
 
 
 def _check_placements(placements: tuple[int, ...], steps: int) -> tuple[int, ...]:
@@ -65,9 +68,7 @@ def cmi_kernel(pt: ProcessTensor, placements: tuple[int, ...]) -> np.ndarray:
     entries and axis st the output state's. With every slot barred the
     kernel is K[a, st] (4, 4)."""
     placements = _check_placements(placements, pt.steps)
-    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    prep_forms = np.array([prep_matrix_form(e).reshape(-1) for e in units])
-    maps = [coefficient_map(pt.duals[0]) @ prep_forms.T]
+    maps = [coefficient_map(pt.duals[0]) @ _UNIT_PREP_FORMS.T]
     for s in range(1, pt.steps):
         maps.append(form_coefficients(BARRIER_FORM, pt.duals[s])
                     if s in placements else coefficient_map(pt.duals[s]))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,16 +345,14 @@ def mutual_information_state(rho: np.ndarray) -> float | np.ndarray:
 
 
 PAULI_ORDER = ("I", "X", "Y", "Z")
+# kron(P_b^T, P_a) for entry (a, b) of the Pauli transfer matrix
+_PTM_OPS = [[np.kron(PAULIS[b].T, PAULIS[a]) for b in PAULI_ORDER] for a in PAULI_ORDER]
 
 
 def pauli_transfer_matrix(ch: QuantumChannel) -> np.ndarray:
     """R[a, b] = tr[P_a ch(P_b)] / 2."""
-    r = np.zeros((4, 4))
-    for a, pa in enumerate(PAULI_ORDER):
-        for b, pb in enumerate(PAULI_ORDER):
-            op = np.kron(PAULIS[pb].T, PAULIS[pa])
-            r[a, b] = float(np.einsum("ij,ji->", op, ch.choi).real) / 2.0
-    return r
+    return np.array([[float(np.einsum("ij,ji->", op, ch.choi).real) / 2.0
+                      for op in row] for row in _PTM_OPS])
 
 
 def unitarity(ch: QuantumChannel) -> float:
@@ -373,13 +372,24 @@ def process_fidelity(a: QuantumChannel, b: QuantumChannel) -> float:
     return fidelity(a.choi / 2, b.choi / 2)
 
 
+def simplex_order(fsim: list[float]) -> list[int]:
+    """``np.argsort(fsim).tolist()``: the ``sorted`` order when its values
+    strictly increase, the only ascending order there is; ``np.argsort``
+    itself, which is not stable, on a tie (-0.0 == 0.0 too) or a NaN."""
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    values = [fsim[i] for i in order]
+    return order if all(map(operator.lt, values, values[1:])) \
+        else np.argsort(fsim).tolist()
+
+
 def nelder_mead(fun, x0, args=(), *, maxiter: int, xatol: float = 1e-4,
                 fatol: float = 1e-4, **_) -> OptimizeResult:
     """scipy 1.17's Nelder-Mead (non-adaptive, unbounded, no ``maxfev``) on
     float lists, with scipy's iterates and result bit for bit: the same steps
     and comparisons (a NaN falls through alike), the centroid summed row by
     row as ``np.add.reduce`` does, float64 array arguments, and the simplex
-    ordered by ``np.argsort``, which is not stable, so ties land as in scipy."""
+    ordered as ``np.argsort`` orders it: by ``sorted`` when the values are
+    distinct and not NaN, else by ``np.argsort`` (``simplex_order``)."""
     nfev = [0]
 
     def f(x):
@@ -393,7 +403,7 @@ def nelder_mead(fun, x0, args=(), *, maxiter: int, xatol: float = 1e-4,
     fsim = [f(x) for x in sim]
     nit = 1
     for _ in range(2):  # scipy sorts twice before the first step
-        order = np.argsort(fsim).tolist()
+        order = simplex_order(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     while nit < maxiter:
         best, worst = sim[0], sim[-1]
@@ -424,7 +434,7 @@ def nelder_mead(fun, x0, args=(), *, maxiter: int, xatol: float = 1e-4,
                     sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
                     fsim[j] = f(sim[j])
         nit += 1
-        order = np.argsort(fsim).tolist()
+        order = simplex_order(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     status = 2 if nit >= maxiter else 0
     return OptimizeResult(

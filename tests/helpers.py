@@ -443,6 +443,16 @@ def channel_from_prep_outputs_oracle(outputs):
     return project_to_cptp_oracle(superop_to_choi(superop))
 
 
+def pauli_transfer_matrix_oracle(ch):
+    """R[a, b] = tr[P_a ch(P_b)] / 2, one kron and one einsum per entry."""
+    r = np.zeros((4, 4))
+    for a, pa in enumerate("IXYZ"):
+        for b, pb in enumerate("IXYZ"):
+            op = np.kron(PAULIS[pb].T, PAULIS[pa])
+            r[a, b] = float(np.einsum("ij,ji->", op, ch.choi).real) / 2.0
+    return r
+
+
 # ---------------------------------------------------------------------------
 # Small constructions only the tests use
 # ---------------------------------------------------------------------------

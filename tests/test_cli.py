@@ -200,7 +200,12 @@ def test_evaluate_with_the_whole_pool_as_basis_exits_2(runner, tmp_path):
      "exchange_khz: the decouple layout"),
     ({"pool_size": 11, "exchange_khz": 3e9}, "synthesize",
      "exchange_khz: the synthesize layout"),
-], ids=["markov-shots", "decouple-propagator", "synthesize-propagator"])
+    # the 256 ns propagators are unitary within 1e-9 here, the decouple
+    # trajectories' 500 ns period is not
+    ({"pool_size": 11, "exchange_khz": 1e10, "duration_ns": 256}, "decouple",
+     "exchange_khz: the decouple trajectory"),
+], ids=["markov-shots", "decouple-propagator", "synthesize-propagator",
+        "decouple-trajectory"])
 def test_stage_the_plan_cannot_run_exits_2(runner, tmp_path, fields, stage,
                                            message):
     # the plan loads; the stage is rejected before the store is written,

@@ -5,6 +5,7 @@ trajectories, matrix-unit construction of the traced channel for process
 tomography, and the analytic unitarity of the target family.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -403,6 +404,17 @@ def test_synthesis_loss_matches_manual(syn_pt):
     val = synthesis_loss(kernel, x)
     assert val > 0.0
     assert synthesis_loss(kernel, x) == val
+
+
+def test_synthesis_loss_is_the_same_float_for_any_angle_sequence(syn_pt):
+    kernel = synthesis_kernel(syn_pt, nonunitary_target(0.5, 0.2))
+    for x in np.random.default_rng(7).uniform(-7.0, 7.0, size=(10, 3)):
+        want = np.float64(synthesis_loss(kernel, x)).tobytes()
+        for angles in (x.tolist(), tuple(x.tolist()), list(x)):
+            assert np.float64(synthesis_loss(kernel, angles)).tobytes() == want
+    for bad in (math.inf, math.nan):
+        assert math.isnan(synthesis_loss(kernel, [0.4, bad, 2.7]))
+        assert math.isnan(synthesis_loss(kernel, (bad, 1.1, 2.7)))
 
 
 def test_synthesis_radial_clip_equals_step_oracle():

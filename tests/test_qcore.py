@@ -37,9 +37,11 @@ from proctensor.qcore import (
     partial_trace,
     pauli_transfer_matrix,
     process_fidelity,
+    psd_sqrt,
     purity,
     rotation_axis_angle,
     rotation_gate,
+    simplex_order,
     superop_to_choi,
     u3_matrix,
     unitarity,
@@ -49,7 +51,8 @@ from proctensor.simulator import rng_stream, simulate_experiment
 from proctensor.tomography import build_standard_tensor, qst_mle, standard_slots
 
 from helpers import (KET1, channel_from_unitary, identity_channel,
-                     preparation_channel, trace_distance)
+                     pauli_transfer_matrix_oracle, preparation_channel,
+                     trace_distance)
 
 QUICKSTART = Path(__file__).parents[1] / "plans" / "quickstart.json"
 
@@ -279,6 +282,22 @@ def test_ptm_identity():
     assert np.allclose(pauli_transfer_matrix(identity_channel()), np.eye(4), atol=1e-12)
 
 
+def test_ptm_equals_per_entry_kron_oracle():
+    # the constant Pauli operators give the per-call kron loop's bits
+    rng = np.random.default_rng(20261020)
+    channels = [identity_channel(), preparation_channel(random_density_matrix(rng))]
+    for _ in range(6):
+        kraus = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                 for _ in range(3)]
+        norm = psd_sqrt(sum(k.conj().T @ k for k in kraus))
+        inv = np.linalg.inv(norm)
+        channels.append(channel_from_kraus([k @ inv for k in kraus]))
+    for ch in channels:
+        got = pauli_transfer_matrix(ch)
+        want = pauli_transfer_matrix_oracle(ch)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_unitarity_unitary_channel_is_one():
     rng = np.random.default_rng(43)
     for _ in range(5):
@@ -380,6 +399,26 @@ def test_nelder_mead_equals_scipy_on_synthetic_objectives(data, n, kind, maxiter
                                          max_size=n)))
     _assert_same_search(_synthetic_objective(kind, centre), x0,
                         {"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+
+
+@pytest.mark.parametrize("size", [4, 13])
+@pytest.mark.parametrize("kind", ["distinct", "ties", "signed_zeros", "nan"])
+def test_simplex_order_equals_argsort(size, kind):
+    # the sorted fast path must return np.argsort's own order, which is not
+    # stable, whatever the values: ties and NaN take the argsort fallback
+    rng = np.random.default_rng(size)
+    for _ in range(200):
+        f = rng.normal(size=size).tolist()
+        if kind == "ties":
+            for i in rng.choice(size, size=rng.integers(2, size + 1)):
+                f[i] = f[0]
+        elif kind == "signed_zeros":
+            for i in rng.choice(size, size=3, replace=False):
+                f[i] = float(rng.choice([0.0, -0.0]))
+        elif kind == "nan":
+            for i in rng.choice(size, size=rng.integers(1, 3), replace=False):
+                f[i] = math.nan
+        assert simplex_order(f) == np.argsort(f).tolist()
 
 
 def test_nelder_mead_stops_as_scipy_on_maxiter_and_tolerance():
