@@ -34,6 +34,7 @@ from .qcore import (
     QuantumChannel,
     apply_channel,
     channel_from_kraus,
+    lockstep,
     multistart,
     mutual_information_state,
     negativity,
@@ -115,10 +116,7 @@ def _decoupling_losses(kernel: np.ndarray, x: np.ndarray,
                        env_ref: np.ndarray) -> tuple[float, float]:
     """Purity loss and restoration error of the projected joint output for the
     u3 angles ``x``, NaN if it is not finite; F = tr(ab) + 2 sqrt(det a det b)."""
-    try:
-        u00, u01, u10, u11 = u3_entries(*np.asarray(x, dtype=float).tolist())
-    except ValueError:  # math.cos of an infinite angle
-        return math.nan, math.nan
+    u00, u01, u10, u11 = u3_entries(*np.asarray(x, dtype=float).tolist())
     v = np.array((u00, u10, u01, u11))
     joint = (v @ (v.conj() @ kernel)).reshape(4, 4)
     if not np.isfinite(joint).all():
@@ -192,11 +190,10 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
         loss, restoration = _decoupling_losses(kernel, x, DECOUPLING_ENV_REF)
         return 1e3 * loss + restoration
 
-    candidates = multistart(
-        lambda x0: optimize.minimize(objective, x0, method=nelder_mead,
-                                     options={"maxiter": maxiter, "xatol": 1e-6,
-                                              "fatol": 1e-8}),
-        np.zeros(3), rng_stream(seed, 303), restarts, "decoupling")
+    candidates, = multistart(lambda starts: [
+        optimize.minimize(objective, x0, method=nelder_mead, options={
+            "maxiter": maxiter, "xatol": 1e-6, "fatol": 1e-8}) for x0 in starts],
+        np.zeros(3), [rng_stream(seed, 303)], restarts, "decoupling")
     best = min(candidates, key=lambda res: res.fun)
     best_f, best_x = float(best.fun), best.x
 
@@ -302,9 +299,9 @@ def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
 
 
 def synthesis_kernel(pt: ProcessTensor,
-                     target: QuantumChannel) -> tuple[np.ndarray, list]:
-    """The readout kernel R[a, b, (i, mu)] (4, 4, 16) and the target's four
-    output Bloch vectors as float lists (4 of 3).
+                     *targets: QuantumChannel) -> tuple[np.ndarray, list]:
+    """The readout kernel R[a, b, (i, mu)] (4, 4, 16) and, per target, its
+    four output Bloch vectors as float lists (4 of 3).
 
     R = tr(sigma_mu K[i, ab]) / 2 with sigma_0 = I, where K[i, ab] is the
     tensor's output for standard preparation i per entry (a, b) of the
@@ -318,33 +315,36 @@ def synthesis_kernel(pt: ProcessTensor,
     weights = slot_kernel(pt, [prep_coeffs, coefficient_map(pt.duals[1])])
     paulis = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
     readout = 0.5 * np.einsum("mts,ipst->pim", paulis, weights)
-    outputs = np.array([apply_channel(target, p.state) for p in preps])
+    outputs = np.array([[apply_channel(t, p.state) for p in preps] for t in targets])
     return readout.reshape(4, 4, 16), qubit_bloch(outputs).tolist()
 
 
-def synthesis_loss(kernel: tuple[np.ndarray, list], x: np.ndarray) -> float:
+def synthesis_loss(kernel: tuple[np.ndarray, list], xs: np.ndarray) -> np.ndarray:
     """Summed trace distance between tensor predictions and target outputs
-    over the four standard preparations.
+    over the four standard preparations, per row of u3 angles ``xs`` (B, 3);
+    row k is scored against the kernel's k-th target.
 
     Each prediction is trace-normalised and projected onto the Bloch ball;
     the trace distance of two qubit states is half their Bloch distance.
-    A non-finite angle gives NaN.
+    A non-finite angle gives NaN in its row.
     """
-    readout, target = kernel
-    try:
-        u00, u01, u10, u11 = u3_entries(*np.asarray(x, dtype=float).tolist())
-    except ValueError:  # math.cos of an infinite angle
-        return math.nan
-    v = np.array((u00, u10, u01, u11))
-    pred = (v @ (v.conj() @ readout)).real.reshape(4, 4).tolist()
-    loss = 0.0
-    for (tr, bx, by, bz), (tx, ty, tz) in zip(pred, target):
-        bx, by, bz = bx / tr, by / tr, bz / tr
-        r = math.hypot(bx, by, bz)
-        if r > 1.0:
-            bx, by, bz = bx / r, by / r, bz / r
-        loss += 0.5 * math.hypot(bx - tx, by - ty, bz - tz)
-    return loss
+    readout, targets = kernel
+    v = np.array([(u00, u10, u01, u11) for u00, u01, u10, u11 in (
+        u3_entries(*x) for x in np.asarray(xs, dtype=float).tolist())])
+    # each stack element is the (1, 4) @ (4, 16) product a one-row call makes,
+    # so a row's loss does not depend on the other rows
+    preds = (v[:, None] @ (v.conj()[:, None, None] @ readout)[:, :, 0]).real
+    losses = []
+    for pred, target in zip(preds.reshape(-1, 4, 4).tolist(), targets):
+        loss = 0.0
+        for (tr, bx, by, bz), (tx, ty, tz) in zip(pred, target):
+            bx, by, bz = bx / tr, by / tr, bz / tr
+            r = math.hypot(bx, by, bz)
+            if r > 1.0:
+                bx, by, bz = bx / r, by / r, bz / r
+            loss += 0.5 * math.hypot(bx - tx, by - ty, bz - tz)
+        losses.append(loss)
+    return np.array(losses)
 
 
 @dataclass(frozen=True)
@@ -357,37 +357,47 @@ class SynthesisResult:
         return u3_matrix(*self.params)
 
 
+def synthesize_gates(pt: ProcessTensor, targets: list[QuantumChannel],
+                     restarts: int = 20, seed: int = 0,
+                     maxiter: int = 400) -> list[SynthesisResult]:
+    """Tune one gate per target so the tensor's predictions reproduce it, all
+    restarts of all targets as lanes of one ``lockstep``; target ``idx`` draws
+    its starts from stream ``seed + idx``."""
+    readout, blochs = synthesis_kernel(pt, *targets)
+
+    def search(starts: list[np.ndarray]) -> list[optimize.OptimizeResult]:
+        each = len(starts) // len(blochs)  # target k's starts are consecutive
+        return lockstep(lambda xs, lanes: synthesis_loss(
+            (readout, [blochs[k // each] for k in lanes]), xs),
+            starts, maxiter=maxiter, xatol=1e-6, fatol=1e-8)
+
+    groups = multistart(search, np.zeros(3), [rng_stream(seed + idx, 505)
+                                              for idx in range(len(blochs))],
+                        restarts, "synthesis")
+    bests = [min(runs, key=lambda res: res.fun) for runs in groups]  # first minima
+    return [SynthesisResult(params=b.x, loss=float(b.fun)) for b in bests]
+
+
 def synthesize_gate(pt: ProcessTensor, target: QuantumChannel,
                     restarts: int = 20, seed: int = 0,
                     maxiter: int = 400) -> SynthesisResult:
     """Tune the gate so the tensor's predictions reproduce the target."""
-    kernel = synthesis_kernel(pt, target)
-
-    def objective(x: np.ndarray) -> float:
-        return synthesis_loss(kernel, x)
-
-    runs = multistart(
-        lambda x0: optimize.minimize(objective, x0, method=nelder_mead,
-                                     options={"maxiter": maxiter, "xatol": 1e-6,
-                                              "fatol": 1e-8}),
-        np.zeros(3), rng_stream(seed, 505), restarts, "synthesis")
-    best = min(runs, key=lambda res: res.fun)  # the first minimum
-    return SynthesisResult(params=best.x, loss=float(best.fun))
+    return synthesize_gates(pt, [target], restarts, seed, maxiter)[0]
 
 
-def qpt(model: SEModel, gate: np.ndarray, shots: int | None = None,
-        master_seed: int = 0) -> QuantumChannel:
-    """Process tomography of the embedded gate layout.
+def qpt(model: SEModel, gates: np.ndarray, shots: int | None = None,
+        master_seed: int = 0) -> list[QuantumChannel]:
+    """Process tomography of the embedded gate layout, one channel per gate.
 
-    Runs the four standard preparations through the model with the gate in
-    the second slot, tomographs the outputs, solves for the linear map and
-    projects it onto the CPTP set.
+    Runs the four standard preparations through the model with each gate in
+    the second slot, tomographs the outputs, solves for the linear maps and
+    projects them onto the CPTP set together.
     """
     if model.steps != 2:
         raise ValueError("qpt layout has exactly two control slots")
-    slots = ([p.gate for p in standard_preparations()], [gate])
+    slots = ([p.gate for p in standard_preparations()], gates)
     outputs = measure_grid(model, slots, shots, master_seed)
-    return channel_from_prep_outputs(outputs[None, :, 0])[0]
+    return channel_from_prep_outputs(outputs.swapaxes(0, 1))
 
 
 @dataclass(frozen=True)
@@ -404,17 +414,14 @@ def synthesis_sweep(pt: ProcessTensor, model: SEModel, alpha: float,
                     etas: np.ndarray | None = None, restarts: int = 20,
                     seed: int = 0, maxiter: int = 400) -> list[SweepPoint]:
     """Synthesize across the eta grid and score each realized channel."""
-    if etas is None:
-        etas = np.linspace(0.0, 0.5, 11)
-    points = []
-    for idx, eta in enumerate(etas):
-        target = nonunitary_target(alpha, float(eta))
-        res = synthesize_gate(pt, target, restarts=restarts, seed=seed + idx,
-                              maxiter=maxiter)
-        realized = qpt(model, res.gate)
-        points.append(SweepPoint(
-            eta=float(eta), target_unitarity=float(unitarity(target)),
-            loss=res.loss, params=res.params,
-            process_fidelity=float(process_fidelity(realized, target)),
-            realized_unitarity=float(unitarity(realized))))
-    return points
+    etas = np.linspace(0.0, 0.5, 11) if etas is None else etas
+    targets = [nonunitary_target(alpha, float(eta)) for eta in etas]
+    if not targets:
+        return []
+    results = synthesize_gates(pt, targets, restarts, seed, maxiter)
+    realized = qpt(model, [res.gate for res in results])
+    return [SweepPoint(eta=float(eta), target_unitarity=float(unitarity(target)),
+                       loss=res.loss, params=res.params,
+                       process_fidelity=float(process_fidelity(ch, target)),
+                       realized_unitarity=float(unitarity(ch)))
+            for eta, target, res, ch in zip(etas, targets, results, realized)]

@@ -111,17 +111,14 @@ def cmi_value(kernel: np.ndarray, x: np.ndarray) -> float:
     NaN.
     """
     x = np.asarray(x, dtype=float).tolist()  # scalar math runs on floats
-    try:
-        e0, e1, d = (u3_entries(*x[i:i + 3]) for i in (0, 3, 6))
-        if kernel.ndim > 2:
-            f = (1.0, 0.0, 0.0, 1.0) if len(x) == 9 else u3_entries(*x[9:12])
-            v = np.array((f[0], f[2], f[1], f[3]), dtype=complex)
-            vc = v.conj()
-            for _ in range(kernel.ndim // 2 - 1):
-                kernel = v @ (vc @ kernel.reshape(4, 4, -1))
-            kernel = kernel.reshape(4, 4)
-    except ValueError:  # math.cos of an infinite angle
-        return math.nan
+    e0, e1, d = (u3_entries(*x[i:i + 3]) for i in (0, 3, 6))
+    if kernel.ndim > 2:
+        f = (1.0, 0.0, 0.0, 1.0) if len(x) == 9 else u3_entries(*x[9:12])
+        v = np.array((f[0], f[2], f[1], f[3]), dtype=complex)
+        vc = v.conj()
+        for _ in range(kernel.ndim // 2 - 1):
+            kernel = v @ (vc @ kernel.reshape(4, 4, -1))
+        kernel = kernel.reshape(4, 4)
     encoded = np.array((_projector(e0[0], e0[2]), _projector(e1[0], e1[2])))
     rho = (encoded @ kernel).reshape(2, 2, 2)
     dec = np.array(d).reshape(2, 2)
@@ -150,11 +147,10 @@ def maximize_cmi(pt: ProcessTensor, placements: tuple[int, ...],
     def objective(x: np.ndarray) -> float:
         return -cmi_value(kernel, x)
 
-    runs = multistart(
-        lambda x0: optimize.minimize(objective, x0, method=nelder_mead,
-                                     options={"maxiter": maxiter, "xatol": 1e-4,
-                                              "fatol": 1e-8}),
-        start, rng_stream(seed, 101, *placements), restarts, "memory")
+    runs, = multistart(lambda starts: [
+        optimize.minimize(objective, x0, method=nelder_mead, options={
+            "maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-8}) for x0 in starts],
+        start, [rng_stream(seed, 101, *placements)], restarts, "memory")
     best = min(runs, key=lambda res: res.fun)  # the first minimum
     return CMIResult(bits=float(-best.fun), params=best.x)
 

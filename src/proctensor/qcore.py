@@ -140,10 +140,12 @@ def psd_sqrt(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 def u3_entries(theta: float, phi: float,
                lam: float) -> tuple[complex, complex, complex, complex]:
     """The u3 gate's entries in row-major order from scalar math, for
-    objectives that build one gate per call. An infinite angle raises
-    ``ValueError`` (``math.cos``); a NaN angle gives NaN entries."""
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
+    objectives that build one gate per call. A non-finite angle gives NaN
+    in the entries it enters, an infinite theta in all four."""
+    try:
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    except ValueError:  # math.cos of an infinite theta
+        c = s = math.nan
     return (complex(c), -cmath.exp(1j * lam) * s, cmath.exp(1j * phi) * s,
             cmath.exp(1j * (lam + phi)) * c)
 
@@ -382,26 +384,17 @@ def simplex_order(fsim: list[float]) -> list[int]:
         else np.argsort(fsim).tolist()
 
 
-def nelder_mead(fun, x0, args=(), *, maxiter: int, xatol: float = 1e-4,
-                fatol: float = 1e-4, **_) -> OptimizeResult:
-    """scipy 1.17's Nelder-Mead (non-adaptive, unbounded, no ``maxfev``) on
-    float lists, with scipy's iterates and result bit for bit: the same steps
-    and comparisons (a NaN falls through alike), the centroid summed row by
-    row as ``np.add.reduce`` does, float64 array arguments, and the simplex
-    ordered as ``np.argsort`` orders it: by ``sorted`` when the values are
-    distinct and not NaN, else by ``np.argsort`` (``simplex_order``)."""
-    nfev = [0]
-
-    def f(x):
-        nfev[0] += 1
-        return float(fun(np.array(x), *args))
-
+def _nelder_mead_search(x0, maxiter: int, xatol: float, fatol: float):
+    """One Nelder-Mead run as a coroutine: yields each vertex (a float list),
+    is sent its value and returns the result."""
     x0 = np.asarray(x0, dtype=float).ravel().tolist()
     n = len(x0)
     sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
                   for k, v in enumerate(x0)]
-    fsim = [f(x) for x in sim]
-    nit = 1
+    fsim = []
+    for x in sim:
+        fsim.append((yield x))
+    nfev, nit = n + 1, 1
     for _ in range(2):  # scipy sorts twice before the first step
         order = simplex_order(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
@@ -415,10 +408,12 @@ def nelder_mead(fun, x0, args=(), *, maxiter: int, xatol: float = 1e-4,
             xbar = [a + b for a, b in zip(xbar, x)]
         xbar = [a / n for a in xbar]
         xr = [2 * a - b for a, b in zip(xbar, worst)]
-        fxr = f(xr)
+        fxr = yield xr
+        nfev += 1
         if fxr < fsim[0]:
             xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]
-            fxe = f(xe)
+            fxe = yield xe
+            nfev += 1
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
@@ -426,32 +421,73 @@ def nelder_mead(fun, x0, args=(), *, maxiter: int, xatol: float = 1e-4,
             outside = fxr < fsim[-1]  # else an inside contraction
             xc = [(1.5 * a - 0.5 * b) if outside else (0.5 * a + 0.5 * b)
                   for a, b in zip(xbar, worst)]
-            fxc = f(xc)
+            fxc = yield xc
+            nfev += 1
             if (fxc <= fxr) if outside else (fxc < fsim[-1]):
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink towards the best vertex
                 for j in range(1, n + 1):
                     sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
-                    fsim[j] = f(sim[j])
+                    fsim[j] = yield sim[j]
+                nfev += n
         nit += 1
         order = simplex_order(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     status = 2 if nit >= maxiter else 0
     return OptimizeResult(
-        x=np.array(sim[0]), fun=np.min(fsim), nit=nit, nfev=nfev[0],
+        x=np.array(sim[0]), fun=np.min(fsim), nit=nit, nfev=nfev,
         status=status, success=status == 0,
         message=("Maximum number of iterations has been exceeded." if status
                  else "Optimization terminated successfully."))
 
 
-def multistart(run, start: np.ndarray, rng: np.random.Generator,
-               restarts: int, name: str) -> list[OptimizeResult]:
-    """Every non-NaN result of ``run(x0)`` in start order: ``start`` first,
-    then ``restarts - 1`` starts drawn uniformly on [0, 2pi) from ``rng``.
-    Raises ``NumericalError`` when every run ends on NaN."""
-    runs = [run(start if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=start.size))
-            for r in range(max(1, int(restarts)))]
-    runs = [res for res in runs if not math.isnan(res.fun)]
-    if not runs:
+def nelder_mead(fun, x0, args=(), *, maxiter: int, xatol: float = 1e-4,
+                fatol: float = 1e-4, **_) -> OptimizeResult:
+    """scipy 1.17's Nelder-Mead (non-adaptive, unbounded, no ``maxfev``) on
+    float lists, with scipy's iterates and result bit for bit: the same steps
+    and comparisons (a NaN falls through alike), the centroid summed row by
+    row as ``np.add.reduce`` does, float64 array arguments, and the simplex
+    ordered as ``np.argsort`` orders it: by ``sorted`` when the values are
+    distinct and not NaN, else by ``np.argsort`` (``simplex_order``)."""
+    search = _nelder_mead_search(x0, maxiter, xatol, fatol)
+    x = next(search)
+    try:
+        while True:
+            x = search.send(float(fun(np.array(x), *args)))
+    except StopIteration as done:
+        return done.value
+
+
+def lockstep(batch_fun, starts, *, maxiter: int, xatol: float = 1e-4,
+             fatol: float = 1e-4) -> list[OptimizeResult]:
+    """One ``nelder_mead`` run per start, stepped together: each round calls
+    ``batch_fun(xs, lanes)`` once, one row of ``xs`` per live run (its lane, an
+    index into ``starts``), for one value per row; a finished run drops out."""
+    searches = [_nelder_mead_search(x0, maxiter, xatol, fatol) for x0 in starts]
+    pending = {lane: next(search) for lane, search in enumerate(searches)}
+    results = [None] * len(searches)
+    while pending:
+        lanes = list(pending)
+        values = batch_fun(np.array([pending[lane] for lane in lanes]), lanes)
+        for lane, value in zip(lanes, np.asarray(values, dtype=float).tolist()):
+            try:
+                pending[lane] = searches[lane].send(value)
+            except StopIteration as done:
+                results[lane] = done.value
+                del pending[lane]
+    return results
+
+
+def multistart(run, start: np.ndarray, rngs: list[np.random.Generator],
+               restarts: int, name: str) -> list[list[OptimizeResult]]:
+    """Per generator of ``rngs`` a group of starts, ``start`` then ``restarts
+    - 1`` uniform on [0, 2pi), all run by one ``run(starts)``: each group's
+    non-NaN results in start order, or ``NumericalError`` if there are none."""
+    size = max(1, int(restarts))
+    runs = run([start if r == 0 else rng.uniform(0.0, 2.0 * np.pi, size=start.size)
+                for rng in rngs for r in range(size)])
+    groups = [[res for res in runs[g:g + size] if not math.isnan(res.fun)]
+              for g in range(0, len(runs), size)]
+    if not all(groups):
         raise NumericalError(f"{name} search failed on every restart")
-    return runs
+    return groups

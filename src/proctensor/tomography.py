@@ -276,9 +276,9 @@ def assemble(slots: list[SlotBasis], states: np.ndarray) -> ProcessTensor:
     if states.shape[:-2] != sizes or states.shape[-2] != states.shape[-1]:
         raise ValueError(
             f"states shape {states.shape} is not {sizes} + (d, d)")
-    duals = tuple(build_duals(s.forms, required_rank=s.required_rank)
-                  for s in slots)
-    return ProcessTensor(slots=slots, duals=duals, states=states)
+    built = {id(s): build_duals(s.forms, required_rank=s.required_rank)
+             for s in {id(s): s for s in slots}.values()}  # once per slot object
+    return ProcessTensor(slots, tuple(built[id(s)] for s in slots), states)
 
 
 def step_matrix_form(gate: np.ndarray, slot_kind: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from proctensor.qcore import (EIG_CLAMP_TOL, ID2, KET0, PAULI_MINUS, PAULI_PLUS,
                               QuantumChannel, apply_channel,
                               check_density_matrix, check_unitary,
                               choi_to_superop, ket_dm, partial_trace,
-                              purity, superop_to_choi, u3_matrix, unitary_choi)
+                              purity, superop_to_choi, u3_entries, u3_matrix,
+                              unitary_choi)
 from proctensor.simulator import AXES, PAIR_SETTINGS, rng_stream, simulate_grid
 from proctensor import tomography
 from proctensor.tomography import (CI_ALPHA, _states_from_probs,
@@ -607,6 +609,28 @@ def synthesis_loss_via_steps(pt, x, target):
         loss += trace_distance(mle_project(pred),
                                apply_channel(target, prep.state))
     return float(loss)
+
+
+def synthesis_loss_oracle(kernel, x):
+    """The synthesis loss of one angle vector as scalar code: one
+    ``(4,) @ (4, 4, 16)`` and one ``(4,) @ (4, 16)`` product against the
+    kernel's first target. Each lane of ``synthesis_loss`` must equal it bit
+    for bit."""
+    readout, (target, *_) = kernel
+    try:
+        u00, u01, u10, u11 = u3_entries(*np.asarray(x, dtype=float).tolist())
+    except ValueError:  # math.cos of an infinite angle
+        return math.nan
+    v = np.array((u00, u10, u01, u11))
+    pred = (v @ (v.conj() @ readout)).real.reshape(4, 4).tolist()
+    loss = 0.0
+    for (tr, bx, by, bz), (tx, ty, tz) in zip(pred, target):
+        bx, by, bz = bx / tr, by / tr, bz / tr
+        r = math.hypot(bx, by, bz)
+        if r > 1.0:
+            bx, by, bz = bx / r, by / r, bz / r
+        loss += 0.5 * math.hypot(bx - tx, by - ty, bz - tz)
+    return loss
 
 
 def probe_forms(steps, params, placements, which):

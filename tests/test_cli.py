@@ -354,19 +354,27 @@ def test_numerical_failures_exit_3(runner):
     assert "numerical failure: optimizer diverged" in result.output
 
 
-@pytest.mark.parametrize("command, module, objective, stage", [
-    ("memory-bound", memory, "cmi_value", "memory"),
-    ("optimize-decoupling", control, "decoupling_objective", "decouple"),
-    ("synthesize-gate", control, "synthesis_loss", "synthesize"),
+def _nan(*args):
+    return float("nan")
+
+
+def _nan_per_lane(kernel, xs):
+    return [float("nan")] * len(xs)
+
+
+@pytest.mark.parametrize("command, module, objective, stub, stage", [
+    ("memory-bound", memory, "cmi_value", _nan, "memory"),
+    ("optimize-decoupling", control, "decoupling_objective", _nan, "decouple"),
+    ("synthesize-gate", control, "synthesis_loss", _nan_per_lane, "synthesize"),
 ], ids=["memory", "decouple", "synthesize"])
 def test_nan_search_exits_3(runner, tmp_path, monkeypatch, command, module,
-                            objective, stage):
+                            objective, stub, stage):
     # a search whose every start ends on NaN must fail, not store NaN
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"name": "x", "pool_size": 11,
                                 "basis_size": 10, "shots": 400}))
     store = tmp_path / "store"
-    monkeypatch.setattr(module, objective, lambda *args: float("nan"))
+    monkeypatch.setattr(module, objective, stub)
     result = runner.invoke(main, [command, "--plan", str(plan),
                                   "--out", str(store)])
     assert result.exit_code == 3, result.output

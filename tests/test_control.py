@@ -59,8 +59,8 @@ from proctensor.simulator import (
 from proctensor.tomography import contract_fast, pair_qst_mle, qubit_bloch
 
 from helpers import (channel_from_unitary, decoupling_objective_via_steps,
-                     restoration_error_via_steps, synthesis_loss_via_steps,
-                     synthesis_predictions_via_steps)
+                     restoration_error_via_steps, synthesis_loss_oracle,
+                     synthesis_loss_via_steps, synthesis_predictions_via_steps)
 from test_golden import DECOUPLE_PLAN
 from test_qcore import random_density_matrix
 
@@ -319,13 +319,13 @@ def test_target_eta_validation():
 
 
 def test_qpt_identity_no_coupling(free_model):
-    ch = qpt(free_model, np.eye(2, dtype=complex))
+    ch = qpt(free_model, [np.eye(2, dtype=complex)])[0]
     assert np.allclose(ch.choi, channel_from_unitary(np.eye(2)).choi, atol=1e-9)
 
 
 def test_qpt_known_unitary(free_model):
     g = haar_unitary(2, np.random.default_rng(21))
-    ch = qpt(free_model, g)
+    ch = qpt(free_model, [g])[0]
     assert np.allclose(ch.choi, channel_from_unitary(g).choi, atol=1e-9)
 
 
@@ -345,13 +345,13 @@ def traced_channel_choi(model, gate):
 
 def test_qpt_matches_traced_channel(syn_model):
     g = u3_matrix(0.8, 1.9, 4.2)
-    ch = qpt(syn_model, g)
+    ch = qpt(syn_model, [g])[0]
     assert np.allclose(ch.choi, traced_channel_choi(syn_model, g), atol=1e-7)
 
 
 def test_qpt_sampled_is_physical_and_deterministic(syn_model):
-    a = qpt(syn_model, rotation_gate("Y", 1.0), shots=2000, master_seed=5)
-    b = qpt(syn_model, rotation_gate("Y", 1.0), shots=2000, master_seed=5)
+    a = qpt(syn_model, [rotation_gate("Y", 1.0)], shots=2000, master_seed=5)[0]
+    b = qpt(syn_model, [rotation_gate("Y", 1.0)], shots=2000, master_seed=5)[0]
     assert np.array_equal(a.choi, b.choi)
     evals = np.linalg.eigvalsh(a.choi)
     assert evals.min() > -1e-8
@@ -394,27 +394,94 @@ def test_loss_positive_for_unrealizable_target(free_pt):
 def test_synthesize_unitary_no_coupling_fidelity(free_model, free_pt):
     target = nonunitary_target(1.3, 0.0)
     res = synthesize_gate(free_pt, target, restarts=6, seed=0)
-    realized = qpt(free_model, res.gate)
+    realized = qpt(free_model, [res.gate])[0]
     assert process_fidelity(realized, target) >= 1.0 - 1e-6
 
 
 def test_synthesis_loss_matches_manual(syn_pt):
     x = np.array([0.4, 1.1, 2.7])
     kernel = synthesis_kernel(syn_pt, nonunitary_target(0.5, 0.2))
-    val = synthesis_loss(kernel, x)
+    val = synthesis_loss(kernel, [x])[0]
     assert val > 0.0
-    assert synthesis_loss(kernel, x) == val
+    assert synthesis_loss(kernel, [x])[0] == val
 
 
 def test_synthesis_loss_is_the_same_float_for_any_angle_sequence(syn_pt):
     kernel = synthesis_kernel(syn_pt, nonunitary_target(0.5, 0.2))
     for x in np.random.default_rng(7).uniform(-7.0, 7.0, size=(10, 3)):
-        want = np.float64(synthesis_loss(kernel, x)).tobytes()
+        want = np.float64(synthesis_loss(kernel, [x])[0]).tobytes()
         for angles in (x.tolist(), tuple(x.tolist()), list(x)):
-            assert np.float64(synthesis_loss(kernel, angles)).tobytes() == want
+            assert np.float64(synthesis_loss(kernel, [angles])[0]).tobytes() == want
     for bad in (math.inf, math.nan):
-        assert math.isnan(synthesis_loss(kernel, [0.4, bad, 2.7]))
-        assert math.isnan(synthesis_loss(kernel, (bad, 1.1, 2.7)))
+        assert math.isnan(synthesis_loss(kernel, [[0.4, bad, 2.7]])[0])
+        assert math.isnan(synthesis_loss(kernel, [(bad, 1.1, 2.7)])[0])
+
+
+@pytest.mark.parametrize("shots", [None, 1600])
+def test_synthesis_loss_lanes_equal_the_scalar_oracle(shots):
+    # every lane of one batched call must be the one-vector scalar loss,
+    # bit for bit, against its own target; at 1600 shots some predictions
+    # leave the Bloch ball and take the clip
+    syn = build_synthesis_tensor(synthesis_model(), generate_haar_basis(10, 0),
+                                 shots, 0)
+    etas = (0.0, 0.2, 0.5)
+    readout, blochs = synthesis_kernel(
+        syn, *[nonunitary_target(0.5, eta) for eta in etas])
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-7.0, 7.0, size=(30, 3))
+    lane_targets = [blochs[k % 3] for k in range(len(xs))]
+    got = synthesis_loss((readout, lane_targets), xs)
+    assert got.shape == (30,)
+    for k, x in enumerate(xs):
+        want = synthesis_loss_oracle((readout, [lane_targets[k]]), x)
+        assert np.float64(got[k]).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan],
+                         ids=["inf", "-inf", "nan"])
+def test_non_finite_angle_leaves_the_other_lanes_alone(syn_pt, bad):
+    kernel = synthesis_kernel(syn_pt, nonunitary_target(0.5, 0.2))
+    xs = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, size=(5, 3))
+    want = synthesis_loss((kernel[0], kernel[1] * 5), xs)
+    xs[2, 1] = bad
+    got = synthesis_loss((kernel[0], kernel[1] * 5), xs)
+    assert math.isnan(got[2]) and not np.isnan(want).any()
+    keep = [0, 1, 3, 4]
+    assert got[keep].tobytes() == want[keep].tobytes()
+
+
+def test_synthesis_sweep_equals_one_eta_sweeps(syn_model, syn_pt):
+    # the lockstep over every eta and the stacked QPT must give, per eta,
+    # the bits of a sweep over that eta alone with its own start stream
+    etas = [0.05, 0.25, 0.5]
+    joint = synthesis_sweep(syn_pt, syn_model, alpha=0.4, etas=etas,
+                            restarts=3, seed=4, maxiter=200)
+    for idx, (eta, got) in enumerate(zip(etas, joint, strict=True)):
+        want, = synthesis_sweep(syn_pt, syn_model, alpha=0.4, etas=[eta],
+                                restarts=3, seed=4 + idx, maxiter=200)
+        for name in ("eta", "target_unitarity", "loss", "process_fidelity",
+                     "realized_unitarity", "params"):
+            assert np.asarray(getattr(got, name)).tobytes() \
+                == np.asarray(getattr(want, name)).tobytes(), name
+
+
+def test_synthesis_sweep_raises_when_one_eta_is_all_nan(syn_model, syn_pt,
+                                                        monkeypatch):
+    # every lane of the middle eta ends on NaN, the other lanes do not: the
+    # sweep must fail as that eta's search alone does
+    real = control.synthesis_loss
+    nan_target = synthesis_kernel(syn_pt, nonunitary_target(0.4, 0.25))[1][0]
+
+    def nan_lanes(kernel, xs):
+        return np.where([t == nan_target for t in kernel[1]], np.nan,
+                        real(kernel, xs))
+
+    monkeypatch.setattr(control, "synthesis_loss", nan_lanes)
+    with pytest.raises(NumericalError, match="synthesis search failed"):
+        synthesis_sweep(syn_pt, syn_model, alpha=0.4, etas=[0.05, 0.25, 0.5],
+                        restarts=2, seed=0, maxiter=50)
+    assert synthesis_sweep(syn_pt, syn_model, alpha=0.4, etas=[0.05, 0.5],
+                           restarts=2, seed=0, maxiter=50)
 
 
 def test_synthesis_radial_clip_equals_step_oracle():
@@ -429,7 +496,7 @@ def test_synthesis_radial_clip_equals_step_oracle():
         preds = synthesis_predictions_via_steps(syn, x)
         clipped += any(np.linalg.norm(qubit_bloch(p / np.trace(p))) > 1.0
                        for p in preds)
-        assert abs(synthesis_loss(kernel, x)
+        assert abs(synthesis_loss(kernel, [x])[0]
                    - synthesis_loss_via_steps(syn, x, target)) <= 1e-12
     assert clipped > 0
 
@@ -441,7 +508,7 @@ def test_non_finite_gate_angle_gives_nan(syn_pt, dec_pt, bad, index):
     x = np.array([0.4, 1.1, 2.7])
     x[index] = bad
     kernel = synthesis_kernel(syn_pt, nonunitary_target(0.5, 0.2))
-    assert np.isnan(synthesis_loss(kernel, x))
+    assert np.isnan(synthesis_loss(kernel, [x])[0])
     dec_kernel = decoupling_kernel(dec_pt)
     assert np.isnan(decoupling_objective(dec_kernel, x))
     assert np.isnan(restoration_error(dec_kernel, x, DECOUPLING_ENV_REF))
@@ -472,6 +539,7 @@ def test_synthesis_sweep_records(syn_model, syn_pt):
         assert p.loss >= 0.0
     # far-from-realizable targets score worse
     assert pts[0].process_fidelity > pts[-1].process_fidelity
+    assert synthesis_sweep(syn_pt, syn_model, alpha=0.4, etas=[]) == []
 
 
 ANGLE = st.floats(-2.0 * np.pi, 4.0 * np.pi)
@@ -496,7 +564,7 @@ def test_objective_kernels_equal_step_oracles(pool_seed, pool, shots, target,
     env_ref = DECOUPLING_ENV_REF
     for x in angles:
         x = np.array(x)
-        assert abs(synthesis_loss(kernel, x)
+        assert abs(synthesis_loss(kernel, [x])[0]
                    - synthesis_loss_via_steps(syn, x, channel)) <= 1e-12
         gate = u3_matrix(*x)
         assert abs(decoupling_objective(dec_kernel, x)

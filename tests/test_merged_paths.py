@@ -56,8 +56,8 @@ def markov_channels():
 
 
 def qpt_channel():
-    ch = qpt(synthesis_model(), u3_matrix(0.3, 1.1, -0.4), shots=1600,
-             master_seed=3)
+    ch, = qpt(synthesis_model(), [u3_matrix(0.3, 1.1, -0.4)], shots=1600,
+              master_seed=3)
     return _complex_doc(ch.choi)
 
 
@@ -102,7 +102,7 @@ def objective_values():
                                  for x in GATE_ANGLES],
         "restoration_error": [restoration_error(dec, np.array(x), env_ref)
                               for x in GATE_ANGLES],
-        "synthesis_loss": [synthesis_loss(syn_kernel, np.array(x))
+        "synthesis_loss": [synthesis_loss(syn_kernel, np.array([x]))[0]
                            for x in GATE_ANGLES],
         "cmi_value": [cmi_value(mem_kernel, np.array(x))
                       for x in PROBE_ANGLES],

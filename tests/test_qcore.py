@@ -1,3 +1,4 @@
+import cmath
 import math
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from scipy import optimize
 
+from proctensor import control
 from proctensor.control import (build_decoupling_tensor, build_synthesis_tensor,
                                 decoupling_model, nonunitary_target,
                                 optimize_decoupling, synthesis_model,
@@ -30,6 +32,7 @@ from proctensor.qcore import (
     choi_to_superop,
     fidelity,
     ket_dm,
+    lockstep,
     multistart,
     mutual_information_state,
     negativity,
@@ -43,6 +46,7 @@ from proctensor.qcore import (
     rotation_gate,
     simplex_order,
     superop_to_choi,
+    u3_entries,
     u3_matrix,
     unitarity,
     von_neumann_entropy,
@@ -421,6 +425,19 @@ def test_simplex_order_equals_argsort(size, kind):
         assert simplex_order(f) == np.argsort(f).tolist()
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+def test_u3_entries_are_nan_where_an_angle_is_not_finite(bad):
+    # an infinite theta makes math.cos raise; it must give NaN instead
+    for index in range(3):
+        x = [0.4, 1.1, 2.7]
+        x[index] = bad
+        got = u3_entries(*x)
+        # theta enters all four entries, phi the second row, lam the second column
+        nan_at = [(0, 1, 2, 3), (2, 3), (1, 3)][index]
+        assert [cmath.isnan(e) for e in got] == [k in nan_at for k in range(4)]
+
+
 def test_nelder_mead_stops_as_scipy_on_maxiter_and_tolerance():
     bowl = _synthetic_objective("bowl", np.array([0.3, -0.2, 0.1]))
     capped = _assert_same_search(bowl, np.zeros(3), {"maxiter": 10})
@@ -438,14 +455,67 @@ def test_nelder_mead_stops_as_scipy_on_maxiter_and_tolerance():
     assert np.isnan(partial.fun) and partial.x.tolist() == [0.0, 0.0, 0.0]
 
 
+def _lane_objective(kind, centre, scale):
+    # a synthetic objective per lane: lanes differ in shape, scale and
+    # NaN regions, so they finish at different steps
+    fun = _synthetic_objective(kind, centre)
+    return lambda x: scale * fun(x)
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.sampled_from([3, 9]),
+       lanes=st.integers(1, 7), maxiter=st.sampled_from([2, 15, 400]),
+       xatol=st.sampled_from([1e-2, 1e-6]), fatol=st.sampled_from([1e-2, 1e-8]))
+def test_lockstep_lanes_equal_one_lane_runs(data, n, lanes, maxiter, xatol,
+                                            fatol):
+    # each lane must be the nelder_mead run of its own objective, bit for
+    # bit, whatever the other lanes do and whenever they finish
+    entry = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    kind = st.sampled_from(["bowl", "plateau", "floor", "nan_region", "all_nan"])
+    starts, funs = [], []
+    for _ in range(lanes):
+        starts.append(np.array(data.draw(st.lists(entry, min_size=n,
+                                                  max_size=n))))
+        centre = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n,
+                                             max_size=n)))
+        funs.append(_lane_objective(data.draw(kind), centre,
+                                    data.draw(st.sampled_from([1.0, 1e-3]))))
+    calls = []
+
+    def batch(xs, live):
+        assert xs.shape == (len(live), n) and live == sorted(live)
+        calls.append(len(live))
+        return [funs[lane](x) for lane, x in zip(live, xs)]
+
+    options = {"maxiter": maxiter, "xatol": xatol, "fatol": fatol}
+    runs = lockstep(batch, starts, **options)
+    assert len(runs) == lanes and calls[0] == lanes
+    for x0, fun, got in zip(starts, funs, runs):
+        want = nelder_mead(fun, x0, **options)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+        assert (got.nit, got.nfev, got.success, got.status) \
+            == (want.nit, want.nfev, want.success, want.status)
+    # one call per round, each lane in the calls until its last evaluation
+    assert sum(calls) == sum(res.nfev for res in runs)
+    assert len(calls) == max(res.nfev for res in runs)
+
+
+def test_lockstep_of_no_starts_is_empty():
+    assert lockstep(lambda xs, lanes: [], [], maxiter=10) == []
+
+
 def _stub_run(funs):
-    """A search that returns the next of ``funs`` at its start and records
-    every start it was given."""
+    """A search that returns the next of ``funs`` at each start, all starts
+    in one call, and records the starts it was given."""
     starts = []
 
-    def run(x0):
-        starts.append(np.array(x0))
-        return optimize.OptimizeResult(x=np.array(x0), fun=funs[len(starts) - 1])
+    def run(batch):
+        first = len(starts)
+        starts.extend(np.array(x0) for x0 in batch)
+        return [optimize.OptimizeResult(x=np.array(x0), fun=funs[first + r])
+                for r, x0 in enumerate(batch)]
 
     return run, starts
 
@@ -453,7 +523,7 @@ def _stub_run(funs):
 def test_multistart_runs_the_start_then_uniform_draws_in_order():
     run, starts = _stub_run([2.0, math.nan, 1.0, math.nan, 1.0])
     start = np.array([0.1, 0.2, 0.3, 0.4])
-    runs = multistart(run, start, np.random.default_rng(7), 5, "stub")
+    runs, = multistart(run, start, [np.random.default_rng(7)], 5, "stub")
     draws = np.random.default_rng(7)
     want = [start] + [draws.uniform(0.0, 2.0 * np.pi, size=4) for _ in range(4)]
     assert len(starts) == 5
@@ -464,11 +534,26 @@ def test_multistart_runs_the_start_then_uniform_draws_in_order():
     assert [res.x.tolist() for res in runs] == [want[i].tolist() for i in (0, 2, 4)]
 
 
+def test_multistart_groups_draw_from_their_own_generators():
+    # one call runs every group's starts, group by group; each group keeps
+    # its own non-NaN results in start order
+    run, starts = _stub_run([3.0, math.nan, 1.0, math.nan, 2.0, 0.5])
+    start = np.zeros(2)
+    groups = multistart(run, start, [np.random.default_rng(1),
+                                     np.random.default_rng(2)], 3, "stub")
+    want = [x0 for seed in (1, 2) for rng in [np.random.default_rng(seed)]
+            for x0 in [start] + [rng.uniform(0.0, 2.0 * np.pi, size=2)
+                                 for _ in range(2)]]
+    assert [x0.tolist() for x0 in starts] == [x0.tolist() for x0 in want]
+    assert [[res.fun for res in runs] for runs in groups] == [[3.0, 1.0],
+                                                             [2.0, 0.5]]
+
+
 @pytest.mark.parametrize("restarts", [1, 0, -3])
 def test_multistart_runs_at_least_once(restarts):
     run, starts = _stub_run([0.5])
     rng = np.random.default_rng(7)
-    runs = multistart(run, np.zeros(3), rng, restarts, "stub")
+    runs, = multistart(run, np.zeros(3), [rng], restarts, "stub")
     assert [res.fun for res in runs] == [0.5] and len(starts) == 1
     # no start was drawn
     assert rng.uniform() == np.random.default_rng(7).uniform()
@@ -477,8 +562,14 @@ def test_multistart_runs_at_least_once(restarts):
 def test_multistart_raises_when_every_run_is_nan():
     run, starts = _stub_run([math.nan] * 3)
     with pytest.raises(NumericalError, match="stub search failed on every restart"):
-        multistart(run, np.zeros(3), np.random.default_rng(7), 3, "stub")
+        multistart(run, np.zeros(3), [np.random.default_rng(7)], 3, "stub")
     assert len(starts) == 3
+    # one group of NaN runs fails the call, whatever the other groups hold
+    run, starts = _stub_run([1.0, 2.0, math.nan, math.nan])
+    with pytest.raises(NumericalError, match="stub search failed"):
+        multistart(run, np.zeros(3), [np.random.default_rng(7),
+                                      np.random.default_rng(8)], 2, "stub")
+    assert len(starts) == 4
 
 
 @pytest.fixture(scope="module")
@@ -506,7 +597,8 @@ def quickstart_tensors():
 def test_program_searches_equal_scipy(quickstart_tensors, search, plan_seed,
                                       eta):
     # every search the program makes, with its own objective, starts and
-    # options, must return what scipy's Nelder-Mead returns
+    # options, must return what scipy's Nelder-Mead returns; every lane of a
+    # lockstep search, on that lane's one-row objective
     standard, decouple, synthesis, alpha = quickstart_tensors
     minimize, searches = optimize.minimize, []
 
@@ -516,8 +608,16 @@ def test_program_searches_equal_scipy(quickstart_tensors, search, plan_seed,
         searches.append((fun, np.array(x0), options, res))
         return res
 
+    def recording_lockstep(batch_fun, starts, **options):
+        runs = lockstep(batch_fun, starts, **options)
+        for lane, (x0, res) in enumerate(zip(starts, runs, strict=True)):
+            searches.append((lambda x, lane=lane: batch_fun(x[None], [lane])[0],
+                             np.array(x0), options, res))
+        return runs
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "minimize", recording)
+        mp.setattr(control, "lockstep", recording_lockstep)
         if search == "memory":
             for placements in barrier_placements(standard.steps):
                 maximize_cmi(standard, placements, restarts=2, seed=plan_seed)

@@ -232,13 +232,15 @@ def test_experiment_layouts_equal_per_sequence_oracle(pool, pool_seed, shots,
             seq = (p.gate, u)
             want = estimate(syn, seq, i * pool + nu)
             assert np.array_equal(bits(got[i, nu]), bits(want))
-    # gate process tomography: four preparations x one gate
-    gate = basis.unitaries[0]
-    outputs = [estimate(syn, (p.gate, gate), i)
-               for i, p in enumerate(preps)]
-    assert np.array_equal(bits(qpt(syn, gate, shots, master_seed).choi),
-                          bits(channel_from_prep_outputs(
-                              np.array(outputs)[None])[0].choi))
+    # gate process tomography: four preparations x a stack of two gates,
+    # preparation i and gate j on record 2 i + j
+    gates = basis.unitaries[:2]
+    outputs = [[estimate(syn, (p.gate, g), 2 * i + j)
+                for i, p in enumerate(preps)] for j, g in enumerate(gates)]
+    for got, want in zip(qpt(syn, gates, shots, master_seed),
+                         channel_from_prep_outputs(np.array(outputs)),
+                         strict=True):
+        assert np.array_equal(bits(got.choi), bits(want.choi))
     # Markov step channels: single-interval sub-model, gate g and
     # preparation p on record record_base + 4 g + p
     model = make_model(exchange_khz=exchange_khz, env_init="plus")

@@ -265,6 +265,19 @@ def test_barrier_coefficients_are_pauli_mixture(pool_seed, size):
     assert np.allclose(direct, mixture, rtol=0.0, atol=1e-12)
 
 
+def test_repeated_slots_share_one_dual_set():
+    # the standard tensor's two pool slots are one slot object: its duals
+    # are built once, and they are the bits a fresh build gives
+    basis = generate_haar_basis(14, 3)
+    states = np.broadcast_to(np.eye(2) / 2, (4, 14, 14, 2, 2))
+    pt = build_standard_tensor(states, basis, 12)
+    assert pt.duals[1] is pt.duals[2] and pt.duals[0] is not pt.duals[1]
+    for slot, duals in zip(pt.slots, pt.duals):
+        fresh = build_duals(slot.forms, required_rank=slot.required_rank)
+        assert duals.rank == fresh.rank
+        assert duals.duals.tobytes() == fresh.duals.tobytes()
+
+
 @seed(20201001)
 @settings(max_examples=15, deadline=None)
 @given(pool_seed=st.integers(0, 2**32 - 1), size=st.integers(10, 28),
