@@ -92,10 +92,26 @@ def mle_project(rho: np.ndarray) -> np.ndarray:
     Rescales the trace to one, then walks the spectrum from the smallest
     eigenvalue: negative eigenvalues are zeroed and their weight spread
     uniformly over the rest, which reproduces the trace-constrained
-    least-squares projection.
+    least-squares projection. One matrix walks its spectrum on Python
+    floats, where the array walk would cost more than its ``eigh``, with
+    the stacked walk's arithmetic, bit for bit.
     """
     rho = np.asarray(rho, dtype=complex)
     tr = rho.trace(axis1=-2, axis2=-1)
+    if rho.ndim == 2:
+        if abs(tr) < 1e-12:
+            raise PhysicalityError("cannot project a traceless matrix")
+        evals, vecs = np.linalg.eigh(rho / tr)
+        e = evals.tolist()
+        d, acc, mu = len(e), 0.0, [0.0] * len(e)
+        for t in range(d):
+            cand = acc / (d - t)
+            if not e[t] + cand < 0:
+                mu = [0.0] * t + [x + cand for x in e[t:]]
+                break
+            acc += e[t]
+        mu, vecs = np.array(mu[::-1]), vecs[:, ::-1]
+        return (vecs * mu) @ vecs.conj().T
     traceless = np.abs(tr) < 1e-12
     if traceless.any():
         raise PhysicalityError(f"cannot project a traceless matrix"

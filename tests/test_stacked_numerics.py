@@ -123,6 +123,51 @@ def test_mle_project_equals_per_matrix_walk(d, shape, kinds, signed_zeros,
         assert np.array_equal(bits(mle_project(rho[idx])), bits(want)), idx
 
 
+def _outcome(project, rho):
+    """The projection's raw bytes, or the type and message it raised."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return project(rho).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from([2, 4]),
+       kind=st.sampled_from(["indefinite", "pure", "diagonal", "real"]),
+       signed_zeros=st.booleans(),
+       nonfinite=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+       draw_seed=st.integers(0, 2**32 - 1))
+def test_mle_project_one_matrix_equals_stack_of_one(d, kind, signed_zeros,
+                                                    nonfinite, draw_seed):
+    # one matrix walks its spectrum on Python floats, a stack on arrays;
+    # both must give the same bytes, sign of zero and NaN included
+    rng = rng_stream(draw_seed, 2)
+    rho = _matrix(rng, d, "indefinite" if kind == "real" else kind)
+    if signed_zeros:
+        rho = _with_signed_zeros(rng, rho)
+    if kind == "real":  # a float array, which mle_project makes complex
+        rho = rho.real.copy()
+    if nonfinite is not None:
+        rho[rng.integers(d), rng.integers(d)] = nonfinite
+    assert _outcome(mle_project, rho) == \
+        _outcome(lambda m: mle_project(m[None])[0], rho)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_mle_project_traceless_raises_alike_alone_and_stacked(d):
+    rho = np.diag([0.5, -0.5, 0.25, -0.25][:d]).astype(complex)
+    for m in (rho, _with_signed_zeros(rng_stream(0, 3), rho)):
+        with pytest.raises(PhysicalityError) as alone:
+            mle_project(m)
+        with pytest.raises(PhysicalityError) as stacked:
+            mle_project(m[None])
+        assert str(alone.value) == "cannot project a traceless matrix"
+        # the stack's message names the offending index, and only that
+        assert str(stacked.value) == str(alone.value) + " (0,)"
+
+
 @seed(20261019)
 @settings(max_examples=150, deadline=None)
 @given(**stacks)
