@@ -378,13 +378,6 @@ def synthesize_gates(pt: ProcessTensor, targets: list[QuantumChannel],
     return [SynthesisResult(params=b.x, loss=float(b.fun)) for b in bests]
 
 
-def synthesize_gate(pt: ProcessTensor, target: QuantumChannel,
-                    restarts: int = 20, seed: int = 0,
-                    maxiter: int = 400) -> SynthesisResult:
-    """Tune the gate so the tensor's predictions reproduce the target."""
-    return synthesize_gates(pt, [target], restarts, seed, maxiter)[0]
-
-
 def qpt(model: SEModel, gates: np.ndarray, shots: int | None = None,
         master_seed: int = 0) -> list[QuantumChannel]:
     """Process tomography of the embedded gate layout, one channel per gate.

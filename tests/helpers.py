@@ -15,7 +15,8 @@ from proctensor.qcore import (EIG_CLAMP_TOL, ID2, KET0, PAULI_MINUS, PAULI_PLUS,
                               choi_to_superop, ket_dm, partial_trace,
                               purity, superop_to_choi, u3_entries, u3_matrix,
                               unitary_choi)
-from proctensor.simulator import AXES, PAIR_SETTINGS, rng_stream, simulate_grid
+from proctensor.simulator import (AXES, PAIR_SETTINGS, khz_to_rad_per_ns,
+                                  rng_stream, simulate_grid)
 from proctensor import tomography
 from proctensor.tomography import (CI_ALPHA, _states_from_probs,
                                    build_standard_tensor, contract_fast,
@@ -458,6 +459,14 @@ def pauli_transfer_matrix_oracle(ch):
 # ---------------------------------------------------------------------------
 # Small constructions only the tests use
 # ---------------------------------------------------------------------------
+
+def exchange_zz_hamiltonian(exchange_khz, zz_khz):
+    """The coupling ``g (XX + YY)/2 + zeta ZZ/2`` in rad/ns, whose
+    ``expm(-1j H t)`` checks the closed-form interval propagator."""
+    g, z = khz_to_rad_per_ns(exchange_khz), khz_to_rad_per_ns(zz_khz)
+    xx, yy, zz = (np.kron(PAULIS[p], PAULIS[p]) for p in "XYZ")
+    return g * (xx + yy) / 2.0 + z * zz / 2.0
+
 
 def channel_from_unitary(u):
     u = check_unitary(u, tol=1e-9, name="gate")

@@ -30,7 +30,7 @@ from proctensor.control import (
     simulate_trajectory,
     synthesis_model,
     synthesis_sweep,
-    synthesize_gate,
+    synthesize_gates,
     synthesis_kernel,
     synthesis_loss,
 )
@@ -381,19 +381,19 @@ def test_synthesis_layout_guard(basis24):
 def test_loss_zero_for_realizable_target(free_pt):
     # no coupling: the layout realizes exactly the unitaries
     target = nonunitary_target(0.7, 0.0)
-    res = synthesize_gate(free_pt, target, restarts=4, seed=0)
+    res = synthesize_gates(free_pt, [target], restarts=4, seed=0)[0]
     assert res.loss < 1e-6
 
 
 def test_loss_positive_for_unrealizable_target(free_pt):
     target = nonunitary_target(0.7, 0.3)
-    res = synthesize_gate(free_pt, target, restarts=4, seed=0)
+    res = synthesize_gates(free_pt, [target], restarts=4, seed=0)[0]
     assert res.loss > 0.1
 
 
 def test_synthesize_unitary_no_coupling_fidelity(free_model, free_pt):
     target = nonunitary_target(1.3, 0.0)
-    res = synthesize_gate(free_pt, target, restarts=6, seed=0)
+    res = synthesize_gates(free_pt, [target], restarts=6, seed=0)[0]
     realized = qpt(free_model, [res.gate])[0]
     assert process_fidelity(realized, target) >= 1.0 - 1e-6
 
@@ -523,8 +523,8 @@ def test_optimize_decoupling_raises_when_every_start_is_nan(dec_pt):
 def test_synthesize_gate_raises_when_every_start_is_nan(syn_pt):
     nan_tensor = replace(syn_pt, states=np.full_like(syn_pt.states, np.nan))
     with pytest.raises(NumericalError, match="every restart"):
-        synthesize_gate(nan_tensor, nonunitary_target(0.5, 0.2), restarts=2,
-                        seed=0, maxiter=20)
+        synthesize_gates(nan_tensor, [nonunitary_target(0.5, 0.2)],
+                         restarts=2, seed=0, maxiter=20)
 
 
 def test_synthesis_sweep_records(syn_model, syn_pt):

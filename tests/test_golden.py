@@ -96,9 +96,9 @@ MEMORY_SYNTHESIS_PLAN = {"name": "ms", "pool_size": 11, "basis_size": 10,
     (lambda: plan_from_dict(MARKOV_PLAN),
      "88d25ef1f60a72304b10ebda152e446578f665209ebc2b5ededc755414f8459a"),
     (lambda: plan_from_dict(DECOUPLE_PLAN),
-     "5b2cb0d5f7c1d599ad1f8f13bb9835fb6835583d8f8548626e879fa9538ea798"),
+     "3174b552da801b5d8cdc85fddb84163f1c364ca39fad6083d469f539e4e507b4"),
     (lambda: plan_from_dict(MEMORY_SYNTHESIS_PLAN),
-     "ca6acf4ce53c200e0575244a3bf7109764bb900982e0171fe88d94b9ea56bc83"),
+     "92dbbe1abe7a3be702f7d38f4705c3b2fd7db0abe6775a1dec09629c8d9fd97f"),
 ], ids=["quickstart", "markov", "decouple", "memory_synthesize"])
 def test_quickstart_store_fingerprint_is_pinned(tmp_path, plan_of, fingerprint):
     # the whole store of the plan, every payload bit included

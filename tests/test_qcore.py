@@ -11,7 +11,7 @@ from proctensor import control
 from proctensor.control import (build_decoupling_tensor, build_synthesis_tensor,
                                 decoupling_model, nonunitary_target,
                                 optimize_decoupling, synthesis_model,
-                                synthesize_gate)
+                                synthesize_gates)
 from proctensor.harness import ALPHA_RANGE, load_plan
 from proctensor.memory import barrier_placements, maximize_cmi
 from proctensor.qcore import (
@@ -624,8 +624,8 @@ def test_program_searches_equal_scipy(quickstart_tensors, search, plan_seed,
         elif search == "decouple":
             optimize_decoupling(decouple, restarts=3, seed=plan_seed)
         else:
-            synthesize_gate(synthesis, nonunitary_target(alpha, eta),
-                            restarts=3, seed=plan_seed)
+            synthesize_gates(synthesis, [nonunitary_target(alpha, eta)],
+                             restarts=3, seed=plan_seed)
     assert searches
     for fun, x0, options, got in searches:
         _assert_same_search(fun, x0, options, got)

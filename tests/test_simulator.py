@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
+from scipy.linalg import expm
 
 from proctensor.basis import generate_haar_basis, standard_preparations
 from proctensor.control import (build_decoupling_tensor,
@@ -12,6 +13,7 @@ from proctensor.qcore import (
     ID2,
     KET0,
     PAULI_X,
+    UNITARY_TOL,
     apply_channel,
     channel_from_kraus,
     ket_dm,
@@ -40,7 +42,7 @@ from proctensor.simulator import (
 from proctensor.tomography import (channel_from_prep_outputs, qst_mle,
                                    standard_slots)
 
-from helpers import (SWAP2, draw_counts_oracle,
+from helpers import (SWAP2, draw_counts_oracle, exchange_zz_hamiltonian,
                      draw_pair_counts_oracle, experiment_oracle,
                      joint_state_oracle, measure_joint_state_oracle,
                      pair_expectations_exact, pair_probs_oracle, qst_oracle,
@@ -456,5 +458,21 @@ def test_model_validation_errors():
 def test_interval_propagator_is_unitary():
     u = interval_propagator(50.0, 30.0, 144.0)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-    # computed once per key and shared, so it is read-only
-    assert interval_propagator(50, 30, 144) is u and not u.flags.writeable
+
+
+@pytest.mark.parametrize("exchange_khz, zz_khz", [
+    (50.0, 30.0), (0.0, 30.0), (50.0, 0.0), (0.0, 0.0), (120.0, 45.0)])
+def test_interval_propagator_equals_expm(exchange_khz, zz_khz):
+    h = exchange_zz_hamiltonian(exchange_khz, zz_khz)
+    for t in (144.0, 256.0, 500.0, 800.0, 2500.0):
+        u = interval_propagator(exchange_khz, zz_khz, t)
+        assert np.max(np.abs(u - expm(-1j * h * t))) <= 1e-15, t
+
+
+@pytest.mark.parametrize("exchange_khz, duration_ns", [
+    (3e10, 256.0), (3e9, 800.0), (1e10, 500.0), (50.0, 1e12), (50.0, 1e200)])
+def test_interval_propagator_is_unitary_at_large_phases(exchange_khz,
+                                                        duration_ns):
+    # a matrix exponential drifts from unitarity at these phases
+    u = interval_propagator(exchange_khz, 30.0, duration_ns)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= UNITARY_TOL
