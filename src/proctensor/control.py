@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
+from . import qcore as optimize  # bench/tracer.py counts searches by this name
 from .basis import ControlBasis, standard_preparations
 from .qcore import (
     ID2,
@@ -35,10 +35,8 @@ from .qcore import (
     apply_channel,
     channel_from_kraus,
     lockstep,
-    multistart,
     mutual_information_state,
     negativity,
-    nelder_mead,
     partial_trace,
     process_fidelity,
     purity,
@@ -190,16 +188,15 @@ def optimize_decoupling(pt: ProcessTensor, restarts: int = 20, seed: int = 0,
         loss, restoration = _decoupling_losses(kernel, x, DECOUPLING_ENV_REF)
         return 1e3 * loss + restoration
 
-    candidates, = multistart(lambda starts: [
-        optimize.minimize(objective, x0, method=nelder_mead, options={
-            "maxiter": maxiter, "xatol": 1e-6, "fatol": 1e-8}) for x0 in starts],
+    candidates, = optimize.multistart(lambda starts: [
+        optimize.minimize(objective, x0, maxiter=maxiter, xatol=1e-6,
+                          fatol=1e-8) for x0 in starts],
         np.zeros(3), [rng_stream(seed, 303)], restarts, "decoupling")
     best = min(candidates, key=lambda res: res.fun)
     best_f, best_x = float(best.fun), best.x
 
-    polished = [optimize.minimize(polish, res.x, method=nelder_mead,
-                                  options={"maxiter": maxiter, "xatol": 1e-6,
-                                           "fatol": 1e-10}).x
+    polished = [optimize.minimize(polish, res.x, maxiter=maxiter, xatol=1e-6,
+                                  fatol=1e-10).x
                 for res in candidates if res.fun <= best_f + TIE_TOL]
     scored = [(*_decoupling_losses(kernel, x, DECOUPLING_ENV_REF), x)
               for x in polished]
@@ -365,15 +362,14 @@ def synthesize_gates(pt: ProcessTensor, targets: list[QuantumChannel],
     its starts from stream ``seed + idx``."""
     readout, blochs = synthesis_kernel(pt, *targets)
 
-    def search(starts: list[np.ndarray]) -> list[optimize.OptimizeResult]:
+    def search(starts: list[np.ndarray]) -> list[optimize.SearchResult]:
         each = len(starts) // len(blochs)  # target k's starts are consecutive
         return lockstep(lambda xs, lanes: synthesis_loss(
             (readout, [blochs[k // each] for k in lanes]), xs),
             starts, maxiter=maxiter, xatol=1e-6, fatol=1e-8)
 
-    groups = multistart(search, np.zeros(3), [rng_stream(seed + idx, 505)
-                                              for idx in range(len(blochs))],
-                        restarts, "synthesis")
+    rngs = [rng_stream(seed + idx, 505) for idx in range(len(blochs))]
+    groups = optimize.multistart(search, np.zeros(3), rngs, restarts, "synthesis")
     bests = [min(runs, key=lambda res: res.fun) for runs in groups]  # first minima
     return [SynthesisResult(params=b.x, loss=float(b.fun)) for b in bests]
 

@@ -41,8 +41,8 @@ from .markov import bootstrap_median_ci, characterize as characterize_markov, \
     compare_with_tensor
 from .memory import barrier_placements, bootstrap_cmi, maximize_cmi
 from .qcore import NumericalError
-from .simulator import AXES, SEModel, make_model, rng_stream, \
-    simulate_experiment
+from .simulator import AXES, SEModel, khz_to_rad_per_ns, make_model, \
+    rng_stream, simulate_experiment
 from .tomography import (
     STANDARD_STEPS,
     bootstrap_ci,
@@ -193,9 +193,15 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
     except NumericalError:
         raise  # a failed physicality guard is a numerical failure, not input
     except ValueError as err:
-        raise ConfigError(f"duration_ns: duration_ns * idle_scale = "
-                          f"{plan.duration_ns * plan.idle_scale:g} ns gives no "
-                          f"unitary interval propagator ({err})") from err
+        t = plan.duration_ns * plan.idle_scale
+        # blame a coupling whose phase 2pi * kHz * 1e-6 * t overflows a finite t
+        for path in ("exchange_khz", "zz_khz"):
+            _require(not math.isfinite(t) or math.isfinite(
+                khz_to_rad_per_ns(getattr(plan, path)) * t), path,
+                f"{getattr(plan, path):g} kHz over {t:g} ns overflows the "
+                f"coupling phase ({err})")
+        raise ConfigError(f"duration_ns: duration_ns * idle_scale = {t:g} ns "
+                          f"gives no unitary interval propagator ({err})") from err
     if "evaluate" in plan.stages:
         _require(plan.basis_size < plan.pool_size, "basis_size",
                  "must be smaller than pool_size for a held-out evaluation")

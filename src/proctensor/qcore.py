@@ -22,7 +22,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeResult
 
 # Shared numerical tolerances. Fixed here, not per call site.
 HERMITIAN_TOL = 1e-9
@@ -384,6 +383,16 @@ def simplex_order(fsim: list[float]) -> list[int]:
         else np.argsort(fsim).tolist()
 
 
+@dataclass(frozen=True)
+class SearchResult:
+    """Best vertex, its value (NaN if any vertex's is), counts, convergence."""
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
 def _nelder_mead_search(x0, maxiter: int, xatol: float, fatol: float):
     """One Nelder-Mead run as a coroutine: yields each vertex (a float list),
     is sent its value and returns the result."""
@@ -395,7 +404,7 @@ def _nelder_mead_search(x0, maxiter: int, xatol: float, fatol: float):
     for x in sim:
         fsim.append((yield x))
     nfev, nit = n + 1, 1
-    for _ in range(2):  # scipy sorts twice before the first step
+    for _ in range(2):  # SciPy sorts twice before the first step
         order = simplex_order(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     while nit < maxiter:
@@ -433,34 +442,28 @@ def _nelder_mead_search(x0, maxiter: int, xatol: float, fatol: float):
         nit += 1
         order = simplex_order(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    status = 2 if nit >= maxiter else 0
-    return OptimizeResult(
-        x=np.array(sim[0]), fun=np.min(fsim), nit=nit, nfev=nfev,
-        status=status, success=status == 0,
-        message=("Maximum number of iterations has been exceeded." if status
-                 else "Optimization terminated successfully."))
+    return SearchResult(x=np.array(sim[0]), fun=np.min(fsim), nit=nit,
+                        nfev=nfev, success=nit < maxiter)
 
 
-def nelder_mead(fun, x0, args=(), *, maxiter: int, xatol: float = 1e-4,
-                fatol: float = 1e-4, **_) -> OptimizeResult:
-    """scipy 1.17's Nelder-Mead (non-adaptive, unbounded, no ``maxfev``) on
-    float lists, with scipy's iterates and result bit for bit: the same steps
-    and comparisons (a NaN falls through alike), the centroid summed row by
-    row as ``np.add.reduce`` does, float64 array arguments, and the simplex
-    ordered as ``np.argsort`` orders it: by ``sorted`` when the values are
-    distinct and not NaN, else by ``np.argsort`` (``simplex_order``)."""
+def minimize(fun, x0, *, maxiter: int, xatol: float = 1e-4,
+             fatol: float = 1e-4) -> SearchResult:
+    """SciPy 1.17's Nelder-Mead (non-adaptive, unbounded, no ``maxfev``) on
+    float lists, bit for bit: the same steps and comparisons (a NaN falls
+    through alike), the centroid summed as ``np.add.reduce`` does, float64
+    arguments and ``np.argsort``'s simplex order (``simplex_order``)."""
     search = _nelder_mead_search(x0, maxiter, xatol, fatol)
     x = next(search)
     try:
         while True:
-            x = search.send(float(fun(np.array(x), *args)))
+            x = search.send(float(fun(np.array(x))))
     except StopIteration as done:
         return done.value
 
 
 def lockstep(batch_fun, starts, *, maxiter: int, xatol: float = 1e-4,
-             fatol: float = 1e-4) -> list[OptimizeResult]:
-    """One ``nelder_mead`` run per start, stepped together: each round calls
+             fatol: float = 1e-4) -> list[SearchResult]:
+    """One ``minimize`` run per start, stepped together: each round calls
     ``batch_fun(xs, lanes)`` once, one row of ``xs`` per live run (its lane, an
     index into ``starts``), for one value per row; a finished run drops out."""
     searches = [_nelder_mead_search(x0, maxiter, xatol, fatol) for x0 in starts]
@@ -479,7 +482,7 @@ def lockstep(batch_fun, starts, *, maxiter: int, xatol: float = 1e-4,
 
 
 def multistart(run, start: np.ndarray, rngs: list[np.random.Generator],
-               restarts: int, name: str) -> list[list[OptimizeResult]]:
+               restarts: int, name: str) -> list[list[SearchResult]]:
     """Per generator of ``rngs`` a group of starts, ``start`` then ``restarts
     - 1`` uniform on [0, 2pi), all run by one ``run(starts)``: each group's
     non-NaN results in start order, or ``NumericalError`` if there are none."""

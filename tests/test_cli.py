@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 from pathlib import Path
 
@@ -86,12 +89,15 @@ def test_bad_shots_override(runner, tmp_path):
     ({"zz_khz": float("nan")}, []),
     ({"duration_ns": 10 ** 400}, []),
     ({"duration_ns": 1e200, "idle_scale": 1e200}, []),
+    ({"exchange_khz": 1e308}, []),
+    ({"zz_khz": 1e308}, []),
     ({"shots": 10 ** 20}, []),
     ({}, ["--shots", str(2 ** 63)]),
 ], ids=["master-seed", "pool-seed", "seed-override", "shots-override",
         "duration-inf", "duration-minus-inf", "exchange-inf", "zz-inf",
         "idle-scale-inf", "zz-nan", "duration-huge-int", "interval-overflows",
-        "shots-beyond-int64", "shots-override-beyond-int64"])
+        "exchange-overflows", "zz-overflows", "shots-beyond-int64",
+        "shots-override-beyond-int64"])
 def test_invalid_seed_or_number_exits_2(runner, tmp_path, fields, extra):
     # json writes inf and nan as Infinity and NaN, which json.loads accepts;
     # numpy's samplers take int64 shots, and a phase that overflows gives
@@ -106,6 +112,37 @@ def test_invalid_seed_or_number_exits_2(runner, tmp_path, fields, extra):
     assert result.exit_code == 2, result.output
     assert result.output.startswith("config error: ")
     assert not (store / "records.jsonl").exists()
+
+
+_SCIPY_FREE_RUN = """
+import json, sys
+import proctensor.cli
+from proctensor import harness
+harness.OPTIMIZER_RESTARTS = 1  # as the benchmark's optimiser workloads do
+plan, out = sys.argv[1:]
+proctensor.cli.main(["run-plan", "--plan", plan, "--out", out],
+                    standalone_mode=False)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_no_stage_imports_scipy(tmp_path):
+    # pytest has already loaded scipy, so the run needs a fresh interpreter
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "name": "scipy-free", "pool_size": 11, "basis_size": 10,
+        "shots": 64, "resamples": 2, "master_seed": 5,
+        "stages": ["characterize", "evaluate", "memory", "markov",
+                   "decouple", "synthesize"]}))
+    src = Path(__file__).parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN, str(plan), str(tmp_path / "s")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))})
+    assert done.returncode == 0, done.stderr
+    assert "synthesize: 1 records appended" in done.stdout
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_generate_basis_rejects_negative_seed(runner, tmp_path):

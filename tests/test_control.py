@@ -220,14 +220,14 @@ def test_every_polish_converges_on_the_decouple_plan(monkeypatch):
 
     def recording(fun, x0, **kwargs):
         res = minimize(fun, x0, **kwargs)
-        if kwargs["options"]["fatol"] == 1e-10:  # the polish stage
+        if kwargs["fatol"] == 1e-10:  # the polish stage
             polished.append(res)
         return res
 
     monkeypatch.setattr(control.optimize, "minimize", recording)
     optimize_decoupling(pt, restarts=OPTIMIZER_RESTARTS, seed=plan.master_seed)
     assert polished
-    assert all(res.success for res in polished), [res.message for res in polished]
+    assert all(res.success for res in polished), [res.nit for res in polished]
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,11 @@ QUICKSTART = Path(__file__).parents[1] / "plans" / "quickstart.json"
     ({"name": "x", "resamples": 1}, "resamples"),
     ({"name": "x", "stages": "evaluate"}, "stages"),
     ({"name": "x", "stages": ["characterize", "flobber"]}, "stages[1]"),
+    # finite couplings whose phase 2pi * kHz overflows name their own field,
+    # and an interval time that overflows names duration_ns
+    ({"name": "x", "exchange_khz": 1e308}, "exchange_khz"),
+    ({"name": "x", "zz_khz": 1e308}, "zz_khz"),
+    ({"name": "x", "duration_ns": 1e200, "idle_scale": 1e200}, "duration_ns"),
 ])
 def test_plan_rejects_bad_fields(raw, fragment):
     with pytest.raises(ConfigError) as err:

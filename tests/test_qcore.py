@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from scipy import optimize
 
-from proctensor import control
+from proctensor import control, qcore
 from proctensor.control import (build_decoupling_tensor, build_synthesis_tensor,
                                 decoupling_model, nonunitary_target,
                                 optimize_decoupling, synthesis_model,
@@ -25,6 +25,7 @@ from proctensor.qcore import (
     PAULIS,
     NumericalError,
     QuantumChannel,
+    SearchResult,
     apply_channel,
     channel_from_kraus,
     check_density_matrix,
@@ -36,7 +37,6 @@ from proctensor.qcore import (
     multistart,
     mutual_information_state,
     negativity,
-    nelder_mead,
     partial_trace,
     pauli_transfer_matrix,
     process_fidelity,
@@ -364,11 +364,12 @@ def _assert_same_search(fun, x0, options, got=None):
     # scipy's Nelder-Mead is the oracle; equal bytes, so NaN and -0.0 count
     want = optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
     if got is None:
-        got = optimize.minimize(fun, x0, method=nelder_mead, options=options)
+        got = qcore.minimize(fun, x0, **options)
     assert got.x.dtype == want.x.dtype and got.x.tobytes() == want.x.tobytes()
     assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
-    assert (got.nit, got.nfev, got.success, got.status) \
-        == (want.nit, want.nfev, want.success, want.status)
+    assert (got.nit, got.nfev, got.success) == (want.nit, want.nfev, want.success)
+    # scipy's status is 0 on convergence and 2 on maxiter
+    assert want.status == (0 if got.success else 2)
     return got
 
 
@@ -441,13 +442,13 @@ def test_u3_entries_are_nan_where_an_angle_is_not_finite(bad):
 def test_nelder_mead_stops_as_scipy_on_maxiter_and_tolerance():
     bowl = _synthetic_objective("bowl", np.array([0.3, -0.2, 0.1]))
     capped = _assert_same_search(bowl, np.zeros(3), {"maxiter": 10})
-    assert (capped.status, capped.success, capped.nit) == (2, False, 10)
+    assert (capped.success, capped.nit) == (False, 10)
     done = _assert_same_search(bowl, np.zeros(3), {"maxiter": 400,
                                                    "xatol": 1e-6, "fatol": 1e-8})
-    assert (done.status, done.success) == (0, True) and done.nit < 400
+    assert done.success and done.nit < 400
     lost = _assert_same_search(_synthetic_objective("all_nan", np.zeros(3)),
                                np.ones(3), {"maxiter": 50})
-    assert np.isnan(lost.fun) and lost.status == 2
+    assert np.isnan(lost.fun) and not lost.success
     # one vertex of the start simplex is NaN: fun is NaN, x the best vertex
     partial = _assert_same_search(
         _synthetic_objective("nan_region", np.zeros(3)), np.zeros(3),
@@ -469,8 +470,9 @@ def _lane_objective(kind, centre, scale):
        xatol=st.sampled_from([1e-2, 1e-6]), fatol=st.sampled_from([1e-2, 1e-8]))
 def test_lockstep_lanes_equal_one_lane_runs(data, n, lanes, maxiter, xatol,
                                             fatol):
-    # each lane must be the nelder_mead run of its own objective, bit for
-    # bit, whatever the other lanes do and whenever they finish
+    # each lane must be the minimize run of its own objective, and so
+    # scipy's, bit for bit, whatever the other lanes do and whenever they
+    # finish
     entry = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
     kind = st.sampled_from(["bowl", "plateau", "floor", "nan_region", "all_nan"])
     starts, funs = [], []
@@ -492,11 +494,12 @@ def test_lockstep_lanes_equal_one_lane_runs(data, n, lanes, maxiter, xatol,
     runs = lockstep(batch, starts, **options)
     assert len(runs) == lanes and calls[0] == lanes
     for x0, fun, got in zip(starts, funs, runs):
-        want = nelder_mead(fun, x0, **options)
+        want = qcore.minimize(fun, x0, **options)
         assert got.x.tobytes() == want.x.tobytes()
         assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
-        assert (got.nit, got.nfev, got.success, got.status) \
-            == (want.nit, want.nfev, want.success, want.status)
+        assert (got.nit, got.nfev, got.success) \
+            == (want.nit, want.nfev, want.success)
+        _assert_same_search(fun, x0, options, got)
     # one call per round, each lane in the calls until its last evaluation
     assert sum(calls) == sum(res.nfev for res in runs)
     assert len(calls) == max(res.nfev for res in runs)
@@ -514,7 +517,8 @@ def _stub_run(funs):
     def run(batch):
         first = len(starts)
         starts.extend(np.array(x0) for x0 in batch)
-        return [optimize.OptimizeResult(x=np.array(x0), fun=funs[first + r])
+        return [SearchResult(x=np.array(x0), fun=funs[first + r], nit=1,
+                             nfev=1, success=True)
                 for r, x0 in enumerate(batch)]
 
     return run, starts
@@ -600,11 +604,10 @@ def test_program_searches_equal_scipy(quickstart_tensors, search, plan_seed,
     # options, must return what scipy's Nelder-Mead returns; every lane of a
     # lockstep search, on that lane's one-row objective
     standard, decouple, synthesis, alpha = quickstart_tensors
-    minimize, searches = optimize.minimize, []
+    minimize, searches = qcore.minimize, []
 
-    def recording(fun, x0, method, options):
-        assert method is nelder_mead
-        res = minimize(fun, x0, method=method, options=options)
+    def recording(fun, x0, **options):
+        res = minimize(fun, x0, **options)
         searches.append((fun, np.array(x0), options, res))
         return res
 
@@ -616,7 +619,8 @@ def test_program_searches_equal_scipy(quickstart_tensors, search, plan_seed,
         return runs
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize, "minimize", recording)
+        # memory.optimize and control.optimize are qcore
+        mp.setattr(qcore, "minimize", recording)
         mp.setattr(control, "lockstep", recording_lockstep)
         if search == "memory":
             for placements in barrier_placements(standard.steps):
