@@ -371,12 +371,20 @@ class ResultsStore:
     def append(self, plan: str, stage: str, seed: int, key: str,
                payload: dict) -> bool:
         """Store one record; returns False when the key already exists."""
-        return bool(self.extend(plan, stage, seed, [(key, payload)]))
+        payload = _jsonify(payload)
+        return bool(self.extend(plan, stage, seed,
+                                [(key, payload, _canonical(payload))]))
 
     def extend(self, plan: str, stage: str, seed: int,
-               rows: Iterable[tuple[str, dict]]) -> int:
-        """Store ``(key, payload)`` rows with one write; returns how many
-        were new. Rows whose key is already stored are skipped."""
+               rows: Iterable[tuple[str, dict, str]]) -> int:
+        """Store ``(key, payload, text)`` rows with one write; returns how
+        many were new. Rows whose key is already stored are skipped.
+
+        Each payload must hold exact JSON types only, and ``text`` must be
+        its ``_canonical`` encoding: the payload is kept as the in-memory
+        record and the text is written. ``append`` converts and encodes a
+        payload that is not yet either.
+        """
         created = datetime.now(timezone.utc).isoformat()
         # sorted, the fields key and payload sit side by side, and the
         # rest are the same on every line: encode those once around them
@@ -385,16 +393,15 @@ class ResultsStore:
             "seed": int(seed), "key": 0, "created_utc": created,
             "payload": 0}).split('"key":0,"payload":0', 1)
         docs, lines, fresh = [], [], set()
-        for key, payload in rows:
+        for key, payload, text in rows:
             if key in self._keys or key in fresh:
                 continue
             fresh.add(key)
-            payload = _jsonify(payload)
             docs.append({"schema_version": SCHEMA_VERSION, "plan": plan,
                          "stage": stage, "seed": int(seed), "key": key,
                          "created_utc": created, "payload": payload})
             lines.append(f'{head}"key":{_canonical(key)},"payload":'
-                         f'{_canonical(payload)}{tail}\n')
+                         f'{text}{tail}\n')
         if docs:
             with self.records_path.open("ab") as fh:
                 fh.write("".join(lines).encode())
@@ -464,7 +471,8 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
 
     The whole grid is drawn, each record from its own streams; only
     sequences with an axis missing from the store are written, each grid
-    row (i, j) at once.
+    row (i, j) at once. Each record's line is formatted from its counts,
+    as the text ``_canonical`` writes for its payload.
     """
     pool = basis.size
     keys = list(np.ndindex(len(basis.preparations), pool, pool))
@@ -477,17 +485,29 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
     counts = simulate_experiment(model(), standard_slots(basis), plan.shots,
                                  plan.master_seed)
     counts = counts.reshape(len(keys), len(AXES), 2)[todo].tolist()
+    shots = _jsonify(plan.shots)
+    shots_text = _canonical(shots)
     appended = 0
     for _, chunk in groupby(zip(todo, counts), key=lambda t: t[0] // pool):
         rows = []
         for idx, seq_counts in chunk:
             i, j, k = keys[idx]
+            sid = f"p{i}_u{j}_u{k}"
             for ax, key, ax_counts in zip(AXES, axis_keys[idx], seq_counts):
-                rows.append((key, {"kind": "experiment",
-                                   "sequence_id": f"p{i}_u{j}_u{k}",
+                # _canonical writes an int or a finite float as its repr;
+                # of the reprs only nan, inf and -inf hold an "n", and JSON
+                # spells those NaN, Infinity and -Infinity
+                counts_text = f"[{ax_counts[0]!r},{ax_counts[1]!r}]"
+                if "n" in counts_text:
+                    counts_text = _canonical(ax_counts)
+                rows.append((key, {"kind": "experiment", "sequence_id": sid,
                                    "key_ijk": [i, j, k], "axis": ax,
-                                   "counts": ax_counts,
-                                   "shots": plan.shots, "record_index": idx}))
+                                   "counts": ax_counts, "shots": shots,
+                                   "record_index": idx},
+                             f'{{"axis":"{ax}","counts":{counts_text},'
+                             f'"key_ijk":[{i},{j},{k}],"kind":"experiment",'
+                             f'"record_index":{idx},"sequence_id":"{sid}",'
+                             f'"shots":{shots_text}}}'))
         appended += store.extend(plan.name, "characterize", plan.master_seed,
                                  rows)
     return appended
@@ -521,6 +541,8 @@ def _experiment_problem(p: dict, n_prep: int, pool: int) -> str | None:
 
 def _count_problem(plus, minus, shots: int | None) -> str | None:
     """What is wrong with one axis's counts, or None."""
+    if not (_is_finite(plus) and _is_finite(minus)):
+        return f"has counts {plus}, {minus} that are not finite numbers"
     if plus < 0 or minus < 0:
         return f"has negative counts {plus}, {minus}"
     total = plus + minus

@@ -1,16 +1,21 @@
 """Plan validation, results store, staged execution and reports."""
 
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, seed, settings, strategies as st
 
 from proctensor import harness
+from proctensor.basis import MAX_POOL
 from proctensor.cli import main
 from proctensor.harness import (
+    MAX_SHOTS,
     STAGES,
     ConfigError,
     ExperimentPlan,
@@ -206,13 +211,15 @@ def test_store_resumes_after_tear_inside_a_grid_row(tmp_path):
     assert run_plan(plan, resumed) == {"characterize": len(lines) - kept}
     assert resumed.payload_fingerprint() == whole.payload_fingerprint()
     assert ResultsStore(root).payload_fingerprint() == whole.payload_fingerprint()
+    _assert_records_read_back(resumed)
 
 
 def test_store_extend_writes_rows_in_order_and_skips_known_keys(tmp_path):
     store = ResultsStore(tmp_path / "s")
     store.append("p", "characterize", 0, "k1", {"kind": "a"})
-    rows = [("k1", {"kind": "b"}), ("k2", {"kind": "c"}),
-            ("k2", {"kind": "d"}), ("k3", {"kind": "e"})]
+    rows = [(key, {"kind": kind}, f'{{"kind":"{kind}"}}')
+            for key, kind in (("k1", "b"), ("k2", "c"), ("k2", "d"),
+                              ("k3", "e"))]
     assert store.extend("p", "characterize", 0, rows) == 2
     again = ResultsStore(tmp_path / "s")
     assert [(d["key"], d["payload"]["kind"]) for d in again.records()] \
@@ -320,18 +327,106 @@ def test_jsonify_equals_the_branch_per_type_oracle(obj):
 
 
 def test_store_lines_are_sorted_key_compact_json(tmp_path, monkeypatch):
-    # every stage's records, written the way json.dumps writes them
+    # every stage's records, written the way json.dumps writes them, for a
+    # sampled and an exact plan
     monkeypatch.setattr(harness, "OPTIMIZER_RESTARTS", 1)
-    plan = replace(load_plan(QUICKSTART), stages=STAGES)
-    run_plan(plan, ResultsStore(tmp_path))
-    lines = (tmp_path / "records.jsonl").read_text().splitlines(keepends=True)
-    assert {json.loads(line)["stage"] for line in lines} \
-        == {"plan", *STAGES}
-    for line in lines:
-        doc = json.loads(line)
-        assert line == harness._canonical(doc) + "\n"
-        assert line == json.dumps(doc, sort_keys=True,
-                                  separators=(",", ":")) + "\n"
+    for shots in (1600, None):
+        plan = replace(load_plan(QUICKSTART), stages=STAGES, shots=shots)
+        root = tmp_path / str(shots)
+        run_plan(plan, ResultsStore(root))
+        lines = (root / "records.jsonl").read_text().splitlines(keepends=True)
+        assert {json.loads(line)["stage"] for line in lines} \
+            == {"plan", *STAGES}
+        for line in lines:
+            doc = json.loads(line)
+            assert line == harness._canonical(doc) + "\n"
+            assert line == json.dumps(doc, sort_keys=True,
+                                      separators=(",", ":")) + "\n"
+
+
+def _key_sorted(obj):
+    # dicts with their keys in sorted order; every other value as it is
+    if isinstance(obj, dict):
+        return {k: _key_sorted(obj[k]) for k in sorted(obj)}
+    if isinstance(obj, list):
+        return [_key_sorted(v) for v in obj]
+    return obj
+
+
+def _assert_records_read_back(store):
+    # the writer's in-memory records are what a fresh reader parses from
+    # the lines it wrote, down to the type of every value
+    again = ResultsStore(store.root)
+    mine, read = store.records(), again.records()
+    assert [d["key"] for d in mine] == [d["key"] for d in read]
+    for a, b in zip(mine, read):
+        _assert_same_json(_key_sorted(a), _key_sorted(b))
+    assert store.payload_fingerprint() == again.payload_fingerprint()
+
+
+@pytest.mark.parametrize("plan", [
+    load_plan(QUICKSTART),
+    ExperimentPlan(name="exact", pool_size=11, basis_size=10, shots=None,
+                   resamples=8, master_seed=5,
+                   stages=("characterize", "evaluate")),
+], ids=["quickstart", "exact"])
+def test_writer_records_equal_the_lines_read_back(tmp_path, plan):
+    store = ResultsStore(tmp_path)
+    run_plan(plan, store)
+    _assert_records_read_back(store)
+
+
+_COUNT_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 0.1, float("nan"), float("inf"),
+                     -float("inf")]))
+
+
+@seed(20261020)
+@settings(max_examples=25, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 3),
+                                st.integers(0, MAX_POOL - 1),
+                                st.integers(0, MAX_POOL - 1)),
+                      min_size=1, max_size=4, unique=True),
+       values=st.one_of(
+           st.lists(st.integers(0, MAX_SHOTS), min_size=24, max_size=24),
+           st.lists(_COUNT_FLOATS, min_size=24, max_size=24)),
+       shots=st.one_of(st.none(), st.integers(1, MAX_SHOTS)),
+       name=st.one_of(st.text(min_size=1),
+                      st.text('"\\ é☃\x00', min_size=1)))
+def test_characterize_lines_equal_the_canonical_encoder(cells, values, shots,
+                                                        name):
+    # characterize formats each line itself; it must write what _canonical
+    # writes for the record, for any count it can be handed
+    dtype = np.int64 if type(values[0]) is int else float
+    grid = np.zeros((4, MAX_POOL, MAX_POOL, 3, 2), dtype=dtype)
+    for cell, cell_counts in zip(cells, np.array(values, dtype=dtype)
+                                 .reshape(-1, len(AXES), 2)):
+        grid[cell] = cell_counts
+    plan = ExperimentPlan(name=name, shots=shots)
+    basis = SimpleNamespace(size=MAX_POOL, preparations=range(4))
+    wanted = {f"experiment:p{i}_u{j}_u{k}:{ax}"
+              for i, j, k in cells for ax in AXES}
+    with tempfile.TemporaryDirectory() as root, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "simulate_experiment", lambda *args: grid)
+        mp.setattr(harness, "standard_slots", lambda basis: None)
+        store = ResultsStore(root)
+        # every other sequence reads as stored, so only the cells are written
+        mp.setattr(store, "has", lambda key: key not in wanted)
+        assert harness._run_characterize(plan, store, lambda: None,
+                                         basis) == len(wanted)
+        lines = (Path(root) / "records.jsonl").read_text() \
+            .splitlines(keepends=True)
+        assert len(lines) == len(wanted)
+        for line in lines:
+            doc = json.loads(line)
+            assert line == harness._canonical(doc) + "\n"
+            i, j, k = doc["payload"]["key_ijk"]
+            axis = AXES.index(doc["payload"]["axis"])
+            _assert_same_json(doc["payload"]["counts"],
+                              grid[i, j, k, axis].tolist())
+        _assert_records_read_back(store)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +690,11 @@ def test_records_from_store_rejects_counts_that_miss_the_shots(tmp_path):
     (1600, [800.5, 799.5], "do not sum"),  # not integers
     (None, [0.6, 0.5], "sum to 1.1"),
     (400, [200, 200], "differ from the plan"),  # the plan's shots are 1600
+    (1600, [float("nan"), 1600], "not finite"),
+    (1600, [float("inf"), 0], "not finite"),
+    (1600, [10**400, 0], "not finite"),  # beyond the float range
+    (None, [float("nan"), float("nan")], "not finite"),
+    (None, [float("inf"), -float("inf")], "not finite"),
 ])
 def test_records_from_store_rejects_invalid_counts(tmp_path, shots, counts,
                                                    fragment):
@@ -614,6 +714,28 @@ def test_records_from_store_rejects_invalid_counts(tmp_path, shots, counts,
         harness._records_from_store(plan, store, plan.basis())
     assert "sequence p0_u0_u0: axis Y" in str(err.value)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("shots", [400, None], ids=["sampled", "exact"])
+def test_non_finite_stored_counts_exit_2_through_the_cli(tmp_path, shots):
+    raw = {"name": "nan", "pool_size": 11, "basis_size": 10, "shots": shots,
+           "resamples": 8, "stages": ["characterize", "evaluate"]}
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(raw))
+    root = tmp_path / "s"
+    run_plan(plan_from_dict(raw), ResultsStore(root), stages=("characterize",))
+    path = root / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    doc = json.loads(lines[1])
+    doc["payload"]["counts"][0] = float("nan")
+    lines[1] = harness._canonical(doc) + "\n"
+    path.write_text("".join(lines))
+    result = CliRunner().invoke(main, ["run-plan", "--plan", str(plan_path),
+                                       "--out", str(root),
+                                       "--stage", "evaluate"])
+    assert result.exit_code == 2
+    assert f"sequence {doc['payload']['sequence_id']}" in result.output
+    assert "not finite" in result.output
 
 
 def test_records_from_store_later_line_wins(tmp_path):
