@@ -308,6 +308,7 @@ class ResultsStore:
         self._keys: set[str] = set()
         self._records: list[dict] = []
         self._size = 0  # bytes of whole lines this store has read or written
+        self._grid = None  # (counts, states or None): see _stored_grid
         if not self.records_path.exists():
             return
         data = self.records_path.read_bytes()
@@ -408,6 +409,8 @@ class ResultsStore:
                 self._size = fh.tell()
             self._keys |= fresh
             self._records.extend(docs)
+            if stage == "characterize":
+                self._grid = None
         return len(docs)
 
     def records(self, stage: str | None = None,
@@ -471,8 +474,9 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
 
     The whole grid is drawn, each record from its own streams; only
     sequences with an axis missing from the store are written, each grid
-    row (i, j) at once. Each record's line is formatted from its counts,
-    as the text ``_canonical`` writes for its payload.
+    row (i, j) at once, each line formatted from its counts as the text
+    ``_canonical`` writes for its payload. A whole grid written into a
+    store with no characterize record seeds the store's grid counts.
     """
     pool = basis.size
     keys = list(np.ndindex(len(basis.preparations), pool, pool))
@@ -482,9 +486,10 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
             if not all(store.has(key) for key in row)]
     if not todo:
         return 0
-    counts = simulate_experiment(model(), standard_slots(basis), plan.shots,
-                                 plan.master_seed)
-    counts = counts.reshape(len(keys), len(AXES), 2)[todo].tolist()
+    fresh = len(todo) == len(keys) and not store.records(stage="characterize")
+    drawn = simulate_experiment(model(), standard_slots(basis), plan.shots,
+                                plan.master_seed)
+    counts = drawn.reshape(len(keys), len(AXES), 2)[todo].tolist()
     shots = _jsonify(plan.shots)
     shots_text = _canonical(shots)
     appended = 0
@@ -510,6 +515,14 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
                              f'"shots":{shots_text}}}'))
         appended += store.extend(plan.name, "characterize", plan.master_seed,
                                  rows)
+    # seed only a whole grid written into a fresh store, and only counts
+    # that pass the loader's checks: then they are what it would read back
+    if fresh and appended * 2 == drawn.size \
+            and (np.isfinite(drawn) & (drawn >= 0)).all():
+        total = drawn.sum(axis=-1)
+        if (abs(total - 1.0) <= 1e-9 if plan.shots is None else
+                (total == plan.shots) & (drawn % 1 == 0).all(axis=-1)).all():
+            store._grid = drawn.astype(float), None
     return appended
 
 
@@ -563,6 +576,7 @@ def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
     are exact probabilities not summing to one name the sequence.
     """
     n_prep, pool = len(basis.preparations), basis.size
+    name = f"store {store.records_path}"
     axis_index = {ax: a for a, ax in enumerate(AXES)}
     found = {}  # flat (i, j, k, axis) index -> counts; a later line wins
     for line, doc in enumerate(store.records(), 1):
@@ -571,13 +585,13 @@ def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
             continue
         problem = _experiment_problem(p, n_prep, pool)
         if problem is not None:
-            raise ConfigError(f"store {store.records_path}: line {line} is "
-                              f"not an experiment record: {problem}")
+            raise ConfigError(f"{name}: line {line} is not an experiment "
+                              f"record: {problem}")
         problem = _count_problem(*p["counts"], p["shots"])
         if problem is None and p["shots"] != plan.shots:
             problem = f"shots {p['shots']} differ from the plan's {plan.shots}"
         if problem is not None:
-            raise ConfigError(f"store: sequence {p['sequence_id']}: axis "
+            raise ConfigError(f"{name}: sequence {p['sequence_id']}: axis "
                               f"{p['axis']} {problem}")
         i, j, k = p["key_ijk"]
         found[((i * pool + j) * pool + k) * len(AXES)
@@ -591,21 +605,34 @@ def _records_from_store(plan: ExperimentPlan, store: ResultsStore,
     stored = seen.any(axis=-1)
     partial = np.argwhere(stored & ~seen.all(axis=-1))
     if partial.size:
-        raise ConfigError("store: sequence p{}_u{}_u{} is missing axes; "
-                          "re-run the characterize stage".format(*partial[0]))
+        raise ConfigError("{}: sequence p{}_u{}_u{} is missing axes; re-run "
+                          "the characterize stage".format(name, *partial[0]))
     if not stored.all():
         raise ConfigError(
-            f"store: characterize stage incomplete ({(~stored).sum()} of "
+            f"{name}: characterize stage incomplete ({(~stored).sum()} of "
             f"{stored.size} sequences missing); re-run it")
     return counts
 
 
+def _stored_grid(plan: ExperimentPlan, store: ResultsStore,
+                 basis: ControlBasis) -> Grid:
+    """The store's characterize grid and its QST states, derived once and
+    kept read-only on the store until its characterize records change."""
+    counts, states = store._grid or (_records_from_store(plan, store, basis),
+                                     None)
+    if states is None:
+        states = qst_mle(counts, plan.shots)
+        counts.flags.writeable = states.flags.writeable = False
+        store._grid = counts, states
+    return counts, states
+
+
 def _run_evaluate(plan: ExperimentPlan, store: ResultsStore,
-                  basis: ControlBasis, grid: Callable[[], Grid]) -> int:
+                  basis: ControlBasis) -> int:
     todo = [n for n in plan.eval_sizes() if not store.has(f"evaluation:n{n}")]
     if not todo:
         return 0
-    counts, states = grid()
+    counts, states = _stored_grid(plan, store, basis)
     results = [evaluate_split(states, basis, n) for n in todo]
     # one bootstrap pass scores every size still missing
     lo, hi, _ = bootstrap_ci(counts, plan.shots, basis, todo,
@@ -626,7 +653,7 @@ def _run_evaluate(plan: ExperimentPlan, store: ResultsStore,
 
 
 def _run_memory(plan: ExperimentPlan, store: ResultsStore,
-                basis: ControlBasis, grid: Callable[[], Grid]) -> int:
+                basis: ControlBasis) -> int:
     todo = {}
     for placements in barrier_placements(STANDARD_STEPS):
         key = "memory:" + "+".join(map(str, placements))
@@ -636,7 +663,7 @@ def _run_memory(plan: ExperimentPlan, store: ResultsStore,
         return 0
     appended = 0
     n = plan.basis_size
-    counts, states = grid()
+    counts, states = _stored_grid(plan, store, basis)
     pt = build_standard_tensor(states, basis, n)
     for key, placements in todo.items():
         result = maximize_cmi(pt, placements, restarts=OPTIMIZER_RESTARTS,
@@ -657,11 +684,10 @@ def _run_memory(plan: ExperimentPlan, store: ResultsStore,
 
 
 def _run_markov(plan: ExperimentPlan, store: ResultsStore,
-                model: Callable[[], SEModel], basis: ControlBasis,
-                grid: Callable[[], Grid]) -> int:
+                model: Callable[[], SEModel], basis: ControlBasis) -> int:
     if store.has("markov:comparison"):
         return 0
-    _, states = grid()
+    _, states = _stored_grid(plan, store, basis)
     baseline = characterize_markov(model(), basis, _markov_shots(plan),
                                    master_seed=plan.master_seed + 101)
     n = plan.basis_size
@@ -756,7 +782,8 @@ def run_plan(plan: ExperimentPlan, store: ResultsStore,
     Already-stored records are skipped, so a rerun of the same plan is a
     no-op and an interrupted run resumes where it stopped. The store's
     writer lock is held for the whole call, so a second run on the same
-    store fails instead of interleaving with this one.
+    store fails instead of interleaving with this one. Later stages share
+    the grid ``_stored_grid`` keeps on the store, across calls.
     """
     ordered = resolve_stages(stages if stages is not None else plan.stages)
     _check_stages(plan, ordered)
@@ -765,22 +792,15 @@ def run_plan(plan: ExperimentPlan, store: ResultsStore,
         model = functools.cache(plan.model)  # built once, when first needed
         basis = plan.basis()
         counts: dict[str, int] = {}
-
-        @functools.cache
-        def grid() -> Grid:
-            # read and estimate the stored grid once, when first needed
-            counts = _records_from_store(plan, store, basis)
-            return counts, qst_mle(counts, plan.shots)
-
         for stage in ordered:
             if stage == "characterize":
                 counts[stage] = _run_characterize(plan, store, model, basis)
             elif stage == "evaluate":
-                counts[stage] = _run_evaluate(plan, store, basis, grid)
+                counts[stage] = _run_evaluate(plan, store, basis)
             elif stage == "memory":
-                counts[stage] = _run_memory(plan, store, basis, grid)
+                counts[stage] = _run_memory(plan, store, basis)
             elif stage == "markov":
-                counts[stage] = _run_markov(plan, store, model, basis, grid)
+                counts[stage] = _run_markov(plan, store, model, basis)
             elif stage == "decouple":
                 counts[stage] = _run_decouple(plan, store, basis)
             elif stage == "synthesize":

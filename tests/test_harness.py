@@ -604,6 +604,111 @@ def test_staged_run_equals_single_run(small_run, tmp_path):
     assert staged.payload_fingerprint() == store.payload_fingerprint()
 
 
+def test_staged_run_with_reopened_store_equals_single_run(small_run, tmp_path):
+    # each stage on a fresh store object reads the grid back from disk
+    plan, store, _ = small_run
+    root = tmp_path / "staged"
+    for stage in ("characterize", "evaluate", "memory", "markov"):
+        run_plan(plan, ResultsStore(root), stages=(stage,))
+    assert ResultsStore(root).payload_fingerprint() \
+        == store.payload_fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# The grid a store keeps for the stages after characterize
+# ---------------------------------------------------------------------------
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("shots", [400, None], ids=["sampled", "exact"])
+def test_characterize_seeds_the_grid_a_fresh_store_reads(tmp_path, shots,
+                                                         monkeypatch):
+    plan = ExperimentPlan(name="seed", pool_size=11, basis_size=10,
+                          shots=shots, resamples=8, master_seed=13,
+                          stages=("characterize", "evaluate"))
+    store = ResultsStore(tmp_path)
+    run_plan(plan, store, stages=("characterize",))
+    counts, states = store._grid
+    assert states is None  # the states are estimated by the first reader
+    read = harness._records_from_store(plan, ResultsStore(tmp_path),
+                                       plan.basis())
+    assert _same_bits(counts, read)
+    # the next stage takes the seeded grid without reading the records
+    real = harness._records_from_store
+
+    def fail(*args):
+        raise AssertionError("the seeded grid was read again")
+
+    monkeypatch.setattr(harness, "_records_from_store", fail)
+    assert run_plan(plan, store) == {"characterize": 0, "evaluate": 1}
+    got_counts, got_states = harness._stored_grid(plan, store, plan.basis())
+    assert got_counts is counts
+    assert _same_bits(got_states, harness.qst_mle(read, shots))
+    monkeypatch.setattr(harness, "_records_from_store", real)
+    reader = ResultsStore(tmp_path)
+    assert all(_same_bits(a, b) for a, b in zip(
+        harness._stored_grid(plan, reader, plan.basis()), store._grid))
+
+
+def test_resumed_characterize_does_not_seed_the_grid(tmp_path):
+    # the tear of test_store_resumes_after_tear_inside_a_grid_row: the
+    # resumed run writes part of the grid, so the next stage reads it
+    plan = ExperimentPlan(name="torn", pool_size=11, basis_size=10,
+                          shots=400, resamples=8, master_seed=3,
+                          stages=("characterize", "evaluate"))
+    whole = ResultsStore(tmp_path / "whole")
+    run_plan(plan, whole)
+    root = tmp_path / "torn"
+    run_plan(plan, ResultsStore(root), stages=("characterize",))
+    path = root / "records.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    kept = 44  # inside row (0, 1)
+    path.write_bytes(b"".join(lines[:kept]) + lines[kept][:50])
+    resumed = ResultsStore(root)
+    assert run_plan(plan, resumed, stages=("characterize",)) \
+        == {"characterize": len(lines) - kept}
+    assert resumed._grid is None
+    assert run_plan(plan, resumed) == {"characterize": 0, "evaluate": 1}
+    assert resumed._grid is not None
+    assert resumed.payload_fingerprint() == whole.payload_fingerprint()
+    assert ResultsStore(root).payload_fingerprint() == whole.payload_fingerprint()
+
+
+def test_grid_memo_follows_the_store(tmp_path):
+    plan = ExperimentPlan(name="memo", pool_size=11, basis_size=10,
+                          shots=400, resamples=8, master_seed=2,
+                          stages=("characterize", "evaluate", "markov"))
+    a, b = ResultsStore(tmp_path), ResultsStore(tmp_path)
+    run_plan(plan, a, stages=("evaluate",))
+    counts, states = a._grid
+    for arr in (counts, states):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 0
+    # rows of another stage, or only known keys, leave the grid in place
+    a.append(plan.name, "note", 2, "note:a", {"kind": "note"})
+    a.extend(plan.name, "characterize", 2, [("experiment:p0_u0_u0:X", {}, "{}")])
+    assert a._grid[0] is counts and a._grid[1] is states
+    # another writer's characterize record reaches a's next call
+    b.append(plan.name, "characterize", 2, "bad",
+             dict(GOOD_EXPERIMENT, axis="W", shots=400, counts=[400, 0]))
+    line = len((tmp_path / "records.jsonl").read_text().splitlines())
+    with pytest.raises(ConfigError) as err:
+        run_plan(plan, a, stages=("markov",))
+    assert f"store {a.records_path}: line {line} is not an experiment " \
+        "record" in str(err.value)
+    # a's own characterize row drops the grid as well
+    c = ResultsStore(tmp_path / "c")
+    run_plan(plan, c, stages=("evaluate",))
+    assert c._grid is not None
+    c.append(plan.name, "characterize", 2, "extra",
+             dict(GOOD_EXPERIMENT, shots=400, counts=[400, 0]))
+    assert c._grid is None
+
+
 def test_store_rejects_other_plan_config(small_run):
     plan, store, _ = small_run
     with pytest.raises(ConfigError) as err:
