@@ -308,7 +308,13 @@ class ResultsStore:
         self._keys: set[str] = set()
         self._records: list[dict] = []
         self._size = 0  # bytes of whole lines this store has read or written
-        self._grid = None  # (counts, states or None): see _stored_grid
+        # (counts, states or None), see _stored_grid. Set only while every
+        # grid key is stored: by characterize after writing a whole grid into
+        # a fresh store, or by _stored_grid after its run_plan call's
+        # characterize walk. Keys only grow until the next _load, and a
+        # characterize extend drops it, so characterize skips its walk while
+        # it is set
+        self._grid = None
         if not self.records_path.exists():
             return
         data = self.records_path.read_bytes()
@@ -477,7 +483,10 @@ def _run_characterize(plan: ExperimentPlan, store: ResultsStore,
     row (i, j) at once, each line formatted from its counts as the text
     ``_canonical`` writes for its payload. A whole grid written into a
     store with no characterize record seeds the store's grid counts.
+    While the store keeps its grid, every key is stored: nothing is walked.
     """
+    if store._grid is not None:
+        return 0
     pool = basis.size
     keys = list(np.ndindex(len(basis.preparations), pool, pool))
     axis_keys = [[f"experiment:p{i}_u{j}_u{k}:{ax}" for ax in AXES]
@@ -760,12 +769,12 @@ def _plan_manifest(plan: ExperimentPlan) -> dict:
 def _check_manifest(plan: ExperimentPlan, store: ResultsStore) -> None:
     """One store holds one plan configuration; staged runs must agree."""
     manifest = _plan_manifest(plan)
-    existing = store.records(kind="plan_manifest")
-    if not existing:
+    stored = next((doc["payload"] for doc in store._records
+                   if doc["payload"].get("kind") == "plan_manifest"), None)
+    if stored is None:
         store.append(plan.name, "plan", plan.master_seed, "plan:manifest",
                      manifest)
         return
-    stored = existing[0]["payload"]
     diffs = sorted(k for k in manifest
                    if stored.get(k, object()) != manifest[k])
     if diffs:
@@ -783,7 +792,8 @@ def run_plan(plan: ExperimentPlan, store: ResultsStore,
     no-op and an interrupted run resumes where it stopped. The store's
     writer lock is held for the whole call, so a second run on the same
     store fails instead of interleaving with this one. Later stages share
-    the grid ``_stored_grid`` keeps on the store, across calls.
+    the grid ``_stored_grid`` keeps on the store, across calls, and while
+    it is kept the characterize dependency returns without a walk.
     """
     ordered = resolve_stages(stages if stages is not None else plan.stages)
     _check_stages(plan, ordered)

@@ -69,8 +69,9 @@ CPTP_MAX_ITER = 5000
 CI_ALPHA = 0.05  # every bootstrap interval is two-sided at 95%
 STANDARD_STEPS = 3  # the standard tensor's slots: preparation, two unitaries
 # bootstrap redraws are scored in chunks whose real parts (four per sequence)
-# fit in this many bytes; a call peaks at about 2.7 times that (pool 28)
-BOOTSTRAP_CHUNK_BYTES = 1 << 19
+# fit in this many bytes: ten pool-28 redraws, and a pool-28 call peaks at
+# about 2.4 times that
+BOOTSTRAP_CHUNK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +442,17 @@ def predict_parts(parts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
     Terms (C[q, j] C[r, k]) T[i, j, k] are summed j-major, k fastest, one at a
     time, each component on its own: exactly the arithmetic of
-    einsum("si,sj,sk,ijkab->sab") with one-hot preparation rows.
+    einsum("si,sj,sk,ijkab->sab") with one-hot preparation rows. Each j's
+    weights C[q, j] C[r, k] are one contiguous [k, q, r] array, so every
+    term reads its (m, m) weights as one contiguous block.
     """
     m = len(coeffs)
     acc = np.zeros(parts.shape[:-3] + (parts.shape[-1], m, m))
     term = np.empty_like(acc)
     for j in range(parts.shape[-3]):
-        weights = np.multiply.outer(coeffs[:, j], coeffs)  # [q, r, k]
+        weights = coeffs[:, j, None] * coeffs.T[:, None, :]  # [k, q, r]
         for k in range(parts.shape[-2]):
-            np.multiply(parts[..., j, k, :, None, None], weights[:, :, k],
-                        out=term)
+            np.multiply(parts[..., j, k, :, None, None], weights[k], out=term)
             acc += term
     return acc
 

@@ -707,6 +707,55 @@ def test_grid_memo_follows_the_store(tmp_path):
     c.append(plan.name, "characterize", 2, "extra",
              dict(GOOD_EXPERIMENT, shots=400, counts=[400, 0]))
     assert c._grid is None
+    # grid rows cut from the file, then another writer's append: d's next
+    # call reloads, walks the grid again and writes the cut rows back
+    d = ResultsStore(tmp_path / "d")
+    run_plan(plan, d, stages=("evaluate",))
+    counts, states = d._grid
+    lines = d.records_path.read_bytes().splitlines(keepends=True)
+    kept = [ln for ln in lines if b'"sequence_id":"p3_u10_u' not in ln]
+    assert len(lines) - len(kept) == 3 * 11
+    d.records_path.write_bytes(b"".join(kept))
+    ResultsStore(d.root).append(plan.name, "note", 2, "note:d",
+                                {"kind": "note"})
+    assert run_plan(plan, d, stages=("markov",)) \
+        == {"characterize": 3 * 11, "markov": 1}
+    assert _same_bits(d._grid[0], counts) and _same_bits(d._grid[1], states)
+
+
+def test_kept_grid_skips_the_characterize_walk(tmp_path, monkeypatch):
+    # while a store keeps its grid, every grid key is stored, so a later
+    # stage's characterize dependency looks none of them up: whether the
+    # grid was seeded by characterize or read after a reopened store's walk
+    plan = ExperimentPlan(name="walk", pool_size=11, basis_size=10,
+                          shots=400, resamples=8, master_seed=4,
+                          stages=("characterize", "evaluate", "markov"))
+    real = ResultsStore.has
+
+    def has(self, key):
+        assert not key.startswith("experiment:"), f"{key} looked up"
+        return real(self, key)
+
+    seeded = ResultsStore(tmp_path / "seeded")
+    run_plan(plan, seeded, stages=("characterize",))
+    assert seeded._grid is not None
+    read = ResultsStore(tmp_path / "read")
+    run_plan(plan, read, stages=("characterize",))
+    read = ResultsStore(read.root)
+    assert run_plan(plan, read, stages=("evaluate",)) \
+        == {"characterize": 0, "evaluate": 1}
+    assert read._grid is not None
+    monkeypatch.setattr(ResultsStore, "has", has)
+    assert run_plan(plan, seeded, stages=("evaluate",)) \
+        == {"characterize": 0, "evaluate": 1}
+    for store in (seeded, read):
+        assert run_plan(plan, store, stages=("markov",)) \
+            == {"characterize": 0, "markov": 1}
+    monkeypatch.undo()
+    whole = ResultsStore(tmp_path / "whole")
+    run_plan(plan, whole)
+    for store in (seeded, read):
+        assert store.payload_fingerprint() == whole.payload_fingerprint()
 
 
 def test_store_rejects_other_plan_config(small_run):
