@@ -161,6 +161,8 @@ synthesize_gate_cmd = stage_command(
 def report_cmd(plan_path: Path, out_dir: Path) -> None:
     """Render the store into CSV tables and a text summary."""
     plan = load_plan(plan_path)
+    if not (Path(out_dir) / "records.jsonl").is_file():
+        raise ConfigError(f"{out_dir} holds no results store; run 'evaluate'")
     store = ResultsStore(out_dir)
     written = build_report(plan, store, Path(out_dir) / "report")
     for name, path in written.items():

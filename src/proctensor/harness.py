@@ -234,7 +234,9 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     if not p.is_file():
         raise ConfigError(f"plan file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"plan file {p}: not UTF-8 ({err})") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"plan file {p}: invalid JSON ({err})") from err
     return plan_from_dict(raw)

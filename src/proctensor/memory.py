@@ -188,11 +188,12 @@ def bootstrap_cmi(counts: np.ndarray, shots: int | None, basis, n: int,
     placements = _check_placements(placements, STANDARD_STEPS)
     probs, redraws = redraw_records(counts, shots, resamples,
                                     rng_stream(seed, 202, *placements))
-    pt0 = build_standard_tensor(_states_from_probs(probs), basis, n)
+    pt0 = build_standard_tensor(_states_from_probs(probs[:, :n, :n]),
+                                basis, n)
     point = cmi_value(cmi_kernel(pt0, placements), params)
     samples = np.array([
         cmi_value(cmi_kernel(replace(
-            pt0, states=_states_from_probs(p)[:, :n, :n]), placements), params)
+            pt0, states=_states_from_probs(p[:, :n, :n])), placements), params)
         for p in redraws])
     q_lo, q_hi = np.percentile(samples, [100 * CI_ALPHA / 2,
                                          100 * (1 - CI_ALPHA / 2)])

@@ -47,9 +47,6 @@ from .qcore import (
     KET0,
     NumericalError,
     PAULI_ORDER,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PAULIS,
     PhysicalityError,
     QuantumChannel,
@@ -80,10 +77,16 @@ BOOTSTRAP_CHUNK_BYTES = 1 << 20
 
 def linear_inversion_qubit(x: float | np.ndarray, y: float | np.ndarray,
                            z: float | np.ndarray) -> np.ndarray:
-    """``(I + x X + y Y + z Z) / 2`` for Bloch components given as scalars or
-    as arrays of one shape; the matrices stack on trailing axes (..., 2, 2)."""
-    x, y, z = (np.asarray(v)[..., None, None] for v in (x, y, z))
-    return 0.5 * (ID2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
+    """``(I + x X + y Y + z Z) / 2``, written entry by entry, for Bloch
+    components given as scalars or as arrays of one shape; the matrices
+    stack on trailing axes (..., 2, 2)."""
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    out = np.empty(x.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = 0.5 * (1.0 + z)
+    out[..., 1, 1] = 0.5 * (1.0 - z)
+    out[..., 0, 1] = 0.5 * (x - 1j * y)
+    out[..., 1, 0] = 0.5 * (x + 1j * y)
+    return out
 
 
 def mle_project(rho: np.ndarray) -> np.ndarray:
@@ -194,19 +197,6 @@ def clip_to_bloch_ball(x: np.ndarray, y: np.ndarray,
     r = np.sqrt(x * x + y * y + z * z)
     scale = np.where(r > 1.0, 1.0 / np.maximum(r, 1e-300), 1.0)
     return x * scale, y * scale, z * scale
-
-
-def qubit_states_from_expectations(xs: np.ndarray, ys: np.ndarray,
-                                   zs: np.ndarray) -> np.ndarray:
-    """Vectorized qubit MLE: for 2x2 estimates the eigenvalue truncation
-    is exactly a radial clip of the Bloch vector to the unit ball."""
-    x, y, z = clip_to_bloch_ball(xs, ys, zs)
-    out = np.empty(xs.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 0.5 * (1.0 + z)
-    out[..., 1, 1] = 0.5 * (1.0 - z)
-    out[..., 0, 1] = 0.5 * (x - 1j * y)
-    out[..., 1, 0] = 0.5 * (x + 1j * y)
-    return out
 
 
 def qubit_bloch(rho: np.ndarray) -> np.ndarray:
@@ -427,11 +417,10 @@ class EvalResult:
         return 1.0 - self.stats.mean
 
 
-def pool_coefficients(pt: ProcessTensor, basis: ControlBasis,
-                      rows: Iterable[int]) -> np.ndarray:
-    """Unitary-slot coefficient rows (len(rows), n) of the given pool elements."""
-    return np.array([slot_coefficients(pt.slots[1], pt.duals[1],
-                                       basis.unitaries[j]) for j in rows])
+def pool_coefficients(slot: SlotBasis, duals: DualSet,
+                      gates: Iterable[np.ndarray]) -> np.ndarray:
+    """Coefficient rows (len(gates), n) of gates against one slot."""
+    return np.array([slot_coefficients(slot, duals, g) for g in gates])
 
 
 def predict_parts(parts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -472,8 +461,8 @@ def prediction_fidelities(pt: ProcessTensor, basis: ControlBasis,
     """Fidelities (P, m, m) of the tensor's predictions with the measured
     states ``states`` (P, pool, pool, 2, 2), for every preparation and every
     pair of the last m pool elements."""
-    rows = range(basis.size - m, basis.size)
-    preds = predict_batch(pt, pool_coefficients(pt, basis, rows))
+    preds = predict_batch(pt, pool_coefficients(
+        pt.slots[1], pt.duals[1], basis.unitaries[basis.size - m:]))
     return reconstruction_fidelity(preds, states[:, -m:, -m:])
 
 
@@ -497,8 +486,10 @@ def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int) -> EvalResul
 # ---------------------------------------------------------------------------
 
 def _states_from_probs(probs: np.ndarray) -> np.ndarray:
+    """States (..., 2, 2) of plus-outcome probabilities (..., 3): clip to
+    the Bloch ball (``mle_project`` of a 2x2 estimate), then build."""
     ex = 2.0 * probs - 1.0
-    return qubit_states_from_expectations(ex[..., 0], ex[..., 1], ex[..., 2])
+    return linear_inversion_qubit(*clip_to_bloch_ball(*np.moveaxis(ex, -1, 0)))
 
 
 def _parts_from_probs(probs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -536,11 +527,13 @@ def bootstrap_ci(counts: np.ndarray, shots: int | None, basis: ControlBasis,
 
     ``counts`` are the standard grid's, shape (P, pool, pool, 3, 2). Every
     sequence (basis and verification alike) is resampled from its own
-    counts, the tensor's states are replaced and re-evaluated at every size,
-    and the (CI_ALPHA/2, 1-CI_ALPHA/2) percentiles of the resampled means are
-    returned per size, shape (S,) each, together with the means themselves,
-    shape (S, resamples). Each redraw is drawn once and scored at every size,
-    so a size's result does not depend on the other sizes asked for.
+    counts, each redraw's held-out block is predicted and scored at every
+    size, and the (CI_ALPHA/2, 1-CI_ALPHA/2) percentiles of the resampled
+    means are returned per size, shape (S,) each, together with the means
+    themselves, shape (S, resamples). Each redraw is drawn once and scored
+    at every size, so a size's result does not depend on the other sizes
+    asked for. A size's coefficient rows come from its unitary slot and
+    that slot's duals; no tensor or complex state is built.
 
     The estimand is the mean held-out infidelity an identical experiment at
     ``shots`` would report. Each redraw samples again from frequencies that
@@ -550,10 +543,11 @@ def bootstrap_ci(counts: np.ndarray, shots: int | None, basis: ControlBasis,
     sizes = list(sizes)
     probs, redraws = redraw_records(counts, shots, resamples,
                                     rng_stream(seed, 777))
-    # duals and coefficient rows never change under resampling
-    coeffs = [pool_coefficients(
-        build_standard_tensor(_states_from_probs(probs), basis, n), basis,
-        range(n, basis.size)) for n in sizes]
+    coeffs = []  # one per size; no redraw changes them
+    for n in sizes:
+        slot = unitary_slot(basis.unitaries[:n])
+        duals = build_duals(slot.forms, required_rank=slot.required_rank)
+        coeffs.append(pool_coefficients(slot, duals, basis.unitaries[n:]))
     # scoring reads four real parts of each redrawn state
     chunk = max(1, BOOTSTRAP_CHUNK_BYTES // (probs.nbytes // 3 * 4))
     chunks = np.empty((min(chunk, resamples),) + probs.shape[:-1] + (4,))

@@ -141,7 +141,7 @@ def key_coefficient_tables(pt, basis, keys):
     coefficients of each key's two unitary slots.
     """
     prep_eye = np.eye(len(basis.preparations))
-    pool_coeffs = pool_coefficients(pt, basis, range(basis.size))
+    pool_coeffs = pool_coefficients(pt.slots[1], pt.duals[1], basis.unitaries)
     a0 = np.array([prep_eye[i] for i, _, _ in keys])
     a1 = np.array([pool_coeffs[j] for _, j, _ in keys])
     a2 = np.array([pool_coeffs[k] for _, _, k in keys])
@@ -375,7 +375,8 @@ def bootstrap_ci_oracle(counts, shots, basis, n, resamples, seed):
     base_states, redraws = redraw_records_oracle(counts, shots, resamples,
                                                  rng_stream(seed, 777))
     pt0 = build_standard_tensor(base_states, basis, n)
-    coeffs = pool_coefficients(pt0, basis, range(n, basis.size))
+    coeffs = pool_coefficients(pt0.slots[1], pt0.duals[1],
+                               basis.unitaries[n:])
     sampled = np.empty(resamples)
     for b, re_states in enumerate(redraws):
         preds = predict_batch_oracle(re_states[:, :n, :n], coeffs)

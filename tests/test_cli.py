@@ -66,6 +66,16 @@ def test_run_plan_invalid_plan(runner, tmp_path):
     assert "pool_size" in result.output
 
 
+def test_plan_file_that_is_not_utf8_exits_2(runner, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte order mark
+    result = runner.invoke(main, ["run-plan", "--plan", str(plan),
+                                  "--out", str(tmp_path / "store")])
+    assert result.exit_code == 2, result.output
+    assert f"plan file {plan}: not UTF-8" in result.output
+    assert not (tmp_path / "store").exists()
+
+
 def test_bad_shots_override(runner, tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"name": "x"}))
@@ -183,6 +193,15 @@ def test_report_requires_evaluate(runner, tmp_path):
                                   "--out", str(tmp_path / "store")])
     assert result.exit_code == 2
     assert "evaluate" in result.output
+
+
+def test_report_on_a_path_without_a_store_creates_nothing(runner, tmp_path):
+    out = tmp_path / "fresh"
+    result = runner.invoke(main, ["report", "--plan", str(QUICKSTART),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"{out} holds no results store" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", [

@@ -221,13 +221,10 @@ def test_bootstrap_cmi_markovian_contains_zero(basis):
     assert (iv2.lo, iv2.hi, iv2.point) == (iv.lo, iv.hi, iv.point)
 
 
-@pytest.mark.parametrize("shots", [400, None])
-@pytest.mark.parametrize("n, placements", [(10, (1,)), (12, (2,)),
-                                           (11, (1, 2))])
-def test_bootstrap_cmi_equals_complex_redraw_oracle(basis, shots, n,
-                                                    placements):
-    # the redraw yields frequencies and bootstrap_cmi builds the states; the
-    # binomials, the states and the interval must stay bit for bit
+def _assert_bootstrap_cmi_equals_oracle(basis, shots, n, placements):
+    # the redraw yields frequencies and bootstrap_cmi builds the states of
+    # the n x n basis block alone, where the oracle converts the whole pool;
+    # the binomials, the states and the interval must stay bit for bit
     model = make_model(duration_ns=2500.0, env_init="plus")
     counts = simulate_experiment(model, standard_slots(basis), shots, 3)
     iv = bootstrap_cmi(counts, shots, basis, n=n, placements=placements,
@@ -236,6 +233,24 @@ def test_bootstrap_cmi_equals_complex_redraw_oracle(basis, shots, n,
                                 6, 11)
     got = np.array([iv.point, iv.lo, iv.hi])
     assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("shots", [400, None])
+@pytest.mark.parametrize("n, placements", [(10, (1,)), (12, (2,)),
+                                           (11, (1, 2))])
+def test_bootstrap_cmi_equals_complex_redraw_oracle(basis, shots, n,
+                                                    placements):
+    _assert_bootstrap_cmi_equals_oracle(basis, shots, n, placements)
+
+
+@pytest.mark.parametrize("shots", [400, None])
+@pytest.mark.parametrize("placements", [(1,), (1, 2)])
+def test_bootstrap_cmi_equals_complex_redraw_oracle_at_full_survey_shape(
+        shots, placements):
+    # full_survey's pool 28 and basis size 24, where the whole pool holds
+    # 36% more sequences than the block the tensor reads
+    _assert_bootstrap_cmi_equals_oracle(generate_haar_basis(28, seed=17),
+                                        shots, 24, placements)
 
 
 def test_bootstrap_cmi_validates(basis):

@@ -11,6 +11,7 @@ on the two agreeing to the last bit, so values are compared as raw bits.
 """
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from proctensor.basis import (generate_haar_basis, haar_unitary,
                               standard_preparations)
 from proctensor.markov import characterize, compare_with_tensor, predict
 from proctensor.qcore import (
+    ID2,
+    PAULIS,
     NumericalError,
     PhysicalityError,
     channel_from_kraus,
@@ -36,6 +39,7 @@ from proctensor.tomography import (
     bootstrap_ci,
     build_standard_tensor,
     channel_from_prep_outputs,
+    linear_inversion_qubit,
     mle_project,
     pair_qst_mle,
     pool_coefficients,
@@ -209,15 +213,38 @@ def test_qst_mle_equals_per_sequence_loop(shots):
     if shots is None:
         plus = rng.uniform(-0.1, 1.1, size=shape)  # outside the ball too
         counts = np.stack([plus, 1.0 - plus], axis=-1)
+        # exact expectations (+1, -1, +0.0), (-0.0, +0.0, -1), (-0.0, -0.0, 1)
+        counts[0, 1, :3] = [[[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+                            [[-0.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
+                            [[-0.0, 0.0], [-0.0, 0.0], [1.0, 0.0]]]
     else:
         plus = rng.integers(0, shots + 1, size=shape)
         plus[0, 0, 0] = (shots, shots, shots)  # far outside the Bloch ball
         plus[0, 0, 1] = (0, shots // 2, shots)
+        plus[0, 0, 2] = (shots, 0, shots // 2)  # +1, -1, 0
         counts = np.stack([plus, shots - plus], axis=-1)
     got = qst_mle(counts, shots)
     assert got.shape == shape[:-1] + (2, 2)
     for idx in np.ndindex(shape[:-1]):
         assert np.array_equal(bits(got[idx]), bits(qst_oracle(counts[idx], shots)))
+
+
+def test_linear_inversion_equals_pauli_sum():
+    # the builder writes the four entries of (I + xX + yY + zZ)/2: the Pauli
+    # sum's matrices (a zero's sign aside) and mle_project's bits, alone and
+    # stacked, at exact +-1 and +-0.0 components, outside the Bloch ball and
+    # on a pool-28 grid of sampled expectations
+    vals = [-1.5, -1.0, -0.7, -0.0, 0.0, 0.3, 1.0, 1.2]
+    special = np.array(list(product(vals, repeat=3)))
+    plus = rng_stream(42, 0).integers(0, 1601, size=(4 * 28 * 28, 3))
+    ex = np.concatenate([special, (plus - (1600 - plus)) / 1600])
+    x, y, z = (v[:, None, None] for v in ex.T)
+    want = 0.5 * (ID2 + x * PAULIS["X"] + y * PAULIS["Y"] + z * PAULIS["Z"])
+    got = linear_inversion_qubit(*ex.T)
+    assert np.array_equal(got, want)
+    assert np.array_equal(bits(mle_project(got)), bits(mle_project(want)))
+    for g, w in zip(got[:len(special)], want):
+        assert np.array_equal(bits(mle_project(g)), bits(mle_project(w)))
 
 
 @seed(20261022)
@@ -263,7 +290,8 @@ def test_prediction_fidelities_equal_per_key_loop(sampled_grid, n):
         got = prediction_fidelities(pt, basis, states, m)
         assert got.shape == (4, m, m)
         rows = range(basis.size - m, basis.size)
-        preds = predict_batch(pt, pool_coefficients(pt, basis, rows))
+        preds = predict_batch(pt, pool_coefficients(
+            pt.slots[1], pt.duals[1], basis.unitaries[basis.size - m:]))
         want = np.empty(got.shape)
         for i, j, k in np.ndindex(got.shape):
             measured = states[i, rows[j], rows[k]]
@@ -366,8 +394,8 @@ def test_predict_parts_equals_oracle_components(pool_seed, shape, lead):
     raw[rng.random(raw.shape) < 0.1] = -0.0
     states = raw.view(complex)[..., 0]
     pt = build_standard_tensor(np.zeros((4, pool, pool, 2, 2)), basis, n)
-    coeffs = pool_coefficients(pt, basis,
-                               range(n, pool) if held_out else range(pool))
+    coeffs = pool_coefficients(pt.slots[1], pt.duals[1],
+                               basis.unitaries[n if held_out else 0:])
     m = len(coeffs)
     parts = np.stack(real_parts(states), axis=-1)
     got = predict_parts(parts[..., :n, :n, :], coeffs)
@@ -382,7 +410,7 @@ def test_predict_batch_with_leading_axes_equals_each_tensor(sampled_grid):
     _, basis, states = sampled_grid
     n = 10
     pt = build_standard_tensor(states, basis, n)
-    coeffs = pool_coefficients(pt, basis, range(n, basis.size))
+    coeffs = pool_coefficients(pt.slots[1], pt.duals[1], basis.unitaries[n:])
     stack = np.stack([states, states[:, ::-1, ::-1], states[:, :, ::-1]])
     got = predict_batch(replace(pt, states=stack[:, :, :n, :n]), coeffs)
     assert got.shape == (3, 4, basis.size - n, basis.size - n, 2, 2)

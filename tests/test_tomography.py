@@ -34,6 +34,7 @@ from proctensor.tomography import (
     box_stats,
     build_standard_tensor,
     channel_from_prep_outputs,
+    clip_to_bloch_ball,
     contract_fast,
     evaluate_split,
     form_coefficients,
@@ -46,7 +47,6 @@ from proctensor.tomography import (
     project_to_cptp,
     qst_mle,
     qubit_bloch,
-    qubit_states_from_expectations,
     reconstruction_fidelity,
     slot_coefficients,
     standard_slots,
@@ -114,11 +114,13 @@ def test_mle_project_rejects_traceless():
 
 
 def test_vectorized_qubit_mle_matches_scalar():
+    # the bootstraps' states: probabilities clipped to the Bloch ball, then
+    # built, against each state's eigenvalue truncation
     rng = rng_stream(33, 0)
-    xs, ys, zs = rng.uniform(-1.3, 1.3, size=(3, 200))
-    batch = qubit_states_from_expectations(xs, ys, zs)
-    for i in range(200):
-        ref = mle_project(linear_inversion_qubit(xs[i], ys[i], zs[i]))
+    probs = rng.uniform(-0.15, 1.15, size=(200, 3))
+    batch = _states_from_probs(probs)
+    for i, ex in enumerate(2.0 * probs - 1.0):
+        ref = mle_project(linear_inversion_qubit(*ex))
         assert np.allclose(batch[i], ref, atol=1e-10)
 
 
@@ -133,7 +135,7 @@ def test_radial_clip_equals_eigenvalue_truncation(direction, radius):
     norm = np.linalg.norm(direction)
     assume(norm > 1e-3)
     x, y, z = radius * np.asarray(direction) / norm
-    clipped = qubit_states_from_expectations(np.array(x), np.array(y), np.array(z))
+    clipped = linear_inversion_qubit(*clip_to_bloch_ball(x, y, z))
     want = mle_project(linear_inversion_qubit(x, y, z))
     assert np.max(np.abs(clipped - want)) <= 1e-12
 
@@ -316,7 +318,8 @@ def test_grid_prediction_equals_key_table_oracle(pool_seed, size, data):
         pt = build_standard_tensor(states, basis, n)
         for rows in (range(n, size), range(size)):
             keys = [(i, j, k) for i in range(4) for j in rows for k in rows]
-            got = predict_batch(pt, pool_coefficients(pt, basis, rows))
+            got = predict_batch(pt, pool_coefficients(
+                pt.slots[1], pt.duals[1], [basis.unitaries[j] for j in rows]))
             want = predict_via_key_tables(pt, basis, keys)
             assert got.shape == (4, len(rows), len(rows), 2, 2)
             assert np.array_equal(got.reshape(want.shape).view(np.int64),
