@@ -107,7 +107,8 @@ def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
 def decoupling_kernel(pt: ProcessTensor) -> np.ndarray:
     """The readout kernel R (4, 4, 16): ``v @ (v.conj() @ R)`` is the joint
     output for the gate u with v = vec(u.T), as in ``synthesis_kernel``."""
-    return (slot_kernel(pt, [coefficient_map(pt.duals[0])]) / 2).reshape(4, 4, 16)
+    return (slot_kernel(pt.states, [coefficient_map(pt.duals[0])])
+            / 2).reshape(4, 4, 16)
 
 
 def _decoupling_losses(kernel: np.ndarray, x: np.ndarray,
@@ -309,7 +310,8 @@ def synthesis_kernel(pt: ProcessTensor,
     preps = standard_preparations()
     prep_coeffs = np.array([slot_coefficients(pt.slots[0], pt.duals[0], p.gate)
                             for p in preps]).T
-    weights = slot_kernel(pt, [prep_coeffs, coefficient_map(pt.duals[1])])
+    weights = slot_kernel(pt.states,
+                          [prep_coeffs, coefficient_map(pt.duals[1])])
     paulis = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
     readout = 0.5 * np.einsum("mts,ipst->pim", paulis, weights)
     outputs = np.array([[apply_channel(t, p.state) for p in preps] for t in targets])

@@ -17,24 +17,25 @@ surrogate with no memory yields intervals containing zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qcore as optimize  # bench/tracer.py counts searches by this name
-from .basis import prep_matrix_form
+from .basis import DualSet, build_duals, prep_matrix_form
 from .qcore import u3_entries
 from .simulator import rng_stream
 from .tomography import (
     CI_ALPHA,
     STANDARD_STEPS,
     ProcessTensor,
-    _states_from_probs,
-    build_standard_tensor,
+    _parts_from_probs,
     coefficient_map,
     form_coefficients,
+    prep_slot,
     redraw_records,
     slot_kernel,
+    unitary_slot,
 )
 
 ENTROPY_FLOOR = 1e-12
@@ -72,7 +73,7 @@ def cmi_kernel(pt: ProcessTensor, placements: tuple[int, ...]) -> np.ndarray:
     for s in range(1, pt.steps):
         maps.append(form_coefficients(BARRIER_FORM, pt.duals[s])
                     if s in placements else coefficient_map(pt.duals[s]))
-    kernel = slot_kernel(pt, maps)  # K[a, (pq)..., s, t]
+    kernel = slot_kernel(pt.states, maps)  # K[a, (pq)..., s, t]
     fillers = kernel.ndim - 3
     kernel = np.moveaxis(kernel, 0, -3) * 0.5 ** fillers
     return kernel.reshape((4, 4) * fillers + (4, 4))
@@ -171,6 +172,33 @@ class MemoryInterval:
     point: float
     lo: float
     hi: float
+    samples: np.ndarray = field(repr=False, compare=False)  # (resamples,)
+
+
+def _probe_readout(duals: tuple[DualSet, ...], placements: tuple[int, ...],
+                   x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The probe with u3 angles ``x`` (as ``cmi_value`` reads them) as a
+    linear readout of the standard tensor's states: the ``slot_kernel`` maps
+    (the encoded preparations' coefficients (4, 2), then each unitary
+    slot's barrier or filler coefficients (n,)) and the decoder rows (2, 4)
+    over the parts Re rho00, Re rho11, Re rho10, Im rho10 of each state.
+    Parts (P, n, n, 4) give the table p(d|e) = slot_kernel(parts, maps) @
+    decoder.T."""
+    x = np.asarray(x, dtype=float).tolist()
+    e0, e1, d = (u3_entries(*x[i:i + 3]) for i in (0, 3, 6))
+    f = (1.0, 0.0, 0.0, 1.0) if len(x) == 9 else u3_entries(*x[9:12])
+    v = np.array((f[0], f[2], f[1], f[3]), dtype=complex)
+    maps = [np.array([form_coefficients(prep_matrix_form(np.reshape(
+        _projector(e[0], e[2]), (2, 2))), duals[0]) for e in (e0, e1)]).T]
+    maps += [form_coefficients(BARRIER_FORM if s in placements
+                               else np.outer(v, v.conj()) / 2, duals[s])
+             for s in range(1, len(duals))]
+    # tr(rho |k><k|) for the decoder's rows k, with rho01 = conj(rho10)
+    dec = np.array(d).reshape(2, 2)
+    x10 = dec[:, 1] * dec[:, 0].conj()
+    decoder = np.stack([abs(dec[:, 0]) ** 2, abs(dec[:, 1]) ** 2,
+                        2.0 * x10.real, -2.0 * x10.imag], axis=-1)
+    return maps, decoder
 
 
 def bootstrap_cmi(counts: np.ndarray, shots: int | None, basis, n: int,
@@ -180,23 +208,32 @@ def bootstrap_cmi(counts: np.ndarray, shots: int | None, basis, n: int,
     ``params`` (``CMIResult.params``).
 
     ``counts`` are the standard grid's, shape (P, pool, pool, 3, 2). Each
-    resample redraws every sequence from its own counts, replaces the
-    tensor's states and re-evaluates the probe. The reflected percentile
-    interval [2t - q_hi, 2t - q_lo] keeps zero inside the interval when the
-    point estimate sits at the zero floor, at the cost of clipping to [0, 1].
+    resample redraws every sequence from its own counts. At fixed angles the
+    probe's table is linear in the tensor's states, so the probe is built
+    once as a readout of the n x n block of states the tensor holds, and the
+    point estimate and every resample go through it. The reflected
+    percentile interval [2t - q_hi, 2t - q_lo] keeps zero inside the
+    interval when the point estimate sits at the zero floor, at the cost of
+    clipping to [0, 1].
     """
     placements = _check_placements(placements, STANDARD_STEPS)
+    if not 1 <= n <= basis.size:
+        raise ValueError(f"basis subset {n} outside [1, {basis.size}]")
+    prep, pool = (build_duals(s.forms, required_rank=s.required_rank)
+                  for s in (prep_slot(basis.preparations),
+                            unitary_slot(basis.unitaries[:n])))
+    maps, decoder = _probe_readout((prep, pool, pool), placements, params)
+
+    def score(p: np.ndarray) -> float:
+        parts = np.stack(_parts_from_probs(p[:, :n, :n]), axis=-1)
+        return binary_channel_mi(slot_kernel(parts, maps) @ decoder.T)
+
     probs, redraws = redraw_records(counts, shots, resamples,
                                     rng_stream(seed, 202, *placements))
-    pt0 = build_standard_tensor(_states_from_probs(probs[:, :n, :n]),
-                                basis, n)
-    point = cmi_value(cmi_kernel(pt0, placements), params)
-    samples = np.array([
-        cmi_value(cmi_kernel(replace(
-            pt0, states=_states_from_probs(p[:, :n, :n])), placements), params)
-        for p in redraws])
+    point = score(probs)
+    samples = np.array([score(p) for p in redraws])
     q_lo, q_hi = np.percentile(samples, [100 * CI_ALPHA / 2,
                                          100 * (1 - CI_ALPHA / 2)])
     lo = min(max(2.0 * point - q_hi, 0.0), 1.0)
     hi = min(max(2.0 * point - q_lo, 0.0), 1.0)
-    return MemoryInterval(point=point, lo=lo, hi=hi)
+    return MemoryInterval(point=point, lo=lo, hi=hi, samples=samples)

@@ -318,16 +318,18 @@ def coefficient_map(duals: DualSet) -> np.ndarray:
     return duals.duals.transpose(0, 2, 1).reshape(n, d * d)
 
 
-def slot_kernel(pt: ProcessTensor, maps: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract every slot of the tensor with a fixed linear map.
+def slot_kernel(states: np.ndarray, maps: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract every slot axis of a tensor's states (one leading axis per
+    slot, then the output state or any other trailing axes) with a fixed
+    linear map, the last slot first.
 
     ``maps[s]`` is a coefficient vector (n_s,), which contracts slot s away,
     or a matrix (n_s, m), which replaces slot s by an axis of size m (a
     ``coefficient_map`` leaves the slot open to any matrix form). The
-    remaining axes keep slot order, followed by the output state.
+    remaining axes keep slot order, followed by the trailing axes.
     """
-    kernel = pt.states
-    for s in reversed(range(pt.steps)):
+    kernel = states
+    for s in reversed(range(len(maps))):
         kernel = np.moveaxis(kernel, s, -1) @ maps[s]
         if np.ndim(maps[s]) == 2:
             kernel = np.moveaxis(kernel, -1, s)
@@ -466,6 +468,11 @@ def prediction_fidelities(pt: ProcessTensor, basis: ControlBasis,
     return reconstruction_fidelity(preds, states[:, -m:, -m:])
 
 
+def _check_split(n: int, pool: int) -> None:
+    if not 1 <= n < pool:
+        raise ValueError(f"need 1 <= n < pool={pool} for a held-out split, got {n}")
+
+
 def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int) -> EvalResult:
     """Reconstruct from the first n pool elements, verify on the rest.
 
@@ -473,11 +480,9 @@ def evaluate_split(states: np.ndarray, basis: ControlBasis, n: int) -> EvalResul
     shape (len(basis.preparations), pool, pool, 2, 2). The held-out set is
     every sequence whose two unitary slots both index past n.
     """
-    pool = basis.size
-    if not 1 <= n < pool:
-        raise ValueError(f"need 1 <= n < pool={pool} for a held-out split, got {n}")
+    _check_split(n, basis.size)
     pt = build_standard_tensor(states, basis, n)
-    fids = prediction_fidelities(pt, basis, states, pool - n)
+    fids = prediction_fidelities(pt, basis, states, basis.size - n)
     return EvalResult(n=n, fidelities=fids, stats=box_stats(fids))
 
 
@@ -541,6 +546,8 @@ def bootstrap_ci(counts: np.ndarray, shots: int | None, basis: ControlBasis,
     interval can lie wholly above its own point estimate.
     """
     sizes = list(sizes)
+    for n in sizes:
+        _check_split(n, basis.size)
     probs, redraws = redraw_records(counts, shots, resamples,
                                     rng_stream(seed, 777))
     coeffs = []  # one per size; no redraw changes them

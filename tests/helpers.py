@@ -391,21 +391,26 @@ def bootstrap_ci_oracle(counts, shots, basis, n, resamples, seed):
 
 def bootstrap_cmi_oracle(counts, shots, basis, n, placements, params,
                          resamples, seed):
-    """``memory.bootstrap_cmi`` on the complex redraw; it must equal it bit
-    for bit. Returns (point, lo, hi)."""
-    states, redraws = redraw_records_oracle(
-        counts, shots, resamples, rng_stream(seed, 202, *placements))
-    pt0 = build_standard_tensor(states, basis, n)
-    point = cmi_value(cmi_kernel(pt0, placements), params)
-    samples = np.array([
-        cmi_value(cmi_kernel(replace(pt0, states=re_states[:, :n, :n]),
-                             placements), params)
-        for re_states in redraws])
+    """``memory.bootstrap_cmi`` on complex states: every redraw of the whole
+    pool, drawn from ``rng_stream(seed, 202, *placements)`` in
+    ``tomography.redraw_records``' order, becomes a tensor scored with
+    ``cmi_value(cmi_kernel(...))``. The redrawn frequencies must equal
+    ``bootstrap_cmi``'s bit for bit; its linear readout differs from
+    ``cmi_value`` by ulps. Returns the frequencies (resamples, P, pool,
+    pool, 3) and (point, lo, hi, samples)."""
+    probs = counts[..., 0] / (shots or 1)
+    rng = rng_stream(seed, 202, *placements)
+    freqs = np.array([probs if shots is None else rng.binomial(shots, probs)
+                      / shots for _ in range(resamples)])
+    pt0 = build_standard_tensor(_states_from_probs(probs), basis, n)
+    point, *samples = (cmi_value(cmi_kernel(replace(
+        pt0, states=_states_from_probs(p[:, :n, :n])), placements), params)
+        for p in [probs, *freqs])
     q_lo, q_hi = np.percentile(samples, [100 * CI_ALPHA / 2,
                                          100 * (1 - CI_ALPHA / 2)])
     lo = min(max(2.0 * point - q_hi, 0.0), 1.0)
     hi = min(max(2.0 * point - q_lo, 0.0), 1.0)
-    return point, lo, hi
+    return freqs, (point, lo, hi, np.array(samples))
 
 
 def _project_tp_oracle(choi):

@@ -98,7 +98,7 @@ MEMORY_SYNTHESIS_PLAN = {"name": "ms", "pool_size": 11, "basis_size": 10,
     (lambda: plan_from_dict(DECOUPLE_PLAN),
      "3174b552da801b5d8cdc85fddb84163f1c364ca39fad6083d469f539e4e507b4"),
     (lambda: plan_from_dict(MEMORY_SYNTHESIS_PLAN),
-     "92dbbe1abe7a3be702f7d38f4705c3b2fd7db0abe6775a1dec09629c8d9fd97f"),
+     "4827e645ff4debc9da7692c71f0d80e3ca7923a095f7231dafc73d17f9b01e1d"),
 ], ids=["quickstart", "markov", "decouple", "memory_synthesize"])
 def test_quickstart_store_fingerprint_is_pinned(tmp_path, plan_of, fingerprint):
     # the whole store of the plan, every payload bit included

@@ -584,6 +584,43 @@ def test_memory_payloads_cover_all_placements(small_run):
         assert p["has_filler"] == (len(p["placements"]) == 1)
 
 
+def test_exact_plan_memory_intervals_are_points(small_run):
+    # an exact grid is its own redraw, and the point and every redraw go
+    # through one readout, so the interval closes on the point
+    _, store, _ = small_run
+    rows = store.records(stage="memory", kind="memory_bound")
+    assert len(rows) == 3
+    for row in rows:
+        p = row["payload"]
+        assert p["ci_lo"] == p["point"] == p["ci_hi"]
+
+
+def test_memory_stage_resumed_after_a_tear_equals_one_call(tmp_path,
+                                                           monkeypatch):
+    # a kill while the stage writes placement 2 leaves placement 1 stored
+    # and a torn line; the resumed stage must append the other two payloads
+    # exactly as an uninterrupted call does
+    monkeypatch.setattr(harness, "OPTIMIZER_RESTARTS", 2)
+    plan = ExperimentPlan(name="torn", pool_size=11, basis_size=10, shots=400,
+                          resamples=8, master_seed=3,
+                          stages=("characterize", "memory"))
+    whole = ResultsStore(tmp_path / "whole")
+    run_plan(plan, whole)
+    root = tmp_path / "torn"
+    run_plan(plan, ResultsStore(root))
+    path = root / "records.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert [json.loads(line)["key"] for line in lines[-3:]] \
+        == ["memory:1", "memory:2", "memory:1+2"]
+    path.write_bytes(b"".join(lines[:-2]) + lines[-2][:60])
+    resumed = ResultsStore(root)
+    assert [d["key"] for d in resumed.records(stage="memory")] == ["memory:1"]
+    assert run_plan(plan, resumed) == {"characterize": 0, "memory": 2}
+    assert resumed.payload_fingerprint() == whole.payload_fingerprint()
+    assert [d["payload"] for d in ResultsStore(root).records(stage="memory")] \
+        == [d["payload"] for d in whole.records(stage="memory")]
+
+
 def test_markov_payload_shape(small_run):
     _, store, _ = small_run
     payload = store.records(stage="markov", kind="markov_comparison")[0][

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from proctensor import memory
 from proctensor.basis import generate_haar_basis
 from proctensor.memory import (
     BARRIER_FORM,
@@ -21,8 +22,8 @@ from proctensor.memory import (
 )
 from proctensor.qcore import ID2, NumericalError, u3_matrix
 from proctensor.simulator import make_model, rng_stream, simulate_experiment
-from proctensor.tomography import (build_standard_tensor, qst_mle,
-                                   standard_slots, step_matrix_form)
+from proctensor.tomography import (_states_from_probs, build_standard_tensor,
+                                   qst_mle, standard_slots, step_matrix_form)
 
 from helpers import (SWAP2, bootstrap_cmi_oracle, cmi_table_via_steps,
                      cmi_value_via_steps, exact_states, probe_forms)
@@ -204,6 +205,9 @@ def test_bootstrap_cmi_exact_records(basis):
     assert iv.point == pytest.approx(1.0, abs=1e-9)
     assert iv.hi - iv.lo < 1e-9
     assert iv.lo <= iv.point <= iv.hi + 1e-12
+    # an exact grid is its own redraw, scored by the point's arithmetic
+    assert iv.lo == iv.point == iv.hi
+    assert np.array_equal(iv.samples, np.full(20, iv.point))
 
 
 def test_bootstrap_cmi_markovian_contains_zero(basis):
@@ -221,36 +225,89 @@ def test_bootstrap_cmi_markovian_contains_zero(basis):
     assert (iv2.lo, iv2.hi, iv2.point) == (iv.lo, iv.hi, iv.point)
 
 
-def _assert_bootstrap_cmi_equals_oracle(basis, shots, n, placements):
-    # the redraw yields frequencies and bootstrap_cmi builds the states of
-    # the n x n basis block alone, where the oracle converts the whole pool;
-    # the binomials, the states and the interval must stay bit for bit
+# the readout's arithmetic differs from cmi_value's by ulps
+ORACLE_TOL = 1e-12
+
+
+def _capture_redraws(monkeypatch):
+    """Record every redraw ``bootstrap_cmi`` scores, in draw order."""
+    drawn = []
+    real = memory.redraw_records
+
+    def capture(*args):
+        probs, redraws = real(*args)
+        return probs, (drawn.append(p.copy()) or p for p in redraws)
+
+    monkeypatch.setattr(memory, "redraw_records", capture)
+    return drawn
+
+
+def _assert_bootstrap_cmi_equals_oracle(monkeypatch, basis, shots, n,
+                                        placements):
+    # bootstrap_cmi scores the n x n block of each redraw through the
+    # probe's linear readout; the oracle converts the whole redrawn pool to
+    # complex states and scores each tensor with cmi_value. The binomials
+    # must stay bit for bit, the scores to the readout's rounding
     model = make_model(duration_ns=2500.0, env_init="plus")
     counts = simulate_experiment(model, standard_slots(basis), shots, 3)
+    drawn = _capture_redraws(monkeypatch)
     iv = bootstrap_cmi(counts, shots, basis, n=n, placements=placements,
                        params=CANON, resamples=6, seed=11)
-    want = bootstrap_cmi_oracle(counts, shots, basis, n, placements, CANON,
-                                6, 11)
-    got = np.array([iv.point, iv.lo, iv.hi])
-    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    freqs, (point, lo, hi, samples) = bootstrap_cmi_oracle(
+        counts, shots, basis, n, placements, CANON, 6, 11)
+    drawn = np.array(drawn)
+    assert drawn.shape == freqs.shape == (6, 4) + (basis.size,) * 2 + (3,)
+    assert np.array_equal(drawn.view(np.int64), freqs.view(np.int64))
+    assert np.abs(iv.samples - samples).max() <= ORACLE_TOL
+    assert np.abs(np.array([iv.point, iv.lo, iv.hi])
+                  - np.array([point, lo, hi])).max() <= ORACLE_TOL
 
 
 @pytest.mark.parametrize("shots", [400, None])
 @pytest.mark.parametrize("n, placements", [(10, (1,)), (12, (2,)),
                                            (11, (1, 2))])
-def test_bootstrap_cmi_equals_complex_redraw_oracle(basis, shots, n,
-                                                    placements):
-    _assert_bootstrap_cmi_equals_oracle(basis, shots, n, placements)
+def test_bootstrap_cmi_equals_complex_redraw_oracle(monkeypatch, basis, shots,
+                                                    n, placements):
+    _assert_bootstrap_cmi_equals_oracle(monkeypatch, basis, shots, n,
+                                        placements)
 
 
 @pytest.mark.parametrize("shots", [400, None])
 @pytest.mark.parametrize("placements", [(1,), (1, 2)])
 def test_bootstrap_cmi_equals_complex_redraw_oracle_at_full_survey_shape(
-        shots, placements):
+        monkeypatch, shots, placements):
     # full_survey's pool 28 and basis size 24, where the whole pool holds
     # 36% more sequences than the block the tensor reads
-    _assert_bootstrap_cmi_equals_oracle(generate_haar_basis(28, seed=17),
-                                        shots, 24, placements)
+    _assert_bootstrap_cmi_equals_oracle(
+        monkeypatch, generate_haar_basis(28, seed=17), shots, 24, placements)
+
+
+@seed(20261022)
+@settings(max_examples=12, deadline=None)
+@given(pool_seed=st.integers(0, 2**32 - 1), pool=st.integers(12, 16),
+       spare=st.integers(0, 4), shots=st.sampled_from([None, 1600]),
+       placements=st.sampled_from(barrier_placements(3)),
+       probes=st.lists(st.lists(ANGLE, min_size=12, max_size=12),
+                       min_size=1, max_size=3))
+def test_probe_readout_equals_cmi_value(pool_seed, pool, spare, shots,
+                                        placements, probes):
+    # the point estimate goes through the readout the resamples go
+    # through; it must give what cmi_value gives on the tensor of the same
+    # states. n >= 12 keeps the duals well conditioned: near the 10 the
+    # unitary slot needs, any two summation orders of one contraction
+    # (the step oracle's and cmi_kernel's too) differ by up to 1e-10
+    n = max(12, pool - spare)
+    basis = generate_haar_basis(pool, pool_seed)
+    model = make_model(duration_ns=2500.0, env_init="plus")
+    counts = simulate_experiment(model, standard_slots(basis), shots,
+                                 pool_seed)
+    states = _states_from_probs(counts[:, :n, :n, :, 0] / (shots or 1))
+    kernel = cmi_kernel(build_standard_tensor(states, basis, n), placements)
+    for x in probes:
+        for params in (np.array(x), np.array(x[:9])):
+            iv = bootstrap_cmi(counts, shots, basis, n, placements, params,
+                               resamples=2, seed=0)
+            assert abs(iv.point - cmi_value(kernel, params)) <= 1e-13
 
 
 def test_bootstrap_cmi_validates(basis):
@@ -263,3 +320,7 @@ def test_bootstrap_cmi_validates(basis):
     with pytest.raises(ValueError, match="resamples"):
         bootstrap_cmi(counts, None, basis, n=10, placements=(1,),
                       params=CANON, resamples=1, seed=0)
+    for n in (0, 13):
+        with pytest.raises(ValueError, match=f"basis subset {n} outside"):
+            bootstrap_cmi(counts, None, basis, n=n, placements=(1,),
+                          params=CANON, resamples=5, seed=0)

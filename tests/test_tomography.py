@@ -468,6 +468,18 @@ def test_bootstrap_requires_two_resamples():
         bootstrap_ci(counts, None, basis, [10], resamples=1, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, 11, 12], ids=["zero", "pool", "past-pool"])
+def test_bootstrap_rejects_a_size_without_a_held_out_split(n):
+    # evaluate_split's range: at least one basis element, and one held out
+    basis = generate_haar_basis(11, seed=41)
+    counts = simulate_experiment(make_model(steps=3), standard_slots(basis),
+                                 None, 3)
+    with pytest.raises(ValueError,
+                       match=f"need 1 <= n < pool=11 for a held-out split, "
+                             f"got {n}$"):
+        bootstrap_ci(counts, None, basis, [10, n], resamples=2, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Process tomography and CPTP projection
 # ---------------------------------------------------------------------------
