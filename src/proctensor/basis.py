@@ -194,22 +194,11 @@ def hermitian_frame(dim: int) -> np.ndarray:
     return np.stack(frame)
 
 
-@dataclass(frozen=True)
-class DualSet:
-    """Duals of a slot basis, stacked (n, d, d), and the rank the basis spans."""
-
-    duals: np.ndarray
-    rank: int
-
-    @property
-    def mode(self) -> str:
-        """``"exact"`` when tr[B_i D_j] = delta_ij holds, else ``"relaxed"``."""
-        return "exact" if self.rank == len(self.duals) else "relaxed"
-
-
 def build_duals(forms: np.ndarray,
-                required_rank: int = RESTRICTED_SPAN_DIM) -> DualSet:
-    """Duals of a stack of matrix forms (see module docstring).
+                required_rank: int) -> tuple[np.ndarray, int]:
+    """Duals of a stack of matrix forms (see module docstring), stacked
+    (n, d, d), and the rank the forms span. The duality tr[B_i D_j] =
+    delta_ij is exact when the rank equals n, and relaxed otherwise.
 
     ``required_rank`` is the dimension the elements must span: 10 for a
     unitary slot, 4 for a preparation slot.
@@ -226,4 +215,4 @@ def build_duals(forms: np.ndarray,
         raise ValueError(
             f"basis spans only {rank} of the required {required_rank} dimensions")
     f_dag = np.linalg.pinv(b_mat, rcond=PINV_RCOND)
-    return DualSet(duals=np.einsum("nc,cij->nij", f_dag, frame), rank=rank)
+    return np.einsum("nc,cij->nij", f_dag, frame), rank

@@ -57,7 +57,6 @@ from .simulator import (
 )
 from .tomography import (
     ProcessTensor,
-    assemble,
     channel_from_prep_outputs,
     coefficient_map,
     measure_grid,
@@ -101,13 +100,13 @@ def build_decoupling_tensor(model: SEModel, basis: ControlBasis,
     joints = two_qubit_probe(model, [basis.unitaries])
     states = joints if shots is None else \
         pair_qst_mle(draw_pair_counts(joints, shots, master_seed))
-    return assemble([unitary_slot(basis.unitaries)], states)
+    return ProcessTensor((unitary_slot(basis.unitaries),), states)
 
 
 def decoupling_kernel(pt: ProcessTensor) -> np.ndarray:
     """The readout kernel R (4, 4, 16): ``v @ (v.conj() @ R)`` is the joint
     output for the gate u with v = vec(u.T), as in ``synthesis_kernel``."""
-    return (slot_kernel(pt.states, [coefficient_map(pt.duals[0])])
+    return (slot_kernel(pt.states, [coefficient_map(pt.slots[0])])
             / 2).reshape(4, 4, 16)
 
 
@@ -228,17 +227,11 @@ class Trajectory:
 XY4_CYCLE = (PAULI_X, PAULI_Y, PAULI_X, PAULI_Y)
 
 
-def trajectory_model(exchange_khz: float = 50.0, zz_khz: float = 30.0,
-                     period_ns: float = 500.0, env_init: str = "plus_plus") -> SEModel:
-    """The pair's initial state and its propagator over one period."""
-    return make_model(env_init, 1, exchange_khz, zz_khz, period_ns)
-
-
 def simulate_trajectory(gates_cycle: tuple[np.ndarray, ...] | None,
                         period_ns: float = 500.0, horizon_ns: float = 25_000.0,
                         exchange_khz: float = 50.0, zz_khz: float = 30.0,
-                        env_init: str = "plus_plus", label: str = "") -> Trajectory:
-    """Evolve the joint pair, applying the gate cycle once per period.
+                        label: str = "") -> Trajectory:
+    """Evolve the joint pair from |++>, applying the gate cycle once per period.
 
     ``gates_cycle=None`` is idle evolution. The recorded metrics are all
     invariant under the local gate itself, so sampling at the period
@@ -246,7 +239,9 @@ def simulate_trajectory(gates_cycle: tuple[np.ndarray, ...] | None,
     """
     if period_ns <= 0 or horizon_ns <= 0:
         raise ValueError("period and horizon must be positive")
-    model = trajectory_model(exchange_khz, zz_khz, period_ns, env_init)
+    # the pair's initial state and its propagator over one period, checked
+    # unitary by the model
+    model = make_model("plus_plus", 1, exchange_khz, zz_khz, period_ns)
     (v,), state = model.intervals, model.initial_se
     kicks = [np.kron(g, ID2) for g in gates_cycle or ()]
     steps = int(np.floor(horizon_ns / period_ns + 1e-9))
@@ -292,8 +287,8 @@ def build_synthesis_tensor(model: SEModel, basis: ControlBasis,
     if model.steps != 2:
         raise ValueError("synthesis layout has exactly two control slots")
     states = measure_grid(model, standard_slots(basis)[:2], shots, master_seed)
-    return assemble([prep_slot(basis.preparations),
-                     unitary_slot(basis.unitaries)], states)
+    return ProcessTensor((prep_slot(basis.preparations),
+                          unitary_slot(basis.unitaries)), states)
 
 
 def synthesis_kernel(pt: ProcessTensor,
@@ -308,10 +303,10 @@ def synthesis_kernel(pt: ProcessTensor,
     and unnormalised Bloch vector.
     """
     preps = standard_preparations()
-    prep_coeffs = np.array([slot_coefficients(pt.slots[0], pt.duals[0], p.gate)
+    prep_coeffs = np.array([slot_coefficients(pt.slots[0], p.gate)
                             for p in preps]).T
     weights = slot_kernel(pt.states,
-                          [prep_coeffs, coefficient_map(pt.duals[1])])
+                          [prep_coeffs, coefficient_map(pt.slots[1])])
     paulis = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
     readout = 0.5 * np.einsum("mts,ipst->pim", paulis, weights)
     outputs = np.array([[apply_channel(t, p.state) for p in preps] for t in targets])

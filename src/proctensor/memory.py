@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore as optimize  # bench/tracer.py counts searches by this name
-from .basis import DualSet, build_duals, prep_matrix_form
+from .basis import prep_matrix_form
 from .qcore import u3_entries
 from .simulator import rng_stream
 from .tomography import (
     CI_ALPHA,
     STANDARD_STEPS,
     ProcessTensor,
+    SlotBasis,
     _parts_from_probs,
     coefficient_map,
     form_coefficients,
@@ -69,10 +70,10 @@ def cmi_kernel(pt: ProcessTensor, placements: tuple[int, ...]) -> np.ndarray:
     entries and axis st the output state's. With every slot barred the
     kernel is K[a, st] (4, 4)."""
     placements = _check_placements(placements, pt.steps)
-    maps = [coefficient_map(pt.duals[0]) @ _UNIT_PREP_FORMS.T]
+    maps = [coefficient_map(pt.slots[0]) @ _UNIT_PREP_FORMS.T]
     for s in range(1, pt.steps):
-        maps.append(form_coefficients(BARRIER_FORM, pt.duals[s])
-                    if s in placements else coefficient_map(pt.duals[s]))
+        maps.append(form_coefficients(BARRIER_FORM, pt.slots[s])
+                    if s in placements else coefficient_map(pt.slots[s]))
     kernel = slot_kernel(pt.states, maps)  # K[a, (pq)..., s, t]
     fillers = kernel.ndim - 3
     kernel = np.moveaxis(kernel, 0, -3) * 0.5 ** fillers
@@ -175,7 +176,7 @@ class MemoryInterval:
     samples: np.ndarray = field(repr=False, compare=False)  # (resamples,)
 
 
-def _probe_readout(duals: tuple[DualSet, ...], placements: tuple[int, ...],
+def _probe_readout(slots: tuple[SlotBasis, ...], placements: tuple[int, ...],
                    x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """The probe with u3 angles ``x`` (as ``cmi_value`` reads them) as a
     linear readout of the standard tensor's states: the ``slot_kernel`` maps
@@ -189,10 +190,10 @@ def _probe_readout(duals: tuple[DualSet, ...], placements: tuple[int, ...],
     f = (1.0, 0.0, 0.0, 1.0) if len(x) == 9 else u3_entries(*x[9:12])
     v = np.array((f[0], f[2], f[1], f[3]), dtype=complex)
     maps = [np.array([form_coefficients(prep_matrix_form(np.reshape(
-        _projector(e[0], e[2]), (2, 2))), duals[0]) for e in (e0, e1)]).T]
+        _projector(e[0], e[2]), (2, 2))), slots[0]) for e in (e0, e1)]).T]
     maps += [form_coefficients(BARRIER_FORM if s in placements
-                               else np.outer(v, v.conj()) / 2, duals[s])
-             for s in range(1, len(duals))]
+                               else np.outer(v, v.conj()) / 2, slots[s])
+             for s in range(1, len(slots))]
     # tr(rho |k><k|) for the decoder's rows k, with rho01 = conj(rho10)
     dec = np.array(d).reshape(2, 2)
     x10 = dec[:, 1] * dec[:, 0].conj()
@@ -219,10 +220,9 @@ def bootstrap_cmi(counts: np.ndarray, shots: int | None, basis, n: int,
     placements = _check_placements(placements, STANDARD_STEPS)
     if not 1 <= n <= basis.size:
         raise ValueError(f"basis subset {n} outside [1, {basis.size}]")
-    prep, pool = (build_duals(s.forms, required_rank=s.required_rank)
-                  for s in (prep_slot(basis.preparations),
-                            unitary_slot(basis.unitaries[:n])))
-    maps, decoder = _probe_readout((prep, pool, pool), placements, params)
+    pool = unitary_slot(basis.unitaries[:n])
+    maps, decoder = _probe_readout((prep_slot(basis.preparations), pool, pool),
+                                   placements, params)
 
     def score(p: np.ndarray) -> float:
         parts = np.stack(_parts_from_probs(p[:, :n, :n]), axis=-1)

@@ -110,17 +110,16 @@ def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL, name: str = "matrix")
     return u
 
 
-def clamp_spectrum(evals: np.ndarray, tol: float = EIG_CLAMP_TOL,
-                   name: str = "matrix") -> np.ndarray:
+def clamp_spectrum(evals: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Zero out tiny negative eigenvalues of a spectrum ``(..., d)``; raise
     PhysicalityError, naming the first offending stack index, if any are
     materially negative."""
     evals = np.asarray(evals, dtype=float)
-    if evals.min() < -tol:
+    if evals.min() < -EIG_CLAMP_TOL:
         low = evals.min(axis=-1)
-        bad = low < -tol
+        bad = low < -EIG_CLAMP_TOL
         raise PhysicalityError(f"{name}{stack_index(bad)} eigenvalue "
-                               f"{low[bad][0]:.3e} below -{tol}")
+                               f"{low[bad][0]:.3e} below -{EIG_CLAMP_TOL}")
     return np.clip(evals, 0.0, None)
 
 

@@ -11,11 +11,11 @@ matrix form A_hat = A_0 (x) ... (x) A_{k-1} is
 
     T[A] = tr_in[(A_hat (x) I_out)^T T] = sum_nu prod_s tr[A_s D_s^{nu_s}] rho^nu
 
-The tensor is stored as its slot duals (one stacked (n, d, d) array
-per slot) and the states rho^nu, and contraction takes the right-hand
-route: the expansion coefficients tr[A_s D_s^{nu_s}] are computed slot
-by slot. The test suite keeps the defining matrix form as an oracle
-for this identity.
+The tensor is stored as its slots, each holding its basis forms and
+their duals (stacked (n, d, d) arrays), and the states rho^nu, and
+contraction takes the right-hand route: the expansion coefficients
+tr[A_s D_s^{nu_s}] are computed slot by slot. The test suite keeps the
+defining matrix form as an oracle for this identity.
 
 Slot 0 is a preparation slot: a gate contracted there is first converted
 to the preparation it induces on the slot's reference input |0><0|. A
@@ -34,7 +34,6 @@ import numpy as np
 
 from .basis import (
     ControlBasis,
-    DualSet,
     PrepOp,
     RESTRICTED_SPAN_DIM,
     build_duals,
@@ -230,31 +229,48 @@ def bloch_fidelity(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SlotBasis:
     """The operations spanning one slot, as trace-normalized Choi forms
-    stacked (n, d, d)."""
+    stacked (n, d, d), with their duals (n, d, d) and the rank they span,
+    built once (see ``build_duals``)."""
 
     kind: str  # "prep" | "unitary"
     forms: np.ndarray
+    duals: np.ndarray = field(init=False, repr=False)
+    rank: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("prep", "unitary"):
             raise ValueError(f"unknown slot kind {self.kind!r}")
+        duals, rank = build_duals(self.forms, required_rank=(
+            PREP_SPAN_DIM if self.kind == "prep" else RESTRICTED_SPAN_DIM))
+        object.__setattr__(self, "duals", duals)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def size(self) -> int:
         return len(self.forms)
 
-    @property
-    def required_rank(self) -> int:
-        return PREP_SPAN_DIM if self.kind == "prep" else RESTRICTED_SPAN_DIM
-
 
 @dataclass(frozen=True)
 class ProcessTensor:
-    """Assembled restricted process tensor (fields per module docstring)."""
+    """Restricted process tensor (fields per module docstring).
+
+    ``states`` has one axis per slot, of the slot's size, followed by the
+    square output state; leading batch axes before them hold a stack of
+    tensors on the same slots (see ``predict_batch``).
+    """
 
     slots: tuple[SlotBasis, ...]
-    duals: tuple[DualSet, ...]
     states: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        states = np.asarray(self.states, dtype=complex)
+        sizes = tuple(s.size for s in self.slots)
+        batch = states.ndim - 2 - len(sizes)
+        if (batch < 0 or states.shape[batch:-2] != sizes
+                or states.shape[-2] != states.shape[-1]):
+            raise ValueError(
+                f"states shape {states.shape} is not (...,) + {sizes} + (d, d)")
+        object.__setattr__(self, "states", states)
 
     @property
     def steps(self) -> int:
@@ -271,23 +287,6 @@ def unitary_slot(unitaries: Iterable[np.ndarray]) -> SlotBasis:
                      forms=np.array([unitary_matrix_form(u) for u in unitaries]))
 
 
-def assemble(slots: list[SlotBasis], states: np.ndarray) -> ProcessTensor:
-    """Build the tensor from slot bases and measured basis-sequence states.
-
-    ``states`` has one axis per slot, of the slot's size, followed by the
-    square output state.
-    """
-    slots = tuple(slots)
-    sizes = tuple(s.size for s in slots)
-    states = np.asarray(states, dtype=complex)
-    if states.shape[:-2] != sizes or states.shape[-2] != states.shape[-1]:
-        raise ValueError(
-            f"states shape {states.shape} is not {sizes} + (d, d)")
-    built = {id(s): build_duals(s.forms, required_rank=s.required_rank)
-             for s in {id(s): s for s in slots}.values()}  # once per slot object
-    return ProcessTensor(slots, tuple(built[id(s)] for s in slots), states)
-
-
 def step_matrix_form(gate: np.ndarray, slot_kind: str) -> np.ndarray:
     """Matrix form of a gate as seen by a slot.
 
@@ -301,21 +300,21 @@ def step_matrix_form(gate: np.ndarray, slot_kind: str) -> np.ndarray:
     return choi / 2
 
 
-def form_coefficients(form: np.ndarray, duals: DualSet) -> np.ndarray:
-    """Expansion coefficients tr[A D^nu] of a matrix form A."""
-    return np.einsum("ij,nji->n", form, duals.duals).real
+def form_coefficients(form: np.ndarray, slot: SlotBasis) -> np.ndarray:
+    """Expansion coefficients tr[A D^nu] of a matrix form A against one slot."""
+    return np.einsum("ij,nji->n", form, slot.duals).real
 
 
-def slot_coefficients(slot: SlotBasis, duals: DualSet, gate: np.ndarray) -> np.ndarray:
+def slot_coefficients(slot: SlotBasis, gate: np.ndarray) -> np.ndarray:
     """Expansion coefficients tr[A D^nu] of a gate against one slot."""
-    return form_coefficients(step_matrix_form(gate, slot.kind), duals)
+    return form_coefficients(step_matrix_form(gate, slot.kind), slot)
 
 
-def coefficient_map(duals: DualSet) -> np.ndarray:
+def coefficient_map(slot: SlotBasis) -> np.ndarray:
     """The slot's coefficients as a linear map (n, d*d) of a step's
     flattened matrix form: tr[A D^nu] = sum_pq A[p, q] D^nu[q, p]."""
-    n, d, _ = duals.duals.shape
-    return duals.duals.transpose(0, 2, 1).reshape(n, d * d)
+    n, d, _ = slot.duals.shape
+    return slot.duals.transpose(0, 2, 1).reshape(n, d * d)
 
 
 def slot_kernel(states: np.ndarray, maps: Sequence[np.ndarray]) -> np.ndarray:
@@ -340,8 +339,7 @@ def contract_fast(pt: ProcessTensor, gates: Sequence[np.ndarray]) -> np.ndarray:
     """Contract a gate sequence with the tensor through the slot coefficients."""
     if len(gates) != pt.steps:
         raise ValueError(f"sequence has {len(gates)} steps, tensor has {pt.steps}")
-    coeffs = [slot_coefficients(pt.slots[s], pt.duals[s], gates[s])
-              for s in range(pt.steps)]
+    coeffs = [slot_coefficients(slot, g) for slot, g in zip(pt.slots, gates)]
     letters = "ijklmn"[: pt.steps]
     spec = ",".join(letters) + f",{letters}ab->ab"
     return np.einsum(spec, *coeffs, pt.states)
@@ -364,9 +362,9 @@ def build_standard_tensor(states: np.ndarray, basis: ControlBasis,
     """Three-step tensor (prep slot + two unitary slots) from pool states."""
     if n > basis.size:
         raise ValueError(f"basis subset {n} exceeds pool size {basis.size}")
-    pool = unitary_slot(basis.unitaries[:n])
-    return assemble([prep_slot(basis.preparations), pool, pool],
-                    states[:, :n, :n])
+    pool = unitary_slot(basis.unitaries[:n])  # one slot object, one dual set
+    return ProcessTensor((prep_slot(basis.preparations), pool, pool),
+                         states[:, :n, :n])
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +417,9 @@ class EvalResult:
         return 1.0 - self.stats.mean
 
 
-def pool_coefficients(slot: SlotBasis, duals: DualSet,
-                      gates: Iterable[np.ndarray]) -> np.ndarray:
+def pool_coefficients(slot: SlotBasis, gates: Iterable[np.ndarray]) -> np.ndarray:
     """Coefficient rows (len(gates), n) of gates against one slot."""
-    return np.array([slot_coefficients(slot, duals, g) for g in gates])
+    return np.array([slot_coefficients(slot, g) for g in gates])
 
 
 def predict_parts(parts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -464,7 +461,7 @@ def prediction_fidelities(pt: ProcessTensor, basis: ControlBasis,
     states ``states`` (P, pool, pool, 2, 2), for every preparation and every
     pair of the last m pool elements."""
     preds = predict_batch(pt, pool_coefficients(
-        pt.slots[1], pt.duals[1], basis.unitaries[basis.size - m:]))
+        pt.slots[1], basis.unitaries[basis.size - m:]))
     return reconstruction_fidelity(preds, states[:, -m:, -m:])
 
 
@@ -550,11 +547,9 @@ def bootstrap_ci(counts: np.ndarray, shots: int | None, basis: ControlBasis,
         _check_split(n, basis.size)
     probs, redraws = redraw_records(counts, shots, resamples,
                                     rng_stream(seed, 777))
-    coeffs = []  # one per size; no redraw changes them
-    for n in sizes:
-        slot = unitary_slot(basis.unitaries[:n])
-        duals = build_duals(slot.forms, required_rank=slot.required_rank)
-        coeffs.append(pool_coefficients(slot, duals, basis.unitaries[n:]))
+    # coefficient rows, one per size; no redraw changes them
+    coeffs = [pool_coefficients(unitary_slot(basis.unitaries[:n]),
+                                basis.unitaries[n:]) for n in sizes]
     # scoring reads four real parts of each redrawn state
     chunk = max(1, BOOTSTRAP_CHUNK_BYTES // (probs.nbytes // 3 * 4))
     chunks = np.empty((min(chunk, resamples),) + probs.shape[:-1] + (4,))

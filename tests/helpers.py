@@ -107,9 +107,9 @@ def tensor_matrix(pt):
     dim = in_dim * pt.states.shape[-1]
     matrix = np.zeros((dim, dim), dtype=complex)
     for idx in np.ndindex(*sizes):
-        dual_full = pt.duals[0].duals[idx[0]].T
+        dual_full = pt.slots[0].duals[idx[0]].T
         for s in range(1, pt.steps):
-            dual_full = np.kron(dual_full, pt.duals[s].duals[idx[s]].T)
+            dual_full = np.kron(dual_full, pt.slots[s].duals[idx[s]].T)
         matrix += np.kron(dual_full, pt.states[idx])
     return matrix
 
@@ -141,7 +141,7 @@ def key_coefficient_tables(pt, basis, keys):
     coefficients of each key's two unitary slots.
     """
     prep_eye = np.eye(len(basis.preparations))
-    pool_coeffs = pool_coefficients(pt.slots[1], pt.duals[1], basis.unitaries)
+    pool_coeffs = pool_coefficients(pt.slots[1], basis.unitaries)
     a0 = np.array([prep_eye[i] for i, _, _ in keys])
     a1 = np.array([pool_coeffs[j] for _, j, _ in keys])
     a2 = np.array([pool_coeffs[k] for _, _, k in keys])
@@ -189,7 +189,7 @@ def contract_forms(pt, forms):
     """Contract one matrix form per slot through ``form_coefficients``, as
     ``contract_fast`` contracts gates: the route of an operation that is not
     a gate, such as the memory probe's barrier ``BARRIER_FORM``."""
-    coeffs = [form_coefficients(f, d) for f, d in zip(forms, pt.duals)]
+    coeffs = [form_coefficients(f, slot) for f, slot in zip(forms, pt.slots)]
     letters = "ijklmn"[: pt.steps]
     return np.einsum(",".join(letters) + f",{letters}ab->ab", *coeffs,
                      pt.states)
@@ -375,8 +375,7 @@ def bootstrap_ci_oracle(counts, shots, basis, n, resamples, seed):
     base_states, redraws = redraw_records_oracle(counts, shots, resamples,
                                                  rng_stream(seed, 777))
     pt0 = build_standard_tensor(base_states, basis, n)
-    coeffs = pool_coefficients(pt0.slots[1], pt0.duals[1],
-                               basis.unitaries[n:])
+    coeffs = pool_coefficients(pt0.slots[1], basis.unitaries[n:])
     sampled = np.empty(resamples)
     for b, re_states in enumerate(redraws):
         preds = predict_batch_oracle(re_states[:, :n, :n], coeffs)
@@ -577,8 +576,9 @@ def preparations_from_unitaries(unitaries, labels=None):
 
 
 def duality_defect(forms, duals):
-    """Max deviation of tr[B_i D_j] from the identity pattern."""
-    gram = np.einsum("aij,bji->ab", np.asarray(forms), duals.duals).real
+    """Max deviation of tr[B_i D_j] from the identity pattern, for duals
+    stacked (n, d, d)."""
+    gram = np.einsum("aij,bji->ab", np.asarray(forms), duals).real
     return float(np.max(np.abs(gram - np.eye(len(gram)))))
 
 

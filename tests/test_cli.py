@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -476,3 +477,13 @@ def test_seed_override_changes_manifest(runner, tmp_path):
     assert len(rows) == 4 * 10 * 10 * 3
     assert rows[0]["payload"]["shots"] == 64
     assert sum(rows[0]["payload"]["counts"]) == 64
+
+
+def test_readme_python_blocks_run():
+    # the README's code is the documented API: an API change that leaves it
+    # stale fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

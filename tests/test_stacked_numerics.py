@@ -291,7 +291,7 @@ def test_prediction_fidelities_equal_per_key_loop(sampled_grid, n):
         assert got.shape == (4, m, m)
         rows = range(basis.size - m, basis.size)
         preds = predict_batch(pt, pool_coefficients(
-            pt.slots[1], pt.duals[1], basis.unitaries[basis.size - m:]))
+            pt.slots[1], basis.unitaries[basis.size - m:]))
         want = np.empty(got.shape)
         for i, j, k in np.ndindex(got.shape):
             measured = states[i, rows[j], rows[k]]
@@ -394,7 +394,7 @@ def test_predict_parts_equals_oracle_components(pool_seed, shape, lead):
     raw[rng.random(raw.shape) < 0.1] = -0.0
     states = raw.view(complex)[..., 0]
     pt = build_standard_tensor(np.zeros((4, pool, pool, 2, 2)), basis, n)
-    coeffs = pool_coefficients(pt.slots[1], pt.duals[1],
+    coeffs = pool_coefficients(pt.slots[1],
                                basis.unitaries[n if held_out else 0:])
     m = len(coeffs)
     parts = np.stack(real_parts(states), axis=-1)
@@ -410,7 +410,7 @@ def test_predict_batch_with_leading_axes_equals_each_tensor(sampled_grid):
     _, basis, states = sampled_grid
     n = 10
     pt = build_standard_tensor(states, basis, n)
-    coeffs = pool_coefficients(pt.slots[1], pt.duals[1], basis.unitaries[n:])
+    coeffs = pool_coefficients(pt.slots[1], basis.unitaries[n:])
     stack = np.stack([states, states[:, ::-1, ::-1], states[:, :, ::-1]])
     got = predict_batch(replace(pt, states=stack[:, :, :n, :n]), coeffs)
     assert got.shape == (3, 4, basis.size - n, basis.size - n, 2, 2)

@@ -1,15 +1,21 @@
 """State estimation, tensor assembly/contraction, evaluation, bootstrap."""
 
-from dataclasses import astuple
+import sys
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from proctensor import tomography
+from proctensor import basis as basis_module, tomography
 from proctensor.basis import (build_duals, generate_haar_basis, prep_matrix_form,
                               standard_preparations)
-from proctensor.memory import BARRIER_FORM
+from proctensor.control import (build_decoupling_tensor, build_synthesis_tensor,
+                                decoupling_kernel, decoupling_model,
+                                nonunitary_target, synthesis_kernel,
+                                synthesis_model)
+from proctensor.memory import (BARRIER_FORM, CANONICAL_START, bootstrap_cmi,
+                               cmi_kernel)
 from proctensor.qcore import (
     ID2,
     KET0,
@@ -28,6 +34,7 @@ from proctensor.simulator import (
     simulate_experiment,
 )
 from proctensor.tomography import (
+    ProcessTensor,
     _states_from_probs,
     bloch_fidelity,
     bootstrap_ci,
@@ -213,8 +220,8 @@ def test_tensor_matrix_shape_and_hermiticity(small_setup):
     assert matrix.shape == (128, 128)
     assert np.allclose(matrix, matrix.conj().T, atol=1e-9)
     assert pt.steps == 3
-    assert pt.duals[0].mode == "exact"
-    assert pt.duals[1].mode == "exact"
+    assert pt.slots[0].rank == pt.slots[0].size
+    assert pt.slots[1].rank == pt.slots[1].size
 
 
 def test_relaxed_tensor_roundtrip():
@@ -222,7 +229,7 @@ def test_relaxed_tensor_roundtrip():
     basis = generate_haar_basis(14, seed=23)
     states = exact_states(model, basis)
     pt = build_standard_tensor(states, basis, n=12)
-    assert pt.duals[1].mode == "relaxed"
+    assert pt.slots[1].rank < pt.slots[1].size
     for (i, j, k) in [(0, 12, 13), (3, 13, 12), (1, 12, 12)]:
         pred = contract_fast(pt, standard_sequence(basis, i, j, k))
         assert fidelity(mle_project(pred), states[i, j, k]) > 1.0 - 1e-9
@@ -260,9 +267,8 @@ def test_barrier_coefficients_are_pauli_mixture(pool_seed, size):
     # the barrier's Choi form I/4 is the equal mixture of the Pauli gates' forms
     basis = generate_haar_basis(size, pool_seed)
     slot = unitary_slot(basis.unitaries)
-    duals = build_duals(list(slot.forms), required_rank=slot.required_rank)
-    direct = form_coefficients(BARRIER_FORM, duals)
-    mixture = 0.25 * sum(slot_coefficients(slot, duals, PAULIS[p])
+    direct = form_coefficients(BARRIER_FORM, slot)
+    mixture = 0.25 * sum(slot_coefficients(slot, PAULIS[p])
                          for p in ("I", "X", "Y", "Z"))
     assert np.allclose(direct, mixture, rtol=0.0, atol=1e-12)
 
@@ -273,11 +279,82 @@ def test_repeated_slots_share_one_dual_set():
     basis = generate_haar_basis(14, 3)
     states = np.broadcast_to(np.eye(2) / 2, (4, 14, 14, 2, 2))
     pt = build_standard_tensor(states, basis, 12)
-    assert pt.duals[1] is pt.duals[2] and pt.duals[0] is not pt.duals[1]
-    for slot, duals in zip(pt.slots, pt.duals):
-        fresh = build_duals(slot.forms, required_rank=slot.required_rank)
-        assert duals.rank == fresh.rank
-        assert duals.duals.tobytes() == fresh.duals.tobytes()
+    assert pt.slots[1].duals is pt.slots[2].duals
+    assert pt.slots[0].duals is not pt.slots[1].duals
+    for slot, required in zip(pt.slots, (4, 10, 10)):
+        fresh, rank = build_duals(slot.forms, required_rank=required)
+        assert slot.rank == rank
+        assert slot.duals.tobytes() == fresh.tobytes()
+
+
+def test_tensor_checks_its_states():
+    basis = generate_haar_basis(12, 3)
+    pt = build_standard_tensor(np.zeros((4, 12, 12, 2, 2), complex), basis, 10)
+    for bad in (np.zeros((4, 10, 9, 2, 2)), np.zeros((4, 10, 10, 2, 3)),
+                np.zeros((10, 10, 2, 2)), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="states shape"):
+            ProcessTensor(pt.slots, bad)
+        with pytest.raises(ValueError, match="states shape"):
+            replace(pt, states=bad)
+    # leading axes hold a stack of tensors on the same slots
+    stack = replace(pt, states=np.zeros((3, 4, 10, 10, 2, 2), complex))
+    assert stack.states.shape == (3, 4, 10, 10, 2, 2)
+    assert predict_batch(stack, pool_coefficients(
+        pt.slots[1], basis.unitaries[10:])).shape == (3, 4, 2, 2, 2, 2)
+
+
+@pytest.fixture
+def dual_builds(monkeypatch):
+    """Counts ``build_duals`` calls, wrapped under every module-level name
+    bound to it in the package."""
+    calls = []
+    original = basis_module.build_duals
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("proctensor.") and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_slots_build_their_duals_once(dual_builds):
+    basis = generate_haar_basis(12, 5)
+    counts = simulate_experiment(make_model(), standard_slots(basis), 400, 0)
+    states = qst_mle(counts, 400)
+
+    def builds(call):
+        """The number of dual builds during ``call()``, and its result."""
+        before = len(dual_builds)
+        result = call()
+        return len(dual_builds) - before, result
+
+    # the standard tensor's two pool slots are one slot object
+    count, pt = builds(lambda: build_standard_tensor(states, basis, 10))
+    assert count == 2
+    count, dec = builds(lambda: build_decoupling_tensor(decoupling_model(),
+                                                        basis))
+    assert count == 1
+    count, syn = builds(lambda: build_synthesis_tensor(synthesis_model(),
+                                                       basis))
+    assert count == 2
+    # a built tensor's kernels and contractions read the slots' duals
+    for call in (lambda: cmi_kernel(pt, (1, 2)), lambda: cmi_kernel(pt, (1,)),
+                 lambda: decoupling_kernel(dec),
+                 lambda: synthesis_kernel(syn, nonunitary_target(0.3, 0.2)),
+                 lambda: prediction_fidelities(pt, basis, states, 2),
+                 lambda: contract_fast(pt, standard_sequence(basis, 0, 1, 2))):
+        assert builds(call)[0] == 0
+    # one unitary slot per size; one preparation and one pool slot
+    for sizes in ([10], [10, 11]):
+        assert builds(lambda: bootstrap_ci(counts, 400, basis, sizes,
+                                           resamples=2))[0] == len(sizes)
+    assert builds(lambda: bootstrap_cmi(counts, 400, basis, 10, (1, 2),
+                                        CANONICAL_START, resamples=2))[0] == 2
 
 
 @seed(20201001)
@@ -291,14 +368,13 @@ def test_array_kernels_equal_loop_oracles(pool_seed, size, angles):
     gate = u3_matrix(*angles)
     for slot, barrier in ((unitary_slot(basis.unitaries), [BARRIER_FORM]),
                           (prep_slot(basis.preparations), [])):
-        duals = build_duals(slot.forms, required_rank=slot.required_rank)
-        assert np.array_equal(duals.duals, duals_via_frame_loop(list(slot.forms)))
+        assert np.array_equal(slot.duals, duals_via_frame_loop(list(slot.forms)))
         gate_form = step_matrix_form(gate, slot.kind)
         for form in [gate_form] + barrier:
-            loop = np.array([np.einsum("ij,ji->", form, d).real for d in duals.duals])
-            assert np.array_equal(form_coefficients(form, duals), loop)
-        assert np.array_equal(slot_coefficients(slot, duals, gate),
-                              form_coefficients(gate_form, duals))
+            loop = np.array([np.einsum("ij,ji->", form, d).real for d in slot.duals])
+            assert np.array_equal(form_coefficients(form, slot), loop)
+        assert np.array_equal(slot_coefficients(slot, gate),
+                              form_coefficients(gate_form, slot))
 
 
 @seed(20201018)
@@ -319,7 +395,7 @@ def test_grid_prediction_equals_key_table_oracle(pool_seed, size, data):
         for rows in (range(n, size), range(size)):
             keys = [(i, j, k) for i in range(4) for j in rows for k in rows]
             got = predict_batch(pt, pool_coefficients(
-                pt.slots[1], pt.duals[1], [basis.unitaries[j] for j in rows]))
+                pt.slots[1], [basis.unitaries[j] for j in rows]))
             want = predict_via_key_tables(pt, basis, keys)
             assert got.shape == (4, len(rows), len(rows), 2, 2)
             assert np.array_equal(got.reshape(want.shape).view(np.int64),
